@@ -79,20 +79,28 @@ class GutterPool:
                 out[key] = value
         return out
 
-    def set(self, key: str, value: Any) -> bool:
-        self.sets += 1
-        return self._server_for(key).set(key, value, self.ttl_seconds)
+    def value_size(self, key: str) -> int:
+        """Stored size of the value a gutter read of ``key`` just served."""
+        return self._server_for(key).value_size(key)
 
-    def set_multi(self, mapping: Dict[str, Any]) -> List[str]:
+    def set(self, key: str, value: Any, value_size: Optional[int] = None) -> bool:
+        self.sets += 1
+        return self._server_for(key).set(key, value, self.ttl_seconds,
+                                         value_size=value_size)
+
+    def set_multi(self, mapping: Dict[str, Any],
+                  value_sizes: Optional[Dict[str, int]] = None) -> List[str]:
         failed: List[str] = []
+        sizes = value_sizes or {}
         for key, value in mapping.items():
-            if not self.set(key, value):  # pragma: no cover - set always True
+            if not self.set(key, value, sizes.get(key)):  # pragma: no cover - set always True
                 failed.append(key)
         return failed
 
-    def add(self, key: str, value: Any) -> bool:
+    def add(self, key: str, value: Any, value_size: Optional[int] = None) -> bool:
         self.sets += 1
-        return self._server_for(key).add(key, value, self.ttl_seconds)
+        return self._server_for(key).add(key, value, self.ttl_seconds,
+                                         value_size=value_size)
 
     def delete(self, key: str) -> bool:
         self.deletes += 1

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from ...errors import CacheClassError
+from ...errors import CacheClassError, FieldError
 from ...orm.template import QueryTemplate
 from ..keys import KeyScheme, fingerprint
 from ..serializer import freeze_rows, freeze_value, thaw_rows
@@ -92,6 +92,9 @@ class CacheClass:
         self.use_transparently = use_transparently
         self.stats = CachedObjectStats()
         self.keys = KeyScheme(name, self._fingerprint())
+        #: evaluate() parameter name -> storage column, resolved once per
+        #: name (a model's fields are fixed, and so bound the map).
+        self._param_columns: Dict[str, str] = {}
         #: The normalized query shape; built lazily (after subclass __init__
         #: has set shape attributes) when not supplied by the declaration.
         self._declared_template = template
@@ -149,13 +152,16 @@ class CacheClass:
 
     def make_key(self, **params: Any) -> str:
         """Build the cache key for one combination of where-field values."""
-        values = []
-        for column in self.where_fields:
-            if column not in params:
-                raise CacheClassError(
-                    f"cached object {self.name!r} requires parameter {column!r}"
-                )
-            values.append(params[column])
+        return self._key_of(params)
+
+    def _key_of(self, params: Dict[str, Any]) -> str:
+        """:meth:`make_key` over a ``{column: value}`` mapping."""
+        try:
+            values = [params[column] for column in self.where_fields]
+        except KeyError as exc:
+            raise CacheClassError(
+                f"cached object {self.name!r} requires parameter {exc.args[0]!r}"
+            ) from None
         return self.keys.key_for(values)
 
     def key_from_row(self, row: Dict[str, Any]) -> str:
@@ -220,7 +226,7 @@ class CacheClass:
         """
         self.genie.run_pending_refreshes()
         normalized = self._normalize_params(params)
-        key = self.make_key(**normalized)
+        key = self._key_of(normalized)
         frozen = self.strategy.fetch(self, key, normalized)
         return self._present(self._thaw(frozen))
 
@@ -243,19 +249,22 @@ class CacheClass:
 
     def peek(self, **params: Any) -> Optional[Any]:
         """Return the cached value without falling back to the database."""
-        key = self.make_key(**self._normalize_params(params))
+        key = self._key_of(self._normalize_params(params))
         value = self.strategy.peek(self, key)
         return self._thaw(value) if value is not None else None
 
     def _normalize_params(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """Accept field names or columns; resolve model instances to pks."""
-        from ...errors import FieldError
+        columns = self._param_columns
         normalized: Dict[str, Any] = {}
-        for key, value in params.items():
-            try:
-                column = self._resolve_column(self.main_model, key)
-            except FieldError:
-                column = key
+        for name, value in params.items():
+            column = columns.get(name)
+            if column is None:
+                try:
+                    column = columns[name] = self._resolve_column(
+                        self.main_model, name)
+                except FieldError:
+                    column = name  # not a field: passes through, never kept
             if hasattr(value, "pk"):
                 value = value.pk
             normalized[column] = value
@@ -482,8 +491,8 @@ def evaluate_many(
             raise CacheClassError(
                 "evaluate_many() requires cached objects on the same cache client"
             )
-        normalized = cached_object._normalize_params(dict(params))
-        entries.append((cached_object, cached_object.make_key(**normalized),
+        normalized = cached_object._normalize_params(params)
+        entries.append((cached_object, cached_object._key_of(normalized),
                         normalized))
 
     # Fetch phase: group unique keys by strategy so each read protocol runs

@@ -8,19 +8,22 @@ with ``use_transparently=True`` matches, the query is served through that
 object's ``evaluate`` path (cache hit, or database fallback that repopulates
 the cache) without the application changing a line of code.
 
-Compiled-trace replays enable a **shape memo**: the value-independent half of
+Matching runs through a **shape memo**: the value-independent half of
 template matching (:meth:`~repro.orm.template.QueryTemplate.match_shape`)
 depends only on a query description's shape — table, kind, filter-key set,
-ordering, limit, offset — so the interceptor caches, per shape, the ordered
+ordering, limit, offset — so the interceptor remembers, per shape, the ordered
 list of cached objects that pass it.  Per call only the value-dependent half
 (:meth:`~repro.orm.template.QueryTemplate.bind`) and the
-``use_transparently`` flag are evaluated, preserving the uncompiled path's
-exact semantics (both halves together *are* ``match``).
+``use_transparently`` flag are evaluated (both halves together *are*
+``match``).  The memo is cleared whenever the set of registered objects
+changes, and dropped wholesale at :data:`SHAPE_MEMO_MAX` shapes (limits and
+offsets are part of a shape, so a paginating caller could otherwise grow it
+without bound).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, List, Tuple, TYPE_CHECKING
 
 from ..orm.registry import QueryInterceptor
 
@@ -32,46 +35,36 @@ if TYPE_CHECKING:  # pragma: no cover
 #: known shape-true (False means "unknown — fall back to obj.matches()").
 _MemoEntry = Tuple["CacheClass", bool]
 
+#: Most distinct query shapes the memo holds before it is dropped and refilled.
+SHAPE_MEMO_MAX = 4096
+
 
 class CacheGenieInterceptor(QueryInterceptor):
     """Serves matching ORM queries from cached objects."""
 
     def __init__(self) -> None:
         self._cached_objects: List["CacheClass"] = []
-        #: Shape-key -> ordered shape-passing objects; None = memo disabled
-        #: (the default — only compiled-trace replays switch it on).
-        self._match_cache: Optional[Dict[tuple, List[_MemoEntry]]] = None
+        #: Shape-key -> ordered shape-passing objects.
+        self._match_cache: Dict[tuple, List[_MemoEntry]] = {}
 
     def register(self, cached_object: "CacheClass") -> None:
         self._cached_objects.append(cached_object)
-        if self._match_cache:
-            self._match_cache.clear()
+        self._match_cache.clear()
 
     def unregister(self, cached_object: "CacheClass") -> None:
         if cached_object in self._cached_objects:
             self._cached_objects.remove(cached_object)
-            if self._match_cache:
-                self._match_cache.clear()
+            self._match_cache.clear()
 
     def clear(self) -> None:
         self._cached_objects.clear()
-        if self._match_cache:
-            self._match_cache.clear()
+        self._match_cache.clear()
 
     @property
     def cached_objects(self) -> List["CacheClass"]:
         return list(self._cached_objects)
 
     # -- shape memo -------------------------------------------------------------
-
-    def enable_match_cache(self) -> None:
-        """Turn on the per-shape match memo (compiled-trace fast path)."""
-        if self._match_cache is None:
-            self._match_cache = {}
-
-    def disable_match_cache(self) -> None:
-        """Drop the memo and return to plain per-call matching."""
-        self._match_cache = None
 
     def _shape_candidates(self, description: "QueryDescription") -> List[_MemoEntry]:
         """The registered objects whose template shape admits ``description``,
@@ -90,8 +83,10 @@ class CacheGenieInterceptor(QueryInterceptor):
                 except Exception:
                     # An object without the template protocol: keep it with
                     # an unknown verdict so the per-call fallback still asks
-                    # its matches() exactly like the unmemoized path.
+                    # its matches() on every call.
                     entries.append((cached_object, False))
+            if len(self._match_cache) >= SHAPE_MEMO_MAX:
+                self._match_cache.clear()
             self._match_cache[key] = entries
         return entries
 
@@ -99,18 +94,6 @@ class CacheGenieInterceptor(QueryInterceptor):
 
     def try_fetch(self, description: "QueryDescription") -> Tuple[bool, Any]:
         """Offer the query to each transparently-usable cached object."""
-        if self._match_cache is None:
-            for cached_object in self._cached_objects:
-                if not cached_object.use_transparently:
-                    continue
-                params = cached_object.matches(description)
-                if params is None:
-                    continue
-                value = cached_object.evaluate(**params)
-                cached_object.stats.transparent_fetches += 1
-                return True, cached_object.result_for_application(value, description)
-            return False, None
-        # Memoized path: same verdicts, shape checks amortized per shape.
         for cached_object, shape_known in self._shape_candidates(description):
             if not cached_object.use_transparently:
                 continue

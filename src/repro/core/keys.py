@@ -15,6 +15,15 @@ from typing import Any, Dict, Iterable, Sequence
 
 _SAFE_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.:-")
 
+#: Most value combinations one :class:`KeyScheme` memoises before the memo is
+#: dropped wholesale and refilled, so a long-running process cannot leak.
+KEY_MEMO_MAX = 1 << 16
+
+#: Component types the memo covers: within each, equal values encode to the
+#: same text.  (Floats do not qualify — ``0.0 == -0.0`` but their reprs
+#: differ — and neither does anything user-defined.)
+_MEMO_TYPES = frozenset((int, str, bool, type(None)))
+
 
 def _encode_component(value: Any) -> str:
     """Encode one key component so it is memcached-safe."""
@@ -31,31 +40,25 @@ class KeyScheme:
     def __init__(self, object_name: str, definition_fingerprint: str) -> None:
         digest = hashlib.md5(definition_fingerprint.encode("utf-8")).hexdigest()[:8]
         self.prefix = f"cg:{_encode_component(object_name)}:{digest}"
-        #: value-tuple -> built key memo; None = disabled (the default —
-        #: compiled-trace replays switch it on).  Key building is a pure
-        #: function of the values, so memoizing cannot change any key.
-        self._memo: "Dict[tuple, str] | None" = None
-
-    def enable_memo(self) -> None:
-        self._memo = {}
-
-    def disable_memo(self) -> None:
-        self._memo = None
+        #: (component types, component values) -> built key.  The types are
+        #: part of the memo key because ``1 == True == 1.0`` hash alike yet
+        #: encode differently: a key must not depend on which was seen first.
+        self._memo: Dict[tuple, str] = {}
 
     def key_for(self, values: Sequence[Any]) -> str:
         """Build the cache key for one combination of where-field values."""
+        types = tuple(map(type, values))
+        if not _MEMO_TYPES.issuperset(types):
+            return self._build(values)
         memo = self._memo
-        if memo is not None:
-            try:
-                cache_key = tuple(values)
-                built = memo.get(cache_key)
-                if built is None:
-                    built = self._build(values)
-                    memo[cache_key] = built
-                return built
-            except TypeError:
-                return self._build(values)  # unhashable value: skip the memo
-        return self._build(values)
+        memo_key = (types, tuple(values))
+        built = memo.get(memo_key)
+        if built is None:
+            built = self._build(values)
+            if len(memo) >= KEY_MEMO_MAX:
+                memo.clear()
+            memo[memo_key] = built
+        return built
 
     def _build(self, values: Sequence[Any]) -> str:
         parts = [self.prefix]

@@ -15,34 +15,21 @@ from __future__ import annotations
 import copy
 from typing import Any, Dict, List, Sequence
 
-#: Immutable scalar types for which a shallow dict copy *is* a deep copy.
-_ATOMIC_TYPES = (str, int, float, bool, bytes, type(None))
-
-#: Compiled-trace fast path (see :mod:`repro.core.fastpath`): when enabled,
-#: rows whose values are all immutable scalars are copied with a shallow
-#: ``dict()`` instead of ``copy.deepcopy`` — byte-identical output (deep
-#: copying an immutable scalar returns the scalar), the defensive-copy
-#: guarantee intact (the dict itself is still fresh), only faster.  Rows
-#: holding any container value fall back to the deep copy.
-_fast_copy = False
-
-
-def enable_fast_copy() -> None:
-    global _fast_copy
-    _fast_copy = True
-
-
-def disable_fast_copy() -> None:
-    global _fast_copy
-    _fast_copy = False
+#: The immutable scalar types: ``copy.deepcopy`` of one (exactly one — not a
+#: subclass, which it reconstructs) is the object itself, so a shallow
+#: ``dict()`` of a row holding only these *is* its deep copy.
+_ATOMIC_TYPES = frozenset((str, int, float, bool, bytes, type(None)))
 
 
 def _copy_row(row: Dict[str, Any]) -> Dict[str, Any]:
+    """A copy of ``row`` sharing no mutable state with it.
+
+    Equal to ``copy.deepcopy(row)``; rows of scalars (every row the ORM
+    produces) take the shallow copy, anything holding a container or an
+    object falls back to the deep one.
+    """
     out = dict(row)
-    if _fast_copy:
-        for value in out.values():
-            if not isinstance(value, _ATOMIC_TYPES):
-                return copy.deepcopy(out)
+    if _ATOMIC_TYPES.issuperset(map(type, out.values())):
         return out
     return copy.deepcopy(out)
 
@@ -61,6 +48,6 @@ def thaw_rows(value: Any) -> List[Dict[str, Any]]:
 
 def freeze_value(value: Any) -> Any:
     """Deep-copy an arbitrary cached value (counts are immutable ints)."""
-    if isinstance(value, (int, float, str, bool)) or value is None:
+    if type(value) in _ATOMIC_TYPES:
         return value
     return copy.deepcopy(value)

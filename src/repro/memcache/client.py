@@ -211,7 +211,8 @@ class CacheClient:
                 self.stats.hits += 1
                 self.stats.gutter_hits += 1
                 self.recorder.record("cache_hits")
-                self.recorder.record("cache_bytes_moved", sizeof_value(value))
+                self.recorder.record("cache_bytes_moved",
+                                     self.gutter.value_size(key))
             return value
         value = server.get(key)
         self.stats.gets += 1
@@ -222,7 +223,7 @@ class CacheClient:
         else:
             self.stats.hits += 1
             self.recorder.record("cache_hits")
-            self.recorder.record("cache_bytes_moved", sizeof_value(value))
+            self.recorder.record("cache_bytes_moved", server.value_size(key))
         return value
 
     def gets(self, key: str) -> Tuple[Optional[Any], Optional[int]]:
@@ -248,7 +249,7 @@ class CacheClient:
         else:
             self.stats.hits += 1
             self.recorder.record("cache_hits")
-            self.recorder.record("cache_bytes_moved", sizeof_value(value))
+            self.recorder.record("cache_bytes_moved", server.value_size(key))
         return value, token
 
     def get_multi(self, keys: Sequence[str]) -> Dict[str, Any]:
@@ -288,7 +289,7 @@ class CacheClient:
                         self.stats.gutter_hits += 1
                         self.recorder.record("cache_hits")
                         self.recorder.record("cache_bytes_moved",
-                                             sizeof_value(value))
+                                             self.gutter.value_size(key))
                         out[key] = value
                 continue
             self._charge_batch("cache_multi_gets", index)
@@ -303,7 +304,8 @@ class CacheClient:
                 else:
                     self.stats.hits += 1
                     self.recorder.record("cache_hits")
-                    self.recorder.record("cache_bytes_moved", sizeof_value(value))
+                    self.recorder.record("cache_bytes_moved",
+                                         server.value_size(key))
                     out[key] = value
         self._yield_point("get_multi")
         return out
@@ -345,7 +347,8 @@ class CacheClient:
                 else:
                     self.stats.hits += 1
                     self.recorder.record("cache_hits")
-                    self.recorder.record("cache_bytes_moved", sizeof_value(hit[0]))
+                    self.recorder.record("cache_bytes_moved",
+                                         server.value_size(key))
                     out[key] = hit
         # The yield point that makes batched CAS contendable: a worker that
         # just read its tokens can be paused here while another worker
@@ -367,15 +370,17 @@ class CacheClient:
             self._node_down(server)
             if self.gutter is None:
                 return False
-            self.gutter.set(key, value)
+            size = sizeof_value(value)
+            self.gutter.set(key, value, size)
             self.stats.sets += 1
             self._charge_single("cache_sets")
-            self.recorder.record("cache_bytes_moved", sizeof_value(value))
+            self.recorder.record("cache_bytes_moved", size)
             return True
-        result = server.set(key, value, expire)
+        size = sizeof_value(value)
+        result = server.set(key, value, expire, value_size=size)
         self.stats.sets += 1
         self._charge_single("cache_sets")
-        self.recorder.record("cache_bytes_moved", sizeof_value(value))
+        self.recorder.record("cache_bytes_moved", size)
         return result
 
     def set_multi(self, mapping: Dict[str, Any],
@@ -398,15 +403,17 @@ class CacheClient:
                     failed.extend(batch)
                     continue
                 self._charge_batch("cache_multi_sets", index)
-                self.gutter.set_multi({k: mapping[k] for k in batch})
+                sizes = {k: sizeof_value(mapping[k]) for k in batch}
+                self.gutter.set_multi({k: mapping[k] for k in batch}, sizes)
                 for key in batch:
                     self._charge_batch_item()
                     self.stats.sets += 1
-                    self.recorder.record("cache_bytes_moved",
-                                         sizeof_value(mapping[key]))
+                    self.recorder.record("cache_bytes_moved", sizes[key])
                 continue
             self._charge_batch("cache_multi_sets", index)
-            rejected = set(server.set_multi({k: mapping[k] for k in batch}, expire))
+            sizes = {k: sizeof_value(mapping[k]) for k in batch}
+            rejected = set(server.set_multi({k: mapping[k] for k in batch},
+                                            expire, value_sizes=sizes))
             failed.extend(k for k in batch if k in rejected)
             for key in batch:
                 self._charge_batch_item()
@@ -415,7 +422,7 @@ class CacheClient:
                     # (oversized value) counts neither as a set nor as bytes.
                     continue
                 self.stats.sets += 1
-                self.recorder.record("cache_bytes_moved", sizeof_value(mapping[key]))
+                self.recorder.record("cache_bytes_moved", sizes[key])
         self._yield_point("set_multi")
         return failed
 
@@ -428,15 +435,17 @@ class CacheClient:
             self.stats.adds += 1
             if self.gutter is None:
                 return False
-            result = self.gutter.add(key, value)
+            size = sizeof_value(value)
+            result = self.gutter.add(key, value, size)
             self._charge_single("cache_sets")
-            self.recorder.record("cache_bytes_moved", sizeof_value(value))
+            self.recorder.record("cache_bytes_moved", size)
             return result
-        result = server.add(key, value, expire)
+        size = sizeof_value(value)
+        result = server.add(key, value, expire, value_size=size)
         self.stats.adds += 1
         self._charge_single("cache_sets")
         # The value travels to the server whether or not the add wins.
-        self.recorder.record("cache_bytes_moved", sizeof_value(value))
+        self.recorder.record("cache_bytes_moved", size)
         return result
 
     def cas(self, key: str, value: Any, cas_token: int,
@@ -453,7 +462,8 @@ class CacheClient:
             self._node_down(server)
             self.stats.cas_miss += 1
             return False
-        result = server.cas(key, value, cas_token, expire)
+        size = sizeof_value(value)
+        result = server.cas(key, value, cas_token, expire, value_size=size)
         if result:
             self.stats.cas_ok += 1
         else:
@@ -463,7 +473,7 @@ class CacheClient:
         # and a losing CAS no longer masquerades as a stored value.
         self._charge_single("cache_cas")
         # The value travels to the server whether or not the swap wins.
-        self.recorder.record("cache_bytes_moved", sizeof_value(value))
+        self.recorder.record("cache_bytes_moved", size)
         return result
 
     def cas_multi(self, items: Dict[str, Tuple[Any, int]],
@@ -494,7 +504,9 @@ class CacheClient:
                     self.stats.cas_miss += 1
                 continue
             self._charge_batch("cache_multi_cas", index)
-            outcome = server.cas_multi({k: items[k] for k in batch}, expire)
+            sizes = {k: sizeof_value(items[k][0]) for k in batch}
+            outcome = server.cas_multi({k: items[k] for k in batch}, expire,
+                                       value_sizes=sizes)
             for key in batch:
                 self._charge_batch_item()
                 verdict = outcome[key]
@@ -512,8 +524,7 @@ class CacheClient:
                         self.telemetry.note_cas_mismatch(key)
                 else:
                     self.stats.cas_miss += 1
-                self.recorder.record("cache_bytes_moved",
-                                     sizeof_value(items[key][0]))
+                self.recorder.record("cache_bytes_moved", sizes[key])
         self._yield_point("cas_multi")
         return verdicts
 
@@ -677,7 +688,8 @@ class CacheClient:
                 self.stats.stale_hits += 1
                 self.stats.gutter_hits += 1
                 self.recorder.record("cache_hits")
-                self.recorder.record("cache_bytes_moved", sizeof_value(value))
+                self.recorder.record("cache_bytes_moved",
+                                     self.gutter.value_size(key))
                 return LEASE_STALE, value, None
             if self.gutter is not None:
                 self.stats.gutter_misses += 1
@@ -697,7 +709,7 @@ class CacheClient:
             if state != LEASE_HIT:
                 self.stats.stale_hits += 1
             self.recorder.record("cache_hits")
-            self.recorder.record("cache_bytes_moved", sizeof_value(value))
+            self.recorder.record("cache_bytes_moved", server.value_size(key))
         if state == LEASE_ACQUIRED:
             self.stats.leases_granted += 1
         return state, value, token
@@ -733,7 +745,7 @@ class CacheClient:
                         self.stats.gutter_hits += 1
                         self.recorder.record("cache_hits")
                         self.recorder.record("cache_bytes_moved",
-                                             sizeof_value(value))
+                                             self.gutter.value_size(key))
                         out[key] = (LEASE_STALE, value, None)
                     else:
                         if self.gutter is not None:
@@ -759,7 +771,8 @@ class CacheClient:
                     if state != LEASE_HIT:
                         self.stats.stale_hits += 1
                     self.recorder.record("cache_hits")
-                    self.recorder.record("cache_bytes_moved", sizeof_value(value))
+                    self.recorder.record("cache_bytes_moved",
+                                         server.value_size(key))
                 if state == LEASE_ACQUIRED:
                     self.stats.leases_granted += 1
         self._yield_point("lease_multi")

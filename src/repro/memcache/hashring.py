@@ -15,6 +15,10 @@ from typing import Dict, List, Sequence
 
 from ..errors import CacheServerError
 
+#: Most keys the placement memo holds before it is dropped wholesale and
+#: refilled, so a long-running process with a churning key space cannot leak.
+PLACEMENT_MEMO_MAX = 1 << 16
+
 
 def _hash(value: str) -> int:
     """Stable 32-bit hash of a string (md5-based, like ketama)."""
@@ -66,11 +70,10 @@ class HashRing:
         self._ring: Dict[int, str] = {}
         self._sorted_points: List[int] = []
         self._servers: List[str] = []
-        #: key -> owning server memo; None = disabled (the default — only
-        #: compiled-trace replays switch it on).  Placement is pure given
-        #: fixed membership, so the memo is cleared on every membership
-        #: change (add/remove/restore) and cannot change any lookup.
-        self._placement: "Dict[str, str] | None" = None
+        #: key -> owning server memo.  Placement is pure given fixed
+        #: membership, so the memo is cleared on every membership change
+        #: (add/remove/restore) and cannot change any lookup.
+        self._placement: Dict[str, str] = {}
         for server in servers:
             self.add_server(server)
 
@@ -78,19 +81,11 @@ class HashRing:
     def servers(self) -> List[str]:
         return list(self._servers)
 
-    def enable_placement_cache(self) -> None:
-        if self._placement is None:
-            self._placement = {}
-
-    def disable_placement_cache(self) -> None:
-        self._placement = None
-
     def add_server(self, server: str) -> None:
         """Add a server and its virtual nodes to the ring."""
         if server in self._servers:
             raise CacheServerError(f"server {server!r} already on the ring")
-        if self._placement:
-            self._placement.clear()
+        self._placement.clear()
         self._servers.append(server)
         for i in range(self.replicas):
             point = _hash(f"{server}#{i}")
@@ -105,8 +100,7 @@ class HashRing:
         """Remove a server and its virtual nodes from the ring."""
         if server not in self._servers:
             raise CacheServerError(f"server {server!r} not on the ring")
-        if self._placement:
-            self._placement.clear()
+        self._placement.clear()
         self._servers.remove(server)
         points = [p for p, s in self._ring.items() if s == server]
         for point in points:
@@ -124,8 +118,7 @@ class HashRing:
             raise CacheServerError(
                 f"snapshot was taken with replicas={snapshot.replicas}, "
                 f"this ring uses replicas={self.replicas}")
-        if self._placement:
-            self._placement.clear()
+        self._placement.clear()
         self._ring = dict(snapshot._ring)
         self._sorted_points = list(snapshot._sorted_points)
         self._servers = list(snapshot._servers)
@@ -133,10 +126,9 @@ class HashRing:
     def server_for(self, key: str) -> str:
         """Return the server responsible for ``key``."""
         placement = self._placement
-        if placement is not None:
-            server = placement.get(key)
-            if server is not None:
-                return server
+        server = placement.get(key)
+        if server is not None:
+            return server
         if not self._sorted_points:
             raise CacheServerError("hash ring is empty")
         point = _hash(key)
@@ -144,8 +136,9 @@ class HashRing:
         if idx == len(self._sorted_points):
             idx = 0
         server = self._ring[self._sorted_points[idx]]
-        if placement is not None:
-            placement[key] = server
+        if len(placement) >= PLACEMENT_MEMO_MAX:
+            placement.clear()
+        placement[key] = server
         return server
 
     def distribution(self, keys: Sequence[str]) -> Dict[str, int]:

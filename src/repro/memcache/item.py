@@ -28,6 +28,10 @@ def sizeof_value(value: Any) -> int:
         return sys.getsizeof(value)
 
 
+#: Per-item bookkeeping overhead (memcached's item header).
+ITEM_HEADER_BYTES = 56
+
+
 @dataclass
 class Item:
     """One stored cache entry."""
@@ -39,10 +43,15 @@ class Item:
     #: Absolute expiry time in seconds on the cache's clock; None = no expiry.
     expires_at: Optional[float] = None
     size: int = field(default=0)
+    #: :func:`sizeof_value` of ``value``, taken once when the item is stored:
+    #: what a read of this item moves over the wire.
+    value_size: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if self.value_size is None:
+            self.value_size = sizeof_value(self.value)
         if not self.size:
-            self.size = len(self.key) + sizeof_value(self.value) + 56  # item header
+            self.size = len(self.key) + self.value_size + ITEM_HEADER_BYTES
 
     def is_expired(self, now: float) -> bool:
         return self.expires_at is not None and now >= self.expires_at

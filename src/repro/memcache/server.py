@@ -11,17 +11,22 @@ the simulation's virtual clock can drive it.
 from __future__ import annotations
 
 import itertools
+import re
 import time as _time
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import CacheKeyError, CacheValueError, NodeDownError
-from .item import Item, sizeof_value
+from .item import ITEM_HEADER_BYTES, Item, sizeof_value
 from .lru import LRUStore
 from .stats import CacheStats
 
 #: memcached's classic limits.
 MAX_KEY_LENGTH = 250
 DEFAULT_MAX_ITEM_BYTES = 1024 * 1024
+
+#: What a key may not contain: whitespace and control characters (every
+#: code point for which ``ch.isspace() or ord(ch) < 33``).
+_BAD_KEY_CHAR = re.compile(r"[\s\x00-\x20]")
 
 #: Per-key verdicts of a (batched) compare-and-swap, mirroring the memcached
 #: text protocol's three CAS responses.
@@ -43,10 +48,11 @@ LEASE_ACQUIRED = "acquired"  # caller won the lease token: it is the one
 class _StaleEntry:
     """A recently lease-deleted value, retained for stale serving."""
 
-    __slots__ = ("value", "stale_until")
+    __slots__ = ("value", "value_size", "stale_until")
 
-    def __init__(self, value: Any, stale_until: float) -> None:
+    def __init__(self, value: Any, value_size: int, stale_until: float) -> None:
         self.value = value
+        self.value_size = value_size
         self.stale_until = stale_until
 
 
@@ -87,20 +93,8 @@ class CacheServer:
         #: intended, a different claimant is a real race.
         self._lease_herd: Dict[str, set] = {}
         self._lease_winner: Dict[str, Any] = {}
-        #: Keys that already passed :meth:`_check_key` validation; None =
-        #: disabled (the default — compiled-trace replays switch it on).
-        #: Validation is a pure predicate of the key string, so remembering
-        #: a pass cannot change any verdict, only skip the re-scan.
-        self._validated_keys: Optional[set] = None
 
     # -- validation -----------------------------------------------------------
-
-    def enable_key_cache(self) -> None:
-        if self._validated_keys is None:
-            self._validated_keys = set()
-
-    def disable_key_cache(self) -> None:
-        self._validated_keys = None
 
     def _check_alive(self) -> None:
         if not self.alive:
@@ -109,17 +103,12 @@ class CacheServer:
 
     def _check_key(self, key: str) -> None:
         self._check_alive()
-        validated = self._validated_keys
-        if validated is not None and isinstance(key, str) and key in validated:
-            return
         if not isinstance(key, str) or not key:
             raise CacheKeyError(f"invalid cache key {key!r}")
         if len(key) > MAX_KEY_LENGTH:
             raise CacheKeyError(f"cache key longer than {MAX_KEY_LENGTH} bytes: {key[:40]}...")
-        if any(ch.isspace() or ord(ch) < 33 for ch in key):
+        if _BAD_KEY_CHAR.search(key):
             raise CacheKeyError(f"cache key contains whitespace/control chars: {key!r}")
-        if validated is not None:
-            validated.add(key)
 
     def _expiry(self, expire: Optional[float]) -> Optional[float]:
         if expire is None or expire == 0:
@@ -190,55 +179,85 @@ class CacheServer:
         """Return True if the key is present (without counting a get)."""
         return self._live_item(key, touch=False) is not None
 
+    def value_size(self, key: str) -> int:
+        """Serialized size of the value a read of ``key`` just served.
+
+        Values are sized once, when stored; a read reports that size rather
+        than serializing the value again.  Covers the live item and, for
+        lease reads, the stale-retained entry.  No statistics, no LRU touch.
+        """
+        item = self.store.get(key, touch=False)
+        if item is not None:
+            return item.value_size
+        return self._stale[key].value_size
+
     # -- writes ---------------------------------------------------------------
 
-    def _store(self, key: str, value: Any, expire: Optional[float], flags: int) -> None:
-        size = len(key) + sizeof_value(value) + 56
+    def _store(self, key: str, value: Any, expire: Optional[float], flags: int,
+               value_size: Optional[int] = None) -> None:
+        """Store ``value``; ``value_size`` is its :func:`sizeof_value` when the
+        caller (the client, for its byte accounting) has already taken it."""
+        if value_size is None:
+            value_size = sizeof_value(value)
+        size = len(key) + value_size + ITEM_HEADER_BYTES
         if size > self.max_item_bytes:
             raise CacheValueError(
                 f"item of {size} bytes exceeds the {self.max_item_bytes}-byte limit"
             )
         item = Item(key=key, value=value, cas_id=next(self._cas_counter),
-                    flags=flags, expires_at=self._expiry(expire), size=size)
+                    flags=flags, expires_at=self._expiry(expire), size=size,
+                    value_size=value_size)
         evicted = self.store.put(item)
         self.stats.evictions += len(evicted)
         # A fresh store supersedes any stale-retained value for the key.
         self._stale.pop(key, None)
 
-    def set(self, key: str, value: Any, expire: Optional[float] = None, flags: int = 0) -> bool:
-        """Unconditionally store a value."""
+    def set(self, key: str, value: Any, expire: Optional[float] = None, flags: int = 0,
+            value_size: Optional[int] = None) -> bool:
+        """Unconditionally store a value.
+
+        ``value_size`` (here and on every other write) is the value's
+        :func:`sizeof_value` when the caller has already taken it, so a value
+        is serialized once per store; omitted, the server sizes it.
+        """
         self._check_key(key)
         self.stats.sets += 1
-        self._store(key, value, expire, flags)
+        self._store(key, value, expire, flags, value_size)
         return True
 
-    def add(self, key: str, value: Any, expire: Optional[float] = None, flags: int = 0) -> bool:
+    def add(self, key: str, value: Any, expire: Optional[float] = None, flags: int = 0,
+            value_size: Optional[int] = None) -> bool:
         """Store only if the key is absent; returns False if it exists."""
         self._check_key(key)
         self.stats.adds += 1
         if self._live_item(key, touch=False) is not None:
             return False
-        self._store(key, value, expire, flags)
+        self._store(key, value, expire, flags, value_size)
         return True
 
     def set_multi(self, mapping: Mapping[str, Any],
-                  expire: Optional[float] = None, flags: int = 0) -> List[str]:
+                  expire: Optional[float] = None, flags: int = 0,
+                  value_sizes: Optional[Mapping[str, int]] = None) -> List[str]:
         """Batched :meth:`set`.  Returns the keys that failed to store."""
         failed: List[str] = []
+        sizes = value_sizes or {}
         for key, value in mapping.items():
             try:
-                self.set(key, value, expire, flags)
+                self.set(key, value, expire, flags, sizes.get(key))
             except CacheValueError:
                 failed.append(key)
         return failed
 
     def cas(self, key: str, value: Any, cas_token: int,
-            expire: Optional[float] = None, flags: int = 0) -> bool:
+            expire: Optional[float] = None, flags: int = 0,
+            value_size: Optional[int] = None) -> bool:
         """Compare-and-swap: store only if the item's CAS id still matches."""
-        return self.cas_verdict(key, value, cas_token, expire, flags) == CAS_STORED
+        return self.cas_verdict(key, value, cas_token, expire, flags,
+                                value_size) == CAS_STORED
 
     def cas_verdict(self, key: str, value: Any, cas_token: int,
-                    expire: Optional[float] = None, flags: int = 0) -> str:
+                    expire: Optional[float] = None, flags: int = 0,
+                    value_size: Optional[int] = None) -> str:
         """:meth:`cas` distinguishing why a swap failed.
 
         Returns :data:`CAS_STORED`, :data:`CAS_MISMATCH` (the token went
@@ -253,14 +272,15 @@ class CacheServer:
         if item.cas_id != cas_token:
             self.stats.cas_mismatch += 1
             return CAS_MISMATCH
-        self._store(key, value, expire, flags)  # may reject an oversized value
+        self._store(key, value, expire, flags, value_size)  # may reject an oversized value
         self.stats.cas_ok += 1
         # A successful CAS stores a value just like set() does.
         self.stats.sets += 1
         return CAS_STORED
 
     def cas_multi(self, items: Mapping[str, Tuple[Any, int]],
-                  expire: Optional[float] = None, flags: int = 0) -> Dict[str, str]:
+                  expire: Optional[float] = None, flags: int = 0,
+                  value_sizes: Optional[Mapping[str, int]] = None) -> Dict[str, str]:
         """Batched :meth:`cas`: ``{key: (value, cas_token)}`` in, per-key
         verdicts out.
 
@@ -269,9 +289,11 @@ class CacheServer:
         losers.  Per-key statistics match N single ``cas`` calls.
         """
         out: Dict[str, str] = {}
+        sizes = value_sizes or {}
         for key, (value, token) in items.items():
             try:
-                out[key] = self.cas_verdict(key, value, token, expire, flags)
+                out[key] = self.cas_verdict(key, value, token, expire, flags,
+                                            sizes.get(key))
             except CacheValueError:
                 # Parity with set_multi: an oversized value fails only its
                 # key — and re-reading cannot shrink it, so the verdict is
@@ -332,7 +354,7 @@ class CacheServer:
         item = self._live_item(key, touch=False)
         if item is not None:
             self.store.delete(key)
-            self._stale[key] = _StaleEntry(item.value,
+            self._stale[key] = _StaleEntry(item.value, item.value_size,
                                            self.clock() + float(stale_seconds))
             return True
         entry = self._stale_entry(key)

@@ -1,9 +1,9 @@
 """Scoped installation of a tracer across the replay pipeline's seams.
 
-:func:`install_tracing` mirrors :func:`repro.core.fastpath.compiled_fastpath`
-exactly in spirit: tracing is **default-off**, switched on for the duration
-of one ``with`` block, and every touched object is restored in ``finally``
-so nothing leaks into a subsequent untraced replay.  Two mechanisms:
+Tracing is **default-off**: :func:`install_tracing` switches it on for the
+duration of one ``with`` block, and every touched object is restored in
+``finally`` so nothing leaks into a subsequent untraced replay.  Two
+mechanisms:
 
 * objects with first-class instrumentation (the social application, the
   trigger-op queue, the refresh queue, the fault injector) expose a
@@ -17,7 +17,7 @@ so nothing leaks into a subsequent untraced replay.  Two mechanisms:
   construction*, not by discipline.
 
 The concurrent replay engine calls this from ``replay()`` when handed a
-tracer, alongside the compiled-fastpath context.
+tracer.
 """
 
 from __future__ import annotations

@@ -54,11 +54,10 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from ..core.fastpath import compiled_fastpath
 from ..errors import SimulationError
 from ..obs.install import install_tracing
 from ..storage.costmodel import CostCounters
-from ..workload.trace import CompiledTrace, PageLoad, WorkloadTrace
+from ..workload.trace import PageLoad, WorkloadTrace
 from .interleave import (InterleaveScheduler, ROUND_ROBIN, WorkerStatus,
                          build_scheduler, interleave_trace)
 from .runner import ReplayResult, ReplayedPage
@@ -368,11 +367,9 @@ class ConcurrentReplayer:
         Deterministic for a fixed (trace, scheduler policy, seed): the
         decision log, the page completion order, and every counter are
         bit-identical across runs.  With one worker the engine takes the
-        inline fast path — the historical serial replay, exactly.
-
-        A :class:`~repro.workload.trace.CompiledTrace` additionally enables
-        the memo fast paths (:mod:`repro.core.fastpath`) for the duration of
-        the replay; the outputs are bit-identical to the uncompiled replay.
+        inline fast path — the historical serial replay, exactly.  A
+        :class:`~repro.workload.trace.CompiledTrace` replays identically; it
+        only brings its execution order precomputed.
         """
         self.scheduler.reset()
         self._record = record
@@ -384,10 +381,6 @@ class ConcurrentReplayer:
             _WorkerContext(worker_id=index, replayer=self, page_loads=loads)
             for index, loads in enumerate(self._partition(trace))
         ]
-        if isinstance(trace, CompiledTrace) and self.genie is not None:
-            fastpath = compiled_fastpath(self.genie)
-        else:
-            fastpath = contextlib.nullcontext()
         if self.tracer is not None:
             tracing = install_tracing(self.tracer, app=self.app,
                                       genie=self.genie,
@@ -395,7 +388,7 @@ class ConcurrentReplayer:
         else:
             tracing = contextlib.nullcontext()
         try:
-            with tracing, fastpath:
+            with tracing:
                 if self.workers == 1:
                     self._replay_serial(contexts[0])
                 else:

@@ -96,14 +96,12 @@ def interleave_trace(trace: WorkloadTrace) -> List[PageLoad]:
     return ordered
 
 def compile_trace(trace: WorkloadTrace) -> CompiledTrace:
-    """Compile a trace for fast replay (idempotent).
+    """Compile a trace for repeated replay (idempotent).
 
     Precomputes the canonical :func:`interleave_trace` ordering and interns
-    page-type strings; replaying the compiled form through the engine also
-    enables the memoized fast paths (validated cache keys, interceptor
-    template-match memo, hash-ring placement, key-scheme encoding).  The
-    compiled replay is **bit-identical** to the uncompiled one — same pages,
-    counters, and ``schedule_signature`` — it only gets there faster.
+    page-type strings — nothing else: the compiled form replays through the
+    same code as the plain trace, to the same pages, counters and
+    ``schedule_signature``.
     """
     if isinstance(trace, CompiledTrace):
         return trace

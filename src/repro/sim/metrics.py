@@ -87,8 +87,8 @@ class RunMetrics:
     #: hottest key first); empty for every other strategy.
     key_telemetry: Dict[str, Dict[str, float]] = field(default_factory=dict)
     #: Discrete events the engine processed to produce this run — the
-    #: denominator-independent work measure ``tools/bench_simulator.py``
-    #: turns into events/sec.
+    #: denominator-independent work measure ``benchmarks/e2e`` turns into
+    #: events/sec.
     engine_events: int = 0
     # Streaming aggregates (unused while retaining completions).
     _count: int = field(default=0, init=False, repr=False, compare=False)

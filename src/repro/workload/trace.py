@@ -61,16 +61,16 @@ class WorkloadTrace:
 
 
 class CompiledTrace:
-    """A :class:`WorkloadTrace` compiled for the replay hot loop.
+    """A :class:`WorkloadTrace` with its execution order precomputed.
 
     Built by :func:`repro.sim.interleave.compile_trace`: the canonical
     round-robin execution order is computed **once** at compile time (so the
-    engine's partition step is a lookup instead of a re-derivation), page-type
-    strings are interned (one object per page type, making the interceptor's
-    dict probes identity-fast), and replaying through the engine enables the
-    validated-key / template-match / placement memo fast paths.  The compiled
-    form delegates every inspection method to the source trace, so anything
-    that accepts a :class:`WorkloadTrace` accepts a :class:`CompiledTrace`.
+    engine's partition step is a lookup instead of a re-derivation) and
+    page-type strings are interned (one object per page type, making dict
+    probes on them identity-fast).  It replays through the same code as the
+    plain trace.  The compiled form delegates every inspection method to the
+    source trace, so anything that accepts a :class:`WorkloadTrace` accepts a
+    :class:`CompiledTrace`.
     """
 
     __slots__ = ("trace", "ordered")

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import INVALIDATE
+from repro.core import INVALIDATE, evaluate_many
+from repro.errors import CacheClassError
 
 
 @pytest.fixture
@@ -72,6 +73,49 @@ class TestEvaluateAndTransparency:
         rows = cached.evaluate(person_id=person.pk)
         rows[0]["bio"] = "mutated by caller"
         assert cached.evaluate(person_id=person.pk)[0]["bio"] == "bio of p0"
+
+
+class TestParameterNames:
+    """Field name, attname and column all name the same where-field; the
+    name -> column resolution is remembered per cached object."""
+
+    def test_every_spelling_builds_the_same_key(self, profile_setup):
+        cached = profile_setup["genie"].cacheable(
+            cache_class_type="FeatureQuery", main_model="Profile",
+            where_fields=["person_id"])
+        person = profile_setup["people"][0]
+        key = cached.make_key(person_id=person.pk)
+        for _ in range(2):  # second pass: resolved from the remembered map
+            assert cached._normalize_params({"person": person}) == \
+                {"person_id": person.pk}
+            assert cached._normalize_params({"person_id": person.pk}) == \
+                {"person_id": person.pk}
+        assert cached._key_of({"person_id": person.pk}) == key
+        assert cached._param_columns == {"person": "person_id",
+                                         "person_id": "person_id"}
+
+    def test_unknown_names_pass_through_and_are_not_remembered(self, profile_setup):
+        cached = profile_setup["genie"].cacheable(
+            cache_class_type="FeatureQuery", main_model="Profile",
+            where_fields=["person_id"])
+        for junk in ("nope", "also_nope"):
+            assert cached._normalize_params({junk: 1}) == {junk: 1}
+        assert cached._param_columns == {}
+        with pytest.raises(CacheClassError, match="requires parameter 'person_id'"):
+            cached.evaluate(nope=1)
+
+    def test_evaluate_many_leaves_the_callers_params_alone(self, profile_setup):
+        cached = profile_setup["genie"].cacheable(
+            cache_class_type="FeatureQuery", main_model="Profile",
+            where_fields=["person_id"])
+        people = profile_setup["people"]
+        requests = [(cached, {"person": person}) for person in people]
+        results = evaluate_many(requests)
+        assert [rows[0]["bio"] for rows in results] == \
+            [f"bio of {person.name}" for person in people]
+        assert [params for _obj, params in requests] == \
+            [{"person": person} for person in people]
+        assert results == [cached.evaluate(person=person) for person in people]
 
 
 class TestUpdateInPlace:

@@ -77,3 +77,30 @@ class TestInterceptor:
         interceptor.clear()
         handled, _ = interceptor.try_fetch(make_description())
         assert not handled
+
+
+class TestShapeMemo:
+    """The per-shape candidate memo follows the registered set."""
+
+    def test_registration_changes_are_seen_after_a_lookup(self):
+        interceptor = CacheGenieInterceptor()
+        assert interceptor.try_fetch(make_description(user_id=1)) == (False, None)
+        late = FakeCachedObject("profiles", ["late"])
+        interceptor.register(late)          # same shape, memoised as "nobody"
+        assert interceptor.try_fetch(make_description(user_id=1)) == (True, ["late"])
+        interceptor.unregister(late)
+        assert interceptor.try_fetch(make_description(user_id=1)) == (False, None)
+        interceptor.register(late)
+        interceptor.clear()
+        assert interceptor.try_fetch(make_description(user_id=1)) == (False, None)
+
+    def test_memo_is_capped(self, monkeypatch):
+        from repro.core import interception
+        monkeypatch.setattr(interception, "SHAPE_MEMO_MAX", 4)
+        interceptor = CacheGenieInterceptor()
+        interceptor.register(FakeCachedObject("profiles", ["x"]))
+        for limit in range(1, 40):          # limit is part of a query's shape
+            description = make_description(user_id=1)
+            description.limit = limit
+            assert interceptor.try_fetch(description) == (True, ["x"])
+            assert len(interceptor._match_cache) <= 4

@@ -1,8 +1,14 @@
 """Tests for value serialization, CacheGenie statistics, and the expiry strategy."""
 
-import pytest
+import copy
+import datetime
 
-from repro.core.serializer import freeze_rows, freeze_value, thaw_rows
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.serializer import (_copy_row, freeze_rows, freeze_value,
+                                   thaw_rows)
 from repro.core.stats import CachedObjectStats, CacheGenieStats
 
 
@@ -32,6 +38,69 @@ class TestSerializer:
         frozen = freeze_value(value)
         value["a"].append(3)
         assert frozen["a"] == [1, 2]
+
+
+_ATOMS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+    st.text(max_size=8), st.binary(max_size=8))
+_VALUES = st.recursive(
+    st.one_of(_ATOMS, st.datetimes(), st.dates()),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=4), inner,
+                                            max_size=3)),
+    max_leaves=6)
+_ROWS = st.dictionaries(st.text(max_size=6), _VALUES, max_size=6)
+
+
+def _containers(value):
+    """Every mutable container reachable from ``value``, itself included."""
+    if isinstance(value, dict):
+        yield value
+        for inner in value.values():
+            yield from _containers(inner)
+    elif isinstance(value, list):
+        yield value
+        for inner in value:
+            yield from _containers(inner)
+
+
+class TestCopyRowIsDeepCopy:
+    """The scalar-row shallow copy is ``copy.deepcopy``, only cheaper."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_ROWS)
+    def test_equal_to_deepcopy_and_shares_no_container(self, row):
+        copied = _copy_row(row)
+        assert copied == copy.deepcopy(row)
+        assert type(copied) is dict
+        originals = {id(c) for c in _containers(row)}
+        assert not originals & {id(c) for c in _containers(copied)}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(st.text(max_size=6), _ATOMS, max_size=8))
+    def test_scalar_rows_keep_their_value_objects(self, row):
+        # deepcopy of an atomic returns the object itself; so must we.
+        copied = _copy_row(row)
+        assert copied is not row
+        assert all(copied[k] is row[k] for k in row)
+
+    def test_scalar_subclasses_take_the_deep_copy(self):
+        class Tagged(str):
+            pass
+        tagged = Tagged("x")
+        tagged.notes = ["mutable"]
+        copied = _copy_row({"t": tagged})
+        assert copied["t"] == "x" and copied["t"] is not tagged
+        assert copied["t"].notes is not tagged.notes
+
+    def test_datetimes_survive_the_round_trip(self):
+        row = {"at": datetime.datetime(2011, 12, 12, 9, 30), "id": 1}
+        assert thaw_rows(freeze_rows([row])) == [row]
+
+    def test_freeze_value_shares_the_atomic_definition(self):
+        payload = b"raw"
+        assert freeze_value(payload) is payload
+        assert freeze_value(2.5) == 2.5
 
 
 class TestStats:

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import ClusterController, GutterPool
 from repro.errors import CacheServerError
-from repro.memcache import HashRing
+from repro.memcache import CacheClient, CacheServer, HashRing, hashring
 
 
 class TestHashRing:
@@ -105,3 +106,68 @@ class TestSnapshotRestore:
         snap = HashRing(["s1"], replicas=50).snapshot()
         with pytest.raises(CacheServerError):
             HashRing(["s1"], replicas=100).restore(snap)
+
+
+KEYS = [f"key:{i}" for i in range(40)]
+NODES = ["n0", "n1", "n2", "n3", "n4"]
+
+
+def assert_ring_matches_fresh_snapshot(ring):
+    """The live (memoised) lookup equals a memo-less one on the same state."""
+    snapshot = ring.snapshot()
+    for _ in range(2):  # second pass: every answer now comes from the memo
+        assert ([ring.server_for(k) for k in KEYS]
+                == [snapshot.server_for(k) for k in KEYS])
+
+
+class TestPlacementMemo:
+    """The placement memo never outlives the membership it was built on."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["add", "remove", "snapshot",
+                                               "restore", "lookup"]),
+                              st.sampled_from(NODES)),
+                    max_size=25))
+    def test_equals_snapshot_lookup_across_membership_changes(self, steps):
+        ring = HashRing(["n0", "n1"], replicas=20)
+        saved = ring.snapshot()
+        for action, node in steps:
+            if action == "add" and node not in ring.servers:
+                ring.add_server(node)
+            elif action == "remove" and node in ring.servers \
+                    and len(ring.servers) > 1:
+                ring.remove_server(node)
+            elif action == "snapshot":
+                saved = ring.snapshot()
+            elif action == "restore":
+                ring.restore(saved)
+            assert_ring_matches_fresh_snapshot(ring)
+
+    def test_memo_is_capped(self, monkeypatch):
+        monkeypatch.setattr(hashring, "PLACEMENT_MEMO_MAX", 16)
+        ring = HashRing(["n0", "n1", "n2"], replicas=20)
+        snapshot = ring.snapshot()
+        for i in range(200):
+            assert ring.server_for(f"k{i}") == snapshot.server_for(f"k{i}")
+            assert len(ring._placement) <= 16
+
+    def test_primary_and_gutter_rings_through_kill_and_revive(self):
+        clock = lambda: 0.0  # noqa: E731
+        servers = [CacheServer(f"cache{i}", clock=clock) for i in range(3)]
+        client = CacheClient(servers)
+        gutter = GutterPool([CacheServer("gutter0", clock=clock),
+                             CacheServer("gutter1", clock=clock)])
+        controller = ClusterController([client], servers, clock, gutter=gutter)
+        for ring in (controller.ring, gutter.ring):
+            assert_ring_matches_fresh_snapshot(ring)
+        controller.kill("cache1")
+        for key in KEYS:           # routed to the gutter while cache1 is dead
+            client.set(key, 1)
+        for ring in (controller.ring, gutter.ring):
+            assert_ring_matches_fresh_snapshot(ring)
+        controller.revive("cache1")
+        controller.join(CacheServer("cache3", clock=clock))
+        controller.drain("cache0")
+        for ring in (controller.ring, gutter.ring):
+            assert_ring_matches_fresh_snapshot(ring)
+        assert client.ring is controller.ring

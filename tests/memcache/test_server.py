@@ -1,6 +1,8 @@
 """Tests for the memcached-like cache server."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import CacheKeyError, CacheValueError
 from repro.memcache import CacheServer
@@ -71,6 +73,60 @@ class TestKeyAndValueValidation:
                             max_item_bytes=1024, clock=clock)
         with pytest.raises(CacheValueError):
             small.set("k", "x" * 10_000)
+
+
+def reference_key_is_valid(key) -> bool:
+    """The per-character predicate the precompiled check replaced."""
+    if not isinstance(key, str) or not key:
+        return False
+    if len(key) > 250:
+        return False
+    return not any(ch.isspace() or ord(ch) < 33 for ch in key)
+
+
+_SERVER = CacheServer("keycheck")
+
+
+def accepts(key) -> bool:
+    try:
+        _SERVER._check_key(key)
+    except CacheKeyError:
+        return False
+    return True
+
+
+class TestKeyCheckMatchesReference:
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(max_size=260))
+    @example("")
+    @example("k" * 250)
+    @example("k" * 251)
+    @example("tab\there")
+    @example("nul\x00")
+    @example("unit\x1fsep")
+    @example("nbsp\u00a0")
+    @example("line\u2028sep")
+    @example("ideographic\u3000space")
+    @example("del\x7f-is-allowed")
+    @example("zero\u200bwidth-is-allowed")
+    def test_arbitrary_text(self, key):
+        assert accepts(key) == reference_key_is_valid(key)
+
+    @pytest.mark.parametrize("key", [None, 42, b"bytes", ("t",), 1.5])
+    def test_non_string_keys_rejected(self, key):
+        assert not reference_key_is_valid(key)
+        assert not accepts(key)
+
+    def test_every_single_character_key(self):
+        # Exhaustive over the code points a one-character key can hold that
+        # either side could care about: all of Latin-1 and every character
+        # str.isspace() knows.
+        import sys
+        candidates = [chr(c) for c in range(0x100)]
+        candidates += [chr(c) for c in range(0x100, sys.maxunicode + 1)
+                       if chr(c).isspace()]
+        for ch in candidates:
+            assert accepts("k" + ch) == reference_key_is_valid("k" + ch), hex(ord(ch))
 
 
 class TestCAS:

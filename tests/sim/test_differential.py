@@ -1,20 +1,25 @@
-"""Differential determinism: every fast path is bit-identical to its slow twin.
+"""Differential determinism: replay behaviour is pinned, not re-implemented.
 
-The committed EXPERIMENTS.md tables pin exact numbers, so the compiled-trace
-replay (``compile_trace`` + the ``repro.core.fastpath`` memos) and the
-process-parallel sweep runner (``--jobs N``) are only shippable if they
-change *nothing*.  This suite compares:
+The committed EXPERIMENTS.md tables pin exact numbers, so the cache hot path
+and the process-parallel sweep runner (``--jobs N``) may change *nothing*.
+This suite compares:
 
 * each quick ablation (exp1, exp-contention, exp-cluster) at ``jobs=2``
   against ``jobs=1`` — the serialized result JSON must be byte-identical;
-* compiled-trace replay against uncompiled replay, across all five
-  consistency strategies — identical pages, counters, and
-  ``schedule_signature``.
+* every consistency strategy's replay against a **golden fingerprint**: the
+  SHA-256 of its pages, counters, schedule and ``schedule_signature``, taken
+  from the plain-trace replay of the commit before the memo fast paths
+  became the only path (there is no second implementation left to diff
+  against, so the constants below are the reference);
+* a :class:`CompiledTrace` replay against the plain-trace replay — the
+  compiled form is a precomputed ordering and must order identically.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import hashlib
 import json
 
 import pytest
@@ -84,6 +89,31 @@ def replay_once(scenario_name: str, compiled: bool, workers: int = 1,
         scenario.teardown()
 
 
+def fingerprint_digest(fingerprint) -> str:
+    """SHA-256 of a fingerprint's canonical JSON (every leaf is JSON-native:
+    ints, floats, strings — so the digest is stable across Python versions)."""
+    payload = json.dumps(fingerprint, sort_keys=True)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+#: Golden replay fingerprints, generated at commit 5bd6aac from the
+#: *uncompiled* path (every memo off, ``deepcopy`` of every row, values
+#: pickled on every hit).  Regenerate only for a deliberate behaviour change.
+GOLDEN_FINGERPRINTS = {
+    "Update": "bbc67aa22100ade74afd075b41ae42004ef78c0d9f6e7351fdbd3b08ea752c2e",
+    "Invalidate": "336f78f6ccca0de75fd9c0a9228334234f7b488e3a3c21ff43f855207dd7b767",
+    "LeasedInvalidate": "fd0c15ed9534d151e43f06ac14b9b7be8dfbd166997ddde92bb47f75d3382187",
+    "AsyncRefresh": "22cf214fb115e3685fa055abcf4e47c209c1ad2a268a2c3f89f90d484005162d",
+    "Expiry": "6ba3f2d30d30b9bb0a9d11a34346d54be35c92d5b605f4bd22f1d1c9070aa0b1",
+    "Update/workers=2/adversarial": "33381c9c427faefa805747fcffc868f9b21eb2fe8b7f8091ae5f3632c018c2d4",
+    "Adaptive/workers=1/round-robin": "2ce099471c03a325ec1c662a70456422343b34b21417fde145e847c3732e1ff3",
+    "Adaptive/workers=2/round-robin": "040b916825ab464333e6f9e344db529f8f72f3daa59acb792be06ffee53ed8f7",
+    "Adaptive/workers=2/random": "e035eadfebf21222928a854ee62a86d19790de3ee9eb5ecd6eb08adef5db3e75",
+    "Adaptive/workers=2/adversarial": "11905e17e2a0923f9788f8885ba5e809e693baff194f3bf47fe7679ee2da0cac",
+    "Adaptive/workers=2/key-overlap": "11905e17e2a0923f9788f8885ba5e809e693baff194f3bf47fe7679ee2da0cac",
+}
+
+
 def replay_fingerprint(result):
     return {
         "pages": [(p.client_id, p.page, p.user_id, p.counters.as_dict(),
@@ -97,51 +127,86 @@ def replay_fingerprint(result):
     }
 
 
+@functools.lru_cache(maxsize=None)
+def plain_fingerprint(scenario_name: str, workers: int = 1,
+                      policy: str = ROUND_ROBIN):
+    """The plain-trace replay's fingerprint (shared by the golden pin and
+    the compiled-trace comparison, so each replay runs once)."""
+    return replay_fingerprint(
+        replay_once(scenario_name, False, workers=workers, policy=policy))
+
+
+class TestGoldenFingerprints:
+    """Every strategy's replay is bit-identical to the pinned reference."""
+
+    @pytest.mark.parametrize("scenario_name", STRATEGY_ABLATION_SCENARIOS)
+    def test_golden_per_strategy(self, scenario_name):
+        assert (fingerprint_digest(plain_fingerprint(scenario_name))
+                == GOLDEN_FINGERPRINTS[scenario_name])
+
+    def test_golden_under_contention(self):
+        """The hot path must also hold under a threaded, genuinely
+        contended schedule (workers=2, adversarial)."""
+        fingerprint = plain_fingerprint(UPDATE_SCENARIO, 2, ADVERSARIAL)
+        assert (fingerprint_digest(fingerprint)
+                == GOLDEN_FINGERPRINTS["Update/workers=2/adversarial"])
+        assert fingerprint["contention"]["cas_retry_rounds"] > 0
+
+
 class TestCompiledTraceDifferential:
-    """Compiled replay == uncompiled replay, for every strategy."""
+    """A compiled trace is a precomputed ordering: it replays identically."""
 
     @pytest.mark.parametrize("scenario_name", STRATEGY_ABLATION_SCENARIOS)
     def test_compiled_identical_per_strategy(self, scenario_name):
-        uncompiled = replay_fingerprint(replay_once(scenario_name, False))
         compiled = replay_fingerprint(replay_once(scenario_name, True))
-        assert compiled == uncompiled
+        assert compiled == plain_fingerprint(scenario_name)
 
     def test_compiled_identical_under_contention(self):
-        """The memo fast paths must also survive a threaded, genuinely
-        contended schedule (workers=2, adversarial)."""
-        uncompiled = replay_fingerprint(
-            replay_once(UPDATE_SCENARIO, False, workers=2, policy=ADVERSARIAL))
         compiled = replay_fingerprint(
             replay_once(UPDATE_SCENARIO, True, workers=2, policy=ADVERSARIAL))
-        assert compiled == uncompiled
+        assert compiled == plain_fingerprint(UPDATE_SCENARIO, 2, ADVERSARIAL)
 
-    def test_fastpath_state_restored_after_compiled_replay(self):
-        """The memos are scoped to the replay: nothing leaks afterwards."""
+
+#: Cache small enough that the quick workload evicts, so item sizes matter.
+ACCOUNTING_CACHE_BYTES = 16 * 1024
+
+#: ``(cache_bytes_moved, cache_hits, cache_misses, evictions, used bytes)`` of
+#: one replay per strategy on that cache, generated at commit 5bd6aac — where
+#: every hit pickled its value to count bytes and every store pickled twice.
+GOLDEN_CACHE_ACCOUNTING = {
+    "Update": (188859, 899, 209, 74, 16125),
+    "Invalidate": (176236, 810, 183, 71, 16125),
+    "LeasedInvalidate": (178304, 850, 135, 65, 15289),
+    "AsyncRefresh": (247182, 837, 149, 90, 15772),
+    "Expiry": (174561, 657, 336, 73, 16125),
+}
+
+
+class TestCacheAccountingPins:
+    """Sizing each value once per store moves no byte, hit or eviction."""
+
+    @pytest.mark.parametrize("scenario_name", STRATEGY_ABLATION_SCENARIOS)
+    def test_bytes_hits_evictions_match_reference(self, scenario_name):
         config = ScenarioConfig(
-            name=UPDATE_SCENARIO, strategy=_ablation_strategy(UPDATE_SCENARIO),
+            name=scenario_name, strategy=_ablation_strategy(scenario_name),
             seed_scale=SeedScale.tiny(),
+            cache_size_bytes=ACCOUNTING_CACHE_BYTES,
             page_interval_seconds=STRATEGY_PAGE_INTERVAL)
         scenario = Scenario(config).setup()
         try:
             user_ids = list(range(1, config.seed_scale.users + 1))
-            trace = compile_trace(
-                WorkloadGenerator(WORKLOAD, user_ids).generate())
+            trace = WorkloadGenerator(WORKLOAD, user_ids).generate()
             replayer = ConcurrentReplayer(
                 scenario.app, scenario.database, genie=scenario.genie,
-                workers=1, clock=scenario.clock,
+                workers=1, seed=0, clock=scenario.clock,
                 page_interval_seconds=config.page_interval_seconds)
-            replayer.replay(trace)
-            genie = scenario.genie
-            assert genie.interceptor._match_cache is None
-            assert genie.app_cache.ring._placement is None
-            for server in genie.app_cache._servers.values():
-                assert server._validated_keys is None
-            for cached_object in genie.cached_objects.values():
-                assert cached_object.keys._memo is None
-            from repro.core import serializer
-            assert serializer._fast_copy is False
+            counters = replayer.replay(trace).total_counters
+            stats = scenario.cache_stats()
         finally:
             scenario.teardown()
+        assert (counters.cache_bytes_moved, counters.cache_hits,
+                counters.cache_misses, int(stats["evictions"]),
+                int(stats["bytes"])) == GOLDEN_CACHE_ACCOUNTING[scenario_name]
 
 
 #: The adaptive differential workload: the quick ablation's mixed hot/cold
@@ -184,9 +249,8 @@ def replay_adaptive(compiled: bool, workers: int = 1,
 def adaptive_fingerprint(result, strategy):
     """The standard fingerprint plus everything the band machinery touches:
     telemetry snapshot, the ordered switch log, and the band/migration
-    counters.  Equality across compiled/uncompiled proves the PR-8 fastpath
-    memos (KeyScheme, query-shape match cache) never cache a decision
-    across a band switch."""
+    counters.  Its golden pin proves the always-on memos (KeyScheme,
+    query-shape match memo) never cache a decision across a band switch."""
     fingerprint = replay_fingerprint(result)
     fingerprint["key_telemetry"] = result.key_telemetry
     fingerprint["switch_log"] = list(strategy.switch_log)
@@ -196,18 +260,21 @@ def adaptive_fingerprint(result, strategy):
 
 
 class TestAdaptiveDifferential:
-    """Adaptive replay must stay deterministic under every fast path: the
-    compiled trace, both worker counts, and all interleave policies — with
-    the bands genuinely switching mid-replay."""
+    """Adaptive replay must stay pinned and deterministic: the golden
+    fingerprint, the compiled trace, both worker counts, and all interleave
+    policies — with the bands genuinely switching mid-replay."""
 
     @pytest.mark.parametrize("workers,policy",
                              [(1, ROUND_ROBIN)]
                              + [(2, policy) for policy in ALL_POLICIES])
-    def test_compiled_identical_with_band_switches(self, workers, policy):
+    def test_golden_and_compiled_identical_with_band_switches(self, workers,
+                                                              policy):
         result_u, strategy_u = replay_adaptive(False, workers, policy)
         result_c, strategy_c = replay_adaptive(True, workers, policy)
         uncompiled = adaptive_fingerprint(result_u, strategy_u)
         compiled = adaptive_fingerprint(result_c, strategy_c)
+        assert (fingerprint_digest(uncompiled) == GOLDEN_FINGERPRINTS[
+            f"Adaptive/workers={workers}/{policy}"])
         assert compiled == uncompiled
         # The comparison is only meaningful if the strategy actually
         # reclassified keys mid-replay (memos crossing a live band switch).
