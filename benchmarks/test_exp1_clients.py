@@ -12,40 +12,44 @@ Paper findings reproduced here:
 """
 
 from repro.bench import (INVALIDATE_SCENARIO, NO_CACHE, UPDATE_SCENARIO,
-                         experiment1, render_experiment1)
+                         render_sweep, run_sweep, speedup_over_nocache)
 
 CLIENT_COUNTS = (1, 5, 10, 15, 25, 40)
 
 
 def test_experiment1_throughput_latency(benchmark, save_result):
     result = benchmark.pedantic(
-        experiment1, kwargs={"client_counts": CLIENT_COUNTS}, rounds=1, iterations=1)
-    save_result("exp1_clients", render_experiment1(result))
+        run_sweep, args=("exp1",), kwargs={"clients": CLIENT_COUNTS},
+        rounds=1, iterations=1)
+    save_result("exp1_clients", render_sweep(result))
 
     at_15 = CLIENT_COUNTS.index(15)
+    throughput = result.series("throughput", x="clients", explode="sweep")
+    latency = result.series("mean_latency", x="clients", explode="sweep")
+    by_scenario = {row["scenario"]: row for row in result.rows}
 
     # Figure 2a: 2-2.5x throughput improvement over NoCache at 15 clients.
     # We accept a wider band: the scaled-down dataset stretches it, and the
     # now-default batched cache protocol (batch_ops) lifts the cached
     # scenarios above the paper's eager-trigger numbers.
-    update_speedup = result.speedup_over_nocache(UPDATE_SCENARIO, at_15)
-    invalidate_speedup = result.speedup_over_nocache(INVALIDATE_SCENARIO, at_15)
+    update_speedup = speedup_over_nocache(result, UPDATE_SCENARIO, 15)
+    invalidate_speedup = speedup_over_nocache(result, INVALIDATE_SCENARIO, 15)
     assert 1.7 <= update_speedup <= 4.5
     assert 1.6 <= invalidate_speedup <= 4.5
 
     # Update beats (or at worst matches) Invalidate at the peak.
-    assert result.throughput[UPDATE_SCENARIO][at_15] >= \
-        result.throughput[INVALIDATE_SCENARIO][at_15] * 0.98
+    assert throughput[UPDATE_SCENARIO][at_15] >= \
+        throughput[INVALIDATE_SCENARIO][at_15] * 0.98
 
     # Throughput saturates: the last point is not much higher than at 15 clients.
     for scenario in (NO_CACHE, UPDATE_SCENARIO, INVALIDATE_SCENARIO):
-        series = result.throughput[scenario]
+        series = throughput[scenario]
         assert series[-1] <= series[at_15] * 1.3
 
     # Figure 2b: mean latency ordering at 15 clients — Update <= Invalidate < NoCache.
-    assert result.latency[UPDATE_SCENARIO][at_15] <= \
-        result.latency[INVALIDATE_SCENARIO][at_15] * 1.05
-    assert result.latency[INVALIDATE_SCENARIO][at_15] < result.latency[NO_CACHE][at_15]
+    assert latency[UPDATE_SCENARIO][at_15] <= \
+        latency[INVALIDATE_SCENARIO][at_15] * 1.05
+    assert latency[INVALIDATE_SCENARIO][at_15] < latency[NO_CACHE][at_15]
 
     # Table 2: read pages benefit enormously from caching, while write pages
     # benefit far less — their latency is dominated by the writes plus the
@@ -53,8 +57,8 @@ def test_experiment1_throughput_latency(benchmark, save_result):
     # pages get absolutely slower; in our scaled stack they merely gain much
     # less than the read pages, because every page also carries read queries
     # that the cache accelerates — see EXPERIMENTS.md.)
-    nocache_pages = result.latency_by_page[NO_CACHE]
-    update_pages = result.latency_by_page[UPDATE_SCENARIO]
+    nocache_pages = by_scenario[NO_CACHE]["latency_by_page"]
+    update_pages = by_scenario[UPDATE_SCENARIO]["latency_by_page"]
     assert update_pages["LookupFBM"] < nocache_pages["LookupFBM"]
     assert update_pages["LookupBM"] < nocache_pages["LookupBM"]
     read_gain = nocache_pages["LookupFBM"] / update_pages["LookupFBM"]
@@ -65,6 +69,6 @@ def test_experiment1_throughput_latency(benchmark, save_result):
     assert update_pages["AcceptFR"] > update_pages["LookupFBM"]
 
     # The cached configurations serve the bulk of reads from memcached.
-    assert result.cache_hit_ratio[UPDATE_SCENARIO] > 0.8
-    assert result.cache_hit_ratio[UPDATE_SCENARIO] >= \
-        result.cache_hit_ratio[INVALIDATE_SCENARIO]
+    assert by_scenario[UPDATE_SCENARIO]["hit_ratio"] > 0.8
+    assert by_scenario[UPDATE_SCENARIO]["hit_ratio"] >= \
+        by_scenario[INVALIDATE_SCENARIO]["hit_ratio"]

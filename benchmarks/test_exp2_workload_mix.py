@@ -15,19 +15,21 @@ Paper findings reproduced here:
 """
 
 from repro.bench import (INVALIDATE_SCENARIO, NO_CACHE, UPDATE_SCENARIO,
-                         experiment2, render_experiment2)
+                         render_sweep, run_sweep)
 
 READ_FRACTIONS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 
 
 def test_experiment2_read_write_mix(benchmark, save_result):
     result = benchmark.pedantic(
-        experiment2, kwargs={"read_fractions": READ_FRACTIONS}, rounds=1, iterations=1)
-    save_result("exp2_workload_mix", render_experiment2(result))
+        run_sweep, args=("exp2",), kwargs={"read_fraction": READ_FRACTIONS},
+        rounds=1, iterations=1)
+    save_result("exp2_workload_mix", render_sweep(result))
 
-    update = result.throughput[UPDATE_SCENARIO]
-    invalidate = result.throughput[INVALIDATE_SCENARIO]
-    nocache = result.throughput[NO_CACHE]
+    throughput = result.series("throughput", x="read_fraction")
+    update = throughput[UPDATE_SCENARIO]
+    invalidate = throughput[INVALIDATE_SCENARIO]
+    nocache = throughput[NO_CACHE]
 
     # 0% reads: with batched (commit-time) trigger propagation the cached
     # systems match or beat NoCache even on pure writes — but stay well

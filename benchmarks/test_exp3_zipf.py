@@ -8,27 +8,29 @@ moves, since it is CPU-bound on repeated query computation either way.
 """
 
 from repro.bench import (INVALIDATE_SCENARIO, NO_CACHE, UPDATE_SCENARIO,
-                         experiment3, render_experiment3)
+                         render_sweep, run_sweep, skew_gain)
 
 ZIPF_PARAMETERS = (1.2, 1.4, 1.6, 1.8, 2.0)
 
 
 def test_experiment3_user_distribution(benchmark, save_result):
     result = benchmark.pedantic(
-        experiment3, kwargs={"zipf_parameters": ZIPF_PARAMETERS}, rounds=1, iterations=1)
-    save_result("exp3_zipf", render_experiment3(result))
+        run_sweep, args=("exp3",), kwargs={"zipf": ZIPF_PARAMETERS},
+        rounds=1, iterations=1)
+    save_result("exp3_zipf", render_sweep(result))
 
-    update = result.throughput[UPDATE_SCENARIO]
-    nocache = result.throughput[NO_CACHE]
+    throughput = result.series("throughput", x="zipf")
+    update = throughput[UPDATE_SCENARIO]
+    nocache = throughput[NO_CACHE]
 
     # Cached throughput at the most skewed point (a=1.2) exceeds the least
     # skewed point (a=2.0); the paper reports about 1.5x.
-    assert result.skew_gain(UPDATE_SCENARIO) >= 1.05
-    assert result.skew_gain(INVALIDATE_SCENARIO) >= 1.05
+    assert skew_gain(result, UPDATE_SCENARIO) >= 1.05
+    assert skew_gain(result, INVALIDATE_SCENARIO) >= 1.05
 
     # NoCache shows much less sensitivity to the skew than the cached systems.
-    nocache_gain = result.skew_gain(NO_CACHE)
-    assert nocache_gain <= result.skew_gain(UPDATE_SCENARIO) + 0.15
+    nocache_gain = skew_gain(result, NO_CACHE)
+    assert nocache_gain <= skew_gain(result, UPDATE_SCENARIO) + 0.15
 
     # The cached systems stay ahead of NoCache across the whole sweep.
     for i in range(len(ZIPF_PARAMETERS)):

@@ -9,23 +9,27 @@ Paper findings reproduced here:
   comfortably ahead of NoCache (paper: >=2x with a 64 MB cache).
 """
 
-from repro.bench import (INVALIDATE_SCENARIO, UPDATE_SCENARIO, experiment4,
-                         render_experiment4)
+from repro.bench import (INVALIDATE_SCENARIO, UPDATE_SCENARIO, plateau_size,
+                         render_sweep, run_sweep)
 
 # The scaled-down workload's full cached working set is ~100 KB (the paper's
 # is ~hundreds of MB against a 512 MB cache); the sweep therefore covers
 # 16 KB - 512 KB, crossing from heavy eviction pressure to "everything fits".
-CACHE_SIZES = (16 * 1024, 32 * 1024, 64 * 1024, 128 * 1024,
-               256 * 1024, 512 * 1024)
+CACHE_SIZES_KB = (16, 32, 64, 128, 256, 512)
 
 
 def test_experiment4_cache_size(benchmark, save_result):
     result = benchmark.pedantic(
-        experiment4, kwargs={"cache_sizes_bytes": CACHE_SIZES}, rounds=1, iterations=1)
-    save_result("exp4_cache_size", render_experiment4(result))
+        run_sweep, args=("exp4",), kwargs={"cache_kb": CACHE_SIZES_KB},
+        rounds=1, iterations=1)
+    save_result("exp4_cache_size", render_sweep(result))
 
-    update = result.throughput[UPDATE_SCENARIO]
-    invalidate = result.throughput[INVALIDATE_SCENARIO]
+    throughput = result.series("throughput", x="cache_kb")
+    update = throughput[UPDATE_SCENARIO]
+    invalidate = throughput[INVALIDATE_SCENARIO]
+    update_evictions = [row["cache"]["lru_evictions"]
+                        for row in result.where(scenario=UPDATE_SCENARIO)]
+    (nocache_reference,) = [row["throughput"] for row in result.aux]
 
     # Larger caches never hurt: the largest size is at least as good as the
     # smallest for both strategies.
@@ -33,13 +37,14 @@ def test_experiment4_cache_size(benchmark, save_result):
     assert invalidate[-1] >= invalidate[0] * 0.95
 
     # Small caches evict (the pressure the experiment is about) ...
-    assert result.evictions[UPDATE_SCENARIO][0] > 0
+    assert update_evictions[0] > 0
     # ... while the largest cache does not.
-    assert result.evictions[UPDATE_SCENARIO][-1] == 0
+    assert update_evictions[-1] == 0
 
     # Update needs at least as much cache as Invalidate to plateau.
-    assert result.plateau_size(UPDATE_SCENARIO) >= result.plateau_size(INVALIDATE_SCENARIO)
+    assert plateau_size(result, UPDATE_SCENARIO) >= \
+        plateau_size(result, INVALIDATE_SCENARIO)
 
     # Even the smallest cache keeps the cached systems well ahead of NoCache.
-    assert update[0] >= result.nocache_reference * 1.5
-    assert invalidate[0] >= result.nocache_reference * 1.4
+    assert update[0] >= nocache_reference * 1.5
+    assert invalidate[0] >= nocache_reference * 1.4

@@ -7,21 +7,22 @@ req/s, Invalidate: 62 vs 80 req/s).  The reproduction asserts the overhead
 lands in a comparable band.
 """
 
-from repro.bench import (INVALIDATE_SCENARIO, UPDATE_SCENARIO, experiment5,
-                         render_experiment5)
+from repro.bench import (INVALIDATE_SCENARIO, UPDATE_SCENARIO, render_sweep,
+                         run_sweep)
 
 
 def test_experiment5_trigger_overhead(benchmark, save_result):
-    result = benchmark.pedantic(experiment5, rounds=1, iterations=1)
-    save_result("exp5_trigger_overhead", render_experiment5(result))
+    result = benchmark.pedantic(run_sweep, args=("exp5",), rounds=1,
+                                iterations=1)
+    save_result("exp5_trigger_overhead", render_sweep(result))
 
     for scenario in (UPDATE_SCENARIO, INVALIDATE_SCENARIO):
+        row = result.one(scenario=scenario)
         # The ideal (trigger-free) system is faster...
-        assert result.ideal[scenario] > result.with_triggers[scenario]
+        assert row["ideal"] > row["with_triggers"]
         # ...by an overhead fraction below the paper's 22-28%: the default
         # batched protocol coalesces each transaction's trigger ops into a
         # commit-time gets_multi/cas_multi flush, so consistency costs a
         # fraction of the paper's per-operation round trips.  (Run with
         # batch_ops=False to land back in the paper's neighbourhood.)
-        overhead = result.overhead_fraction(scenario)
-        assert 0.02 <= overhead <= 0.45
+        assert 0.02 <= row["overhead"] <= 0.45

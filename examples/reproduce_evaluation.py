@@ -11,9 +11,10 @@ Run with::
     python examples/reproduce_evaluation.py
 """
 
-from repro.bench import (experiment1, micro_lookup, micro_trigger,
-                         programmer_effort, render_effort, render_experiment1,
-                         render_micro_lookup, render_micro_trigger, table1)
+from repro.bench import (micro_lookup, micro_trigger, programmer_effort,
+                         render_effort, render_micro_lookup,
+                         render_micro_trigger, render_sweep, run_sweep,
+                         speedup_over_nocache, table1)
 
 
 def main() -> None:
@@ -34,10 +35,10 @@ def main() -> None:
     print("=" * 72)
     print("Experiment 1 — throughput and latency vs clients (Fig 2a/2b, Table 2)")
     print("=" * 72)
-    result = experiment1(client_counts=(1, 5, 15, 30))
-    print(render_experiment1(result))
-    update_speedup = result.speedup_over_nocache("Update", client_index=2)
-    invalidate_speedup = result.speedup_over_nocache("Invalidate", client_index=2)
+    result = run_sweep("exp1", clients=(1, 5, 15, 30))
+    print(render_sweep(result))
+    update_speedup = speedup_over_nocache(result, "Update", clients=15)
+    invalidate_speedup = speedup_over_nocache(result, "Invalidate", clients=15)
     print()
     print(f"Speedup over NoCache at 15 clients:  Update {update_speedup:.2f}x, "
           f"Invalidate {invalidate_speedup:.2f}x   (paper: 2-2.5x)")

@@ -22,8 +22,10 @@ code::
     python -m repro.bench strategies
     python -m repro.bench report run.json
 
-Each command prints the same rendered rows/series the corresponding
-``benchmarks/`` target saves under ``benchmarks/_results/``.
+Every ``exp*`` subcommand is derived from its entry in
+:data:`repro.bench.experiments.EXPERIMENTS`: one option per axis that names
+a flag, ``--quick`` when the entry has a quick sizing, ``--check`` when it
+has a check, ``--jobs`` when its cells fan out over processes.
 ``exp-contention --trace-out`` additionally re-runs one representative
 quick cell with causal tracing on and writes a Chrome trace-event file
 (load it at https://ui.perfetto.dev); ``--json-out`` writes the matching
@@ -33,172 +35,103 @@ versioned run document, which ``report`` renders back as text.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import experiments, reporting
+from .experiments import Experiment
 
 
-def _cmd_micro_lookup(_args: argparse.Namespace) -> str:
-    return reporting.render_micro_lookup(experiments.micro_lookup())
+def _add_experiment(sub, experiment: Experiment) -> None:
+    """Derive one subcommand and its options from a sweep entry."""
+    parser = sub.add_parser(experiment.name, help=experiment.help)
+    for axis in experiment.axes:
+        if axis.flag is None:
+            continue
+        options = {"help": axis.help or None}
+        if axis.presets:
+            options.update(choices=list(axis.presets), default=next(
+                name for name, values in axis.presets.items()
+                if values == axis.values))
+        else:
+            options.update(type=axis.type,
+                           choices=list(axis.choices) if axis.choices else None)
+            if axis.scalar:
+                options["default"] = axis.values[0]
+            else:
+                # A quick mode shrinks the default sweep, so the default is
+                # resolved when the command runs.
+                options.update(nargs="+", default=(
+                    None if experiment.quick else list(axis.values)))
+        parser.add_argument(axis.flag, **options)
+    if experiment.quick:
+        parser.add_argument("--quick", action="store_true",
+                            help=experiment.quick_help)
+    if experiment.check:
+        parser.add_argument("--check", action="store_true",
+                            help=experiment.check.help)
+    if experiment is experiments.EXP_CONTENTION:
+        parser.add_argument(
+            "--trace-out", default=None, metavar="TRACE_JSON",
+            help="also re-run one representative quick cell with causal "
+                 "tracing on and write a Chrome trace-event JSON "
+                 "(Perfetto-loadable); tracing is zero-perturbation, so the "
+                 "traced run matches the sweep cell bit for bit")
+        parser.add_argument(
+            "--json-out", default=None, metavar="RUN_JSON",
+            help="write the traced cell's versioned run document (replay + "
+                 "metrics + demand histogram + flame) for `python -m "
+                 "repro.bench report`")
+    if experiment.parallel:
+        parser.add_argument(
+            "--jobs", type=int, default=1,
+            help="worker processes for the independent sweep cells (default: "
+                 "1 = the in-process serial loop; any N merges "
+                 "deterministically and is byte-identical to --jobs 1)")
+    parser.set_defaults(func=functools.partial(_cmd_experiment, experiment))
 
 
-def _cmd_micro_trigger(_args: argparse.Namespace) -> str:
-    return reporting.render_micro_trigger(experiments.micro_trigger())
-
-
-def _cmd_effort(_args: argparse.Namespace) -> str:
-    return reporting.render_effort(experiments.programmer_effort())
-
-
-def _cmd_table1(_args: argparse.Namespace) -> str:
-    return reporting.table1()
-
-
-def _cmd_exp1(args: argparse.Namespace) -> str:
-    # The historical CLI default counts (quick mode shrinks its own);
-    # explicit --clients is honored either way.
-    counts = args.clients
-    if counts is None and not args.quick:
-        counts = [1, 5, 10, 15, 25, 40]
-    result = experiments.experiment1(
-        client_counts=tuple(counts) if counts else None,
-        workers=args.workers,
-        policy=args.policy,
-        seed=args.seed,
-        quick=args.quick,
-        jobs=args.jobs,
-    )
-    rendered = reporting.render_experiment1(result)
-    if args.check:
-        problems = result.check_contended()
+def _cmd_experiment(experiment: Experiment, args: argparse.Namespace) -> str:
+    chosen = {}
+    for axis in experiment.axes:
+        if axis.flag is None:
+            continue
+        value = getattr(args, axis.dest)
+        if value is not None:
+            chosen[axis.name] = axis.presets[value] if axis.presets else value
+    result = experiments.run_sweep(
+        experiment, quick=getattr(args, "quick", False),
+        jobs=getattr(args, "jobs", 1), **chosen)
+    rendered = reporting.render_sweep(result)
+    if getattr(args, "check", False):
+        problems = experiment.check.problems(result)
         if problems:
-            raise SystemExit(rendered + "\n\nCONTENTION CHECK FAILED:\n  "
+            raise SystemExit(f"{rendered}\n\n{experiment.check.failed}:\n  "
                              + "\n  ".join(problems))
-        rendered += ("\nContention check passed: the closed-loop sweep "
-                     "consumed a contended schedule.")
+        rendered += "\n" + experiment.check.passed
+    if getattr(args, "trace_out", None) or getattr(args, "json_out", None):
+        rendered += _traced_cell(args)
     return rendered
 
 
-def _cmd_exp2(args: argparse.Namespace) -> str:
-    result = experiments.experiment2(read_fractions=tuple(args.read_fractions))
-    return reporting.render_experiment2(result)
-
-
-def _cmd_exp3(args: argparse.Namespace) -> str:
-    result = experiments.experiment3(zipf_parameters=tuple(args.zipf))
-    return reporting.render_experiment3(result)
-
-
-def _cmd_exp4(args: argparse.Namespace) -> str:
-    sizes = tuple(int(kb) * 1024 for kb in args.cache_kb)
-    result = experiments.experiment4(cache_sizes_bytes=sizes)
-    return reporting.render_experiment4(result)
-
-
-def _cmd_exp5(_args: argparse.Namespace) -> str:
-    return reporting.render_experiment5(experiments.experiment5())
-
-
-def _cmd_exp_batch(args: argparse.Namespace) -> str:
-    modes = {
-        "off": (experiments.UNBATCHED,),
-        "on": (experiments.BATCHED,),
-        "both": (experiments.UNBATCHED, experiments.BATCHED),
-    }[args.batch_ops]
-    result = experiments.experiment_batching(scenario=args.scenario, modes=modes)
-    return reporting.render_experiment_batching(result)
-
-
-def _cmd_exp_strategies(args: argparse.Namespace) -> str:
-    scenarios = tuple(args.strategies) if args.strategies \
-        else experiments.STRATEGY_ABLATION_SCENARIOS
-    result = experiments.experiment_strategies(scenarios=scenarios,
-                                               quick=args.quick)
-    return reporting.render_experiment_strategies(result)
-
-
-def _cmd_exp_contention(args: argparse.Namespace) -> str:
-    # None falls through to the experiment's defaults (which --quick
-    # shrinks); explicit selections are honored even in quick mode.
-    result = experiments.experiment_contention(
-        scenarios=args.strategies,
-        workers=args.workers,
-        policies=args.policies,
-        seed=args.seed,
-        quick=args.quick,
-        jobs=args.jobs,
-    )
-    rendered = reporting.render_experiment_contention(result)
-    if args.check:
-        problems = result.check_contended()
-        if problems:
-            raise SystemExit(rendered + "\n\nCONTENTION CHECK FAILED:\n  "
-                             + "\n  ".join(problems))
-        rendered += "\nContention check passed: all contention counters fire at >= 2 workers."
-    if args.trace_out or args.json_out:
-        # One representative traced re-run (the quick LeasedInvalidate
-        # adversarial cell); tracing is zero-perturbation, so its numbers
-        # match the untraced sweep cell bit for bit.
-        from ..obs import write_chrome_trace
-        tracer, document = experiments.trace_contention_cell(seed=args.seed)
-        if args.trace_out:
-            write_chrome_trace(tracer, args.trace_out)
-            rendered += (f"\nChrome trace ({len(tracer.finished)} spans) "
-                         f"written to {args.trace_out} — load in Perfetto.")
-        if args.json_out:
-            with open(args.json_out, "w", encoding="utf-8") as handle:
-                json.dump(document, handle, indent=1)
-                handle.write("\n")
-            rendered += f"\nRun document written to {args.json_out}."
-        rendered += "\n\n" + reporting.render_flame(document["flame"])
-    return rendered
-
-
-def _cmd_report(args: argparse.Namespace) -> str:
-    with open(args.path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    return reporting.render_report(document)
-
-
-def _cmd_exp_cluster(args: argparse.Namespace) -> str:
-    # None falls through to the experiment's defaults (which --quick
-    # shrinks); explicit selections are honored even in quick mode.
-    result = experiments.experiment_cluster(
-        scenarios=args.strategies,
-        fault_cases=args.fault_cases,
-        quick=args.quick,
-        jobs=args.jobs,
-    )
-    rendered = reporting.render_experiment_cluster(result)
-    if args.check:
-        problems = result.check_cluster()
-        if problems:
-            raise SystemExit(rendered + "\n\nCLUSTER CHECK FAILED:\n  "
-                             + "\n  ".join(problems))
-        rendered += ("\nCluster check passed: gutter hits fired, every kill "
-                     "dipped the degraded segment, and the run is "
-                     "deterministic under the fixed seed.")
-    return rendered
-
-
-def _cmd_exp_adaptive(args: argparse.Namespace) -> str:
-    # None falls through to the experiment's defaults (which --quick
-    # shrinks); explicit selections are honored even in quick mode.
-    result = experiments.experiment_adaptive(
-        scenarios=args.strategies,
-        quick=args.quick,
-        jobs=args.jobs,
-    )
-    rendered = reporting.render_experiment_adaptive(result)
-    if args.check:
-        problems = result.check_adaptive()
-        if problems:
-            raise SystemExit(rendered + "\n\nADAPTIVE CHECK FAILED:\n  "
-                             + "\n  ".join(problems))
-        rendered += ("\nAdaptive check passed: bands switched and adaptive "
-                     "sits on the (fallbacks, DB work) Pareto frontier.")
-    return rendered
+def _traced_cell(args: argparse.Namespace) -> str:
+    """One representative traced re-run (the quick LeasedInvalidate
+    adversarial cell); tracing is zero-perturbation, so its numbers match
+    the untraced sweep cell bit for bit."""
+    from ..obs import write_chrome_trace
+    tracer, document = experiments.trace_contention_cell(seed=args.seed)
+    rendered = ""
+    if args.trace_out:
+        write_chrome_trace(tracer, args.trace_out)
+        rendered += (f"\nChrome trace ({len(tracer.finished)} spans) written "
+                     f"to {args.trace_out} — load in Perfetto.")
+    if args.json_out:
+        with open(args.json_out, "w", encoding="utf-8") as handle:
+            json.dump(document, handle, indent=1)
+            handle.write("\n")
+        rendered += f"\nRun document written to {args.json_out}."
+    return rendered + "\n\n" + reporting.render_flame(document["flame"])
 
 
 def _cmd_strategies(_args: argparse.Namespace) -> str:
@@ -207,22 +140,21 @@ def _cmd_strategies(_args: argparse.Namespace) -> str:
     return reporting.render_strategies_list(registered_strategies())
 
 
-def _cmd_exp_cas_batch(args: argparse.Namespace) -> str:
-    modes = {
-        "off": (experiments.EAGER_CAS,),
-        "on": (experiments.PIPELINED_CAS,),
-        "both": experiments.ALL_CAS_MODES,
-    }[args.cas_batch]
-    result = experiments.experiment_cas_batching(modes=modes)
-    return reporting.render_experiment_cas_batching(result)
+def _cmd_report(args: argparse.Namespace) -> str:
+    with open(args.path, "r", encoding="utf-8") as handle:
+        return reporting.render_report(json.load(handle))
 
 
-def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the independent sweep cells (default: 1 "
-             "= the in-process serial loop; any N merges deterministically "
-             "and is byte-identical to --jobs 1)")
+#: The argument-less §5.2/§5.3 subcommands: name -> (help, command).
+COMMANDS = {
+    "micro-lookup": ("§5.3 cache vs database lookups", lambda _args:
+                     reporting.render_micro_lookup(experiments.micro_lookup())),
+    "micro-trigger": ("§5.3 trigger overhead on INSERT", lambda _args:
+                      reporting.render_micro_trigger(experiments.micro_trigger())),
+    "effort": ("§5.2 programmer effort", lambda _args:
+               reporting.render_effort(experiments.programmer_effort())),
+    "table1": ("Table 1 system comparison", lambda _args: reporting.table1()),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,199 +164,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Regenerate the CacheGenie paper's evaluation tables and figures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("micro-lookup", help="§5.3 cache vs database lookups") \
-        .set_defaults(func=_cmd_micro_lookup)
-    sub.add_parser("micro-trigger", help="§5.3 trigger overhead on INSERT") \
-        .set_defaults(func=_cmd_micro_trigger)
-    sub.add_parser("effort", help="§5.2 programmer effort") \
-        .set_defaults(func=_cmd_effort)
-    sub.add_parser("table1", help="Table 1 system comparison") \
-        .set_defaults(func=_cmd_table1)
-
-    exp1 = sub.add_parser("exp1", help="Figure 2a/2b + Table 2 (clients sweep)")
-    exp1.add_argument("--clients", type=int, nargs="+", default=None,
-                      help="client counts to sweep (default: 1 5 10 15 25 40, "
-                           "or 1 4 with --quick)")
-    exp1.add_argument(
-        "--workers", type=int, default=1,
-        help="replay engine workers (default: 1 = the serial path; above 1 "
-             "the measured demands come from a real interleaving and the "
-             "lineup gains the LeasedInvalidate scenario)")
-    exp1.add_argument(
-        "--policy", choices=list(experiments.ALL_POLICIES),
-        default=experiments.ROUND_ROBIN,
-        help="interleave policy at >= 2 workers (default: %(default)s)")
-    exp1.add_argument(
-        "--seed", type=int, default=0,
-        help="scheduler seed: a fixed seed reproduces the interleaving "
-             "bit for bit (default: %(default)s)")
-    exp1.add_argument(
-        "--quick", action="store_true",
-        help="tiny seed and short trace — the CI smoke configuration")
-    exp1.add_argument(
-        "--check", action="store_true",
-        help="exit nonzero unless the contention counters fire in the "
-             "closed-loop metrics (needs --workers >= 2)")
-    _add_jobs_argument(exp1)
-    exp1.set_defaults(func=_cmd_exp1)
-
-    exp2 = sub.add_parser("exp2", help="Figure 3a (read/write mix sweep)")
-    exp2.add_argument("--read-fractions", type=float, nargs="+",
-                      default=[0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
-    exp2.set_defaults(func=_cmd_exp2)
-
-    exp3 = sub.add_parser("exp3", help="Figure 3b (zipf parameter sweep)")
-    exp3.add_argument("--zipf", type=float, nargs="+", default=[1.2, 1.4, 1.6, 1.8, 2.0])
-    exp3.set_defaults(func=_cmd_exp3)
-
-    exp4 = sub.add_parser("exp4", help="Figure 3c (cache size sweep)")
-    exp4.add_argument("--cache-kb", type=int, nargs="+",
-                      default=[16, 32, 64, 128, 256, 512])
-    exp4.set_defaults(func=_cmd_exp4)
-
-    sub.add_parser("exp5", help="Experiment 5 (trigger overhead)") \
-        .set_defaults(func=_cmd_exp5)
-
-    exp_batch = sub.add_parser(
-        "exp-batch",
-        help="Batching ablation: multi-key cache protocol + commit-time "
-             "trigger-op coalescing on the wall/top-k workload")
-    exp_batch.add_argument(
-        "--batch-ops", choices=["on", "off", "both"], default="both",
-        help="run with the batched protocol on (the scenario default), off "
-             "(the legacy per-key protocol), or both (compares recorded "
-             "cache round trips and throughput; default: both)")
-    exp_batch.add_argument(
-        "--scenario", choices=["Update", "Invalidate"], default="Update",
-        help="cached scenario to ablate (default: Update)")
-    exp_batch.set_defaults(func=_cmd_exp_batch)
-
-    exp_cas = sub.add_parser(
-        "exp-cas-batch",
-        help="CAS-batching ablation: batched gets_multi/cas_multi flush and "
-             "pipelined server batches on the update-in-place wall/top-k "
-             "workload")
-    exp_cas.add_argument(
-        "--cas-batch", choices=["on", "off", "both"], default="both",
-        help="run the update-in-place CAS path batched (on — the default "
-             "configuration, batched + pipelined), eager (off — one "
-             "gets + one cas round trip per key), or both, which adds the "
-             "intermediate serial-batches column (default: both)")
-    exp_cas.set_defaults(func=_cmd_exp_cas_batch)
-
-    exp_strategies = sub.add_parser(
-        "exp-strategies",
-        help="Consistency-strategy ablation: all five strategies (incl. "
-             "leased invalidation and async-refresh) on the hot-key "
-             "wall/top-k workload")
-    exp_strategies.add_argument(
-        "--strategies", nargs="+", default=None,
-        choices=list(experiments.STRATEGY_ABLATION_SCENARIOS),
-        help="subset of strategy scenarios to run (default: all five)")
-    exp_strategies.add_argument(
-        "--quick", action="store_true",
-        help="tiny seed and short trace — the CI smoke configuration")
-    exp_strategies.set_defaults(func=_cmd_exp_strategies)
-
-    exp_contention = sub.add_parser(
-        "exp-contention",
-        help="Contention ablation: N concurrent worker contexts interleaved "
-             "by a seeded scheduler on the hot-key wall/top-k workload — "
-             "CAS mismatches/retry rounds and lease contention vs worker "
-             "count, interleave policy, and strategy")
-    exp_contention.add_argument(
-        "--strategies", nargs="+", default=None,
-        choices=list(experiments.CONTENTION_SCENARIOS),
-        help="subset of strategy scenarios to sweep (default: all three)")
-    exp_contention.add_argument(
-        "--workers", type=int, nargs="+", default=None,
-        help="worker counts to sweep (default: 1 2 4; 1 = serial baseline)")
-    exp_contention.add_argument(
-        "--policies", nargs="+", default=None,
-        choices=list(experiments.ALL_POLICIES),
-        help="interleave policies to sweep at >= 2 workers (default: "
-             "round-robin random adversarial; key-overlap is opt-in)")
-    exp_contention.add_argument(
-        "--seed", type=int, default=experiments.CONTENTION_SEED,
-        help="scheduler seed: a fixed seed reproduces the interleaving "
-             "bit for bit (default: %(default)s)")
-    exp_contention.add_argument(
-        "--quick", action="store_true",
-        help="tiny seed, short trace, adversarial policy only — the CI "
-             "smoke configuration")
-    exp_contention.add_argument(
-        "--check", action="store_true",
-        help="exit nonzero unless every contention counter fires at >= 2 "
-             "workers (guards against the subsystem regressing to serial)")
-    exp_contention.add_argument(
-        "--trace-out", default=None, metavar="TRACE_JSON",
-        help="also re-run one representative quick cell with causal tracing "
-             "on and write a Chrome trace-event JSON (Perfetto-loadable); "
-             "tracing is zero-perturbation, so the traced run matches the "
-             "sweep cell bit for bit")
-    exp_contention.add_argument(
-        "--json-out", default=None, metavar="RUN_JSON",
-        help="write the traced cell's versioned run document (replay + "
-             "metrics + registry + flame) for `python -m repro.bench report`")
-    _add_jobs_argument(exp_contention)
-    exp_contention.set_defaults(func=_cmd_exp_contention)
-
-    exp_cluster = sub.add_parser(
-        "exp-cluster",
-        help="Cluster-dynamics ablation: mid-replay node kill/revive/join on "
-             "the simulated clock, with and without the gutter-pool "
-             "fallback — hit-ratio/throughput trajectory per strategy")
-    exp_cluster.add_argument(
-        "--strategies", nargs="+", default=None,
-        choices=list(experiments.CLUSTER_SCENARIOS),
-        help="subset of strategy scenarios to sweep (default: both)")
-    exp_cluster.add_argument(
-        "--fault-cases", nargs="+", default=None,
-        choices=list(experiments.CLUSTER_FAULT_CASES),
-        help="subset of fault cases to run (default: scale-out node-kill "
-             "node-kill-nogutter; --quick keeps the two kill cases)")
-    exp_cluster.add_argument(
-        "--quick", action="store_true",
-        help="tiny seed, short trace, kill cases only — the CI smoke "
-             "configuration")
-    exp_cluster.add_argument(
-        "--check", action="store_true",
-        help="exit nonzero unless the gutter pool absorbed hits, every "
-             "node-kill produced a degraded-segment dip, and two seeded "
-             "runs agree bit for bit")
-    _add_jobs_argument(exp_cluster)
-    exp_cluster.set_defaults(func=_cmd_exp_cluster)
-
-    exp_adaptive = sub.add_parser(
-        "exp-adaptive",
-        help="Adaptive-strategy ablation: telemetry-driven per-key band "
-             "selection vs every static strategy on a mixed hot/cold "
-             "workload under a flash-crowd arrival shape")
-    exp_adaptive.add_argument(
-        "--strategies", nargs="+", default=None,
-        choices=list(experiments.ADAPTIVE_ABLATION_SCENARIOS),
-        help="subset of arms to run (default: all five)")
-    exp_adaptive.add_argument(
-        "--quick", action="store_true",
-        help="tiny seed and short trace — the CI smoke configuration")
-    exp_adaptive.add_argument(
-        "--check", action="store_true",
-        help="exit nonzero unless bands switched and adaptive sits on the "
-             "(blocking fallbacks, total DB work) Pareto frontier")
-    _add_jobs_argument(exp_adaptive)
-    exp_adaptive.set_defaults(func=_cmd_exp_adaptive)
-
+    for name, (help_text, command) in COMMANDS.items():
+        sub.add_parser(name, help=help_text).set_defaults(func=command)
+    for experiment in experiments.EXPERIMENTS.values():
+        _add_experiment(sub, experiment)
     sub.add_parser(
         "strategies",
         help="List every registered consistency strategy (describe() "
              "summaries, adaptive bands included)") \
         .set_defaults(func=_cmd_strategies)
-
     report = sub.add_parser(
         "report",
         help="Render a saved run JSON document (replay_result, run_metrics, "
-             "metrics_registry, or a run_document from --json-out) as text")
+             "or a run_document from --json-out) as text")
     report.add_argument("path", help="path to the JSON document")
     report.set_defaults(func=_cmd_report)
     return parser

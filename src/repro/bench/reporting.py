@@ -2,17 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
-
-from .experiments import (ADAPTIVE_SCENARIO, BATCHED_CAS, CLUSTER_SCALE_OUT,
-                          CONTENTION_COUNTERS, EAGER_CAS, PIPELINED_CAS,
-                          AdaptiveResult, BatchingResult, CasBatchingResult,
-                          ClusterResult, ContentionResult, EffortResult,
-                          Experiment1Result, Experiment2Result,
-                          Experiment3Result, Experiment4Result,
-                          Experiment5Result, MicroLookupResult,
-                          MicroTriggerResult, StrategiesResult)
-from .scenarios import INVALIDATE_SCENARIO, LEASED_SCENARIO, UPDATE_SCENARIO
+from dataclasses import dataclass
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+                    Union)
 
 #: Table 1 of the paper: qualitative comparison with representative systems.
 TABLE1_ROWS: List[Dict[str, str]] = [
@@ -57,290 +49,109 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> st
     return "\n".join(lines)
 
 
-def format_series(x_label: str, x_values: Sequence[object],
-                  series: Dict[str, Sequence[float]], unit: str = "req/s") -> str:
-    """Render a figure's data as a table: one row per x value, one column per series."""
-    headers = [x_label] + [f"{name} ({unit})" for name in series]
-    rows = []
-    for idx, x in enumerate(x_values):
-        rows.append([x] + [f"{series[name][idx]:.1f}" for name in series])
-    return format_table(headers, rows)
+# -- sweep tables: three layouts over plain-data rows -------------------------------
+
+#: Table layouts.  ``ROWS``: one line per row, one column per entry of
+#: ``columns``.  ``ARMS``: one line per entry of ``columns`` (a metric), one
+#: column per value of the ``arm`` axis.  ``SERIES``: a figure's data — one
+#: line per value of an x axis, one column per arm; ``columns`` is exactly
+#: ``((x label, x key, x format), (unit, value key, value format))``.
+ROWS, ARMS, SERIES = "rows", "arms", "series"
+
+#: One column (or, under ``ARMS``, one metric line): a label, a dotted key
+#: into the row (``"counters.cache_gets"``), and a ``str.format`` template
+#: or a callable rendering the value.
+Column = Tuple[str, str, Union[str, Callable[[object], str]]]
+
+#: Format of a boolean column.
+YES_NO = {True: "yes", False: "no"}.get
 
 
-# -- per-experiment renderers -------------------------------------------------------
+def lookup(row: Dict[str, object], key: str, default: object = 0) -> object:
+    """Resolve a dotted key in a nested row; a missing leaf reads ``default``
+    (a counter the run never moved, a page type it never served)."""
+    value: object = row
+    for part in key.split("."):
+        if not isinstance(value, dict) or part not in value:
+            return default
+        value = value[part]
+    return value
 
-def render_experiment1(result: Experiment1Result) -> str:
-    parts = [
-        "Figure 2a — page-load throughput vs number of clients",
-        format_series("clients", result.client_counts, result.throughput, "req/s"),
-        "",
-        "Figure 2b — page-load latency vs number of clients",
-        format_series("clients", result.client_counts,
-                      {k: [v for v in vals] for k, vals in result.latency.items()}, "s"),
-        "",
-        "Table 2 — average latency by page type (15 clients)",
-    ]
-    pages = sorted({page for by_page in result.latency_by_page.values() for page in by_page})
-    headers = ["Page type"] + list(result.latency_by_page.keys())
-    rows = []
-    for page in pages:
-        rows.append([page] + [
-            f"{result.latency_by_page[name].get(page, 0.0):.3f} s"
-            for name in result.latency_by_page
-        ])
-    parts.append(format_table(headers, rows))
-    if result.workers > 1:
-        parts.extend([
-            "",
-            f"Replay engine — {result.workers} workers, {result.policy} "
-            f"policy, seed {result.seed} (closed-loop simulation consumes "
-            f"the schedule)",
-        ])
-        headers = ["Scenario", "CAS mismatch", "Retry rounds",
-                   "Lease contended", "Schedule"]
-        rows = [
-            [name,
-             str(counters.get("cas_multi_mismatch", 0)),
-             str(counters.get("cas_retry_rounds", 0)),
-             str(counters.get("lease_contended", 0)),
-             result.schedule_signatures.get(name, "")]
-            for name, counters in result.contention.items()
-        ]
-        parts.append(format_table(headers, rows))
+
+def flatten(rows: Sequence[Dict[str, object]], key: str) -> List[Dict[str, object]]:
+    """One row per entry of each row's ``key`` list, the entry's fields laid
+    over the parent's (a cell's per-client-count points, a run's segments)."""
+    return [{**row, **entry} for row in rows for entry in row[key]]
+
+
+def pivot(rows: Sequence[Dict[str, object]], x: str, arm: str
+          ) -> Tuple[List[object], List[object], Dict[tuple, Dict[str, object]]]:
+    """The x values and arm values of ``rows`` in first-seen order, and the
+    row at each ``(x value, arm value)``."""
+    xs = list(dict.fromkeys(row[x] for row in rows))
+    arms = list(dict.fromkeys(row[arm] for row in rows))
+    return xs, arms, {(row[x], row[arm]): row for row in rows}
+
+
+def _cell(row: Dict[str, object], key: str, fmt) -> str:
+    value = lookup(row, key)
+    return fmt(value) if callable(fmt) else fmt.format(value)
+
+
+@dataclass(frozen=True)
+class Table:
+    """One table of a sweep report, declared as data."""
+
+    #: ``str.format`` template over the first row (``"... ({seed} seed)"``).
+    title: str
+    layout: str
+    #: The columns, or a function of the rows for a table whose lines depend
+    #: on the data (Table 2 has one line per page type served).
+    columns: Union[Sequence[Column], Callable[[Sequence[dict]], Sequence[Column]]]
+    #: ``ARMS``/``SERIES``: the axis whose values head the columns.
+    arm: str = "scenario"
+    #: ``ARMS``: header of the label column.
+    corner: str = "Metric"
+    #: Render :func:`flatten` ``(rows, explode)`` instead of the rows.
+    explode: Optional[str] = None
+    #: Render the table only when this holds of the rows.
+    when: Optional[Callable[[Sequence[dict]], bool]] = None
+
+    def render(self, rows: Sequence[Dict[str, object]]) -> str:
+        title = self.title.format_map(rows[0])
+        if self.explode:
+            rows = flatten(rows, self.explode)
+        columns = self.columns(rows) if callable(self.columns) else self.columns
+        if self.layout == ROWS:
+            headers = [label for label, _, _ in columns]
+            body = [[_cell(row, key, fmt) for _, key, fmt in columns]
+                    for row in rows]
+        elif self.layout == ARMS:
+            by_arm = {row[self.arm]: row for row in rows}
+            headers = [self.corner] + list(by_arm)
+            body = [[label] + [_cell(row, key, fmt) for row in by_arm.values()]
+                    for label, key, fmt in columns]
+        else:
+            (x_label, x, x_fmt), (unit, key, fmt) = columns
+            xs, arms, cells = pivot(rows, x, self.arm)
+            headers = [x_label] + [f"{arm} ({unit})" for arm in arms]
+            body = [[x_fmt.format(value)]
+                    + [_cell(cells[value, arm], key, fmt) for arm in arms]
+                    for value in xs]
+        return title + "\n" + format_table(headers, body)
+
+
+def render_sweep(result) -> str:
+    """Render a :class:`~repro.bench.experiments.SweepResult`: its
+    experiment's tables a blank line apart, then the footer lines."""
+    experiment = result.experiment
+    parts = ["\n\n".join(table.render(result.rows)
+                         for table in experiment.tables
+                         if table.when is None or table.when(result.rows))]
+    footer = experiment.footer(result) if experiment.footer else []
+    if footer:
+        parts += [""] + list(footer)
     return "\n".join(parts)
-
-
-def render_experiment2(result: Experiment2Result) -> str:
-    percentages = [f"{int(f * 100)}%" for f in result.read_fractions]
-    return "\n".join([
-        "Figure 3a — throughput vs percentage of read pages",
-        format_series("read pages", percentages, result.throughput, "req/s"),
-    ])
-
-
-def render_experiment3(result: Experiment3Result) -> str:
-    return "\n".join([
-        "Figure 3b — throughput vs zipf parameter",
-        format_series("zipf a", result.zipf_parameters, result.throughput, "req/s"),
-    ])
-
-
-def render_experiment4(result: Experiment4Result) -> str:
-    sizes = [f"{size // 1024} KB" for size in result.cache_sizes_bytes]
-    body = format_series("cache size", sizes, result.throughput, "req/s")
-    return "\n".join([
-        "Figure 3c — throughput vs cache size",
-        body,
-        "",
-        f"NoCache reference throughput: {result.nocache_reference:.1f} req/s",
-    ])
-
-
-def render_experiment5(result: Experiment5Result) -> str:
-    headers = ["Scenario", "With triggers (req/s)", "Ideal, no triggers (req/s)",
-               "Trigger overhead"]
-    rows = []
-    for name in result.with_triggers:
-        rows.append([
-            name,
-            f"{result.with_triggers[name]:.1f}",
-            f"{result.ideal[name]:.1f}",
-            f"{result.overhead_fraction(name) * 100.0:.0f}%",
-        ])
-    return "\n".join(["Experiment 5 — trigger overhead on the full workload",
-                      format_table(headers, rows)])
-
-
-def render_experiment_batching(result: BatchingResult) -> str:
-    """Render the batching ablation: round trips and throughput, off vs on."""
-    modes = list(result.round_trips)
-    headers = ["Cache-network event"] + modes
-    event_labels = [
-        ("cache_gets", "Single get round trips"),
-        ("cache_sets", "Single set round trips"),
-        ("cache_deletes", "Single delete round trips"),
-        ("cache_multi_gets", "Multi-get batches (1 RT/server)"),
-        ("cache_multi_sets", "Multi-set batches (1 RT/server)"),
-        ("cache_multi_deletes", "Multi-delete batches (1 RT/server)"),
-        ("cache_overlapped_batches", "App batches overlapped (pipelined)"),
-        ("trigger_cache_ops", "Trigger single ops"),
-        ("trigger_cache_batches", "Trigger batches (commit-time flush)"),
-        ("trigger_cache_overlapped_batches", "Trigger batches overlapped (pipelined)"),
-        ("trigger_connections", "Trigger connections opened"),
-    ]
-    rows = []
-    for event, label in event_labels:
-        rows.append([label] + [result.events[mode].get(event, 0) for mode in modes])
-    rows.append(["TOTAL round trips"] + [result.round_trips[mode] for mode in modes])
-    rows.append(["Throughput (req/s)"]
-                + [f"{result.throughput[mode]:.1f}" for mode in modes])
-    rows.append(["Cache hit ratio"]
-                + [f"{result.cache_hit_ratio[mode] * 100.0:.0f}%" for mode in modes])
-    lines = [
-        f"Batching ablation — {result.scenario} scenario, wall/top-k workload",
-        format_table(headers, rows),
-    ]
-    if len(modes) > 1:
-        lines += [
-            "",
-            f"Round-trip reduction: {result.round_trip_reduction:.1f}x "
-            f"fewer cache round trips with batching",
-            f"Throughput speedup:   {result.speedup():.2f}x",
-        ]
-    return "\n".join(lines)
-
-
-def render_experiment_cas_batching(result: CasBatchingResult) -> str:
-    """Render the CAS-batching ablation: eager vs batched vs pipelined."""
-    modes = list(result.round_trips)
-    headers = ["Cache-network event"] + modes
-    event_labels = [
-        ("trigger_cache_ops", "Trigger single ops (gets+cas per key)"),
-        ("trigger_cache_batches", "Trigger batches (gets_multi/cas_multi)"),
-        ("trigger_cache_overlapped_batches", "Trigger batches overlapped (pipelined)"),
-        ("trigger_connections", "Trigger connections opened"),
-        ("cas_multi_mismatch", "Batched CAS mismatches (keys retried)"),
-    ]
-    rows = []
-    for event, label in event_labels:
-        rows.append([label] + [result.events[mode].get(event, 0) for mode in modes])
-    for stat, label in (("cas_ok", "Server CAS swaps won"),
-                        ("cas_mismatch", "Server CAS stale tokens"),
-                        ("cas_miss", "Server CAS on vanished keys")):
-        rows.append([label] + [int(result.cas_stats[mode].get(stat, 0))
-                               for mode in modes])
-    rows.append(["Trigger-path round trips"]
-                + [result.trigger_round_trips(mode) for mode in modes])
-    rows.append(["TOTAL round trips (incl. app reads)"]
-                + [result.round_trips[mode] for mode in modes])
-    rows.append(["Cache-network ms per page"]
-                + [f"{result.cache_net_ms[mode]:.3f}" for mode in modes])
-    rows.append(["Throughput (req/s)"]
-                + [f"{result.throughput[mode]:.1f}" for mode in modes])
-    rows.append(["Cache hit ratio"]
-                + [f"{result.cache_hit_ratio[mode] * 100.0:.0f}%" for mode in modes])
-    lines = [
-        f"CAS-batching ablation — {result.scenario} scenario "
-        f"(update-in-place), wall/top-k workload",
-        format_table(headers, rows),
-    ]
-    if EAGER_CAS in modes and BATCHED_CAS in modes:
-        lines += [
-            "",
-            f"Trigger-path reduction: {result.round_trip_reduction(BATCHED_CAS):.1f}x "
-            f"fewer propagation round trips with the batched CAS flush",
-            f"(the TOTAL row additionally includes the app-side read "
-            f"batching that batch_ops enables)",
-        ]
-    if BATCHED_CAS in modes and PIPELINED_CAS in modes:
-        lines += [
-            f"Pipelining gain:      {result.pipelining_net_gain():.2f}x less "
-            f"cache-network time per page vs serial batches",
-        ]
-    return "\n".join(lines)
-
-
-def render_experiment_strategies(result: StrategiesResult) -> str:
-    """Render the consistency-strategy ablation: one column per strategy."""
-    scenarios = list(result.scenarios)
-    headers = ["Metric"] + scenarios
-    rows = [
-        ["Strategy object"] + [result.strategy_names[s] for s in scenarios],
-        ["May serve stale data"] + ["yes" if result.serves_stale[s] else "no"
-                                    for s in scenarios],
-        ["Triggers installed"] + [result.triggers_installed[s] for s in scenarios],
-    ]
-    counter_labels = [
-        ("db_fallbacks", "Blocking DB fallbacks (reads)"),
-        ("recomputations", "Recomputations (background/trigger)"),
-        ("stale_served", "Stale values served"),
-        ("invalidations", "Invalidations"),
-        ("updates_applied", "In-place updates applied"),
-    ]
-    for counter, label in counter_labels:
-        rows.append([label] + [int(result.object_counters[s].get(counter, 0))
-                               for s in scenarios])
-    rows.append(["TOTAL cache round trips"]
-                + [result.round_trips[s] for s in scenarios])
-    rows.append(["Throughput (req/s)"]
-                + [f"{result.throughput[s]:.1f}" for s in scenarios])
-    rows.append(["Cache hit ratio"]
-                + [f"{result.cache_hit_ratio[s] * 100.0:.0f}%" for s in scenarios])
-    lines = [
-        "Consistency-strategy ablation — hot-key wall/top-k workload",
-        format_table(headers, rows),
-    ]
-    if LEASED_SCENARIO in scenarios and INVALIDATE_SCENARIO in scenarios:
-        invalidate_total = result.blocking_db_work(INVALIDATE_SCENARIO)
-        leased_total = result.blocking_db_work(LEASED_SCENARIO)
-        invalidate_blocking = result.object_counters[INVALIDATE_SCENARIO].get(
-            "db_fallbacks", 0.0)
-        leased_blocking = result.object_counters[LEASED_SCENARIO].get(
-            "db_fallbacks", 0.0)
-        if leased_blocking:
-            blocking_text = (f"{invalidate_blocking / leased_blocking:.1f}x "
-                             f"fewer reads stall on the database")
-        else:
-            blocking_text = "leases eliminated every database stall"
-        gain = result.lease_gain_over_invalidate()
-        if gain == float("inf"):
-            gain_text = "leases eliminated all database work"
-        else:
-            gain_text = f"{gain:.2f}x less database work"
-        lines += [
-            "",
-            f"Leased invalidation vs plain invalidation: "
-            f"{leased_blocking:.0f} blocking DB fallbacks vs "
-            f"{invalidate_blocking:.0f} ({blocking_text}), and "
-            f"{leased_total:.0f} total DB recomputes+fallbacks vs "
-            f"{invalidate_total:.0f} ({gain_text}; stale reads bounded by "
-            f"the lease window)",
-        ]
-    return "\n".join(lines)
-
-
-def render_experiment_adaptive(result: AdaptiveResult) -> str:
-    """Render the adaptive-strategy ablation: one row per arm, plus the
-    Pareto verdict on the (blocking fallbacks, total DB work) frontier."""
-    headers = ["Scenario", "Strategy", "Fallbacks", "Recomputes", "DB ms",
-               "Stale", "Invalid.", "Updates", "Switches", "Migrations",
-               "Keys", "Round trips", "Tput (req/s)", "Hit ratio", "Schedule"]
-    rows = []
-    for run in result.runs:
-        rows.append([
-            run.scenario, run.strategy_name,
-            int(run.blocking_fallbacks), int(run.recomputations),
-            f"{run.db_time_ms:.1f}",
-            int(run.stale_served), int(run.invalidations),
-            int(run.updates_applied),
-            run.band_switches, run.adaptive_migrations, run.tracked_keys,
-            run.round_trips, f"{run.throughput:.1f}",
-            f"{run.cache_hit_ratio * 100.0:.0f}%",
-            run.schedule_signature or "-",
-        ])
-    lines = [
-        "Adaptive-strategy ablation — mixed hot/cold workload under a "
-        "flash-crowd arrival shape",
-        format_table(headers, rows),
-    ]
-    adaptive = result.run_for(ADAPTIVE_SCENARIO)
-    if adaptive is not None:
-        dominating = result.dominating_arms()
-        lines.append("")
-        if dominating:
-            lines.append(
-                f"Pareto: {', '.join(dominating)} strictly dominate(s) "
-                f"Adaptive on the (blocking fallbacks, total DB work) "
-                f"frontier.")
-        else:
-            lines.append(
-                f"Pareto: Adaptive ({adaptive.blocking_fallbacks:.0f} "
-                f"fallbacks, {adaptive.total_db_work:.1f} DB ms) is on the "
-                f"(blocking fallbacks, total DB work) frontier — no static "
-                f"strategy beats it on both axes "
-                f"({adaptive.band_switches} band switches, "
-                f"{adaptive.adaptive_migrations} migrations).")
-    return "\n".join(lines)
 
 
 def render_strategies_list(strategies: Dict[str, object]) -> str:
@@ -376,100 +187,6 @@ def render_strategies_list(strategies: Dict[str, object]) -> str:
                              f"{spec['when']}{suffix}")
         lines.append("")
     return "\n".join(lines).rstrip()
-
-
-def render_experiment_contention(result: ContentionResult) -> str:
-    """Render the contention ablation: one row per (strategy, workers, policy)."""
-    headers = ["Strategy", "Workers", "Policy", "CAS mismatch", "Retry rounds",
-               "Lease contended", "Herd max", "Stale served", "DB fallbacks",
-               "Round trips", "Tput (req/s)", "Schedule"]
-    rows = []
-    for run in result.runs:
-        rows.append([
-            run.scenario, run.workers, run.policy,
-            run.counters.get("cas_multi_mismatch", 0),
-            run.counters.get("cas_retry_rounds", 0),
-            run.counters.get("lease_contended", 0),
-            run.herd_size_max,
-            int(run.stale_served),
-            int(run.db_fallbacks),
-            run.round_trips,
-            f"{run.throughput:.1f}",
-            run.schedule_signature or "-",
-        ])
-    lines = [
-        "Contention ablation — concurrent workers on the hot-key wall/top-k "
-        "workload",
-        format_table(headers, rows),
-        "",
-        "One worker is the serial-equivalent baseline: every contention "
-        "counter must be 0 there.",
-    ]
-    peaks = {name: result.max_counter(name) for name in CONTENTION_COUNTERS}
-    lines.append(
-        f"Peak contention at >= 2 workers: "
-        f"{peaks['cas_multi_mismatch']} CAS mismatches, "
-        f"{peaks['cas_retry_rounds']} flush retry rounds, "
-        f"{peaks['lease_contended']} lease-contended reads.")
-    update_rows = [r for r in result.runs
-                   if r.scenario == UPDATE_SCENARIO and r.workers >= 2]
-    if update_rows and all(not r.contended for r in update_rows):
-        lines.append(
-            "WARNING: no Update-strategy run contended — the replay is "
-            "degenerating to serial behavior.")
-    return "\n".join(lines)
-
-
-def render_experiment_cluster(result: ClusterResult) -> str:
-    """Render the cluster-dynamics ablation: a trajectory row per segment."""
-    headers = ["Strategy", "Fault case", "Segment", "Pages", "Hit ratio",
-               "Tput (pages/s)", "Gutter h/m", "Node-down", "Stale served"]
-    rows = []
-    for run in result.runs:
-        for seg in run.segments:
-            rows.append([
-                run.scenario, run.fault_case, seg.label, seg.pages,
-                f"{seg.hit_ratio:.3f}", f"{seg.throughput:.1f}",
-                f"{seg.gutter_hits}/{seg.gutter_misses}",
-                seg.node_down_errors,
-                int(seg.stale_served),
-            ])
-    lines = [
-        "Cluster-dynamics ablation — faults fired mid-replay on the virtual "
-        "clock",
-        format_table(headers, rows),
-        "",
-        "Fleet-level costs per run:",
-    ]
-    for run in result.runs:
-        parts = []
-        counters = run.counters
-        if run.fault_case == CLUSTER_SCALE_OUT:
-            parts.append(f"{counters.get('keys_remapped', 0)} keys remapped "
-                         f"to the cold joiner")
-        else:
-            parts.append(
-                f"{counters.get('post_revival_invalidations', 0)} entries "
-                f"lost to the restart")
-            parts.append(f"{run.orphaned_claims_dropped} orphaned refresh "
-                         f"claims dropped")
-        if run.gutter_enabled:
-            parts.append(f"gutter {counters.get('gutter_hits', 0)} hits / "
-                         f"{counters.get('gutter_misses', 0)} misses / "
-                         f"{counters.get('gutter_deletes', 0)} forwarded "
-                         f"deletes")
-        else:
-            parts.append("no gutter pool")
-        lines.append(f"  {run.scenario}/{run.fault_case}: " + ", ".join(parts))
-    if len(result.determinism) == 2:
-        same = result.determinism[0] == result.determinism[1]
-        signature = result.determinism[0].get("schedule_signature", "-")
-        lines.append("")
-        lines.append(
-            f"Determinism: two Update/node-kill replays fingerprint "
-            f"{'identically' if same else 'DIFFERENTLY'} "
-            f"(schedule {signature}).")
-    return "\n".join(lines)
 
 
 def render_micro_lookup(result: MicroLookupResult) -> str:
@@ -574,18 +291,13 @@ def _render_replay_doc(doc: Dict[str, object]) -> str:
     return "\n".join(parts)
 
 
-def _render_registry_doc(doc: Dict[str, object]) -> str:
-    rows = []
-    for metric in doc.get("metrics") or []:
-        kind = metric.get("kind")
-        if kind == "histogram":
-            detail = (f"count={metric.get('count')} "
-                      f"min={metric.get('min')} max={metric.get('max')}")
-        else:
-            detail = f"value={metric.get('value')}"
-        rows.append([metric.get("name"), kind, detail])
-    return "\n".join(["Metrics registry",
-                      format_table(["Name", "Kind", "Summary"], rows)])
+def _render_histogram_doc(doc: Dict[str, object]) -> str:
+    count = doc.get("count") or 0
+    mean = doc.get("total", 0.0) / count if count else 0.0
+    return "\n".join([
+        f"Histogram — {doc.get('name')}",
+        format_table(["Count", "Min", "Mean", "Max"],
+                     [[count, doc.get("min"), f"{mean:.4f}", doc.get("max")]])])
 
 
 def render_report(doc: Dict[str, object]) -> str:
@@ -593,17 +305,14 @@ def render_report(doc: Dict[str, object]) -> str:
 
     Accepts the documents this repo exports: ``replay_result``
     (:meth:`ReplayResult.to_json`), ``run_metrics``
-    (:meth:`RunMetrics.to_json`), ``metrics_registry``
-    (:meth:`repro.obs.MetricsRegistry.to_json`), and the composite
-    ``run_document`` written by ``exp-contention --json-out``.
+    (:meth:`RunMetrics.to_json`) and the composite ``run_document`` written
+    by ``exp-contention --json-out``.
     """
     kind = doc.get("kind")
     if kind == "run_metrics":
         return _render_run_metrics_doc(doc)
     if kind == "replay_result":
         return _render_replay_doc(doc)
-    if kind == "metrics_registry":
-        return _render_registry_doc(doc)
     if kind == "run_document":
         header = format_table(
             ["Field", "Value"],
@@ -614,7 +323,8 @@ def render_report(doc: Dict[str, object]) -> str:
         parts = [f"Traced run document (schema {doc.get('schema')})", header]
         for section_key, renderer in (("replay", _render_replay_doc),
                                       ("metrics", _render_run_metrics_doc),
-                                      ("registry", _render_registry_doc)):
+                                      ("page_total_demand_ms",
+                                       _render_histogram_doc)):
             section = doc.get(section_key)
             if section:
                 parts += ["", renderer(section)]

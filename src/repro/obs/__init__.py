@@ -1,4 +1,4 @@
-"""Observability: causal span tracing + a deterministic metrics registry.
+"""Observability: causal span tracing + fixed-bucket histograms.
 
 Span-level visibility from the ORM down to the cache fleet, on the
 simulated clock, with zero perturbation when off — see
@@ -8,8 +8,7 @@ simulated clock, with zero perturbation when off — see
 from .export import (chrome_trace_events, composite_timestamp_us,
                      write_chrome_trace)
 from .install import TRACED_MULTI_OPS, install_tracing
-from .metrics import (DEFAULT_LATENCY_BUCKETS_S, REGISTRY_JSON_SCHEMA,
-                      Counter, Gauge, Histogram, MetricsRegistry,
+from .metrics import (DEFAULT_LATENCY_BUCKETS_S, Histogram,
                       exponential_buckets)
 from .tracer import Span, Tracer
 
@@ -17,7 +16,5 @@ __all__ = [
     "Span", "Tracer",
     "install_tracing", "TRACED_MULTI_OPS",
     "chrome_trace_events", "composite_timestamp_us", "write_chrome_trace",
-    "Counter", "Gauge", "Histogram", "MetricsRegistry",
-    "exponential_buckets", "DEFAULT_LATENCY_BUCKETS_S",
-    "REGISTRY_JSON_SCHEMA",
+    "Histogram", "exponential_buckets", "DEFAULT_LATENCY_BUCKETS_S",
 ]

@@ -1,14 +1,6 @@
-"""Metric primitives with deterministic, order-stable merge.
+"""Fixed-bucket histograms with deterministic, element-wise merge.
 
-:class:`MetricsRegistry` holds named :class:`Counter` / :class:`Gauge` /
-:class:`Histogram` instances in **registration order** and merges whole
-registries in **submission order** — the discipline that keeps the
-process-parallel sweep runner (:func:`repro.sim.parallel.run_cells`)
-byte-identical to the serial loop: cells return their registries, the
-caller merges them in the order the cells were submitted, and the merged
-JSON is the same bytes at any ``--jobs``.
-
-The histogram is **fixed-bucket**: bucket bounds are chosen up front
+The :class:`Histogram` is **fixed-bucket**: bucket bounds are chosen up front
 (usually :func:`exponential_buckets`) and never change, so (a) merging two
 histograms is element-wise counter addition — associative, deterministic,
 no re-bucketing — and (b) memory is O(buckets) however many samples stream
@@ -18,20 +10,19 @@ through.  That bounded-memory property is what lets
 is quantization: a quantile is reported as its bucket's upper bound
 (clamped into the observed [min, max]), so for geometric buckets of factor
 ``f`` the reported value is at most ``f``× the exact one.
+
+Counters live in the slot classes of the layers that move them
+(``CostCounters``, ``CacheStats``, the per-object stats); this module holds
+only the one distribution primitive they lack.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "exponential_buckets", "DEFAULT_LATENCY_BUCKETS_S",
-           "REGISTRY_JSON_SCHEMA"]
-
-#: Version stamp of the registry's ``to_json`` document.
-REGISTRY_JSON_SCHEMA = 1
+__all__ = ["Histogram", "exponential_buckets", "DEFAULT_LATENCY_BUCKETS_S"]
 
 
 def exponential_buckets(start: float, factor: float, count: int) -> Tuple[float, ...]:
@@ -54,52 +45,6 @@ def exponential_buckets(start: float, factor: float, count: int) -> Tuple[float,
 
 #: Default latency bounds (seconds): 100µs … ~4300s at 5% relative error.
 DEFAULT_LATENCY_BUCKETS_S = exponential_buckets(1e-4, 1.05, 360)
-
-
-class Counter:
-    """A monotonically increasing count; merge is addition."""
-
-    kind = "counter"
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def inc(self, n: int = 1) -> None:
-        self.value += n
-
-    def merge(self, other: "Counter") -> None:
-        self.value += other.value
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "name": self.name, "value": self.value}
-
-
-class Gauge:
-    """A point-in-time value; merge takes the *other* side's value when it
-    was ever set (submission order makes "last merged wins" deterministic)."""
-
-    kind = "gauge"
-    __slots__ = ("name", "value", "updated")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-        self.updated = False
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-        self.updated = True
-
-    def merge(self, other: "Gauge") -> None:
-        if other.updated:
-            self.value = other.value
-            self.updated = True
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "name": self.name, "value": self.value,
-                "updated": self.updated}
 
 
 class Histogram:
@@ -187,7 +132,7 @@ class Histogram:
         if other.max is not None and (self.max is None or other.max > self.max):
             self.max = other.max
 
-    def as_dict(self) -> Dict[str, Any]:
+    def to_json(self) -> Dict[str, Any]:
         # Sparse bucket encoding: only non-empty buckets, index -> count
         # (360 default bounds would otherwise dominate every document).
         return {
@@ -208,95 +153,3 @@ class Histogram:
         factor = self.bounds[1] / self.bounds[0]
         return all(abs(self.bounds[i + 1] / self.bounds[i] - factor) < 1e-9
                    for i in range(len(self.bounds) - 1))
-
-
-class MetricsRegistry:
-    """Named metrics in registration order, merged whole-registry at a time."""
-
-    def __init__(self) -> None:
-        self._metrics: Dict[str, Any] = {}  # insertion-ordered
-
-    # -- registration -----------------------------------------------------------
-
-    def counter(self, name: str) -> Counter:
-        return self._get_or_create(name, Counter, lambda: Counter(name))
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get_or_create(name, Gauge, lambda: Gauge(name))
-
-    def histogram(self, name: str,
-                  bounds: Sequence[float] = DEFAULT_LATENCY_BUCKETS_S
-                  ) -> Histogram:
-        return self._get_or_create(name, Histogram,
-                                   lambda: Histogram(name, bounds))
-
-    def _get_or_create(self, name: str, cls: type, build) -> Any:
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = self._metrics[name] = build()
-        elif not isinstance(metric, cls):
-            raise SimulationError(
-                f"metric {name!r} already registered as {metric.kind}")
-        return metric
-
-    # -- access -----------------------------------------------------------------
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
-
-    def __iter__(self) -> Iterator[Any]:
-        return iter(self._metrics.values())
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def get(self, name: str) -> Optional[Any]:
-        return self._metrics.get(name)
-
-    # -- merge ------------------------------------------------------------------
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold ``other`` into this registry, metric by metric.
-
-        Metrics unseen here are **adopted in the other registry's order**
-        (appended after the existing ones); same-name metrics must agree on
-        kind.  Merging cell registries in submission order therefore yields
-        the same registration order — and the same ``to_json`` bytes — as
-        the serial loop that produced the cells one by one.
-        """
-        for name, metric in other._metrics.items():
-            mine = self._metrics.get(name)
-            if mine is None:
-                self._metrics[name] = self._fresh_like(metric)
-                mine = self._metrics[name]
-            elif mine.kind != metric.kind:
-                raise SimulationError(
-                    f"cannot merge metric {name!r}: kind {metric.kind} "
-                    f"into {mine.kind}")
-            mine.merge(metric)
-
-    @staticmethod
-    def _fresh_like(metric: Any) -> Any:
-        if isinstance(metric, Histogram):
-            return Histogram(metric.name, metric.bounds)
-        return type(metric)(metric.name)
-
-    # -- export -----------------------------------------------------------------
-
-    def as_dict(self) -> Dict[str, Any]:
-        """name -> value summary (histograms give count/mean/p95)."""
-        out: Dict[str, Any] = {}
-        for name, metric in self._metrics.items():
-            if isinstance(metric, Histogram):
-                out[name] = {"count": metric.count, "mean": metric.mean,
-                             "p95": metric.quantile(0.95)}
-            else:
-                out[name] = metric.value
-        return out
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "schema": REGISTRY_JSON_SCHEMA,
-            "kind": "metrics_registry",
-            "metrics": [metric.as_dict() for metric in self._metrics.values()],
-        }

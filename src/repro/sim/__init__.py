@@ -7,14 +7,14 @@ from .concurrent import ConcurrentReplayResult, ConcurrentReplayer
 from .events import EventEngine
 from .interleave import (ADVERSARIAL, ALL_POLICIES, InterleaveScheduler,
                          KEY_OVERLAP, RANDOM, ROUND_ROBIN, WorkerStatus,
-                         compile_trace, interleave_trace)
+                         interleave_trace)
 from .metrics import (RUN_JSON_SCHEMA, PageCompletion, RunMetrics,
                       percentile)
 from .mva import MVAResult, asymptotic_bounds, exact_mva
 from .resources import DelayResource, QueueingResource
 from .runner import (STREAM_CLIENT_THRESHOLD, ReplayResult, ReplayedPage,
-                     SimulationOptions, WorkloadReplayer,
-                     aggregate_resource_demands, simulate_population)
+                     SimulationOptions, aggregate_resource_demands,
+                     simulate_population)
 
 __all__ = [
     "ADVERSARIAL",
@@ -40,10 +40,8 @@ __all__ = [
     "SimulationOptions",
     "VirtualClock",
     "WorkerStatus",
-    "WorkloadReplayer",
     "aggregate_resource_demands",
     "asymptotic_bounds",
-    "compile_trace",
     "exact_mva",
     "interleave_trace",
     "percentile",

@@ -1,10 +1,8 @@
 """The replay engine: N interleaved worker contexts, real races, one pipeline.
 
-This is the *only* execution pipeline for workload traces.  The historical
-serial replayer (:class:`~repro.sim.runner.WorkloadReplayer`) is now a thin
-facade that delegates here with ``workers=1``; there is no second replay
-loop to diverge from.  Degree of parallelism is a parameter, not a code
-path.
+This is the *only* execution pipeline for workload traces: a serial replay
+is ``workers=1`` here, and there is no second replay loop to diverge from.
+Degree of parallelism is a parameter, not a code path.
 
 **Worker model.**  A :class:`ConcurrentReplayer` partitions the trace's
 client streams over N *worker contexts* (the canonical ordering comes from
@@ -228,11 +226,10 @@ class _WorkerContext:
 class ConcurrentReplayer:
     """Executes a workload trace with N interleaved worker contexts.
 
-    The counterpart of :class:`~repro.sim.runner.WorkloadReplayer`: same
-    constructor spirit (app + database + optional clock advance), same
-    ``replay(trace, record=...)`` entry point, same result shape —
-    ``simulate_population`` consumes either.  ``genie`` (the CacheGenie
-    instance, when the scenario has one) is what lets the engine install
+    Built from an application and its database (plus the optional clock
+    advance); ``replay(trace, record=...)`` returns the result shape
+    ``simulate_population`` consumes.  ``genie`` (the CacheGenie instance,
+    when the scenario has one) is what lets the engine install
     cache-round-trip yield points and per-worker trigger-op contexts;
     without it only app/database boundaries interleave (NoCache).
     """
@@ -367,9 +364,9 @@ class ConcurrentReplayer:
         Deterministic for a fixed (trace, scheduler policy, seed): the
         decision log, the page completion order, and every counter are
         bit-identical across runs.  With one worker the engine takes the
-        inline fast path — the historical serial replay, exactly.  A
-        :class:`~repro.workload.trace.CompiledTrace` replays identically; it
-        only brings its execution order precomputed.
+        inline fast path — the historical serial replay, exactly.
+        ``record=False`` runs the pages without keeping per-page results
+        (used for warm-up, like the paper's 40-client warm-up phase).
         """
         self.scheduler.reset()
         self._record = record

@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from ..errors import SimulationError
-from ..workload.trace import CompiledTrace, PageLoad, WorkloadTrace
+from ..workload.trace import PageLoad, WorkloadTrace
 
 ROUND_ROBIN = "round-robin"
 RANDOM = "random"
@@ -70,14 +70,9 @@ def interleave_trace(trace: WorkloadTrace) -> List[PageLoad]:
     This is the canonical execution order of the replay pipeline: round 1
     is every client's first page load (clients sorted by id), round 2 every
     client's second, and so on until the longest stream is exhausted.  Both
-    the serial facade (``workers=1``) and the concurrent engine's partition
+    the inline serial path (``workers=1``) and the multi-worker partition
     step consume this one function.
-
-    A :class:`~repro.workload.trace.CompiledTrace` carries this ordering
-    precomputed; passing one returns it directly.
     """
-    if isinstance(trace, CompiledTrace):
-        return trace.ordered
     per_client: Dict[int, List[PageLoad]] = {}
     for page_load in trace.page_loads():
         per_client.setdefault(page_load.client_id, []).append(page_load)
@@ -94,18 +89,6 @@ def interleave_trace(trace: WorkloadTrace) -> List[PageLoad]:
                 cursors[client_id] = cursor + 1
                 remaining -= 1
     return ordered
-
-def compile_trace(trace: WorkloadTrace) -> CompiledTrace:
-    """Compile a trace for repeated replay (idempotent).
-
-    Precomputes the canonical :func:`interleave_trace` ordering and interns
-    page-type strings — nothing else: the compiled form replays through the
-    same code as the plain trace, to the same pages, counters and
-    ``schedule_signature``.
-    """
-    if isinstance(trace, CompiledTrace):
-        return trace
-    return CompiledTrace(trace, interleave_trace(trace))
 
 
 #: Checkpoint labels after which a worker holds unwritten CAS tokens — the

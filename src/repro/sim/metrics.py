@@ -27,7 +27,9 @@ from ..obs.metrics import DEFAULT_LATENCY_BUCKETS_S, Histogram
 
 #: Version stamp of the run-result JSON documents (``RunMetrics.to_json``,
 #: ``ReplayResult.to_json``) consumed by ``python -m repro.bench report``.
-RUN_JSON_SCHEMA = 1
+#: Schema 2: the traced run document carries the page-demand histogram as a
+#: plain ``page_total_demand_ms`` section in place of schema 1's ``registry``.
+RUN_JSON_SCHEMA = 2
 
 
 class PageCompletion:

@@ -16,8 +16,8 @@ parent (the simulator takes no wall-clock-dependent decisions), so
 differential suite (``tests/sim/test_differential.py``) pins this.
 
 Cell functions must be picklable (module top-level) and so must their
-arguments and results; the experiment drivers define their cells as
-top-level ``_run_*_cell`` functions for exactly this reason.
+arguments and results; ``repro.bench.experiments._run_cell`` is top-level
+and looks its experiment up by name for exactly this reason.
 """
 
 from __future__ import annotations

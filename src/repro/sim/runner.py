@@ -9,9 +9,8 @@ measurements replay query traces:
    database's event recorder measures each page load, and the cost model
    converts the events into per-resource service demands.  There is exactly
    one replay pipeline: the concurrent engine
-   (:class:`~repro.sim.concurrent.ConcurrentReplayer`).
-   :class:`WorkloadReplayer` below is its serial facade — ``workers=1``,
-   bit-for-bit the historical serial replay.
+   (:class:`~repro.sim.concurrent.ConcurrentReplayer`); ``workers=1`` is its
+   inline serial path.  This module holds the result types it fills.
 
 2. **Closed-loop simulation** — the measured per-page demands are replayed
    through a discrete-event model of the testbed (N clients contending for
@@ -28,13 +27,10 @@ measurements replay query traces:
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
-from ..apps.social.pages import SocialApplication
 from ..errors import SimulationError
 from ..storage.costmodel import CostCounters, Demand
-from ..storage.database import Database
-from ..workload.trace import WorkloadTrace
 from .client import SimulatedClient
 from .events import EventEngine
 from .metrics import RUN_JSON_SCHEMA, RunMetrics
@@ -193,66 +189,6 @@ class ReplayResult:
                 counters=CostCounters(**row["counters"])))
         result.total_counters = CostCounters(**doc["total_counters"])
         return result
-
-
-class WorkloadReplayer:
-    """Serial replay facade: the concurrent engine pinned to ``workers=1``.
-
-    This class owns no replay loop.  It delegates to
-    :class:`~repro.sim.concurrent.ConcurrentReplayer`, whose single-worker
-    inline path executes the canonical
-    :func:`~repro.sim.interleave.interleave_trace` order on the calling
-    thread with no checkpoint seams — bit-for-bit the historical serial
-    replay — while still producing the engine's result shape (decision log,
-    schedule signature, per-worker store).
-
-    When ``clock`` and ``page_interval_seconds`` are supplied, the engine
-    advances the shared virtual clock between page loads, so time-based
-    consistency mechanisms (TTL expiry, lease windows, async-refresh
-    freshness deadlines) actually elapse during a replay.  The default is no
-    advance — the frozen-clock behavior the committed experiments expect.
-    ``arrival_model`` replaces the constant interval with a time-varying
-    arrival shape (:mod:`repro.workload.arrival`): a callable mapping the
-    global page index to the seconds to advance before that page.
-    """
-
-    def __init__(self, app: SocialApplication, database: Database,
-                 clock: Optional[object] = None,
-                 page_interval_seconds: float = 0.0,
-                 genie: Optional[object] = None,
-                 arrival_model: Optional[Callable[[int], float]] = None,
-                 fault_injector: Optional[object] = None,
-                 tracer: Optional[object] = None) -> None:
-        self.app = app
-        self.database = database
-        self.clock = clock
-        self.page_interval_seconds = page_interval_seconds
-        self.arrival_model = arrival_model
-        self.genie = genie
-        #: Optional :class:`~repro.cluster.faults.FaultInjector` (cluster
-        #: dynamics): node faults fire at the clock-advance points.
-        self.fault_injector = fault_injector
-        #: Optional :class:`~repro.obs.Tracer`: spans are recorded for the
-        #: duration of each ``replay()`` call (default None = tracing off).
-        self.tracer = tracer
-
-    def replay(self, trace: WorkloadTrace, record: bool = True) -> ReplayResult:
-        """Replay ``trace`` serially (one worker) through the engine.
-
-        ``record=False`` runs the pages without keeping per-page results
-        (used for warm-up, like the paper's 40-client warm-up phase).
-        """
-        # Imported here, not at module scope: concurrent.py imports the
-        # result types from this module.
-        from .concurrent import ConcurrentReplayer
-        engine = ConcurrentReplayer(
-            self.app, self.database, genie=self.genie, workers=1,
-            clock=self.clock,
-            page_interval_seconds=self.page_interval_seconds,
-            arrival_model=self.arrival_model,
-            fault_injector=self.fault_injector,
-            tracer=self.tracer)
-        return engine.replay(trace, record=record)
 
 
 def simulate_population(

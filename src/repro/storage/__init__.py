@@ -3,7 +3,7 @@
 The engine provides exactly the capabilities CacheGenie needs from the
 database: SQL-shaped queries compiled from an ORM, B+Tree indexes, a buffer
 pool with a disk-cost asymmetry, row-level AFTER triggers written in Python,
-and single-writer transactions.  See DESIGN.md for the substitution rationale.
+and single-writer transactions.
 """
 
 from .btree import BPlusTree

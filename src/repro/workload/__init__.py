@@ -4,11 +4,10 @@ arrival shapes."""
 from .arrival import ConstantArrival, DiurnalArrival, FlashCrowdArrival
 from .config import DEFAULT_PAGE_MIX, WorkloadConfig
 from .generator import WorkloadGenerator
-from .trace import CompiledTrace, PageLoad, Session, WorkloadTrace
+from .trace import PageLoad, Session, WorkloadTrace
 from .zipf import SessionCountSampler, ZipfSampler
 
 __all__ = [
-    "CompiledTrace",
     "ConstantArrival",
     "DEFAULT_PAGE_MIX",
     "DiurnalArrival",

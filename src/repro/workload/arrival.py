@@ -5,9 +5,8 @@ The replay engine advances the shared virtual clock by a constant
 replaces that constant with a shape: a callable mapping the global page
 index (0-based, in clock-advance order) to the virtual seconds to advance
 before that page.  Pass it as ``arrival_model=`` to
-:class:`~repro.sim.concurrent.ConcurrentReplayer` or
-:class:`~repro.sim.runner.WorkloadReplayer`; the constant interval stays
-the default, so existing replays are bit-identical.
+:class:`~repro.sim.concurrent.ConcurrentReplayer`; the constant interval
+stays the default, so existing replays are bit-identical.
 
 The models are plain classes (not closures) so sweep cells that carry one
 across process boundaries (:func:`repro.sim.parallel.run_cells`) can pickle

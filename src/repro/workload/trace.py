@@ -8,7 +8,6 @@ configuration sees exactly the same sessions, users, and page types.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List
 
@@ -58,48 +57,3 @@ class WorkloadTrace:
 
     def distinct_users(self) -> List[int]:
         return sorted({s.user_id for s in self.sessions})
-
-
-class CompiledTrace:
-    """A :class:`WorkloadTrace` with its execution order precomputed.
-
-    Built by :func:`repro.sim.interleave.compile_trace`: the canonical
-    round-robin execution order is computed **once** at compile time (so the
-    engine's partition step is a lookup instead of a re-derivation) and
-    page-type strings are interned (one object per page type, making dict
-    probes on them identity-fast).  It replays through the same code as the
-    plain trace.  The compiled form delegates every inspection method to the
-    source trace, so anything that accepts a :class:`WorkloadTrace` accepts a
-    :class:`CompiledTrace`.
-    """
-
-    __slots__ = ("trace", "ordered")
-
-    def __init__(self, trace: WorkloadTrace, ordered: List[PageLoad]) -> None:
-        self.trace = trace
-        #: The canonical interleaved execution order, precomputed.
-        self.ordered = ordered
-        for page_load in ordered:
-            page_load.page = sys.intern(page_load.page)
-
-    # -- WorkloadTrace surface (delegation) -----------------------------------
-
-    @property
-    def sessions(self) -> List[Session]:
-        return self.trace.sessions
-
-    def page_loads(self) -> Iterator[PageLoad]:
-        return self.trace.page_loads()
-
-    def page_loads_for_client(self, client_id: int) -> List[PageLoad]:
-        return self.trace.page_loads_for_client(client_id)
-
-    @property
-    def total_page_loads(self) -> int:
-        return self.trace.total_page_loads
-
-    def page_type_histogram(self) -> Dict[str, int]:
-        return self.trace.page_type_histogram()
-
-    def distinct_users(self) -> List[int]:
-        return self.trace.distinct_users()

@@ -6,8 +6,10 @@ import pytest
 
 from repro.apps.social import SeedScale
 from repro.bench.cli import build_parser
-from repro.bench.experiments import (BATCHED, UNBATCHED, experiment_batching)
-from repro.bench.reporting import render_experiment_batching
+from repro.bench.experiments import (BATCHED, BATCHED_CAS, EAGER_CAS,
+                                     PIPELINED_CAS, UNBATCHED,
+                                     round_trip_reduction, run_sweep)
+from repro.bench.reporting import render_sweep
 from repro.bench.scenarios import Scenario, ScenarioConfig, UPDATE_SCENARIO
 from repro.workload import WorkloadConfig
 
@@ -50,21 +52,21 @@ class TestScenarioWiring:
 class TestBatchingAblation:
     @pytest.fixture(scope="class")
     def result(self):
-        return experiment_batching(workload=SMALL_WORKLOAD)
+        return run_sweep("exp-batch", workload=SMALL_WORKLOAD)
 
     def test_batched_mode_halves_round_trips(self, result):
         """Acceptance: >= 2x fewer recorded cache round trips with batching."""
-        assert result.round_trips[UNBATCHED] > 0
-        assert result.round_trips[BATCHED] > 0
-        assert result.round_trip_reduction >= 2.0
+        assert result.one(mode=UNBATCHED)["round_trips"] > 0
+        assert result.one(mode=BATCHED)["round_trips"] > 0
+        assert round_trip_reduction(result) >= 2.0
 
     def test_batched_mode_actually_batches(self, result):
-        batched = result.events[BATCHED]
+        batched = result.one(mode=BATCHED)["counters"]
         assert batched["cache_gets"] == 0
         assert batched["cache_multi_gets"] > 0
         assert batched["trigger_cache_ops"] == 0
         assert batched["trigger_cache_batches"] > 0
-        eager = result.events[UNBATCHED]
+        eager = result.one(mode=UNBATCHED)["counters"]
         assert eager["cache_multi_gets"] == 0
         # The eager path still issues per-key gets/cas round trips, but its
         # counter bumps ride incr_multi batches (the PR-5 bulk-counter
@@ -73,15 +75,15 @@ class TestBatchingAblation:
         assert eager["trigger_cache_batches"] > 0
 
     def test_batched_mode_amortizes_trigger_connections(self, result):
-        assert (result.events[BATCHED]["trigger_connections"]
-                < result.events[UNBATCHED]["trigger_connections"])
+        assert (result.one(mode=BATCHED)["counters"]["trigger_connections"]
+                < result.one(mode=UNBATCHED)["counters"]["trigger_connections"])
 
     def test_cache_stays_warm_in_both_modes(self, result):
         for mode in (UNBATCHED, BATCHED):
-            assert result.cache_hit_ratio[mode] > 0.5
+            assert result.one(mode=mode)["hit_ratio"] > 0.5
 
     def test_render(self, result):
-        out = render_experiment_batching(result)
+        out = render_sweep(result)
         assert "TOTAL round trips" in out
         assert "Round-trip reduction" in out
         assert "Unbatched" in out and "Batched" in out
@@ -108,47 +110,48 @@ class TestCli:
 class TestCasBatchingAblation:
     @pytest.fixture(scope="class")
     def result(self):
-        from repro.bench.experiments import experiment_cas_batching
-        return experiment_cas_batching(workload=SMALL_WORKLOAD)
+        return run_sweep("exp-cas-batch", workload=SMALL_WORKLOAD)
 
     def test_batched_cas_strictly_reduces_round_trips(self, result):
         """Acceptance: batched CAS on strictly reduces recorded round trips."""
-        from repro.bench.experiments import BATCHED_CAS, EAGER_CAS, PIPELINED_CAS
-        assert result.round_trips[EAGER_CAS] > result.round_trips[BATCHED_CAS] > 0
-        assert result.round_trips[EAGER_CAS] > result.round_trips[PIPELINED_CAS] > 0
+        eager, batched, pipelined = (result.one(mode=mode)["round_trips"]
+                                     for mode in (EAGER_CAS, BATCHED_CAS,
+                                                  PIPELINED_CAS))
+        assert eager > batched > 0
+        assert eager > pipelined > 0
 
     def test_update_in_place_actually_batches_its_cas_path(self, result):
-        from repro.bench.experiments import BATCHED_CAS, EAGER_CAS
-        batched = result.events[BATCHED_CAS]
+        batched = result.one(mode=BATCHED_CAS)["counters"]
         assert batched["trigger_cache_ops"] == 0
         assert batched["trigger_cache_batches"] > 0
-        eager = result.events[EAGER_CAS]
+        eager = result.one(mode=EAGER_CAS)["counters"]
         assert eager["trigger_cache_ops"] > 0
         # Eager counter bumps ride one-key incr_multi batches (PR 5); the
         # gets/cas read-modify-writes remain per-key single ops.
         assert eager["trigger_cache_batches"] > 0
         assert eager["trigger_cache_ops"] > eager["trigger_cache_batches"]
         # The batched flush writes through CAS — swaps land on the servers.
-        assert result.cas_stats[BATCHED_CAS]["cas_ok"] > 0
+        assert result.one(mode=BATCHED_CAS)["cache"]["cas_ok"] > 0
 
     def test_pipelining_overlaps_batches_without_changing_round_trips(self, result):
-        from repro.bench.experiments import BATCHED_CAS, PIPELINED_CAS
-        assert result.round_trips[PIPELINED_CAS] == result.round_trips[BATCHED_CAS]
-        assert result.events[PIPELINED_CAS]["trigger_cache_overlapped_batches"] > 0
-        assert result.events[BATCHED_CAS]["trigger_cache_overlapped_batches"] == 0
+        batched = result.one(mode=BATCHED_CAS)
+        pipelined = result.one(mode=PIPELINED_CAS)
+        assert pipelined["round_trips"] == batched["round_trips"]
+        overlapped = "trigger_cache_overlapped_batches"
+        assert pipelined["counters"][overlapped] > 0
+        assert batched["counters"][overlapped] == 0
         # max() instead of sum(): strictly less cache-network time per page.
-        assert result.cache_net_ms[PIPELINED_CAS] < result.cache_net_ms[BATCHED_CAS]
+        assert pipelined["cache_net_ms"] < batched["cache_net_ms"]
 
     def test_trigger_path_reduction_isolates_the_cas_flush(self, result):
         """The headline number must not credit app-side read batching."""
-        from repro.bench.experiments import BATCHED_CAS, EAGER_CAS
-        assert result.trigger_round_trips(EAGER_CAS) \
-            > result.trigger_round_trips(BATCHED_CAS) > 0
-        assert result.round_trip_reduction(BATCHED_CAS) >= 2.0
+        assert (result.one(mode=EAGER_CAS)["trigger_round_trips"]
+                > result.one(mode=BATCHED_CAS)["trigger_round_trips"] > 0)
+        assert round_trip_reduction(result, "trigger_round_trips",
+                                    EAGER_CAS, BATCHED_CAS) >= 2.0
 
     def test_render(self, result):
-        from repro.bench.reporting import render_experiment_cas_batching
-        out = render_experiment_cas_batching(result)
+        out = render_sweep(result)
         assert "Trigger-path round trips" in out
         assert "TOTAL round trips" in out
         assert "Trigger-path reduction" in out

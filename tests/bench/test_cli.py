@@ -3,6 +3,8 @@
 import pytest
 
 from repro.bench.cli import build_parser, main
+from repro.bench.experiments import EXPERIMENTS, trace_contention_cell
+from repro.sim import RUN_JSON_SCHEMA
 
 
 class TestParser:
@@ -41,6 +43,14 @@ class TestParser:
     def test_exp_adaptive_rejects_unknown_strategy(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["exp-adaptive", "--strategies", "nope"])
+
+    def test_help_states_the_quick_defaults_the_code_uses(self):
+        """exp1's help used to promise "1 4" under --quick; the sweep is 1 6."""
+        for experiment in EXPERIMENTS.values():
+            for axis in experiment.axes:
+                if axis.quick and "--quick" in axis.help and axis.type is int:
+                    quick = " ".join(str(value) for value in axis.quick)
+                    assert f"{quick} with --quick" in axis.help
 
     def test_strategies_command_registered(self):
         assert callable(build_parser().parse_args(["strategies"]).func)
@@ -81,3 +91,25 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "Adaptive check passed" in out
         assert "Pareto" in out
+
+    def test_exp1_quick_names_the_population_table2_was_computed_at(self, capsys):
+        assert main(["exp1", "--quick", "--clients", "1", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "Table 2 — average latency by page type (4 clients)" in out
+
+    def test_failed_check_exits_nonzero_with_the_report(self):
+        with pytest.raises(SystemExit) as failure:
+            main(["exp1", "--quick", "--check"])      # one worker: no contention
+        assert "CONTENTION CHECK FAILED" in str(failure.value)
+        assert "Figure 2a" in str(failure.value)
+
+
+class TestTracedRunDocument:
+    def test_schema_2_carries_the_demand_histogram_not_a_registry(self):
+        tracer, document = trace_contention_cell()
+        assert document["schema"] == RUN_JSON_SCHEMA == 2
+        assert "registry" not in document
+        histogram = document["page_total_demand_ms"]
+        assert histogram["kind"] == "histogram"
+        assert histogram["count"] == len(document["replay"]["pages"])
+        assert tracer.finished and document["flame"]

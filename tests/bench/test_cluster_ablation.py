@@ -6,22 +6,29 @@ import pytest
 
 from repro.bench.experiments import (CLUSTER_NODE_KILL,
                                      CLUSTER_NODE_KILL_NOGUTTER,
-                                     CLUSTER_SCALE_OUT, experiment_cluster)
-from repro.bench.reporting import render_experiment_cluster
+                                     CLUSTER_SCALE_OUT, check_cluster,
+                                     determinism_fingerprints, run_sweep)
+from repro.bench.reporting import render_sweep
 from repro.bench.scenarios import LEASED_SCENARIO, UPDATE_SCENARIO
 
 
 @pytest.fixture(scope="module")
 def quick_result():
-    return experiment_cluster(quick=True)
+    return run_sweep("exp-cluster", quick=True)
+
+
+def segment(row, label):
+    (found,) = [seg for seg in row["segments"] if seg["label"] == label]
+    return found
 
 
 class TestQuickSweep:
     def test_check_cluster_passes(self, quick_result):
-        assert quick_result.check_cluster() == []
+        assert check_cluster(quick_result) == []
 
     def test_quick_covers_both_kill_cases_for_both_strategies(self, quick_result):
-        cells = {(run.scenario, run.fault_case) for run in quick_result.runs}
+        cells = {(row["scenario"], row["fault_case"])
+                 for row in quick_result.rows}
         assert cells == {
             (UPDATE_SCENARIO, CLUSTER_NODE_KILL),
             (UPDATE_SCENARIO, CLUSTER_NODE_KILL_NOGUTTER),
@@ -30,39 +37,42 @@ class TestQuickSweep:
         }
 
     def test_kill_runs_have_the_three_segment_trajectory(self, quick_result):
-        for run in quick_result.runs:
-            assert [seg.label for seg in run.segments] == [
+        for row in quick_result.rows:
+            assert [seg["label"] for seg in row["segments"]] == [
                 "pre-fault", "degraded", "recovered"]
-            assert sum(seg.pages for seg in run.segments) > 0
+            assert sum(seg["pages"] for seg in row["segments"]) > 0
 
     def test_gutter_cushions_the_degraded_segment(self, quick_result):
         for scenario in (UPDATE_SCENARIO, LEASED_SCENARIO):
-            with_gutter = quick_result.run_for(scenario, CLUSTER_NODE_KILL)
-            without = quick_result.run_for(scenario, CLUSTER_NODE_KILL_NOGUTTER)
-            assert with_gutter.segment("degraded").hit_ratio > \
-                without.segment("degraded").hit_ratio
-            assert with_gutter.segment("degraded").gutter_hits > 0
-            assert without.segment("degraded").gutter_hits == 0
+            with_gutter = segment(quick_result.one(
+                scenario=scenario, fault_case=CLUSTER_NODE_KILL), "degraded")
+            without = segment(quick_result.one(
+                scenario=scenario, fault_case=CLUSTER_NODE_KILL_NOGUTTER),
+                "degraded")
+            assert with_gutter["hit_ratio"] > without["hit_ratio"]
+            assert with_gutter["gutter_hits"] > 0
+            assert without["gutter_hits"] == 0
 
     def test_fault_events_fire_at_the_scheduled_instants(self, quick_result):
-        run = quick_result.run_for(UPDATE_SCENARIO, CLUSTER_NODE_KILL)
-        assert [e["action"] for e in run.events] == ["kill", "revive"]
-        kill, revive = run.events
+        row = quick_result.one(scenario=UPDATE_SCENARIO,
+                               fault_case=CLUSTER_NODE_KILL)
+        assert [e["action"] for e in row["events"]] == ["kill", "revive"]
+        kill, revive = row["events"]
         assert kill["at"] < revive["at"]
-        assert run.counters["post_revival_invalidations"] > 0
+        assert row["fleet"]["post_revival_invalidations"] > 0
 
     def test_update_strategy_never_serves_stale(self, quick_result):
         for case in (CLUSTER_NODE_KILL, CLUSTER_NODE_KILL_NOGUTTER):
-            run = quick_result.run_for(UPDATE_SCENARIO, case)
-            assert not run.serves_stale
-            assert run.stale_served == 0
+            row = quick_result.one(scenario=UPDATE_SCENARIO, fault_case=case)
+            assert not row["serves_stale"]
+            assert row["stale_served"] == 0
 
     def test_determinism_fingerprints_match(self, quick_result):
-        assert len(quick_result.determinism) == 2
-        assert quick_result.determinism[0] == quick_result.determinism[1]
+        first, second = determinism_fingerprints(quick_result)
+        assert first == second
 
     def test_render_mentions_every_cell(self, quick_result):
-        rendered = render_experiment_cluster(quick_result)
+        rendered = render_sweep(quick_result)
         assert "Cluster-dynamics ablation" in rendered
         assert "pre-fault" in rendered and "degraded" in rendered
         assert "node-kill-nogutter" in rendered
@@ -71,13 +81,13 @@ class TestQuickSweep:
 
 class TestScaleOut:
     def test_join_case_reports_warmup_debt(self):
-        result = experiment_cluster(scenarios=(UPDATE_SCENARIO,),
-                                    fault_cases=(CLUSTER_SCALE_OUT,),
-                                    quick=True)
-        run = result.run_for(UPDATE_SCENARIO, CLUSTER_SCALE_OUT)
-        assert [e["action"] for e in run.events] == ["join"]
-        assert run.counters["keys_remapped"] > 0
-        assert [seg.label for seg in run.segments] == [
+        result = run_sweep("exp-cluster", quick=True,
+                           scenario=(UPDATE_SCENARIO,),
+                           fault_case=(CLUSTER_SCALE_OUT,))
+        (row,) = result.rows
+        assert [e["action"] for e in row["events"]] == ["join"]
+        assert row["fleet"]["keys_remapped"] > 0
+        assert [seg["label"] for seg in row["segments"]] == [
             "pre-fault", "scaled-out"]
         # A join kills nothing: no fail-fast refusals anywhere.
-        assert all(seg.node_down_errors == 0 for seg in run.segments)
+        assert all(seg["node_down_errors"] == 0 for seg in row["segments"])

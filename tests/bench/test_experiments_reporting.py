@@ -9,11 +9,10 @@ import pytest
 
 from repro.apps.social import SeedScale
 from repro.bench import (INVALIDATE_SCENARIO, NO_CACHE, ScenarioConfig,
-                         UPDATE_SCENARIO, experiment5, micro_lookup,
+                         UPDATE_SCENARIO, format_table, micro_lookup,
                          micro_trigger, programmer_effort, render_effort,
-                         render_experiment5, render_micro_lookup,
-                         render_micro_trigger, run_scenario, table1,
-                         format_series, format_table)
+                         render_micro_lookup, render_micro_trigger,
+                         render_sweep, run_scenario, run_sweep, table1)
 from repro.workload import WorkloadConfig
 
 TINY_SCALE = SeedScale(users=40, unique_bookmarks=15, max_instances_per_bookmark=3,
@@ -74,11 +73,12 @@ class TestProgrammerEffort:
 
 class TestExperiment5:
     def test_trigger_overhead_positive(self):
-        result = experiment5(scenarios=(UPDATE_SCENARIO,),
-                             workload=TINY_WORKLOAD)
-        assert result.ideal[UPDATE_SCENARIO] >= result.with_triggers[UPDATE_SCENARIO]
-        assert 0.0 <= result.overhead_fraction(UPDATE_SCENARIO) < 0.9
-        assert "Trigger overhead" in render_experiment5(result)
+        result = run_sweep("exp5", scenario=(UPDATE_SCENARIO,),
+                           workload=TINY_WORKLOAD)
+        row = result.one(scenario=UPDATE_SCENARIO)
+        assert row["ideal"] >= row["with_triggers"]
+        assert 0.0 <= row["overhead"] < 0.9
+        assert "Trigger overhead" in render_sweep(result)
 
 
 class TestReportingHelpers:
@@ -92,8 +92,3 @@ class TestReportingHelpers:
         lines = text.splitlines()
         assert len(lines) == 4
         assert len(set(len(line.rstrip()) for line in lines[:2])) >= 1
-
-    def test_format_series(self):
-        text = format_series("clients", [1, 2],
-                             {"NoCache": [1.0, 2.0], "Update": [3.0, 4.0]})
-        assert "clients" in text and "Update (req/s)" in text

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from repro.bench.cli import build_parser, main
 from repro.bench.experiments import (STRATEGY_ABLATION_SCENARIOS,
-                                     experiment_strategies)
-from repro.bench.reporting import render_experiment_strategies
+                                     blocking_db_work, run_sweep)
+from repro.bench.reporting import render_sweep
 from repro.bench.scenarios import (ASYNC_REFRESH_SCENARIO, EXPIRY_SCENARIO,
                                    INVALIDATE_SCENARIO, LEASED_SCENARIO,
                                    UPDATE_SCENARIO)
@@ -13,23 +13,24 @@ from repro.bench.scenarios import (ASYNC_REFRESH_SCENARIO, EXPIRY_SCENARIO,
 
 class TestStrategyAblation:
     def test_quick_run_covers_all_five_strategies(self):
-        result = experiment_strategies(quick=True)
-        assert result.scenarios == list(STRATEGY_ABLATION_SCENARIOS)
-        assert result.strategy_names[UPDATE_SCENARIO] == "update-in-place"
-        assert result.strategy_names[LEASED_SCENARIO] == "leased-invalidate"
-        assert result.strategy_names[ASYNC_REFRESH_SCENARIO] == "async-refresh"
+        result = run_sweep("exp-strategies", quick=True)
+        by_scenario = {row["scenario"]: row for row in result.rows}
+        assert tuple(by_scenario) == STRATEGY_ABLATION_SCENARIOS
+        assert by_scenario[UPDATE_SCENARIO]["strategy"] == "update-in-place"
+        assert by_scenario[LEASED_SCENARIO]["strategy"] == "leased-invalidate"
+        assert by_scenario[ASYNC_REFRESH_SCENARIO]["strategy"] == "async-refresh"
         # The triggered strategies install triggers; the TTL-based ones don't.
-        assert result.triggers_installed[UPDATE_SCENARIO] > 0
-        assert result.triggers_installed[LEASED_SCENARIO] > 0
-        assert result.triggers_installed[EXPIRY_SCENARIO] == 0
-        assert result.triggers_installed[ASYNC_REFRESH_SCENARIO] == 0
+        assert by_scenario[UPDATE_SCENARIO]["triggers"] > 0
+        assert by_scenario[LEASED_SCENARIO]["triggers"] > 0
+        assert by_scenario[EXPIRY_SCENARIO]["triggers"] == 0
+        assert by_scenario[ASYNC_REFRESH_SCENARIO]["triggers"] == 0
         # Every configuration actually served traffic.
-        assert all(result.throughput[s] > 0 for s in result.scenarios)
+        assert all(row["throughput"] > 0 for row in result.rows)
 
         # Strategy signatures in the counters: updates for update-in-place,
         # invalidations for the invalidating pair, stale serves + background
         # recomputes for the stale-serving pair.
-        counters = result.object_counters
+        counters = {name: row["objects"] for name, row in by_scenario.items()}
         assert counters[UPDATE_SCENARIO]["updates_applied"] > 0
         assert counters[INVALIDATE_SCENARIO]["invalidations"] > 0
         assert counters[LEASED_SCENARIO]["invalidations"] > 0
@@ -43,13 +44,13 @@ class TestStrategyAblation:
         # into (fewer, rate-limited) background recomputes on hot keys.
         assert (counters[LEASED_SCENARIO]["db_fallbacks"]
                 < counters[INVALIDATE_SCENARIO]["db_fallbacks"])
-        assert (result.blocking_db_work(LEASED_SCENARIO)
-                <= result.blocking_db_work(INVALIDATE_SCENARIO))
+        assert (blocking_db_work(by_scenario[LEASED_SCENARIO])
+                <= blocking_db_work(by_scenario[INVALIDATE_SCENARIO]))
 
     def test_subset_and_rendering(self):
-        result = experiment_strategies(
-            scenarios=(INVALIDATE_SCENARIO, LEASED_SCENARIO), quick=True)
-        rendered = render_experiment_strategies(result)
+        result = run_sweep("exp-strategies", quick=True,
+                           scenario=(INVALIDATE_SCENARIO, LEASED_SCENARIO))
+        rendered = render_sweep(result)
         assert "leased-invalidate" in rendered
         assert "Blocking DB fallbacks" in rendered
         assert "Leased invalidation vs plain invalidation" in rendered

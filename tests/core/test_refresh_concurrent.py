@@ -8,9 +8,8 @@ import contextlib
 import pytest
 
 from repro.apps.social import SeedScale
-from repro.bench.experiments import (HOT_KEY_WORKLOAD, STRATEGY_PAGE_INTERVAL,
-                                     _ablation_strategy)
-from repro.bench.scenarios import LEASED_SCENARIO, Scenario, ScenarioConfig
+from repro.bench.experiments import HOT_KEY_WORKLOAD, ablation_config
+from repro.bench.scenarios import LEASED_SCENARIO, Scenario
 from repro.core import CacheGenie, LeasedInvalidateStrategy
 from repro.sim import ADVERSARIAL, ConcurrentReplayer
 from repro.workload import WorkloadGenerator
@@ -18,10 +17,7 @@ from repro.workload import WorkloadGenerator
 
 @contextlib.contextmanager
 def leased_scenario():
-    config = ScenarioConfig(
-        name=LEASED_SCENARIO, strategy=_ablation_strategy(LEASED_SCENARIO),
-        seed_scale=SeedScale.tiny(),
-        page_interval_seconds=STRATEGY_PAGE_INTERVAL)
+    config = ablation_config(LEASED_SCENARIO, SeedScale.tiny())
     scenario = Scenario(config).setup()
     try:
         yield scenario, config

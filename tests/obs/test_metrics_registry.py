@@ -1,4 +1,4 @@
-"""Unit tests for the metrics registry: primitives, merge, JSON encoding."""
+"""Unit tests for the fixed-bucket histogram: aggregates, merge, JSON encoding."""
 
 from __future__ import annotations
 
@@ -7,8 +7,8 @@ import json
 import pytest
 
 from repro.errors import SimulationError
-from repro.obs import (DEFAULT_LATENCY_BUCKETS_S, Counter, Gauge, Histogram,
-                       MetricsRegistry, exponential_buckets)
+from repro.obs import (DEFAULT_LATENCY_BUCKETS_S, Histogram,
+                       exponential_buckets)
 
 
 class TestExponentialBuckets:
@@ -29,25 +29,6 @@ class TestExponentialBuckets:
         # <= 5% relative quantization error by construction.
         assert (DEFAULT_LATENCY_BUCKETS_S[1]
                 / DEFAULT_LATENCY_BUCKETS_S[0]) <= 1.05 + 1e-9
-
-
-class TestCounterGauge:
-    def test_counter_inc_and_merge(self):
-        a, b = Counter("pages"), Counter("pages")
-        a.inc()
-        b.inc(5)
-        a.merge(b)
-        assert a.value == 6
-        assert a.as_dict() == {"kind": "counter", "name": "pages", "value": 6}
-
-    def test_gauge_merge_takes_updated_side(self):
-        a, b = Gauge("workers"), Gauge("workers")
-        a.set(2)
-        a.merge(b)          # b never set: a keeps its value
-        assert a.value == 2.0
-        b.set(4)
-        a.merge(b)
-        assert a.value == 4.0
 
 
 class TestHistogram:
@@ -99,76 +80,20 @@ class TestHistogram:
         with pytest.raises(SimulationError):
             Histogram("lat", bounds=())
 
-    def test_as_dict_sparse_buckets_and_geometric_encoding(self):
+    def test_to_json_sparse_buckets_and_geometric_encoding(self):
         hist = Histogram("lat", bounds=exponential_buckets(1.0, 2.0, 10))
         hist.observe(1.0)
         hist.observe(500.0)
-        doc = hist.as_dict()
+        doc = hist.to_json()
         assert doc["bounds_encoding"] == "geometric"
         assert doc["bounds"] == [1.0, 2.0, 10]
         assert doc["buckets"] == {"0": 1, "9": 1}
-        explicit = Histogram("lat", bounds=(1.0, 2.0, 7.0)).as_dict()
+        explicit = Histogram("lat", bounds=(1.0, 2.0, 7.0)).to_json()
         assert explicit["bounds_encoding"] == "explicit"
         assert explicit["bounds"] == [1.0, 2.0, 7.0]
 
-
-class TestRegistry:
-    def test_get_or_create_is_idempotent(self):
-        registry = MetricsRegistry()
-        registry.counter("pages").inc(3)
-        assert registry.counter("pages").value == 3
-        assert len(registry) == 1
-        assert "pages" in registry
-
-    def test_kind_mismatch_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(SimulationError):
-            registry.gauge("x")
-
-    def test_merge_preserves_submission_order(self):
-        """The fan-out contract: merging per-cell registries in submission
-        order yields a byte-identical document regardless of which process
-        produced each cell."""
-        merged = MetricsRegistry()
-        cell_a = MetricsRegistry()
-        cell_a.counter("pages").inc(2)
-        cell_a.histogram("lat", bounds=(1.0, 2.0)).observe(0.5)
-        cell_b = MetricsRegistry()
-        cell_b.counter("extra").inc(1)
-        cell_b.counter("pages").inc(3)
-        merged.merge(cell_a)
-        merged.merge(cell_b)
-        assert [m.name for m in merged] == ["pages", "lat", "extra"]
-        assert merged.counter("pages").value == 5
-
-    def test_merge_kind_mismatch_raises(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("x")
-        b.gauge("x")
-        with pytest.raises(SimulationError):
-            a.merge(b)
-
-    def test_merge_does_not_alias_adopted_metrics(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        b.counter("x").inc(2)
-        a.merge(b)
-        b.counter("x").inc(10)
-        assert a.counter("x").value == 2
-
     def test_to_json_round_trips_through_json(self):
-        registry = MetricsRegistry()
-        registry.counter("pages").inc(7)
-        registry.gauge("workers").set(2)
-        registry.histogram("lat").observe(0.01)
-        doc = registry.to_json()
-        assert doc["kind"] == "metrics_registry"
-        encoded = json.dumps(doc, sort_keys=True)
+        hist = Histogram("lat")
+        hist.observe(0.01)
+        encoded = json.dumps(hist.to_json(), sort_keys=True)
         assert json.dumps(json.loads(encoded), sort_keys=True) == encoded
-
-    def test_as_dict_summarizes_histograms(self):
-        registry = MetricsRegistry()
-        registry.histogram("lat").observe(0.5)
-        summary = registry.as_dict()["lat"]
-        assert summary["count"] == 1
-        assert summary["mean"] == 0.5

@@ -4,8 +4,8 @@ The observability layer's contract is that installing a tracer changes
 *nothing* about the replay — not the pages, not a single cost counter, not
 the concurrent schedule.  This suite replays every consistency strategy
 (plus the adaptive arm) with and without a tracer, at one and two workers,
-and requires bit-identical fingerprints — the same comparison
-``tests/sim/test_differential.py`` uses for the compiled fast path.  It
+and requires bit-identical fingerprints — the fingerprint
+``tests/sim/test_differential.py`` pins against its golden digests.  It
 also pins what the trace actually contains: every instrumented layer and
 correct per-worker thread attribution.
 """
@@ -17,21 +17,18 @@ import dataclasses
 import pytest
 
 from repro.apps.social import SeedScale
-from repro.bench.experiments import (ADAPTIVE_SCENARIO, HOT_KEY_WORKLOAD,
+from repro.bench.experiments import (ADAPTIVE_SCENARIO,
                                      MIXED_HOT_COLD_WORKLOAD,
+                                     QUICK_HOT_KEY_WORKLOAD as WORKLOAD,
                                      STRATEGY_ABLATION_SCENARIOS,
                                      STRATEGY_PAGE_INTERVAL,
-                                     _ablation_strategy,
-                                     _adaptive_ablation_strategy,
-                                     _adaptive_arrival)
-from repro.bench.scenarios import (LEASED_SCENARIO, Scenario, ScenarioConfig,
+                                     _ablation_strategy, _adaptive_arrival,
+                                     ablation_config, run_scenario)
+from repro.bench.scenarios import (LEASED_SCENARIO, Scenario,
                                    UPDATE_SCENARIO)
 from repro.obs import TRACED_MULTI_OPS, Tracer
 from repro.sim import ADVERSARIAL, ROUND_ROBIN, ConcurrentReplayer
 from repro.workload import WorkloadGenerator
-
-WORKLOAD = HOT_KEY_WORKLOAD.with_overrides(
-    clients=6, sessions_per_client=2, page_loads_per_session=4)
 
 ADAPTIVE_WORKLOAD = MIXED_HOT_COLD_WORKLOAD.with_overrides(
     clients=6, sessions_per_client=2, page_loads_per_session=6)
@@ -40,11 +37,10 @@ ADAPTIVE_WORKLOAD = MIXED_HOT_COLD_WORKLOAD.with_overrides(
 def replay_once(scenario_name: str, traced: bool, workers: int = 1,
                 policy: str = ROUND_ROBIN):
     """One replay of the quick contention workload; returns (result, tracer,
-    scenario leak-check snapshot)."""
-    config = ScenarioConfig(
-        name=scenario_name, strategy=_ablation_strategy(scenario_name),
-        seed_scale=SeedScale.tiny(),
-        page_interval_seconds=STRATEGY_PAGE_INTERVAL)
+    scenario leak-check snapshot).  Assembled by hand, not through
+    ``run_scenario``: the leak check needs the scenario alive after the
+    replay."""
+    config = ablation_config(scenario_name, SeedScale.tiny())
     scenario = Scenario(config).setup()
     try:
         tracer = Tracer(clock=scenario.clock) if traced else None
@@ -114,38 +110,25 @@ class TestTracedReplayIdentical:
                              [(1, ROUND_ROBIN), (2, ADVERSARIAL)])
     def test_traced_identical_adaptive(self, workers, policy):
         def run(traced: bool):
-            strategy = _adaptive_ablation_strategy(ADAPTIVE_SCENARIO)
-            config = ScenarioConfig(
-                name=ADAPTIVE_SCENARIO, strategy=strategy,
-                seed_scale=SeedScale.tiny(),
-                page_interval_seconds=STRATEGY_PAGE_INTERVAL)
-            scenario = Scenario(config).setup()
-            try:
-                user_ids = list(range(1, config.seed_scale.users + 1))
-                total_pages = (ADAPTIVE_WORKLOAD.clients
-                               * ADAPTIVE_WORKLOAD.sessions_per_client
-                               * ADAPTIVE_WORKLOAD.page_loads_per_session)
-                arrival = _adaptive_arrival(
+            strategy = _ablation_strategy(ADAPTIVE_SCENARIO)
+            config = ablation_config(ADAPTIVE_SCENARIO, SeedScale.tiny(),
+                                     strategy=strategy)
+            total_pages = (ADAPTIVE_WORKLOAD.clients
+                           * ADAPTIVE_WORKLOAD.sessions_per_client
+                           * ADAPTIVE_WORKLOAD.page_loads_per_session)
+            result = run_scenario(
+                config, workload=ADAPTIVE_WORKLOAD, warmup=None,
+                workers=workers, policy=policy, traced=traced,
+                arrival_model=_adaptive_arrival(
                     total_pages,
-                    base_interval_seconds=3.0 * STRATEGY_PAGE_INTERVAL)
-                trace = WorkloadGenerator(ADAPTIVE_WORKLOAD,
-                                          user_ids).generate()
-                replayer = ConcurrentReplayer(
-                    scenario.app, scenario.database, genie=scenario.genie,
-                    workers=workers, policy=policy, seed=0,
-                    clock=scenario.clock,
-                    page_interval_seconds=config.page_interval_seconds,
-                    arrival_model=arrival,
-                    tracer=Tracer(clock=scenario.clock) if traced else None)
-                result = replayer.replay(trace)
-                fingerprint = replay_fingerprint(result)
-                fingerprint["key_telemetry"] = result.key_telemetry
-                fingerprint["switch_log"] = list(strategy.switch_log)
-                fingerprint["band_switches"] = strategy.band_switches
-                fingerprint["migrations"] = strategy.migrations
-                return result, fingerprint
-            finally:
-                scenario.teardown()
+                    base_interval_seconds=3.0 * STRATEGY_PAGE_INTERVAL),
+            ).replay
+            fingerprint = replay_fingerprint(result)
+            fingerprint["key_telemetry"] = result.key_telemetry
+            fingerprint["switch_log"] = list(strategy.switch_log)
+            fingerprint["band_switches"] = strategy.band_switches
+            fingerprint["migrations"] = strategy.migrations
+            return result, fingerprint
 
         result_u, fingerprint_u = run(False)
         _result_t, fingerprint_t = run(True)

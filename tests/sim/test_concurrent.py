@@ -11,13 +11,12 @@ import hashlib
 from repro.apps.social import SeedScale
 from repro.bench.experiments import (HOT_KEY_WORKLOAD,
                                      STRATEGY_ABLATION_SCENARIOS,
-                                     STRATEGY_PAGE_INTERVAL,
-                                     _ablation_strategy)
+                                     ablation_config)
 from repro.bench.scenarios import (LEASED_SCENARIO, NO_CACHE, Scenario,
                                    ScenarioConfig, UPDATE_SCENARIO)
 from repro.errors import SimulationError
 from repro.sim import (ADVERSARIAL, ConcurrentReplayResult, ConcurrentReplayer,
-                       KEY_OVERLAP, RANDOM, ReplayResult, WorkloadReplayer,
+                       KEY_OVERLAP, RANDOM, ROUND_ROBIN, ReplayResult,
                        interleave_trace, simulate_population)
 from repro.storage.costmodel import CostCounters
 from repro.workload import WorkloadGenerator
@@ -29,10 +28,7 @@ WORKLOAD = HOT_KEY_WORKLOAD.with_overrides(
 
 @contextlib.contextmanager
 def contention_scenario(name: str = UPDATE_SCENARIO):
-    strategy = _ablation_strategy(name)
-    config = ScenarioConfig(
-        name=name, strategy=strategy, seed_scale=SeedScale.tiny(),
-        page_interval_seconds=STRATEGY_PAGE_INTERVAL)
+    config = ablation_config(name, SeedScale.tiny())
     scenario = Scenario(config).setup()
     try:
         yield scenario, config
@@ -60,18 +56,16 @@ def page_fingerprint(result: ReplayResult):
 
 
 class TestSerialEquivalence:
-    def test_one_worker_is_byte_identical_to_serial(self):
+    def test_one_worker_ignores_the_policy(self):
         with contention_scenario() as (scenario, config):
-            serial_replayer = WorkloadReplayer(
-                scenario.app, scenario.database, clock=scenario.clock,
-                page_interval_seconds=config.page_interval_seconds)
-            serial = serial_replayer.replay(make_trace(config))
+            serial = concurrent_replay(scenario, config, workers=1,
+                                       policy=ROUND_ROBIN)
         with contention_scenario() as (scenario, config):
-            concurrent = concurrent_replay(scenario, config, workers=1,
-                                           policy=RANDOM)
-        assert page_fingerprint(serial) == page_fingerprint(concurrent)
+            shuffled = concurrent_replay(scenario, config, workers=1,
+                                         policy=RANDOM)
+        assert page_fingerprint(serial) == page_fingerprint(shuffled)
         assert (serial.total_counters.as_dict()
-                == concurrent.total_counters.as_dict())
+                == shuffled.total_counters.as_dict())
 
     def test_one_worker_never_contends(self):
         with contention_scenario() as (scenario, config):
@@ -92,10 +86,8 @@ class TestSerialEquivalence:
             assert scenario.genie.app_cache.checkpoint is None
             assert scenario.genie.app_cache.current_worker is None
             # A serial replay on the same stack still works afterwards.
-            serial = WorkloadReplayer(
-                scenario.app, scenario.database, clock=scenario.clock,
-                page_interval_seconds=config.page_interval_seconds)
-            follow_up = serial.replay(make_trace(config))
+            follow_up = concurrent_replay(scenario, config, workers=1,
+                                          policy=ROUND_ROBIN)
             assert follow_up.pages
 
 
@@ -121,18 +113,15 @@ def reference_serial_replay(scenario: Scenario, config: ScenarioConfig):
     return fingerprints, total
 
 
-class TestFacadeIsTheReferenceSerialReplay:
-    """The workers=1 facade must be bit-for-bit the historical serial loop —
+class TestOneWorkerIsTheReferenceSerialReplay:
+    """The workers=1 path must be bit-for-bit the historical serial loop —
     for every one of the five ConsistencyStrategies."""
 
     @pytest.mark.parametrize("name", STRATEGY_ABLATION_SCENARIOS)
     def test_workers1_matches_reference_loop(self, name):
         with contention_scenario(name) as (scenario, config):
-            facade = WorkloadReplayer(
-                scenario.app, scenario.database, genie=scenario.genie,
-                clock=scenario.clock,
-                page_interval_seconds=config.page_interval_seconds)
-            result = facade.replay(make_trace(config))
+            result = concurrent_replay(scenario, config, workers=1,
+                                       policy=ROUND_ROBIN)
         with contention_scenario(name) as (scenario, config):
             reference, reference_total = reference_serial_replay(scenario,
                                                                  config)
@@ -141,11 +130,8 @@ class TestFacadeIsTheReferenceSerialReplay:
 
     def test_workers1_schedule_is_the_degenerate_log(self):
         with contention_scenario() as (scenario, config):
-            facade = WorkloadReplayer(
-                scenario.app, scenario.database, genie=scenario.genie,
-                clock=scenario.clock,
-                page_interval_seconds=config.page_interval_seconds)
-            result = facade.replay(make_trace(config))
+            result = concurrent_replay(scenario, config, workers=1,
+                                       policy=ROUND_ROBIN)
         assert result.schedule == [0] * len(result.pages)
         payload = ",".join("0" for _ in result.pages).encode("ascii")
         assert (result.schedule_signature

@@ -10,9 +10,7 @@ This suite compares:
   SHA-256 of its pages, counters, schedule and ``schedule_signature``, taken
   from the plain-trace replay of the commit before the memo fast paths
   became the only path (there is no second implementation left to diff
-  against, so the constants below are the reference);
-* a :class:`CompiledTrace` replay against the plain-trace replay — the
-  compiled form is a precomputed ordering and must order identically.
+  against, so the constants below are the reference).
 """
 
 from __future__ import annotations
@@ -25,68 +23,35 @@ import json
 import pytest
 
 from repro.apps.social import SeedScale
-from repro.bench.experiments import (ADAPTIVE_SCENARIO, HOT_KEY_WORKLOAD,
+from repro.bench.experiments import (ADAPTIVE_SCENARIO,
                                      MIXED_HOT_COLD_WORKLOAD,
+                                     QUICK_HOT_KEY_WORKLOAD as WORKLOAD,
                                      STRATEGY_ABLATION_SCENARIOS,
                                      STRATEGY_PAGE_INTERVAL,
-                                     _ablation_strategy,
-                                     _adaptive_ablation_strategy,
-                                     _adaptive_arrival, experiment1,
-                                     experiment_cluster, experiment_contention)
-from repro.bench.scenarios import Scenario, ScenarioConfig, UPDATE_SCENARIO
-from repro.sim import (ADVERSARIAL, ALL_POLICIES, ROUND_ROBIN,
-                       ConcurrentReplayer, compile_trace)
-from repro.workload import CompiledTrace, WorkloadGenerator
-
-#: The quick contention workload used throughout the concurrent-path tests.
-WORKLOAD = HOT_KEY_WORKLOAD.with_overrides(
-    clients=6, sessions_per_client=2, page_loads_per_session=4)
-
-
-def result_json(result) -> str:
-    """Canonical byte-comparable serialization of an experiment result."""
-    return json.dumps(dataclasses.asdict(result), sort_keys=True, default=repr)
+                                     _ablation_strategy, _adaptive_arrival,
+                                     ablation_config, run_scenario, run_sweep)
+from repro.bench.scenarios import UPDATE_SCENARIO
+from repro.sim import ADVERSARIAL, ALL_POLICIES, ROUND_ROBIN
 
 
 class TestJobsDifferential:
     """``--jobs 2`` output must be byte-identical to ``--jobs 1``."""
 
-    def test_exp1_jobs2_identical(self):
-        serial = experiment1(quick=True, jobs=1)
-        parallel = experiment1(quick=True, jobs=2)
-        assert result_json(parallel) == result_json(serial)
-
-    def test_exp_contention_jobs2_identical(self):
-        serial = experiment_contention(quick=True, jobs=1)
-        parallel = experiment_contention(quick=True, jobs=2)
-        assert result_json(parallel) == result_json(serial)
-
-    def test_exp_cluster_jobs2_identical(self):
-        serial = experiment_cluster(quick=True, jobs=1)
-        parallel = experiment_cluster(quick=True, jobs=2)
-        assert result_json(parallel) == result_json(serial)
+    @pytest.mark.parametrize("name", ["exp1", "exp-contention", "exp-cluster"])
+    def test_jobs2_identical(self, name):
+        serial, parallel = (run_sweep(name, quick=True, jobs=jobs)
+                            for jobs in (1, 2))
+        assert ([json.dumps(rows, sort_keys=True)
+                 for rows in (parallel.rows, parallel.aux)]
+                == [json.dumps(rows, sort_keys=True)
+                    for rows in (serial.rows, serial.aux)])
 
 
-def replay_once(scenario_name: str, compiled: bool, workers: int = 1,
+def replay_once(scenario_name: str, workers: int = 1,
                 policy: str = ROUND_ROBIN):
-    config = ScenarioConfig(
-        name=scenario_name, strategy=_ablation_strategy(scenario_name),
-        seed_scale=SeedScale.tiny(),
-        page_interval_seconds=STRATEGY_PAGE_INTERVAL)
-    scenario = Scenario(config).setup()
-    try:
-        user_ids = list(range(1, config.seed_scale.users + 1))
-        trace = WorkloadGenerator(WORKLOAD, user_ids).generate()
-        if compiled:
-            trace = compile_trace(trace)
-            assert isinstance(trace, CompiledTrace)
-        replayer = ConcurrentReplayer(
-            scenario.app, scenario.database, genie=scenario.genie,
-            workers=workers, policy=policy, seed=0, clock=scenario.clock,
-            page_interval_seconds=config.page_interval_seconds)
-        return replayer.replay(trace)
-    finally:
-        scenario.teardown()
+    return run_scenario(ablation_config(scenario_name, SeedScale.tiny()),
+                        workload=WORKLOAD, warmup=None, workers=workers,
+                        policy=policy).replay
 
 
 def fingerprint_digest(fingerprint) -> str:
@@ -130,10 +95,8 @@ def replay_fingerprint(result):
 @functools.lru_cache(maxsize=None)
 def plain_fingerprint(scenario_name: str, workers: int = 1,
                       policy: str = ROUND_ROBIN):
-    """The plain-trace replay's fingerprint (shared by the golden pin and
-    the compiled-trace comparison, so each replay runs once)."""
     return replay_fingerprint(
-        replay_once(scenario_name, False, workers=workers, policy=policy))
+        replay_once(scenario_name, workers=workers, policy=policy))
 
 
 class TestGoldenFingerprints:
@@ -151,20 +114,6 @@ class TestGoldenFingerprints:
         assert (fingerprint_digest(fingerprint)
                 == GOLDEN_FINGERPRINTS["Update/workers=2/adversarial"])
         assert fingerprint["contention"]["cas_retry_rounds"] > 0
-
-
-class TestCompiledTraceDifferential:
-    """A compiled trace is a precomputed ordering: it replays identically."""
-
-    @pytest.mark.parametrize("scenario_name", STRATEGY_ABLATION_SCENARIOS)
-    def test_compiled_identical_per_strategy(self, scenario_name):
-        compiled = replay_fingerprint(replay_once(scenario_name, True))
-        assert compiled == plain_fingerprint(scenario_name)
-
-    def test_compiled_identical_under_contention(self):
-        compiled = replay_fingerprint(
-            replay_once(UPDATE_SCENARIO, True, workers=2, policy=ADVERSARIAL))
-        assert compiled == plain_fingerprint(UPDATE_SCENARIO, 2, ADVERSARIAL)
 
 
 #: Cache small enough that the quick workload evicts, so item sizes matter.
@@ -187,23 +136,11 @@ class TestCacheAccountingPins:
 
     @pytest.mark.parametrize("scenario_name", STRATEGY_ABLATION_SCENARIOS)
     def test_bytes_hits_evictions_match_reference(self, scenario_name):
-        config = ScenarioConfig(
-            name=scenario_name, strategy=_ablation_strategy(scenario_name),
-            seed_scale=SeedScale.tiny(),
-            cache_size_bytes=ACCOUNTING_CACHE_BYTES,
-            page_interval_seconds=STRATEGY_PAGE_INTERVAL)
-        scenario = Scenario(config).setup()
-        try:
-            user_ids = list(range(1, config.seed_scale.users + 1))
-            trace = WorkloadGenerator(WORKLOAD, user_ids).generate()
-            replayer = ConcurrentReplayer(
-                scenario.app, scenario.database, genie=scenario.genie,
-                workers=1, seed=0, clock=scenario.clock,
-                page_interval_seconds=config.page_interval_seconds)
-            counters = replayer.replay(trace).total_counters
-            stats = scenario.cache_stats()
-        finally:
-            scenario.teardown()
+        run = run_scenario(
+            ablation_config(scenario_name, SeedScale.tiny(),
+                            cache_size_bytes=ACCOUNTING_CACHE_BYTES),
+            workload=WORKLOAD, warmup=None)
+        counters, stats = run.replay.total_counters, run.cache_stats
         assert (counters.cache_bytes_moved, counters.cache_hits,
                 counters.cache_misses, int(stats["evictions"]),
                 int(stats["bytes"])) == GOLDEN_CACHE_ACCOUNTING[scenario_name]
@@ -215,35 +152,19 @@ ADAPTIVE_WORKLOAD = MIXED_HOT_COLD_WORKLOAD.with_overrides(
     clients=6, sessions_per_client=2, page_loads_per_session=6)
 
 
-def replay_adaptive(compiled: bool, workers: int = 1,
-                    policy: str = ROUND_ROBIN):
+def replay_adaptive(workers: int = 1, policy: str = ROUND_ROBIN):
     """One adaptive replay (fresh strategy instance — no cross-run state)."""
-    strategy = _adaptive_ablation_strategy(ADAPTIVE_SCENARIO)
-    config = ScenarioConfig(
-        name=ADAPTIVE_SCENARIO, strategy=strategy,
-        seed_scale=SeedScale.tiny(),
-        page_interval_seconds=STRATEGY_PAGE_INTERVAL)
-    scenario = Scenario(config).setup()
-    try:
-        user_ids = list(range(1, config.seed_scale.users + 1))
-        total_pages = (ADAPTIVE_WORKLOAD.clients
-                       * ADAPTIVE_WORKLOAD.sessions_per_client
-                       * ADAPTIVE_WORKLOAD.page_loads_per_session)
-        arrival = _adaptive_arrival(
-            total_pages, base_interval_seconds=3.0 * STRATEGY_PAGE_INTERVAL)
-        trace = WorkloadGenerator(ADAPTIVE_WORKLOAD, user_ids).generate()
-        if compiled:
-            trace = compile_trace(trace)
-            assert isinstance(trace, CompiledTrace)
-        replayer = ConcurrentReplayer(
-            scenario.app, scenario.database, genie=scenario.genie,
-            workers=workers, policy=policy, seed=0, clock=scenario.clock,
-            page_interval_seconds=config.page_interval_seconds,
-            arrival_model=arrival)
-        result = replayer.replay(trace)
-        return result, strategy
-    finally:
-        scenario.teardown()
+    strategy = _ablation_strategy(ADAPTIVE_SCENARIO)
+    total_pages = (ADAPTIVE_WORKLOAD.clients
+                   * ADAPTIVE_WORKLOAD.sessions_per_client
+                   * ADAPTIVE_WORKLOAD.page_loads_per_session)
+    run = run_scenario(
+        ablation_config(ADAPTIVE_SCENARIO, SeedScale.tiny(),
+                        strategy=strategy),
+        workload=ADAPTIVE_WORKLOAD, warmup=None, workers=workers,
+        policy=policy, arrival_model=_adaptive_arrival(
+            total_pages, base_interval_seconds=3.0 * STRATEGY_PAGE_INTERVAL))
+    return run.replay, strategy
 
 
 def adaptive_fingerprint(result, strategy):
@@ -261,29 +182,24 @@ def adaptive_fingerprint(result, strategy):
 
 class TestAdaptiveDifferential:
     """Adaptive replay must stay pinned and deterministic: the golden
-    fingerprint, the compiled trace, both worker counts, and all interleave
-    policies — with the bands genuinely switching mid-replay."""
+    fingerprint at both worker counts and all interleave policies — with
+    the bands genuinely switching mid-replay."""
 
     @pytest.mark.parametrize("workers,policy",
                              [(1, ROUND_ROBIN)]
                              + [(2, policy) for policy in ALL_POLICIES])
-    def test_golden_and_compiled_identical_with_band_switches(self, workers,
-                                                              policy):
-        result_u, strategy_u = replay_adaptive(False, workers, policy)
-        result_c, strategy_c = replay_adaptive(True, workers, policy)
-        uncompiled = adaptive_fingerprint(result_u, strategy_u)
-        compiled = adaptive_fingerprint(result_c, strategy_c)
-        assert (fingerprint_digest(uncompiled) == GOLDEN_FINGERPRINTS[
-            f"Adaptive/workers={workers}/{policy}"])
-        assert compiled == uncompiled
-        # The comparison is only meaningful if the strategy actually
-        # reclassified keys mid-replay (memos crossing a live band switch).
-        assert result_u.total_counters.band_switches > 0
-        assert strategy_u.switch_log
+    def test_golden_with_band_switches(self, workers, policy):
+        result, strategy = replay_adaptive(workers, policy)
+        assert (fingerprint_digest(adaptive_fingerprint(result, strategy))
+                == GOLDEN_FINGERPRINTS[f"Adaptive/workers={workers}/{policy}"])
+        # The pin is only meaningful if the strategy actually reclassified
+        # keys mid-replay (memos crossing a live band switch).
+        assert result.total_counters.band_switches > 0
+        assert strategy.switch_log
 
     def test_migrations_convert_cached_values(self):
         """The flash crowd's switches include real representation changes
         (envelope rewraps/retirements), not just band-map flips."""
-        result, _strategy = replay_adaptive(True)
+        result, _strategy = replay_adaptive()
         assert result.total_counters.adaptive_migrations > 0
         assert len(result.key_telemetry) > 0

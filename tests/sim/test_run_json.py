@@ -14,38 +14,20 @@ import json
 import pytest
 
 from repro.apps.social import SeedScale
-from repro.bench.experiments import (HOT_KEY_WORKLOAD,
-                                     STRATEGY_PAGE_INTERVAL,
-                                     _ablation_strategy)
-from repro.bench.scenarios import (Scenario, ScenarioConfig,
-                                   UPDATE_SCENARIO)
+from repro.bench.experiments import (QUICK_HOT_KEY_WORKLOAD as WORKLOAD,
+                                     ablation_config, run_scenario)
+from repro.bench.scenarios import UPDATE_SCENARIO
 from repro.errors import SimulationError
-from repro.sim import (ADVERSARIAL, RUN_JSON_SCHEMA, ConcurrentReplayer,
-                       ReplayResult, simulate_population)
-from repro.workload import WorkloadGenerator
-
-WORKLOAD = HOT_KEY_WORKLOAD.with_overrides(
-    clients=6, sessions_per_client=2, page_loads_per_session=4)
+from repro.sim import (ADVERSARIAL, RUN_JSON_SCHEMA, ReplayResult,
+                       simulate_population)
 
 
 @pytest.fixture(scope="module")
 def replay():
     """One workers=2 adversarial replay shared by every round-trip test."""
-    config = ScenarioConfig(
-        name=UPDATE_SCENARIO, strategy=_ablation_strategy(UPDATE_SCENARIO),
-        seed_scale=SeedScale.tiny(),
-        page_interval_seconds=STRATEGY_PAGE_INTERVAL)
-    scenario = Scenario(config).setup()
-    try:
-        user_ids = list(range(1, config.seed_scale.users + 1))
-        trace = WorkloadGenerator(WORKLOAD, user_ids).generate()
-        replayer = ConcurrentReplayer(
-            scenario.app, scenario.database, genie=scenario.genie,
-            workers=2, policy=ADVERSARIAL, seed=0, clock=scenario.clock,
-            page_interval_seconds=config.page_interval_seconds)
-        yield replayer.replay(trace)
-    finally:
-        scenario.teardown()
+    config = ablation_config(UPDATE_SCENARIO, SeedScale.tiny())
+    return run_scenario(config, workload=WORKLOAD, warmup=None, workers=2,
+                        policy=ADVERSARIAL).replay
 
 
 def canonical(doc) -> str:

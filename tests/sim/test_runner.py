@@ -1,9 +1,9 @@
-"""Tests for the workload replayer and closed-loop simulation."""
+"""Tests for the serial (one-worker) replay and closed-loop simulation."""
 
 import pytest
 
-from repro.sim import (STREAM_CLIENT_THRESHOLD, SimulationOptions,
-                       WorkloadReplayer, exact_mva,
+from repro.sim import (STREAM_CLIENT_THRESHOLD, ConcurrentReplayer,
+                       SimulationOptions, exact_mva,
                        aggregate_resource_demands, simulate_population)
 from repro.sim.runner import ReplayResult, ReplayedPage
 from repro.storage.costmodel import CostCounters, Demand
@@ -30,7 +30,8 @@ def replayed(social_genie):
     config = WorkloadConfig(clients=4, sessions_per_client=1,
                             page_loads_per_session=4, seed=11)
     trace = WorkloadGenerator(config, list(range(1, 21))).generate()
-    replayer = WorkloadReplayer(social_genie["app"], social_genie["database"])
+    replayer = ConcurrentReplayer(social_genie["app"],
+                                  social_genie["database"], workers=1)
     replay = replayer.replay(trace)
     return replay, trace
 
@@ -56,7 +57,8 @@ class TestReplay:
         config = WorkloadConfig(clients=1, sessions_per_client=1,
                                 page_loads_per_session=2)
         trace = WorkloadGenerator(config, [1, 2, 3]).generate()
-        replayer = WorkloadReplayer(social_genie["app"], social_genie["database"])
+        replayer = ConcurrentReplayer(social_genie["app"],
+                                      social_genie["database"], workers=1)
         result = replayer.replay(trace, record=False)
         assert result.pages == []
 

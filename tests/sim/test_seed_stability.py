@@ -16,37 +16,25 @@ import pytest
 from repro.apps.social import SeedScale
 from repro.bench.experiments import (CLUSTER_GUTTER_TTL, CLUSTER_KILL_AT,
                                      CLUSTER_REVIVE_AT, CLUSTER_VICTIM,
-                                     HOT_KEY_WORKLOAD,
+                                     QUICK_HOT_KEY_WORKLOAD as WORKLOAD,
                                      STRATEGY_PAGE_INTERVAL,
-                                     _ablation_strategy)
-from repro.bench.scenarios import Scenario, ScenarioConfig, UPDATE_SCENARIO
+                                     ablation_config, run_scenario)
+from repro.bench.scenarios import UPDATE_SCENARIO
 from repro.cluster import (ClusterController, FaultEvent, FaultInjector,
                            FaultSchedule, GutterPool)
 from repro.memcache import CacheServer
-from repro.sim import ALL_POLICIES, RANDOM, ROUND_ROBIN, ConcurrentReplayer
-from repro.workload import WorkloadGenerator
+from repro.sim import ALL_POLICIES, RANDOM, ROUND_ROBIN
 
-WORKLOAD = HOT_KEY_WORKLOAD.with_overrides(
-    clients=6, sessions_per_client=2, page_loads_per_session=4)
+
+def update_replay(**engine):
+    """One replay of the quick hot-key trace on the Update scenario."""
+    return run_scenario(ablation_config(UPDATE_SCENARIO, SeedScale.tiny()),
+                        workload=WORKLOAD, warmup=None, **engine).replay
 
 
 def replay_signature(workers: int, policy: str, seed: int):
-    config = ScenarioConfig(
-        name=UPDATE_SCENARIO, strategy=_ablation_strategy(UPDATE_SCENARIO),
-        seed_scale=SeedScale.tiny(),
-        page_interval_seconds=STRATEGY_PAGE_INTERVAL)
-    scenario = Scenario(config).setup()
-    try:
-        user_ids = list(range(1, config.seed_scale.users + 1))
-        trace = WorkloadGenerator(WORKLOAD, user_ids).generate()
-        replayer = ConcurrentReplayer(
-            scenario.app, scenario.database, genie=scenario.genie,
-            workers=workers, policy=policy, seed=seed, clock=scenario.clock,
-            page_interval_seconds=config.page_interval_seconds)
-        result = replayer.replay(trace)
-        return result.schedule_signature, list(result.schedule)
-    finally:
-        scenario.teardown()
+    result = update_replay(workers=workers, policy=policy, seed=seed)
+    return result.schedule_signature, list(result.schedule)
 
 
 class TestScheduleSeedStability:
@@ -80,37 +68,26 @@ class TestScheduleSeedStability:
 
 def cluster_event_log():
     """One node-kill/revive replay; return the full ClusterEvent log."""
-    config = ScenarioConfig(
-        name=UPDATE_SCENARIO, strategy=_ablation_strategy(UPDATE_SCENARIO),
-        seed_scale=SeedScale.tiny(),
-        page_interval_seconds=STRATEGY_PAGE_INTERVAL)
-    scenario = Scenario(config).setup()
-    try:
-        user_ids = list(range(1, config.seed_scale.users + 1))
-        trace = WorkloadGenerator(WORKLOAD, user_ids).generate()
+    controllers = []
+
+    def faults(scenario, trace):
         gutter = GutterPool([CacheServer("gutter0", clock=scenario.clock)],
                             ttl_seconds=CLUSTER_GUTTER_TTL)
-        controller = ClusterController(
+        controllers.append(ClusterController(
             clients=[scenario.genie.app_cache, scenario.genie.trigger_cache],
             servers=scenario.cache_servers, clock=scenario.clock,
-            gutter=gutter, genie=scenario.genie)
-        duration = trace.total_page_loads * config.page_interval_seconds
+            gutter=gutter, genie=scenario.genie))
+        duration = trace.total_page_loads * STRATEGY_PAGE_INTERVAL
         t0 = scenario.clock.now()
-        injector = FaultInjector(controller, FaultSchedule([
+        return FaultInjector(controllers[0], FaultSchedule([
             FaultEvent(at=t0 + CLUSTER_KILL_AT * duration,
                        action="kill", node=CLUSTER_VICTIM),
             FaultEvent(at=t0 + CLUSTER_REVIVE_AT * duration,
                        action="revive", node=CLUSTER_VICTIM)]))
-        replayer = ConcurrentReplayer(
-            scenario.app, scenario.database, genie=scenario.genie,
-            workers=1, clock=scenario.clock,
-            page_interval_seconds=config.page_interval_seconds,
-            fault_injector=injector)
-        result = replayer.replay(trace)
-        events = [dataclasses.asdict(event) for event in controller.events]
-        return result.schedule_signature, events
-    finally:
-        scenario.teardown()
+
+    result = update_replay(faults=faults)
+    events = [dataclasses.asdict(event) for event in controllers[0].events]
+    return result.schedule_signature, events
 
 
 class TestClusterEventDeterminism:
