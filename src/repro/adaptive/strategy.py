@@ -80,7 +80,7 @@ from ..core.strategies import (ASYNC_REFRESH, AsyncRefreshStrategy,
                                LeasedInvalidateStrategy, UPDATE_IN_PLACE,
                                UpdateInPlaceStrategy, _FRESH_UNTIL_KEY,
                                get_strategy)
-from .telemetry import KeyTelemetry
+from .telemetry import KeyStats, KeyTelemetry
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.cache_classes.base import CacheClass
@@ -220,16 +220,13 @@ class AdaptiveStrategy(ConsistencyStrategy):
             return self._async
         return self._update
 
-    def _classify(self, key: str) -> str:
-        """The band the key's current telemetry calls for (no hysteresis).
+    def _classify(self, entry: KeyStats) -> str:
+        """The band the key's decayed telemetry calls for (no hysteresis).
 
         Hotness is the gate, not the verdict: a hot but read-mostly,
         uncontended key stays cold, because trigger patches already serve it
         at near-zero cost and both hot bands would only add recomputes.
         """
-        entry = self.telemetry.get(key) if self.telemetry is not None else None
-        if entry is None:
-            return COLD_BAND
         traffic = entry.read_rate + entry.write_rate
         if traffic < self.hot_rate_threshold:
             return COLD_BAND
@@ -239,18 +236,21 @@ class AdaptiveStrategy(ConsistencyStrategy):
             return REFRESH_BAND
         return COLD_BAND
 
-    def _reclassify(self, cached_object: "CacheClass", key: str,
+    def _reclassify(self, cached_object: "CacheClass", entry: KeyStats,
                     params: Dict[str, Any]) -> str:
         """Read-path band decision with min-dwell hysteresis.
 
-        ``params`` are the read's own query parameters — handed through to
-        migration so a demotion out of the refresh band can schedule the
-        background recompute that rebuilds the raw representation.
+        ``entry`` is the record ``note_read`` just returned for the key
+        being read: one clock reading (``entry.decayed_at``) and one decay
+        serve the count, the classification and the dwell test.  ``params``
+        are the read's own query parameters — handed through to migration
+        so a demotion out of the refresh band can schedule the background
+        recompute that rebuilds the raw representation.
         """
-        now = cached_object.genie.now()
+        key, now = entry.key, entry.decayed_at
         state = self._bands.get(key)
         current = state.band if state is not None else COLD_BAND
-        target = self._classify(key)
+        target = self._classify(entry)
         if target == current:
             # Prune settled cold states so the band map stays bounded by
             # the currently-hot key set (plus keys mid-dwell).
@@ -258,12 +258,7 @@ class AdaptiveStrategy(ConsistencyStrategy):
                     and now - state.since >= self.min_dwell_seconds):
                 del self._bands[key]
             return current
-        if state is not None:
-            since = state.since
-        else:
-            entry = (self.telemetry.get(key)
-                     if self.telemetry is not None else None)
-            since = entry.first_seen if entry is not None else now
+        since = state.since if state is not None else entry.first_seen
         if now - since < self.min_dwell_seconds:
             return current  # hysteresis: not dwelt long enough to switch
         self._switch(cached_object, key, current, target, now, params)
@@ -365,9 +360,8 @@ class AdaptiveStrategy(ConsistencyStrategy):
 
     def fetch(self, cached_object: "CacheClass", key: str,
               params: Dict[str, Any]) -> Any:
-        telemetry = self._ensure_attached(cached_object)
-        telemetry.note_read(key)
-        band = self._reclassify(cached_object, key, params)
+        entry = self._ensure_attached(cached_object).note_read(key)
+        band = self._reclassify(cached_object, entry, params)
         frozen = self._delegate(band).fetch(cached_object, key, params)
         return self._strip_envelope(frozen)
 
@@ -376,9 +370,8 @@ class AdaptiveStrategy(ConsistencyStrategy):
                     ) -> Dict[str, Tuple[Any, bool]]:
         groups: "OrderedDict[str, List[Tuple[CacheClass, str, Dict[str, Any]]]]" = OrderedDict()
         for cached_object, key, params in items:
-            telemetry = self._ensure_attached(cached_object)
-            telemetry.note_read(key)
-            band = self._reclassify(cached_object, key, params)
+            entry = self._ensure_attached(cached_object).note_read(key)
+            band = self._reclassify(cached_object, entry, params)
             groups.setdefault(band, []).append((cached_object, key, params))
         served: Dict[str, Tuple[Any, bool]] = {}
         for band, group in groups.items():

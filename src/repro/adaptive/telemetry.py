@@ -20,12 +20,16 @@ Design constraints, in order:
   its default band anyway.
 * **Cheap.**  Hook points (``CacheClient``, ``TriggerOpQueue``,
   ``RefreshQueue``) are all ``telemetry is None``-guarded, so runs without
-  an adaptive strategy pay one attribute read per hook.
+  an adaptive strategy pay one attribute read per hook; with one, a touch
+  costs a dict lookup and a decay, and an admission at capacity finds its
+  victim through a heap in amortized O(log capacity) — never by scanning
+  the tracked keys (see :meth:`KeyTelemetry._evict_coldest`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from heapq import heappop, heappush, heapreplace
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
 class KeyStats:
@@ -99,6 +103,9 @@ class KeyTelemetry:
         self.capacity = int(capacity)
         self.half_life_seconds = float(half_life_seconds)
         self._entries: Dict[str, KeyStats] = {}
+        #: Eviction index: one ``(traffic when last ranked, key)`` per
+        #: tracked key, a min-heap.  ``len(_heap) == len(_entries)`` always.
+        self._heap: List[Tuple[int, str]] = []
         # Lifetime statistics, for tests and the ablation report.
         self.evictions = 0
         self.total_reads = 0
@@ -124,6 +131,7 @@ class KeyTelemetry:
                 self._evict_coldest()
             entry = KeyStats(key, now)
             self._entries[key] = entry
+            heappush(self._heap, (0, key))
         else:
             self._decay(entry, now)
         return entry
@@ -139,19 +147,38 @@ class KeyTelemetry:
         entry.decayed_at = now
 
     def _evict_coldest(self) -> None:
-        """Drop the least-trafficked key (ties broken by key string)."""
-        victim = min(self._entries.values(),
-                     key=lambda e: (e.traffic, e.key))
-        del self._entries[victim.key]
+        """Drop the least-trafficked key (ties broken by key string).
+
+        The heap ranks each key by the traffic it had when last ranked.
+        Lifetime traffic only grows, so that is a lower bound: an out-of-
+        date top is re-ranked in place, and the first top whose recorded
+        traffic is current is below every other key's bound, hence exactly
+        ``min((traffic, key))`` over the tracked keys.  Each touch outdates
+        at most one heap item, so re-ranking is amortized O(log capacity)
+        per touch.
+        """
+        heap, entries = self._heap, self._entries
+        while True:
+            ranked, key = heap[0]
+            traffic = entries[key].traffic
+            if traffic == ranked:
+                break
+            heapreplace(heap, (traffic, key))
+        heappop(heap)
+        del entries[key]
         self.evictions += 1
 
     # -- hook points -----------------------------------------------------------
 
-    def note_read(self, key: str) -> None:
+    def note_read(self, key: str) -> KeyStats:
+        """Count one read; returns the record, decayed to the clock reading
+        this call took (``decayed_at``) — the read path classifies from it
+        without a second lookup."""
         self.total_reads += 1
         entry = self._entry(key)
         entry.reads += 1
         entry.read_rate += 1.0
+        return entry
 
     def note_write(self, key: str) -> None:
         self.total_writes += 1

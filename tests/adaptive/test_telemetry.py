@@ -1,6 +1,7 @@
 """Unit tests for the bounded, deterministic per-key telemetry."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.adaptive import KeyTelemetry
 
@@ -111,6 +112,70 @@ class TestEviction:
         telemetry.note_read("c")  # evicts "a": lexicographically least
         assert telemetry.get("a") is None
         assert telemetry.get("b") is not None
+
+
+NOTE_HOOKS = ("note_read", "note_write", "note_cas_mismatch", "note_cas_retry",
+              "note_lease_contended", "note_stale", "note_refresh")
+
+
+class ScanEvictingTelemetry(KeyTelemetry):
+    """The reference model: the victim is found by scanning every tracked
+    key for ``min((traffic, key))`` — the rule as specified, and the code
+    the eviction index replaced."""
+
+    def _evict_coldest(self) -> None:
+        victim = min(self._entries.values(), key=lambda e: (e.traffic, e.key))
+        del self._entries[victim.key]
+        self.evictions += 1
+
+
+class TestEvictionIndexMatchesScan:
+    """The heap picks the victim the full scan would, step for step."""
+
+    # Twelve keys at capacities 1-8 always overflow the bound; so few keys
+    # make traffic ties (broken by key string) the common case, and
+    # note_stale / note_refresh / note_cas_* admit entries whose traffic
+    # stays zero.
+    @settings(max_examples=300, deadline=None)
+    @given(capacity=st.integers(1, 8),
+           steps=st.lists(st.tuples(st.sampled_from(NOTE_HOOKS),
+                                    st.sampled_from("abcdefghijkl"),
+                                    st.sampled_from((0.0, 0.5, 3.0))),
+                          max_size=120))
+    def test_same_victims_as_the_scan(self, capacity, steps):
+        clock = ManualClock()
+        indexed = KeyTelemetry(clock, capacity=capacity, half_life_seconds=2.0)
+        scanned = ScanEvictingTelemetry(clock, capacity=capacity,
+                                        half_life_seconds=2.0)
+        for hook, key, elapsed in steps:
+            clock.advance(elapsed)
+            getattr(indexed, hook)(key)
+            getattr(scanned, hook)(key)
+            assert indexed.evictions == scanned.evictions
+            assert indexed.snapshot() == scanned.snapshot()
+            # One heap item per tracked key: the index is bounded like
+            # the entries are (so len(heap) == len(entries) <= capacity).
+            assert (sorted(key for _traffic, key in indexed._heap)
+                    == sorted(indexed._entries))
+            assert len(indexed) <= capacity
+
+    def test_zero_traffic_entry_is_the_first_victim(self, clock):
+        telemetry = KeyTelemetry(clock, capacity=2)
+        telemetry.note_read("a")
+        telemetry.note_stale("z")      # tracked with traffic 0
+        telemetry.note_read("b")       # evicts z, not the lesser key a
+        assert telemetry.get("z") is None
+        assert telemetry.get("a") is not None
+
+    def test_victim_ranked_by_current_not_admission_traffic(self, clock):
+        telemetry = KeyTelemetry(clock, capacity=2)
+        telemetry.note_read("a")       # admitted first ...
+        telemetry.note_read("b")
+        for _ in range(3):
+            telemetry.note_write("a")  # ... but the busier key by now
+        telemetry.note_read("c")
+        assert telemetry.get("b") is None
+        assert telemetry.get("a").traffic == 4
 
 
 class TestSnapshot:

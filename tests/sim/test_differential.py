@@ -19,6 +19,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+from typing import Optional
 
 import pytest
 
@@ -76,6 +77,7 @@ GOLDEN_FINGERPRINTS = {
     "Adaptive/workers=2/random": "e035eadfebf21222928a854ee62a86d19790de3ee9eb5ecd6eb08adef5db3e75",
     "Adaptive/workers=2/adversarial": "11905e17e2a0923f9788f8885ba5e809e693baff194f3bf47fe7679ee2da0cac",
     "Adaptive/workers=2/key-overlap": "11905e17e2a0923f9788f8885ba5e809e693baff194f3bf47fe7679ee2da0cac",
+    "Adaptive/telemetry-capacity=32": "7d0070de886659eccc750a32172e1b81e66ab5638b032a0f60c1db7c3782f55a",
 }
 
 
@@ -152,9 +154,18 @@ ADAPTIVE_WORKLOAD = MIXED_HOT_COLD_WORKLOAD.with_overrides(
     clients=6, sessions_per_client=2, page_loads_per_session=6)
 
 
-def replay_adaptive(workers: int = 1, policy: str = ROUND_ROBIN):
+#: Telemetry bound small enough that the adaptive workload's 118 keys
+#: overflow it: hundreds of evictions, while the hot keys stay tracked and
+#: still switch bands.  (At the default 512 the replay never evicts.)
+EVICTING_TELEMETRY_CAPACITY = 32
+
+
+def replay_adaptive(workers: int = 1, policy: str = ROUND_ROBIN,
+                    telemetry_capacity: Optional[int] = None):
     """One adaptive replay (fresh strategy instance — no cross-run state)."""
     strategy = _ablation_strategy(ADAPTIVE_SCENARIO)
+    if telemetry_capacity is not None:
+        strategy.telemetry_capacity = telemetry_capacity
     total_pages = (ADAPTIVE_WORKLOAD.clients
                    * ADAPTIVE_WORKLOAD.sessions_per_client
                    * ADAPTIVE_WORKLOAD.page_loads_per_session)
@@ -196,6 +207,19 @@ class TestAdaptiveDifferential:
         # keys mid-replay (memos crossing a live band switch).
         assert result.total_counters.band_switches > 0
         assert strategy.switch_log
+
+    def test_golden_with_telemetry_evictions(self):
+        """The victim of every telemetry eviction is pinned: generated at
+        commit 8248c1e from the full ``min((traffic, key))`` scan, before
+        the eviction index replaced it.  A wrong victim changes the tracked
+        set, hence the snapshot, the bands and the counters hashed here."""
+        result, strategy = replay_adaptive(
+            telemetry_capacity=EVICTING_TELEMETRY_CAPACITY)
+        assert (fingerprint_digest(adaptive_fingerprint(result, strategy))
+                == GOLDEN_FINGERPRINTS["Adaptive/telemetry-capacity=32"])
+        assert strategy.telemetry.evictions > 500
+        assert len(result.key_telemetry) == EVICTING_TELEMETRY_CAPACITY
+        assert result.total_counters.band_switches > 0
 
     def test_migrations_convert_cached_values(self):
         """The flash crowd's switches include real representation changes
