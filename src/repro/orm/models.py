@@ -109,7 +109,7 @@ class Model(metaclass=ModelBase):
     def __init__(self, **kwargs: Any) -> None:
         self._state_adding = True
         meta = self._meta
-        for field in meta.concrete_fields():
+        for field in meta.fields:
             setattr(self, field.attname, field.get_default())
         for key, value in kwargs.items():
             if meta.has_field(key):
@@ -122,7 +122,7 @@ class Model(metaclass=ModelBase):
                     setattr(self, key, value)  # descriptor handles instance/pk
                 else:
                     setattr(self, field.attname, value)
-            elif any(f.attname == key for f in meta.concrete_fields()):
+            elif any(f.attname == key for f in meta.fields):
                 setattr(self, key, value)
             else:
                 raise ModelError(
@@ -157,7 +157,7 @@ class Model(metaclass=ModelBase):
     def _column_values(self, *, include_pk: bool) -> Dict[str, Any]:
         values: Dict[str, Any] = {}
         clock = self._meta.registry.clock
-        for field in self._meta.concrete_fields():
+        for field in self._meta.fields:
             if field.primary_key and not include_pk:
                 continue
             value = getattr(self, field.attname, None)
@@ -204,21 +204,22 @@ class Model(metaclass=ModelBase):
         return self
 
     def _load_row(self, row: Dict[str, Any]) -> None:
-        for field in self._meta.concrete_fields():
-            setattr(self, field.attname, row.get(field.column))
-        self._state_adding = False
+        # Attnames are plain instance attributes (the ForeignKey descriptor
+        # lives on the field *name*), so the instance dict is filled directly.
+        state = self.__dict__
+        for attname, column in self._meta.attname_columns:
+            state[attname] = row.get(column)
+        state["_state_adding"] = False
 
     @classmethod
     def _from_db(cls, row: Dict[str, Any]) -> "Model":
         """Build an instance from a raw storage row (no validation)."""
         instance = cls.__new__(cls)
-        instance._state_adding = False
         instance._load_row(row)
         return instance
 
     def to_dict(self) -> Dict[str, Any]:
         """Return the instance's column values as a plain dict."""
-        return {
-            field.column: getattr(self, field.attname, None)
-            for field in self._meta.concrete_fields()
-        }
+        state = self.__dict__
+        return {column: state.get(attname)
+                for attname, column in self._meta.attname_columns}

@@ -7,7 +7,7 @@ tables — the equivalent of Django's ``Options`` + ``syncdb`` DDL generation.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from ..errors import FieldError, ModelError
 from ..storage.schema import ColumnDef, IndexDef, TableSchema
@@ -31,6 +31,10 @@ class Options:
         self.fields_by_name: Dict[str, Field] = {}
         self.m2m_fields: List[ManyToManyField] = []
         self.pk: Optional[Field] = None
+        #: ``(instance attribute, storage column)`` of every concrete field:
+        #: what loading a row into an instance (and reading it back) walks.
+        self.attname_columns: Tuple[Tuple[str, str], ...] = ()
+        self._filter_targets: Dict[str, Tuple[str, Optional[ForeignKey]]] = {}
 
     # -- field management -----------------------------------------------------
 
@@ -40,10 +44,12 @@ class Options:
                 f"duplicate field {field.name!r} on model {self.model.__name__}"
             )
         self.fields_by_name[field.name] = field
+        self._filter_targets.clear()
         if isinstance(field, ManyToManyField):
             self.m2m_fields.append(field)
             return
         self.fields.append(field)
+        self.attname_columns += ((field.attname, field.column),)
         if field.primary_key:
             if self.pk is not None:
                 raise ModelError(
@@ -85,6 +91,18 @@ class Options:
             if field.attname == name or field.column == name:
                 return field.column
         raise FieldError(f"model {self.model.__name__} has no field {name!r}")
+
+    def filter_target(self, name: str) -> Tuple[str, Optional[ForeignKey]]:
+        """Resolve a filter/update keyword to its storage column, plus the
+        ForeignKey when ``name`` is a relation (whose value may be a model
+        instance to unwrap).  Memoised per model."""
+        target = self._filter_targets.get(name)
+        if target is None:
+            field = self.fields_by_name.get(name)
+            target = (self.column_for(name),
+                      field if isinstance(field, ForeignKey) else None)
+            self._filter_targets[name] = target
+        return target
 
     # -- schema generation ----------------------------------------------------
 

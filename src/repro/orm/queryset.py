@@ -23,7 +23,6 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 from ..errors import DoesNotExist, FieldError, MultipleObjectsReturned, TemplateError
 from ..storage.predicates import predicate_from_filters
 from ..storage.query import CountQuery, OrderBy, SelectQuery
-from .fields import ForeignKey, ManyToManyField
 from .template import (ChainStep, Param, QueryTemplate, coerce_chain_step,
                        resolve_chain_models)
 
@@ -68,6 +67,10 @@ class QuerySet:
         self._bypass_cache = False
         #: Relationship hops added by through(); makes this a template.
         self._through_steps: List[ChainStep] = []
+        #: True when this queryset declares a shape instead of fetching rows
+        #: (a Param placeholder or a through() step).  Decided as filters and
+        #: steps are added, so terminals only read it.
+        self.is_template = False
 
     # -- chaining helpers ------------------------------------------------------
 
@@ -81,6 +84,7 @@ class QuerySet:
         clone._values_mode = list(self._values_mode) if self._values_mode else None
         clone._bypass_cache = self._bypass_cache
         clone._through_steps = list(self._through_steps)
+        clone.is_template = self.is_template
         return clone
 
     def filter(self, **kwargs: Any) -> "QuerySet":
@@ -90,7 +94,7 @@ class QuerySet:
                 "filter() must come before through(); chained models cannot "
                 "be filtered in a cacheable template")
         clone = self._clone()
-        clone._filters.update(self._normalize_filters(kwargs))
+        clone._filters.update(clone._normalize_filters(kwargs))
         return clone
 
     def exclude(self, **kwargs: Any) -> "QuerySet":
@@ -98,7 +102,7 @@ class QuerySet:
         if self._through_steps:
             raise TemplateError("exclude() cannot follow through()")
         clone = self._clone()
-        clone._excludes.append(self._normalize_filters(kwargs))
+        clone._excludes.append(clone._normalize_filters(kwargs))
         return clone
 
     def order_by(self, *names: str) -> "QuerySet":
@@ -128,6 +132,7 @@ class QuerySet:
         """
         clone = self._clone()
         clone._through_steps.extend(coerce_chain_step(step) for step in steps)
+        clone.is_template = True
         # Resolve eagerly so a typo in a field/model name fails right here.
         resolve_chain_models(self.model, tuple(clone._through_steps))
         return clone
@@ -151,16 +156,22 @@ class QuerySet:
         """Return dictionaries instead of model instances."""
         clone = self._clone()
         columns = [self.model._meta.column_for(f) for f in fields] if fields else None
-        clone._values_mode = columns or [f.column for f in self.model._meta.concrete_fields()]
+        clone._values_mode = columns or [f.column for f in self.model._meta.fields]
         return clone
 
     def __getitem__(self, item):
         if isinstance(item, slice):
+            # Compose with the window already in force: the new one is
+            # taken *inside* it, so it can only shrink what remains.
             clone = self._clone()
             start = item.start or 0
             clone._offset = self._offset + start
-            if item.stop is not None:
-                clone._limit = item.stop - start
+            limit = None if item.stop is None else item.stop - start
+            if self._limit is not None:
+                remaining = self._limit - start
+                limit = remaining if limit is None else min(limit, remaining)
+            if limit is not None:
+                clone._limit = max(limit, 0)
             return clone
         results = self._fetch_all()
         return results[item]
@@ -168,23 +179,22 @@ class QuerySet:
     # -- filter normalization --------------------------------------------------
 
     def _normalize_filters(self, kwargs: Dict[str, Any]) -> Dict[str, Any]:
-        """Resolve field names to storage columns, keeping lookup suffixes."""
+        """Resolve field names to storage columns, keeping lookup suffixes.
+
+        A :class:`Param` value marks this queryset as a template.
+        """
         normalized: Dict[str, Any] = {}
-        meta = self.model._meta
+        filter_target = self.model._meta.filter_target
         for key, value in kwargs.items():
             name, sep, suffix = key.partition("__")
             if suffix and suffix not in _FILTER_SUFFIXES:
                 # Treat unknown suffix as part of a related lookup we don't support.
                 raise FieldError(f"unsupported lookup {key!r}")
-            if meta.has_field(name):
-                field_obj = meta.get_field(name)
-                if isinstance(field_obj, ManyToManyField):
-                    raise FieldError(f"cannot filter on ManyToManyField {name!r}")
-                column = field_obj.column
-                if isinstance(field_obj, ForeignKey):
-                    value = field_obj.get_prep_value(value) if not suffix or suffix == "exact" else value
-            else:
-                column = meta.column_for(name)
+            column, foreign_key = filter_target(name)
+            if foreign_key is not None and (not suffix or suffix == "exact"):
+                value = foreign_key.get_prep_value(value)
+            if isinstance(value, Param):
+                self.is_template = True
             normalized[column + (sep + suffix if suffix else "")] = value
         return normalized
 
@@ -200,17 +210,6 @@ class QuerySet:
 
     # -- template detection -----------------------------------------------------
 
-    def _has_params(self) -> bool:
-        if any(isinstance(v, Param) for v in self._filters.values()):
-            return True
-        return any(isinstance(v, Param)
-                   for excl in self._excludes for v in excl.values())
-
-    @property
-    def is_template(self) -> bool:
-        """True when this queryset declares a shape instead of fetching rows."""
-        return self._has_params() or bool(self._through_steps)
-
     def _require_executable(self, operation: str) -> None:
         if self.is_template:
             raise TemplateError(
@@ -225,7 +224,7 @@ class QuerySet:
         return self.model._meta.registry
 
     def _describe(self, kind: str) -> Optional[QueryDescription]:
-        if self._excludes or self._values_mode or self.is_template:
+        if self._excludes or self._values_mode:
             return None
         equalities = self._equality_only_filters()
         if equalities is None:
@@ -259,16 +258,17 @@ class QuerySet:
         if self._result_cache is not None:
             return self._result_cache
         self._require_executable("execute")
+        registry = self._registry
 
-        if not self._bypass_cache:
+        if registry.interceptors and not self._bypass_cache:
             description = self._describe("select")
             if description is not None:
-                handled, rows = self._registry.intercept(description)
+                handled, rows = registry.intercept(description)
                 if handled:
                     self._result_cache = self._rows_to_results(rows)
                     return self._result_cache
 
-        rows = self._registry.db.select(self._compile_select())
+        rows = registry.db.select(self._compile_select())
         rows = self._apply_excludes(rows)
         self._result_cache = self._rows_to_results(rows)
         return self._result_cache
@@ -276,7 +276,8 @@ class QuerySet:
     def _rows_to_results(self, rows: List[Dict[str, Any]]) -> List[Any]:
         if self._values_mode is not None:
             return [{col: row.get(col) for col in self._values_mode} for row in rows]
-        return [self.model._from_db(row) for row in rows]
+        from_db = self.model._from_db
+        return [from_db(row) for row in rows]
 
     # -- public terminal operations ---------------------------------------------
 
@@ -322,10 +323,11 @@ class QuerySet:
         """
         if self.is_template:
             return QueryTemplate.from_queryset(self, kind="count")
-        if not self._bypass_cache:
+        registry = self._registry
+        if registry.interceptors and not self._bypass_cache:
             description = self._describe("count")
             if description is not None:
-                handled, value = self._registry.intercept(description)
+                handled, value = registry.intercept(description)
                 if handled:
                     return int(value)
         if self._excludes:
@@ -334,7 +336,7 @@ class QuerySet:
             table=self.model._meta.db_table,
             predicate=predicate_from_filters(self._filters),
         )
-        return self._registry.db.count(query)
+        return registry.db.count(query)
 
     # -- bulk writes -------------------------------------------------------------
 
@@ -344,12 +346,10 @@ class QuerySet:
         changes: Dict[str, Any] = {}
         meta = self.model._meta
         for key, value in kwargs.items():
-            field_obj = meta.get_field(key) if meta.has_field(key) else None
-            if field_obj is not None and isinstance(field_obj, ForeignKey):
-                value = field_obj.get_prep_value(value)
-                changes[field_obj.column] = value
-            else:
-                changes[meta.column_for(key)] = value
+            column, foreign_key = meta.filter_target(key)
+            if foreign_key is not None:
+                value = foreign_key.get_prep_value(value)
+            changes[column] = value
         rows = self._registry.db.update(
             meta.db_table, changes,
             predicate=predicate_from_filters(self._filters),

@@ -121,16 +121,10 @@ class Database:
                predicate: Optional[Predicate] = None) -> List[Dict[str, Any]]:
         """Update matching rows; fires triggers; returns the new row versions."""
         with self.transactions.statement(wrote=True):
-            pred = self._predicate(where, predicate)
-            tbl = self.table(table)
-            # Capture pre-images for undo before execution.
-            pre_images = {
-                row.rowid: row.to_dict()
-                for row in tbl.scan() if pred.matches(row)
-            } if self.transactions.in_transaction else {}
-            result = self.executor.update(
-                UpdateQuery(table=table, changes=changes, predicate=pred))
-            if pre_images:
+            pre_images, result = self.executor.update(UpdateQuery(
+                table=table, changes=changes,
+                predicate=self._predicate(where, predicate)))
+            if pre_images and self.transactions.in_transaction:
                 self._register_update_undo(table, pre_images)
         return result
 
@@ -138,9 +132,9 @@ class Database:
                predicate: Optional[Predicate] = None) -> List[Dict[str, Any]]:
         """Delete matching rows; fires triggers; returns the deleted rows."""
         with self.transactions.statement(wrote=True):
-            pred = self._predicate(where, predicate)
-            result = self.executor.delete(DeleteQuery(table=table, predicate=pred))
-            for values in result:
+            pre_images, result = self.executor.delete(DeleteQuery(
+                table=table, predicate=self._predicate(where, predicate)))
+            for values in pre_images:
                 self._register_delete_undo(table, values)
         return result
 
@@ -230,12 +224,15 @@ class Database:
 
         self.transactions.record_undo(undo, f"undo insert into {table} pk={pk}")
 
-    def _register_update_undo(self, table: str, pre_images: Dict[int, Dict[str, Any]]) -> None:
+    def _register_update_undo(self, table: str,
+                              pre_images: List[Dict[str, Any]]) -> None:
+        """``pre_images`` are the stored dicts the UPDATE displaced: nothing
+        mutates them, and finding them charged nothing beyond the statement."""
         tbl = self.table(table)
         pk_col = tbl.schema.primary_key
 
         def undo() -> None:
-            for _rowid, old_values in pre_images.items():
+            for old_values in pre_images:
                 restore = {k: v for k, v in old_values.items() if k != pk_col}
                 rowids = tbl.primary_index.lookup(old_values[pk_col])
                 for rowid in rowids:

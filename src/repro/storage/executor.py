@@ -5,18 +5,30 @@ planner for an access path on the base table, applies predicates, executes
 inner equi-joins as index nested-loop joins, sorts, limits, and returns plain
 dictionaries.  All physical work is charged to the database's event recorder
 so the cost model can convert it into simulated service time.
+
+Every statement kind runs through one path: :meth:`Executor._batches` yields
+candidate rows as ``(rowid, stored values)`` pairs, one list per heap fetch,
+and :meth:`Executor._scan` filters them with the predicate compiled once.
+Stored dicts are looked at in place and copied once, when a row leaves the
+engine (:mod:`repro.storage.rows`).  ``rows_scanned`` / ``rows_returned`` are
+counted in locals and charged once per scan, **before control leaves the
+scan** — before a trigger can fire or a checkpoint can hand off to another
+worker — so they land in the measurement scope a per-row charge would have hit.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set
+from itertools import chain
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..errors import PlannerError, TableNotFoundError
-from .planner import AccessPath, IndexLookup, IndexRange, PkLookup, SeqScan, plan_access
-from .predicates import ALWAYS_TRUE, Predicate
+from ..errors import TableNotFoundError
+from .planner import AccessPath, IndexLookup, IndexRange, PkLookup, plan_access
+from .predicates import ALWAYS_TRUE
 from .query import CountQuery, DeleteQuery, InsertQuery, Join, SelectQuery, UpdateQuery
-from .rows import Row
 from .table import Table
+
+Candidate = Tuple[int, Dict[str, Any]]     # (rowid, stored values)
+RowCheck = Optional[Callable[[Dict[str, Any]], bool]]
 
 
 class Executor:
@@ -34,58 +46,77 @@ class Executor:
         except KeyError:
             raise TableNotFoundError(f"table {name!r} does not exist") from None
 
-    def _base_rows(self, table: Table, query, path: AccessPath) -> Iterator[Row]:
-        """Produce candidate rows of the base table for the chosen access path."""
-        if isinstance(path, PkLookup):
-            row = table.fetch_by_pk(path.value)
-            return iter([row] if row is not None else [])
-        if isinstance(path, IndexLookup):
-            rowids = path.index.lookup(path.value)
-            return iter(table.fetch_rows(rowids))
-        if isinstance(path, IndexRange):
-            def generate() -> Iterator[Row]:
-                for _key, rowids in path.index.range(
-                    path.low, path.high,
-                    reverse=path.reverse,
-                    include_low=path.include_low,
-                    include_high=path.include_high,
-                ):
-                    for row in table.fetch_rows(rowids):
-                        yield row
-            return generate()
-        if isinstance(path, SeqScan):
-            return table.scan()
-        raise PlannerError(f"unknown access path {path!r}")  # pragma: no cover
+    def _open(self, query) -> Tuple[Table, AccessPath, Iterable[List[Candidate]], RowCheck]:
+        """Charge one statement and open the scan of its base table."""
+        self._recorder.record("statements")
+        table = self._table(query.table)
+        path = plan_access(table, query)
+        return table, path, self._batches(table, path), query.predicate.compile()
 
-    def _filter(self, rows: Iterable[Row], predicate: Predicate) -> Iterator[Row]:
-        for row in rows:
-            self._recorder.record("rows_scanned")
-            if predicate.matches(row):
-                yield row
+    def _batches(self, table: Table, path: AccessPath) -> Iterable[List[Candidate]]:
+        """Candidate rows of the base table for the chosen access path, one
+        list per heap fetch.  Range and sequential scans stay lazy: pages are
+        touched only as far as the consumer pulls."""
+        if isinstance(path, PkLookup):
+            return (table.fetch_rows(table.primary_index.lookup(path.value)),)
+        if isinstance(path, IndexLookup):
+            return (table.fetch_rows(path.index.lookup(path.value)),)
+        if isinstance(path, IndexRange):
+            return (table.fetch_rows(rowids) for _key, rowids in path.index.range(
+                path.low, path.high, reverse=path.reverse,
+                include_low=path.include_low, include_high=path.include_high))
+        return table.scan()
+
+    def _scan(self, batches: Iterable[List[Candidate]], match: RowCheck,
+              stop_at: Optional[int] = None) -> List[Candidate]:
+        """The candidates that pass ``match``, charging ``rows_scanned`` once.
+
+        With ``stop_at`` (the access path already yields the final order) the
+        scan stops pulling at that many matches, and charges exactly the rows
+        it pulled — not the rest of the batch it fetched.
+        """
+        scanned = 0
+        found: List[Candidate] = []
+        if stop_at is None:
+            for batch in batches:
+                scanned += len(batch)
+                found += (batch if match is None else
+                          [pair for pair in batch if match(pair[1])])
+        else:
+            for pair in chain.from_iterable(batches):
+                scanned += 1
+                if match is None or match(pair[1]):
+                    found.append(pair)
+                    if len(found) >= stop_at:
+                        break
+        self._recorder.record("rows_scanned", scanned)
+        return found
 
     # -- joins ----------------------------------------------------------------
 
-    def _execute_joins(
-        self,
-        base_table: Table,
-        base_rows: Iterable[Row],
-        query: SelectQuery,
-    ) -> Iterator[Dict[str, Row]]:
-        """Run the join chain, yielding {table_name: row} binding maps."""
-        bindings: Iterator[Dict[str, Row]] = ({base_table.name: row} for row in base_rows)
+    def _joined_rows(self, batches: Iterable[List[Candidate]], match: RowCheck,
+                     query: SelectQuery) -> Iterator[Dict[str, Any]]:
+        """Run the join chain depth-first (one base batch at a time, so heap
+        pages are touched in nested-loop order), yielding the stored values of
+        the result table's row for every surviving binding."""
+        bindings: Iterator[Dict[str, Dict[str, Any]]] = (
+            {query.table: values}
+            for batch in batches for _rowid, values in self._scan((batch,), match))
         for join in query.joins:
             self._recorder.record("joins")
             bindings = self._join_step(bindings, join, query)
-        return bindings
+        result_table = query.result_table
+        return (binding[result_table] for binding in bindings
+                if result_table in binding)
 
     def _join_step(
         self,
-        bindings: Iterator[Dict[str, Row]],
+        bindings: Iterator[Dict[str, Dict[str, Any]]],
         join: Join,
         query: SelectQuery,
-    ) -> Iterator[Dict[str, Row]]:
+    ) -> Iterator[Dict[str, Dict[str, Any]]]:
         right_table = self._table(join.right_table)
-        right_predicate = query.join_predicates.get(join.right_table, ALWAYS_TRUE)
+        match = query.join_predicates.get(join.right_table, ALWAYS_TRUE).compile()
         index = right_table.index_for_column(join.right_column)
         for binding in bindings:
             left_row = binding.get(join.left_table)
@@ -95,41 +126,21 @@ class Executor:
             if left_value is None:
                 continue
             if index is not None:
-                rowids = index.lookup(left_value)
-                matches = right_table.fetch_rows(rowids)
+                probe = (right_table.fetch_rows(index.lookup(left_value)),)
             else:
-                matches = [
-                    row for row in right_table.scan()
-                    if row.get(join.right_column) == left_value
-                ]
-            for right_row in matches:
-                self._recorder.record("rows_scanned")
-                if right_predicate.matches(right_row):
-                    new_binding = dict(binding)
-                    new_binding[join.right_table] = right_row
-                    yield new_binding
+                probe = ([pair for pair in page
+                          if pair[1].get(join.right_column) == left_value]
+                         for page in right_table.scan())
+            for _rowid, right_row in self._scan(probe, match):
+                yield {**binding, join.right_table: right_row}
 
     # -- SELECT ---------------------------------------------------------------
 
     def select(self, query: SelectQuery) -> List[Dict[str, Any]]:
         """Execute a SELECT and return a list of result-row dictionaries."""
-        self._recorder.record("statements")
-        base_table = self._table(query.table)
-        path = plan_access(base_table, query)
-        base_rows = self._filter(self._base_rows(base_table, query, path), query.predicate)
-
-        if query.joins:
-            bindings = self._execute_joins(base_table, base_rows, query)
-            result_table = query.result_table
-            rows = (binding[result_table] for binding in bindings
-                    if result_table in binding)
-        else:
-            rows = base_rows
-
-        materialized: List[Dict[str, Any]] = []
-        seen_keys: Set[Any] = set()
-        result_table_name = query.result_table
-        result_schema = self._table(result_table_name).schema
+        _table, path, batches, match = self._open(query)
+        record = self._recorder.record
+        limit, offset = query.limit, query.offset
 
         ordered_by_path = (
             isinstance(path, IndexRange)
@@ -138,70 +149,61 @@ class Executor:
             and query.order_by[0].column == path.index.columns[0]
             and query.order_by[0].descending == path.reverse
         )
-
-        for row in rows:
-            values = row.to_dict()
-            if query.distinct:
-                key = tuple(values.get(c) for c in (query.columns or result_schema.column_names))
-                if key in seen_keys:
-                    continue
-                seen_keys.add(key)
-            materialized.append(values)
-            self._recorder.record("rows_returned")
+        if query.joins:
+            rows = list(self._joined_rows(batches, match, query))
+        else:
             # Early exit when the access path already yields the right order.
-            if ordered_by_path and query.limit is not None and not query.distinct:
-                if len(materialized) >= query.limit + query.offset:
-                    break
+            stop_at = (limit + offset if ordered_by_path and limit is not None
+                       and not query.distinct else None)
+            rows = [values for _rowid, values in self._scan(batches, match, stop_at)]
+
+        if query.distinct:
+            columns = (query.columns
+                       or self._table(query.result_table).schema.column_names)
+            unique: Dict[Any, Dict[str, Any]] = {}
+            for values in rows:
+                unique.setdefault(tuple(values.get(c) for c in columns), values)
+            rows = list(unique.values())
+        record("rows_returned", len(rows))
 
         if query.order_by and not ordered_by_path:
-            self._recorder.record("sorts")
-            self._recorder.record("sorted_rows", len(materialized))
+            record("sorts")
+            record("sorted_rows", len(rows))
             for term in reversed(query.order_by):
-                materialized.sort(
+                rows.sort(
                     key=lambda r, c=term.column: (r.get(c) is None, r.get(c)),
                     reverse=term.descending,
                 )
 
-        if query.offset:
-            materialized = materialized[query.offset:]
-        if query.limit is not None:
-            materialized = materialized[: query.limit]
+        if offset:
+            rows = rows[offset:]
+        if limit is not None:
+            rows = rows[:limit]
 
+        # The one copy: only the rows that leave the engine are materialized.
         if query.columns is not None:
-            materialized = [
-                {col: row.get(col) for col in query.columns} for row in materialized
-            ]
-        return materialized
+            return [{col: row.get(col) for col in query.columns} for row in rows]
+        return [dict(row) for row in rows]
 
     # -- COUNT ----------------------------------------------------------------
 
     def count(self, query: CountQuery) -> int:
         """Execute a COUNT(*) query."""
-        self._recorder.record("statements")
-        base_table = self._table(query.table)
-        path = plan_access(base_table, query)
-        base_rows = self._filter(self._base_rows(base_table, query, path), query.predicate)
-
+        _table, _path, batches, match = self._open(query)
+        column = query.distinct_column
         if not query.joins:
-            if query.distinct_column:
-                return len({row.get(query.distinct_column) for row in base_rows})
-            return sum(1 for _ in base_rows)
-
-        select_equivalent = SelectQuery(
+            found = self._scan(batches, match)
+            if column:
+                return len({values.get(column) for _rowid, values in found})
+            return len(found)
+        rows = self._joined_rows(batches, match, SelectQuery(
             table=query.table,
-            predicate=query.predicate,
             join_predicates=query.join_predicates,
             joins=query.joins,
-        )
-        bindings = self._execute_joins(base_table, base_rows, select_equivalent)
-        if query.distinct_column:
-            result_table = select_equivalent.result_table
-            values = {
-                binding[result_table].get(query.distinct_column)
-                for binding in bindings if result_table in binding
-            }
-            return len(values)
-        return sum(1 for _ in bindings)
+        ))
+        if column:
+            return len({values.get(column) for values in rows})
+        return sum(1 for _ in rows)
 
     # -- DML ------------------------------------------------------------------
 
@@ -212,26 +214,24 @@ class Executor:
         row = table.insert(query.values)
         return row.to_dict()
 
-    def update(self, query: UpdateQuery) -> List[Dict[str, Any]]:
-        """Execute an UPDATE; returns the new versions of all affected rows."""
-        self._recorder.record("statements")
-        table = self._table(query.table)
-        path = plan_access(table, SelectQuery(table=query.table, predicate=query.predicate))
-        victims = list(self._filter(self._base_rows(table, query, path), query.predicate))
-        results: List[Dict[str, Any]] = []
-        for row in victims:
-            _old, new = table.update_row(row.rowid, query.changes)
-            results.append(new.to_dict())
-        return results
+    def _victims(self, query) -> Tuple[Table, List[int]]:
+        """The table and the row ids an UPDATE/DELETE applies to.  The scan
+        is charged here, before the first trigger can fire."""
+        table, _path, batches, match = self._open(query)
+        return table, [rowid for rowid, _values in self._scan(batches, match)]
 
-    def delete(self, query: DeleteQuery) -> List[Dict[str, Any]]:
-        """Execute a DELETE; returns the deleted rows."""
-        self._recorder.record("statements")
-        table = self._table(query.table)
-        path = plan_access(table, SelectQuery(table=query.table, predicate=query.predicate))
-        victims = list(self._filter(self._base_rows(table, query, path), query.predicate))
-        results: List[Dict[str, Any]] = []
-        for row in victims:
-            deleted = table.delete_row(row.rowid)
-            results.append(deleted.to_dict())
-        return results
+    def update(self, query: UpdateQuery
+               ) -> Tuple[List[Dict[str, Any]], List[Dict[str, Any]]]:
+        """Execute an UPDATE; returns (pre-images, new versions) of all
+        affected rows.  The pre-images are the displaced stored dicts — the
+        engine's own, for undo; the new versions are the caller's copies."""
+        table, rowids = self._victims(query)
+        images = [table.update_row(rowid, query.changes) for rowid in rowids]
+        return [old for old, _new in images], [dict(new) for _old, new in images]
+
+    def delete(self, query: DeleteQuery
+               ) -> Tuple[List[Dict[str, Any]], List[Dict[str, Any]]]:
+        """Execute a DELETE; returns (pre-images, copies) of the deleted rows."""
+        table, rowids = self._victims(query)
+        olds = [table.delete_row(rowid) for rowid in rowids]
+        return olds, [dict(old) for old in olds]

@@ -9,7 +9,7 @@ cost model meaningful.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Tuple
 
 from ..errors import RowNotFoundError
 from .bufferpool import BufferPool
@@ -62,6 +62,8 @@ class HeapFile:
         return self._allocate_page()
 
     # -- mutations ------------------------------------------------------------
+    # A values dict is never mutated once stored (:mod:`repro.storage.rows`):
+    # reads hand out stored dicts in place, whoever lets one leave copies it.
 
     def insert(self, values: Dict[str, Any]) -> Row:
         """Append a row and return it (with its new rowid)."""
@@ -74,52 +76,49 @@ class HeapFile:
         self._page_free[page_no] -= width
         self._page_rows[page_no].append(rowid)
         self.buffer_pool.access(self.schema.name, page_no, dirty=True)
-        return Row(rowid, dict(stored))
+        return Row(rowid, stored)
 
-    def update(self, rowid: int, changes: Dict[str, Any]) -> Tuple[Row, Row]:
-        """Apply ``changes`` to a row.  Returns (old_row, new_row)."""
+    def _entry(self, rowid: int) -> Tuple[int, Dict[str, Any]]:
         try:
-            page_no, stored = self._rows[rowid]
+            return self._rows[rowid]
         except KeyError:
             raise RowNotFoundError(
                 f"table {self.schema.name!r} has no row id {rowid}"
             ) from None
-        old = Row(rowid, dict(stored))
-        stored.update(changes)
+
+    def update(self, rowid: int,
+               changes: Dict[str, Any]) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+        """Install ``{**stored, **changes}``.  Returns the (displaced, installed)
+        stored images: the displaced dict is the row's pre-image."""
+        page_no, old = self._entry(rowid)
+        new = {**old, **changes}
+        self._rows[rowid] = (page_no, new)
         self.buffer_pool.access(self.schema.name, page_no, dirty=True)
-        return old, Row(rowid, dict(stored))
+        return old, new
 
-    def delete(self, rowid: int) -> Row:
-        """Remove a row.  Returns the deleted row."""
-        try:
-            page_no, stored = self._rows.pop(rowid)
-        except KeyError:
-            raise RowNotFoundError(
-                f"table {self.schema.name!r} has no row id {rowid}"
-            ) from None
+    def delete(self, rowid: int) -> Dict[str, Any]:
+        """Remove a row.  Returns its (no longer stored) values."""
+        page_no, stored = self._entry(rowid)
+        del self._rows[rowid]
         try:
             self._page_rows[page_no].remove(rowid)
         except ValueError:  # pragma: no cover - defensive
             pass
         self.buffer_pool.access(self.schema.name, page_no, dirty=True)
-        return Row(rowid, dict(stored))
+        return stored
 
     # -- reads ----------------------------------------------------------------
 
     def fetch(self, rowid: int) -> Row:
         """Fetch one row by rowid, charging a page access."""
-        try:
-            page_no, stored = self._rows[rowid]
-        except KeyError:
-            raise RowNotFoundError(
-                f"table {self.schema.name!r} has no row id {rowid}"
-            ) from None
+        page_no, stored = self._entry(rowid)
         self.buffer_pool.access(self.schema.name, page_no)
-        return Row(rowid, dict(stored))
+        return Row(rowid, stored)
 
-    def fetch_many(self, rowids: Iterator[int]) -> List[Row]:
-        """Fetch several rows, charging one page access per distinct page."""
-        rows: List[Row] = []
+    def fetch_many(self, rowids: Iterable[int]) -> List[Tuple[int, Dict[str, Any]]]:
+        """``(rowid, stored values)`` of several rows, charging one page
+        access per distinct page."""
+        rows: List[Tuple[int, Dict[str, Any]]] = []
         touched: set = set()
         for rowid in rowids:
             try:
@@ -129,28 +128,20 @@ class HeapFile:
             if page_no not in touched:
                 self.buffer_pool.access(self.schema.name, page_no)
                 touched.add(page_no)
-            rows.append(Row(rowid, dict(stored)))
+            rows.append((rowid, stored))
         return rows
 
     def exists(self, rowid: int) -> bool:
         return rowid in self._rows
 
-    def scan(self) -> Iterator[Row]:
-        """Full scan in page order, charging one access per page."""
+    def scan(self) -> Iterator[List[Tuple[int, Dict[str, Any]]]]:
+        """Full scan in page order: the ``(rowid, stored values)`` of one
+        non-empty page at a time, charging one access per page."""
+        rows = self._rows
         for page_no, rowids in enumerate(self._page_rows):
-            if not rowids:
-                continue
-            self.buffer_pool.access(self.schema.name, page_no)
-            for rowid in list(rowids):
-                entry = self._rows.get(rowid)
-                if entry is None:
-                    continue
-                yield Row(rowid, dict(entry[1]))
-
-    def peek(self, rowid: int) -> Optional[Dict[str, Any]]:
-        """Return a row's values without charging any cost (internal use)."""
-        entry = self._rows.get(rowid)
-        return dict(entry[1]) if entry else None
+            if rowids:
+                self.buffer_pool.access(self.schema.name, page_no)
+                yield [(rowid, rows[rowid][1]) for rowid in rowids]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -9,7 +9,8 @@ boolean combinators.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from ..errors import PlannerError
 
@@ -20,6 +21,15 @@ class Predicate:
     def matches(self, row: Mapping[str, Any]) -> bool:
         """Return True if ``row`` satisfies this predicate."""
         raise NotImplementedError
+
+    def compile(self) -> Optional[Callable[[Dict[str, Any]], bool]]:
+        """Return this predicate as a one-argument check over a plain row
+        dict, built once per statement and called once per candidate row.
+
+        ``None`` means "no filter".  Equality and conjunctions of equalities
+        become a single closure; every other node is its own ``matches``.
+        """
+        return self.matches
 
     def columns(self) -> List[str]:
         """Return the column names this predicate references."""
@@ -52,6 +62,9 @@ class TruePredicate(Predicate):
 
     def matches(self, row: Mapping[str, Any]) -> bool:
         return True
+
+    def compile(self) -> None:
+        return None
 
     def columns(self) -> List[str]:
         return []
@@ -87,6 +100,12 @@ class Comparison(Predicate):
         if actual is None and self.op in ("=", "<", "<=", ">", ">="):
             return False
         return self.OPS[self.op](actual, self.value)
+
+    def compile(self) -> Callable[[Dict[str, Any]], bool]:
+        if self.op != "=" or self.value is None:  # ``= NULL`` matches nothing
+            return self.matches
+        column, value = self.column, self.value
+        return lambda row: row.get(column) == value
 
     def columns(self) -> List[str]:
         return [self.column]
@@ -182,6 +201,20 @@ class And(Predicate):
 
     def matches(self, row: Mapping[str, Any]) -> bool:
         return all(child.matches(row) for child in self.children)
+
+    def compile(self) -> Callable[[Dict[str, Any]], bool]:
+        pairs = [(child.column, child.value) for child in self.children
+                 if isinstance(child, Comparison) and child.op == "="
+                 and child.value is not None]
+        if len(pairs) < len(self.children):
+            return self.matches
+
+        def check(row: Dict[str, Any]) -> bool:
+            for column, value in pairs:
+                if not row.get(column) == value:
+                    return False
+            return True
+        return check
 
     def columns(self) -> List[str]:
         out: List[str] = []

@@ -1,8 +1,17 @@
 """Row representation used throughout the storage engine.
 
-Rows are immutable-ish mappings of column name to value plus a ``rowid``
-assigned by the heap.  Query results hand plain dicts back to callers so that
-application code (and cached values) never alias live storage.
+The engine's ownership rule: **a values dict is never mutated once stored**.
+An UPDATE installs a new dict and the displaced one becomes the old image, so
+every read inside the engine — scans, index fetches, join probes, predicates —
+looks at stored dicts in place, and exactly one ``dict()`` is made per row that
+*leaves* it (SELECT results, DML return values, the ``new``/``old`` a trigger
+receives, :meth:`Row.to_dict`).  Application code and cached values never
+alias live storage; rows that fail a predicate or are only counted are never
+copied.
+
+A :class:`Row` is a read-only view of one stored dict plus its heap ``rowid``,
+used only where the row id is needed; it keeps showing the values it was
+created over even after the row is updated or deleted.
 """
 
 from __future__ import annotations
@@ -13,9 +22,9 @@ from typing import Any, Dict, Iterator, Mapping
 class Row(Mapping[str, Any]):
     """A stored row: column values plus the heap row id.
 
-    The class implements the ``Mapping`` protocol so that executor code and
-    triggers can treat rows like dictionaries, while the heap retains the
-    ability to locate the row by ``rowid``.
+    The class implements the read-only ``Mapping`` protocol over the stored
+    dict (viewed in place, never copied at construction), while the heap
+    retains the ability to locate the row by ``rowid``.
     """
 
     __slots__ = ("rowid", "_values")
@@ -40,9 +49,6 @@ class Row(Mapping[str, Any]):
     def to_dict(self) -> Dict[str, Any]:
         """Return a detached copy of the row's values."""
         return dict(self._values)
-
-    def get(self, key: str, default: Any = None) -> Any:
-        return self._values.get(key, default)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Row #{self.rowid} {self._values!r}>"

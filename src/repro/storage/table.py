@@ -120,8 +120,9 @@ class Table:
             raise SchemaError(f"index {definition.name!r} already exists")
         self.schema.add_index(definition)
         index = Index(definition, self.recorder)
-        for row in self.heap.scan():
-            index.insert(row.to_dict(), row.rowid)
+        for page in self.heap.scan():
+            for rowid, values in page:
+                index.insert(values, rowid)
         self.secondary_indexes[definition.name] = index
         return index
 
@@ -175,19 +176,21 @@ class Table:
             raise
 
         if fire_triggers:
-            self.trigger_manager.fire(self.name, "insert", new=row.to_dict(), old=None)
+            self.trigger_manager.fire(self.name, "insert", new=coerced, old=None)
         return row
 
-    def update_row(self, rowid: int, changes: Dict[str, Any],
-                   *, fire_triggers: bool = True) -> Tuple[Row, Row]:
-        """Update one row by rowid; maintains indexes; fires triggers."""
+    def update_row(self, rowid: int, changes: Dict[str, Any], *,
+                   fire_triggers: bool = True) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+        """Update one row by rowid; maintains indexes; fires triggers.
+
+        Returns the (old, new) stored images — read them, never mutate them.
+        """
         coerced = self.schema.coerce_row(changes, for_insert=False)
         if self.schema.primary_key in coerced:
             raise ConstraintViolation(
                 f"primary key of table {self.name!r} cannot be updated"
             )
-        current = self.heap.peek(rowid)
-        if current is None:
+        if not self.heap.exists(rowid):
             raise RowNotFoundError(f"table {self.name!r} has no row id {rowid}")
         for col in self.schema.columns:
             if col.name in coerced and not col.nullable and coerced[col.name] is None:
@@ -198,34 +201,33 @@ class Table:
         self.recorder.record("updates")
         old, new = self.heap.update(rowid, coerced)
         for index in self.all_indexes():
-            old_key = index.key_for(old.to_dict())
-            new_key = index.key_for(new.to_dict())
-            if old_key != new_key:
-                index.delete(old.to_dict(), rowid)
+            if index.key_for(old) != index.key_for(new):
+                index.delete(old, rowid)
                 try:
-                    index.insert(new.to_dict(), rowid)
+                    index.insert(new, rowid)
                 except ConstraintViolation:
                     # Roll the heap and already-moved indexes back.
-                    self.heap.update(rowid, old.to_dict())
-                    index.insert(old.to_dict(), rowid)
+                    self.heap.update(rowid, old)
+                    index.insert(old, rowid)
                     raise
         if fire_triggers:
-            self.trigger_manager.fire(self.name, "update",
-                                      new=new.to_dict(), old=old.to_dict())
+            self.trigger_manager.fire(self.name, "update", new=new, old=old)
         return old, new
 
-    def delete_row(self, rowid: int, *, fire_triggers: bool = True) -> Row:
-        """Delete one row by rowid; maintains indexes; fires triggers."""
-        current = self.heap.peek(rowid)
-        if current is None:
+    def delete_row(self, rowid: int, *, fire_triggers: bool = True) -> Dict[str, Any]:
+        """Delete one row by rowid; maintains indexes; fires triggers.
+
+        Returns the deleted row's (no longer stored) values.
+        """
+        if not self.heap.exists(rowid):
             raise RowNotFoundError(f"table {self.name!r} has no row id {rowid}")
         self.recorder.record("deletes")
-        row = self.heap.delete(rowid)
+        old = self.heap.delete(rowid)
         for index in self.all_indexes():
-            index.delete(row.to_dict(), rowid)
+            index.delete(old, rowid)
         if fire_triggers:
-            self.trigger_manager.fire(self.name, "delete", new=None, old=row.to_dict())
-        return row
+            self.trigger_manager.fire(self.name, "delete", new=None, old=old)
+        return old
 
     # -- reads ----------------------------------------------------------------
 
@@ -236,10 +238,11 @@ class Table:
             return None
         return self.heap.fetch(next(iter(rowids)))
 
-    def fetch_rows(self, rowids: Set[int]) -> List[Row]:
-        return self.heap.fetch_many(iter(sorted(rowids)))
+    def fetch_rows(self, rowids: Set[int]) -> List[Tuple[int, Dict[str, Any]]]:
+        """``(rowid, stored values)`` of the given rows, in rowid order."""
+        return self.heap.fetch_many(sorted(rowids))
 
-    def scan(self) -> Iterator[Row]:
+    def scan(self) -> Iterator[List[Tuple[int, Dict[str, Any]]]]:
         return self.heap.scan()
 
     def index_for_column(self, column: str) -> Optional[Index]:

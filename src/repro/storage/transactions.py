@@ -14,7 +14,6 @@ engine provides a straightforward single-writer transaction model:
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -43,6 +42,30 @@ class Transaction:
 
     def record_undo(self, apply: Callable[[], None], description: str = "") -> None:
         self.undo_log.append(UndoRecord(apply=apply, description=description))
+
+
+class _Statement:
+    """The ``with`` bracket :meth:`TransactionManager.statement` hands out.
+
+    It carries no per-use state — nesting lives in the manager's depth
+    counter — so one instance per ``wrote`` serves every statement.
+    """
+
+    __slots__ = ("_manager", "_wrote")
+
+    def __init__(self, manager: "TransactionManager", wrote: bool) -> None:
+        self._manager = manager
+        self._wrote = wrote
+
+    def __enter__(self) -> None:
+        self._manager.begin_statement()
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        manager = self._manager
+        if exc_type is None:
+            manager.statement_finished(wrote=self._wrote)
+        elif manager._statement_depth > 0:
+            manager._statement_depth -= 1
 
 
 class TransactionManager:
@@ -82,6 +105,7 @@ class TransactionManager:
         #: completes and after each explicit commit, giving the interleave
         #: scheduler a legal point to run another worker.
         self.checkpoint: Optional[Callable[[str], None]] = None
+        self._statements = (_Statement(self, False), _Statement(self, True))
 
     def _fire(self, callbacks: List[Callable[[], None]]) -> None:
         for callback in list(callbacks):
@@ -147,12 +171,6 @@ class TransactionManager:
         self._current = txn
         return txn
 
-    def ensure_transaction(self) -> Transaction:
-        """Return the open transaction, or start an autocommit one."""
-        if self._current is None:
-            self._current = Transaction(tid=next(self._tid_counter), autocommit=True)
-        return self._current
-
     def begin_statement(self) -> Transaction:
         """Open (or join) a transaction for one statement; tracks nesting.
 
@@ -164,26 +182,21 @@ class TransactionManager:
         the commit hooks — before the outer statement (and its triggers)
         has finished.
         """
-        txn = self.ensure_transaction()
+        txn = self._current
+        if txn is None:
+            txn = self._current = Transaction(tid=next(self._tid_counter),
+                                              autocommit=True)
         self._statement_depth += 1
         return txn
 
-    @contextlib.contextmanager
-    def statement(self, wrote: bool):
+    def statement(self, wrote: bool) -> "_Statement":
         """Bracket one statement: begin on entry, finish on clean exit.
 
         On an exception (a failing trigger aborts its statement) only the
         nesting depth unwinds; the transaction itself stays open exactly as
         an errored statement leaves it.
         """
-        self.begin_statement()
-        try:
-            yield
-        except BaseException:
-            if self._statement_depth > 0:
-                self._statement_depth -= 1
-            raise
-        self.statement_finished(wrote=wrote)
+        return self._statements[wrote]
 
     def statement_finished(self, wrote: bool) -> None:
         """Called by the database after each statement.

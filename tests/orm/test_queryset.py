@@ -67,6 +67,30 @@ class TestOrderingSlicing:
         post = blog["Post"].objects.order_by("score")[0]
         assert post.score == 0
 
+    def test_slicing_a_slice_composes_the_windows(self, blog):
+        """A second slice is taken *inside* the first: it can only shrink it."""
+        ordered = blog["Post"].objects.order_by("score")
+        every = [p.score for p in ordered]
+
+        def scores(qs):
+            return [p.score for p in qs]
+        assert scores(ordered[:3][:10]) == every[:3]
+        assert scores(ordered[:10][5:]) == every[5:10]
+        assert scores(ordered[2:6][1:3]) == every[3:5]
+        assert scores(ordered[2:][1:3]) == every[3:5]
+        assert scores(ordered[4:8][2:][:1]) == every[6:7]
+        assert scores(ordered[:3][5:]) == []
+        assert scores(ordered[:0]) == []
+        assert scores(ordered[5:3]) == []
+
+    def test_first_and_exists_respect_an_existing_slice(self, blog):
+        ordered = blog["Post"].objects.order_by("score")
+        assert ordered[5:].first().score == [p.score for p in ordered][5]
+        assert ordered[:0].first() is None
+        assert not ordered[:0].exists()
+        assert ordered[19:].exists() and not ordered[20:].exists()
+        assert ordered[:3][3:].first() is None
+
     def test_values_returns_dicts(self, blog):
         rows = list(blog["Author"].objects.filter(username="user1").values("username", "karma"))
         assert rows == [{"username": "user1", "karma": 1}]

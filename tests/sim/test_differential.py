@@ -31,7 +31,7 @@ from repro.bench.experiments import (ADAPTIVE_SCENARIO,
                                      STRATEGY_PAGE_INTERVAL,
                                      _ablation_strategy, _adaptive_arrival,
                                      ablation_config, run_scenario, run_sweep)
-from repro.bench.scenarios import UPDATE_SCENARIO
+from repro.bench.scenarios import NO_CACHE, UPDATE_SCENARIO
 from repro.sim import ADVERSARIAL, ALL_POLICIES, ROUND_ROBIN
 
 
@@ -78,6 +78,11 @@ GOLDEN_FINGERPRINTS = {
     "Adaptive/workers=2/adversarial": "11905e17e2a0923f9788f8885ba5e809e693baff194f3bf47fe7679ee2da0cac",
     "Adaptive/workers=2/key-overlap": "11905e17e2a0923f9788f8885ba5e809e693baff194f3bf47fe7679ee2da0cac",
     "Adaptive/telemetry-capacity=32": "7d0070de886659eccc750a32172e1b81e66ab5638b032a0f60c1db7c3782f55a",
+    # The baseline arm, where storage + ORM produce *every* counter: generated
+    # at commit 3090995 from the per-row statement path (one ``record`` per
+    # scanned and per returned row, every candidate copied before its check).
+    "NoCache": "0855d839d56fe110a9b6df323d5bfaecfe8352cac47bbf5c86ccc1997fd6a6b2",
+    "NoCache/workers=2/adversarial": "366deeb6776d6e0021244a38247db6ffff4d9f186bf9c6527d91021b156b28f7",
 }
 
 
@@ -116,6 +121,17 @@ class TestGoldenFingerprints:
         assert (fingerprint_digest(fingerprint)
                 == GOLDEN_FINGERPRINTS["Update/workers=2/adversarial"])
         assert fingerprint["contention"]["cas_retry_rounds"] > 0
+
+    @pytest.mark.parametrize("workers, policy, pin", [
+        (1, ROUND_ROBIN, "NoCache"),
+        (2, ADVERSARIAL, "NoCache/workers=2/adversarial")])
+    def test_golden_baseline_arm(self, workers, policy, pin):
+        """NoCache: every counter comes from storage + ORM.  At workers=2 a
+        row charged after a checkpoint would land in the other worker's
+        page, so the per-statement charge is pinned under hand-offs too."""
+        fingerprint = plain_fingerprint(NO_CACHE, workers, policy)
+        assert fingerprint_digest(fingerprint) == GOLDEN_FINGERPRINTS[pin]
+        assert fingerprint["total"]["rows_scanned"] > 2000
 
 
 #: Cache small enough that the quick workload evicts, so item sizes matter.

@@ -31,6 +31,13 @@ class TestHeapFile:
         fetched.to_dict()["text"] = "mutated"
         assert heap.fetch(row.rowid)["text"] == "a"
 
+    def test_insert_copies_the_callers_dict(self):
+        heap = make_heap()
+        values = {"id": 1, "text": "a"}
+        row = heap.insert(values)
+        values["text"] = "mutated"
+        assert heap.fetch(row.rowid)["text"] == "a"
+
     def test_fetch_missing_raises(self):
         with pytest.raises(RowNotFoundError):
             make_heap().fetch(99)
@@ -38,10 +45,15 @@ class TestHeapFile:
     def test_update_returns_old_and_new(self):
         heap = make_heap()
         row = heap.insert({"id": 1, "text": "a"})
+        before = heap.fetch(row.rowid)
         old, new = heap.update(row.rowid, {"text": "b"})
         assert old["text"] == "a"
         assert new["text"] == "b"
         assert heap.fetch(row.rowid)["text"] == "b"
+        # Stored dicts are never mutated: the update installed a new one, and
+        # the displaced dict is the pre-image every earlier view still shows.
+        assert old is not new
+        assert row["text"] == before["text"] == "a"
 
     def test_delete_removes_row(self):
         heap = make_heap()
@@ -62,7 +74,7 @@ class TestHeapFile:
         heap = make_heap()
         rows = [heap.insert({"id": i, "text": str(i)}) for i in range(10)]
         heap.delete(rows[3].rowid)
-        scanned = {row["id"] for row in heap.scan()}
+        scanned = {values["id"] for page in heap.scan() for _rowid, values in page}
         assert scanned == {i for i in range(10) if i != 3}
 
     def test_scan_charges_one_access_per_page(self):
@@ -81,6 +93,6 @@ class TestHeapFile:
         pool = heap.buffer_pool
         before = pool.hits + pool.misses
         fetched = heap.fetch_many(iter(r.rowid for r in rows))
-        assert len(fetched) == 20
+        assert [rowid for rowid, _values in fetched] == [r.rowid for r in rows]
         # All 20 small rows share a single 4 KB page.
         assert (pool.hits + pool.misses) - before == 1

@@ -50,6 +50,46 @@ class TestExplicitTransactions:
         database.abort()
         assert database.find("accounts", where={"owner": "alice"})[0]["balance"] == 10
 
+    def test_update_costs_the_same_in_and_out_of_a_transaction(self):
+        """Undo bookkeeping charges nothing: the pre-images are the rows the
+        statement itself found.  (They used to come from a second, full-table
+        ``scan()`` — 138 page touches instead of 2 on this table — which also
+        churned the buffer pool's LRU.)"""
+        def measured_update(explicit: bool):
+            db = Database()
+            db.create_table(TableSchema(
+                "accounts",
+                [ColumnDef("id", "integer", nullable=True),
+                 ColumnDef("owner", "text"),
+                 ColumnDef("balance", "integer", default=0)],
+                primary_key="id"))
+            for i in range(5000):
+                db.insert("accounts", {"owner": f"owner-{i}", "balance": i})
+            pool_before = (db.buffer_pool.hits, db.buffer_pool.misses)
+            with db.measure() as counters:
+                if explicit:
+                    db.begin()
+                rows = db.update("accounts", {"balance": -1}, where={"id": 17})
+                if explicit:
+                    db.commit()
+            assert [row["balance"] for row in rows] == [-1]
+            pool = (db.buffer_pool.hits - pool_before[0],
+                    db.buffer_pool.misses - pool_before[1])
+            return db, counters.as_dict(), pool
+
+        _db, autocommit, autocommit_pool = measured_update(explicit=False)
+        db, explicit, explicit_pool = measured_update(explicit=True)
+        assert explicit == autocommit
+        assert explicit_pool == autocommit_pool
+        assert explicit["pages_hit"] + explicit["pages_missed"] == 2
+        assert explicit["rows_scanned"] == 1 and explicit["commits"] == 1
+
+        db.begin()
+        db.update("accounts", {"balance": 0, "owner": "x"}, where={"id": 17})
+        db.abort()
+        assert db.get_by_pk("accounts", 17) == {
+            "id": 17, "owner": "owner-16", "balance": -1}
+
     def test_abort_undoes_delete(self, database):
         database.insert("accounts", {"owner": "alice", "balance": 10})
         database.begin()
