@@ -10,12 +10,22 @@ client streams over N *worker contexts* (the canonical ordering comes from
 worker or many).  Each worker executes its page loads as a cooperative
 coroutine: the application, the cache client, and the transaction manager
 call a ``checkpoint(label)`` hook at operation boundaries (page fragments,
-multi-key cache round trips, statement/commit completion), and the hook
-suspends the worker until the seeded
-:class:`~repro.sim.interleave.InterleaveScheduler` resumes it.  Exactly one
-worker runs at any instant — workers are OS threads only so that ordinary
-(non-generator) application code can be suspended mid-page; the strict
-hand-off makes the interleaving bit-identical for a fixed scheduler seed.
+multi-key cache round trips, statement/commit completion).  There is no
+scheduler thread: the worker that yields publishes its label and asks the
+seeded :class:`~repro.sim.interleave.InterleaveScheduler` *itself* who runs
+next.  Picked again — most decisions under the adversarial policy — it
+just returns: no OS switch, nothing to reinstall.  Otherwise it releases
+the chosen worker's *baton* (a ``threading.Lock`` held from creation) and
+parks on its own: one switch.  A finishing worker passes control on the
+same way; the main thread makes the first pick and sleeps until the end.
+A thread releases another's baton only as its last act before parking or
+finishing, so exactly one worker runs at any instant — workers are OS
+threads only so that ordinary (non-generator) application code can be
+suspended mid-page — and the interleaving is bit-identical for a fixed
+scheduler seed.  The first failure (a worker's exception, the scheduler's,
+a watchdog's) is recorded rather than thrown across threads: the main
+thread wakes, unwinds the parked workers one at a time, restores every
+seam and context, and raises it (docs/CONCURRENCY.md, "Worker model").
 
 With ``workers=1`` no checkpoint could ever switch control, so the engine
 takes an inline fast path: the single worker's pages run on the calling
@@ -118,69 +128,60 @@ class ConcurrentReplayResult(ReplayResult):
 
 
 class _WorkerContext:
-    """One cooperative worker: a thread plus its scheduling state."""
+    """One cooperative worker: a thread, its baton, its scheduler status."""
 
     def __init__(self, worker_id: int, replayer: "ConcurrentReplayer",
                  page_loads: List[PageLoad]) -> None:
         self.worker_id = worker_id
         self.page_loads = page_loads
-        self.label = "start"
-        self.pages_completed = 0
-        self.finished = False
-        self.error: Optional[BaseException] = None
+        # Transaction/op-queue/refresh context key; distinct from the default
+        # (None).
+        self.context_key: Any = ("worker", worker_id)
+        #: What the scheduler sees of this worker, for the whole replay: only
+        #: the worker itself writes it, while it holds control — between two
+        #: decisions nobody else's label, page count or pending keys change.
+        self.status = WorkerStatus(worker_id=worker_id)
         self._replayer = replayer
-        self._resume = threading.Semaphore(0)
-        self._abort = False
+        # Locked while the worker runs *and* while it is parked: whoever
+        # hands it control releases it, and it re-takes it on waking.
+        self._baton = threading.Lock()
+        self._baton.acquire()
         self._page_counters = CostCounters()
         self.thread = threading.Thread(
             target=self._main, name=f"replay-worker-{worker_id}", daemon=True)
 
-    # Transaction/op-queue/refresh context key; distinct from the default
-    # (None).
-    @property
-    def context_key(self) -> Any:
-        return ("worker", self.worker_id)
-
-    def status(self) -> WorkerStatus:
-        pending: Any = frozenset()
-        if self._replayer.op_queue is not None:
-            # pending_keys_for returns a cached frozenset — use it directly.
-            pending = self._replayer.op_queue.pending_keys_for(self.context_key)
-        return WorkerStatus(worker_id=self.worker_id, label=self.label,
-                            pages_completed=self.pages_completed,
-                            pending_keys=pending)
-
-    # -- scheduler side --------------------------------------------------------
-
     def resume(self) -> None:
-        self._resume.release()
-
-    def abort(self) -> None:
-        self._abort = True
-
-    # -- worker-thread side ----------------------------------------------------
+        """Hand over control: the caller's last act before it parks or ends."""
+        self._baton.release()
 
     def _wait_turn(self) -> None:
-        """Suspend until the scheduler resumes this worker."""
-        if not self._resume.acquire(timeout=_HANDOFF_TIMEOUT_SECONDS):
+        """Park until another thread hands this worker the baton."""
+        if not self._baton.acquire(timeout=_HANDOFF_TIMEOUT_SECONDS):
             raise SimulationError(
                 f"worker {self.worker_id} was never rescheduled "
-                f"(paused at {self.label!r})")
-        if self._abort:
+                f"(paused at {self.status.label!r})")
+        if self._replayer._failure is not None:
             raise _WorkerAborted()
         self._install_context()
 
     def yield_control(self, label: str) -> None:
-        """The checkpoint: hand control to the scheduler, wait to be resumed."""
-        # Everything the scheduler reads (the label above all — the
-        # adversarial policy's parking decision depends on it) must be
-        # written BEFORE control is released: the scheduler thread may run
-        # the instant release() returns, and a stale label would make the
-        # schedule nondeterministic.
-        self.label = label
+        """The checkpoint: publish what the scheduler reads, ask it who runs
+        next, and switch threads only if that is somebody else."""
+        status = self.status
+        status.label = label
         replayer = self._replayer
-        replayer._active_worker = None
-        replayer._control.release()
+        if replayer.op_queue is not None:
+            # pending_keys_for returns a cached frozenset — use it directly.
+            status.pending_keys = replayer.op_queue.pending_keys_for(
+                self.context_key)
+        chosen = replayer._next_worker()
+        if chosen is self:
+            return
+        if chosen is None:
+            # The replay failed and the cause is recorded: unwind with an
+            # exception no ``except Exception`` in a page can swallow.
+            raise _WorkerAborted()
+        chosen.resume()
         self._wait_turn()
 
     def _install_context(self) -> None:
@@ -201,8 +202,8 @@ class _WorkerContext:
     def _main(self) -> None:
         replayer = self._replayer
         try:
-            # Block until the scheduler gives this worker its first turn
-            # (the label is already "start" from construction).
+            # Park until somebody gives this worker its first turn (the
+            # label is already "start" from construction).
             self._wait_turn()
             for page_load in self.page_loads:
                 replayer._advance_clock()
@@ -210,17 +211,15 @@ class _WorkerContext:
                 replayer.recorder.activate_scope(self._page_counters)
                 replayer.app.render(page_load.page, page_load.user_id)
                 replayer._complete_page(self, page_load, self._page_counters)
-                self.pages_completed += 1
+                self.status.pages_completed += 1
                 if self.page_loads[-1] is not page_load:
                     self.yield_control("page:end")
         except _WorkerAborted:
             pass
-        except BaseException as exc:  # propagate to the scheduler loop
-            self.error = exc
+        except BaseException as exc:  # surfaces from replay() as itself
+            replayer._fail(exc)
         finally:
-            self.finished = True
-            replayer._active_worker = None
-            replayer._control.release()
+            replayer._pass_control(finished=self)
 
 
 class ConcurrentReplayer:
@@ -291,7 +290,15 @@ class ConcurrentReplayer:
             self.cache_clients = [genie.app_cache, genie.trigger_cache]
         # Live replay state.
         self._active_worker: Optional[_WorkerContext] = None
-        self._control = threading.Semaphore(0)
+        #: Unfinished workers in id order, and the status list every
+        #: decision hands the scheduler; rebuilt only when a worker finishes.
+        self._runnable: Dict[int, _WorkerContext] = {}
+        self._statuses: List[WorkerStatus] = []
+        #: The first thing that went wrong; once set, every worker unwinds at
+        #: its next checkpoint or wake-up and ``replay()`` raises it.
+        self._failure: Optional[BaseException] = None
+        #: Set by the last thread to hold control, to wake the main thread.
+        self._ended = threading.Event()
         self._result: Optional[ConcurrentReplayResult] = None
         self._record = True
         self._pages_started = 0
@@ -323,6 +330,55 @@ class ConcurrentReplayer:
         worker = self._active_worker
         if worker is not None:
             worker.yield_control(label)
+
+    # -- the hand-off ------------------------------------------------------------
+
+    def _next_worker(self) -> Optional[_WorkerContext]:
+        """One scheduling decision, on whichever thread holds control; None
+        once the replay has failed — a scheduler error included, which is
+        recorded here instead of travelling through application code."""
+        if self._failure is not None:
+            return None
+        try:
+            worker_id = self.scheduler.choose(self._statuses)
+            chosen = self._runnable.get(worker_id)
+            if chosen is None:
+                raise SimulationError(
+                    f"scheduler chose worker {worker_id!r}, which is not "
+                    f"runnable (runnable: {list(self._runnable)})")
+        except Exception as exc:
+            self._fail(exc)
+            return None
+        return chosen
+
+    def _fail(self, exc: BaseException) -> None:
+        if self._failure is None:
+            self._failure = exc
+
+    def _pass_control(self, finished: Optional[_WorkerContext] = None) -> None:
+        """The last act of a thread that runs no further (a finished worker;
+        the main thread after start-up): next worker's turn, or the end."""
+        if finished is not None:
+            del self._runnable[finished.worker_id]
+            self._statuses = [w.status for w in self._runnable.values()]
+        chosen = self._next_worker() if self._runnable else None
+        if chosen is not None:
+            chosen.resume()
+        else:
+            self._ended.set()
+
+    def _await_end(self) -> None:
+        """Main thread: sleep until the replay ends, watching for progress."""
+        log = self.scheduler.decisions
+        decisions = 0
+        while not self._ended.wait(timeout=_HANDOFF_TIMEOUT_SECONDS):
+            if len(log) == decisions:
+                # Nobody has decided anything for a whole timeout: the last
+                # worker picked still holds control.
+                self._fail(SimulationError(
+                    f"worker {log[-1]} never yielded control"))
+                return
+            decisions = len(log)
 
     def _advance_clock(self) -> None:
         page_index = self._pages_started
@@ -394,7 +450,7 @@ class ConcurrentReplayer:
             result, self._result = self._result, None
         result.schedule = list(self.scheduler.decisions)
         result.schedule_signature = self.scheduler.signature()
-        result.pages_by_worker = {w.worker_id: w.pages_completed
+        result.pages_by_worker = {w.worker_id: w.status.pages_completed
                                   for w in contexts}
         telemetry = (getattr(self.genie.app_cache, "telemetry", None)
                      if self.genie is not None else None)
@@ -411,7 +467,7 @@ class ConcurrentReplayer:
         still consulted once per page boundary, so the replay carries a
         real (all-zeros) decision log and a deterministic signature.
         """
-        status = worker.status()
+        status = worker.status
         previous_scope = self.recorder.activate_scope(None)
         try:
             for page_load in worker.page_loads:
@@ -421,15 +477,17 @@ class ConcurrentReplayer:
                 self.recorder.activate_scope(counters)
                 self.app.render(page_load.page, page_load.user_id)
                 self._complete_page(worker, page_load, counters)
-                worker.pages_completed += 1
-                status.pages_completed = worker.pages_completed
+                status.pages_completed += 1
                 status.label = "page:end"
         finally:
             self.recorder.activate_scope(previous_scope)
 
     def _replay_threaded(self, contexts: List[_WorkerContext]) -> None:
-        """The multi-worker path: suspendable threads, strict hand-off."""
-        by_id = {w.worker_id: w for w in contexts}
+        """The multi-worker path: suspendable threads, direct hand-off."""
+        self._runnable = {w.worker_id: w for w in contexts}
+        self._statuses = [w.status for w in contexts]
+        self._failure = None
+        self._ended.clear()
 
         previous_scope = self.recorder.activate_scope(None)
         saved_app_checkpoint = self.app.checkpoint
@@ -440,33 +498,24 @@ class ConcurrentReplayer:
         for client in self.cache_clients:
             client.checkpoint = self._checkpoint
 
+        stuck: List[int] = []
         try:
-            for worker in contexts:
-                worker.thread.start()
-            failed: Optional[BaseException] = None
-            while True:
-                runnable = [w for w in contexts if not w.finished]
-                if not runnable:
-                    break
-                chosen = by_id[self.scheduler.choose(
-                    [w.status() for w in runnable])]
-                chosen.resume()
-                if not self._control.acquire(timeout=_HANDOFF_TIMEOUT_SECONDS):
-                    raise SimulationError(
-                        f"worker {chosen.worker_id} never yielded control")
-                if chosen.error is not None:
-                    failed = chosen.error
-                    break
-            if failed is not None:
+            try:
                 for worker in contexts:
-                    if not worker.finished:
-                        worker.abort()
-                        worker.resume()
-                        self._control.acquire(timeout=_HANDOFF_TIMEOUT_SECONDS)
-                raise failed
-        finally:
+                    worker.thread.start()
+                self._pass_control()
+                self._await_end()
+            except BaseException as exc:  # the main thread's own (an interrupt)
+                self._fail(exc)
+            # After a failure whoever held control has stopped; the parked
+            # workers, released one at a time, see it and unwind.
             for worker in contexts:
+                if worker.worker_id in self._runnable:
+                    worker.resume()
                 worker.thread.join(timeout=_HANDOFF_TIMEOUT_SECONDS)
+                if worker.thread.is_alive():
+                    stuck.append(worker.worker_id)
+        finally:
             # Restore the serial seams exactly as they were.
             self.app.checkpoint = saved_app_checkpoint
             self.transactions.checkpoint = saved_txn_checkpoint
@@ -510,3 +559,10 @@ class ConcurrentReplayer:
                     # shared queue (deterministic: worker-id order) rather
                     # than dropping background work with its thread.
                     self.refresh_queue.merge_context(worker.context_key)
+        failure, self._failure = self._failure, None
+        if stuck:
+            raise SimulationError(
+                f"worker threads {stuck} still alive after the replay was "
+                f"aborted") from failure
+        if failure is not None:
+            raise failure

@@ -50,6 +50,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from ..errors import SimulationError
@@ -90,6 +91,8 @@ def interleave_trace(trace: WorkloadTrace) -> List[PageLoad]:
                 remaining -= 1
     return ordered
 
+
+_BY_WORKER_ID = attrgetter("worker_id")
 
 #: Checkpoint labels after which a worker holds unwritten CAS tokens — the
 #: window the adversarial policy stretches by scheduling everyone else.
@@ -153,7 +156,7 @@ class InterleaveScheduler:
         """Pick the worker (by id) that runs until its next checkpoint."""
         if not runnable:
             raise SimulationError("no runnable workers to schedule")
-        ordered = sorted(runnable, key=lambda w: w.worker_id)
+        ordered = sorted(runnable, key=_BY_WORKER_ID)
         if self.policy == RANDOM:
             status = self._rng.choice(ordered)
         elif self.policy == ADVERSARIAL:
@@ -167,15 +170,13 @@ class InterleaveScheduler:
 
     def _choose_rotation(self, ordered: Sequence[WorkerStatus]) -> WorkerStatus:
         """Round-robin over worker ids, skipping the ones not runnable."""
-        status = min(ordered, key=lambda w: ((w.worker_id - self._rotation)
-                                             % self._max_id_span(ordered),
-                                             w.worker_id))
+        # ``ordered`` is sorted by id: its last id bounds the span, and ids
+        # are distinct, so their distances from the rotation point are too.
+        span = ordered[-1].worker_id + 1
+        rotation = self._rotation
+        status = min(ordered, key=lambda w: (w.worker_id - rotation) % span)
         self._rotation = status.worker_id + 1
         return status
-
-    @staticmethod
-    def _max_id_span(ordered: Sequence[WorkerStatus]) -> int:
-        return max(w.worker_id for w in ordered) + 1
 
     def _choose_adversarial(self, ordered: Sequence[WorkerStatus]) -> WorkerStatus:
         """Starve CAS-token holders; rotate among everyone else."""

@@ -3,23 +3,29 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
+import threading
+import time
 
 import pytest
-
-import hashlib
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.apps.social import SeedScale
+from repro.apps.social.models import BookmarkInstance
 from repro.bench.experiments import (HOT_KEY_WORKLOAD,
                                      STRATEGY_ABLATION_SCENARIOS,
                                      ablation_config)
 from repro.bench.scenarios import (LEASED_SCENARIO, NO_CACHE, Scenario,
                                    ScenarioConfig, UPDATE_SCENARIO)
 from repro.errors import SimulationError
-from repro.sim import (ADVERSARIAL, ConcurrentReplayResult, ConcurrentReplayer,
-                       KEY_OVERLAP, RANDOM, ROUND_ROBIN, ReplayResult,
-                       interleave_trace, simulate_population)
+from repro.obs import Tracer
+from repro.sim import (ADVERSARIAL, ALL_POLICIES, ConcurrentReplayResult,
+                       ConcurrentReplayer, InterleaveScheduler, KEY_OVERLAP,
+                       RANDOM, ROUND_ROBIN, ReplayResult, interleave_trace,
+                       simulate_population)
 from repro.storage.costmodel import CostCounters
 from repro.workload import WorkloadGenerator
+from repro.workload.trace import WorkloadTrace
 
 #: The quick contention workload: short hot-key trace, heavy write share.
 WORKLOAD = HOT_KEY_WORKLOAD.with_overrides(
@@ -41,13 +47,20 @@ def make_trace(config: ScenarioConfig):
     return WorkloadGenerator(WORKLOAD, user_ids).generate()
 
 
+def build_replayer(scenario: Scenario, config: ScenarioConfig, workers: int,
+                   policy: str = ROUND_ROBIN, seed: int = 0, scheduler=None,
+                   tracer=None):
+    return ConcurrentReplayer(
+        scenario.app, scenario.database, genie=scenario.genie,
+        workers=workers, policy=policy, seed=seed, scheduler=scheduler,
+        tracer=tracer, clock=scenario.clock,
+        page_interval_seconds=config.page_interval_seconds)
+
+
 def concurrent_replay(scenario: Scenario, config: ScenarioConfig,
                       workers: int, policy: str, seed: int = 0):
-    replayer = ConcurrentReplayer(
-        scenario.app, scenario.database, genie=scenario.genie,
-        workers=workers, policy=policy, seed=seed, clock=scenario.clock,
-        page_interval_seconds=config.page_interval_seconds)
-    return replayer.replay(make_trace(config))
+    return build_replayer(scenario, config, workers, policy,
+                          seed).replay(make_trace(config))
 
 
 def page_fingerprint(result: ReplayResult):
@@ -248,3 +261,341 @@ class TestEngineEdges:
             # The seams are restored even on the error path.
             assert scenario.database.transactions.checkpoint is None
             assert scenario.genie.app_cache.checkpoint is None
+
+
+# -- failure paths of the direct hand-off ----------------------------------------
+
+#: Every failure below must surface long before the 120 s hand-off watchdog.
+FAILS_WITHIN_SECONDS = 5.0
+
+
+def worker_threads():
+    return [t for t in threading.enumerate()
+            if t.name.startswith("replay-worker-")]
+
+
+def assert_stack_restored(scenario: Scenario, app_checkpoint, scope,
+                          tracer=None):
+    """Every seam, context and scope a threaded replay touches is back."""
+    transactions = scenario.database.transactions
+    queue = scenario.genie.trigger_op_queue
+    assert scenario.app.checkpoint is app_checkpoint
+    assert transactions.checkpoint is None
+    assert transactions.context_key is None
+    assert transactions.current is None
+    assert queue.context_key is None
+    assert queue.pending_count == 0
+    for worker_id in range(4):
+        assert not queue.pending_keys_for(("worker", worker_id))
+    for client in (scenario.genie.app_cache, scenario.genie.trigger_cache):
+        assert client.checkpoint is None
+        assert client.current_worker is None
+    recorder = scenario.database.recorder
+    assert recorder.activate_scope(scope) is scope
+    if tracer is not None:
+        assert tracer.context_key is None
+    assert worker_threads() == []
+
+
+class MisbehavingScheduler(InterleaveScheduler):
+    """Round-robin, except that during its *first* replay every decision is
+    first offered to ``misbehave(decision_number, runnable)``, which may
+    raise or return a worker id of its own (None: behave)."""
+
+    def __init__(self, misbehave):
+        super().__init__(ROUND_ROBIN)
+        self.misbehave = misbehave
+        self.replays = 0
+
+    def reset(self):
+        super().reset()
+        self.replays += 1
+
+    def choose(self, runnable):
+        if self.replays == 1:
+            pick = self.misbehave(len(self.decisions) + 1, runnable)
+            if pick is not None:
+                return pick
+        return super().choose(runnable)
+
+
+def raises_on_decision_20(decision, runnable):
+    if decision == 20:
+        raise RuntimeError("scheduler exploded")
+
+
+def picks_an_unknown_worker_on_decision_20(decision, runnable):
+    return 3 if decision == 20 else None
+
+
+def picks_the_first_worker_to_finish(decision, runnable):
+    """Misbehaves in the decision the first *finishing* worker takes: there
+    is no page left to unwind there, the error just has to reach replay()."""
+    finished = {0, 1, 2} - {status.worker_id for status in runnable}
+    return finished.pop() if finished else None
+
+
+def fail_then_replay(first_replayer, second_replayer, trace, error):
+    """A failing replay, then a complete one; returns the second's pages."""
+    started = time.monotonic()
+    with pytest.raises(type(error), match=str(error)):
+        first_replayer.replay(trace)
+    assert time.monotonic() - started < FAILS_WITHIN_SECONDS
+    assert worker_threads() == []
+    return page_fingerprint(second_replayer.replay(trace))
+
+
+class TestHandOffFailures:
+    """Fail loudly, restore all scoped state, never hang (ROADMAP item 3)."""
+
+    @pytest.mark.parametrize("misbehave, error", [
+        (raises_on_decision_20, RuntimeError("scheduler exploded")),
+        (picks_an_unknown_worker_on_decision_20,
+         SimulationError(r"chose worker 3, which is not runnable "
+                         r"\(runnable: \[0, 1, 2\]\)")),
+        (picks_the_first_worker_to_finish,
+         SimulationError(r"chose worker (\d), which is not runnable "
+                         r"\(runnable: \[(?!.*\1)\d, \d\]\)")),
+    ])
+    def test_scheduler_failure_surfaces_at_once(self, misbehave, error):
+        """With three workers somebody is always parked mid-page when the
+        scheduler raises, or picks a worker outside the runnable set: the
+        error comes back as itself, at once, and the replayer that failed
+        replays afterwards exactly like a brand-new one."""
+        replays = []
+        for reuse in (True, False):
+            with contention_scenario() as (scenario, config):
+                app_checkpoint = scenario.app.checkpoint
+                scope = CostCounters()
+                scenario.database.recorder.activate_scope(scope)
+                trace = make_trace(config)
+                # A page that swallows every ordinary exception must not be
+                # able to swallow the scheduler's.
+                render, swallowed = scenario.app.render, []
+
+                def forgiving_render(page, user_id):
+                    try:
+                        return render(page, user_id)
+                    except Exception as exc:
+                        swallowed.append(exc)
+                scenario.app.render = forgiving_render
+                failing = build_replayer(
+                    scenario, config, workers=3,
+                    scheduler=MisbehavingScheduler(misbehave))
+                fresh = build_replayer(scenario, config, workers=3)
+                replays.append(fail_then_replay(
+                    failing, failing if reuse else fresh, trace, error))
+                assert swallowed == []
+                assert_stack_restored(scenario, app_checkpoint, scope)
+        assert replays[0] == replays[1]
+
+    def test_worker_error_while_another_is_parked_in_a_transaction(self):
+        """Worker 1 parks at ``cache:gets_multi`` inside an explicit
+        transaction with trigger ops pending; worker 0 then raises after
+        its own ``gets_multi``.  The original error surfaces, worker 1's
+        transaction is rolled back in *its* contexts, nothing leaks."""
+        with contention_scenario() as (scenario, config):
+            transactions = scenario.database.transactions
+            queue = scenario.genie.trigger_op_queue
+            cache = scenario.genie.app_cache
+            saved = BookmarkInstance.objects.count()
+
+            def render(page, user_id):
+                if cache.current_worker == 1:
+                    transactions.begin()
+                    BookmarkInstance(bookmark_id=1, user_id=user_id,
+                                     description="parked", note="").save()
+                    cache.gets_multi(["parked-here"])
+                    raise AssertionError("worker 1 was resumed")
+                cache.gets_multi(["tokens-held"])
+                raise RuntimeError("page exploded")
+            scenario.app.render = render
+
+            class ParkWorkerOneThenRunWorkerZero(InterleaveScheduler):
+                def choose(self, runnable):
+                    parked = any(status.worker_id == 1
+                                 and status.label == "cache:gets_multi"
+                                 for status in runnable)
+                    self.decisions.append(0 if parked else 1)
+                    return self.decisions[-1]
+
+            aborts = []
+            transactions.on_abort.insert(0, lambda: aborts.append(
+                (transactions.context_key, queue.context_key,
+                 queue.pending_count)))
+            app_checkpoint = scenario.app.checkpoint
+            scope = CostCounters()
+            scenario.database.recorder.activate_scope(scope)
+            tracer = Tracer(clock=scenario.clock)
+            replayer = build_replayer(
+                scenario, config, workers=2, tracer=tracer,
+                scheduler=ParkWorkerOneThenRunWorkerZero())
+            started = time.monotonic()
+            with pytest.raises(RuntimeError, match="page exploded"):
+                replayer.replay(make_trace(config))
+            assert time.monotonic() - started < FAILS_WITHIN_SECONDS
+            # One rollback, in worker 1's transaction *and* op-queue context,
+            # with its trigger ops still pending there to be discarded.
+            assert len(aborts) == 1
+            assert aborts[0][:2] == (("worker", 1), ("worker", 1))
+            assert aborts[0][2] > 0
+            assert transactions.aborted == 1
+            assert BookmarkInstance.objects.count() == saved
+            assert_stack_restored(scenario, app_checkpoint, scope, tracer)
+
+    @pytest.mark.parametrize("clients, wedged_page, watchdog", [
+        # Worker 1 is still parked at "start": its own watchdog fires.
+        (6, 1, "worker 1 was never rescheduled"),
+        # Worker 1 (no pages) is long gone, nobody is parked: only the main
+        # thread's progress watchdog is left to notice.
+        (1, 2, "worker 0 never yielded control"),
+    ])
+    def test_wedged_worker_fails_loudly(self, monkeypatch, clients,
+                                        wedged_page, watchdog):
+        """A worker that never reaches its next checkpoint trips a watchdog;
+        it cannot be unwound, so the replay names the thread it left behind
+        (chained to the watchdog's error) instead of returning quietly."""
+        monkeypatch.setattr("repro.sim.concurrent._HANDOFF_TIMEOUT_SECONDS",
+                            0.4)
+        unwedge = threading.Event()
+        with contention_scenario() as (scenario, config):
+            app_checkpoint = scenario.app.checkpoint
+            render, calls = scenario.app.render, []
+
+            def wedging_render(page, user_id):
+                calls.append(page)
+                if len(calls) == wedged_page:
+                    unwedge.wait(timeout=30)
+                    raise RuntimeError("unwedged")
+                return render(page, user_id)
+            scenario.app.render = wedging_render
+            trace = make_trace(config)
+            trace = WorkloadTrace(sessions=[
+                s for s in trace.sessions if s.client_id < clients])
+            replayer = build_replayer(scenario, config, workers=2)
+            started = time.monotonic()
+            try:
+                with pytest.raises(SimulationError,
+                                   match=r"\[0\] still alive") as raised:
+                    replayer.replay(trace)
+                assert time.monotonic() - started < FAILS_WITHIN_SECONDS
+                assert watchdog in str(raised.value.__cause__)
+                assert scenario.app.checkpoint is app_checkpoint
+                assert scenario.database.transactions.checkpoint is None
+                assert scenario.database.transactions.context_key is None
+            finally:
+                unwedge.set()
+                for thread in worker_threads():
+                    thread.join(timeout=30)
+            assert worker_threads() == []
+
+    @pytest.mark.parametrize("clients", [0, 2])
+    def test_idle_workers_complete(self, clients):
+        """More workers than clients (workers 2 and 3 get an empty stream),
+        down to an empty trace: every worker is still picked once, finishes,
+        and the replayer replays the real trace afterwards like a new one."""
+        replays = []
+        for reuse in (True, False):
+            with contention_scenario() as (scenario, config):
+                trace = make_trace(config)
+                sparse = WorkloadTrace(sessions=[
+                    s for s in trace.sessions if s.client_id < clients])
+                first = build_replayer(scenario, config, 4, ADVERSARIAL)
+                started = time.monotonic()
+                result = first.replay(sparse)
+                assert time.monotonic() - started < FAILS_WITHIN_SECONDS
+                assert len(result.pages) == sparse.total_page_loads
+                assert sorted(set(result.schedule)) == [0, 1, 2, 3]
+                assert [result.pages_by_worker[w] for w in (2, 3)] == [0, 0]
+                assert worker_threads() == []
+                second = (first if reuse else
+                          build_replayer(scenario, config, 4, ADVERSARIAL))
+                replays.append(page_fingerprint(second.replay(trace)))
+                assert worker_threads() == []
+        assert replays[0] == replays[1]
+
+
+# -- the schedule contract ---------------------------------------------------------
+
+
+class ContractCheckingScheduler(InterleaveScheduler):
+    """Checks, at every decision, what the engine shows the scheduler
+    against what the stack itself says about each worker."""
+
+    def __init__(self, policy, seed, streams):
+        super().__init__(policy, seed)
+        self.streams = streams
+        self.completed = {worker_id: 0 for worker_id in streams}
+        self.labels = {worker_id: "start" for worker_id in streams}
+        self.checked = 0
+
+    def watch(self, scenario, replayer):
+        """Observe renders and checkpoints from outside the engine."""
+        self.queue = scenario.genie.trigger_op_queue
+        cache = scenario.genie.app_cache
+        render, checkpoint = scenario.app.render, replayer._checkpoint
+
+        def counting_render(page, user_id):
+            result = render(page, user_id)
+            self.completed[cache.current_worker] += 1
+            self.labels[cache.current_worker] = "page:end"
+            return result
+
+        def recording_checkpoint(label):
+            self.labels[cache.current_worker] = label
+            checkpoint(label)
+        scenario.app.render = counting_render
+        # Shadowed on the instance, the way the benchmark's span recorder
+        # does it: the engine looks the hook up when it installs the seams.
+        replayer._checkpoint = recording_checkpoint
+
+    def choose(self, runnable):
+        unfinished = [w for w, stream in self.streams.items()
+                      if self.completed[w] < len(stream)]
+        assert [status.worker_id for status in runnable] == unfinished
+        for status in runnable:
+            worker_id = status.worker_id
+            assert status.label == self.labels[worker_id]
+            assert status.pages_completed == self.completed[worker_id]
+            assert status.pending_keys == self.queue.pending_keys_for(
+                ("worker", worker_id))
+        chosen = super().choose(runnable)
+        assert chosen in unfinished
+        self.checked += 1
+        return chosen
+
+
+class TestScheduleContract:
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(policy=st.sampled_from(ALL_POLICIES),
+           seed=st.integers(min_value=0, max_value=2 ** 16),
+           workers=st.sampled_from([2, 3, 4]))
+    def test_schedule_contract(self, policy, seed, workers):
+        runs = []
+        for _ in range(2):
+            with contention_scenario() as (scenario, config):
+                trace = make_trace(config)
+                ordered = interleave_trace(trace)
+                clients = sorted({p.client_id for p in ordered})
+                streams = {
+                    worker_id: [p for p in ordered
+                                if clients.index(p.client_id) % workers
+                                == worker_id]
+                    for worker_id in range(workers)}
+                scheduler = ContractCheckingScheduler(policy, seed, streams)
+                replayer = build_replayer(scenario, config, workers,
+                                          scheduler=scheduler)
+                scheduler.watch(scenario, replayer)
+                result = replayer.replay(trace)
+            # Every decision was checked on the thread that took it; an
+            # assertion failing there surfaces from replay() as itself.
+            assert scheduler.checked == len(result.schedule) > len(ordered)
+            assert sum(result.pages_by_worker.values()) == len(ordered)
+            for worker_id, stream in streams.items():
+                assert ([(p.client_id, p.page, p.user_id)
+                         for p in result.page_stores[worker_id]]
+                        == [(p.client_id, p.page, p.user_id) for p in stream])
+            runs.append((result.schedule, result.schedule_signature,
+                         page_fingerprint(result)))
+        assert runs[0] == runs[1]

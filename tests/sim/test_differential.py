@@ -19,6 +19,8 @@ import dataclasses
 import functools
 import hashlib
 import json
+import sys
+import time
 from typing import Optional
 
 import pytest
@@ -31,8 +33,10 @@ from repro.bench.experiments import (ADAPTIVE_SCENARIO,
                                      STRATEGY_PAGE_INTERVAL,
                                      _ablation_strategy, _adaptive_arrival,
                                      ablation_config, run_scenario, run_sweep)
-from repro.bench.scenarios import NO_CACHE, UPDATE_SCENARIO
-from repro.sim import ADVERSARIAL, ALL_POLICIES, ROUND_ROBIN
+from repro.bench.scenarios import (INVALIDATE_SCENARIO, LEASED_SCENARIO,
+                                   NO_CACHE, UPDATE_SCENARIO)
+from repro.sim import (ADVERSARIAL, ALL_POLICIES, KEY_OVERLAP, RANDOM,
+                       ROUND_ROBIN)
 
 
 class TestJobsDifferential:
@@ -83,7 +87,25 @@ GOLDEN_FINGERPRINTS = {
     # scanned and per returned row, every candidate copied before its check).
     "NoCache": "0855d839d56fe110a9b6df323d5bfaecfe8352cac47bbf5c86ccc1997fd6a6b2",
     "NoCache/workers=2/adversarial": "366deeb6776d6e0021244a38247db6ffff4d9f186bf9c6527d91021b156b28f7",
+    # Schedules that switch threads on almost every decision, with more than
+    # two batons in play: generated at commit c517e74 from the scheduler-thread
+    # loop (two semaphores a decision), before workers took the decision
+    # themselves.  The adversarial pins above re-pick the yielder 83 % of the
+    # time; round-robin and key-overlap do so under 4 %, random at 34 %.
+    "Update/workers=3/round-robin": "60e52717f0a36c63d68ba3e389f6c625d59a5d9548f94811090eeb90643d37bf",
+    "Update/workers=4/random": "ba423cab7431e4ea6d62f0c9ca0a474a837628709956762449ae8eff0d255256",
+    "LeasedInvalidate/workers=4/key-overlap": "00d0b2a561136b4dca5e88e082ed7cc18de9a3b6976886c448fc8b6f6dfbbcf9",
+    "Invalidate/workers=3/round-robin": "d3462927f0ea02fd2ff083e71873a3ddf7bc5b8dc6021d17e88e67e3579e3877",
 }
+
+#: The pins above whose schedule hands the baton to *another* worker on most
+#: decisions: ``(scenario, workers, policy)``.
+SWITCH_HEAVY_PINS = [
+    (UPDATE_SCENARIO, 3, ROUND_ROBIN),
+    (UPDATE_SCENARIO, 4, RANDOM),
+    (LEASED_SCENARIO, 4, KEY_OVERLAP),
+    (INVALIDATE_SCENARIO, 3, ROUND_ROBIN),
+]
 
 
 def replay_fingerprint(result):
@@ -132,6 +154,40 @@ class TestGoldenFingerprints:
         fingerprint = plain_fingerprint(NO_CACHE, workers, policy)
         assert fingerprint_digest(fingerprint) == GOLDEN_FINGERPRINTS[pin]
         assert fingerprint["total"]["rows_scanned"] > 2000
+
+    @pytest.mark.parametrize("scenario_name, workers, policy",
+                             SWITCH_HEAVY_PINS)
+    def test_golden_switch_heavy_schedules(self, scenario_name, workers,
+                                           policy):
+        """Three and four workers under policies that rarely re-pick the
+        worker that just yielded: almost every decision is a real thread
+        switch, and a baton released to the wrong worker (or twice) moves
+        the schedule, the page order or a counter hashed here."""
+        fingerprint = plain_fingerprint(scenario_name, workers, policy)
+        pin = f"{scenario_name}/workers={workers}/{policy}"
+        assert fingerprint_digest(fingerprint) == GOLDEN_FINGERPRINTS[pin]
+        schedule = fingerprint["schedule"]
+        switches = sum(1 for previous, chosen in zip(schedule, schedule[1:])
+                       if previous != chosen)
+        assert switches > 0.6 * len(schedule)
+        assert set(schedule) == set(range(workers))
+
+    def test_golden_under_a_tiny_switch_interval(self):
+        """Four worker threads on fewer cores, the interpreter forced to
+        offer a thread switch every microsecond: were two workers ever
+        runnable at once (a baton released early, or twice), their recorder
+        scopes, contexts and cache operations would mix and the pin break."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        started = time.monotonic()
+        try:
+            for _ in range(3):
+                result = replay_once(UPDATE_SCENARIO, workers=4, policy=RANDOM)
+                assert (fingerprint_digest(replay_fingerprint(result))
+                        == GOLDEN_FINGERPRINTS["Update/workers=4/random"])
+        finally:
+            sys.setswitchinterval(interval)
+        assert time.monotonic() - started < 60.0
 
 
 #: Cache small enough that the quick workload evicts, so item sizes matter.

@@ -42,6 +42,26 @@ class TestRoundRobin:
         assert scheduler.choose(remaining) == 0
 
 
+    def test_rotation_matches_the_reference_formula(self):
+        """The pick is the runnable id nearest above the rotation point,
+        modulo *this call's* highest id + 1 — written out here the way it
+        was before the span was hoisted out of the ``min`` key.  The modulus
+        shrinks when the highest worker finishes, so the quirks (rotation 3
+        over ids {0, 1} picks 1, not 0) are part of every pinned schedule."""
+        ids = range(5)
+        subsets = [[i for i in ids if mask >> i & 1] for mask in range(1, 32)]
+        for runnable_ids in subsets:
+            run = [WorkerStatus(worker_id=i) for i in reversed(runnable_ids)]
+            span = max(runnable_ids) + 1
+            for rotation in range(7):
+                scheduler = InterleaveScheduler(ROUND_ROBIN)
+                scheduler._rotation = rotation
+                expected = min(runnable_ids,
+                               key=lambda i: ((i - rotation) % span, i))
+                assert scheduler.choose(run) == expected
+                assert scheduler._rotation == expected + 1
+
+
 class TestRandomPolicy:
     def test_same_seed_same_decisions(self):
         run = statuses("a", "b", "c", "d")
