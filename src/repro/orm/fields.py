@@ -68,11 +68,6 @@ class Field:
         """Name of the instance attribute holding the raw column value."""
         return self.name or self.column
 
-    def get_default(self) -> Any:
-        if callable(self.default):
-            return self.default()
-        return self.default
-
     def to_python(self, value: Any) -> Any:
         """Convert a storage value to the Python-level value."""
         return value
@@ -164,15 +159,17 @@ class ForeignKey(Field):
         self.to = to
         self.related_name = related_name
 
+    def contribute_to_class(self, model: type, name: str) -> None:
+        self._attname = f"{name}_id"  # formatted once, read on every access
+        super().contribute_to_class(model, name)
+
     @property
     def column(self) -> str:
-        if self.db_column:
-            return self.db_column
-        return f"{self.name}_id"
+        return self.db_column or self._attname
 
     @property
     def attname(self) -> str:
-        return f"{self.name}_id"
+        return self._attname
 
     def resolve_target(self, registry) -> type:
         """Resolve the target model class (handles string references)."""

@@ -107,37 +107,28 @@ class Model(metaclass=ModelBase):
     _meta: Options
 
     def __init__(self, **kwargs: Any) -> None:
-        self._state_adding = True
         meta = self._meta
-        for field in meta.fields:
-            setattr(self, field.attname, field.get_default())
+        state = self.__dict__
+        state.update(meta.initial_state)
+        for attname, factory in meta.default_factories:
+            state[attname] = factory()
+        targets = meta.init_targets
         for key, value in kwargs.items():
-            if meta.has_field(key):
-                field = meta.get_field(key)
-                if isinstance(field, ManyToManyField):
-                    raise ModelError(
-                        f"cannot set ManyToManyField {key!r} in the constructor"
-                    )
-                if isinstance(field, ForeignKey):
-                    setattr(self, key, value)  # descriptor handles instance/pk
-                else:
-                    setattr(self, field.attname, value)
-            elif any(f.attname == key for f in meta.fields):
-                setattr(self, key, value)
+            attribute, is_relation = targets.get(key) or meta.init_target(key)
+            if is_relation:
+                setattr(self, attribute, value)  # descriptor handles instance/pk
             else:
-                raise ModelError(
-                    f"{self.__class__.__name__} has no field {key!r}"
-                )
+                state[attribute] = value
 
     # -- identity --------------------------------------------------------------
 
     @property
     def pk(self) -> Any:
-        return getattr(self, self._meta.pk.attname, None)
+        return self.__dict__.get(self._meta.pk_attname)
 
     @pk.setter
     def pk(self, value: Any) -> None:
-        setattr(self, self._meta.pk.attname, value)
+        self.__dict__[self._meta.pk_attname] = value
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Model):
@@ -156,17 +147,16 @@ class Model(metaclass=ModelBase):
 
     def _column_values(self, *, include_pk: bool) -> Dict[str, Any]:
         values: Dict[str, Any] = {}
-        clock = self._meta.registry.clock
-        for field in self._meta.fields:
-            if field.primary_key and not include_pk:
+        state = self.__dict__
+        for attname, column, is_pk, auto_now_add, fk in self._meta.column_plan:
+            if is_pk and not include_pk:
                 continue
-            value = getattr(self, field.attname, None)
-            if value is None and getattr(field, "auto_now_add", False) and self._state_adding:
-                value = clock()
-                setattr(self, field.attname, value)
-            if isinstance(field, ForeignKey):
-                value = field.get_prep_value(value)
-            values[field.column] = value
+            value = state.get(attname)
+            if value is None and auto_now_add and self._state_adding:
+                value = state[attname] = self._meta.registry.clock()
+            if fk is not None:
+                value = fk.get_prep_value(value)
+            values[column] = value
         return values
 
     def save(self) -> "Model":

@@ -31,10 +31,23 @@ class Options:
         self.fields_by_name: Dict[str, Field] = {}
         self.m2m_fields: List[ManyToManyField] = []
         self.pk: Optional[Field] = None
+        self.pk_attname: Optional[str] = None
         #: ``(instance attribute, storage column)`` of every concrete field:
         #: what loading a row into an instance (and reading it back) walks.
         self.attname_columns: Tuple[Tuple[str, str], ...] = ()
         self._filter_targets: Dict[str, Tuple[str, Optional[ForeignKey]]] = {}
+        # The insert plan, kept current by add_field.  It names attributes
+        # and columns only — never a clock or a database: both live on the
+        # registry, which a new Scenario rebinds, and are read at save time.
+        #: ``instance.__dict__`` of a fresh instance: the state flag, then
+        #: every attname at its default (None where a factory fills it in).
+        self.initial_state: Dict[str, Any] = {"_state_adding": True}
+        #: ``(attname, factory)`` of the callable defaults, run per instance.
+        self.default_factories: Tuple[Tuple[str, Any], ...] = ()
+        #: ``(attname, column, is pk, auto_now_add, ForeignKey or None)`` of
+        #: every concrete field: what ``save()`` walks to build the row.
+        self.column_plan: Tuple[Tuple[str, str, bool, bool, Optional[ForeignKey]], ...] = ()
+        self.init_targets: Dict[str, Tuple[str, bool]] = {}
 
     # -- field management -----------------------------------------------------
 
@@ -45,17 +58,29 @@ class Options:
             )
         self.fields_by_name[field.name] = field
         self._filter_targets.clear()
+        self.init_targets.clear()
         if isinstance(field, ManyToManyField):
             self.m2m_fields.append(field)
             return
         self.fields.append(field)
-        self.attname_columns += ((field.attname, field.column),)
+        attname, column = field.attname, field.column
+        self.attname_columns += ((attname, column),)
+        if callable(field.default):
+            self.initial_state[attname] = None
+            self.default_factories += ((attname, field.default),)
+        else:
+            self.initial_state[attname] = field.default
+        self.column_plan += ((
+            attname, column, field.primary_key,
+            getattr(field, "auto_now_add", False),
+            field if isinstance(field, ForeignKey) else None),)
         if field.primary_key:
             if self.pk is not None:
                 raise ModelError(
                     f"model {self.model.__name__} declares multiple primary keys"
                 )
             self.pk = field
+            self.pk_attname = attname
 
     def concrete_fields(self) -> List[Field]:
         """Fields that map to a column on the model's own table."""
@@ -68,9 +93,6 @@ class Options:
             raise FieldError(
                 f"model {self.model.__name__} has no field {name!r}"
             ) from None
-
-    def has_field(self, name: str) -> bool:
-        return name in self.fields_by_name
 
     @property
     def pk_column(self) -> str:
@@ -102,6 +124,27 @@ class Options:
             target = (self.column_for(name),
                       field if isinstance(field, ForeignKey) else None)
             self._filter_targets[name] = target
+        return target
+
+    def init_target(self, key: str) -> Tuple[str, bool]:
+        """Resolve a constructor keyword to ``(attribute, is_relation)``: a
+        plain instance attribute (a field name or a raw ``<fk>_id`` attname),
+        or the ForeignKey descriptor that unwraps an instance or a pk.
+        Memoised per model in :attr:`init_targets`."""
+        field = self.fields_by_name.get(key)
+        if isinstance(field, ManyToManyField):
+            raise ModelError(
+                f"cannot set ManyToManyField {key!r} in the constructor"
+            )
+        if isinstance(field, ForeignKey):
+            target = (key, True)
+        elif field is not None:
+            target = (field.attname, False)
+        elif any(key == attname for attname, _column in self.attname_columns):
+            target = (key, False)
+        else:
+            raise ModelError(f"{self.model.__name__} has no field {key!r}")
+        self.init_targets[key] = target
         return target
 
     # -- schema generation ----------------------------------------------------

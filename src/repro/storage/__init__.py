@@ -12,8 +12,8 @@ from .costmodel import CostCounters, CostModel, Demand, Recorder
 from .database import Database
 from .predicates import (ALWAYS_TRUE, And, Between, Comparison, Eq, In, IsNull,
                          Not, Or, Predicate, predicate_from_filters)
-from .query import (CountQuery, DeleteQuery, InsertQuery, Join, OrderBy,
-                    SelectQuery, UpdateQuery)
+from .query import (CountQuery, DeleteQuery, Join, OrderBy, SelectQuery,
+                    UpdateQuery)
 from .rows import Row
 from .schema import ColumnDef, IndexDef, TableSchema
 from .table import Table
@@ -36,7 +36,6 @@ __all__ = [
     "Eq",
     "In",
     "IndexDef",
-    "InsertQuery",
     "IsNull",
     "Join",
     "Not",

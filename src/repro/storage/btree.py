@@ -117,43 +117,42 @@ class BPlusTree:
         if key is None:
             self._null_bucket.add(rowid)
             return
-        split = self._insert_into(self._root, key, rowid)
-        if split is not None:
-            sep_key, right = split
-            new_root = _Internal()
-            new_root.keys = [sep_key]
-            new_root.children = [self._root, right]
-            self._root = new_root
-
-    def _insert_into(self, node: _Node, key: Any, rowid: int) -> Optional[Tuple[Any, _Node]]:
-        if node.is_leaf:
-            leaf: _Leaf = node  # type: ignore[assignment]
-            idx = bisect.bisect_left(leaf.keys, key)
-            if idx < len(leaf.keys) and leaf.keys[idx] == key:
-                if self.unique and leaf.values[idx] and rowid not in leaf.values[idx]:
+        # Descend, remembering (internal node, child slot) for a split to
+        # climb back through.
+        path: List[Tuple[_Internal, int]] = []
+        node = self._root
+        while not node.is_leaf:
+            idx = bisect.bisect_right(node.keys, key)
+            path.append((node, idx))  # type: ignore[arg-type]
+            node = node.children[idx]  # type: ignore[attr-defined]
+        leaf: _Leaf = node  # type: ignore[assignment]
+        keys = leaf.keys
+        idx = bisect.bisect_left(keys, key)
+        if idx < len(keys) and keys[idx] == key:
+            rowids = leaf.values[idx]
+            if rowid not in rowids:
+                if self.unique and rowids:
                     raise ValueError(f"duplicate key {key!r} in unique index")
-                if rowid not in leaf.values[idx]:
-                    leaf.values[idx].add(rowid)
-                    self._size += 1
-                return None
-            leaf.keys.insert(idx, key)
-            leaf.values.insert(idx, {rowid})
-            self._size += 1
-            if len(leaf.keys) > self.order:
-                return self._split_leaf(leaf)
-            return None
-
-        internal: _Internal = node  # type: ignore[assignment]
-        idx = bisect.bisect_right(internal.keys, key)
-        split = self._insert_into(internal.children[idx], key, rowid)
-        if split is None:
-            return None
-        sep_key, right = split
-        internal.keys.insert(idx, sep_key)
-        internal.children.insert(idx + 1, right)
-        if len(internal.keys) > self.order:
-            return self._split_internal(internal)
-        return None
+                rowids.add(rowid)
+                self._size += 1
+            return
+        keys.insert(idx, key)
+        leaf.values.insert(idx, {rowid})
+        self._size += 1
+        if len(keys) <= self.order:
+            return
+        sep_key, right = self._split_leaf(leaf)
+        while path:
+            parent, idx = path.pop()
+            parent.keys.insert(idx, sep_key)
+            parent.children.insert(idx + 1, right)
+            if len(parent.keys) <= self.order:
+                return
+            sep_key, right = self._split_internal(parent)
+        new_root = _Internal()
+        new_root.keys = [sep_key]
+        new_root.children = [self._root, right]
+        self._root = new_root
 
     def _split_leaf(self, leaf: _Leaf) -> Tuple[Any, _Node]:
         mid = len(leaf.keys) // 2

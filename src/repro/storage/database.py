@@ -22,8 +22,7 @@ from .bufferpool import BufferPool
 from .costmodel import CostCounters, CostModel, Demand, Recorder
 from .executor import Executor
 from .predicates import Predicate, predicate_from_filters
-from .query import (CountQuery, DeleteQuery, InsertQuery, SelectQuery,
-                    UpdateQuery)
+from .query import CountQuery, DeleteQuery, SelectQuery, UpdateQuery
 from .schema import ColumnDef, IndexDef, TableSchema
 from .table import Table
 from .transactions import TransactionManager
@@ -112,8 +111,9 @@ class Database:
     def insert(self, table: str, values: Dict[str, Any]) -> Dict[str, Any]:
         """Insert one row; fires triggers; returns the stored row."""
         with self.transactions.statement(wrote=True):
-            result = self.executor.insert(InsertQuery(table=table, values=values))
-            self._register_insert_undo(table, result)
+            result = self.executor.insert(table, values)
+            if self.transactions.in_transaction:
+                self._register_insert_undo(table, result)
         return result
 
     def update(self, table: str, changes: Dict[str, Any],
@@ -134,8 +134,9 @@ class Database:
         with self.transactions.statement(wrote=True):
             pre_images, result = self.executor.delete(DeleteQuery(
                 table=table, predicate=self._predicate(where, predicate)))
-            for values in pre_images:
-                self._register_delete_undo(table, values)
+            if self.transactions.in_transaction:
+                for values in pre_images:
+                    self._register_delete_undo(table, values)
         return result
 
     # -------------------------------------------------------------- queries --
@@ -212,8 +213,6 @@ class Database:
         return predicate_from_filters(where or {})
 
     def _register_insert_undo(self, table: str, row: Dict[str, Any]) -> None:
-        if not self.transactions.in_transaction:
-            return
         tbl = self.table(table)
         pk = row[tbl.schema.primary_key]
 
@@ -241,8 +240,6 @@ class Database:
         self.transactions.record_undo(undo, f"undo update of {table}")
 
     def _register_delete_undo(self, table: str, values: Dict[str, Any]) -> None:
-        if not self.transactions.in_transaction:
-            return
         tbl = self.table(table)
 
         def undo() -> None:

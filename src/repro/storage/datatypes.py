@@ -139,7 +139,9 @@ class TimestampType(DataType):
         if isinstance(value, _dt.datetime):
             return value
         if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return _dt.datetime.utcfromtimestamp(float(value))
+            # Naive UTC, as ``utcfromtimestamp`` (deprecated in 3.12) gave.
+            return _dt.datetime.fromtimestamp(
+                float(value), _dt.timezone.utc).replace(tzinfo=None)
         if isinstance(value, str):
             return _dt.datetime.fromisoformat(value)
         raise SchemaError(f"expected timestamp, got {value!r}")

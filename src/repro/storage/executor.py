@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tupl
 from ..errors import TableNotFoundError
 from .planner import AccessPath, IndexLookup, IndexRange, PkLookup, plan_access
 from .predicates import ALWAYS_TRUE
-from .query import CountQuery, DeleteQuery, InsertQuery, Join, SelectQuery, UpdateQuery
+from .query import CountQuery, DeleteQuery, Join, SelectQuery, UpdateQuery
 from .table import Table
 
 Candidate = Tuple[int, Dict[str, Any]]     # (rowid, stored values)
@@ -207,12 +207,11 @@ class Executor:
 
     # -- DML ------------------------------------------------------------------
 
-    def insert(self, query: InsertQuery) -> Dict[str, Any]:
-        """Execute an INSERT; returns the inserted row (with assigned pk)."""
+    def insert(self, table: str, values: Dict[str, Any]) -> Dict[str, Any]:
+        """Execute an INSERT; returns the inserted row (with assigned pk).
+        An INSERT has nothing to plan, so it takes no query object."""
         self._recorder.record("statements")
-        table = self._table(query.table)
-        row = table.insert(query.values)
-        return row.to_dict()
+        return self._table(table).insert(values).to_dict()
 
     def _victims(self, query) -> Tuple[Table, List[int]]:
         """The table and the row ids an UPDATE/DELETE applies to.  The scan

@@ -50,17 +50,6 @@ class HeapFile:
     def row_count(self) -> int:
         return len(self._rows)
 
-    def _allocate_page(self) -> int:
-        self._page_free.append(self.page_size)
-        self._page_rows.append([])
-        return len(self._page_free) - 1
-
-    def _place_row(self, width: int) -> int:
-        """Find (or allocate) a page with enough free space for ``width`` bytes."""
-        if self._page_free and self._page_free[-1] >= width:
-            return len(self._page_free) - 1
-        return self._allocate_page()
-
     # -- mutations ------------------------------------------------------------
     # A values dict is never mutated once stored (:mod:`repro.storage.rows`):
     # reads hand out stored dicts in place, whoever lets one leave copies it.
@@ -68,12 +57,17 @@ class HeapFile:
     def insert(self, values: Dict[str, Any]) -> Row:
         """Append a row and return it (with its new rowid)."""
         width = min(self.schema.estimate_row_width(values), self.page_size)
-        page_no = self._place_row(width)
+        free = self._page_free
+        if not free or free[-1] < width:
+            # The last page cannot take the row: open a new one.
+            free.append(self.page_size)
+            self._page_rows.append([])
+        page_no = len(free) - 1
         rowid = self._next_rowid
-        self._next_rowid += 1
+        self._next_rowid = rowid + 1
         stored = dict(values)
         self._rows[rowid] = (page_no, stored)
-        self._page_free[page_no] -= width
+        free[page_no] -= width
         self._page_rows[page_no].append(rowid)
         self.buffer_pool.access(self.schema.name, page_no, dirty=True)
         return Row(rowid, stored)

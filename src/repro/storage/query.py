@@ -106,14 +106,6 @@ class CountQuery:
 
 
 @dataclass
-class InsertQuery:
-    """INSERT a single row of values into a table."""
-
-    table: str
-    values: Dict[str, Any] = field(default_factory=dict)
-
-
-@dataclass
 class UpdateQuery:
     """UPDATE rows matching ``predicate`` with ``changes``."""
 

@@ -103,6 +103,27 @@ class TableSchema:
                         f"index {idx.name!r} references unknown column {col!r}"
                     )
 
+        # The row plan.  A schema's columns are fixed at construction (only
+        # indexes are added later, and no index changes a row), so what every
+        # INSERT needs per column is worked out here, once.
+        #: ``(name, coerce a non-NULL value, default of an omitted column)``.
+        self._insert_plan = tuple(
+            (col.name, col.dtype._coerce, col.resolve_default)
+            for col in self.columns)
+        #: NOT NULL columns; the primary key is assigned, never checked.
+        self.not_null_columns: Tuple[str, ...] = tuple(
+            col.name for col in self.columns
+            if not col.nullable and col.name != primary_key)
+        # Width: the row header plus every fixed-width column, summed once;
+        # only the types that measure their value (text) are asked per row.
+        def measures(dtype: DataType) -> bool:
+            return type(dtype).estimate_width is not DataType.estimate_width
+        self._fixed_width = 8 + sum(
+            col.dtype.width for col in self.columns if not measures(col.dtype))
+        self._measured_widths = tuple(
+            (col.name, col.dtype.estimate_width)
+            for col in self.columns if measures(col.dtype))
+
     # -- column access ------------------------------------------------------
 
     @property
@@ -145,28 +166,26 @@ class TableSchema:
         assigns automatically when omitted).  For updates, only the provided
         columns are validated.
         """
+        by_name = self._by_name
+        if not values.keys() <= by_name.keys():
+            unknown = next(key for key in values if key not in by_name)
+            raise ColumnNotFoundError(
+                f"table {self.name!r} has no column {unknown!r}"
+            )
+        if not for_insert:
+            return {key: by_name[key].dtype.coerce(value)
+                    for key, value in values.items()}
         out: Dict[str, Any] = {}
-        for key in values:
-            if key not in self._by_name:
-                raise ColumnNotFoundError(
-                    f"table {self.name!r} has no column {key!r}"
-                )
-        if for_insert:
-            for col in self.columns:
-                if col.name in values:
-                    out[col.name] = col.dtype.coerce(values[col.name])
-                else:
-                    out[col.name] = col.dtype.coerce(col.resolve_default())
-        else:
-            for key, value in values.items():
-                out[key] = self._by_name[key].dtype.coerce(value)
+        for name, coerce, resolve_default in self._insert_plan:
+            value = values[name] if name in values else resolve_default()
+            out[name] = None if value is None else coerce(value)
         return out
 
     def estimate_row_width(self, row: Dict[str, Any]) -> int:
         """Estimate the storage footprint of ``row`` in bytes."""
-        total = 8  # per-row header
-        for col in self.columns:
-            total += col.dtype.estimate_width(row.get(col.name))
+        total = self._fixed_width
+        for name, measure in self._measured_widths:
+            total += measure(row.get(name))
         return total
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -9,7 +9,8 @@ row-level triggers through the database's :class:`TriggerManager`.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..errors import ConstraintViolation, RowNotFoundError, SchemaError
 from .btree import BPlusTree
@@ -26,6 +27,11 @@ class Index:
 
     def __init__(self, definition: IndexDef, recorder: Recorder) -> None:
         self.definition = definition
+        self.columns: Tuple[str, ...] = definition.columns
+        #: Extract this index's key from a row's values: the column's value,
+        #: or a tuple of them for a composite index.  Rows reach an index
+        #: complete (coerced on the way in), so no column can be missing.
+        self.key_for: Callable[[Dict[str, Any]], Any] = itemgetter(*self.columns)
         self.tree = BPlusTree(unique=definition.unique)
         self.recorder = recorder
 
@@ -33,20 +39,15 @@ class Index:
     def name(self) -> str:
         return self.definition.name
 
-    @property
-    def columns(self) -> Tuple[str, ...]:
-        return self.definition.columns
-
-    def key_for(self, values: Dict[str, Any]) -> Any:
-        """Extract this index's key from a row's values."""
-        if len(self.columns) == 1:
-            return values.get(self.columns[0])
-        return tuple(values.get(col) for col in self.columns)
-
     def _charge(self, before: int) -> None:
-        self.recorder.record("index_node_touches", self.tree.node_touches - before)
+        touched = self.tree.node_touches - before
+        if touched:
+            self.recorder.record("index_node_touches", touched)
 
     def insert(self, values: Dict[str, Any], rowid: int) -> None:
+        # ``BPlusTree.insert`` counts no node touches today (the INSERT
+        # asymmetry in docs/ARCHITECTURE.md's cost-model row), so this
+        # charges nothing — until the tree says otherwise.
         before = self.tree.node_touches
         try:
             self.tree.insert(self.key_for(values), rowid)
@@ -129,12 +130,10 @@ class Table:
     # -- constraint helpers ---------------------------------------------------
 
     def _check_not_null(self, values: Dict[str, Any]) -> None:
-        for col in self.schema.columns:
-            if col.name == self.schema.primary_key:
-                continue
-            if not col.nullable and values.get(col.name) is None:
+        for name in self.schema.not_null_columns:
+            if values.get(name) is None:
                 raise ConstraintViolation(
-                    f"column {col.name!r} of table {self.name!r} may not be NULL"
+                    f"column {name!r} of table {self.name!r} may not be NULL"
                 )
 
     def _next_pk(self) -> int:
@@ -156,23 +155,29 @@ class Table:
                 self._pk_counter = itertools.count(max(current, provided + 1))
         self._check_not_null(coerced)
 
+        # The row is charged (here and by the heap's page access) before a
+        # trigger body can run: at workers >= 2 it may checkpoint into another
+        # worker's scope.
         self.recorder.record("inserts")
         row = self.heap.insert(coerced)
+        rowid = row.rowid
         try:
-            self.primary_index.insert(coerced, row.rowid)
+            self.primary_index.insert(coerced, rowid)
         except ConstraintViolation:
-            self.heap.delete(row.rowid)
+            self.heap.delete(rowid)
             raise
-        inserted_secondaries: List[Index] = []
+        secondaries = self.secondary_indexes.values()
         try:
-            for index in self.secondary_indexes.values():
-                index.insert(coerced, row.rowid)
-                inserted_secondaries.append(index)
+            for index in secondaries:
+                index.insert(coerced, rowid)
         except ConstraintViolation:
-            for index in inserted_secondaries:
-                index.delete(coerced, row.rowid)
-            self.primary_index.delete(coerced, row.rowid)
-            self.heap.delete(row.rowid)
+            # ``index`` is the one that refused: undo the ones before it.
+            for inserted in secondaries:
+                if inserted is index:
+                    break
+                inserted.delete(coerced, rowid)
+            self.primary_index.delete(coerced, rowid)
+            self.heap.delete(rowid)
             raise
 
         if fire_triggers:
@@ -192,10 +197,10 @@ class Table:
             )
         if not self.heap.exists(rowid):
             raise RowNotFoundError(f"table {self.name!r} has no row id {rowid}")
-        for col in self.schema.columns:
-            if col.name in coerced and not col.nullable and coerced[col.name] is None:
+        for name in self.schema.not_null_columns:
+            if name in coerced and coerced[name] is None:
                 raise ConstraintViolation(
-                    f"column {col.name!r} of table {self.name!r} may not be NULL"
+                    f"column {name!r} of table {self.name!r} may not be NULL"
                 )
 
         self.recorder.record("updates")

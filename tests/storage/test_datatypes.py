@@ -1,6 +1,7 @@
 """Tests for column data types."""
 
 import datetime
+import warnings
 
 import pytest
 
@@ -82,6 +83,21 @@ class TestTimestampType:
     def test_accepts_epoch_seconds(self):
         result = TIMESTAMP.coerce(0)
         assert result == datetime.datetime(1970, 1, 1)
+
+    @pytest.mark.parametrize("epoch", [
+        0, 1, 1_000_000, 1_322_735_400, 1_000_000.0, 86400.5, 0.25, 0.000001,
+        999_999.999999, -1, -1.5, -86400.25, -0.000001])
+    def test_epoch_seconds_are_naive_utc(self, epoch):
+        """Ints, floats, negative and sub-second epochs: the naive UTC moment,
+        the same one the deprecated ``utcfromtimestamp`` produced."""
+        result = TIMESTAMP.coerce(epoch)
+        assert result.tzinfo is None
+        assert result == (datetime.datetime(1970, 1, 1)
+                          + datetime.timedelta(seconds=epoch))
+        if hasattr(datetime.datetime, "utcfromtimestamp"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DeprecationWarning)
+                assert result == datetime.datetime.utcfromtimestamp(float(epoch))
 
     def test_accepts_iso_string(self):
         assert TIMESTAMP.coerce("2011-12-01T10:30:00") == datetime.datetime(2011, 12, 1, 10, 30)

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.errors import ConstraintViolation, RowNotFoundError
-from repro.storage import (BufferPool, ColumnDef, IndexDef, Recorder,
-                           TableSchema)
+from repro.storage import (BufferPool, ColumnDef, Database, IndexDef,
+                           Recorder, TableSchema)
 from repro.storage.table import Table
 from repro.storage.triggers import TriggerManager
 
@@ -65,6 +65,55 @@ class TestInsert:
         row = table.insert({"email": "a@x", "age": 30})
         index = table.index_for_column("age")
         assert index.lookup(30) == {row.rowid}
+
+
+class TestInsertCharges:
+    """What one INSERT costs in the model, pinned so that changing it is
+    deliberate: the index descent of an INSERT is *free* (``BPlusTree.insert``
+    counts no node touches) while ``Index.delete`` and every lookup charge
+    theirs — the asymmetry recorded in docs/ARCHITECTURE.md's cost-model row."""
+
+    def make_database(self):
+        table = make_table(unique_email=True)
+        assert len(table.all_indexes()) == 3
+        db = Database()
+        return db, db.create_table(table.schema)
+
+    def nonzero(self, counters):
+        return {name: n for name, n in counters.as_dict().items() if n}
+
+    def test_insert_charges_no_index_node_touches(self):
+        db, _table = self.make_database()
+        with db.measure() as first:
+            db.insert("users", {"email": "a@x", "age": 3})
+        assert self.nonzero(first) == {
+            "statements": 1, "inserts": 1, "pages_missed": 1,
+            "pages_dirtied": 1, "commits": 1}
+        with db.measure() as second:
+            db.insert("users", {"email": "b@x", "age": 3})
+        assert self.nonzero(second) == {
+            "statements": 1, "inserts": 1, "pages_hit": 1,
+            "pages_dirtied": 1, "commits": 1}
+
+    def test_no_event_is_recorded_with_a_zero_count(self):
+        db, table = self.make_database()
+        recorded = []
+        record = db.recorder.record
+        db.recorder.record = lambda event, n=1: (recorded.append((event, n)),
+                                                 record(event, n))
+        db.insert("users", {"email": "a@x", "age": None})
+        table.index_for_column("age").lookup(None)      # the NULL bucket
+        assert recorded and all(n > 0 for _event, n in recorded)
+
+    def test_delete_and_lookup_do_charge_their_descent(self):
+        db, _table = self.make_database()
+        db.insert("users", {"email": "a@x", "age": 3})
+        with db.measure() as lookup:
+            db.find("users", where={"email": "a@x"})
+        with db.measure() as delete:
+            db.delete("users", where={"id": 1})
+        assert lookup.index_node_touches == 1
+        assert delete.index_node_touches == 4           # find it, then 3 trees
 
 
 class TestUpdateDelete:
