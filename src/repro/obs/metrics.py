@@ -6,7 +6,9 @@ histograms is element-wise counter addition — associative, deterministic,
 no re-bucketing — and (b) memory is O(buckets) however many samples stream
 through.  That bounded-memory property is what lets
 :class:`repro.sim.metrics.RunMetrics` stream latency percentiles for
-10⁴–10⁶-client populations without retaining a per-sample array; the price
+10⁴–10⁶-client populations without retaining a per-sample array
+(``simulate_population`` passes the engine an event budget computed from the
+population, so 10⁶ clients finish instead of tripping a fixed cap); the price
 is quantization: a quantile is reported as its bucket's upper bound
 (clamped into the observed [min, max]), so for geometric buckets of factor
 ``f`` the reported value is at most ``f``× the exact one.
@@ -18,6 +20,7 @@ only the one distribution primitive they lack.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
@@ -72,25 +75,20 @@ class Histogram:
         self.max: Optional[float] = None
 
     def observe(self, value: float) -> None:
+        """Count ``value`` in bucket i = (previous edge, edge i]; NaN is
+        refused — it has no bucket, and would poison ``total`` and the mean.
+        """
         value = float(value)
-        self.counts[self._bucket_index(value)] += 1
+        if value != value:
+            raise SimulationError(
+                f"histogram {self.name!r} cannot observe NaN")
+        self.counts[bisect_left(self.bounds, value)] += 1
         self.count += 1
         self.total += value
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-
-    def _bucket_index(self, value: float) -> int:
-        # Binary search over the upper edges (bucket i = (prev edge, edge]).
-        lo, hi = 0, len(self.bounds)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if value <= self.bounds[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
 
     @property
     def mean(self) -> float:

@@ -65,6 +65,10 @@ class SimulatedClient:
         self.on_finished = on_finished
         self._index = 0
         self.finish_time: Optional[float] = None
+        # A closed-loop client has exactly one page in flight: it and its
+        # start time live here, not in a closure per page.
+        self._page: Optional["PageDemand"] = None
+        self._page_started = 0.0
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -76,35 +80,33 @@ class SimulatedClient:
     def finished(self) -> bool:
         return self._index >= len(self.pages)
 
+    # Stage 1: database CPU, Stage 2: database disk, Stage 3: cache network.
+    # Each stage hands the resource a *fresh* bound method.  Never store one on
+    # the instance: a client that holds its own bound methods is a reference
+    # cycle, and a population of them then dies only at the next full
+    # collection instead of with the run.
+
     def _start_next_page(self) -> None:
-        if self.finished:
+        if self._index >= len(self.pages):
             self.finish_time = self.engine.now
             if self.on_finished is not None:
                 self.on_finished(self)
             return
-        page = self.pages[self._index]
+        page = self._page = self.pages[self._index]
         self._index += 1
-        start_time = self.engine.now
+        self._page_started = self.engine.now
+        self.db_cpu.request(page.demand.db_cpu_ms, self._after_cpu)
 
-        # Stage 1: database CPU, Stage 2: database disk, Stage 3: cache network.
-        def after_cache() -> None:
-            completion = PageCompletion(
-                client_id=self.client_id,
-                page=page.page,
-                user_id=page.user_id,
-                start_time=start_time / 1000.0,
-                end_time=self.engine.now / 1000.0,
-            )
-            self.metrics.record(completion)
-            if self.think_time_ms > 0:
-                self.engine.schedule(self.think_time_ms, self._start_next_page)
-            else:
-                self.engine.schedule(0.0, self._start_next_page)
+    def _after_cpu(self) -> None:
+        self.db_disk.request(self._page.demand.db_disk_ms, self._after_disk)
 
-        def after_disk() -> None:
-            self.cache_net.request(page.demand.cache_net_ms, after_cache)
+    def _after_disk(self) -> None:
+        self.cache_net.request(self._page.demand.cache_net_ms, self._after_cache)
 
-        def after_cpu() -> None:
-            self.db_disk.request(page.demand.db_disk_ms, after_disk)
-
-        self.db_cpu.request(page.demand.db_cpu_ms, after_cpu)
+    def _after_cache(self) -> None:
+        page = self._page
+        self.metrics.record(PageCompletion(
+            self.client_id, page.page, page.user_id,
+            self._page_started / 1000.0, self.engine.now / 1000.0))
+        think = self.think_time_ms
+        self.engine.schedule(think if think > 0 else 0.0, self._start_next_page)

@@ -113,10 +113,10 @@ class RunMetrics:
         # measure.  Completions recorded before the window closes are all
         # inside it (simulation time is monotone); afterwards, only ties at
         # the window edge still count.
-        if (self.window_end is not None
-                and completion.end_time > self.window_end):
+        end_time = completion.end_time
+        if self.window_end is not None and end_time > self.window_end:
             return
-        latency = completion.latency
+        latency = end_time - completion.start_time
         self._count += 1
         self._latency_sum += latency
         self._latency_hist.observe(latency)

@@ -16,7 +16,7 @@ CPU-bound; the cached configurations become disk-bound).
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Optional, Tuple
+from typing import Callable, Deque, Tuple
 
 from .events import EventEngine
 
@@ -45,29 +45,28 @@ class QueueingResource:
         """Request ``service_time`` units of service; call ``done`` when finished."""
         if service_time <= 0:
             done()
-            return
-        if self._busy < self.servers:
-            self._start(service_time, done, queued_at=None)
+        elif self._busy < self.servers:
+            self._busy += 1
+            self.busy_time += service_time
+            self.total_service_time += service_time
+            self.engine.schedule(service_time, self._complete, done)
         else:
             self._queue.append((service_time, done, self.engine.now))
 
-    def _start(self, service_time: float, done: Completion,
-               queued_at: Optional[float]) -> None:
-        self._busy += 1
-        if queued_at is not None:
-            self.total_queue_wait += self.engine.now - queued_at
-        self.busy_time += service_time
-        self.total_service_time += service_time
-
-        def complete() -> None:
+    def _complete(self, done: Completion) -> None:
+        self.jobs_served += 1
+        # Hand the server to the next queued job *before* telling this one's
+        # owner: both usually schedule an event, and the order they do it in
+        # hands out the sequence numbers that break a tie between the two.
+        if self._queue:
+            service_time, next_done, arrived = self._queue.popleft()
+            self.total_queue_wait += self.engine.now - arrived
+            self.busy_time += service_time
+            self.total_service_time += service_time
+            self.engine.schedule(service_time, self._complete, next_done)
+        else:
             self._busy -= 1
-            self.jobs_served += 1
-            if self._queue:
-                next_service, next_done, arrived = self._queue.popleft()
-                self._start(next_service, next_done, queued_at=arrived)
-            done()
-
-        self.engine.schedule(service_time, complete)
+        done()
 
     # -- statistics -----------------------------------------------------------
 
@@ -101,9 +100,8 @@ class DelayResource:
             done()
             return
         self.total_service_time += service_time
+        self.engine.schedule(service_time, self._complete, done)
 
-        def complete() -> None:
-            self.jobs_served += 1
-            done()
-
-        self.engine.schedule(service_time, complete)
+    def _complete(self, done: Completion) -> None:
+        self.jobs_served += 1
+        done()

@@ -26,6 +26,7 @@ measurements replay query traces:
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -52,10 +53,29 @@ class SimulationOptions:
     db_cpu_servers: int = 1
     db_disk_servers: int = 1
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.think_time_ms < math.inf:
+            raise SimulationError(
+                f"think_time_ms must be finite and non-negative, "
+                f"got {self.think_time_ms}")
+        for name in ("db_cpu_servers", "db_disk_servers"):
+            if getattr(self, name) < 1:
+                raise SimulationError(
+                    f"{name} must be at least 1, got {getattr(self, name)}")
+
 
 @dataclass
 class ReplayedPage:
-    """One functionally executed page load and its measured demand."""
+    """One functionally executed page load and its measured demand.
+
+    Slotted by hand (``dataclass(slots=True)`` needs Python 3.10): a large
+    population is walked once per simulated page, and a ``__dict__`` per page
+    was a fifth of the simulator's memory and a dict hop on every
+    ``page.demand``.  No field may take a default — a class attribute would
+    collide with its slot.
+    """
+
+    __slots__ = ("client_id", "page", "user_id", "demand", "counters")
 
     client_id: int
     page: str
@@ -265,7 +285,20 @@ def simulate_population(
 
     for client in simulated:
         client.start()
-    end_time = engine.run()
+    # The run's exact event budget: a page is at most four events (one per
+    # stage that costs anything, one to start the next page) and a client has
+    # one start event.  Only a scheduling loop can exceed it, at any size —
+    # the engine's default cap would refuse a 10^6-client population.
+    pages = sum(len(client.pages) for client in simulated)
+    budget = 4 * pages + len(simulated)
+    try:
+        end_time = engine.run(max_events=budget)
+    except SimulationError as error:
+        if engine.processed_events < budget:
+            raise
+        raise SimulationError(
+            f"{error} (the budget of {pages} pages by {len(simulated)} "
+            f"clients: 4 a page + 1 a client)") from error
 
     metrics.duration = end_time / 1000.0
     metrics.engine_events = engine.processed_events

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.errors import SimulationError
 from repro.obs import (DEFAULT_LATENCY_BUCKETS_S, Histogram,
@@ -97,3 +99,60 @@ class TestHistogram:
         hist.observe(0.01)
         encoded = json.dumps(hist.to_json(), sort_keys=True)
         assert json.dumps(json.loads(encoded), sort_keys=True) == encoded
+
+
+def reference_bucket_index(bounds, value):
+    """The Python-level binary search ``observe`` ran before it used
+    ``bisect_left``: bucket i = (previous edge, edge i], overflow last."""
+    lo, hi = 0, len(bounds)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if value <= bounds[mid]:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False, width=32)
+
+
+class TestObserveBucketChoice:
+    @given(st.lists(finite, min_size=1, max_size=12, unique=True).map(sorted),
+           st.data())
+    def test_observe_fills_the_bucket_the_python_search_chose(self, bounds,
+                                                              data):
+        edges = st.sampled_from(bounds)
+        value = data.draw(st.one_of(
+            edges,                                        # on an edge
+            edges.map(lambda edge: math.nextafter(edge, math.inf)),
+            edges.map(lambda edge: math.nextafter(edge, -math.inf)),
+            finite,
+            st.sampled_from([bounds[0] - 1.0, bounds[-1] + 1.0,
+                             math.inf, -math.inf, 0.0, -0.0])))
+        hist = Histogram("h", bounds=bounds)
+        hist.observe(value)
+        expected = [0] * (len(bounds) + 1)
+        expected[reference_bucket_index(hist.bounds, value)] = 1
+        assert hist.counts == expected
+        assert (hist.count, hist.total, hist.min, hist.max) == (
+            1, value, value, value)
+
+    def test_edges_belong_to_the_bucket_below(self):
+        hist = Histogram("h", bounds=(0.0, 1.0, 2.0))
+        for value in (-0.0, 0.0, 1.0, 2.0, math.inf, -math.inf, 2.5, 1e-300):
+            hist.observe(value)
+        # (-inf, 0]: -0.0, 0.0, -inf   (0, 1]: 1.0, 1e-300   (1, 2]: 2.0
+        # overflow: inf, 2.5
+        assert hist.counts == [3, 2, 1, 2]
+
+    def test_nan_is_refused_and_leaves_no_trace(self):
+        """A NaN has no bucket (the old search put it in the overflow bucket,
+        ``bisect_left`` would put it in the first) and would turn ``total``
+        and the mean into NaN: ``observe`` refuses it."""
+        hist = Histogram("lat", bounds=(1.0, 2.0))
+        hist.observe(1.5)
+        with pytest.raises(SimulationError, match="'lat' cannot observe NaN"):
+            hist.observe(float("nan"))
+        assert (hist.counts, hist.count, hist.total) == ([0, 1, 0], 1, 1.5)
+        assert (hist.min, hist.max) == (1.5, 1.5)

@@ -9,7 +9,10 @@ simulator to the numbers the original produced.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
+import pickle
 
 import pytest
 
@@ -19,7 +22,8 @@ from repro.bench.experiments import (QUICK_HOT_KEY_WORKLOAD as WORKLOAD,
 from repro.bench.scenarios import UPDATE_SCENARIO
 from repro.errors import SimulationError
 from repro.sim import (ADVERSARIAL, RUN_JSON_SCHEMA, ReplayResult,
-                       simulate_population)
+                       ReplayedPage, simulate_population)
+from repro.storage.costmodel import CostCounters, Demand
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +84,70 @@ class TestReplayResultRoundTrip:
         doc["schema"] = RUN_JSON_SCHEMA + 1
         with pytest.raises(SimulationError):
             ReplayResult.from_json(doc)
+
+
+class TestSlottedReplayedPage:
+    """``ReplayedPage`` carries ``__slots__`` written by hand (no
+    ``dataclass(slots=True)`` before Python 3.10); everything a dataclass with
+    a ``__dict__`` did for its callers still works."""
+
+    @staticmethod
+    def page() -> ReplayedPage:
+        return ReplayedPage(client_id=3, page="LookupBM", user_id=4,
+                            demand=Demand(db_cpu_ms=1.5, db_disk_ms=0.5,
+                                          cache_net_ms=0.25),
+                            counters=CostCounters(statements=2))
+
+    def test_has_no_dict_and_refuses_unknown_attributes(self):
+        page = self.page()
+        assert not hasattr(page, "__dict__")
+        with pytest.raises(AttributeError):
+            page.latency = 1.0
+        page.user_id = 5                      # the fields stay writable
+        assert page.user_id == 5
+
+    def test_keywords_positions_equality_and_repr(self):
+        page = self.page()
+        positional = ReplayedPage(3, "LookupBM", 4, page.demand, page.counters)
+        assert positional == page
+        assert page != dataclasses.replace(page, client_id=9)
+        assert repr(page).startswith(
+            "ReplayedPage(client_id=3, page='LookupBM', user_id=4, demand=")
+        with pytest.raises(TypeError):
+            ReplayedPage(client_id=3, page="LookupBM", user_id=4)
+
+    @pytest.mark.parametrize("protocol", [2, pickle.HIGHEST_PROTOCOL])
+    def test_pickles_across_processes(self, protocol, replay):
+        """``run_cells --jobs`` sends whole replays back from its workers."""
+        page = self.page()
+        clone = pickle.loads(pickle.dumps(page, protocol))
+        assert clone == page and clone is not page
+        assert clone.counters.as_dict() == page.counters.as_dict()
+        rebuilt = pickle.loads(pickle.dumps(replay, protocol))
+        assert canonical(rebuilt.to_json()) == canonical(replay.to_json())
+
+    def test_deepcopy_asdict_and_replace(self):
+        page = self.page()
+        clone = copy.deepcopy(page)
+        assert clone == page and clone.demand is not page.demand
+        as_dict = dataclasses.asdict(page)
+        assert list(as_dict) == ["client_id", "page", "user_id", "demand",
+                                 "counters"]
+        assert as_dict["demand"] == {"db_cpu_ms": 1.5, "db_disk_ms": 0.5,
+                                     "cache_net_ms": 0.25}
+        moved = dataclasses.replace(page, page="CreateBM")
+        assert (moved.page, moved.demand) == ("CreateBM", page.demand)
+        assert page.page == "LookupBM"
+
+    def test_documents_stay_byte_identical_over_repeated_round_trips(
+            self, replay):
+        first = canonical(replay.to_json())
+        rebuilt = ReplayResult.from_json(json.loads(first))
+        assert not hasattr(rebuilt.pages[0], "__dict__")
+        second = canonical(rebuilt.to_json())
+        third = canonical(
+            ReplayResult.from_json(json.loads(second)).to_json())
+        assert first == second == third
 
 
 class TestRunMetricsDocument:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.sim import (STREAM_CLIENT_THRESHOLD, ConcurrentReplayer,
                        SimulationOptions, exact_mva,
                        aggregate_resource_demands, simulate_population)
@@ -204,3 +205,25 @@ class TestStreamingMetrics:
         assert metrics.completed_pages > 0
         assert metrics.throughput > 0
         assert metrics.mean_latency > 0
+
+
+class TestSimulationOptionsValidation:
+    """Nonsense used to pass silently: a negative or NaN think time was
+    treated as 0 (``nan > 0`` is false), zero servers failed only inside
+    ``QueueingResource``."""
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_think_time_must_be_finite_and_non_negative(self, bad):
+        with pytest.raises(SimulationError, match="think_time_ms"):
+            SimulationOptions(think_time_ms=bad)
+
+    @pytest.mark.parametrize("field", ["db_cpu_servers", "db_disk_servers"])
+    @pytest.mark.parametrize("bad", [0, -2])
+    def test_servers_must_be_at_least_one(self, field, bad):
+        with pytest.raises(SimulationError, match=field):
+            SimulationOptions(**{field: bad})
+
+    def test_the_values_in_use_are_legal(self):
+        assert SimulationOptions().think_time_ms == 30.0
+        assert SimulationOptions(think_time_ms=0.0).think_time_ms == 0.0
+        assert SimulationOptions(db_cpu_servers=2, db_disk_servers=3)
