@@ -1,10 +1,18 @@
 """An in-memory B+Tree used for table indexes.
 
-The tree maps keys (single values or tuples, for composite indexes) to sets
-of heap row ids.  Leaves are linked to support ordered range scans, which the
-executor uses for ``ORDER BY ... LIMIT k`` (top-K) plans and range predicates.
+The tree maps keys (single values or tuples, for composite indexes) to heap
+row ids.  A leaf stores each key's *posting*: the bare row id in a unique
+tree, an ascending ``list`` otherwise, which an insert appends to (row ids
+only grow) or, for an out-of-order id, places with ``bisect``.  Reads hand the
+stored list out without copying it (a unique tree's reads build a
+one-element list), so **a posting a reader holds is valid until the next
+write to the tree**: every caller consumes it before its statement can write
+(the executor fetches a lookup's rows at once and collects an UPDATE's or
+DELETE's row ids before the first row changes or a trigger fires).  Leaves
+are linked to support ordered range scans, which the executor uses for
+``ORDER BY ... LIMIT k`` (top-K) plans and range predicates.
 
-Keys must be mutually comparable; ``None`` keys are stored in a side bucket
+Keys must be mutually comparable; ``None`` keys are stored in a side list
 because SQL NULLs do not participate in B+Tree ordering.
 
 The tree also counts logical *node touches* so the cost model can charge a
@@ -15,7 +23,28 @@ compares B+Tree lookups against memcached gets).
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Iterator, List, Optional, Tuple
+
+
+def _add(posting: List[int], rowid: int) -> bool:
+    """Add ``rowid`` to the ascending ``posting``; False if it was there."""
+    if not posting or posting[-1] < rowid:      # row ids only grow: append
+        posting.append(rowid)
+        return True
+    idx = bisect.bisect_left(posting, rowid)
+    if posting[idx] == rowid:
+        return False
+    posting.insert(idx, rowid)
+    return True
+
+
+def _remove(posting: List[int], rowid: int) -> bool:
+    """Remove ``rowid`` from the ascending ``posting``; False if absent."""
+    idx = bisect.bisect_left(posting, rowid)
+    if idx < len(posting) and posting[idx] == rowid:
+        del posting[idx]
+        return True
+    return False
 
 
 class _Node:
@@ -31,8 +60,8 @@ class _Leaf(_Node):
 
     def __init__(self) -> None:
         super().__init__(is_leaf=True)
-        # Parallel to ``keys``: each entry is a set of rowids for that key.
-        self.values: List[Set[int]] = []
+        # Parallel to ``keys``: each entry is the posting for that key.
+        self.values: List[Any] = []
         self.next: Optional["_Leaf"] = None
 
 
@@ -46,7 +75,7 @@ class _Internal(_Node):
 
 
 class BPlusTree:
-    """B+Tree index mapping keys to sets of row ids.
+    """B+Tree index mapping keys to ascending row ids.
 
     Parameters
     ----------
@@ -57,7 +86,8 @@ class BPlusTree:
     unique:
         If True, inserting a second rowid under an existing key raises
         ``ValueError`` (the table layer converts this into a
-        :class:`~repro.errors.ConstraintViolation`).
+        :class:`~repro.errors.ConstraintViolation`), and each key's posting
+        is its bare row id.
     """
 
     def __init__(self, order: int = 64, unique: bool = False) -> None:
@@ -66,7 +96,7 @@ class BPlusTree:
         self.order = order
         self.unique = unique
         self._root: _Node = _Leaf()
-        self._null_bucket: Set[int] = set()
+        self._null_bucket: List[int] = []
         self._size = 0  # number of (key, rowid) pairs, excluding NULLs
         self.node_touches = 0  # cumulative nodes visited (for the cost model)
 
@@ -96,26 +126,24 @@ class BPlusTree:
             self.node_touches += 1
         return node  # type: ignore[return-value]
 
-    def search(self, key: Any) -> Set[int]:
-        """Return the set of rowids stored under ``key`` (empty if absent)."""
+    def search(self, key: Any) -> List[int]:
+        """The ascending rowids stored under ``key`` (empty if absent): read
+        them before the next write to the tree, never mutate them."""
         if key is None:
-            return set(self._null_bucket)
+            return self._null_bucket
         leaf = self._find_leaf(key)
         idx = bisect.bisect_left(leaf.keys, key)
         if idx < len(leaf.keys) and leaf.keys[idx] == key:
-            return set(leaf.values[idx])
-        return set()
-
-    def contains_key(self, key: Any) -> bool:
-        """Return True if any rowid is stored under ``key``."""
-        return bool(self.search(key))
+            posting = leaf.values[idx]
+            return [posting] if self.unique else posting  # type: ignore[list-item,return-value]
+        return []
 
     # -- insert ---------------------------------------------------------------
 
     def insert(self, key: Any, rowid: int) -> None:
         """Insert a (key, rowid) pair."""
         if key is None:
-            self._null_bucket.add(rowid)
+            _add(self._null_bucket, rowid)
             return
         # Descend, remembering (internal node, child slot) for a split to
         # climb back through.
@@ -129,15 +157,16 @@ class BPlusTree:
         keys = leaf.keys
         idx = bisect.bisect_left(keys, key)
         if idx < len(keys) and keys[idx] == key:
-            rowids = leaf.values[idx]
-            if rowid not in rowids:
-                if self.unique and rowids:
+            posting = leaf.values[idx]
+            if self.unique:
+                if posting != rowid:
                     raise ValueError(f"duplicate key {key!r} in unique index")
-                rowids.add(rowid)
+                return
+            if _add(posting, rowid):
                 self._size += 1
             return
         keys.insert(idx, key)
-        leaf.values.insert(idx, {rowid})
+        leaf.values.insert(idx, rowid if self.unique else [rowid])
         self._size += 1
         if len(keys) <= self.order:
             return
@@ -185,21 +214,22 @@ class BPlusTree:
         keeps the structure (and its simulated page counts) honest enough.
         """
         if key is None:
-            if rowid in self._null_bucket:
-                self._null_bucket.discard(rowid)
-                return True
-            return False
+            return _remove(self._null_bucket, rowid)
         leaf = self._find_leaf(key)
         idx = bisect.bisect_left(leaf.keys, key)
-        if idx < len(leaf.keys) and leaf.keys[idx] == key:
-            if rowid in leaf.values[idx]:
-                leaf.values[idx].discard(rowid)
-                self._size -= 1
-                if not leaf.values[idx]:
-                    del leaf.keys[idx]
-                    del leaf.values[idx]
-                return True
-        return False
+        if idx == len(leaf.keys) or leaf.keys[idx] != key:
+            return False
+        posting = leaf.values[idx]
+        if self.unique:
+            if posting != rowid:
+                return False
+        elif not _remove(posting, rowid):
+            return False
+        self._size -= 1
+        if self.unique or not posting:
+            del leaf.keys[idx]
+            del leaf.values[idx]
+        return True
 
     # -- scans ----------------------------------------------------------------
 
@@ -211,12 +241,12 @@ class BPlusTree:
             self.node_touches += 1
         return node  # type: ignore[return-value]
 
-    def items(self) -> Iterator[Tuple[Any, Set[int]]]:
-        """Yield (key, rowids) pairs in ascending key order."""
+    def items(self) -> Iterator[Tuple[Any, List[int]]]:
+        """Yield (key, ascending rowids) pairs in ascending key order."""
         leaf: Optional[_Leaf] = self._leftmost_leaf()
         while leaf is not None:
-            for key, rowids in zip(leaf.keys, leaf.values):
-                yield key, set(rowids)
+            for key, posting in zip(leaf.keys, leaf.values):
+                yield key, [posting] if self.unique else posting  # type: ignore[misc]
             leaf = leaf.next
             if leaf is not None:
                 self.node_touches += 1
@@ -229,13 +259,14 @@ class BPlusTree:
         include_low: bool = True,
         include_high: bool = True,
         reverse: bool = False,
-    ) -> Iterator[Tuple[Any, Set[int]]]:
-        """Yield (key, rowids) pairs with keys in [low, high].
+    ) -> Iterator[Tuple[Any, List[int]]]:
+        """Yield (key, ascending rowids) pairs with keys in [low, high].
 
         ``None`` bounds are open.  ``reverse=True`` yields descending order
         (materialized from the forward scan; acceptable for in-memory leaves).
+        The scan runs, and counts its node touches, before this returns.
         """
-        results: List[Tuple[Any, Set[int]]] = []
+        results: List[Tuple[Any, List[int]]] = []
         if low is None:
             leaf: Optional[_Leaf] = self._leftmost_leaf()
             start_idx = 0
@@ -252,7 +283,8 @@ class BPlusTree:
                     if key > high or (key == high and not include_high):
                         leaf = None
                         break
-                results.append((key, set(leaf.values[idx])))
+                posting = leaf.values[idx]
+                results.append((key, [posting] if self.unique else posting))  # type: ignore[list-item]
             else:
                 leaf = leaf.next
                 start_idx = 0
@@ -264,21 +296,27 @@ class BPlusTree:
             results.reverse()
         return iter(results)
 
-    def keys(self) -> List[Any]:
-        """Return all distinct keys in ascending order."""
-        return [key for key, _ in self.items()]
-
     def check_invariants(self) -> None:
-        """Verify ordering and structural invariants (used by property tests)."""
-        previous: Any = None
-        count = 0
-        for key, rowids in self.items():
-            if previous is not None and not previous < key:
-                raise AssertionError(f"keys out of order: {previous!r} !< {key!r}")
-            if not rowids:
-                raise AssertionError(f"empty rowid set for key {key!r}")
-            previous = key
-            count += len(rowids)
+        """Verify ordering, layout and structural invariants (used by property
+        tests): ascending keys; a bare row id per key in a unique tree, else a
+        non-empty, strictly ascending list.  Counts no node touches."""
+        touches, leaf = self.node_touches, self._leftmost_leaf()
+        self.node_touches = touches
+        keys: List[Any] = []
+        postings: List[Any] = []
+        while leaf is not None:
+            keys += leaf.keys
+            postings += leaf.values
+            leaf = leaf.next
+        if self.unique and any(type(posting) is not int for posting in postings):
+            raise AssertionError("a unique tree's posting is not a row id")
+        lists = [[posting] for posting in postings] if self.unique else postings
+        if not all(type(posting) is list and posting for posting in lists):
+            raise AssertionError("a posting is not a non-empty list")
+        for items in [keys, self._null_bucket, *lists]:
+            if any(not a < b for a, b in zip(items, items[1:])):
+                raise AssertionError(f"not strictly ascending: {items!r}")
+        count = sum(map(len, lists))
         if count != self._size:
             raise AssertionError(f"size mismatch: counted {count}, recorded {self._size}")
         self._check_node(self._root)

@@ -9,7 +9,7 @@ cost model meaningful.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import RowNotFoundError
 from .bufferpool import BufferPool
@@ -32,12 +32,15 @@ class HeapFile:
         self.schema = schema
         self.buffer_pool = buffer_pool
         self.page_size = page_size
-        self._next_rowid = 1
-        # rowid -> (page_no, values); deleted rows are removed from the map.
-        self._rows: Dict[int, Tuple[int, Dict[str, Any]]] = {}
+        # The row directory: rowid -> stored values (None: deleted, and row
+        # id 0, never assigned) and rowid -> page_no; the next rowid is their
+        # length.
+        self._values: List[Optional[Dict[str, Any]]] = [None]
+        self._pages: List[int] = [0]
+        self._live = 0
         # page_no -> free bytes remaining
         self._page_free: List[int] = []
-        # page_no -> set of rowids living there (kept as list for iteration order)
+        # page_no -> rowids living there, in insertion order
         self._page_rows: List[List[int]] = []
 
     # -- page management ------------------------------------------------------
@@ -48,7 +51,7 @@ class HeapFile:
 
     @property
     def row_count(self) -> int:
-        return len(self._rows)
+        return self._live
 
     # -- mutations ------------------------------------------------------------
     # A values dict is never mutated once stored (:mod:`repro.storage.rows`):
@@ -63,37 +66,39 @@ class HeapFile:
             free.append(self.page_size)
             self._page_rows.append([])
         page_no = len(free) - 1
-        rowid = self._next_rowid
-        self._next_rowid = rowid + 1
+        rowid = len(self._values)
         stored = dict(values)
-        self._rows[rowid] = (page_no, stored)
+        self._values.append(stored)
+        self._pages.append(page_no)
+        self._live += 1
         free[page_no] -= width
         self._page_rows[page_no].append(rowid)
         self.buffer_pool.access(self.schema.name, page_no, dirty=True)
         return Row(rowid, stored)
 
-    def _entry(self, rowid: int) -> Tuple[int, Dict[str, Any]]:
-        try:
-            return self._rows[rowid]
-        except KeyError:
-            raise RowNotFoundError(
-                f"table {self.schema.name!r} has no row id {rowid}"
-            ) from None
+    def _stored(self, rowid: int) -> Dict[str, Any]:
+        # ``0 <`` first: a negative id must not index from the end.
+        if 0 < rowid < len(self._values):
+            stored = self._values[rowid]
+            if stored is not None:
+                return stored
+        raise RowNotFoundError(f"table {self.schema.name!r} has no row id {rowid}")
 
     def update(self, rowid: int,
                changes: Dict[str, Any]) -> Tuple[Dict[str, Any], Dict[str, Any]]:
         """Install ``{**stored, **changes}``.  Returns the (displaced, installed)
         stored images: the displaced dict is the row's pre-image."""
-        page_no, old = self._entry(rowid)
-        new = {**old, **changes}
-        self._rows[rowid] = (page_no, new)
-        self.buffer_pool.access(self.schema.name, page_no, dirty=True)
+        old = self._stored(rowid)
+        new = self._values[rowid] = {**old, **changes}
+        self.buffer_pool.access(self.schema.name, self._pages[rowid], dirty=True)
         return old, new
 
     def delete(self, rowid: int) -> Dict[str, Any]:
         """Remove a row.  Returns its (no longer stored) values."""
-        page_no, stored = self._entry(rowid)
-        del self._rows[rowid]
+        stored = self._stored(rowid)
+        page_no = self._pages[rowid]
+        self._values[rowid] = None
+        self._live -= 1
         try:
             self._page_rows[page_no].remove(rowid)
         except ValueError:  # pragma: no cover - defensive
@@ -105,20 +110,21 @@ class HeapFile:
 
     def fetch(self, rowid: int) -> Row:
         """Fetch one row by rowid, charging a page access."""
-        page_no, stored = self._entry(rowid)
-        self.buffer_pool.access(self.schema.name, page_no)
+        stored = self._stored(rowid)
+        self.buffer_pool.access(self.schema.name, self._pages[rowid])
         return Row(rowid, stored)
 
     def fetch_many(self, rowids: Iterable[int]) -> List[Tuple[int, Dict[str, Any]]]:
         """``(rowid, stored values)`` of several rows, charging one page
-        access per distinct page."""
+        access per distinct page.  Unknown and deleted row ids are skipped."""
+        values, pages, end = self._values, self._pages, len(self._values)
         rows: List[Tuple[int, Dict[str, Any]]] = []
         touched: set = set()
         for rowid in rowids:
-            try:
-                page_no, stored = self._rows[rowid]
-            except KeyError:
+            stored = values[rowid] if 0 < rowid < end else None
+            if stored is None:
                 continue
+            page_no = pages[rowid]
             if page_no not in touched:
                 self.buffer_pool.access(self.schema.name, page_no)
                 touched.add(page_no)
@@ -126,16 +132,16 @@ class HeapFile:
         return rows
 
     def exists(self, rowid: int) -> bool:
-        return rowid in self._rows
+        return 0 < rowid < len(self._values) and self._values[rowid] is not None
 
     def scan(self) -> Iterator[List[Tuple[int, Dict[str, Any]]]]:
         """Full scan in page order: the ``(rowid, stored values)`` of one
         non-empty page at a time, charging one access per page."""
-        rows = self._rows
+        values = self._values
         for page_no, rowids in enumerate(self._page_rows):
             if rowids:
                 self.buffer_pool.access(self.schema.name, page_no)
-                yield [(rowid, rows[rowid][1]) for rowid in rowids]
+                yield [(rowid, values[rowid]) for rowid in rowids]  # type: ignore[misc]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

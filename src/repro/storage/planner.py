@@ -102,8 +102,9 @@ def plan_access(table: Table, query: Union[SelectQuery, CountQuery]) -> AccessPa
         if index is not None and index is not table.primary_index:
             return IndexLookup(index, value)
 
-    # 3a. index range scan driven by a range predicate
-    for column in set(predicate.columns()):
+    # 3a. index range scan driven by a range predicate, the first indexed
+    # column in predicate order (a set's order would follow string hashing)
+    for column in dict.fromkeys(predicate.columns()):
         index = table.index_for_column(column)
         if index is None:
             continue

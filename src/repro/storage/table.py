@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from operator import itemgetter
-from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..errors import ConstraintViolation, RowNotFoundError, SchemaError
 from .btree import BPlusTree
@@ -61,21 +61,24 @@ class Index:
         self.tree.delete(self.key_for(values), rowid)
         self._charge(before)
 
-    def lookup(self, key: Any) -> Set[int]:
+    def lookup(self, key: Any) -> List[int]:
+        """The ascending row ids under ``key``: read them before the next
+        write to this index, never mutate them."""
         before = self.tree.node_touches
         result = self.tree.search(key)
         self._charge(before)
         return result
 
     def range(self, low: Any = None, high: Any = None, *, reverse: bool = False,
-              include_low: bool = True, include_high: bool = True) -> Iterator[Tuple[Any, Set[int]]]:
+              include_low: bool = True, include_high: bool = True
+              ) -> Iterator[Tuple[Any, List[int]]]:
         before = self.tree.node_touches
-        result = list(self.tree.range_scan(
+        result = self.tree.range_scan(
             low, high, reverse=reverse,
             include_low=include_low, include_high=include_high,
-        ))
+        )
         self._charge(before)
-        return iter(result)
+        return result
 
 
 class Table:
@@ -241,21 +244,22 @@ class Table:
         rowids = self.primary_index.lookup(pk)
         if not rowids:
             return None
-        return self.heap.fetch(next(iter(rowids)))
+        return self.heap.fetch(rowids[0])
 
-    def fetch_rows(self, rowids: Set[int]) -> List[Tuple[int, Dict[str, Any]]]:
-        """``(rowid, stored values)`` of the given rows, in rowid order."""
-        return self.heap.fetch_many(sorted(rowids))
+    def fetch_rows(self, rowids: List[int]) -> List[Tuple[int, Dict[str, Any]]]:
+        """``(rowid, stored values)`` of the given ascending rows."""
+        return self.heap.fetch_many(rowids)
 
     def scan(self) -> Iterator[List[Tuple[int, Dict[str, Any]]]]:
         return self.heap.scan()
 
     def index_for_column(self, column: str) -> Optional[Index]:
-        """Return an index whose leading column is ``column``, if any."""
+        """Return an index on exactly ``column``, if any: a composite index
+        leading with it cannot serve a scalar key."""
         if column == self.schema.primary_key:
             return self.primary_index
         for index in self.secondary_indexes.values():
-            if index.columns[0] == column:
+            if index.columns == (column,):
                 return index
         return None
 

@@ -42,9 +42,16 @@ def leaves_of(tree):
     leaves = []
     while node is not None:
         leaves.append([[repr(key) for key in node.keys],
-                       [sorted(rowids) for rowids in node.values]])
+                       [[posting] if tree.unique else list(posting)
+                        for posting in node.values]])
         node = node.next
     return leaves
+
+
+def live_rows(heap):
+    """``(rowid, page_no, stored values)`` of every live row, by rowid."""
+    return [(rowid, heap._pages[rowid], values)
+            for rowid, values in enumerate(heap._values) if values is not None]
 
 
 def seeded_state(scenario):
@@ -55,7 +62,7 @@ def seeded_state(scenario):
         tables[name] = {
             # repr(): timestamps are datetimes, and 1 / 1.0 / True must differ.
             "rows": [(rowid, page_no, repr(sorted(values.items())))
-                     for rowid, (page_no, values) in sorted(heap._rows.items())],
+                     for rowid, page_no, values in live_rows(heap)],
             "page_free": list(heap._page_free),
             "page_rows": [list(rowids) for rowids in heap._page_rows],
             "next_pk": table._next_pk(),
@@ -90,3 +97,24 @@ def test_seeded_state_matches_the_pin(scale):
             == GOLDEN_SEEDED_STATE[scale])
     # One INSERT a seeded row, and nothing else wrote.
     assert state["counters"]["inserts"] == sum(state["summary"].values())
+
+
+def test_seeded_leaves_hold_row_ids_not_sets():
+    """The compact layout: a unique index stores each key's bare row id, any
+    other index one ascending list, and no leaf anywhere holds a ``set``."""
+    scenario = Scenario(ScenarioConfig(
+        name=NO_CACHE, seed_scale=SeedScale.paper_ratio(600))).setup()
+    try:
+        database = scenario.database
+        for name in database.table_names():
+            for index in database.table(name).all_indexes():
+                index.tree.check_invariants()
+                node = index.tree._root
+                while not node.is_leaf:
+                    node = node.children[0]
+                while node is not None:
+                    assert not any(isinstance(posting, set)
+                                   for posting in node.values), index.name
+                    node = node.next
+    finally:
+        scenario.teardown()

@@ -15,9 +15,9 @@ class TestBasicOperations:
         tree.insert(5, 100)
         tree.insert(5, 101)
         tree.insert(7, 102)
-        assert tree.search(5) == {100, 101}
-        assert tree.search(7) == {102}
-        assert tree.search(99) == set()
+        assert tree.search(5) == [100, 101]
+        assert tree.search(7) == [102]
+        assert tree.search(99) == []
 
     def test_len_counts_pairs(self):
         tree = BPlusTree(order=4)
@@ -30,7 +30,7 @@ class TestBasicOperations:
         tree.insert(1, 10)
         tree.insert(1, 11)
         assert tree.delete(1, 10) is True
-        assert tree.search(1) == {11}
+        assert tree.search(1) == [11]
         assert tree.delete(1, 999) is False
 
     def test_unique_index_rejects_duplicates(self):
@@ -45,9 +45,9 @@ class TestBasicOperations:
         tree = BPlusTree(order=4)
         tree.insert(None, 1)
         tree.insert(None, 2)
-        assert tree.search(None) == {1, 2}
+        assert tree.search(None) == [1, 2]
         assert tree.delete(None, 1)
-        assert tree.search(None) == {2}
+        assert tree.search(None) == [2]
 
     def test_splits_grow_height(self):
         tree = BPlusTree(order=4)
@@ -96,21 +96,101 @@ class TestRangeScan:
         assert keys == [20, 18, 16, 14, 12, 10]
 
 
-class TestPropertyBased:
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.tuples(st.integers(-1000, 1000), st.integers(0, 50)),
-                    max_size=300))
-    def test_matches_reference_dict(self, pairs):
-        """The tree agrees with a reference dict-of-sets under random inserts."""
-        tree = BPlusTree(order=6)
-        reference = {}
-        for key, rowid in pairs:
-            tree.insert(key, rowid)
-            reference.setdefault(key, set()).add(rowid)
-        for key, rowids in reference.items():
-            assert tree.search(key) == rowids
+class TestLayout:
+    def test_out_of_order_row_ids_are_placed_in_order(self):
+        tree = BPlusTree(order=4)
+        for rowid in (20, 40, 10, 30):
+            tree.insert("k", rowid)
+            tree.insert(None, rowid)
+        tree.delete("k", 30)
+        tree.insert("k", 5)
+        assert tree.search("k") == [5, 10, 20, 40]
+        assert tree.search(None) == [10, 20, 30, 40]
+        assert tree._root.values == [[5, 10, 20, 40]]
         tree.check_invariants()
-        assert [k for k, _ in tree.items()] == sorted(reference)
+
+    def test_unique_trees_store_the_bare_row_id(self):
+        tree = BPlusTree(order=4, unique=True)
+        tree.insert("k", 7)
+        assert tree._root.values == [7]
+        assert tree.search("k") == [7] and dict(tree.items()) == {"k": [7]}
+        tree.check_invariants()
+
+
+def leaf_count(tree):
+    node = tree._root
+    while not node.is_leaf:
+        node = node.children[0]
+    count = 0
+    while node is not None:
+        count, node = count + 1, node.next
+    return count
+
+
+tree_operations = st.lists(st.tuples(
+    st.sampled_from(("insert", "insert", "insert", "delete")),
+    st.one_of(st.none(), st.integers(0, 12), st.integers(-300, 300)),
+    st.integers(1, 40)), max_size=250)
+bounds = st.one_of(st.none(), st.integers(-320, 320))
+range_scans = st.lists(st.tuples(bounds, bounds, st.booleans(), st.booleans(),
+                                 st.booleans()), max_size=6)
+
+
+class TestPropertyBased:
+    @settings(max_examples=300, deadline=None)
+    @given(order=st.integers(4, 64), unique=st.booleans(),
+           operations=tree_operations, scans=range_scans)
+    def test_matches_reference_dict(self, order, unique, operations, scans):
+        """Unique and non-unique trees agree with a reference dict of row-id
+        sets under inserts (row ids in any order, present pairs again, NULL
+        keys, the duplicates a unique tree refuses) and deletes: every read
+        hands out the reference's row ids sorted, and charges exactly the
+        nodes it walks; a write walks none but a delete's descent."""
+        tree = BPlusTree(order, unique)
+        reference, nulls = {}, set()
+        for kind, key, rowid in operations:
+            before, height = tree.node_touches, tree.height
+            stored = nulls if key is None else reference.get(key, set())
+            if kind == "insert":
+                if unique and key is not None and stored and rowid not in stored:
+                    with pytest.raises(ValueError) as refused:
+                        tree.insert(key, rowid)
+                    assert str(refused.value) == f"duplicate key {key!r} in unique index"
+                else:
+                    tree.insert(key, rowid)
+                    if key is None:
+                        nulls.add(rowid)
+                    else:
+                        reference.setdefault(key, set()).add(rowid)
+                assert tree.node_touches == before
+            else:
+                assert tree.delete(key, rowid) is (rowid in stored)
+                stored.discard(rowid)
+                if key is not None and not stored:
+                    reference.pop(key, None)
+                assert tree.node_touches == before + (0 if key is None else height)
+            assert len(tree) == len(nulls) + sum(map(len, reference.values()))
+        tree.check_invariants()
+
+        for key in [None, -1000, *reference]:
+            before = tree.node_touches
+            expected = nulls if key is None else reference.get(key, set())
+            assert tree.search(key) == sorted(expected)
+            assert tree.node_touches == before + (0 if key is None else tree.height)
+        ordered = [(key, sorted(reference[key])) for key in sorted(reference)]
+        walk = tree.height + leaf_count(tree) - 1
+        before = tree.node_touches
+        assert list(tree.items()) == ordered
+        assert tree.node_touches == before + walk
+        for low, high, include_low, include_high, reverse in scans:
+            expected = [(key, rowids) for key, rowids in ordered
+                        if (low is None or key > low or include_low and key == low)
+                        and (high is None or key < high or include_high and key == high)]
+            before = tree.node_touches
+            assert list(tree.range_scan(
+                low, high, include_low=include_low, include_high=include_high,
+                reverse=reverse)) == (expected[::-1] if reverse else expected)
+            assert tree.height <= tree.node_touches - before <= walk
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(0, 200), min_size=1, max_size=200),
@@ -132,7 +212,7 @@ class TestPropertyBased:
                 if not reference[key]:
                     del reference[key]
         for key, rowids in reference.items():
-            assert tree.search(key) == rowids
+            assert tree.search(key) == sorted(rowids)
         tree.check_invariants()
 
     @settings(max_examples=30, deadline=None)

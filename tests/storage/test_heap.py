@@ -70,6 +70,13 @@ class TestHeapFile:
             heap.insert({"id": i, "text": "x" * 100})
         assert heap.page_count > 1
 
+    def test_a_row_wider_than_a_page_fills_exactly_one(self):
+        heap = make_heap(page_size=256)
+        heap.insert({"id": 1, "text": "x" * 400})
+        heap.insert({"id": 2, "text": "y"})
+        assert heap.page_count == 2
+        assert heap._page_free[0] == 0
+
     def test_scan_returns_all_live_rows(self):
         heap = make_heap()
         rows = [heap.insert({"id": i, "text": str(i)}) for i in range(10)]
@@ -86,6 +93,38 @@ class TestHeapFile:
         list(heap.scan())
         accesses = (pool.hits + pool.misses) - before
         assert accesses == heap.page_count
+
+    def test_delete_leaves_a_hole_every_read_steps_over(self):
+        heap = make_heap()
+        rows = [heap.insert({"id": i, "text": str(i)}) for i in range(4)]
+        hole = rows[1].rowid
+        heap.delete(hole)
+        live = [row.rowid for row in rows if row.rowid != hole]
+        assert heap.row_count == 3
+        assert not heap.exists(hole)
+        assert all(heap.exists(rowid) for rowid in live)
+        assert heap.fetch(rows[2].rowid)["id"] == 2
+        assert [rowid for rowid, _ in heap.fetch_many(row.rowid for row in rows)] == live
+        assert [rowid for page in heap.scan() for rowid, _ in page] == live
+        # The hole is never reused: row ids only grow.
+        assert heap.insert({"id": 9, "text": "9"}).rowid == rows[-1].rowid + 1
+
+    def test_unknown_row_ids_raise(self):
+        heap = make_heap()
+        first, deleted, last = (heap.insert({"id": i, "text": str(i)})
+                                for i in range(3))
+        heap.delete(deleted.rowid)
+        # -1 would be ``last`` if the directory let a negative id index it.
+        for rowid in (0, -1, -3, last.rowid + 1, 10 ** 6, deleted.rowid):
+            message = f"^table 'notes' has no row id {rowid}$"
+            for read_or_write in (heap.fetch, heap.delete,
+                                  lambda r: heap.update(r, {"text": "x"})):
+                with pytest.raises(RowNotFoundError, match=message):
+                    read_or_write(rowid)
+            assert not heap.exists(rowid)
+        assert heap.fetch_many([0, -1, first.rowid, deleted.rowid,
+                                last.rowid + 1]) == [(first.rowid, dict(first))]
+        assert heap.row_count == 2
 
     def test_fetch_many_deduplicates_page_accesses(self):
         heap = make_heap(page_size=4096)

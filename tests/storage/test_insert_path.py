@@ -1,12 +1,14 @@
 """Differential test of the INSERT path.
 
 ``TableSchema`` compiles what an INSERT needs per column once — ``(name,
-coerce, default)``, the NOT NULL list, the fixed part of the row width — and
-``BPlusTree.insert`` descends iteratively with its path on a list.  The path
-they replaced — kept here, in the ``reference_*`` functions, and nowhere in
-``src/`` — asked every ``ColumnDef`` and its ``DataType`` again for every row,
-charged ``index_node_touches`` once per index per row (always zero) and split
-nodes on the way back up a recursion.
+coerce, default)``, the NOT NULL list, the fixed part of the row width.  The
+path it replaced — kept here, in the ``reference_*`` functions, and nowhere in
+``src/`` — asked every ``ColumnDef`` and its ``DataType`` again for every row
+and charged ``index_node_touches`` once per index per row (always zero).  The
+reference stores through the engine's own heap and trees: what they store is
+pinned by ``tests/apps/test_seeded_state.py`` (rows, pages, every tree leaf at
+three seed scales), by the sequential load below, by the property tests of
+``test_btree.py`` and by ``test_heap.py``.
 
 Both run the same random row streams over twin databases built from the same
 random schema (all five dtypes, nullable / literal / callable defaults, bounded
@@ -22,7 +24,6 @@ page, the next automatic key and every index tree node for node.
 
 from __future__ import annotations
 
-import bisect
 import datetime as dt
 import itertools
 
@@ -33,7 +34,6 @@ from repro.errors import (ColumnNotFoundError, ConstraintViolation,
                           SchemaError)
 from repro.storage import (BPlusTree, ColumnDef, Database, IndexDef,
                            TableSchema)
-from repro.storage.btree import _Internal, _Leaf
 from repro.storage.costmodel import CostCounters
 from repro.storage.datatypes import TextType
 from repro.storage.table import Index
@@ -74,89 +74,13 @@ def reference_estimate_row_width(schema, row):
     return total
 
 
-def reference_heap_insert(heap, values):
-    width = min(reference_estimate_row_width(heap.schema, values),
-                heap.page_size)
-    if heap._page_free and heap._page_free[-1] >= width:
-        page_no = len(heap._page_free) - 1
-    else:
-        heap._page_free.append(heap.page_size)
-        heap._page_rows.append([])
-        page_no = len(heap._page_free) - 1
-    rowid = heap._next_rowid
-    heap._next_rowid += 1
-    stored = dict(values)
-    heap._rows[rowid] = (page_no, stored)
-    heap._page_free[page_no] -= width
-    heap._page_rows[page_no].append(rowid)
-    heap.buffer_pool.access(heap.schema.name, page_no, dirty=True)
-    return rowid, stored
-
-
-def reference_tree_insert(tree, key, rowid):
-    if key is None:
-        tree._null_bucket.add(rowid)
-        return
-    split = _insert_into(tree, tree._root, key, rowid)
-    if split is not None:
-        sep_key, right = split
-        new_root = _Internal()
-        new_root.keys = [sep_key]
-        new_root.children = [tree._root, right]
-        tree._root = new_root
-
-
-def _insert_into(tree, node, key, rowid):
-    if node.is_leaf:
-        leaf = node
-        idx = bisect.bisect_left(leaf.keys, key)
-        if idx < len(leaf.keys) and leaf.keys[idx] == key:
-            if tree.unique and leaf.values[idx] and rowid not in leaf.values[idx]:
-                raise ValueError(f"duplicate key {key!r} in unique index")
-            if rowid not in leaf.values[idx]:
-                leaf.values[idx].add(rowid)
-                tree._size += 1
-            return None
-        leaf.keys.insert(idx, key)
-        leaf.values.insert(idx, {rowid})
-        tree._size += 1
-        if len(leaf.keys) > tree.order:
-            mid = len(leaf.keys) // 2
-            right = _Leaf()
-            right.keys = leaf.keys[mid:]
-            right.values = leaf.values[mid:]
-            leaf.keys = leaf.keys[:mid]
-            leaf.values = leaf.values[:mid]
-            right.next = leaf.next
-            leaf.next = right
-            return right.keys[0], right
-        return None
-    idx = bisect.bisect_right(node.keys, key)
-    split = _insert_into(tree, node.children[idx], key, rowid)
-    if split is None:
-        return None
-    sep_key, right = split
-    node.keys.insert(idx, sep_key)
-    node.children.insert(idx + 1, right)
-    if len(node.keys) > tree.order:
-        mid = len(node.keys) // 2
-        sep_key = node.keys[mid]
-        right = _Internal()
-        right.keys = node.keys[mid + 1:]
-        right.children = node.children[mid + 1:]
-        node.keys = node.keys[:mid]
-        node.children = node.children[:mid + 1]
-        return sep_key, right
-    return None
-
-
 def reference_index_insert(index, values, rowid):
     columns = index.definition.columns
     key = (values.get(columns[0]) if len(columns) == 1
            else tuple(values.get(col) for col in columns))
     before = index.tree.node_touches
     try:
-        reference_tree_insert(index.tree, key, rowid)
+        index.tree.insert(key, rowid)
     except ValueError as exc:
         raise ConstraintViolation(str(exc)) from None
     finally:
@@ -178,7 +102,11 @@ def reference_table_insert(table, values):
     reference_check_not_null(schema, coerced)
 
     table.recorder.record("inserts")
-    rowid, stored = reference_heap_insert(table.heap, coerced)
+    # The heap places the row by the compiled width: it must be the
+    # per-column one.
+    assert (schema.estimate_row_width(coerced)
+            == reference_estimate_row_width(schema, coerced))
+    rowid = table.heap.insert(coerced).rowid
     try:
         reference_index_insert(table.primary_index, coerced, rowid)
     except ConstraintViolation:
@@ -196,7 +124,7 @@ def reference_table_insert(table, values):
         table.heap.delete(rowid)
         raise
     table.trigger_manager.fire(table.name, "insert", new=coerced, old=None)
-    return stored
+    return coerced
 
 
 def reference_insert(db, table_name, values):
@@ -356,7 +284,8 @@ def dump_tree(tree: BPlusTree):
     def dump(node):
         if node.is_leaf:
             return ("leaf", list(node.keys),
-                    [sorted(rowids) for rowids in node.values])
+                    [[posting] if tree.unique else list(posting)
+                     for posting in node.values])
         return ("internal", list(node.keys),
                 [dump(child) for child in node.children])
     leaf = tree._root
@@ -376,10 +305,11 @@ def dump_table(db: Database):
     counter = next(table._pk_counter)
     table._pk_counter = itertools.count(counter)     # peeked, not consumed
     return {
-        "rows": sorted(heap._rows.items()),
+        "rows": [(rowid, (heap._pages[rowid], values))
+                 for rowid, values in enumerate(heap._values) if values is not None],
         "page_free": list(heap._page_free),
         "page_rows": [list(rowids) for rowids in heap._page_rows],
-        "next_rowid": heap._next_rowid,
+        "next_rowid": len(heap._values),
         "next_pk": counter,
         "indexes": {index.name: dump_tree(index.tree)
                     for index in table.all_indexes()},
@@ -410,44 +340,24 @@ def test_insert_path_matches_the_per_column_reference(script):
 
 
 # ---------------------------------------------------------------------------
-# The B+tree alone: iterative against recursive, node for node.
+# The B+tree alone.
 # ---------------------------------------------------------------------------
-
-tree_operations = st.lists(
-    st.tuples(st.sampled_from(("insert", "insert", "insert", "delete")),
-              st.one_of(st.none(), st.integers(0, 60)), st.integers(1, 6)),
-    max_size=250)
-
-
-@settings(max_examples=300, deadline=None)
-@given(order=st.integers(4, 64), unique=st.booleans(),
-       operations=tree_operations)
-def test_iterative_insert_builds_the_recursive_tree(order, unique, operations):
-    new, reference = BPlusTree(order, unique), BPlusTree(order, unique)
-    for kind, key, rowid in operations:
-        outcomes = []
-        for tree, insert in ((new, BPlusTree.insert),
-                             (reference, reference_tree_insert)):
-            try:
-                outcomes.append(insert(tree, key, rowid) if kind == "insert"
-                                else tree.delete(key, rowid))
-            except ValueError as exc:
-                outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1], (kind, key, rowid)
-        assert dump_tree(new) == dump_tree(reference), (kind, key, rowid)
-    new.check_invariants()
-
 
 @pytest.mark.parametrize("order", [4, 5, 8, 64])
 def test_sequential_keys_split_every_level_alike(order):
-    """Ascending keys (what an auto-assigned pk produces) split the rightmost
-    leaf, then its parents, then the root: three levels at order 4."""
-    new, reference = BPlusTree(order), BPlusTree(order)
+    """Ascending keys (what an auto-assigned pk produces) split only the
+    rightmost node of each level — the leaf, then its parents, then the root:
+    every other node keeps the left half of its split, ``(order + 1) // 2``
+    keys.  Three levels at order 4."""
+    tree = BPlusTree(order)
     for key in range(40 * order):
-        new.insert(key, key)
-        reference_tree_insert(reference, key, key)
-    assert dump_tree(new) == dump_tree(reference)
-    assert new.height >= 3 or order == 64
+        tree.insert(key, key)
+    tree.check_invariants()
+    level = [tree._root]
+    while not level[0].is_leaf:
+        level = [child for node in level for child in node.children]
+        assert all(len(node.keys) == (order + 1) // 2 for node in level[:-1])
+    assert tree.height >= 3 or order == 64
 
 
 # ---------------------------------------------------------------------------

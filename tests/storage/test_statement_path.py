@@ -51,10 +51,17 @@ class ReferenceExecutor:
 
     # -- heap reads, as the heap did them (a copy per row handed out) --------
 
+    @staticmethod
+    def _entry(heap, rowid):
+        """``(page_no, stored values)`` of a live row, or None."""
+        if 0 < rowid < len(heap._values) and heap._values[rowid] is not None:
+            return heap._pages[rowid], heap._values[rowid]
+        return None
+
     def _fetch_many(self, table, rowids):
         heap, rows, touched = table.heap, [], set()
         for rowid in sorted(rowids):
-            entry = heap._rows.get(rowid)
+            entry = self._entry(heap, rowid)
             if entry is None:
                 continue
             page_no, stored = entry
@@ -71,7 +78,7 @@ class ReferenceExecutor:
                 continue
             heap.buffer_pool.access(heap.schema.name, page_no)
             for rowid in list(rowids):
-                entry = heap._rows.get(rowid)
+                entry = self._entry(heap, rowid)
                 if entry is not None:
                     yield rowid, dict(entry[1])
 

@@ -64,7 +64,7 @@ class TestInsert:
         table = make_table()
         row = table.insert({"email": "a@x", "age": 30})
         index = table.index_for_column("age")
-        assert index.lookup(30) == {row.rowid}
+        assert index.lookup(30) == [row.rowid]
 
 
 class TestInsertCharges:
@@ -122,8 +122,18 @@ class TestUpdateDelete:
         row = table.insert({"email": "a@x", "age": 30})
         table.update_row(row.rowid, {"age": 31})
         index = table.index_for_column("age")
-        assert index.lookup(30) == set()
-        assert index.lookup(31) == {row.rowid}
+        assert index.lookup(30) == []
+        assert index.lookup(31) == [row.rowid]
+
+    def test_a_row_moved_back_is_placed_in_row_id_order(self):
+        table = make_table()
+        rows = [table.insert({"email": f"{n}@x", "age": 30}) for n in range(3)]
+        table.update_row(rows[1].rowid, {"age": 31})
+        table.insert({"email": "z@x", "age": 30})
+        table.delete_row(rows[0].rowid)
+        table.update_row(rows[1].rowid, {"age": 30})      # back, out of order
+        assert table.index_for_column("age").lookup(30) == [
+            rows[1].rowid, rows[2].rowid, 4]
 
     def test_update_cannot_touch_primary_key(self):
         table = make_table()
@@ -139,7 +149,7 @@ class TestUpdateDelete:
         table = make_table()
         row = table.insert({"email": "a@x", "age": 25})
         table.delete_row(row.rowid)
-        assert table.index_for_column("age").lookup(25) == set()
+        assert table.index_for_column("age").lookup(25) == []
         assert table.fetch_by_pk(row["id"]) is None
 
 
