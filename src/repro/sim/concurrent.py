@@ -26,6 +26,8 @@ scheduler seed.  The first failure (a worker's exception, the scheduler's,
 a watchdog's) is recorded rather than thrown across threads: the main
 thread wakes, unwinds the parked workers one at a time, restores every
 seam and context, and raises it (docs/CONCURRENCY.md, "Worker model").
+Where threads can be pinned, all workers run on the CPU the caller was on
+when the replay began, so a switch resumes the replay on a warm core.
 
 With ``workers=1`` no checkpoint could ever switch control, so the engine
 takes an inline fast path: the single worker's pages run on the calling
@@ -58,6 +60,7 @@ the contention summary.
 from __future__ import annotations
 
 import contextlib
+import os
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
@@ -73,6 +76,21 @@ from .runner import ReplayResult, ReplayedPage
 #: Give a wedged worker thread this long before declaring the replay stuck
 #: (a scheduling bug, not a slow run: all real work is simulated).
 _HANDOFF_TIMEOUT_SECONDS = 120.0
+
+_THREAD_STAT = "/proc/thread-self/stat"
+
+
+def _caller_cpu() -> Optional[int]:
+    """The CPU the calling thread is on (field 39 of its Linux ``stat``),
+    or None where threads cannot be pinned."""
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    try:
+        with open(_THREAD_STAT, "rb") as stat:
+            # Field 3 on follows the command name's last ")".
+            return int(stat.read().rpartition(b")")[2].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
 
 
 class _WorkerAborted(BaseException):
@@ -202,6 +220,9 @@ class _WorkerContext:
     def _main(self) -> None:
         replayer = self._replayer
         try:
+            if replayer._cpu is not None:  # one runs at a time: share a core
+                with contextlib.suppress(OSError):
+                    os.sched_setaffinity(0, (replayer._cpu,))
             # Park until somebody gives this worker its first turn (the
             # label is already "start" from construction).
             self._wait_turn()
@@ -299,6 +320,8 @@ class ConcurrentReplayer:
         self._failure: Optional[BaseException] = None
         #: Set by the last thread to hold control, to wake the main thread.
         self._ended = threading.Event()
+        #: The CPU this threaded replay's workers pin to (None: unpinned).
+        self._cpu: Optional[int] = None
         self._result: Optional[ConcurrentReplayResult] = None
         self._record = True
         self._pages_started = 0
@@ -488,6 +511,7 @@ class ConcurrentReplayer:
         self._statuses = [w.status for w in contexts]
         self._failure = None
         self._ended.clear()
+        self._cpu = _caller_cpu()
 
         previous_scope = self.recorder.activate_scope(None)
         saved_app_checkpoint = self.app.checkpoint

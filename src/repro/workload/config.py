@@ -10,6 +10,7 @@ default so experiments run in seconds; every knob remains configurable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -44,8 +45,15 @@ class WorkloadConfig:
             raise WorkloadError("sessions_per_client must be >= 1")
         if self.page_loads_per_session < 1:
             raise WorkloadError("page_loads_per_session must be >= 1")
-        if self.zipf_parameter <= 1.0:
+        if not self.zipf_parameter > 1.0:   # NaN fails every comparison
             raise WorkloadError("zipf_parameter must be > 1.0")
+        unknown = sorted(set(self.page_mix) - set(DEFAULT_PAGE_MIX))
+        if unknown:
+            raise WorkloadError(f"page_mix has unknown pages {unknown}; "
+                                f"expected some of {list(DEFAULT_PAGE_MIX)}")
+        if not all(0.0 <= w < math.inf for w in self.page_mix.values()):
+            raise WorkloadError(
+                f"page_mix weights must be finite and >= 0: {self.page_mix}")
         total = sum(self.page_mix.values())
         if total <= 0:
             raise WorkloadError("page_mix must have positive total weight")

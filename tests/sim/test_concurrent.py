@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
+import os
+import sys
 import threading
 import time
 
@@ -15,9 +18,13 @@ from repro.apps.social.models import BookmarkInstance
 from repro.bench.experiments import (HOT_KEY_WORKLOAD,
                                      STRATEGY_ABLATION_SCENARIOS,
                                      ablation_config)
-from repro.bench.scenarios import (LEASED_SCENARIO, NO_CACHE, Scenario,
-                                   ScenarioConfig, UPDATE_SCENARIO)
+from repro.bench.scenarios import (INVALIDATE_SCENARIO, LEASED_SCENARIO,
+                                   NO_CACHE, Scenario, ScenarioConfig,
+                                   UPDATE_SCENARIO)
+from repro.cluster import (ClusterController, FaultEvent, FaultInjector,
+                           FaultSchedule, GutterPool)
 from repro.errors import SimulationError
+from repro.memcache import CacheServer
 from repro.obs import Tracer
 from repro.sim import (ADVERSARIAL, ALL_POLICIES, ConcurrentReplayResult,
                        ConcurrentReplayer, InterleaveScheduler, KEY_OVERLAP,
@@ -599,3 +606,225 @@ class TestScheduleContract:
             runs.append((result.schedule, result.schedule_signature,
                          page_fingerprint(result)))
         assert runs[0] == runs[1]
+
+
+# -- where the workers run ---------------------------------------------------------
+
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs os.sched_getaffinity and at least two allowed CPUs")
+
+
+def record_render_affinity(scenario: Scenario):
+    """Wrap ``app.render`` to log the affinity mask of the thread rendering."""
+    render, masks = scenario.app.render, []
+
+    def recording_render(page, user_id):
+        masks.append(frozenset(os.sched_getaffinity(0)))
+        return render(page, user_id)
+    scenario.app.render = recording_render
+    return masks
+
+
+def contended_replay(workers: int = 2):
+    """A threaded adversarial replay, and the affinity masks its pages saw."""
+    with contention_scenario() as (scenario, config):
+        masks = (record_render_affinity(scenario)
+                 if hasattr(os, "sched_getaffinity") else [])
+        result = concurrent_replay(scenario, config, workers=workers,
+                                   policy=ADVERSARIAL)
+    return result, masks
+
+
+class TestWorkerPlacement:
+    """Every worker of a threaded replay runs on the CPU its caller was on."""
+
+    @needs_two_cpus
+    def test_workers_share_one_cpu(self):
+        before = os.sched_getaffinity(0)
+        result, masks = contended_replay()
+        assert len(masks) == len(result.pages)
+        (mask,) = set(masks)
+        assert len(mask) == 1 and mask <= before
+        # The calling thread itself is never pinned.
+        assert os.sched_getaffinity(0) == before
+
+    @needs_two_cpus
+    def test_workers_follow_the_caller_to_its_cpu(self):
+        """Called from a thread on the highest allowed CPU, the workers run
+        there too — not on CPU 0, where every process of a ``--jobs`` pool
+        would pile up under a fixed choice."""
+        highest = max(os.sched_getaffinity(0))
+        outcome = {}
+
+        def replay_from_highest_cpu():
+            try:
+                os.sched_setaffinity(0, {highest})
+                outcome["masks"] = set(contended_replay()[1])
+            except BaseException as exc:  # re-raised on the test's thread
+                outcome["error"] = exc
+        caller = threading.Thread(target=replay_from_highest_cpu)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        if "error" in outcome:
+            raise outcome["error"]
+        assert outcome["masks"] == {frozenset({highest})}
+
+    @pytest.mark.parametrize("breakage", ["setaffinity raises",
+                                          "no setaffinity", "no /proc"])
+    def test_unpinnable_workers_run_unpinned(self, monkeypatch, capsys,
+                                             breakage):
+        """Where a thread cannot be pinned the replay runs as it always did:
+        no error, nothing printed, and the same schedule and counters."""
+        ordinary, _ = contended_replay()
+        capsys.readouterr()
+        refused = []
+
+        def refuse(pid, cpus):
+            refused.append(cpus)
+            raise OSError(errno.EINVAL, "CPU no longer in the cpuset")
+        if breakage == "setaffinity raises":
+            monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+        elif breakage == "no setaffinity":
+            monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        else:
+            monkeypatch.setattr("repro.sim.concurrent._THREAD_STAT",
+                                "/nonexistent/thread-self/stat")
+        caller_mask = (frozenset(os.sched_getaffinity(0))
+                       if hasattr(os, "sched_getaffinity") else None)
+        fallback, masks = contended_replay()
+        assert capsys.readouterr() == ("", "")
+        assert fallback.schedule_signature == ordinary.schedule_signature
+        assert (fallback.total_counters.as_dict()
+                == ordinary.total_counters.as_dict())
+        assert set(masks) <= {caller_mask}
+        if breakage == "setaffinity raises" and sys.platform == "linux":
+            assert len(refused) == 2    # each worker tried once, then ran
+
+    def test_one_worker_reads_no_cpu(self, monkeypatch):
+        """The inline ``workers=1`` path starts no thread: nothing to place."""
+        def unexpected():
+            raise AssertionError("the serial path looked up a CPU")
+        monkeypatch.setattr("repro.sim.concurrent._caller_cpu", unexpected)
+        result, _ = contended_replay(workers=1)
+        assert result.pages
+
+
+# -- a threaded replay under node faults ---------------------------------------------
+
+#: Long enough that the kill and the revive both land mid-trace.
+FAULT_WORKLOAD = WORKLOAD.with_overrides(sessions_per_client=6, seed=11)
+
+#: Fractions of the trace (in pages) at which ``cache1`` dies and returns.
+KILL_AT, REVIVE_AT = 0.30, 0.65
+
+
+def fault_instants(interval: float, pages: int, start: float):
+    """Virtual instants of the kill and the revive, from the same running
+    sum of page intervals the replayer adds up before each page."""
+    marks = (int(KILL_AT * pages), int(REVIVE_AT * pages))
+    instants, now = [], start
+    for index in range(marks[1] + 1):
+        now += interval
+        if index in marks:
+            instants.append(now)
+    return instants
+
+
+def canonical(value):
+    """Row lists as sets of distinct rows: ``LinkQuery`` keeps one copy of a
+    row the database join repeats per duplicate friendship edge."""
+    if isinstance(value, list):
+        return sorted({tuple(sorted(row.items())) for row in value})
+    return value
+
+
+def audit(scenario: Scenario, trace: WorkloadTrace):
+    """Every traced user x every cached object, cached versus recomputed."""
+    genie, mismatches = scenario.genie, []
+    for user_id in trace.distinct_users():
+        for name, cached_object in genie.cached_objects.items():
+            params = {cached_object.where_fields[0]: user_id}
+            cached = cached_object.evaluate(**params)
+            genie.app_cache.delete(cached_object.make_key(**params))
+            fresh = cached_object.evaluate(**params)
+            if canonical(cached) != canonical(fresh):
+                mismatches.append(f"{name}({user_id})")
+    return mismatches
+
+
+class StatusRecordingScheduler(InterleaveScheduler):
+    """Adversarial, remembering the statuses it was shown last."""
+
+    def __init__(self):
+        super().__init__(ADVERSARIAL)
+        self.shown = []
+
+    def choose(self, runnable):
+        self.shown = list(runnable)
+        return super().choose(runnable)
+
+
+def replay_through_faults(name: str):
+    """Two workers replay while ``cache1`` is killed and revived behind a
+    gutter pool; returns the result, what the other worker was parked at
+    when each fault fired, the controller's counters and the audit."""
+    with contention_scenario(name) as (scenario, config):
+        user_ids = list(range(1, config.seed_scale.users + 1))
+        trace = WorkloadGenerator(FAULT_WORKLOAD, user_ids).generate()
+        genie = scenario.genie
+        controller = ClusterController(
+            clients=[genie.app_cache, genie.trigger_cache],
+            servers=scenario.cache_servers, clock=scenario.clock,
+            gutter=GutterPool([CacheServer("gutter0", clock=scenario.clock)],
+                              ttl_seconds=2.0),
+            genie=genie)
+        kill, revive = fault_instants(config.page_interval_seconds,
+                                      trace.total_page_loads,
+                                      scenario.clock.now())
+        injector = FaultInjector(controller, FaultSchedule([
+            FaultEvent(at=kill, action="kill", node="cache1"),
+            FaultEvent(at=revive, action="revive", node="cache1")]))
+        scheduler = StatusRecordingScheduler()
+        parked = []
+        for instant in (kill, revive):
+            # A probe at a fault's instant fires right after the fault.
+            injector.schedule_probe(instant, lambda: parked.append([
+                (status.label, status.holds_write_intent)
+                for status in scheduler.shown
+                if status.worker_id != genie.app_cache.current_worker]))
+        replayer = ConcurrentReplayer(
+            scenario.app, scenario.database, genie=genie, workers=2,
+            scheduler=scheduler, clock=scenario.clock,
+            page_interval_seconds=config.page_interval_seconds,
+            fault_injector=injector)
+        result = replayer.replay(trace)
+        assert [event.action for event in injector.fired] == ["kill",
+                                                              "revive"]
+        return result, parked, controller.counters(), audit(scenario, trace)
+
+
+class TestNodeFaults:
+    """A node dies and returns mid-trace under two racing workers."""
+
+    @pytest.mark.parametrize("name", [UPDATE_SCENARIO, INVALIDATE_SCENARIO])
+    def test_kill_and_revive_between_parked_workers(self, name):
+        first, parked, counters, mismatches = replay_through_faults(name)
+        second, _, second_counters, _ = replay_through_faults(name)
+        # Each fault fired while the other worker was parked mid-page: under
+        # update-in-place holding CAS tokens it had not written back yet.
+        # Invalidation flushes deletes, so it never holds write intent.
+        assert len(parked) == 2
+        for (label, holds_write_intent), in parked:
+            assert label not in ("start", "page:end")
+            assert holds_write_intent == (name == UPDATE_SCENARIO)
+        assert counters["gutter_hits"] > 0
+        # Deterministic through the faults...
+        assert first.schedule_signature == second.schedule_signature
+        assert page_fingerprint(first) == page_fingerprint(second)
+        assert (first.total_counters.as_dict()
+                == second.total_counters.as_dict())
+        assert counters == second_counters
+        # ...and consistent after the revive.
+        assert mismatches == []

@@ -37,6 +37,10 @@ class TestWorkloadConfig:
         {"clients": 0}, {"sessions_per_client": 0},
         {"page_loads_per_session": 0}, {"zipf_parameter": 1.0},
         {"page_mix": {"LookupBM": 0.0}},
+        {"page_mix": {"LookupBM": 2.0, "CreateBM": -1.0}},
+        {"page_mix": {"LookupBM": 1.0, "CreateBM": float("nan")}},
+        {"page_mix": {"LookupBM": 1, "Lookup": 1}},
+        {"zipf_parameter": float("nan")},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(WorkloadError):
