@@ -16,21 +16,20 @@ completed refresh credits the object's ``recomputations`` counter — the
 background analogue of a blocking ``db_fallbacks``.
 
 **Worker contexts.**  Under the concurrent replay engine each worker models
-its own refresh thread: :meth:`RefreshQueue.switch_context` parks the live
-pending set and installs the worker's own (mirroring
-:meth:`TriggerOpQueue.switch_context
-<repro.core.trigger_queue.TriggerOpQueue.switch_context>`), so a worker
-drains only the refreshes its own stale reads scheduled and coalescing is
-per worker.  At worker teardown :meth:`merge_context` folds any outstanding
-refreshes back into the shared (default) queue — background work survives
-the replay, it just loses its thread affinity.  The serial pipeline never
-switches contexts: one worker *is* the default refresh thread.
+its own refresh thread: the engine installs the worker's own
+:class:`RefreshContext` as :attr:`RefreshQueue.context` whenever it runs, so
+a worker drains only the refreshes its own stale reads scheduled and
+coalescing is per worker.  At worker teardown
+:meth:`RefreshQueue.close_context` folds any outstanding refreshes back into
+the context the caller had — background work survives the replay, it just
+loses its thread affinity.  The serial pipeline never installs one: one
+worker *is* the default refresh thread.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING, Tuple
+from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cache_classes.base import CacheClass
@@ -47,6 +46,17 @@ class _PendingRefresh:
         self.ready_at = ready_at
 
 
+class RefreshContext:
+    """One refresh thread's backlog: pending refreshes by cache key, and
+    whether a drain of them is in progress."""
+
+    __slots__ = ("pending", "draining")
+
+    def __init__(self) -> None:
+        self.pending: "OrderedDict[str, _PendingRefresh]" = OrderedDict()
+        self.draining = False
+
+
 class RefreshQueue:
     """Deduplicated queue of pending background recomputes.
 
@@ -61,12 +71,11 @@ class RefreshQueue:
                  delay_seconds: float = 0.0) -> None:
         self.clock = clock
         self.delay_seconds = float(delay_seconds)
-        self._pending: "OrderedDict[str, _PendingRefresh]" = OrderedDict()
-        self._draining = False
-        #: Parked (pending, draining) state of inactive worker contexts.
-        self._contexts: Dict[Any, Tuple["OrderedDict[str, _PendingRefresh]",
-                                        bool]] = {}
-        self._context_key: Any = None
+        #: The live refresh thread's backlog.
+        self.context = RefreshContext()
+        #: Every backlog not yet closed — the live one and any paused
+        #: worker's — so removals and node deaths reach them all.
+        self._backlogs: List[RefreshContext] = [self.context]
         #: Observability hook (:class:`repro.obs.Tracer`), installed for a
         #: traced replay by :func:`repro.obs.install_tracing`; None (the
         #: default) keeps drains and recomputes untraced and unperturbed.
@@ -86,59 +95,39 @@ class RefreshQueue:
 
     @property
     def pending_count(self) -> int:
-        return len(self._pending)
+        return len(self.context.pending)
 
     def pending_keys(self) -> List[str]:
-        return list(self._pending)
+        return list(self.context.pending)
 
     # -- worker contexts --------------------------------------------------------
 
-    @property
-    def context_key(self) -> Any:
-        """The key of the live refresh context (None = the default thread)."""
-        return self._context_key
+    def open_context(self) -> RefreshContext:
+        """A new, empty backlog for one more refresh thread (a replay
+        worker).  It becomes live when assigned to :attr:`context`."""
+        context = RefreshContext()
+        self._backlogs.append(context)
+        return context
 
-    def switch_context(self, key: Any) -> None:
-        """Park the live pending-refresh state and make ``key``'s state live.
-
-        Each concurrent worker is its own refresh thread: stale reads it
-        serves schedule into its context, and its drain points complete only
-        its own backlog.  Mirrors :meth:`TriggerOpQueue.switch_context
-        <repro.core.trigger_queue.TriggerOpQueue.switch_context>`.
-        """
-        if key == self._context_key:
-            return
-        self._contexts[self._context_key] = (self._pending, self._draining)
-        self._pending, self._draining = self._contexts.pop(
-            key, (OrderedDict(), False))
-        self._context_key = key
-
-    def merge_context(self, key: Any) -> int:
-        """Fold a parked context's pending refreshes into the live one.
+    def close_context(self, context: RefreshContext) -> int:
+        """Retire a worker's backlog, folding it into the live one.
 
         Worker teardown: a refresh the worker scheduled but never drained is
         still owed to the cache — it returns to the live (normally default)
-        queue instead of vanishing with its thread.  A key already pending
-        in the live context coalesces.  Returns the number of refreshes
-        adopted.
+        backlog instead of vanishing with its thread.  A key already pending
+        there coalesces.  Returns the number of refreshes adopted.
         """
-        parked = self._contexts.pop(key, None)
-        if parked is None:
-            return 0
+        self._backlogs.remove(context)
+        live = self.context.pending
         adopted = 0
-        for pending_key, entry in parked[0].items():
-            if pending_key in self._pending:
+        for key, entry in context.pending.items():
+            if key in live:
                 self.coalesced += 1
             else:
-                self._pending[pending_key] = entry
+                live[key] = entry
                 adopted += 1
+        context.pending.clear()
         return adopted
-
-    def drop_context(self, key: Any) -> int:
-        """Forget a parked context outright, discarding its pending refreshes
-        (scenario teardown — nothing will ever drain them)."""
-        parked = self._contexts.pop(key, None)
-        return len(parked[0]) if parked is not None else 0
 
     # -- scheduling -------------------------------------------------------------
 
@@ -156,11 +145,12 @@ class RefreshQueue:
             # Every schedule call is one stale serve (coalesced or not) —
             # the per-key staleness signal for adaptive band selection.
             telemetry.note_stale(key)
-        if key in self._pending:
+        pending = self.context.pending
+        if key in pending:
             self.coalesced += 1
             return False
         self.scheduled += 1
-        self._pending[key] = _PendingRefresh(
+        pending[key] = _PendingRefresh(
             cached_object, key, dict(params),
             ready_at=self.clock() + self.delay_seconds)
         return True
@@ -174,34 +164,35 @@ class RefreshQueue:
         drain-calling code path) return immediately.  Returns the number of
         refreshes completed.
         """
-        if self._draining or not self._pending:
+        context = self.context
+        pending = context.pending
+        if context.draining or not pending:
             return 0
         now = self.clock() if now is None else now
-        due = [key for key, entry in self._pending.items()
+        due = [key for key, entry in pending.items()
                if entry.ready_at <= now]
         if not due:
             return 0
-        self._draining = True
+        context.draining = True
         tracer = self.tracer
         span = (tracer.begin("refresh:drain", due=len(due))
                 if tracer is not None else None)
         try:
             for key in due:
-                entry = self._pending.pop(key)
+                entry = pending.pop(key)
                 self._run(entry)
             return len(due)
         finally:
             if span is not None:
                 tracer.end(span)
-            self._draining = False
+            context.draining = False
 
     def discard(self) -> int:
-        """Drop every pending refresh, parked contexts included (teardown)."""
-        dropped = len(self._pending)
-        self._pending.clear()
-        for pending, _draining in self._contexts.values():
-            dropped += len(pending)
-        self._contexts.clear()
+        """Drop every pending refresh, paused workers' included (teardown)."""
+        dropped = 0
+        for context in self._backlogs:
+            dropped += len(context.pending)
+            context.pending.clear()
         return dropped
 
     def discard_for(self, cached_object: "CacheClass") -> int:
@@ -210,22 +201,12 @@ class RefreshQueue:
         Called when the object is removed: a refresh that outlives its
         declaration would recompute a dead query and repopulate a key whose
         triggers are gone (the same leak-after-removal class of bug that
-        per-object stats once had).
+        per-object stats once had).  Paused workers' backlogs are swept
+        too: a removal that races a paused worker must not leave that worker
+        a refresh of a dead query.
         """
-        victims = [key for key, entry in self._pending.items()
-                   if entry.cached_object is cached_object]
-        for key in victims:
-            del self._pending[key]
-        dropped = len(victims)
-        # Sweep parked worker contexts too: a removal that races a paused
-        # worker must not leave that worker a refresh of a dead query.
-        for pending, _draining in self._contexts.values():
-            parked_victims = [key for key, entry in pending.items()
-                              if entry.cached_object is cached_object]
-            for key in parked_victims:
-                del pending[key]
-            dropped += len(parked_victims)
-        return dropped
+        return self._drop_where(
+            lambda key, entry: entry.cached_object is cached_object)
 
     def drop_orphaned(self, is_orphaned: Callable[[str], bool]) -> int:
         """Drop pending refreshes whose keys satisfy ``is_orphaned``.
@@ -236,20 +217,23 @@ class RefreshQueue:
         existence keeps other readers from re-claiming the key.  The cluster
         controller calls this with "routes to the dead node" as the
         predicate so surviving workers can win a fresh claim within one
-        refresh cycle.  Sweeps the live context *and* every parked worker
-        context (a dead lease holder is usually a parked worker).  Returns
-        the number of claims dropped.
+        refresh cycle.  Sweeps every backlog, not just the live one (a dead
+        lease holder is usually a paused worker).  Returns the number of
+        claims dropped.
         """
-        victims = [key for key in self._pending if is_orphaned(key)]
-        for key in victims:
-            del self._pending[key]
-        dropped = len(victims)
-        for pending, _draining in self._contexts.values():
-            parked_victims = [key for key in pending if is_orphaned(key)]
-            for key in parked_victims:
-                del pending[key]
-            dropped += len(parked_victims)
+        dropped = self._drop_where(lambda key, entry: is_orphaned(key))
         self.orphaned_dropped += dropped
+        return dropped
+
+    def _drop_where(self, doomed: Callable[[str, Any], bool]) -> int:
+        dropped = 0
+        for context in self._backlogs:
+            pending = context.pending
+            victims = [key for key, entry in pending.items()
+                       if doomed(key, entry)]
+            for key in victims:
+                del pending[key]
+            dropped += len(victims)
         return dropped
 
     def _run(self, entry: _PendingRefresh) -> None:

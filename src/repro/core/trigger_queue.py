@@ -68,6 +68,28 @@ class _PendingOp:
         self.expire = expire
 
 
+class OpContext:
+    """One transaction's coalesced ops by cache key, whether a flush of them
+    is in progress, and their key set frozen; ``key`` attributes its counts
+    (``("worker", i)`` for a replay worker, None for the serial context)."""
+
+    __slots__ = ("key", "ops", "flushing", "frozen")
+
+    def __init__(self, key: Any = None) -> None:
+        self.key = key
+        self.ops: "OrderedDict[str, _PendingOp]" = OrderedDict()
+        self.flushing = False
+        #: ``frozenset(ops)``, cached until the key set changes.
+        self.frozen: Optional[FrozenSet[str]] = None
+
+    def pending_keys(self) -> FrozenSet[str]:
+        """The pending op keys, as a cached frozenset (do not mutate)."""
+        frozen = self.frozen
+        if frozen is None:
+            frozen = self.frozen = frozenset(self.ops)
+        return frozen
+
+
 class TriggerOpQueue:
     """Per-transaction queue of trigger-side cache operations.
 
@@ -80,20 +102,8 @@ class TriggerOpQueue:
                  cas_max_retries: int = FLUSH_CAS_MAX_RETRIES) -> None:
         self.cache = cache_client
         self.cas_max_retries = cas_max_retries
-        self._ops: "OrderedDict[str, _PendingOp]" = OrderedDict()
-        self._flushing = False
-        #: Parked (ops, flushing) state of inactive worker contexts.  Each
-        #: concurrent worker's transaction owns its own pending-op space —
-        #: ops enqueued by worker A's transaction flush at A's commit and
-        #: never mix with B's — and a flush suspended at a yield point
-        #: stays "flushing" only for its own context.
-        self._contexts: Dict[Any, Tuple["OrderedDict[str, _PendingOp]", bool]] = {}
-        self._context_key: Any = None
-        #: Cached ``pending_keys_for`` frozensets per context key.  The
-        #: key-overlap policy asks for every paused worker's pending keys at
-        #: every scheduling step; a parked context cannot change, and the
-        #: live one invalidates its entry whenever its key set changes.
-        self._pending_frozen: Dict[Any, FrozenSet[str]] = {}
+        #: The live transaction's pending ops (see :class:`OpContext`).
+        self.context = OpContext()
         #: Observability hook (:class:`repro.obs.Tracer`), installed for a
         #: traced replay by :func:`repro.obs.install_tracing`; None (the
         #: default) keeps the flush paths untraced and unperturbed.
@@ -120,73 +130,28 @@ class TriggerOpQueue:
 
     @property
     def pending_count(self) -> int:
-        return len(self._ops)
+        return len(self.context.ops)
 
     def pending_keys(self) -> List[str]:
-        return list(self._ops)
+        return list(self.context.ops)
 
-    # -- worker contexts ---------------------------------------------------------
-
-    @property
-    def context_key(self) -> Any:
-        """The key of the live op-queue context (None = the default)."""
-        return self._context_key
-
-    def switch_context(self, key: Any) -> None:
-        """Park the live pending-op state and make ``key``'s state live.
-
-        Mirrors :meth:`TransactionManager.switch_context
-        <repro.storage.transactions.TransactionManager.switch_context>`: the
-        concurrent replayer switches both in lockstep when a worker resumes,
-        so the commit hooks always flush the committing worker's own ops.
-        """
-        if key == self._context_key:
-            return
-        self._contexts[self._context_key] = (self._ops, self._flushing)
-        self._ops, self._flushing = self._contexts.pop(key, (OrderedDict(), False))
-        self._context_key = key
-
-    def drop_context(self, key: Any) -> None:
-        """Forget a parked context (a finished worker); pending ops of an
-        interrupted transaction are discarded, like an abort."""
-        parked = self._contexts.pop(key, None)
-        self._pending_frozen.pop(key, None)
-        if parked is not None:
-            self.discarded += len(parked[0])
-
-    def pending_keys_for(self, key: Any) -> FrozenSet[str]:
-        """Pending op keys of one context — live or parked.
-
-        The key-overlap interleave policy asks this for every paused worker:
-        two workers whose unflushed trigger ops target the same cache key
-        are about to race that key at their commits.  Returns a cached
-        frozenset (do not mutate): it stays valid until the context's key
-        set changes, which for a parked context is never.
-        """
-        frozen = self._pending_frozen.get(key)
-        if frozen is None:
-            if key == self._context_key:
-                frozen = frozenset(self._ops)
-            else:
-                parked = self._contexts.get(key)
-                frozen = frozenset(parked[0]) if parked is not None else frozenset()
-            self._pending_frozen[key] = frozen
-        return frozen
-
-    def _attribute(self, counter: Dict[Any, int], n: int = 1) -> None:
-        counter[self._context_key] = counter.get(self._context_key, 0) + n
+    @staticmethod
+    def _attribute(counter: Dict[Any, int], key: Any, n: int = 1) -> None:
+        counter[key] = counter.get(key, 0) + n
 
     # -- enqueueing -------------------------------------------------------------
 
     def enqueue_delete(self, owner: Any, key: str) -> None:
         """Queue an invalidation of ``key`` (wins over pending mutations)."""
+        context = self.context
         self.enqueued += 1
-        self._attribute(self.enqueued_by_context)
-        if key in self._ops:
+        self._attribute(self.enqueued_by_context, context.key)
+        ops = context.ops
+        if key in ops:
             self.coalesced += 1
         else:
-            self._pending_frozen.pop(self._context_key, None)
-        self._ops[key] = _PendingOp("delete", owner)
+            context.frozen = None
+        ops[key] = _PendingOp("delete", owner)
 
     def enqueue_mutate(self, owner: Any, key: str, mutate: MutateFn,
                        counter: str = "updates_applied",
@@ -197,9 +162,10 @@ class TriggerOpQueue:
         when the trigger would have read it, so the eager path would quit);
         a pending mutation chains with it.
         """
+        context = self.context
         self.enqueued += 1
-        self._attribute(self.enqueued_by_context)
-        pending = self._ops.get(key)
+        self._attribute(self.enqueued_by_context, context.key)
+        pending = context.ops.get(key)
         if pending is not None:
             self.coalesced += 1
             if pending.kind == "delete":
@@ -210,8 +176,8 @@ class TriggerOpQueue:
             return
         op = _PendingOp("mutate", owner, counter=counter, expire=expire)
         op.mutations.append(mutate)
-        self._pending_frozen.pop(self._context_key, None)
-        self._ops[key] = op
+        context.frozen = None
+        context.ops[key] = op
 
     # -- flush / discard ---------------------------------------------------------
 
@@ -220,13 +186,18 @@ class TriggerOpQueue:
 
         Returns the number of keys operated on.  Re-entrant calls (a mutation
         that recomputes from the database commits its own read statements)
-        see an empty queue and return immediately.
+        see an empty queue and return immediately.  If the propagation is
+        interrupted — a mutation raises, or the replay engine unwinds the
+        worker at one of its yield points — every key of the flush is
+        invalidated before the exception continues: the transaction has
+        already committed, so its ops must not vanish with the flush.
         """
-        if self._flushing or not self._ops:
+        context = self.context
+        if context.flushing or not context.ops:
             return 0
-        self._flushing = True
-        self._pending_frozen.pop(self._context_key, None)
-        ops, self._ops = self._ops, OrderedDict()
+        context.flushing = True
+        context.frozen = None
+        ops, context.ops = context.ops, OrderedDict()
         tracer = self.tracer
         span = (tracer.begin("trigger:flush", pending=len(ops))
                 if tracer is not None else None)
@@ -242,12 +213,18 @@ class TriggerOpQueue:
 
             self.flushes += 1
             self.flushed_keys += len(ops)
-            self._attribute(self.flushed_keys_by_context, len(ops))
+            self._attribute(self.flushed_keys_by_context, context.key,
+                            len(ops))
             return len(ops)
+        except BaseException:
+            # delete_multi lands before its own yield point, so this holds
+            # even when that yield re-raises the engine's unwind.
+            self._invalidate_fallback(ops)
+            raise
         finally:
             if span is not None:
                 tracer.end(span)
-            self._flushing = False
+            context.flushing = False
 
     def _flush_deletes(self, deletes: List[Tuple[str, _PendingOp]]) -> None:
         """Flush queued invalidations, one batched multi-op per strategy.
@@ -387,7 +364,8 @@ class TriggerOpQueue:
 
     def _invalidate_fallback(self, unwinnable: Dict[str, _PendingOp]) -> None:
         """Invalidate keys whose mutation cannot be stored (lost every CAS
-        round, or the value outgrew the server's item limit)."""
+        round, the value outgrew the server's item limit, or the flush was
+        interrupted)."""
         self.cas_fallbacks += len(unwinnable)
         removed = set(self.cache.delete_multi(list(unwinnable)))
         for key, op in unwinnable.items():
@@ -396,9 +374,20 @@ class TriggerOpQueue:
 
     def discard(self) -> int:
         """Drop every queued operation without touching the cache (abort)."""
-        dropped = len(self._ops)
-        self._ops.clear()
-        self._pending_frozen.pop(self._context_key, None)
+        return self.close_context(self.context)
+
+    def open_context(self, key: Any) -> OpContext:
+        """A new, empty op space attributed to ``key`` (a replay worker's);
+        it becomes live when assigned to :attr:`context`."""
+        return OpContext(key)
+
+    def close_context(self, context: OpContext) -> int:
+        """Drop ``context``'s queued operations without touching the cache:
+        an abort, or a worker retired with a transaction it never committed.
+        Returns the number dropped."""
+        dropped = len(context.ops)
+        context.ops.clear()
+        context.frozen = None
         self.discarded += dropped
         return dropped
 

@@ -19,14 +19,12 @@ real virtual time (nonzero only for spans that straddle a clock advance,
 e.g. a refresh drain after an arrival gap).
 
 **Worker contexts.**  Under the concurrent replay engine each worker owns a
-span stack of its own: the engine calls :meth:`Tracer.switch_context` with
-the worker's context key on every hand-off (mirroring
-:meth:`TransactionManager.switch_context
-<repro.storage.transactions.TransactionManager.switch_context>`), so a span
-opened by worker A stays on A's stack while B runs, and parentage is always
-causally correct.  The default context (``None``) is the serial pipeline —
-exported as thread 0, the same thread id as worker 0, because the serial
-replay *is* worker 0's schedule.
+:class:`SpanStack` of its own, which the engine installs as
+:attr:`Tracer.context` on every hand-off, so a span opened by worker A stays
+on A's stack while B runs, and parentage is always causally correct.  The
+tracer's own stack is the serial pipeline's — exported as thread 0, the
+same thread id as worker 0, because the serial replay *is* worker 0's
+schedule.
 
 Tracing is **default-off and zero-perturbation by construction**: no tracer
 exists unless the caller passes one in, the instrumented seams check a
@@ -41,11 +39,18 @@ from __future__ import annotations
 import contextlib
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
-__all__ = ["Span", "Tracer"]
+__all__ = ["Span", "SpanStack", "Tracer"]
 
-#: Thread id assigned to the first non-worker, non-default context (worker
-#: contexts use their worker id; the default context is 0).
-_FOREIGN_TID_BASE = 1000
+
+class SpanStack(list):
+    """One thread's open spans, innermost last, and the thread id its spans
+    export under (a replay worker's id; 0 for the serial pipeline)."""
+
+    __slots__ = ("tid",)
+
+    def __init__(self, tid: int = 0) -> None:
+        super().__init__()
+        self.tid = tid
 
 
 class Span:
@@ -57,16 +62,17 @@ class Span:
     event category and the tests use to assert layer coverage.
     """
 
-    __slots__ = ("name", "args", "context", "tid", "parent",
+    __slots__ = ("name", "args", "stack", "tid", "parent",
                  "start_seconds", "start_tick", "end_seconds", "end_tick")
 
-    def __init__(self, name: str, context: Any, tid: int,
+    def __init__(self, name: str, stack: SpanStack,
                  parent: Optional["Span"], start_seconds: float,
                  start_tick: int, args: Dict[str, Any]) -> None:
         self.name = name
         self.args = args
-        self.context = context
-        self.tid = tid
+        #: The stack the span was opened on (and is popped from).
+        self.stack = stack
+        self.tid = stack.tid
         self.parent = parent
         self.start_seconds = start_seconds
         self.start_tick = start_tick
@@ -110,86 +116,49 @@ class Tracer:
         else:
             self._now = clock.now
         self._tick = 0
-        self._context: Any = None
-        self._stacks: Dict[Any, List[Span]] = {None: []}
-        self._tids: Dict[Any, int] = {None: 0}
-        self._next_foreign_tid = _FOREIGN_TID_BASE
+        #: The live span stack: the serial pipeline's, or the running
+        #: replay worker's.
+        self.context = SpanStack()
         #: Completed spans, in end order (children before their parents).
         self.finished: List[Span] = []
         #: Zero-duration marker events, in record order.
         self.instants: List[Span] = []
-        #: Spans abandoned open when their context was dropped (an aborted
+        #: Spans abandoned open when their stack was closed (an aborted
         #: worker unwound past its end calls).
         self.dropped = 0
 
     # -- worker contexts --------------------------------------------------------
 
-    @property
-    def context_key(self) -> Any:
-        """The key of the live span stack (None = the default/serial one)."""
-        return self._context
-
-    def switch_context(self, key: Any) -> None:
-        """Make ``key``'s span stack the live one (creating it on first use).
-
-        Mirrors the replay engine's other per-worker contexts: spans opened
-        before the switch stay open on their own stack and regain the top
-        when their context is switched back in.
-        """
-        self._context = key
-        if key not in self._stacks:
-            self._stacks[key] = []
-        if key not in self._tids:
-            self._tids[key] = self._assign_tid(key)
-
-    def drop_context(self, key: Any) -> int:
-        """Forget a context's stack (worker teardown); still-open spans are
+    def close_context(self, stack: SpanStack) -> int:
+        """Retire a worker's stack (teardown); still-open spans are
         abandoned (counted in :attr:`dropped`, never exported).  Returns the
         number abandoned."""
-        stack = self._stacks.pop(key, None)
-        if key == self._context:
-            self._context = None
-            if None not in self._stacks:
-                self._stacks[None] = []
-        if stack is None:
-            return 0
-        self.dropped += len(stack)
-        return len(stack)
-
-    def _assign_tid(self, key: Any) -> int:
-        # Worker contexts export as their worker id; anything else gets a
-        # deterministic first-seen id well away from the worker range (no
-        # hash(): string hashing is salted per process).
-        if (isinstance(key, tuple) and len(key) == 2
-                and key[0] == "worker" and isinstance(key[1], int)):
-            return key[1]
-        tid = self._next_foreign_tid
-        self._next_foreign_tid += 1
-        return tid
+        abandoned = len(stack)
+        stack.clear()
+        self.dropped += abandoned
+        return abandoned
 
     # -- recording --------------------------------------------------------------
 
     def begin(self, name: str, **args: Any) -> Span:
-        """Open a span on the live context's stack and return it."""
-        stack = self._stacks[self._context]
+        """Open a span on the live stack and return it."""
+        stack = self.context
         self._tick += 1
-        span = Span(name, context=self._context,
-                    tid=self._tids[self._context],
-                    parent=stack[-1] if stack else None,
+        span = Span(name, stack, parent=stack[-1] if stack else None,
                     start_seconds=self._now(), start_tick=self._tick,
                     args=args)
         stack.append(span)
         return span
 
     def end(self, span: Span, **args: Any) -> Span:
-        """Close ``span`` (popping it from its own context's stack)."""
+        """Close ``span`` (popping it from the stack it was opened on)."""
         if args:
             span.args.update(args)
         self._tick += 1
         span.end_seconds = self._now()
         span.end_tick = self._tick
-        stack = self._stacks.get(span.context)
-        if stack is not None and span in stack:
+        stack = span.stack
+        if span in stack:
             # Anything still open above the span was abandoned by an
             # unwinding error path: close the stack down to the span.
             while stack:
@@ -212,8 +181,7 @@ class Tracer:
     def instant(self, name: str, **args: Any) -> Span:
         """Record a zero-duration marker (e.g. a cluster fault firing)."""
         self._tick += 1
-        span = Span(name, context=self._context,
-                    tid=self._tids[self._context], parent=None,
+        span = Span(name, self.context, parent=None,
                     start_seconds=self._now(), start_tick=self._tick,
                     args=args)
         span.end_seconds = span.start_seconds

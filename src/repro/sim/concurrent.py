@@ -35,17 +35,16 @@ thread with no seams installed and no context switching — bit-for-bit the
 historical serial replay, at serial speed — while the scheduler still logs
 one decision per page boundary (the degenerate all-zeros schedule).
 
-**Isolation.**  On every switch the resumed worker installs its own
-execution context: its page's :class:`~repro.storage.costmodel.CostCounters`
-as the recorder scope (events are attributed to the worker that caused
-them), its transaction context on the
-:class:`~repro.storage.transactions.TransactionManager` (interleaved
-commits are legal — one worker can never commit another's transaction),
-its pending-op context on the
-:class:`~repro.core.trigger_queue.TriggerOpQueue` (ops flush at their own
-transaction's commit), and its refresh context on the
-:class:`~repro.core.refresh.RefreshQueue` (each worker is its own refresh
-thread; outstanding refreshes merge back to the shared queue at teardown).
+**Isolation.**  Each worker owns one small context object per layer and,
+on every switch, installs them by assignment: its page's
+:class:`~repro.storage.costmodel.CostCounters` as the recorder scope
+(events are attributed to the worker that caused them), a
+:class:`~repro.storage.transactions.TxnContext` (interleaved commits are
+legal — one worker can never commit another's transaction), an
+:class:`~repro.core.trigger_queue.OpContext` (ops flush at their own
+transaction's commit), a :class:`~repro.core.refresh.RefreshContext` (each
+worker is its own refresh thread; outstanding refreshes fold back into the
+caller's backlog at teardown) and a :class:`~repro.obs.tracer.SpanStack`.
 The cache servers are deliberately *shared*: that is where workers race —
 two workers really do interleave ``gets_multi``/``cas_multi`` on the same
 wall key, making ``cas_multi_mismatch``/``cas_retry_rounds`` fire, and
@@ -63,11 +62,13 @@ import contextlib
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
 from ..obs.install import install_tracing
+from ..obs.tracer import SpanStack
 from ..storage.costmodel import CostCounters
+from ..storage.transactions import TxnContext
 from ..workload.trace import PageLoad, WorkloadTrace
 from .interleave import (InterleaveScheduler, ROUND_ROBIN, WorkerStatus,
                          build_scheduler, interleave_trace)
@@ -146,15 +147,22 @@ class ConcurrentReplayResult(ReplayResult):
 
 
 class _WorkerContext:
-    """One cooperative worker: a thread, its baton, its scheduler status."""
+    """One cooperative worker: a thread, its baton, its scheduler status,
+    and its own context in each per-worker layer."""
 
     def __init__(self, worker_id: int, replayer: "ConcurrentReplayer",
                  page_loads: List[PageLoad]) -> None:
         self.worker_id = worker_id
         self.page_loads = page_loads
-        # Transaction/op-queue/refresh context key; distinct from the default
-        # (None).
-        self.context_key: Any = ("worker", worker_id)
+        #: This worker's state in each layer, live while it runs (see
+        #: :meth:`ConcurrentReplayer._install_layers`); the cache layers
+        #: hand out their own, so the engine names no class of theirs.
+        self.txn = TxnContext()
+        self.ops = (replayer.op_queue.open_context(("worker", worker_id))
+                    if replayer.op_queue is not None else None)
+        self.refresh = (replayer.refresh_queue.open_context()
+                        if replayer.refresh_queue is not None else None)
+        self.spans = SpanStack(worker_id)
         #: What the scheduler sees of this worker, for the whole replay: only
         #: the worker itself writes it, while it holds control — between two
         #: decisions nobody else's label, page count or pending keys change.
@@ -178,20 +186,20 @@ class _WorkerContext:
             raise SimulationError(
                 f"worker {self.worker_id} was never rescheduled "
                 f"(paused at {self.status.label!r})")
+        # Installed even to unwind: the error path runs in this worker's
+        # own transaction, ops and scope, like the rest of its page.
+        self._install_context()
         if self._replayer._failure is not None:
             raise _WorkerAborted()
-        self._install_context()
 
     def yield_control(self, label: str) -> None:
         """The checkpoint: publish what the scheduler reads, ask it who runs
         next, and switch threads only if that is somebody else."""
         status = self.status
         status.label = label
+        if self.ops is not None:
+            status.pending_keys = self.ops.pending_keys()
         replayer = self._replayer
-        if replayer.op_queue is not None:
-            # pending_keys_for returns a cached frozenset — use it directly.
-            status.pending_keys = replayer.op_queue.pending_keys_for(
-                self.context_key)
         chosen = replayer._next_worker()
         if chosen is self:
             return
@@ -203,17 +211,11 @@ class _WorkerContext:
         self._wait_turn()
 
     def _install_context(self) -> None:
-        """Make this worker's attribution + transaction state the live one."""
+        """Make this worker's attribution and per-layer state the live one."""
         replayer = self._replayer
         replayer._active_worker = self
         replayer.recorder.activate_scope(self._page_counters)
-        if replayer.tracer is not None:
-            replayer.tracer.switch_context(self.context_key)
-        replayer.transactions.switch_context(self.context_key)
-        if replayer.op_queue is not None:
-            replayer.op_queue.switch_context(self.context_key)
-        if replayer.refresh_queue is not None:
-            replayer.refresh_queue.switch_context(self.context_key)
+        replayer._install_layers(self.txn, self.ops, self.refresh, self.spans)
         for client in replayer.cache_clients:
             client.current_worker = self.worker_id
 
@@ -292,10 +294,10 @@ class ConcurrentReplayer:
         self.fault_injector = fault_injector
         #: Optional :class:`~repro.obs.Tracer`: when set, ``replay()``
         #: installs it across every instrumented seam for the duration of
-        #: the replay (:func:`repro.obs.install_tracing`) and hands each
-        #: worker its own span context on every switch — exactly the
-        #: transaction-manager isolation pattern.  Default None: tracing
-        #: off, the historical code paths run untouched.
+        #: the replay (:func:`repro.obs.install_tracing`) and installs each
+        #: worker's own span stack on every switch, beside its other
+        #: per-layer contexts.  Default None: tracing off, the historical
+        #: code paths run untouched.
         self.tracer = tracer
         self.recorder = database.recorder
         self.transactions = database.transactions
@@ -345,6 +347,25 @@ class ConcurrentReplayer:
         for page_load in ordered:
             per_worker[worker_of[page_load.client_id]].append(page_load)
         return per_worker
+
+    # -- per-worker state -----------------------------------------------------
+
+    def _live_layers(self) -> Tuple[Any, ...]:
+        """The live context of each per-worker layer (None for an absent
+        layer), in :meth:`_install_layers` order."""
+        return tuple(getattr(layer, "context", None) for layer in (
+            self.transactions, self.op_queue, self.refresh_queue, self.tracer))
+
+    def _install_layers(self, txn: TxnContext, ops: Any, refresh: Any,
+                        spans: SpanStack) -> None:
+        """Make the given contexts the live ones, by assignment."""
+        self.transactions.context = txn
+        if self.op_queue is not None:
+            self.op_queue.context = ops
+        if self.refresh_queue is not None:
+            self.refresh_queue.context = refresh
+        if self.tracer is not None:
+            self.tracer.context = spans
 
     # -- hooks -----------------------------------------------------------------
 
@@ -514,6 +535,7 @@ class ConcurrentReplayer:
         self._cpu = _caller_cpu()
 
         previous_scope = self.recorder.activate_scope(None)
+        saved_layers = self._live_layers()
         saved_app_checkpoint = self.app.checkpoint
         saved_txn_checkpoint = self.transactions.checkpoint
         saved_client_checkpoints = [c.checkpoint for c in self.cache_clients]
@@ -549,40 +571,28 @@ class ConcurrentReplayer:
                 client.current_worker = None
             self.recorder.activate_scope(previous_scope)
             self._active_worker = None
-            # An aborted worker can leave an explicit transaction open in
-            # its parked context (the abort exception unwinds past the
-            # application's error handling); roll those back — in the
-            # worker's own transaction *and* op-queue context, so the
-            # on_abort hooks discard the right pending ops — before
-            # dropping the contexts.
+            # An aborted worker can leave an explicit transaction open (the
+            # abort exception unwinds past the application's error
+            # handling): roll it back in the worker's own state, so the
+            # on_abort hooks discard its pending ops, not somebody else's.
             for worker in contexts:
-                self.transactions.switch_context(worker.context_key)
-                if self.op_queue is not None:
-                    self.op_queue.switch_context(worker.context_key)
-                txn = self.transactions.current
+                txn = worker.txn.current
                 if txn is not None and not txn.autocommit:
+                    self._install_layers(worker.txn, worker.ops,
+                                         worker.refresh, worker.spans)
                     self.transactions.abort()
-            self.transactions.switch_context(None)
-            if self.op_queue is not None:
-                self.op_queue.switch_context(None)
-            if self.refresh_queue is not None:
-                self.refresh_queue.switch_context(None)
-            if self.tracer is not None:
-                # A clean worker ends with an empty span stack; an aborted
-                # one abandons its open spans with its other state.
-                self.tracer.switch_context(None)
-                for worker in contexts:
-                    self.tracer.drop_context(worker.context_key)
+            self._install_layers(*saved_layers)
+            # Retire each worker's state: ops of a transaction it never
+            # committed are discarded, refreshes it never drained fold back
+            # into the caller's backlog (worker-id order), open spans are
+            # counted as abandoned.
             for worker in contexts:
-                self.transactions.drop_context(worker.context_key)
                 if self.op_queue is not None:
-                    self.op_queue.drop_context(worker.context_key)
+                    self.op_queue.close_context(worker.ops)
                 if self.refresh_queue is not None:
-                    # Refreshes a worker scheduled but never drained are
-                    # still owed to the cache: fold them back into the
-                    # shared queue (deterministic: worker-id order) rather
-                    # than dropping background work with its thread.
-                    self.refresh_queue.merge_context(worker.context_key)
+                    self.refresh_queue.close_context(worker.refresh)
+                if self.tracer is not None:
+                    self.tracer.close_context(worker.spans)
         failure, self._failure = self._failure, None
         if stuck:
             raise SimulationError(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from ..errors import TransactionError
 from .costmodel import Recorder
@@ -44,10 +44,21 @@ class Transaction:
         self.undo_log.append(UndoRecord(apply=apply, description=description))
 
 
+class TxnContext:
+    """One connection's transaction state (each replay worker owns one): the
+    open transaction, None when idle, and the nesting depth of statements."""
+
+    __slots__ = ("current", "depth")
+
+    def __init__(self) -> None:
+        self.current: Optional[Transaction] = None
+        self.depth = 0
+
+
 class _Statement:
     """The ``with`` bracket :meth:`TransactionManager.statement` hands out.
 
-    It carries no per-use state — nesting lives in the manager's depth
+    It carries no per-use state — nesting lives in the live context's depth
     counter — so one instance per ``wrote`` serves every statement.
     """
 
@@ -61,11 +72,10 @@ class _Statement:
         self._manager.begin_statement()
 
     def __exit__(self, exc_type, exc, traceback) -> None:
-        manager = self._manager
         if exc_type is None:
-            manager.statement_finished(wrote=self._wrote)
-        elif manager._statement_depth > 0:
-            manager._statement_depth -= 1
+            self._manager.statement_finished(wrote=self._wrote)
+        elif self._manager.context.depth > 0:
+            self._manager.context.depth -= 1
 
 
 class TransactionManager:
@@ -80,26 +90,17 @@ class TransactionManager:
     def __init__(self, recorder: Recorder) -> None:
         self.recorder = recorder
         self._tid_counter = itertools.count(1)
-        self._current: Optional[Transaction] = None
-        #: Nesting depth of in-flight statements.  Statements issued from
-        #: inside another statement (a trigger body reading the database)
-        #: belong to the enclosing statement's transaction and must not
-        #: auto-commit it out from under the trigger.
-        self._statement_depth = 0
+        #: The live transaction state.  Statements issued from inside
+        #: another statement (a trigger body reading the database) belong to
+        #: the enclosing statement's transaction; its depth counter keeps
+        #: them from auto-committing it out from under the trigger.
+        self.context = TxnContext()
         self.committed = 0
         self.aborted = 0
         #: Callbacks fired after a transaction commits/aborts (autocommit
         #: included).  CacheGenie's trigger-op queue flushes/discards here.
         self.on_commit: List[Callable[[], None]] = []
         self.on_abort: List[Callable[[], None]] = []
-        #: Parked (transaction, statement-depth) pairs of inactive worker
-        #: contexts.  The engine stays single-threaded-at-a-time; the
-        #: concurrent replayer interleaves worker coroutines by switching
-        #: which context's transaction state is live (see switch_context),
-        #: so one worker's in-flight transaction cannot be committed or
-        #: joined by another worker's statements.
-        self._contexts: Dict[Any, Tuple[Optional[Transaction], int]] = {}
-        self._context_key: Any = None
         #: Cooperative-scheduling hook (installed only by the concurrent
         #: replayer): called with a label after each outermost statement
         #: completes and after each explicit commit, giving the interleave
@@ -115,51 +116,16 @@ class TransactionManager:
         if self.checkpoint is not None:
             self.checkpoint(label)
 
-    # -- worker contexts -------------------------------------------------------
-
-    @property
-    def context_key(self) -> Any:
-        """The key of the live transaction context (None = the default)."""
-        return self._context_key
-
-    def switch_context(self, key: Any) -> None:
-        """Park the live transaction state and make ``key``'s state live.
-
-        Each context carries its own open transaction and statement-nesting
-        depth, exactly like one worker's database connection; contexts never
-        see each other's transactions.  Switching to the already-live key is
-        a no-op.  An unknown key starts with a fresh, idle context.
-        """
-        if key == self._context_key:
-            return
-        self._contexts[self._context_key] = (self._current, self._statement_depth)
-        self._current, self._statement_depth = self._contexts.pop(key, (None, 0))
-        self._context_key = key
-
-    def drop_context(self, key: Any) -> None:
-        """Forget a parked context (a finished worker).
-
-        Raises :class:`TransactionError` if the context still has an open
-        explicit transaction — dropping it would leak the undo log.
-        """
-        if key == self._context_key:
-            raise TransactionError("cannot drop the live transaction context")
-        parked = self._contexts.pop(key, (None, 0))
-        txn = parked[0]
-        if txn is not None and not txn.autocommit:
-            self._contexts[key] = parked
-            raise TransactionError(
-                f"context {key!r} still has an open explicit transaction")
-
     # -- state ----------------------------------------------------------------
 
     @property
     def current(self) -> Optional[Transaction]:
-        return self._current
+        return self.context.current
 
     @property
     def in_transaction(self) -> bool:
-        return self._current is not None and not self._current.autocommit
+        txn = self.context.current
+        return txn is not None and not txn.autocommit
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -168,7 +134,7 @@ class TransactionManager:
         if self.in_transaction:
             raise TransactionError("a transaction is already open")
         txn = Transaction(tid=next(self._tid_counter), autocommit=False)
-        self._current = txn
+        self.context.current = txn
         return txn
 
     def begin_statement(self) -> Transaction:
@@ -182,11 +148,12 @@ class TransactionManager:
         the commit hooks — before the outer statement (and its triggers)
         has finished.
         """
-        txn = self._current
+        context = self.context
+        txn = context.current
         if txn is None:
-            txn = self._current = Transaction(tid=next(self._tid_counter),
-                                              autocommit=True)
-        self._statement_depth += 1
+            txn = context.current = Transaction(tid=next(self._tid_counter),
+                                                autocommit=True)
+        context.depth += 1
         return txn
 
     def statement(self, wrote: bool) -> "_Statement":
@@ -205,21 +172,22 @@ class TransactionManager:
         finishes; explicit transactions stay open until :meth:`commit` /
         :meth:`abort`.
         """
-        if self._statement_depth > 0:
-            self._statement_depth -= 1
-        txn = self._current
+        context = self.context
+        if context.depth > 0:
+            context.depth -= 1
+        txn = context.current
         if txn is None:
             return
         txn.statements += 1
-        if txn.autocommit and self._statement_depth == 0:
+        if txn.autocommit and context.depth == 0:
             if wrote:
                 self.recorder.record("commits")
             txn.status = "committed"
             self.committed += 1
-            self._current = None
+            context.current = None
             self._fire(self.on_commit)
             self._checkpoint("db:commit" if wrote else "db:statement")
-        elif self._statement_depth == 0:
+        elif context.depth == 0:
             # A statement inside an explicit transaction: the transaction
             # stays open, but the statement boundary is still a legal
             # point for another worker to run.
@@ -227,7 +195,8 @@ class TransactionManager:
 
     def commit(self) -> Transaction:
         """Commit the open explicit transaction."""
-        txn = self._current
+        context = self.context
+        txn = context.current
         if txn is None or txn.autocommit:
             raise TransactionError("no explicit transaction is open")
         if txn.undo_log:
@@ -235,14 +204,15 @@ class TransactionManager:
         txn.status = "committed"
         txn.undo_log.clear()
         self.committed += 1
-        self._current = None
+        context.current = None
         self._fire(self.on_commit)
         self._checkpoint("db:commit")
         return txn
 
     def abort(self) -> Transaction:
         """Abort the open explicit transaction, undoing its changes."""
-        txn = self._current
+        context = self.context
+        txn = context.current
         if txn is None or txn.autocommit:
             raise TransactionError("no explicit transaction is open")
         for record in reversed(txn.undo_log):
@@ -250,12 +220,12 @@ class TransactionManager:
         txn.undo_log.clear()
         txn.status = "aborted"
         self.aborted += 1
-        self._current = None
+        context.current = None
         self._fire(self.on_abort)
         return txn
 
     def record_undo(self, apply: Callable[[], None], description: str = "") -> None:
         """Attach an undo record to the open explicit transaction (if any)."""
-        txn = self._current
+        txn = self.context.current
         if txn is not None and not txn.autocommit:
             txn.record_undo(apply, description)

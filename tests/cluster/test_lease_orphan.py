@@ -149,13 +149,14 @@ class TestDeadLeaseHolder:
 
         # The claim is scheduled inside a worker's own refresh context and
         # the worker then parks (a paused replay thread).
-        queue.switch_context(("worker", 0))
+        serial, worker = queue.context, queue.open_context()
+        queue.context = worker
         assert cached.evaluate(owner_id=owner.pk) == 1
         assert queue.pending_keys() == [key]
-        queue.switch_context(None)
+        queue.context = serial
         assert queue.pending_keys() == []     # claim parked with worker 0
 
         controller.kill("cache1")
         assert queue.orphaned_dropped == 1
-        queue.switch_context(("worker", 0))
-        assert queue.pending_keys() == []     # swept while parked
+        assert not worker.pending             # swept while parked
+        queue.close_context(worker)

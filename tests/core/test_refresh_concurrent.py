@@ -90,63 +90,60 @@ def make_queue():
 
 
 class TestWorkerContexts:
-    def test_switch_context_isolates_pending_refreshes(self):
+    def test_contexts_isolate_pending_refreshes(self):
         queue = make_queue()
+        serial, worker = queue.context, queue.open_context()
         queue.schedule(_StubObject("a"), "k:shared", {})
-        assert queue.context_key is None
-        queue.switch_context(("worker", 0))
-        assert queue.context_key == ("worker", 0)
+        queue.context = worker
         assert queue.pending_keys() == []       # fresh per-worker backlog
         queue.schedule(_StubObject("b"), "k:worker0", {})
-        queue.switch_context(None)
+        queue.context = serial
         assert queue.pending_keys() == ["k:shared"]
-        queue.switch_context(("worker", 0))     # parked state comes back
+        queue.context = worker                  # parked state comes back
         assert queue.pending_keys() == ["k:worker0"]
 
-    def test_merge_context_folds_back_and_coalesces(self):
+    def test_close_context_folds_back_and_coalesces(self):
         queue = make_queue()
+        serial, worker = queue.context, queue.open_context()
         queue.schedule(_StubObject("a"), "k:shared", {})
-        queue.switch_context(("worker", 1))
+        queue.context = worker
         queue.schedule(_StubObject("b"), "k:shared", {})   # duplicate
         queue.schedule(_StubObject("b"), "k:worker1", {})
-        queue.switch_context(None)
+        queue.context = serial
         coalesced_before = queue.coalesced
-        assert queue.merge_context(("worker", 1)) == 1     # one adopted
+        assert queue.close_context(worker) == 1            # one adopted
         assert queue.coalesced == coalesced_before + 1     # one coalesced
         assert queue.pending_keys() == ["k:shared", "k:worker1"]
-        # The context is gone: merging again adopts nothing.
-        assert queue.merge_context(("worker", 1)) == 0
-
-    def test_drop_context_discards_parked_refreshes(self):
-        queue = make_queue()
-        queue.switch_context(("worker", 2))
-        queue.schedule(_StubObject("b"), "k:doomed", {})
-        queue.switch_context(None)
-        assert queue.drop_context(("worker", 2)) == 1
-        queue.switch_context(("worker", 2))
-        assert queue.pending_keys() == []
+        assert not worker.pending
+        # Closed: a later sweep no longer visits it.
+        queue.context = worker
+        queue.schedule(_StubObject("c"), "k:late", {})
+        queue.context = serial
+        assert queue.discard() == 2
 
     def test_discard_clears_parked_contexts_too(self):
         queue = make_queue()
+        serial, worker = queue.context, queue.open_context()
         queue.schedule(_StubObject("a"), "k:live", {})
-        queue.switch_context(("worker", 0))
+        queue.context = worker
         queue.schedule(_StubObject("b"), "k:parked", {})
-        queue.switch_context(None)
+        queue.context = serial
         assert queue.discard() == 2
-        queue.switch_context(("worker", 0))
+        queue.context = worker
         assert queue.pending_keys() == []
 
     def test_discard_for_sweeps_parked_contexts(self):
         queue = make_queue()
+        serial, worker = queue.context, queue.open_context()
         doomed, kept = _StubObject("doomed"), _StubObject("kept")
         queue.schedule(doomed, "k:live-doomed", {})
-        queue.switch_context(("worker", 0))
+        queue.context = worker
         queue.schedule(doomed, "k:parked-doomed", {})
         queue.schedule(kept, "k:parked-kept", {})
-        queue.switch_context(None)
+        queue.context = serial
         assert queue.discard_for(doomed) == 2
         assert queue.pending_keys() == []
-        queue.switch_context(("worker", 0))
+        queue.context = worker
         assert queue.pending_keys() == ["k:parked-kept"]
 
 

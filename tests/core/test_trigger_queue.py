@@ -7,6 +7,7 @@ import pytest
 from repro.core import (CacheGenie, TransactionalCacheSession, TriggerOpQueue,
                         TwoPhaseLockingCoordinator)
 from repro.core.cache_classes.base import evaluate_many
+from repro.core.trigger_queue import OpContext
 from repro.core.stats import CachedObjectStats
 from repro.memcache import CacheClient, CacheServer
 from repro.storage.costmodel import Recorder
@@ -437,6 +438,27 @@ class TestFlushCasRetries:
         # The key was already gone, so the fallback credits no invalidation.
         assert owner.stats.invalidations == 0
 
+    def test_interrupted_flush_invalidates_every_key(self, cache):
+        """The transaction has committed by the time its ops flush: a flush
+        that cannot finish must not leave the keys it was updating stale."""
+        client, _server = cache
+        client.set("a", 1)
+        client.set("b", 2)
+        queue = TriggerOpQueue(client)
+        owner = FakeOwner()
+
+        def explodes(value):
+            raise RuntimeError("mutation exploded")
+
+        queue.enqueue_mutate(owner, "a", lambda v: v + 1)
+        queue.enqueue_mutate(owner, "b", explodes)
+        with pytest.raises(RuntimeError, match="mutation exploded"):
+            queue.flush()
+        assert client.get("a") is None and client.get("b") is None
+        assert queue.cas_fallbacks == 2
+        assert owner.stats.invalidations == 2
+        assert queue.pending_count == 0 and not queue.context.flushing
+
 
 class TestWorkerContexts:
     def test_ops_enqueue_and_flush_per_context(self, cache):
@@ -444,33 +466,36 @@ class TestWorkerContexts:
         client.set("a", 1)
         client.set("b", 2)
         queue = TriggerOpQueue(client)
+        serial, worker = queue.context, OpContext("w1")
         owner = FakeOwner()
         queue.enqueue_mutate(owner, "a", lambda v: v + 1)
-        queue.switch_context("w1")
+        queue.context = worker
         assert queue.pending_count == 0  # w1 starts with its own empty space
         queue.enqueue_mutate(owner, "b", lambda v: v + 10)
         assert queue.pending_keys() == ["b"]
+        assert worker.pending_keys() == frozenset({"b"})
         assert queue.flush() == 1  # flushes only w1's op
         assert client.get("b") == 12
-        assert client.get("a") == 1  # the default context's op is untouched
-        queue.switch_context(None)
+        assert client.get("a") == 1  # the serial context's op is untouched
+        queue.context = serial
         assert queue.pending_keys() == ["a"]
         queue.flush()
         assert client.get("a") == 2
         assert queue.enqueued_by_context == {None: 1, "w1": 1}
         assert queue.flushed_keys_by_context == {None: 1, "w1": 1}
 
-    def test_drop_context_discards_pending_ops(self, cache):
+    def test_close_context_discards_pending_ops(self, cache):
         client, _server = cache
         queue = TriggerOpQueue(client)
+        serial, worker = queue.context, OpContext("w1")
         owner = FakeOwner()
-        queue.switch_context("w1")
+        queue.context = worker
         queue.enqueue_delete(owner, "k")
-        queue.switch_context(None)
-        queue.drop_context("w1")
+        assert worker.pending_keys() == frozenset({"k"})
+        queue.context = serial
+        assert queue.close_context(worker) == 1
         assert queue.discarded == 1
-        queue.switch_context("w1")
-        assert queue.pending_count == 0
+        assert worker.pending_keys() == frozenset()
 
 
 class TestInterleavedFlushContention:
@@ -481,20 +506,21 @@ class TestInterleavedFlushContention:
         client, _server = cache
         client.set("n", 100)
         queue = TriggerOpQueue(client)
+        a, b = queue.context, OpContext("B")
         owner = FakeOwner()
         queue.enqueue_mutate(owner, "n", lambda v: v + 1)       # context A
-        queue.switch_context("B")
+        queue.context = b
         queue.enqueue_mutate(owner, "n", lambda v: v + 10)      # context B
-        queue.switch_context(None)
+        queue.context = a
 
         fired = []
 
         def checkpoint(label):
             if label == "cache:gets_multi" and not fired:
                 fired.append(label)
-                queue.switch_context("B")
+                queue.context = b
                 queue.flush()  # B commits while A still holds its token
-                queue.switch_context(None)
+                queue.context = a
 
         client.checkpoint = checkpoint
         assert queue.flush() == 1
@@ -511,6 +537,7 @@ class TestInterleavedFlushContention:
         client, _server = cache
         client.set("x", 1)
         queue = TriggerOpQueue(client)
+        a, b = queue.context, OpContext("B")
         owner = FakeOwner()
         queue.enqueue_mutate(owner, "x", lambda v: v + 1)
         flushed_inside = []
@@ -519,12 +546,14 @@ class TestInterleavedFlushContention:
             if label == "cache:gets_multi" and not flushed_inside:
                 # While A's flush is suspended, B's context must not see
                 # itself as "already flushing".
-                queue.switch_context("B")
+                assert a.flushing and not b.flushing
+                queue.context = b
                 queue.enqueue_delete(owner, "y")
                 flushed_inside.append(queue.flush())
-                queue.switch_context(None)
+                queue.context = a
 
         client.checkpoint = checkpoint
         queue.flush()
         client.checkpoint = None
         assert flushed_inside == [1]
+        assert not a.flushing

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import json
 
-from repro.obs import (Tracer, chrome_trace_events, composite_timestamp_us,
-                       write_chrome_trace)
+from repro.obs import (SpanStack, Tracer, chrome_trace_events,
+                       composite_timestamp_us, write_chrome_trace)
 
 
 class FakeClock:
@@ -19,11 +19,11 @@ class FakeClock:
 def traced_sample() -> Tracer:
     clock = FakeClock()
     tracer = Tracer(clock=clock)
-    tracer.switch_context(("worker", 0))
+    tracer.context = SpanStack(0)
     with tracer.span("page:wall", user=1):
         with tracer.span("cache:get_multi", keys=2):
             pass
-    tracer.switch_context(("worker", 1))
+    tracer.context = SpanStack(1)
     clock.t = 0.5
     with tracer.span("page:lookup", user=2):
         tracer.instant("cluster:kill", node="cache0")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.obs import Span, Tracer
+from repro.obs import Span, SpanStack, Tracer
 
 
 class FakeClock:
@@ -93,46 +93,39 @@ class TestSpans:
 class TestContexts:
     def test_worker_contexts_keep_separate_stacks(self):
         tracer = Tracer()
-        tracer.switch_context(("worker", 0))
+        w0, w1 = SpanStack(0), SpanStack(1)
+        tracer.context = w0
         a = tracer.begin("page:a")
-        tracer.switch_context(("worker", 1))
+        tracer.context = w1
         b = tracer.begin("page:b")
         # Worker 1's span does not parent under worker 0's open span.
         assert b.parent is None
         tracer.end(b)
-        tracer.switch_context(("worker", 0))
+        tracer.context = w0
         inner = tracer.begin("cache:get_multi")
         assert inner.parent is a
         tracer.end(inner)
         tracer.end(a)
         assert a.tid == 0 and b.tid == 1
+        assert w0 == [] and w1 == []
 
-    def test_foreign_context_tids_are_deterministic(self):
+    def test_close_context_counts_open_spans(self):
         tracer = Tracer()
-        tracer.switch_context("warmup")
-        tracer.switch_context(("worker", 3))
-        tracer.switch_context("other")
-        assert tracer.begin("x").tid == 1001  # second non-worker context
-        tracer.switch_context("warmup")
-        assert tracer.begin("x").tid == 1000  # first one keeps its id
-
-    def test_drop_context_counts_open_spans(self):
-        tracer = Tracer()
-        tracer.switch_context(("worker", 0))
+        serial, worker = tracer.context, SpanStack(0)
+        tracer.context = worker
         tracer.begin("page:a")
-        tracer.begin("cache:get_multi")
-        assert tracer.drop_context(("worker", 0)) == 2
+        inner = tracer.begin("cache:get_multi")
+        tracer.context = serial
+        assert tracer.close_context(worker) == 2
         assert tracer.dropped == 2
-        assert tracer.context_key is None
-        # The default stack is usable again.
+        # An abandoned span that ends after all is exported, not re-counted.
+        tracer.end(inner)
+        assert tracer.dropped == 2
+        # The serial stack is untouched and usable.
         with tracer.span("page:b"):
             pass
-        assert [s.name for s in tracer.finished] == ["page:b"]
-
-    def test_drop_unknown_context_is_noop(self):
-        tracer = Tracer()
-        assert tracer.drop_context(("worker", 9)) == 0
-        assert tracer.dropped == 0
+        assert [s.name for s in tracer.finished] == ["cache:get_multi",
+                                                     "page:b"]
 
 
 class TestFlame:

@@ -1,4 +1,5 @@
-"""ConcurrentReplayer: serial equivalence, determinism, real contention."""
+"""ConcurrentReplayer: serial equivalence, determinism, real contention,
+the hand-off's failure paths, the schedule contract and node faults."""
 
 from __future__ import annotations
 
@@ -75,6 +76,22 @@ def page_fingerprint(result: ReplayResult):
             for p in result.pages]
 
 
+def layer_contexts(scenario: Scenario, tracer=None):
+    """The live context object of every per-worker layer."""
+    genie = scenario.genie
+    layers = [scenario.database.transactions, genie.trigger_op_queue,
+              genie.refresh_queue]
+    if tracer is not None:
+        layers.append(tracer)
+    return [layer.context for layer in layers]
+
+
+def assert_same_objects(now, then):
+    assert len(now) == len(then)
+    for current, saved in zip(now, then):
+        assert current is saved
+
+
 class TestSerialEquivalence:
     def test_one_worker_ignores_the_policy(self):
         with contention_scenario() as (scenario, config):
@@ -98,11 +115,11 @@ class TestSerialEquivalence:
     def test_serial_seams_restored_after_replay(self):
         with contention_scenario() as (scenario, config):
             app_checkpoint = scenario.app.checkpoint
+            contexts = layer_contexts(scenario)
             concurrent_replay(scenario, config, workers=2, policy=RANDOM)
             assert scenario.app.checkpoint is app_checkpoint
             assert scenario.database.transactions.checkpoint is None
-            assert scenario.database.transactions.context_key is None
-            assert scenario.genie.trigger_op_queue.context_key is None
+            assert_same_objects(layer_contexts(scenario), contexts)
             assert scenario.genie.app_cache.checkpoint is None
             assert scenario.genie.app_cache.current_worker is None
             # A serial replay on the same stack still works afterwards.
@@ -282,25 +299,26 @@ def worker_threads():
 
 
 def assert_stack_restored(scenario: Scenario, app_checkpoint, scope,
-                          tracer=None):
-    """Every seam, context and scope a threaded replay touches is back."""
+                          contexts, tracer=None):
+    """Every seam, context and scope a threaded replay touches is back:
+    ``contexts`` is :func:`layer_contexts` taken before the replay."""
     transactions = scenario.database.transactions
     queue = scenario.genie.trigger_op_queue
+    refresh = scenario.genie.refresh_queue
     assert scenario.app.checkpoint is app_checkpoint
     assert transactions.checkpoint is None
-    assert transactions.context_key is None
+    assert_same_objects(layer_contexts(scenario, tracer), contexts)
     assert transactions.current is None
-    assert queue.context_key is None
     assert queue.pending_count == 0
-    for worker_id in range(4):
-        assert not queue.pending_keys_for(("worker", worker_id))
+    # Every worker's refresh backlog was closed: sweeps reach only ours.
+    assert refresh._backlogs == [refresh.context]
     for client in (scenario.genie.app_cache, scenario.genie.trigger_cache):
         assert client.checkpoint is None
         assert client.current_worker is None
     recorder = scenario.database.recorder
     assert recorder.activate_scope(scope) is scope
     if tracer is not None:
-        assert tracer.context_key is None
+        assert tracer.context == []
     assert worker_threads() == []
 
 
@@ -342,6 +360,38 @@ def picks_the_first_worker_to_finish(decision, runnable):
     return finished.pop() if finished else None
 
 
+class ParkAFlushingWorker(InterleaveScheduler):
+    """``policy`` until a worker's trigger flush yields at
+    ``cache:gets_multi`` — with ``in_retry_round``, the ``gets_multi`` of a
+    CAS retry round — then that worker stays parked while the others run."""
+
+    def __init__(self, policy, queue, in_retry_round):
+        super().__init__(policy)
+        self.queue = queue
+        self.in_retry_round = in_retry_round
+        self.parked = None
+        self.retry_rounds_at_park = None
+        self._retry_rounds = 0
+
+    def choose(self, runnable):
+        if self.parked is None:
+            # A label changes only when its worker yields: the one that
+            # just ran is the last one picked.
+            rounds = self.queue.cas_retry_rounds
+            retrying, self._retry_rounds = rounds > self._retry_rounds, rounds
+            for status in runnable:
+                if (status.label == "cache:gets_multi"
+                        and status.worker_id == self.decisions[-1]
+                        and (retrying or not self.in_retry_round)):
+                    self.parked = status.worker_id
+                    self.retry_rounds_at_park = rounds
+        others = [s for s in runnable if s.worker_id != self.parked]
+        if self.parked is not None and others:
+            self.decisions.append(others[0].worker_id)
+            return others[0].worker_id
+        return super().choose(runnable)
+
+
 def fail_then_replay(first_replayer, second_replayer, trace, error):
     """A failing replay, then a complete one; returns the second's pages."""
     started = time.monotonic()
@@ -373,6 +423,7 @@ class TestHandOffFailures:
         for reuse in (True, False):
             with contention_scenario() as (scenario, config):
                 app_checkpoint = scenario.app.checkpoint
+                contexts = layer_contexts(scenario)
                 scope = CostCounters()
                 scenario.database.recorder.activate_scope(scope)
                 trace = make_trace(config)
@@ -393,7 +444,8 @@ class TestHandOffFailures:
                 replays.append(fail_then_replay(
                     failing, failing if reuse else fresh, trace, error))
                 assert swallowed == []
-                assert_stack_restored(scenario, app_checkpoint, scope)
+                assert_stack_restored(scenario, app_checkpoint, scope,
+                                      contexts)
         assert replays[0] == replays[1]
 
     def test_worker_error_while_another_is_parked_in_a_transaction(self):
@@ -406,9 +458,11 @@ class TestHandOffFailures:
             queue = scenario.genie.trigger_op_queue
             cache = scenario.genie.app_cache
             saved = BookmarkInstance.objects.count()
+            began_in = []
 
             def render(page, user_id):
                 if cache.current_worker == 1:
+                    began_in.append(transactions.context)
                     transactions.begin()
                     BookmarkInstance(bookmark_id=1, user_id=user_id,
                                      description="parked", note="").save()
@@ -428,12 +482,13 @@ class TestHandOffFailures:
 
             aborts = []
             transactions.on_abort.insert(0, lambda: aborts.append(
-                (transactions.context_key, queue.context_key,
+                (transactions.context, queue.context.key,
                  queue.pending_count)))
             app_checkpoint = scenario.app.checkpoint
             scope = CostCounters()
             scenario.database.recorder.activate_scope(scope)
             tracer = Tracer(clock=scenario.clock)
+            contexts = layer_contexts(scenario, tracer)
             replayer = build_replayer(
                 scenario, config, workers=2, tracer=tracer,
                 scheduler=ParkWorkerOneThenRunWorkerZero())
@@ -443,12 +498,51 @@ class TestHandOffFailures:
             assert time.monotonic() - started < FAILS_WITHIN_SECONDS
             # One rollback, in worker 1's transaction *and* op-queue context,
             # with its trigger ops still pending there to be discarded.
-            assert len(aborts) == 1
-            assert aborts[0][:2] == (("worker", 1), ("worker", 1))
+            assert len(aborts) == 1 and len(began_in) == 1
+            assert aborts[0][0] is began_in[0]
+            assert aborts[0][1] == ("worker", 1)
             assert aborts[0][2] > 0
             assert transactions.aborted == 1
             assert BookmarkInstance.objects.count() == saved
-            assert_stack_restored(scenario, app_checkpoint, scope, tracer)
+            assert_stack_restored(scenario, app_checkpoint, scope, contexts,
+                                  tracer)
+
+    @pytest.mark.parametrize("policy, in_retry_round", [
+        (ROUND_ROBIN, False), (ADVERSARIAL, True)])
+    def test_worker_unwound_inside_its_commit_flush(self, policy,
+                                                    in_retry_round):
+        """A worker parked between its flush's ``gets_multi`` and
+        ``cas_multi`` (its transaction already committed) is unwound by
+        another worker's error: the keys it was updating are invalidated,
+        so the cache, which the next replay on the same scenario reads,
+        holds nothing the database does not."""
+        with contention_scenario() as (scenario, config):
+            queue = scenario.genie.trigger_op_queue
+            cache = scenario.genie.app_cache
+            scheduler = ParkAFlushingWorker(policy, queue, in_retry_round)
+            render = scenario.app.render
+
+            def render_until_parked(page, user_id):
+                if scheduler.parked not in (None, cache.current_worker):
+                    raise RuntimeError("page exploded")
+                return render(page, user_id)
+            scenario.app.render = render_until_parked
+            app_checkpoint = scenario.app.checkpoint
+            contexts = layer_contexts(scenario)
+            scope = CostCounters()
+            scenario.database.recorder.activate_scope(scope)
+            trace = make_trace(config)
+            replayer = build_replayer(scenario, config, workers=2,
+                                      scheduler=scheduler)
+            started = time.monotonic()
+            with pytest.raises(RuntimeError, match="page exploded"):
+                replayer.replay(trace)
+            assert time.monotonic() - started < FAILS_WITHIN_SECONDS
+            assert scheduler.parked is not None
+            assert (scheduler.retry_rounds_at_park > 0) == in_retry_round
+            assert_stack_restored(scenario, app_checkpoint, scope, contexts)
+            assert audit(scenario, trace) == []
+            assert queue.cas_fallbacks > 0
 
     @pytest.mark.parametrize("clients, wedged_page, watchdog", [
         # Worker 1 is still parked at "start": its own watchdog fires.
@@ -467,6 +561,7 @@ class TestHandOffFailures:
         unwedge = threading.Event()
         with contention_scenario() as (scenario, config):
             app_checkpoint = scenario.app.checkpoint
+            contexts = layer_contexts(scenario)
             render, calls = scenario.app.render, []
 
             def wedging_render(page, user_id):
@@ -489,7 +584,7 @@ class TestHandOffFailures:
                 assert watchdog in str(raised.value.__cause__)
                 assert scenario.app.checkpoint is app_checkpoint
                 assert scenario.database.transactions.checkpoint is None
-                assert scenario.database.transactions.context_key is None
+                assert_same_objects(layer_contexts(scenario), contexts)
             finally:
                 unwedge.set()
                 for thread in worker_threads():
@@ -534,12 +629,14 @@ class ContractCheckingScheduler(InterleaveScheduler):
         self.streams = streams
         self.completed = {worker_id: 0 for worker_id in streams}
         self.labels = {worker_id: "start" for worker_id in streams}
+        #: Each worker's own OpContext, as seen live on its decisions.
+        self.op_contexts = {}
         self.checked = 0
 
     def watch(self, scenario, replayer):
         """Observe renders and checkpoints from outside the engine."""
         self.queue = scenario.genie.trigger_op_queue
-        cache = scenario.genie.app_cache
+        self.cache = cache = scenario.genie.app_cache
         render, checkpoint = scenario.app.render, replayer._checkpoint
 
         def counting_render(page, user_id):
@@ -560,12 +657,20 @@ class ContractCheckingScheduler(InterleaveScheduler):
         unfinished = [w for w, stream in self.streams.items()
                       if self.completed[w] < len(stream)]
         assert [status.worker_id for status in runnable] == unfinished
+        yielding = self.cache.current_worker   # None: the main thread
+        if yielding is not None:
+            # The decision runs on the yielding worker's thread, in its own
+            # op context — the same object for the whole replay.
+            live = self.queue.context
+            assert live.key == ("worker", yielding)
+            assert self.op_contexts.setdefault(yielding, live) is live
         for status in runnable:
             worker_id = status.worker_id
             assert status.label == self.labels[worker_id]
             assert status.pages_completed == self.completed[worker_id]
-            assert status.pending_keys == self.queue.pending_keys_for(
-                ("worker", worker_id))
+            own = self.op_contexts.get(worker_id)
+            assert status.pending_keys == (
+                own.pending_keys() if own is not None else frozenset())
         chosen = super().choose(runnable)
         assert chosen in unfinished
         self.checked += 1
@@ -716,20 +821,27 @@ class TestWorkerPlacement:
 #: Long enough that the kill and the revive both land mid-trace.
 FAULT_WORKLOAD = WORKLOAD.with_overrides(sessions_per_client=6, seed=11)
 
-#: Fractions of the trace (in pages) at which ``cache1`` dies and returns.
-KILL_AT, REVIVE_AT = 0.30, 0.65
+#: Fault plans: (fraction of the trace in pages, action, node), in order.
+SINGLE_FAULT = ((0.30, "kill", "cache1"), (0.65, "revive", "cache1"))
+FAULT_PLANS = {
+    "overlap": ((0.20, "kill", "cache1"), (0.35, "kill", "cache0"),
+                (0.50, "revive", "cache1"), (0.70, "revive", "cache0")),
+    "nested": ((0.20, "kill", "cache1"), (0.30, "kill", "cache0"),
+               (0.40, "revive", "cache0"), (0.60, "revive", "cache1")),
+    "flap": ((0.20, "kill", "cache1"), (0.21, "revive", "cache1"),
+             (0.22, "kill", "cache1"), (0.60, "revive", "cache1")),
+}
 
 
-def fault_instants(interval: float, pages: int, start: float):
-    """Virtual instants of the kill and the revive, from the same running
-    sum of page intervals the replayer adds up before each page."""
-    marks = (int(KILL_AT * pages), int(REVIVE_AT * pages))
-    instants, now = [], start
-    for index in range(marks[1] + 1):
+def fault_instants(interval: float, pages: int, start: float, plan):
+    """Virtual instant of each planned fault, from the same running sum of
+    page intervals the replayer adds up before each page."""
+    marks = [int(fraction * pages) for fraction, _action, _node in plan]
+    running, now = [], start
+    for _ in range(max(marks) + 1):
         now += interval
-        if index in marks:
-            instants.append(now)
-    return instants
+        running.append(now)
+    return [running[mark] for mark in marks]
 
 
 def canonical(value):
@@ -766,10 +878,10 @@ class StatusRecordingScheduler(InterleaveScheduler):
         return super().choose(runnable)
 
 
-def replay_through_faults(name: str):
-    """Two workers replay while ``cache1`` is killed and revived behind a
-    gutter pool; returns the result, what the other worker was parked at
-    when each fault fired, the controller's counters and the audit."""
+def replay_through_faults(name: str, plan, workers: int):
+    """``workers`` replay while ``plan``'s faults fire behind a gutter pool;
+    returns the result, what the other workers were parked at when each
+    fault fired, the controller's counters and the audit."""
     with contention_scenario(name) as (scenario, config):
         user_ids = list(range(1, config.seed_scale.users + 1))
         trace = WorkloadGenerator(FAULT_WORKLOAD, user_ids).generate()
@@ -780,38 +892,53 @@ def replay_through_faults(name: str):
             gutter=GutterPool([CacheServer("gutter0", clock=scenario.clock)],
                               ttl_seconds=2.0),
             genie=genie)
-        kill, revive = fault_instants(config.page_interval_seconds,
-                                      trace.total_page_loads,
-                                      scenario.clock.now())
+        instants = fault_instants(config.page_interval_seconds,
+                                  trace.total_page_loads,
+                                  scenario.clock.now(), plan)
         injector = FaultInjector(controller, FaultSchedule([
-            FaultEvent(at=kill, action="kill", node="cache1"),
-            FaultEvent(at=revive, action="revive", node="cache1")]))
+            FaultEvent(at=instant, action=action, node=node)
+            for instant, (_fraction, action, node) in zip(instants, plan)]))
         scheduler = StatusRecordingScheduler()
         parked = []
-        for instant in (kill, revive):
+        for instant in instants:
             # A probe at a fault's instant fires right after the fault.
             injector.schedule_probe(instant, lambda: parked.append([
                 (status.label, status.holds_write_intent)
                 for status in scheduler.shown
                 if status.worker_id != genie.app_cache.current_worker]))
         replayer = ConcurrentReplayer(
-            scenario.app, scenario.database, genie=genie, workers=2,
+            scenario.app, scenario.database, genie=genie, workers=workers,
             scheduler=scheduler, clock=scenario.clock,
             page_interval_seconds=config.page_interval_seconds,
             fault_injector=injector)
         result = replayer.replay(trace)
-        assert [event.action for event in injector.fired] == ["kill",
-                                                              "revive"]
+        assert ([(event.action, event.node) for event in injector.fired]
+                == [(action, node) for _fraction, action, node in plan])
         return result, parked, controller.counters(), audit(scenario, trace)
 
 
+def replay_twice_through_faults(name: str, plan, workers: int):
+    """:func:`replay_through_faults`, twice: both runs must agree on the
+    schedule, every page, every counter and the controller's counters.
+    Returns the first run's parked workers, controller counters and audit."""
+    first, parked, counters, mismatches = replay_through_faults(
+        name, plan, workers)
+    second, _, second_counters, _ = replay_through_faults(name, plan, workers)
+    assert first.schedule_signature == second.schedule_signature
+    assert page_fingerprint(first) == page_fingerprint(second)
+    assert (first.total_counters.as_dict()
+            == second.total_counters.as_dict())
+    assert counters == second_counters
+    return parked, counters, mismatches
+
+
 class TestNodeFaults:
-    """A node dies and returns mid-trace under two racing workers."""
+    """Nodes die and return mid-trace under racing workers."""
 
     @pytest.mark.parametrize("name", [UPDATE_SCENARIO, INVALIDATE_SCENARIO])
     def test_kill_and_revive_between_parked_workers(self, name):
-        first, parked, counters, mismatches = replay_through_faults(name)
-        second, _, second_counters, _ = replay_through_faults(name)
+        parked, counters, mismatches = replay_twice_through_faults(
+            name, SINGLE_FAULT, workers=2)
         # Each fault fired while the other worker was parked mid-page: under
         # update-in-place holding CAS tokens it had not written back yet.
         # Invalidation flushes deletes, so it never holds write intent.
@@ -820,11 +947,17 @@ class TestNodeFaults:
             assert label not in ("start", "page:end")
             assert holds_write_intent == (name == UPDATE_SCENARIO)
         assert counters["gutter_hits"] > 0
-        # Deterministic through the faults...
-        assert first.schedule_signature == second.schedule_signature
-        assert page_fingerprint(first) == page_fingerprint(second)
-        assert (first.total_counters.as_dict()
-                == second.total_counters.as_dict())
-        assert counters == second_counters
-        # ...and consistent after the revive.
+        # Consistent after the revive.
+        assert mismatches == []
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("name", [UPDATE_SCENARIO, INVALIDATE_SCENARIO])
+    @pytest.mark.parametrize("plan", sorted(FAULT_PLANS))
+    def test_overlapping_nested_and_flapping_faults(self, plan, name,
+                                                    workers):
+        """Two nodes down at once, one death inside another, and a node
+        that dies again right after returning: deterministic, and every
+        cached object equals its recompute once both nodes are back."""
+        _parked, _counters, mismatches = replay_twice_through_faults(
+            name, FAULT_PLANS[plan], workers)
         assert mismatches == []

@@ -1,4 +1,5 @@
-"""Tests (including property-based) for the B+Tree index."""
+"""Tests for the B+Tree index, including its layout checked against a
+reference dict of row ids over random operations (``hypothesis``)."""
 
 import random
 

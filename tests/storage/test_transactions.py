@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import TransactionError
 from repro.storage import ColumnDef, Database, TableSchema
+from repro.storage.transactions import TxnContext
 
 
 @pytest.fixture
@@ -185,44 +186,23 @@ class TestStatementNesting:
 class TestWorkerContexts:
     def test_contexts_isolate_open_transactions(self, database):
         txm = database.transactions
+        serial = txm.context
         txm.begin()
         database.insert("accounts", {"owner": "alice", "balance": 1})
         # Another worker's context sees no open transaction and can run its
         # own autocommit statements without touching the parked one.
-        txm.switch_context("w1")
+        worker = TxnContext()
+        txm.context = worker
         assert txm.current is None
         assert not txm.in_transaction
         database.insert("accounts", {"owner": "bob", "balance": 2})
-        assert txm.current is None  # w1's statement autocommitted
-        # Back on the default context, the explicit transaction is intact.
-        txm.switch_context(None)
+        assert (worker.current, worker.depth) == (None, 0)  # autocommitted
+        # Back on the serial context, the explicit transaction is intact.
+        txm.context = serial
         assert txm.in_transaction
         txm.abort()
         owners = [row["owner"] for row in database.find("accounts")]
         assert owners == ["bob"]  # alice undone, bob kept
-
-    def test_switch_to_live_context_is_a_noop(self, database):
-        txm = database.transactions
-        txm.begin()
-        txm.switch_context(None)
-        assert txm.in_transaction
-        txm.abort()
-
-    def test_drop_context_refuses_open_explicit_transaction(self, database):
-        txm = database.transactions
-        txm.switch_context("w1")
-        txm.begin()
-        txm.switch_context(None)
-        with pytest.raises(TransactionError):
-            txm.drop_context("w1")
-        txm.switch_context("w1")
-        txm.commit()
-        txm.switch_context(None)
-        txm.drop_context("w1")  # now idle: dropping is fine
-
-    def test_cannot_drop_the_live_context(self, database):
-        with pytest.raises(TransactionError):
-            database.transactions.drop_context(None)
 
     def test_checkpoint_fires_at_statement_boundaries(self, database):
         labels = []
