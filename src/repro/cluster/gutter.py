@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..errors import CacheServerError
+from ..errors import CacheServerError, CacheValueError
 from ..memcache.hashring import HashRing
 from ..memcache.server import CacheServer
 
@@ -90,10 +90,13 @@ class GutterPool:
 
     def set_multi(self, mapping: Dict[str, Any],
                   value_sizes: Optional[Dict[str, int]] = None) -> List[str]:
+        """Store several values; returns the keys refused as oversized."""
         failed: List[str] = []
         sizes = value_sizes or {}
         for key, value in mapping.items():
-            if not self.set(key, value, sizes.get(key)):  # pragma: no cover - set always True
+            try:
+                self.set(key, value, sizes.get(key))
+            except CacheValueError:
                 failed.append(key)
         return failed
 

@@ -9,13 +9,26 @@ simulation can model cache-network time.  Two "contexts" exist:
   and, once per trigger-side client construction, a connection-open cost,
   reproducing the paper's observation that opening a remote memcached
   connection inside a trigger dominates trigger overhead (§5.3).
+
+One implementation per operation: each family — reads, leases, stores,
+CAS, deletes, counters — is written once, over a batch of keys, and a
+single-key call (``get``, ``cas``, ``incr``, ...) is its batched twin run on
+a batch of one with ``single=True``.  That flag changes exactly three
+things: the call is charged one single-key round trip (``cache_gets``,
+``cache_sets``, ``cache_cas``, ``cache_deletes``, ``cache_leases``, or
+``trigger_cache_ops`` from a trigger) instead of a per-server batch event
+and the per-key ``trigger_cache_batch_ops``; it does not end at a scheduler
+yield point; and a CAS mismatch records no ``cas_multi_mismatch``.
+Routing, the dead-node and gutter branch and the per-key statistics are
+shared.  Single-key methods call the private family method, never a public
+``*_multi`` name: tracing shadows those on the instance.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import CacheServerError
+from ..errors import CacheServerError, CacheValueError
 from ..storage.costmodel import Recorder
 from .hashring import HashRing
 from .item import sizeof_value
@@ -87,21 +100,15 @@ class CacheClient:
     def _charge_connection(self) -> None:
         """Charge the connection-open cost for trigger-side clients.
 
-        The paper's future-work optimization — reusing connections between
-        triggers — is modeled by ``reuse_connections``: when enabled, only the
-        first operation pays the connection cost.
+        Each trigger invocation opens a fresh connection (callers mark the
+        old one closed with :meth:`reset_connection`).  The paper's
+        future-work optimization — reusing connections between triggers —
+        is modeled by ``reuse_connections``: when enabled, only the first
+        operation pays the connection cost.
         """
-        if not self.from_trigger:
-            return
-        if self._connected and self.reuse_connections:
-            return
-        if not self._connected:
+        if self.from_trigger and not self._connected:
             self.recorder.record("trigger_connections")
             self._connected = True
-        elif not self.reuse_connections:
-            # Each trigger invocation opens a fresh connection; callers create
-            # a new logical connection by calling reset_connection().
-            pass
 
     def reset_connection(self) -> None:
         """Mark the trigger-side connection as closed (fired per trigger)."""
@@ -126,59 +133,44 @@ class CacheClient:
             batches.setdefault(self.ring.server_for(key), []).append(key)
         return batches
 
-    def _node_down(self, server: CacheServer, n: int = 1) -> None:
-        """Account ``n`` fail-fast refusals against a dead node.
+    def _node_down(self, server: CacheServer) -> None:
+        """Account one fail-fast refusal against a dead node.
 
         Counted on the client *and* on the dead server's stats, and recorded
-        as ``cache_node_down`` cost events — free in the cost model, because
+        as a ``cache_node_down`` cost event — free in the cost model, because
         a refused connection is not a round trip.  The caller then surfaces
         the operation as a miss (or routes it to the gutter pool).
         """
-        self.stats.node_down_errors += n
-        server.stats.node_down_errors += n
-        self.recorder.record("cache_node_down", n)
+        self.stats.node_down_errors += 1
+        server.stats.node_down_errors += 1
+        self.recorder.record("cache_node_down")
 
-    def _attribute_round_trip(self) -> None:
-        """Tally one round trip against the active worker context (if any)."""
+    def _charge(self, event: str, single: bool, index: int = 0) -> None:
+        """Charge one round trip and tally it against the active worker.
+
+        ``event`` is the application-side event; a trigger-side client
+        charges ``trigger_cache_ops`` for a single-key call and
+        ``trigger_cache_batches`` for a server batch.  ``index`` is a
+        batch's position within its multi-op call: when batches are
+        pipelined, only the first pays network latency and the rest are
+        charged as latency-free overlapped round trips.
+        """
         worker = self.current_worker
         if worker is not None:
             self.ops_by_worker[worker] = self.ops_by_worker.get(worker, 0) + 1
-
-    def _charge_single(self, app_event: str) -> None:
-        """Charge one single-key round trip (``app_event`` from the
-        application; trigger-side clients fold into ``trigger_cache_ops``)."""
-        self._attribute_round_trip()
-        if self.from_trigger:
-            self.recorder.record("trigger_cache_ops")
-        else:
-            self.recorder.record(app_event)
-
-    def _charge_batch(self, app_event: str, index: int = 0) -> None:
-        """Charge one round trip for a multi-key batch sent to one server.
-
-        ``index`` is the batch's position within its multi-op call.  When
-        batches are pipelined, only the first batch of a call pays network
-        latency; the rest overlap with it and are charged as latency-free
-        overlapped round trips.
-        """
-        self._attribute_round_trip()
         overlapped = self.pipeline_batches and index > 0
         if self.from_trigger:
-            self.recorder.record("trigger_cache_overlapped_batches" if overlapped
-                                 else "trigger_cache_batches")
-        else:
-            self.recorder.record("cache_overlapped_batches" if overlapped
-                                 else app_event)
+            event = ("trigger_cache_ops" if single
+                     else "trigger_cache_overlapped_batches" if overlapped
+                     else "trigger_cache_batches")
+        elif overlapped:
+            event = "cache_overlapped_batches"
+        self.recorder.record(event)
 
     def _yield_point(self, op: str) -> None:
         """Give the interleave scheduler a turn after a multi-op round trip."""
         if self.checkpoint is not None:
             self.checkpoint(f"cache:{op}")
-
-    def _charge_batch_item(self) -> None:
-        """Charge the per-key (marshalling) share of a batched operation."""
-        if self.from_trigger:
-            self.recorder.record("trigger_cache_batch_ops")
 
     @property
     def servers(self) -> List[CacheServer]:
@@ -186,457 +178,89 @@ class CacheClient:
 
     # -- reads ----------------------------------------------------------------
 
-    def get(self, key: str) -> Optional[Any]:
-        """Fetch a value; returns None on a miss.
+    def _gutter_get(self, batch: List[str], event: str, single: bool,
+                    index: int) -> Dict[str, Any]:
+        """A dead primary's batch read from the gutter pool (a round trip of
+        its own); nothing without a pool."""
+        if self.gutter is None:
+            return {}
+        self._charge(event, single, index)
+        found = self.gutter.get_multi(batch)
+        self.stats.gutter_hits += len(found)
+        self.stats.gutter_misses += len(batch) - len(found)
+        return found
 
-        A dead primary fails fast (``cache_node_down``, no round trip) and
-        the read falls through to the gutter pool when one is attached.
-        """
-        self._charge_connection()
-        server = self._server_for(key)
-        if not server.alive:
-            self._node_down(server)
-            self.stats.gets += 1
-            if self.gutter is None:
-                self.stats.misses += 1
-                self.recorder.record("cache_misses")
-                return None
-            value = self.gutter.get(key)
-            self._charge_single("cache_gets")
-            if value is None:
-                self.stats.misses += 1
-                self.stats.gutter_misses += 1
-                self.recorder.record("cache_misses")
-            else:
-                self.stats.hits += 1
-                self.stats.gutter_hits += 1
-                self.recorder.record("cache_hits")
-                self.recorder.record("cache_bytes_moved",
-                                     self.gutter.value_size(key))
-            return value
-        value = server.get(key)
-        self.stats.gets += 1
-        self._charge_single("cache_gets")
-        if value is None:
-            self.stats.misses += 1
-            self.recorder.record("cache_misses")
-        else:
-            self.stats.hits += 1
-            self.recorder.record("cache_hits")
-            self.recorder.record("cache_bytes_moved", server.value_size(key))
-        return value
+    def _read(self, keys: Sequence[str], cas: bool,
+              single: bool) -> Dict[str, Any]:
+        """The read family; returns the hits (``(value, token)`` with ``cas``).
 
-    def gets(self, key: str) -> Tuple[Optional[Any], Optional[int]]:
-        """Fetch a value together with its CAS token.
-
-        A dead primary is a plain miss: the gutter pool speaks no CAS, so
-        there is no token to hand out and no swap to attempt later.
-        """
-        self._charge_connection()
-        server = self._server_for(key)
-        if not server.alive:
-            self._node_down(server)
-            self.stats.gets += 1
-            self.stats.misses += 1
-            self.recorder.record("cache_misses")
-            return None, None
-        value, token = server.gets(key)
-        self.stats.gets += 1
-        self._charge_single("cache_gets")
-        if value is None:
-            self.stats.misses += 1
-            self.recorder.record("cache_misses")
-        else:
-            self.stats.hits += 1
-            self.recorder.record("cache_hits")
-            self.recorder.record("cache_bytes_moved", server.value_size(key))
-        return value, token
-
-    def get_multi(self, keys: Sequence[str]) -> Dict[str, Any]:
-        """Fetch several keys in one round trip per server; returns the hits.
-
-        Keys are grouped into per-server batches on the hash ring and each
-        batch is charged a single round trip (``cache_multi_gets`` from the
-        application, ``trigger_cache_batches`` from a trigger) — the batched
-        protocol the paper's §5.3 round-trip analysis motivates.  Hit/miss
-        statistics and byte transfer are still accounted per key.
+        Keys are grouped into per-server batches on the hash ring, one round
+        trip each — the batched protocol the paper's §5.3 round-trip
+        analysis motivates; hit/miss statistics and byte transfer are
+        accounted per key.  A dead primary fails fast (``cache_node_down``,
+        no round trip) and a plain read falls through to the gutter pool
+        when one is attached.  A CAS read of a dead primary is a plain miss:
+        the gutter speaks no CAS, so there is no token to hand out and no
+        swap to attempt later.
         """
         if not keys:
             return {}
         self._charge_connection()
+        event = "cache_gets" if single else "cache_multi_gets"
+        stats, record = self.stats, self.recorder.record
+        batch_ops = self.from_trigger and not single
         out: Dict[str, Any] = {}
         for index, (server_name, batch) in enumerate(self._group_by_server(keys).items()):
             server = self._servers[server_name]
-            if not server.alive:
-                # One refused connection per dead batch; the gutter lookup
-                # (when attached) is a real round trip of its own.
+            if batch_ops:
+                record("trigger_cache_batch_ops", len(batch))
+            if server.alive:
+                self._charge(event, single, index)
+                found = server.gets_multi(batch) if cas else server.get_multi(batch)
+            else:
                 self._node_down(server)
-                found = {}
-                if self.gutter is not None:
-                    self._charge_batch("cache_multi_gets", index)
-                    found = self.gutter.get_multi(batch)
-                for key in batch:
-                    self.stats.gets += 1
-                    self._charge_batch_item()
-                    value = found.get(key)
-                    if value is None:
-                        self.stats.misses += 1
-                        if self.gutter is not None:
-                            self.stats.gutter_misses += 1
-                        self.recorder.record("cache_misses")
-                    else:
-                        self.stats.hits += 1
-                        self.stats.gutter_hits += 1
-                        self.recorder.record("cache_hits")
-                        self.recorder.record("cache_bytes_moved",
-                                             self.gutter.value_size(key))
-                        out[key] = value
-                continue
-            self._charge_batch("cache_multi_gets", index)
-            found = server.get_multi(batch)
+                server = self.gutter   # it sizes the values it serves
+                found = {} if cas else self._gutter_get(batch, event, single, index)
+            stats.gets += len(batch)
             for key in batch:
-                self.stats.gets += 1
-                self._charge_batch_item()
                 value = found.get(key)
                 if value is None:
-                    self.stats.misses += 1
-                    self.recorder.record("cache_misses")
+                    stats.misses += 1
+                    record("cache_misses")
                 else:
-                    self.stats.hits += 1
-                    self.recorder.record("cache_hits")
-                    self.recorder.record("cache_bytes_moved",
-                                         server.value_size(key))
+                    stats.hits += 1
+                    record("cache_hits")
+                    record("cache_bytes_moved", server.value_size(key))
                     out[key] = value
-        self._yield_point("get_multi")
+        if not single:
+            # gets_multi's yield point is what makes batched CAS
+            # contendable: a worker that just read its tokens can be paused
+            # here while another worker writes the same keys.
+            self._yield_point("gets_multi" if cas else "get_multi")
         return out
+
+    def get(self, key: str) -> Optional[Any]:
+        """Fetch a value; returns None on a miss."""
+        return self._read([key], False, True).get(key)
+
+    def gets(self, key: str) -> Tuple[Optional[Any], Optional[int]]:
+        """Fetch a value together with its CAS token (``(None, None)`` on a
+        miss)."""
+        return self._read([key], True, True).get(key, (None, None))
+
+    def get_multi(self, keys: Sequence[str]) -> Dict[str, Any]:
+        """Fetch several keys in one round trip per server; returns the hits."""
+        return self._read(keys, False, False)
 
     def gets_multi(self, keys: Sequence[str]) -> Dict[str, Tuple[Any, int]]:
         """Fetch several keys *with their CAS tokens*, batched per server.
 
-        The CAS counterpart of :meth:`get_multi` — the read half of a batched
-        read-modify-write (``gets_multi`` + :meth:`cas_multi`).  Accounting
-        matches :meth:`get_multi`: one round trip per server batch, hit/miss
-        and byte transfer per key.  Returns ``{key: (value, token)}`` for the
-        hits.
+        The read half of a batched read-modify-write (``gets_multi`` +
+        :meth:`cas_multi`).  Returns ``{key: (value, token)}`` for the hits.
         """
-        if not keys:
-            return {}
-        self._charge_connection()
-        out: Dict[str, Tuple[Any, int]] = {}
-        for index, (server_name, batch) in enumerate(self._group_by_server(keys).items()):
-            server = self._servers[server_name]
-            if not server.alive:
-                # No CAS tokens from the gutter: every key is a plain miss,
-                # so the flush path treats them like uncached entries.
-                self._node_down(server)
-                for key in batch:
-                    self.stats.gets += 1
-                    self._charge_batch_item()
-                    self.stats.misses += 1
-                    self.recorder.record("cache_misses")
-                continue
-            self._charge_batch("cache_multi_gets", index)
-            found = server.gets_multi(batch)
-            for key in batch:
-                self.stats.gets += 1
-                self._charge_batch_item()
-                hit = found.get(key)
-                if hit is None:
-                    self.stats.misses += 1
-                    self.recorder.record("cache_misses")
-                else:
-                    self.stats.hits += 1
-                    self.recorder.record("cache_hits")
-                    self.recorder.record("cache_bytes_moved",
-                                         server.value_size(key))
-                    out[key] = hit
-        # The yield point that makes batched CAS contendable: a worker that
-        # just read its tokens can be paused here while another worker
-        # writes the same keys, going on to lose the cas_multi.
-        self._yield_point("gets_multi")
-        return out
+        return self._read(keys, True, False)
 
-    # -- writes ---------------------------------------------------------------
-
-    def set(self, key: str, value: Any, expire: Optional[float] = None) -> bool:
-        """Store a value unconditionally.
-
-        A dead primary routes the store to the gutter pool (short gutter
-        TTL, whatever ``expire`` says) or reports failure without one.
-        """
-        self._charge_connection()
-        server = self._server_for(key)
-        if not server.alive:
-            self._node_down(server)
-            if self.gutter is None:
-                return False
-            size = sizeof_value(value)
-            self.gutter.set(key, value, size)
-            self.stats.sets += 1
-            self._charge_single("cache_sets")
-            self.recorder.record("cache_bytes_moved", size)
-            return True
-        size = sizeof_value(value)
-        result = server.set(key, value, expire, value_size=size)
-        self.stats.sets += 1
-        self._charge_single("cache_sets")
-        self.recorder.record("cache_bytes_moved", size)
-        return result
-
-    def set_multi(self, mapping: Dict[str, Any],
-                  expire: Optional[float] = None) -> List[str]:
-        """Store several values in one round trip per server.
-
-        Returns the keys that failed to store (oversized values), mirroring
-        python-memcached's ``set_multi`` contract.
-        """
-        if not mapping:
-            return []
-        self._charge_connection()
-        failed: List[str] = []
-        for index, (server_name, batch) in enumerate(
-                self._group_by_server(list(mapping)).items()):
-            server = self._servers[server_name]
-            if not server.alive:
-                self._node_down(server)
-                if self.gutter is None:
-                    failed.extend(batch)
-                    continue
-                self._charge_batch("cache_multi_sets", index)
-                sizes = {k: sizeof_value(mapping[k]) for k in batch}
-                self.gutter.set_multi({k: mapping[k] for k in batch}, sizes)
-                for key in batch:
-                    self._charge_batch_item()
-                    self.stats.sets += 1
-                    self.recorder.record("cache_bytes_moved", sizes[key])
-                continue
-            self._charge_batch("cache_multi_sets", index)
-            sizes = {k: sizeof_value(mapping[k]) for k in batch}
-            rejected = set(server.set_multi({k: mapping[k] for k in batch},
-                                            expire, value_sizes=sizes))
-            failed.extend(k for k in batch if k in rejected)
-            for key in batch:
-                self._charge_batch_item()
-                if key in rejected:
-                    # Parity with single-op set(): a store the server refused
-                    # (oversized value) counts neither as a set nor as bytes.
-                    continue
-                self.stats.sets += 1
-                self.recorder.record("cache_bytes_moved", sizes[key])
-        self._yield_point("set_multi")
-        return failed
-
-    def add(self, key: str, value: Any, expire: Optional[float] = None) -> bool:
-        """Store a value only if the key is absent."""
-        self._charge_connection()
-        server = self._server_for(key)
-        if not server.alive:
-            self._node_down(server)
-            self.stats.adds += 1
-            if self.gutter is None:
-                return False
-            size = sizeof_value(value)
-            result = self.gutter.add(key, value, size)
-            self._charge_single("cache_sets")
-            self.recorder.record("cache_bytes_moved", size)
-            return result
-        size = sizeof_value(value)
-        result = server.add(key, value, expire, value_size=size)
-        self.stats.adds += 1
-        self._charge_single("cache_sets")
-        # The value travels to the server whether or not the add wins.
-        self.recorder.record("cache_bytes_moved", size)
-        return result
-
-    def cas(self, key: str, value: Any, cas_token: int,
-            expire: Optional[float] = None) -> bool:
-        """Compare-and-swap a value previously read with :meth:`gets`.
-
-        Against a dead primary the token has vanished with the node: the
-        swap fails like a :data:`~repro.memcache.server.CAS_MISSING` (the
-        caller's fallback is to invalidate, not retry), with no round trip.
-        """
-        self._charge_connection()
-        server = self._server_for(key)
-        if not server.alive:
-            self._node_down(server)
-            self.stats.cas_miss += 1
-            return False
-        size = sizeof_value(value)
-        result = server.cas(key, value, cas_token, expire, value_size=size)
-        if result:
-            self.stats.cas_ok += 1
-        else:
-            self.stats.cas_mismatch += 1
-        # A CAS is its own round-trip event — not a cache_sets — so the
-        # ablations can separate conditional from unconditional writes,
-        # and a losing CAS no longer masquerades as a stored value.
-        self._charge_single("cache_cas")
-        # The value travels to the server whether or not the swap wins.
-        self.recorder.record("cache_bytes_moved", size)
-        return result
-
-    def cas_multi(self, items: Dict[str, Tuple[Any, int]],
-                  expire: Optional[float] = None) -> Dict[str, str]:
-        """Compare-and-swap several keys in one round trip per server.
-
-        ``items`` maps each key to ``(new_value, cas_token)`` as returned by
-        :meth:`gets_multi`.  Returns a per-key verdict map (``"stored"`` /
-        ``"mismatch"`` / ``"missing"``) so callers re-read and retry *only
-        the losers* instead of replaying the whole batch.  Every key's value
-        travels to its server regardless of the verdict (byte accounting per
-        attempt); each mismatch additionally records a ``cas_multi_mismatch``
-        event for the CAS-contention ablation.
-        """
-        if not items:
-            return {}
-        self._charge_connection()
-        verdicts: Dict[str, str] = {}
-        for index, (server_name, batch) in enumerate(
-                self._group_by_server(list(items)).items()):
-            server = self._servers[server_name]
-            if not server.alive:
-                # The tokens died with the node: every key reports
-                # "missing", which callers resolve by invalidating.
-                self._node_down(server)
-                for key in batch:
-                    verdicts[key] = CAS_MISSING
-                    self.stats.cas_miss += 1
-                continue
-            self._charge_batch("cache_multi_cas", index)
-            sizes = {k: sizeof_value(items[k][0]) for k in batch}
-            outcome = server.cas_multi({k: items[k] for k in batch}, expire,
-                                       value_sizes=sizes)
-            for key in batch:
-                self._charge_batch_item()
-                verdict = outcome[key]
-                verdicts[key] = verdict
-                if verdict == CAS_TOO_LARGE:
-                    # Parity with set_multi: a store the server refused
-                    # (oversized value) counts neither stats nor bytes.
-                    continue
-                if verdict == CAS_STORED:
-                    self.stats.cas_ok += 1
-                elif verdict == CAS_MISMATCH:
-                    self.stats.cas_mismatch += 1
-                    self.recorder.record("cas_multi_mismatch")
-                    if self.telemetry is not None:
-                        self.telemetry.note_cas_mismatch(key)
-                else:
-                    self.stats.cas_miss += 1
-                self.recorder.record("cache_bytes_moved", sizes[key])
-        self._yield_point("cas_multi")
-        return verdicts
-
-    def delete(self, key: str) -> bool:
-        """Invalidate a key.
-
-        Even with the primary dead, the invalidation still reaches the
-        gutter pool — a stale gutter copy outliving the write would break
-        the bound the short gutter TTL promises.
-        """
-        self._charge_connection()
-        server = self._server_for(key)
-        self.stats.deletes += 1
-        if not server.alive:
-            self._node_down(server)
-            if self.gutter is None:
-                return False
-            result = self.gutter.delete(key)
-            self._charge_single("cache_deletes")
-            return result
-        result = server.delete(key)
-        self._charge_single("cache_deletes")
-        return result
-
-    def delete_multi(self, keys: Sequence[str]) -> List[str]:
-        """Invalidate several keys in one round trip per server.
-
-        Returns the keys that actually existed (and were removed).
-        """
-        if not keys:
-            return []
-        self._charge_connection()
-        deleted: List[str] = []
-        for index, (server_name, batch) in enumerate(self._group_by_server(keys).items()):
-            server = self._servers[server_name]
-            if not server.alive:
-                # Invalidations still reach the gutter (coherence: a stale
-                # gutter copy must not outlive the write that doomed it).
-                self._node_down(server)
-                if self.gutter is not None:
-                    self._charge_batch("cache_multi_deletes", index)
-                    deleted.extend(self.gutter.delete_multi(batch))
-                for _key in batch:
-                    self.stats.deletes += 1
-                    self._charge_batch_item()
-                continue
-            self._charge_batch("cache_multi_deletes", index)
-            deleted.extend(server.delete_multi(batch))
-            for _key in batch:
-                self.stats.deletes += 1
-                self._charge_batch_item()
-        self._yield_point("delete_multi")
-        return deleted
-
-    def lease_delete(self, key: str, stale_seconds: float) -> bool:
-        """Invalidate a key, retaining its value as servable-stale.
-
-        The leased-invalidation trigger op: accounting matches
-        :meth:`delete` (it is a delete variant on the wire).
-        """
-        self._charge_connection()
-        server = self._server_for(key)
-        self.stats.deletes += 1
-        self.stats.lease_deletes += 1
-        if not server.alive:
-            # The gutter keeps no stale-retention buffer (no leases), so the
-            # lease variant degrades to a plain gutter delete.
-            self._node_down(server)
-            if self.gutter is None:
-                return False
-            result = self.gutter.delete(key)
-            self._charge_single("cache_deletes")
-            return result
-        result = server.lease_delete(key, stale_seconds)
-        self._charge_single("cache_deletes")
-        return result
-
-    def lease_delete_multi(self, keys: Sequence[str],
-                           stale_seconds: float) -> List[str]:
-        """Batched :meth:`lease_delete` in one round trip per server.
-
-        Returns the keys that existed (and were moved to stale retention).
-        Round-trip accounting matches :meth:`delete_multi` — the flush of a
-        leased-invalidation transaction costs what a plain invalidation
-        flush costs.
-        """
-        if not keys:
-            return []
-        self._charge_connection()
-        existed: List[str] = []
-        for index, (server_name, batch) in enumerate(self._group_by_server(keys).items()):
-            server = self._servers[server_name]
-            if not server.alive:
-                # No stale retention in the gutter: degrade to plain deletes
-                # so no gutter copy outlives the invalidation.
-                self._node_down(server)
-                if self.gutter is not None:
-                    self._charge_batch("cache_multi_deletes", index)
-                    existed.extend(self.gutter.delete_multi(batch))
-                for _key in batch:
-                    self.stats.deletes += 1
-                    self.stats.lease_deletes += 1
-                    self._charge_batch_item()
-                continue
-            self._charge_batch("cache_multi_deletes", index)
-            existed.extend(server.lease_delete_multi(batch, stale_seconds))
-            for _key in batch:
-                self.stats.deletes += 1
-                self.stats.lease_deletes += 1
-                self._charge_batch_item()
-        self._yield_point("lease_delete_multi")
-        return existed
+    # -- leases ---------------------------------------------------------------
 
     def _note_lease_contention(self, key: str, state: str) -> None:
         """Track lease-window winners and record contended stale serves.
@@ -661,210 +285,350 @@ class CacheClient:
             if self.telemetry is not None:
                 self.telemetry.note_lease_contended(key)
 
-    def lease(self, key: str,
-              lease_seconds: float) -> Tuple[str, Optional[Any], Optional[int]]:
-        """Read a key under the lease protocol (see CacheServer.lease).
+    def _lease(self, keys: Sequence[str], lease_seconds: float, single: bool,
+               ) -> Dict[str, Tuple[str, Optional[Any], Optional[int]]]:
+        """The lease family: read keys under the lease protocol (see
+        :meth:`CacheServer.lease`).
 
-        One round trip, like :meth:`get`; a served value (fresh or stale)
-        counts as a hit and moves its bytes, a true miss as a miss.
-
-        A dead primary degrades per the gutter contract: a gutter hit is
-        served as :data:`LEASE_STALE` *without a token* (its freshness bound
-        is the gutter TTL, and no token means no refresh is scheduled), a
-        gutter miss — or no gutter — comes back :data:`LEASE_ACQUIRED` with
-        no token, which callers resolve by recomputing synchronously.
-        """
-        self._charge_connection()
-        server = self._server_for(key)
-        if not server.alive:
-            self._node_down(server)
-            self.stats.gets += 1
-            value = None
-            if self.gutter is not None:
-                value = self.gutter.get(key)
-                self._charge_single("cache_leases")
-            if value is not None:
-                self.stats.hits += 1
-                self.stats.stale_hits += 1
-                self.stats.gutter_hits += 1
-                self.recorder.record("cache_hits")
-                self.recorder.record("cache_bytes_moved",
-                                     self.gutter.value_size(key))
-                return LEASE_STALE, value, None
-            if self.gutter is not None:
-                self.stats.gutter_misses += 1
-            self.stats.misses += 1
-            self.recorder.record("cache_misses")
-            return LEASE_ACQUIRED, None, None
-        state, value, token = server.lease(
-            key, lease_seconds, claimant=self.current_worker)
-        self.stats.gets += 1
-        self._charge_single("cache_leases")
-        self._note_lease_contention(key, state)
-        if value is None and state != LEASE_HIT:
-            self.stats.misses += 1
-            self.recorder.record("cache_misses")
-        else:
-            self.stats.hits += 1
-            if state != LEASE_HIT:
-                self.stats.stale_hits += 1
-            self.recorder.record("cache_hits")
-            self.recorder.record("cache_bytes_moved", server.value_size(key))
-        if state == LEASE_ACQUIRED:
-            self.stats.leases_granted += 1
-        return state, value, token
-
-    def lease_multi(self, keys: Sequence[str], lease_seconds: float,
-                    ) -> Dict[str, Tuple[str, Optional[Any], Optional[int]]]:
-        """Batched :meth:`lease` in one round trip per server.
-
-        The lease counterpart of :meth:`get_multi`; per-key accounting
-        matches N single :meth:`lease` calls.
+        Accounted like a read: a served value (fresh or stale) counts as a
+        hit and moves its bytes, a true miss as a miss.  A dead primary
+        degrades per the gutter contract: a gutter hit is served as
+        :data:`LEASE_STALE` *without a token* (its freshness bound is the
+        gutter TTL, and no token means no refresh is scheduled); a gutter
+        miss — or no gutter — comes back :data:`LEASE_ACQUIRED` with no
+        token, which callers resolve by recomputing synchronously.
         """
         if not keys:
             return {}
         self._charge_connection()
+        event = "cache_leases" if single else "cache_multi_leases"
+        stats, record = self.stats, self.recorder.record
+        batch_ops = self.from_trigger and not single
         out: Dict[str, Tuple[str, Optional[Any], Optional[int]]] = {}
         for index, (server_name, batch) in enumerate(self._group_by_server(keys).items()):
             server = self._servers[server_name]
+            if batch_ops:
+                record("trigger_cache_batch_ops", len(batch))
+            stats.gets += len(batch)
             if not server.alive:
-                # Same degradation as single-key lease(): gutter hits serve
-                # stale with no token, everything else recomputes inline.
                 self._node_down(server)
-                found = {}
-                if self.gutter is not None:
-                    self._charge_batch("cache_multi_leases", index)
-                    found = self.gutter.get_multi(batch)
+                found = self._gutter_get(batch, event, single, index)
                 for key in batch:
-                    self.stats.gets += 1
-                    self._charge_batch_item()
                     value = found.get(key)
-                    if value is not None:
-                        self.stats.hits += 1
-                        self.stats.stale_hits += 1
-                        self.stats.gutter_hits += 1
-                        self.recorder.record("cache_hits")
-                        self.recorder.record("cache_bytes_moved",
-                                             self.gutter.value_size(key))
-                        out[key] = (LEASE_STALE, value, None)
-                    else:
-                        if self.gutter is not None:
-                            self.stats.gutter_misses += 1
-                        self.stats.misses += 1
-                        self.recorder.record("cache_misses")
+                    if value is None:
+                        stats.misses += 1
+                        record("cache_misses")
                         out[key] = (LEASE_ACQUIRED, None, None)
+                    else:
+                        stats.hits += 1
+                        stats.stale_hits += 1
+                        record("cache_hits")
+                        record("cache_bytes_moved", self.gutter.value_size(key))
+                        out[key] = (LEASE_STALE, value, None)
                 continue
-            self._charge_batch("cache_multi_leases", index)
+            self._charge(event, single, index)
             states = server.lease_multi(batch, lease_seconds,
                                         claimant=self.current_worker)
             for key in batch:
-                self.stats.gets += 1
-                self._charge_batch_item()
-                state, value, token = states[key]
-                out[key] = (state, value, token)
+                state, value, _token = out[key] = states[key]
                 self._note_lease_contention(key, state)
                 if value is None and state != LEASE_HIT:
-                    self.stats.misses += 1
-                    self.recorder.record("cache_misses")
+                    stats.misses += 1
+                    record("cache_misses")
                 else:
-                    self.stats.hits += 1
+                    stats.hits += 1
                     if state != LEASE_HIT:
-                        self.stats.stale_hits += 1
-                    self.recorder.record("cache_hits")
-                    self.recorder.record("cache_bytes_moved",
-                                         server.value_size(key))
+                        stats.stale_hits += 1
+                    record("cache_hits")
+                    record("cache_bytes_moved", server.value_size(key))
                 if state == LEASE_ACQUIRED:
-                    self.stats.leases_granted += 1
-        self._yield_point("lease_multi")
+                    stats.leases_granted += 1
+        if not single:
+            self._yield_point("lease_multi")
         return out
 
-    def incr(self, key: str, delta: int = 1) -> Optional[int]:
-        """Increment an integer value.
+    def lease(self, key: str,
+              lease_seconds: float) -> Tuple[str, Optional[Any], Optional[int]]:
+        """Read a key under the lease protocol: ``(state, value, token)``."""
+        return self._lease([key], lease_seconds, True)[key]
 
-        Dead primary → a miss (None): the gutter speaks no counter protocol
-        (a counter resurrected at zero would silently corrupt the count), so
-        callers fall back to invalidate-and-recompute like any incr miss.
+    def lease_multi(self, keys: Sequence[str], lease_seconds: float,
+                    ) -> Dict[str, Tuple[str, Optional[Any], Optional[int]]]:
+        """Batched :meth:`lease` in one round trip per server."""
+        return self._lease(keys, lease_seconds, False)
+
+    # -- writes ---------------------------------------------------------------
+
+    def _set(self, mapping: Dict[str, Any], expire: Optional[float],
+             single: bool) -> List[str]:
+        """The store family; returns the keys that failed to store.
+
+        A key fails when its value is over the item limit (the server
+        refuses it, as python-memcached's ``set_multi`` reports) or when its
+        primary is dead and no gutter pool is attached.  A dead primary's
+        keys otherwise go to the gutter (short gutter TTL, whatever
+        ``expire`` says).  A refused store counts neither as a set nor as
+        bytes moved.
+        """
+        if not mapping:
+            return []
+        self._charge_connection()
+        event = "cache_sets" if single else "cache_multi_sets"
+        failed: List[str] = []
+        for index, (server_name, batch) in enumerate(
+                self._group_by_server(list(mapping)).items()):
+            server = self._servers[server_name]
+            if not server.alive:
+                self._node_down(server)
+                if self.gutter is None:
+                    failed.extend(batch)
+                    continue
+            self._charge(event, single, index)
+            if self.from_trigger and not single:
+                self.recorder.record("trigger_cache_batch_ops", len(batch))
+            sizes = {k: sizeof_value(mapping[k]) for k in batch}
+            values = {k: mapping[k] for k in batch}
+            if server.alive:
+                refused = server.set_multi(values, expire, value_sizes=sizes)
+            else:
+                refused = self.gutter.set_multi(values, sizes)
+            for key in refused:
+                del sizes[key]
+            failed.extend(refused)
+            self.stats.sets += len(sizes)
+            if sizes:
+                self.recorder.record("cache_bytes_moved", sum(sizes.values()))
+        if not single:
+            self._yield_point("set_multi")
+        return failed
+
+    def set(self, key: str, value: Any, expire: Optional[float] = None) -> bool:
+        """Store a value unconditionally; False if it was refused."""
+        return not self._set({key: value}, expire, True)
+
+    def set_multi(self, mapping: Dict[str, Any],
+                  expire: Optional[float] = None) -> List[str]:
+        """Store several values in one round trip per server; returns the
+        keys that failed to store."""
+        return self._set(mapping, expire, False)
+
+    def add(self, key: str, value: Any, expire: Optional[float] = None) -> bool:
+        """Store a value only if the key is absent.
+
+        It has no batched twin.  A dead primary routes the add to the gutter
+        pool (or fails without one); an oversized value is refused, as
+        :meth:`set` refuses it.
         """
         self._charge_connection()
         server = self._server_for(key)
+        self.stats.adds += 1
         if not server.alive:
             self._node_down(server)
-            self.stats.incr_miss += 1
-            return None
-        result = server.incr(key, delta)
-        self._charge_single("cache_sets")
-        if result is None:
-            self.stats.incr_miss += 1
-        else:
-            self.stats.incr_ok += 1
-        return result
+            if self.gutter is None:
+                return False
+        self._charge("cache_sets", True)
+        size = sizeof_value(value)
+        try:
+            if server.alive:
+                added = server.add(key, value, expire, value_size=size)
+            else:
+                added = self.gutter.add(key, value, size)
+        except CacheValueError:
+            return False
+        # The value travels to the server whether or not the add wins.
+        self.recorder.record("cache_bytes_moved", size)
+        return added
 
-    def decr(self, key: str, delta: int = 1) -> Optional[int]:
-        """Decrement an integer value (floored at zero).
+    def _cas(self, items: Dict[str, Tuple[Any, int]], expire: Optional[float],
+             single: bool) -> Dict[str, str]:
+        """The CAS family: a per-key verdict map (``"stored"`` /
+        ``"mismatch"`` / ``"missing"`` / ``"too-large"``).
 
-        Dead primary → a miss (None), like :meth:`incr`.
+        Callers re-read and retry *only the mismatches*.  Every key's value
+        travels to its server whatever the verdict, except an oversized one
+        the server refused.  Against a dead primary the tokens have vanished
+        with the node: every key reports ``"missing"`` (callers invalidate,
+        not retry), with no round trip.  A batched mismatch records a
+        ``cas_multi_mismatch`` event for the CAS-contention ablation.
         """
+        if not items:
+            return {}
         self._charge_connection()
-        server = self._server_for(key)
-        if not server.alive:
-            self._node_down(server)
-            self.stats.decr_miss += 1
-            return None
-        result = server.decr(key, delta)
-        self._charge_single("cache_sets")
-        if result is None:
-            self.stats.decr_miss += 1
-        else:
-            self.stats.decr_ok += 1
-        return result
+        event = "cache_cas" if single else "cache_multi_cas"
+        stats, record = self.stats, self.recorder.record
+        verdicts: Dict[str, str] = {}
+        for index, (server_name, batch) in enumerate(
+                self._group_by_server(list(items)).items()):
+            server = self._servers[server_name]
+            if not server.alive:
+                self._node_down(server)
+                for key in batch:
+                    verdicts[key] = CAS_MISSING
+                stats.cas_miss += len(batch)
+                continue
+            # A CAS is its own round-trip event — not a set — so the
+            # ablations can separate conditional from unconditional writes.
+            self._charge(event, single, index)
+            if self.from_trigger and not single:
+                record("trigger_cache_batch_ops", len(batch))
+            sizes = {k: sizeof_value(items[k][0]) for k in batch}
+            outcome = server.cas_multi({k: items[k] for k in batch}, expire,
+                                       value_sizes=sizes)
+            for key in batch:
+                verdict = verdicts[key] = outcome[key]
+                if verdict == CAS_TOO_LARGE:
+                    continue
+                if verdict == CAS_STORED:
+                    stats.cas_ok += 1
+                elif verdict == CAS_MISMATCH:
+                    stats.cas_mismatch += 1
+                    if not single:
+                        record("cas_multi_mismatch")
+                    if self.telemetry is not None:
+                        self.telemetry.note_cas_mismatch(key)
+                else:
+                    stats.cas_miss += 1
+                record("cache_bytes_moved", sizes[key])
+        if not single:
+            self._yield_point("cas_multi")
+        return verdicts
 
-    def incr_multi(self, deltas: Dict[str, int]) -> Dict[str, Optional[int]]:
-        """Adjust several counters in one round trip per server.
+    def cas(self, key: str, value: Any, cas_token: int,
+            expire: Optional[float] = None) -> bool:
+        """Compare-and-swap a value previously read with :meth:`gets`."""
+        return self._cas({key: (value, cas_token)}, expire, True)[key] == CAS_STORED
 
-        ``deltas`` maps keys to *signed* deltas (negative values decrement,
-        floored at zero like :meth:`decr`), so one batch can carry a mixed
-        run such as a group-moving UPDATE's ``-1``/``+1`` pair.  Returns the
-        new value per key, or None where the key missed.
+    def cas_multi(self, items: Dict[str, Tuple[Any, int]],
+                  expire: Optional[float] = None) -> Dict[str, str]:
+        """Compare-and-swap several keys in one round trip per server.
+
+        ``items`` maps each key to ``(new_value, cas_token)`` as returned by
+        :meth:`gets_multi`; returns the per-key verdicts.
+        """
+        return self._cas(items, expire, False)
+
+    # -- deletes --------------------------------------------------------------
+
+    def _delete(self, keys: Sequence[str], stale_seconds: Optional[float],
+                single: bool) -> List[str]:
+        """The delete family; returns the keys that existed (and were removed).
+
+        With ``stale_seconds`` it is the leased-invalidation variant: each
+        value is retained as servable-stale for that long.  Accounting is
+        the same either way (a lease delete is a delete on the wire), so the
+        flush of a leased-invalidation transaction costs what a plain
+        invalidation flush costs.  Even with the primary dead, the
+        invalidation still reaches the gutter pool — a stale gutter copy
+        outliving the write would break the bound the short gutter TTL
+        promises.  The gutter keeps no stale retention, so there a lease
+        delete degrades to a plain one.
+        """
+        if not keys:
+            return []
+        self._charge_connection()
+        event = "cache_deletes" if single else "cache_multi_deletes"
+        batch_ops = self.from_trigger and not single
+        existed: List[str] = []
+        for index, (server_name, batch) in enumerate(self._group_by_server(keys).items()):
+            server = self._servers[server_name]
+            if batch_ops:
+                self.recorder.record("trigger_cache_batch_ops", len(batch))
+            self.stats.deletes += len(batch)
+            if stale_seconds is not None:
+                self.stats.lease_deletes += len(batch)
+            if server.alive:
+                self._charge(event, single, index)
+                existed.extend(server.delete_multi(batch) if stale_seconds is None
+                               else server.lease_delete_multi(batch, stale_seconds))
+            else:
+                self._node_down(server)
+                if self.gutter is not None:
+                    self._charge(event, single, index)
+                    existed.extend(self.gutter.delete_multi(batch))
+        if not single:
+            self._yield_point("delete_multi" if stale_seconds is None
+                              else "lease_delete_multi")
+        return existed
+
+    def delete(self, key: str) -> bool:
+        """Invalidate a key; True if it existed."""
+        return bool(self._delete([key], None, True))
+
+    def delete_multi(self, keys: Sequence[str]) -> List[str]:
+        """Invalidate several keys in one round trip per server."""
+        return self._delete(keys, None, False)
+
+    def lease_delete(self, key: str, stale_seconds: float) -> bool:
+        """Invalidate a key, retaining its value as servable-stale."""
+        return bool(self._delete([key], stale_seconds, True))
+
+    def lease_delete_multi(self, keys: Sequence[str],
+                           stale_seconds: float) -> List[str]:
+        """Batched :meth:`lease_delete` in one round trip per server."""
+        return self._delete(keys, stale_seconds, False)
+
+    # -- counters -------------------------------------------------------------
+
+    def _counters(self, deltas: Dict[str, int],
+                  single: bool) -> Dict[str, Optional[int]]:
+        """The counter family: ``{key: signed_delta}`` in, new values out.
+
+        Negative deltas decrement, floored at zero, so one batch can carry
+        a mixed run such as a group-moving UPDATE's ``-1``/``+1`` pair; a
+        delta counts as an increment unless it is negative.  A key that
+        misses reports None — and so does every key on a dead primary: the
+        gutter speaks no counter protocol (a counter resurrected at zero
+        would silently corrupt the count), so callers fall back to
+        invalidate-and-recompute like any miss.
         """
         if not deltas:
             return {}
         self._charge_connection()
+        event = "cache_sets" if single else "cache_multi_counters"
+        stats = self.stats
         out: Dict[str, Optional[int]] = {}
         for index, (server_name, batch) in enumerate(
                 self._group_by_server(list(deltas)).items()):
             server = self._servers[server_name]
-            if not server.alive:
-                # No counter protocol in the gutter (see incr): every key in
-                # the dead batch reports a sign-appropriate miss.
+            if server.alive:
+                self._charge(event, single, index)
+                if self.from_trigger and not single:
+                    self.recorder.record("trigger_cache_batch_ops", len(batch))
+                results = server.incr_multi({k: deltas[k] for k in batch})
+            else:
                 self._node_down(server)
-                for key in batch:
-                    out[key] = None
-                    if deltas[key] >= 0:
-                        self.stats.incr_miss += 1
-                    else:
-                        self.stats.decr_miss += 1
-                continue
-            self._charge_batch("cache_multi_counters", index)
-            results = server.incr_multi({k: deltas[k] for k in batch})
+                results = dict.fromkeys(batch)
             for key in batch:
-                self._charge_batch_item()
-                result = results[key]
-                out[key] = result
+                result = out[key] = results[key]
                 if deltas[key] >= 0:
                     if result is None:
-                        self.stats.incr_miss += 1
+                        stats.incr_miss += 1
                     else:
-                        self.stats.incr_ok += 1
+                        stats.incr_ok += 1
                 elif result is None:
-                    self.stats.decr_miss += 1
+                    stats.decr_miss += 1
                 else:
-                    self.stats.decr_ok += 1
-        self._yield_point("incr_multi")
+                    stats.decr_ok += 1
+        if not single:
+            self._yield_point("incr_multi")
         return out
+
+    def incr(self, key: str, delta: int = 1) -> Optional[int]:
+        """Add the signed ``delta`` to an integer value (None on a miss)."""
+        return self._counters({key: delta}, True)[key]
+
+    def decr(self, key: str, delta: int = 1) -> Optional[int]:
+        """Subtract ``delta`` from an integer value, floored at zero."""
+        return self._counters({key: -delta}, True)[key]
+
+    def incr_multi(self, deltas: Dict[str, int]) -> Dict[str, Optional[int]]:
+        """Adjust several counters (signed deltas) in one round trip per server."""
+        return self._counters(deltas, False)
 
     def decr_multi(self, deltas: Dict[str, int]) -> Dict[str, Optional[int]]:
         """Batched :meth:`decr`: ``{key: delta}`` with deltas applied negatively."""
-        return self.incr_multi({key: -delta for key, delta in deltas.items()})
+        return self._counters({key: -delta for key, delta in deltas.items()},
+                              False)
 
     def flush_all(self) -> None:
         """Drop every item on every server (dead nodes included) and in the

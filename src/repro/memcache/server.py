@@ -221,8 +221,8 @@ class CacheServer:
         is serialized once per store; omitted, the server sizes it.
         """
         self._check_key(key)
+        self._store(key, value, expire, flags, value_size)  # may reject an oversized value
         self.stats.sets += 1
-        self._store(key, value, expire, flags, value_size)
         return True
 
     def add(self, key: str, value: Any, expire: Optional[float] = None, flags: int = 0,

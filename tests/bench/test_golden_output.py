@@ -46,7 +46,8 @@ GOLDEN = {
     "effort": ["effort"],
     "table1": ["table1"],
     "strategies": ["strategies"],
-    # The CI smoke invocations (.github/workflows/ci.yml).
+    # The quick smoke invocations, --check included.  CI runs them only
+    # through this file, except the traced one (.github/workflows/ci.yml).
     "exp-strategies--quick": ["exp-strategies", "--quick"],
     "exp-contention--quick--check": ["exp-contention", "--quick", "--check"],
     "exp1--workers-2--policy-adversarial--quick--check": [

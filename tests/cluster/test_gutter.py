@@ -83,6 +83,12 @@ class TestReducedProtocol:
         assert pool.get_multi(["a", "b", "c"]) == {"a": 1, "b": 2}
         assert pool.misses == 1
 
+    def test_set_multi_reports_oversized_values_as_failed(self):
+        pool = GutterPool([CacheServer("gutter0", max_item_bytes=256)])
+        assert pool.set_multi({"a": 1, "big": "x" * 1024, "b": 2}) == ["big"]
+        assert pool.get_multi(["a", "big", "b"]) == {"a": 1, "b": 2}
+        assert pool.servers[0].stats.sets == 2
+
     def test_flush_all_and_item_count(self):
         pool, _clock = make_pool()
         pool.set_multi({f"k{i}": i for i in range(8)})

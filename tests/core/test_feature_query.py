@@ -118,6 +118,27 @@ class TestParameterNames:
         assert results == [cached.evaluate(person=person) for person in people]
 
 
+class TestOversizedValues:
+    def test_value_over_the_item_limit_is_served_uncached(self, stack):
+        """Single-key evaluate() and batched evaluate_many() agree: the
+        rows are served from the database and the store is refused."""
+        Person, Wall = stack["Person"], stack["Wall"]
+        stack["cache_server"].max_item_bytes = 4096
+        person = Person.objects.create(name="prolific")
+        for i in range(20):
+            # Distinct strings: pickle would store one shared object once.
+            Wall.objects.create(person=person, content=f"{i:02d}" + "x" * 600,
+                                posted=float(i))
+        walls = stack["genie"].cacheable(cache_class_type="FeatureQuery",
+                                         main_model="Wall",
+                                         where_fields=["person_id"])
+        rows = walls.evaluate(person_id=person.pk)
+        assert len(rows) == 20
+        assert walls.peek(person_id=person.pk) is None
+        assert evaluate_many([(walls, {"person_id": person.pk})]) == [rows]
+        assert walls.stats.db_fallbacks == 2
+
+
 class TestUpdateInPlace:
     def test_update_trigger_refreshes_cached_row(self, profile_setup):
         genie = profile_setup["genie"]

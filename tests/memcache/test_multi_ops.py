@@ -284,6 +284,36 @@ class TestClientCasAccounting:
         assert client.stats.cas_ok == 1
         assert client.stats.cas_mismatch == 1
 
+    def test_single_cas_on_a_vanished_key_counts_a_miss(self):
+        client, servers = make_client(1)
+        client.set("stale", 1)
+        client.set("gone", 1)
+        _value, stale_token = client.gets("stale")
+        _value, gone_token = client.gets("gone")
+        client.set("stale", 2)
+        client.delete("gone")
+        assert not client.cas("stale", 3, stale_token)
+        assert not client.cas("gone", 3, gone_token)
+        # The client agrees with the server (and with cas_multi).
+        assert (client.stats.cas_miss, client.stats.cas_mismatch) == (1, 1)
+        assert (servers[0].stats.cas_miss, servers[0].stats.cas_mismatch) == (1, 1)
+
+    def test_single_cas_mismatch_reaches_telemetry(self):
+        class Telemetry:
+            def __init__(self):
+                self.mismatched = []
+
+            def note_cas_mismatch(self, key):
+                self.mismatched.append(key)
+
+        client, _ = make_client(1)
+        client.telemetry = Telemetry()
+        client.set("k", 1)
+        _value, token = client.gets("k")
+        client.set("k", 2)
+        assert not client.cas("k", 3, token)
+        assert client.telemetry.mismatched == ["k"]
+
     def test_cas_multi_round_trip_and_mismatch_accounting(self):
         from repro.memcache import CAS_MISMATCH, CAS_STORED
         recorder = Recorder()

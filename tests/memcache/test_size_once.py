@@ -170,6 +170,38 @@ class TestOversizedValuesRejectedAsBefore:
         assert verdicts == {"a": CAS_STORED, "b": CAS_TOO_LARGE}
         assert bytes_moved(recorder) - before == sizeof_value(3)
 
+    def test_single_key_stores_refuse_instead_of_raising(self):
+        recorder = Recorder()
+        server = CacheServer("s0", max_item_bytes=256)
+        client = CacheClient([server], recorder=recorder)
+        client.set("k", 1)
+        _value, token = client.gets("k")
+        before = bytes_moved(recorder)
+        big = "x" * 1024
+        assert client.set("big", big) is False
+        assert client.add("fresh", big) is False
+        assert client.cas("k", big, token) is False
+        # Refused stores count neither a set, a swap nor bytes, on the client
+        # and on the server alike.
+        assert bytes_moved(recorder) == before
+        assert (client.stats.sets, client.stats.cas_ok) == (1, 0)
+        assert (server.stats.sets, server.stats.cas_ok) == (1, 0)
+        assert client.get("big") is None and client.get("fresh") is None
+        assert client.get("k") == 1
+
+    def test_gutter_refuses_an_oversized_value_for_a_dead_primary(self):
+        recorder = Recorder()
+        primary = CacheServer("s0")
+        client = CacheClient([primary], recorder=recorder)
+        client.gutter = GutterPool([CacheServer("gutter0", max_item_bytes=256)])
+        primary.alive = False
+        big = "x" * 1024
+        assert client.set_multi({"small": 1, "big": big}) == ["big"]
+        assert client.set("big", big) is False
+        assert client.get_multi(["small", "big"]) == {"small": 1}
+        assert client.stats.sets == 1
+        assert bytes_moved(recorder) == 2 * sizeof_value(1)   # stored, then read
+
     @pytest.mark.parametrize("value", [b"x" * 200, "é" * 100, 7, 2.5, True,
                                        None, [{"id": 1}] * 8])
     def test_boundary_is_key_plus_value_plus_header(self, value):
