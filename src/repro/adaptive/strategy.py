@@ -33,7 +33,8 @@ the refresh band caps that at one recompute per freshness window however
 fast the writes come.  A contended herd (``hot-contended``) pays CAS retries
 and duplicate recomputes; the lease band serializes them to one token.
 
-Band decisions happen on the **read path** (``fetch``/``fetch_multi``), on
+Band decisions happen on the **read path** (``fetch_multi``, which
+``evaluate()``'s ``fetch`` runs on a batch of one), on
 the simulated clock, with hysteresis: a key must dwell ``min_dwell_seconds``
 of virtual time in its band before it may switch (with the replayer's
 arrival model advancing the clock between page loads, dwell-seconds are
@@ -77,9 +78,9 @@ from typing import (Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING)
 
 from ..core.strategies import (ASYNC_REFRESH, AsyncRefreshStrategy,
                                ConsistencyStrategy, LEASED_INVALIDATE,
-                               LeasedInvalidateStrategy, UPDATE_IN_PLACE,
-                               UpdateInPlaceStrategy, _FRESH_UNTIL_KEY,
-                               get_strategy)
+                               LeasedInvalidateStrategy, ReadEntry,
+                               UPDATE_IN_PLACE, UpdateInPlaceStrategy,
+                               get_strategy, is_envelope, unwrap_envelope)
 from .telemetry import KeyStats, KeyTelemetry
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -311,8 +312,7 @@ class AdaptiveStrategy(ConsistencyStrategy):
         """
         if new_band == REFRESH_BAND:
             raw = client.get(key)
-            if raw is None or (isinstance(raw, dict)
-                               and _FRESH_UNTIL_KEY in raw):
+            if raw is None or is_envelope(raw):
                 return
             client.set(key, self._async.wrap_for_store(cached_object, raw,
                                                        key=key),
@@ -332,14 +332,6 @@ class AdaptiveStrategy(ConsistencyStrategy):
         client.stats.adaptive_migrations += 1
         client.recorder.record("adaptive_migrations")
 
-    @staticmethod
-    def _strip_envelope(frozen: Any) -> Any:
-        """Unwrap a stray async-refresh envelope (band switched mid-flight:
-        e.g. a lease-retained stale value stored under the old band)."""
-        if isinstance(frozen, dict) and _FRESH_UNTIL_KEY in frozen:
-            return frozen["value"]
-        return frozen
-
     # -- storage ---------------------------------------------------------------
 
     def expiry_for(self, cached_object: "CacheClass",
@@ -358,33 +350,21 @@ class AdaptiveStrategy(ConsistencyStrategy):
 
     # -- read path -------------------------------------------------------------
 
-    def fetch(self, cached_object: "CacheClass", key: str,
-              params: Dict[str, Any]) -> Any:
-        entry = self._ensure_attached(cached_object).note_read(key)
-        band = self._reclassify(cached_object, entry, params)
-        frozen = self._delegate(band).fetch(cached_object, key, params)
-        return self._strip_envelope(frozen)
-
-    def fetch_multi(self, client: Any,
-                    items: Sequence[Tuple["CacheClass", str, Dict[str, Any]]],
-                    ) -> Dict[str, Tuple[Any, bool]]:
-        groups: "OrderedDict[str, List[Tuple[CacheClass, str, Dict[str, Any]]]]" = OrderedDict()
+    def fetch_multi(self, client: Any, items: Sequence[ReadEntry],
+                    single: bool = False) -> Dict[str, Tuple[Any, bool]]:
+        groups: "OrderedDict[str, List[ReadEntry]]" = OrderedDict()
         for cached_object, key, params in items:
             entry = self._ensure_attached(cached_object).note_read(key)
             band = self._reclassify(cached_object, entry, params)
             groups.setdefault(band, []).append((cached_object, key, params))
         served: Dict[str, Tuple[Any, bool]] = {}
         for band, group in groups.items():
+            # A stray envelope (the band switched mid-flight, e.g. a
+            # lease-retained value stored under the old band) is unwrapped.
             for key, (frozen, stale) in self._delegate(band).fetch_multi(
-                    client, group).items():
-                served[key] = (self._strip_envelope(frozen), stale)
+                    client, group, single).items():
+                served[key] = (unwrap_envelope(frozen), stale)
         return served
-
-    def peek(self, cached_object: "CacheClass", key: str) -> Optional[Any]:
-        raw = cached_object.app_cache.get(key)
-        if raw is None:
-            return None
-        return self._strip_envelope(raw)
 
     # -- write path (trigger side) ---------------------------------------------
 
@@ -424,32 +404,21 @@ class AdaptiveStrategy(ConsistencyStrategy):
         # — their freshness window bounds the staleness, by construction.
         # Skipping propagation for the write-heavy band is the whole point:
         # per-write work is replaced by one recompute per freshness window.
-        queue = cached_object._op_queue()
+        # A queued key reaches flush_invalidations below at commit, which
+        # re-partitions by the band current *at flush time*.
         for key in affected:
-            if bands[key] == REFRESH_BAND:
-                continue
-            if queue is not None:
-                # The flush routes back through flush_invalidations below,
-                # which re-partitions by the band current *at flush time*.
-                queue.enqueue_delete(cached_object, key)
-            elif self.invalidate_eager(cached_object, key):
-                cached_object.stats.invalidations += 1
+            if bands[key] != REFRESH_BAND:
+                cached_object.invalidate_key(key)
 
-    def invalidate_eager(self, cached_object: "CacheClass", key: str) -> bool:
-        return self._delegate(self.band_for(key)).invalidate_eager(
-            cached_object, key)
-
-    def flush_invalidations(self, client: Any,
-                            keys: Sequence[str]) -> List[str]:
+    def flush_invalidations(self, client: Any, keys: Sequence[str],
+                            single: bool = False) -> List[str]:
         groups: "OrderedDict[str, List[str]]" = OrderedDict()
         for key in keys:
             groups.setdefault(self.band_for(key), []).append(key)
         removed: List[str] = []
         for band, group in groups.items():
-            if band == HERD_BAND:
-                removed.extend(self._leased.flush_invalidations(client, group))
-            else:
-                removed.extend(client.delete_multi(group))
+            removed.extend(self._delegate(band).flush_invalidations(
+                client, group, single))
         return removed
 
     def render_trigger_body(self, cached_object: "CacheClass",

@@ -29,8 +29,8 @@ from ...orm.template import QueryTemplate
 from ..keys import KeyScheme, fingerprint
 from ..serializer import freeze_rows, freeze_value, thaw_rows
 from ..stats import CachedObjectStats
-from ..strategies import (ConsistencyStrategy, UPDATE_IN_PLACE,
-                          _FRESH_UNTIL_KEY, resolve_strategy)
+from ..strategies import (ConsistencyStrategy, UPDATE_IN_PLACE, is_envelope,
+                          read_through, resolve_strategy, unwrap_envelope)
 
 if TYPE_CHECKING:  # pragma: no cover
     from ...orm.queryset import QueryDescription
@@ -219,16 +219,13 @@ class CacheClass:
         """Fetch the cached value, falling back to the database on a miss.
 
         This is both the explicit API (``cached_user_profile.evaluate(user_id=42)``)
-        and what transparent interception calls under the hood.  The read
-        path is the strategy's: a plain look-aside get for the triggered
-        strategies, a lease read for leased invalidation, an envelope
-        freshness check for async-refresh.
+        and what transparent interception calls under the hood.  It is
+        :func:`evaluate_many`'s read path on a batch of one (the strategy's
+        ``fetch``), with single-key round trips.
         """
         self.genie.run_pending_refreshes()
         normalized = self._normalize_params(params)
-        key = self._key_of(normalized)
-        frozen = self.strategy.fetch(self, key, normalized)
-        return self._present(self._thaw(frozen))
+        return self.strategy.fetch(self, self._key_of(normalized), normalized)
 
     def evaluate_multi(self, params_list: Sequence[Dict[str, Any]]) -> List[Any]:
         """Batched :meth:`evaluate`: one multi-get round trip per server.
@@ -250,7 +247,7 @@ class CacheClass:
     def peek(self, **params: Any) -> Optional[Any]:
         """Return the cached value without falling back to the database."""
         key = self._key_of(self._normalize_params(params))
-        value = self.strategy.peek(self, key)
+        value = unwrap_envelope(self.app_cache.get(key))
         return self._thaw(value) if value is not None else None
 
     def _normalize_params(self, params: Dict[str, Any]) -> Dict[str, Any]:
@@ -352,26 +349,29 @@ class CacheClass:
     def invalidate_affected(self, table: str, event: str,
                             new: Optional[Dict[str, Any]],
                             old: Optional[Dict[str, Any]]) -> None:
-        """Invalidate every key affected by a row change (strategy hook target).
-
-        The delete itself goes through the strategy — a plain ``delete`` for
-        classic invalidation, a stale-retaining ``lease_delete`` for leased
-        invalidation — and through the commit-time queue when batching is on
-        (the flush groups keys per strategy and uses its batched form).
-        """
+        """Invalidate every key affected by a row change (strategy hook
+        target), one :meth:`invalidate_key` each."""
         keys = set()
         for row in (new, old):
             if row is not None:
                 keys.update(self.affected_keys(table, row))
-        queue = self._op_queue()
         for key in keys:
-            if queue is not None:
-                queue.enqueue_delete(self, key)
-            elif self.strategy.invalidate_eager(self, key):
-                self.stats.invalidations += 1
+            self.invalidate_key(key)
 
     # Backwards-compatible alias (pre-registry name).
     _invalidate_affected = invalidate_affected
+
+    def invalidate_key(self, key: str) -> None:
+        """Invalidate one key: enqueue it on the commit-time queue when
+        batching is on, else drop it now through the strategy's one-key
+        flush (a plain ``delete`` for classic invalidation, a stale-retaining
+        ``lease_delete`` for leased invalidation)."""
+        queue = self._op_queue()
+        if queue is not None:
+            queue.enqueue_delete(self, key)
+        elif self.strategy.flush_invalidations(self.trigger_cache, [key],
+                                               single=True):
+            self.stats.invalidations += 1
 
     def affected_keys(self, table: str, row: Dict[str, Any]) -> List[str]:
         """Cache keys affected by a change to ``row`` in ``table``.
@@ -401,7 +401,10 @@ class CacheClass:
         ``mutate`` receives the current value and returns the new value, or
         ``None`` to leave the entry untouched.  Returns True if an update was
         written.  If the key is absent the trigger quits (paper: "If not
-        present, the trigger quits").
+        present, the trigger quits").  Only a lost race is retried: a failed
+        ``cas`` whose re-read finds the same token changed nothing, so the
+        server refused the value (it outgrew the item limit) and the key is
+        invalidated at once, as the flush does with a ``too-large`` verdict.
 
         With commit-time batching enabled the mutation is enqueued instead
         (applied to a single batched read at flush); the queue's single-writer
@@ -418,28 +421,32 @@ class CacheClass:
         if queue is not None:
             queue.enqueue_mutate(self, key, mutate)
             return True
+        value, token = self.trigger_cache.gets(key)
         for attempt in range(CAS_MAX_RETRIES):
-            value, token = self.trigger_cache.gets(key)
             if value is None:
                 return False
-            if isinstance(value, dict) and _FRESH_UNTIL_KEY in value:
+            if is_envelope(value):
                 # An adaptive band migration left an async-refresh envelope
                 # under this key; the incremental patch cannot apply to the
                 # foreign representation, so invalidate instead — the next
                 # read recomputes under the key's current band.
-                self.trigger_cache.delete(key)
-                self.stats.invalidations += 1
-                return False
+                break
             new_value = mutate(value)
             if new_value is None:
                 return False
             if self.trigger_cache.cas(key, new_value, token):
                 self.stats.updates_applied += 1
                 return True
+            if attempt + 1 < CAS_MAX_RETRIES:
+                value, read_token = self.trigger_cache.gets(key)
+                if read_token == token:
+                    break  # refused, not raced: no retry can shrink it
+                token = read_token
             self.stats.cas_retries += 1
-        # Could not win the CAS race: fall back to invalidation for safety.
-        self.trigger_cache.delete(key)
-        self.stats.invalidations += 1
+        # Lost every race, refused or foreign: fall back to invalidation for
+        # safety, crediting only a removal (as the flush's fallback does).
+        if self.trigger_cache.delete(key):
+            self.stats.invalidations += 1
         return False
 
     def _recompute_key(self, key: str, params: Dict[str, Any]) -> None:
@@ -477,9 +484,10 @@ def evaluate_many(
     All requested keys are fetched in one round trip per server per strategy
     read protocol (``get_multi`` for the classic strategies, ``lease_multi``
     for leased invalidation); misses fall back to the database per object
-    and are written back with a single batched ``set_multi`` per
-    (strategy, expiry) group.  Results are returned in request order, shaped
-    exactly as the individual ``evaluate()`` calls would shape them.
+    and are written back with a single batched ``set_multi`` per expiry
+    group (:func:`~repro.core.strategies.read_through`).  Results are
+    returned in request order, shaped exactly as the individual
+    ``evaluate()`` calls would shape them.
     """
     if not requests:
         return []
@@ -494,50 +502,4 @@ def evaluate_many(
         normalized = cached_object._normalize_params(params)
         entries.append((cached_object, cached_object._key_of(normalized),
                         normalized))
-
-    # Fetch phase: group unique keys by strategy so each read protocol runs
-    # one batched round trip per server (a stale-serving strategy also
-    # schedules its background refreshes here).
-    by_strategy: Dict[int, Tuple[ConsistencyStrategy, List[Tuple[CacheClass, str, Dict[str, Any]]]]] = {}
-    seen_keys = set()
-    for cached_object, key, normalized in entries:
-        if key in seen_keys:
-            continue
-        seen_keys.add(key)
-        bucket = by_strategy.setdefault(
-            id(cached_object.strategy), (cached_object.strategy, []))
-        bucket[1].append((cached_object, key, normalized))
-    found: Dict[str, Tuple[Any, bool]] = {}
-    for strategy, items in by_strategy.values():
-        found.update(strategy.fetch_multi(client, items))
-
-    # Miss write-back: every value is enveloped by its *own* object's
-    # strategy (wrap_for_store may depend on per-object state), then batched
-    # into one set_multi per expiry group — the same round trips as before.
-    writes: Dict[Optional[float], Dict[str, Any]] = {}
-    computed: Dict[str, Any] = {}
-    results: List[Any] = []
-    for cached_object, key, normalized in entries:
-        if key in found:
-            frozen, stale = found[key]
-            cached_object.stats.cache_hits += 1
-            if stale:
-                cached_object.stats.stale_served += 1
-        elif key in computed:
-            # A duplicate request in the same batch: serve the value computed
-            # a moment ago (a sequential loop would have hit the fresh entry).
-            cached_object.stats.cache_hits += 1
-            frozen = computed[key]
-        else:
-            cached_object.stats.cache_misses += 1
-            cached_object.stats.db_fallbacks += 1
-            value = cached_object.compute_from_db(normalized)
-            frozen = cached_object._freeze(value)
-            computed[key] = frozen
-            writes.setdefault(cached_object._expire(key), {})[key] = \
-                cached_object.strategy.wrap_for_store(cached_object, frozen,
-                                                      key=key)
-        results.append(cached_object._present(cached_object._thaw(frozen)))
-    for expire, mapping in writes.items():
-        client.set_multi(mapping, expire=expire)
-    return results
+    return read_through(client, entries)

@@ -238,15 +238,11 @@ class LinkQuery(CacheClass):
                 continue
             for key in self.affected_keys(table, row):
                 keys.setdefault(key, {})
-        queue = self._op_queue()
         for key in keys:
             params = self._params_for_key_recompute(table, new or old)
             if params is None:
                 # Cannot reconstruct parameters cheaply: invalidate the key.
-                if queue is not None:
-                    queue.enqueue_delete(self, key)
-                elif self.trigger_cache.delete(key):
-                    self.stats.invalidations += 1
+                self.invalidate_key(key)
             else:
                 self._recompute_from_key(key)
 
@@ -259,26 +255,13 @@ class LinkQuery(CacheClass):
         return {}
 
     def _recompute_from_key(self, key: str) -> None:
-        """Recompute a cached entry by decoding its where-values from the key."""
-        queue = self._op_queue()
-        if queue is not None:
-            params = self._decode_key(key)
-            if params is None:
-                queue.enqueue_delete(self, key)
-            else:
-                self._recompute_key(key, params)
-            return
-        current, _token = self.trigger_cache.gets(key)
-        if current is None:
-            return
+        """Recompute a cached entry by decoding its where-values from the
+        key; a key that does not decode is invalidated instead."""
         params = self._decode_key(key)
         if params is None:
-            if self.trigger_cache.delete(key):
-                self.stats.invalidations += 1
-            return
-        value = self.compute_from_db(params)
-        self.trigger_cache.set(key, self._freeze(value), expire=self._expire())
-        self.stats.recomputations += 1
+            self.invalidate_key(key)
+        else:
+            self._recompute_key(key, params)
 
     def _decode_key(self, key: str) -> Optional[Dict[str, Any]]:
         """Best-effort inverse of make_key for integer where-field values."""

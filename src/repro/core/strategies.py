@@ -77,6 +77,16 @@ needs, and call :func:`register_strategy`::
     register_strategy(TimestampedInvalidate())
     genie.cacheable(..., update_strategy="timestamped-invalidate")
 
+The read path is written once, in :func:`read_through`; a strategy changes
+how keys are read by overriding ``fetch_multi`` and how they are dropped by
+overriding ``flush_invalidations``.  Both take ``single``, which the call
+site fixes: ``evaluate()`` reads a batch of one and an eager trigger drops
+one key with ``single=True``.  The strategy then calls the single-key client
+method (``get``, ``lease``, ``delete``, ``lease_delete``; the write-back is a
+``set``) instead of its ``*_multi`` form, so the round trip is charged as a
+single-key event and does not yield to the replay scheduler.  Nothing else
+depends on it.
+
 Legacy string names (``"update-in-place"``, ``"invalidate"``, ``"expiry"``)
 resolve through the registry to module-level singletons, so every existing
 ``cacheable(...)`` call keeps working unchanged.
@@ -103,6 +113,91 @@ ASYNC_REFRESH = "async-refresh"
 #: Key marking an async-refresh wrapper envelope in the cache.
 _FRESH_UNTIL_KEY = "__cg_fresh_until__"
 
+#: ``(cached_object, key, params)``: one request of the read path.
+ReadEntry = Tuple["CacheClass", str, Dict[str, Any]]
+
+
+def is_envelope(value: Any) -> bool:
+    """Whether a cached value is an async-refresh envelope."""
+    return isinstance(value, dict) and _FRESH_UNTIL_KEY in value
+
+
+def unwrap_envelope(value: Any) -> Any:
+    """The frozen value inside an async-refresh envelope; any other value
+    is returned as it is."""
+    return value["value"] if is_envelope(value) else value
+
+
+def _get(client: Any, keys: List[str], single: bool) -> Dict[str, Any]:
+    """``get_multi``, or ``get`` for a batch of one; returns the hits."""
+    if not single:
+        return client.get_multi(keys)
+    value = client.get(keys[0])
+    return {} if value is None else {keys[0]: value}
+
+
+def read_through(client: Any, entries: Sequence[ReadEntry],
+                 single: bool = False) -> List[Any]:
+    """The read path (§3.1): serve each request from the cache, else compute
+    it from the database and write it back.
+
+    Unique keys are grouped by strategy so each read protocol runs once, in
+    :meth:`ConsistencyStrategy.fetch_multi` (one round trip per server; a
+    stale-serving strategy also schedules its background refreshes there).
+    Hits, stale serves and misses are counted on each request's object, and
+    the misses are written back with one ``set_multi`` per expiry group.
+    ``single`` is ``evaluate()``'s batch of one (see the module docstring).
+    Returns the values in request order, shaped as ``evaluate()`` hands them
+    out.
+    """
+    by_strategy: Dict[int, Tuple[ConsistencyStrategy, List[ReadEntry]]] = {}
+    seen_keys = set()
+    for cached_object, key, normalized in entries:
+        if key in seen_keys:
+            continue
+        seen_keys.add(key)
+        bucket = by_strategy.setdefault(
+            id(cached_object.strategy), (cached_object.strategy, []))
+        bucket[1].append((cached_object, key, normalized))
+    found: Dict[str, Tuple[Any, bool]] = {}
+    for strategy, items in by_strategy.values():
+        found.update(strategy.fetch_multi(client, items, single))
+
+    # Miss write-back: every value is enveloped by its *own* object's
+    # strategy (wrap_for_store may depend on per-object state), then batched
+    # into one set_multi per expiry group.
+    writes: Dict[Optional[float], Dict[str, Any]] = {}
+    computed: Dict[str, Any] = {}
+    results: List[Any] = []
+    for cached_object, key, normalized in entries:
+        if key in found:
+            frozen, stale = found[key]
+            cached_object.stats.cache_hits += 1
+            if stale:
+                cached_object.stats.stale_served += 1
+        elif key in computed:
+            # A duplicate request in the same batch: serve the value computed
+            # a moment ago (a sequential loop would have hit the fresh entry).
+            cached_object.stats.cache_hits += 1
+            frozen = computed[key]
+        else:
+            cached_object.stats.cache_misses += 1
+            cached_object.stats.db_fallbacks += 1
+            value = cached_object.compute_from_db(normalized)
+            frozen = cached_object._freeze(value)
+            computed[key] = frozen
+            writes.setdefault(cached_object._expire(key), {})[key] = \
+                cached_object.strategy.wrap_for_store(cached_object, frozen,
+                                                      key=key)
+        results.append(cached_object._present(cached_object._thaw(frozen)))
+    for expire, mapping in writes.items():
+        if single:
+            [(key, value)] = mapping.items()
+            client.set(key, value, expire=expire)
+        else:
+            client.set_multi(mapping, expire=expire)
+    return results
+
 
 class ConsistencyStrategy:
     """The protocol every cache-consistency strategy implements.
@@ -123,13 +218,13 @@ class ConsistencyStrategy:
     ``serves_stale``             class attr: may a read return stale data?
     ``counters_moved``           class attr: stats this strategy moves (for docs)
     ``on_write``                 a trigger fired: propagate the change
-    ``invalidate_eager``         delete one key right now (eager trigger path)
-    ``flush_invalidations``      batched-flush participation: flush queued deletes
+    ``flush_invalidations``      drop the commit-time queue's keys, or one key
+                                 eagerly (``single=True``)
     ``render_trigger_body``      per-key body lines of the generated trigger source
-    ``fetch`` / ``fetch_multi``  full read path of evaluate()/evaluate_many()
-    ``on_read_miss``             compute from the DB and populate the cache
-    ``wrap_for_store``           envelope applied to stored values (single and
-                                 batched write-back paths both apply it per key)
+    ``fetch_multi``              the read protocol of :func:`read_through`
+    ``fetch``                    evaluate()'s read path: fetch_multi on a batch
+                                 of one (override fetch_multi)
+    ``wrap_for_store``           envelope applied to stored values
     ``expiry_for``               server-side TTL for stored entries
     ===========================  ==================================================
     """
@@ -176,45 +271,24 @@ class ConsistencyStrategy:
 
     def fetch(self, cached_object: "CacheClass", key: str,
               params: Dict[str, Any]) -> Any:
-        """The full read path of ``evaluate()``: return the frozen value.
+        """``evaluate()``'s read path: :meth:`fetch_multi` on a batch of one,
+        through :func:`read_through`.  Override :meth:`fetch_multi`."""
+        return read_through(cached_object.app_cache,
+                            [(cached_object, key, params)], single=True)[0]
 
-        The default is the classic look-aside protocol: ``get``, and on a
-        miss compute from the database and populate.  Strategies that serve
-        stale data (leases, stale-while-revalidate) override this.
-        """
-        raw = cached_object.app_cache.get(key)
-        if raw is not None:
-            cached_object.stats.cache_hits += 1
-            return raw
-        cached_object.stats.cache_misses += 1
-        cached_object.stats.db_fallbacks += 1
-        return self.on_read_miss(cached_object, key, params)
-
-    def fetch_multi(self, client: Any,
-                    items: Sequence[Tuple["CacheClass", str, Dict[str, Any]]],
-                    ) -> Dict[str, Tuple[Any, bool]]:
-        """Batched hit-side of :meth:`fetch` for ``evaluate_many()``.
+    def fetch_multi(self, client: Any, items: Sequence[ReadEntry],
+                    single: bool = False) -> Dict[str, Tuple[Any, bool]]:
+        """The read protocol of :func:`read_through`.
 
         ``items`` carries unique keys with their owning object and
         parameters.  Returns ``{key: (frozen_value, was_stale)}`` for every
         key this strategy can serve without the database; the caller
-        computes the rest and writes them back through :meth:`store_multi`.
-        Side effects (scheduling refreshes) happen here; per-request hit/
-        miss statistics are counted by the caller.
+        computes the rest and writes them back.  Side effects (scheduling
+        refreshes) happen here; per-request hit/miss statistics are counted
+        by the caller.  The default is the classic look-aside ``get``.
         """
-        found = client.get_multi([key for _, key, _ in items])
+        found = _get(client, [key for _, key, _ in items], single)
         return {key: (value, False) for key, value in found.items()}
-
-    def on_read_miss(self, cached_object: "CacheClass", key: str,
-                     params: Dict[str, Any]) -> Any:
-        """Miss fallback: compute from the database, populate, return frozen."""
-        frozen = cached_object._freeze(cached_object.compute_from_db(params))
-        self.store(cached_object, cached_object.app_cache, key, frozen)
-        return frozen
-
-    def peek(self, cached_object: "CacheClass", key: str) -> Optional[Any]:
-        """Return the frozen cached value without any database fallback."""
-        return cached_object.app_cache.get(key)
 
     # -- write path (trigger side) ---------------------------------------------
 
@@ -227,20 +301,16 @@ class ConsistencyStrategy:
         triggers exist to fire).  The default does nothing.
         """
 
-    def invalidate_eager(self, cached_object: "CacheClass", key: str) -> bool:
-        """Delete one key immediately (the eager, per-operation trigger path).
-
-        Returns True if the key existed.  Strategies with richer
-        invalidation semantics (stale retention) override this.
-        """
-        return cached_object.trigger_cache.delete(key)
-
-    def flush_invalidations(self, client: Any, keys: Sequence[str]) -> List[str]:
-        """Batched-flush participation: flush the commit-time queue's pending
-        invalidations for this strategy in one multi-op per server.
+    def flush_invalidations(self, client: Any, keys: Sequence[str],
+                            single: bool = False) -> List[str]:
+        """Drop ``keys``: the commit-time queue's pending invalidations for
+        this strategy in one multi-op per server, or — ``single`` — one key
+        right now (the eager, per-operation trigger path).
 
         Returns the keys that existed (for ``invalidations`` crediting).
         """
+        if single:
+            return [keys[0]] if client.delete(keys[0]) else []
         return client.delete_multi(list(keys))
 
     def render_trigger_body(self, cached_object: "CacheClass",
@@ -407,32 +477,11 @@ class LeasedInvalidateStrategy(InvalidateStrategy):
 
     # -- read path -------------------------------------------------------------
 
-    def fetch(self, cached_object: "CacheClass", key: str,
-              params: Dict[str, Any]) -> Any:
-        state, value, token = cached_object.app_cache.lease(
-            key, self.lease_seconds)
-        if state == LEASE_HIT:
-            cached_object.stats.cache_hits += 1
-            return value
-        if state == LEASE_STALE or (state == LEASE_ACQUIRED and value is not None):
-            # Stale serve: the value predates the invalidation.  Whoever won
-            # the token (at most one reader per lease window) schedules the
-            # single background recompute; everyone is unblocked.
-            cached_object.stats.cache_hits += 1
-            cached_object.stats.stale_served += 1
-            if token is not None:
-                cached_object.genie.schedule_refresh(cached_object, key, params)
-            return value
-        # True miss: nothing retained — the classic blocking fallback.
-        cached_object.stats.cache_misses += 1
-        cached_object.stats.db_fallbacks += 1
-        return self.on_read_miss(cached_object, key, params)
-
-    def fetch_multi(self, client: Any,
-                    items: Sequence[Tuple["CacheClass", str, Dict[str, Any]]],
-                    ) -> Dict[str, Tuple[Any, bool]]:
-        states = client.lease_multi([key for _, key, _ in items],
-                                    self.lease_seconds)
+    def fetch_multi(self, client: Any, items: Sequence[ReadEntry],
+                    single: bool = False) -> Dict[str, Tuple[Any, bool]]:
+        keys = [key for _, key, _ in items]
+        states = ({keys[0]: client.lease(keys[0], self.lease_seconds)}
+                  if single else client.lease_multi(keys, self.lease_seconds))
         served: Dict[str, Tuple[Any, bool]] = {}
         for cached_object, key, params in items:
             state, value, token = states.get(key, (None, None, None))
@@ -440,6 +489,9 @@ class LeasedInvalidateStrategy(InvalidateStrategy):
                 served[key] = (value, False)
             elif state == LEASE_STALE or (state == LEASE_ACQUIRED
                                           and value is not None):
+                # Stale serve: the value predates the invalidation.  Whoever
+                # won the token (at most one reader per lease window)
+                # schedules the single background recompute.
                 if token is not None:
                     cached_object.genie.schedule_refresh(cached_object, key,
                                                          params)
@@ -448,10 +500,11 @@ class LeasedInvalidateStrategy(InvalidateStrategy):
 
     # -- write path ------------------------------------------------------------
 
-    def invalidate_eager(self, cached_object: "CacheClass", key: str) -> bool:
-        return cached_object.trigger_cache.lease_delete(key, self.stale_seconds)
-
-    def flush_invalidations(self, client: Any, keys: Sequence[str]) -> List[str]:
+    def flush_invalidations(self, client: Any, keys: Sequence[str],
+                            single: bool = False) -> List[str]:
+        if single:
+            return ([keys[0]] if client.lease_delete(keys[0], self.stale_seconds)
+                    else [])
         return client.lease_delete_multi(list(keys), self.stale_seconds)
 
     def render_trigger_body(self, cached_object: "CacheClass",
@@ -539,24 +592,9 @@ class AsyncRefreshStrategy(ConsistencyStrategy):
 
     # -- read path -------------------------------------------------------------
 
-    def fetch(self, cached_object: "CacheClass", key: str,
-              params: Dict[str, Any]) -> Any:
-        raw = cached_object.app_cache.get(key)
-        if raw is not None:
-            frozen, stale = self._unwrap(cached_object, raw)
-            cached_object.stats.cache_hits += 1
-            if stale:
-                cached_object.stats.stale_served += 1
-                cached_object.genie.schedule_refresh(cached_object, key, params)
-            return frozen
-        cached_object.stats.cache_misses += 1
-        cached_object.stats.db_fallbacks += 1
-        return self.on_read_miss(cached_object, key, params)
-
-    def fetch_multi(self, client: Any,
-                    items: Sequence[Tuple["CacheClass", str, Dict[str, Any]]],
-                    ) -> Dict[str, Tuple[Any, bool]]:
-        found = client.get_multi([key for _, key, _ in items])
+    def fetch_multi(self, client: Any, items: Sequence[ReadEntry],
+                    single: bool = False) -> Dict[str, Tuple[Any, bool]]:
+        found = _get(client, [key for _, key, _ in items], single)
         served: Dict[str, Tuple[Any, bool]] = {}
         for cached_object, key, params in items:
             raw = found.get(key)
@@ -567,13 +605,6 @@ class AsyncRefreshStrategy(ConsistencyStrategy):
                 cached_object.genie.schedule_refresh(cached_object, key, params)
             served[key] = (frozen, stale)
         return served
-
-    def peek(self, cached_object: "CacheClass", key: str) -> Optional[Any]:
-        raw = cached_object.app_cache.get(key)
-        if raw is None:
-            return None
-        frozen, _stale = self._unwrap(cached_object, raw)
-        return frozen
 
     def describe(self) -> Dict[str, Any]:
         out = super().describe()

@@ -44,7 +44,7 @@ from typing import (Any, Callable, Dict, FrozenSet, List,  # noqa: F401
                     Optional, Tuple)
 
 from ..memcache.server import CAS_MISMATCH, CAS_STORED, CAS_TOO_LARGE
-from .strategies import _FRESH_UNTIL_KEY
+from .strategies import is_envelope
 
 #: Mutation: current cached value -> new value, or None to leave it untouched.
 MutateFn = Callable[[Any], Optional[Any]]
@@ -292,7 +292,7 @@ class TriggerOpQueue:
             if hit is None:
                 continue  # not cached: the trigger quits (paper §3.2)
             value, token = hit
-            if isinstance(value, dict) and _FRESH_UNTIL_KEY in value:
+            if is_envelope(value):
                 # An adaptive band migration re-wrapped the entry as an
                 # async-refresh envelope after this mutation enqueued.
                 # Incremental patches cannot apply to the foreign

@@ -94,13 +94,9 @@ class RecordingInvalidate(InvalidateStrategy):
         self.eager_keys = []
         self.flushed_keys = []
 
-    def invalidate_eager(self, cached_object, key):
-        self.eager_keys.append(key)
-        return super().invalidate_eager(cached_object, key)
-
-    def flush_invalidations(self, client, keys):
-        self.flushed_keys.extend(keys)
-        return super().flush_invalidations(client, keys)
+    def flush_invalidations(self, client, keys, single=False):
+        (self.eager_keys if single else self.flushed_keys).extend(keys)
+        return super().flush_invalidations(client, keys, single)
 
     def render_trigger_body(self, cached_object, batched):
         return ["    for cache_key in affected:",

@@ -5,7 +5,7 @@ Run from the repository root (CI's docs job does)::
 
     PYTHONPATH=src python tools/check_docs.py
 
-Two checks keep the docs layer from rotting silently:
+Three checks keep the docs layer from rotting silently:
 
 * **Links** — every relative markdown link in ``README.md`` and ``docs/``
   must point at an existing file, and every ``#anchor`` must match a
@@ -13,6 +13,11 @@ Two checks keep the docs layer from rotting silently:
 * **Doctests** — every fenced ```python block that contains ``>>>``
   prompts is executed with :mod:`doctest`.  Blocks within one file share a
   namespace, in order, so a setup block can feed the examples below it.
+* **The strategy hook table** in ``docs/CONSISTENCY.md`` — every backticked
+  hook name in its first column must be an attribute of
+  ``ConsistencyStrategy``, and every ``ConsistencyStrategy`` method a
+  built-in strategy overrides (``describe`` excepted) must be listed, so a
+  deleted hook cannot linger in the docs and a new one cannot go unlisted.
 
 Exit status 0 when everything passes; a non-zero status lists every broken
 link / failing example on stderr.  No dependencies beyond the standard
@@ -43,6 +48,13 @@ _HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 
 _FENCED_CODE_RE = re.compile(r"^```.*?^```\s*$", re.MULTILINE | re.DOTALL)
 _INLINE_CODE_RE = re.compile(r"`[^`\n]*`")
+
+#: The page holding the strategy hook table, and the table's header row.
+HOOK_TABLE_DOC = "docs/CONSISTENCY.md"
+HOOK_TABLE_HEADER = "| hook | responsibility |"
+
+#: A backticked name, e.g. the ``fetch_multi`` of ``fetch_multi(client, …)``.
+_HOOK_NAME_RE = re.compile(r"`(\w+)")
 
 
 def strip_code(text: str) -> str:
@@ -133,12 +145,42 @@ def check_doctests(paths: List[Path]) -> List[str]:
     return errors
 
 
+def hook_table_names(text: str) -> List[str]:
+    """The backticked names in the first column of the hook table."""
+    table = text[text.index(HOOK_TABLE_HEADER):].split("\n\n", 1)[0]
+    return [name for row in table.splitlines()[2:]
+            for name in _HOOK_NAME_RE.findall(row.split("|")[1])]
+
+
+def check_hook_table() -> List[str]:
+    """One error per hook the table lists but ``ConsistencyStrategy`` lacks,
+    and per overridden hook the table does not list."""
+    from repro.adaptive import AdaptiveStrategy
+    from repro.core import strategies
+
+    base = strategies.ConsistencyStrategy
+    listed = hook_table_names((REPO_ROOT / HOOK_TABLE_DOC).read_text())
+    errors = [f"{HOOK_TABLE_DOC}: the hook table lists `{name}`, which "
+              f"ConsistencyStrategy does not have"
+              for name in listed if not hasattr(base, name)]
+    hooks = {name for name, value in vars(base).items()
+             if callable(value) and not name.startswith("_")} - {"describe"}
+    builtins = [cls for cls in vars(strategies).values()
+                if isinstance(cls, type) and issubclass(cls, base)
+                and cls is not base] + [AdaptiveStrategy]
+    for cls in builtins:
+        for name in sorted((hooks & set(vars(cls))) - set(listed)):
+            errors.append(f"{HOOK_TABLE_DOC}: the hook table lacks `{name}`, "
+                          f"which {cls.__name__} overrides")
+    return errors
+
+
 def main() -> int:
     paths = doc_paths()
     if not paths:
         print("check_docs: no documentation files found", file=sys.stderr)
         return 1
-    errors = check_links(paths) + check_doctests(paths)
+    errors = check_links(paths) + check_doctests(paths) + check_hook_table()
     snippet_count = sum(len(python_snippets(p)) for p in paths)
     if errors:
         for error in errors:
