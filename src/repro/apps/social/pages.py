@@ -27,13 +27,13 @@ database, exactly as before.
 
 from __future__ import annotations
 
-import contextlib
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ...core.cache_classes.base import evaluate_many
 from ...errors import DoesNotExist
+from ...obs import hooks
 from .models import (Bookmark, BookmarkInstance, Friendship,
                      FriendshipInvitation, Profile, User, WallPost)
 
@@ -60,43 +60,21 @@ class PageResult:
     detail: Dict[str, Any] = field(default_factory=dict)
 
 
-def _no_checkpoint(label: str) -> None:
-    """The serial default: page rendering never yields."""
-
-
-#: Reusable no-op context for the untraced path (``nullcontext`` instances
-#: are stateless, so one shared object serves every fragment).
-_NO_SPAN = contextlib.nullcontext()
-
-
 class SocialApplication:
     """Renders the social site's pages against the ORM (and cached objects).
 
-    ``checkpoint`` is the cooperative-scheduling hook of the concurrent
-    replay engine (:class:`repro.sim.concurrent.ConcurrentReplayer`): page
-    handlers call it between fragments — the operation boundaries where one
-    simulated worker can be paused and another advanced.  The default is a
-    no-op, so serial replay (and every committed experiment) is untouched.
+    A page and each of its fragments is a boundary on
+    :mod:`repro.obs.hooks`' chain: a pause — where the concurrent replay
+    engine may suspend one simulated worker and advance another — then a
+    span.
     """
 
     def __init__(self, cached_objects: Optional[Dict[str, Any]] = None,
                  rng: Optional[random.Random] = None,
-                 batch_reads: bool = True,
-                 checkpoint: Optional[Callable[[str], None]] = None) -> None:
+                 batch_reads: bool = True) -> None:
         self.cached = cached_objects or {}
         self.rng = rng or random.Random(0)
         self.batch_reads = batch_reads
-        self.checkpoint: Callable[[str], None] = checkpoint or _no_checkpoint
-        #: Observability hook (:class:`repro.obs.Tracer`), installed for the
-        #: duration of a traced replay by :func:`repro.obs.install_tracing`.
-        #: Default None: the untraced path is one attribute check per span
-        #: site and is bit-identical to the uninstrumented application.
-        self.tracer: Optional[Any] = None
-
-    def _span(self, name: str, **args: Any):
-        """A tracer span when tracing is on, the shared no-op otherwise."""
-        tracer = self.tracer
-        return tracer.span(name, **args) if tracer is not None else _NO_SPAN
 
     # -- batched fragment fetching ----------------------------------------------
 
@@ -128,8 +106,7 @@ class SocialApplication:
         alone accounts for a dozen (all of them cacheable patterns).  With
         batching on, the whole dozen rides one multi-get per cache server.
         """
-        self.checkpoint("app:header")
-        with self._span("app:header", user=user_id):
+        with hooks.span("app:header", pause=True, user=user_id):
             return self._render_header_body(user_id)
 
     def _render_header_body(self, user_id: int) -> Dict[str, int]:
@@ -182,8 +159,7 @@ class SocialApplication:
         WallPost.objects.filter(sender_id=user_id).count()
 
     def _load_account(self, user_id: int) -> Dict[str, Any]:
-        self.checkpoint("app:account")
-        with self._span("app:account", user=user_id):
+        with hooks.span("app:account", pause=True, user=user_id):
             fetched = self._fetch_many([
                 ("user_by_id", {"id": user_id}),
                 ("user_profile", {"user_id": user_id}),
@@ -310,15 +286,15 @@ class SocialApplication:
             # Users mostly re-save URLs that already circulate on the site (the
             # seeded unique bookmarks), occasionally introducing new ones.
             url = f"http://example.com/page/{self.rng.randrange(0, 300)}"
-        self.checkpoint("app:write")
-        with self._span("app:write", user=user_id, kind="create_bookmark"):
+        with hooks.span("app:write", pause=True, user=user_id,
+                        kind="create_bookmark"):
             bookmark, created = Bookmark.objects.get_or_create(
                 url=url, defaults={"description": description, "adder_id": user_id})
             instance = BookmarkInstance(
                 bookmark=bookmark, user_id=user_id,
                 description=description or url, note="")
             instance.save()
-        self.checkpoint("app:post-write")
+        hooks.pause("app:post-write")
         # Post-save renders: the redirect shows the user's bookmark list again,
         # including the fresh entry, its save count, and the latest-first view.
         if self._fetch_many([
@@ -351,8 +327,8 @@ class SocialApplication:
             pending = [{"pk": inv.pk, "from_user_id": inv.from_user_id}
                        for inv in FriendshipInvitation.objects.filter(to_user_id=user_id)
                        if inv.status == FriendshipInvitation.STATUS_PENDING]
-        self.checkpoint("app:write")
-        with self._span("app:write", user=user_id, kind="accept_friend_request"):
+        with hooks.span("app:write", pause=True, user=user_id,
+                        kind="accept_friend_request"):
             if pending:
                 invitation = pending[0]
                 FriendshipInvitation.objects.filter(id=invitation["pk"]).update(
@@ -368,7 +344,7 @@ class SocialApplication:
                                      message="let's be friends",
                                      status=FriendshipInvitation.STATUS_PENDING).save()
                 accepted = False
-        self.checkpoint("app:post-write")
+        hooks.pause("app:post-write")
         # Re-render the friends panel after the write: the updated counts, the
         # friend list, and the new friend's recent activity (their bookmarks).
         if self._fetch_many([
@@ -409,6 +385,5 @@ class SocialApplication:
         }
         if page not in handlers:
             raise ValueError(f"unknown page type {page!r}")
-        self.checkpoint(f"page:{page}")
-        with self._span(f"page:{page}", user=user_id):
+        with hooks.span(f"page:{page}", pause=True, user=user_id):
             return handlers[page](user_id)

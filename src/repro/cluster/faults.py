@@ -17,6 +17,7 @@ from typing import Callable, List, Optional, Sequence
 
 from ..errors import CacheServerError
 from ..memcache.server import CacheServer
+from ..obs import hooks
 from ..sim.events import EventEngine
 from .controller import ClusterController, ClusterEvent
 
@@ -31,6 +32,8 @@ class FaultEvent:
 
     ``kill`` / ``revive`` / ``drain`` name an existing node via ``node``;
     ``join`` carries the new :class:`CacheServer` instance via ``server``.
+    Each carries only its own field, so :attr:`target` names the node the
+    action really touches.
     """
 
     at: float
@@ -45,10 +48,12 @@ class FaultEvent:
             raise CacheServerError(
                 f"unknown fault action {self.action!r} (expected one of {FAULT_ACTIONS})")
         if self.action == "join":
-            if self.server is None:
-                raise CacheServerError("join fault requires server=<CacheServer>")
-        elif self.node is None:
-            raise CacheServerError(f"{self.action} fault requires node=<name>")
+            if self.server is None or self.node is not None:
+                raise CacheServerError(
+                    "join fault requires server=<CacheServer> and no node")
+        elif self.node is None or self.server is not None:
+            raise CacheServerError(
+                f"{self.action} fault requires node=<name> and no server")
 
     @property
     def target(self) -> str:
@@ -82,7 +87,8 @@ class FaultInjector:
     The injector owns a private event engine so fault ordering is governed
     by simulated time alone — the replay engine only has to call
     :meth:`fire_due` with the current clock reading at its clock-advance
-    points (the same points in serial and concurrent replay).
+    points (the same points in serial and concurrent replay).  Each fired
+    fault is a ``cluster:<action>`` mark on :mod:`repro.obs.hooks`' chain.
     """
 
     def __init__(self, controller: ClusterController,
@@ -90,10 +96,6 @@ class FaultInjector:
         self.controller = controller
         self.schedule = schedule
         self.fired: List[ClusterEvent] = []
-        #: Observability hook (:class:`repro.obs.Tracer`), installed for a
-        #: traced replay by :func:`repro.obs.install_tracing`; each fired
-        #: fault then records an instant event (``cluster:kill`` etc.).
-        self.tracer: Optional[object] = None
         self._engine = EventEngine()
         for event in schedule:
             self._engine.schedule_at(event.at, self._apply(event))
@@ -105,9 +107,8 @@ class FaultInjector:
             else:
                 result = getattr(self.controller, event.action)(event.node)
             self.fired.append(result)
-            if self.tracer is not None:
-                self.tracer.instant(f"cluster:{event.action}",
-                                    node=event.target, at=event.at)
+            hooks.mark(f"cluster:{event.action}", node=event.target,
+                       at=event.at)
         return fire
 
     def schedule_probe(self, at: float, probe: Callable[[], None]) -> None:

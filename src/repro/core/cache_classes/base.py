@@ -358,9 +358,6 @@ class CacheClass:
         for key in keys:
             self.invalidate_key(key)
 
-    # Backwards-compatible alias (pre-registry name).
-    _invalidate_affected = invalidate_affected
-
     def invalidate_key(self, key: str) -> None:
         """Invalidate one key: enqueue it on the commit-time queue when
         batching is on, else drop it now through the strategy's one-key

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple, TYPE_CHECKING
 
+from ..obs import hooks
 from ..orm.registry import QueryInterceptor
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -93,7 +94,18 @@ class CacheGenieInterceptor(QueryInterceptor):
     # -- the interception -------------------------------------------------------
 
     def try_fetch(self, description: "QueryDescription") -> Tuple[bool, Any]:
-        """Offer the query to each transparently-usable cached object."""
+        """Offer the query to each transparently-usable cached object: an
+        ``orm:intercept`` span on :mod:`repro.obs.hooks`' chain, whose
+        ``hit`` says whether one served it."""
+        if not hooks.chain:
+            return self._serve(description)
+        with hooks.span("orm:intercept", table=description.table,
+                        kind=description.kind, hit=False) as args:
+            hit, value = self._serve(description)
+            args["hit"] = hit
+            return hit, value
+
+    def _serve(self, description: "QueryDescription") -> Tuple[bool, Any]:
         for cached_object, shape_known in self._shape_candidates(description):
             if not cached_object.use_transparently:
                 continue

@@ -31,6 +31,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
 
+from ..obs import hooks
+
 if TYPE_CHECKING:  # pragma: no cover
     from .cache_classes.base import CacheClass
 
@@ -76,10 +78,6 @@ class RefreshQueue:
         #: Every backlog not yet closed — the live one and any paused
         #: worker's — so removals and node deaths reach them all.
         self._backlogs: List[RefreshContext] = [self.context]
-        #: Observability hook (:class:`repro.obs.Tracer`), installed for a
-        #: traced replay by :func:`repro.obs.install_tracing`; None (the
-        #: default) keeps drains and recomputes untraced and unperturbed.
-        self.tracer: Optional[Any] = None
         # Lifetime statistics, for tests and the ablation report.
         self.scheduled = 0
         self.coalesced = 0
@@ -174,17 +172,13 @@ class RefreshQueue:
         if not due:
             return 0
         context.draining = True
-        tracer = self.tracer
-        span = (tracer.begin("refresh:drain", due=len(due))
-                if tracer is not None else None)
         try:
-            for key in due:
-                entry = pending.pop(key)
-                self._run(entry)
+            with hooks.span("refresh:drain", due=len(due)):
+                for key in due:
+                    with hooks.span("refresh:recompute", key=key):
+                        self._run(pending.pop(key))
             return len(due)
         finally:
-            if span is not None:
-                tracer.end(span)
             context.draining = False
 
     def discard(self) -> int:
@@ -237,17 +231,6 @@ class RefreshQueue:
         return dropped
 
     def _run(self, entry: _PendingRefresh) -> None:
-        tracer = self.tracer
-        if tracer is not None:
-            span = tracer.begin("refresh:recompute", key=entry.key)
-            try:
-                self._run_body(entry)
-            finally:
-                tracer.end(span)
-            return
-        self._run_body(entry)
-
-    def _run_body(self, entry: _PendingRefresh) -> None:
         cached_object = entry.cached_object
         frozen = cached_object._freeze(
             cached_object.compute_from_db(entry.params))

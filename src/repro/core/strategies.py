@@ -690,13 +690,6 @@ EXPIRY_STRATEGY = register_strategy(ExpiryStrategy())
 LEASED_INVALIDATE_STRATEGY = register_strategy(LeasedInvalidateStrategy())
 ASYNC_REFRESH_STRATEGY = register_strategy(AsyncRefreshStrategy())
 
-#: All registered names at import time (legacy constant, now derived).
-ALL_STRATEGIES = frozenset(_REGISTRY)
-
-#: Built-in strategies that require triggers on the underlying tables.
-TRIGGERED_STRATEGIES = frozenset(
-    name for name, s in _REGISTRY.items() if s.needs_triggers)
-
 
 # -- legacy string helpers (kept for API compatibility) -------------------------
 

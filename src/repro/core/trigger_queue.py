@@ -44,6 +44,7 @@ from typing import (Any, Callable, Dict, FrozenSet, List,  # noqa: F401
                     Optional, Tuple)
 
 from ..memcache.server import CAS_MISMATCH, CAS_STORED, CAS_TOO_LARGE
+from ..obs import hooks
 from .strategies import is_envelope
 
 #: Mutation: current cached value -> new value, or None to leave it untouched.
@@ -104,10 +105,6 @@ class TriggerOpQueue:
         self.cas_max_retries = cas_max_retries
         #: The live transaction's pending ops (see :class:`OpContext`).
         self.context = OpContext()
-        #: Observability hook (:class:`repro.obs.Tracer`), installed for a
-        #: traced replay by :func:`repro.obs.install_tracing`; None (the
-        #: default) keeps the flush paths untraced and unperturbed.
-        self.tracer: Optional[Any] = None
         # Lifetime statistics, for tests and the benchmark reports.
         self.enqueued = 0
         self.coalesced = 0
@@ -198,33 +195,31 @@ class TriggerOpQueue:
         context.flushing = True
         context.frozen = None
         ops, context.ops = context.ops, OrderedDict()
-        tracer = self.tracer
-        span = (tracer.begin("trigger:flush", pending=len(ops))
-                if tracer is not None else None)
-        try:
-            deletes = [(k, op) for k, op in ops.items() if op.kind == "delete"]
-            mutates = {k: op for k, op in ops.items() if op.kind == "mutate"}
+        with hooks.span("trigger:flush", pending=len(ops)):
+            try:
+                deletes = [(k, op) for k, op in ops.items()
+                           if op.kind == "delete"]
+                mutates = {k: op for k, op in ops.items()
+                           if op.kind == "mutate"}
 
-            if mutates:
-                self._flush_mutations(mutates)
+                if mutates:
+                    self._flush_mutations(mutates)
 
-            if deletes:
-                self._flush_deletes(deletes)
+                if deletes:
+                    self._flush_deletes(deletes)
 
-            self.flushes += 1
-            self.flushed_keys += len(ops)
-            self._attribute(self.flushed_keys_by_context, context.key,
-                            len(ops))
-            return len(ops)
-        except BaseException:
-            # delete_multi lands before its own yield point, so this holds
-            # even when that yield re-raises the engine's unwind.
-            self._invalidate_fallback(ops)
-            raise
-        finally:
-            if span is not None:
-                tracer.end(span)
-            context.flushing = False
+                self.flushes += 1
+                self.flushed_keys += len(ops)
+                self._attribute(self.flushed_keys_by_context, context.key,
+                                len(ops))
+                return len(ops)
+            except BaseException:
+                # delete_multi lands before its own pause, so this holds
+                # even when that pause re-raises the engine's unwind.
+                self._invalidate_fallback(ops)
+                raise
+            finally:
+                context.flushing = False
 
     def _flush_deletes(self, deletes: List[Tuple[str, _PendingOp]]) -> None:
         """Flush queued invalidations, one batched multi-op per strategy.
@@ -262,16 +257,10 @@ class TriggerOpQueue:
         eager path's exhausted CAS loop.
         """
         outstanding = dict(pending)
-        tracer = self.tracer
         for round_index in range(self.cas_max_retries):
-            round_span = (tracer.begin("trigger:cas_round", round=round_index,
-                                       outstanding=len(outstanding))
-                          if tracer is not None else None)
-            try:
+            with hooks.span("trigger:cas_round", round=round_index,
+                            outstanding=len(outstanding)):
                 losers = self._flush_cas_round(outstanding, round_index)
-            finally:
-                if round_span is not None:
-                    tracer.end(round_span)
             if losers is None:
                 return
             outstanding = losers

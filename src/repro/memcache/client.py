@@ -17,18 +17,20 @@ a batch of one with ``single=True``.  That flag changes exactly three
 things: the call is charged one single-key round trip (``cache_gets``,
 ``cache_sets``, ``cache_cas``, ``cache_deletes``, ``cache_leases``, or
 ``trigger_cache_ops`` from a trigger) instead of a per-server batch event
-and the per-key ``trigger_cache_batch_ops``; it does not end at a scheduler
-yield point; and a CAS mismatch records no ``cas_multi_mismatch``.
-Routing, the dead-node and gutter branch and the per-key statistics are
-shared.  Single-key methods call the private family method, never a public
-``*_multi`` name: tracing shadows those on the instance.
+and the per-key ``trigger_cache_batch_ops``; it is no ``cache:<op>``
+boundary on :mod:`repro.obs.hooks`' chain; and a CAS mismatch records no
+``cas_multi_mismatch``.  Routing, the dead-node and gutter branch and the
+per-key statistics are shared.  Single-key methods call the private family
+method, never a public ``*_multi`` name: the benchmark's span recorder
+shadows those on the instance.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import CacheServerError, CacheValueError
+from ..obs import hooks
 from ..storage.costmodel import Recorder
 from .hashring import HashRing
 from .item import sizeof_value
@@ -74,12 +76,6 @@ class CacheClient:
         self.pipeline_batches = pipeline_batches
         self._connected = False
         self.stats = CacheStats()
-        #: Cooperative-scheduling hook (installed only by the concurrent
-        #: replayer): called with ``"cache:<op>"`` after each multi-key
-        #: operation completes — a round-trip boundary where another worker
-        #: may legally run (which is what lets two workers race a
-        #: gets_multi/cas_multi pair on the same key).
-        self.checkpoint: Optional[Callable[[str], None]] = None
         #: Worker attribution: the concurrent replayer sets
         #: ``current_worker`` while a worker context runs, and every round
         #: trip the client issues is tallied against it here.
@@ -167,10 +163,15 @@ class CacheClient:
             event = "cache_overlapped_batches"
         self.recorder.record(event)
 
-    def _yield_point(self, op: str) -> None:
-        """Give the interleave scheduler a turn after a multi-op round trip."""
-        if self.checkpoint is not None:
-            self.checkpoint(f"cache:{op}")
+    def _round_trip_done(self, label: str, keys: int) -> None:
+        """Announce a completed multi-key call as its ``cache:<op>``
+        boundary: a span holding a pause, where another replay worker may
+        run (which is what lets two workers race a gets_multi/cas_multi pair
+        on the same key).  The call records no trace event and moves no
+        clock, so a span opened once it completes is the one that would
+        have bracketed it."""
+        hooks.pause_in_span(label, keys=keys,
+                            client="trigger" if self.from_trigger else "app")
 
     @property
     def servers(self) -> List[CacheServer]:
@@ -232,11 +233,12 @@ class CacheClient:
                     record("cache_hits")
                     record("cache_bytes_moved", server.value_size(key))
                     out[key] = value
-        if not single:
-            # gets_multi's yield point is what makes batched CAS
-            # contendable: a worker that just read its tokens can be paused
-            # here while another worker writes the same keys.
-            self._yield_point("gets_multi" if cas else "get_multi")
+        if not single and hooks.chain:
+            # gets_multi's pause is what makes batched CAS contendable: a
+            # worker that just read its tokens can be suspended here while
+            # another worker writes the same keys.
+            self._round_trip_done(
+                "cache:gets_multi" if cas else "cache:get_multi", len(keys))
         return out
 
     def get(self, key: str) -> Optional[Any]:
@@ -343,8 +345,8 @@ class CacheClient:
                     record("cache_bytes_moved", server.value_size(key))
                 if state == LEASE_ACQUIRED:
                     stats.leases_granted += 1
-        if not single:
-            self._yield_point("lease_multi")
+        if not single and hooks.chain:
+            self._round_trip_done("cache:lease_multi", len(keys))
         return out
 
     def lease(self, key: str,
@@ -398,8 +400,8 @@ class CacheClient:
             self.stats.sets += len(sizes)
             if sizes:
                 self.recorder.record("cache_bytes_moved", sum(sizes.values()))
-        if not single:
-            self._yield_point("set_multi")
+        if not single and hooks.chain:
+            self._round_trip_done("cache:set_multi", len(mapping))
         return failed
 
     def set(self, key: str, value: Any, expire: Optional[float] = None) -> bool:
@@ -489,8 +491,8 @@ class CacheClient:
                 else:
                     stats.cas_miss += 1
                 record("cache_bytes_moved", sizes[key])
-        if not single:
-            self._yield_point("cas_multi")
+        if not single and hooks.chain:
+            self._round_trip_done("cache:cas_multi", len(items))
         return verdicts
 
     def cas(self, key: str, value: Any, cas_token: int,
@@ -545,9 +547,10 @@ class CacheClient:
                 if self.gutter is not None:
                     self._charge(event, single, index)
                     existed.extend(self.gutter.delete_multi(batch))
-        if not single:
-            self._yield_point("delete_multi" if stale_seconds is None
-                              else "lease_delete_multi")
+        if not single and hooks.chain:
+            self._round_trip_done(
+                "cache:delete_multi" if stale_seconds is None
+                else "cache:lease_delete_multi", len(keys))
         return existed
 
     def delete(self, key: str) -> bool:
@@ -569,8 +572,8 @@ class CacheClient:
 
     # -- counters -------------------------------------------------------------
 
-    def _counters(self, deltas: Dict[str, int],
-                  single: bool) -> Dict[str, Optional[int]]:
+    def _counters(self, deltas: Dict[str, int], single: bool,
+                  label: str = "cache:incr_multi") -> Dict[str, Optional[int]]:
         """The counter family: ``{key: signed_delta}`` in, new values out.
 
         Negative deltas decrement, floored at zero, so one batch can carry
@@ -609,8 +612,8 @@ class CacheClient:
                     stats.decr_miss += 1
                 else:
                     stats.decr_ok += 1
-        if not single:
-            self._yield_point("incr_multi")
+        if not single and hooks.chain:
+            self._round_trip_done(label, len(deltas))
         return out
 
     def incr(self, key: str, delta: int = 1) -> Optional[int]:
@@ -628,7 +631,7 @@ class CacheClient:
     def decr_multi(self, deltas: Dict[str, int]) -> Dict[str, Optional[int]]:
         """Batched :meth:`decr`: ``{key: delta}`` with deltas applied negatively."""
         return self._counters({key: -delta for key, delta in deltas.items()},
-                              False)
+                              False, "cache:decr_multi")
 
     def flush_all(self) -> None:
         """Drop every item on every server (dead nodes included) and in the

@@ -1,9 +1,12 @@
 """Causal span tracing on the simulated clock.
 
 A :class:`Tracer` records *spans* — named, nested intervals — at the layer
-seams of the replay pipeline: page renders and fragments in the social
+boundaries of the replay pipeline: page renders and fragments in the social
 application, ORM interception, multi-key cache round trips, trigger-queue
-flush rounds, background refresh recomputes, and cluster fault events.
+flush rounds and background refresh recomputes, plus an *instant* per
+cluster fault.  It is an observer on :mod:`repro.obs.hooks`' chain: a span
+opens on each ``enter`` notification and closes on its ``exit``, and each
+``mark`` is an instant.
 Everything is driven by the replay's own virtual clock plus a global
 monotonic *tick* counter, so traces are deterministic for a deterministic
 replay: no wall-clock reads, no randomness, no thread-identity dependence.
@@ -26,18 +29,20 @@ tracer's own stack is the serial pipeline's — exported as thread 0, the
 same thread id as worker 0, because the serial replay *is* worker 0's
 schedule.
 
-Tracing is **default-off and zero-perturbation by construction**: no tracer
-exists unless the caller passes one in, the instrumented seams check a
-plain attribute against ``None``, and the tracer itself only reads the
-clock — it never advances it, touches an RNG, or changes control flow.
-``tests/obs/test_tracing_differential.py`` pins that a traced replay is
-bit-identical to an untraced one.
+Tracing is **default-off and zero-perturbation by construction**: a tracer
+sees the replay only while the replay engine keeps it subscribed, an
+untraced boundary costs one test of the empty chain, and the tracer itself
+only reads the clock — it never advances it, touches an RNG, or changes
+control flow.  ``tests/obs/test_tracing_differential.py`` pins that a traced
+replay is bit-identical to an untraced one and leaves nothing subscribed.
 """
 
 from __future__ import annotations
 
 import contextlib
 from typing import Any, Callable, Dict, Iterator, List, Optional
+
+from .hooks import Observer
 
 __all__ = ["Span", "SpanStack", "Tracer"]
 
@@ -100,7 +105,7 @@ class Span:
                 f"ticks={self.tick_duration}, args={self.args})")
 
 
-class Tracer:
+class Tracer(Observer):
     """Records causally nested spans against a virtual clock.
 
     ``clock`` is a callable returning virtual seconds (a
@@ -142,6 +147,9 @@ class Tracer:
 
     def begin(self, name: str, **args: Any) -> Span:
         """Open a span on the live stack and return it."""
+        return self._open(name, args)
+
+    def _open(self, name: str, args: Dict[str, Any]) -> Span:
         stack = self.context
         self._tick += 1
         span = Span(name, stack, parent=stack[-1] if stack else None,
@@ -188,6 +196,21 @@ class Tracer:
         span.end_tick = span.start_tick
         self.instants.append(span)
         return span
+
+    # -- the chain's notifications ----------------------------------------------
+
+    def enter(self, label: str, args: Dict[str, Any]) -> None:
+        self._open(label, args)
+
+    def exit(self, label: str, args: Dict[str, Any]) -> None:
+        """End the innermost open span, the one ``enter`` opened with this
+        very ``args`` — unless its worker's stack was already closed."""
+        stack = self.context
+        if stack and stack[-1].args is args:
+            self.end(stack[-1])
+
+    def mark(self, label: str, args: Dict[str, Any]) -> None:
+        self.instant(label, **args)
 
     # -- derived views ----------------------------------------------------------
 

@@ -9,29 +9,31 @@ client streams over N *worker contexts* (the canonical ordering comes from
 :func:`~repro.sim.interleave.interleave_trace` — the same function for one
 worker or many).  Each worker executes its page loads as a cooperative
 coroutine: the application, the cache client, and the transaction manager
-call a ``checkpoint(label)`` hook at operation boundaries (page fragments,
-multi-key cache round trips, statement/commit completion).  There is no
-scheduler thread: the worker that yields publishes its label and asks the
-seeded :class:`~repro.sim.interleave.InterleaveScheduler` *itself* who runs
-next.  Picked again — most decisions under the adversarial policy — it
-just returns: no OS switch, nothing to reinstall.  Otherwise it releases
-the chosen worker's *baton* (a ``threading.Lock`` held from creation) and
-parks on its own: one switch.  A finishing worker passes control on the
-same way; the main thread makes the first pick and sleeps until the end.
+announce a *pause* on :mod:`repro.obs.hooks`' chain at operation boundaries
+(page fragments, multi-key cache round trips, statement/commit completion),
+and for a threaded replay the engine subscribes its yield to the chain.
+There is no scheduler thread: the worker that yields publishes its label
+and asks the seeded :class:`~repro.sim.interleave.InterleaveScheduler`
+*itself* who runs next.  Picked again — most decisions under the
+adversarial policy — it just returns: no OS switch, nothing to reinstall.
+Otherwise it releases the chosen worker's *baton* (a ``threading.Lock``
+held from creation) and parks on its own: one switch.  A finishing worker
+passes control on the same way; the main thread makes the first pick and
+sleeps until the end.
 A thread releases another's baton only as its last act before parking or
 finishing, so exactly one worker runs at any instant — workers are OS
 threads only so that ordinary (non-generator) application code can be
 suspended mid-page — and the interleaving is bit-identical for a fixed
 scheduler seed.  The first failure (a worker's exception, the scheduler's,
 a watchdog's) is recorded rather than thrown across threads: the main
-thread wakes, unwinds the parked workers one at a time, restores every
-seam and context, and raises it (docs/CONCURRENCY.md, "Worker model").
-Where threads can be pinned, all workers run on the CPU the caller was on
+thread wakes, unwinds the parked workers one at a time, unsubscribes the
+yield, restores every context, and raises it (docs/CONCURRENCY.md, "Worker
+model").  Where threads can be pinned, all workers run on the CPU the caller was on
 when the replay began, so a switch resumes the replay on a warm core.
 
 With ``workers=1`` no checkpoint could ever switch control, so the engine
 takes an inline fast path: the single worker's pages run on the calling
-thread with no seams installed and no context switching — bit-for-bit the
+thread with no yield subscribed and no context switching — bit-for-bit the
 historical serial replay, at serial speed — while the scheduler still logs
 one decision per page boundary (the degenerate all-zeros schedule).
 
@@ -65,7 +67,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
-from ..obs.install import install_tracing
+from ..obs import hooks
 from ..obs.tracer import SpanStack
 from ..storage.costmodel import CostCounters
 from ..storage.transactions import TxnContext
@@ -251,9 +253,9 @@ class ConcurrentReplayer:
     Built from an application and its database (plus the optional clock
     advance); ``replay(trace, record=...)`` returns the result shape
     ``simulate_population`` consumes.  ``genie`` (the CacheGenie instance,
-    when the scenario has one) is what lets the engine install
-    cache-round-trip yield points and per-worker trigger-op contexts;
-    without it only app/database boundaries interleave (NoCache).
+    when the scenario has one) is what gives each worker its own trigger-op
+    context and attributes round trips to workers; without it only the
+    app/database boundaries pause (NoCache).
     """
 
     def __init__(
@@ -293,11 +295,10 @@ class ConcurrentReplayer:
         #: at identical simulated instants in every run.
         self.fault_injector = fault_injector
         #: Optional :class:`~repro.obs.Tracer`: when set, ``replay()``
-        #: installs it across every instrumented seam for the duration of
-        #: the replay (:func:`repro.obs.install_tracing`) and installs each
-        #: worker's own span stack on every switch, beside its other
-        #: per-layer contexts.  Default None: tracing off, the historical
-        #: code paths run untouched.
+        #: subscribes it to the boundary chain for the duration of the
+        #: replay and installs each worker's own span stack on every
+        #: switch, beside its other per-layer contexts.  Default None:
+        #: tracing off.
         self.tracer = tracer
         self.recorder = database.recorder
         self.transactions = database.transactions
@@ -370,7 +371,7 @@ class ConcurrentReplayer:
     # -- hooks -----------------------------------------------------------------
 
     def _checkpoint(self, label: str) -> None:
-        """The hook installed on the app/client/transaction seams."""
+        """The yield a threaded replay subscribes to every pause."""
         worker = self._active_worker
         if worker is not None:
             worker.yield_control(label)
@@ -478,12 +479,8 @@ class ConcurrentReplayer:
             _WorkerContext(worker_id=index, replayer=self, page_loads=loads)
             for index, loads in enumerate(self._partition(trace))
         ]
-        if self.tracer is not None:
-            tracing = install_tracing(self.tracer, app=self.app,
-                                      genie=self.genie,
-                                      fault_injector=self.fault_injector)
-        else:
-            tracing = contextlib.nullcontext()
+        tracing = (hooks.subscribed(self.tracer) if self.tracer is not None
+                   else contextlib.nullcontext())
         try:
             with tracing:
                 if self.workers == 1:
@@ -507,7 +504,7 @@ class ConcurrentReplayer:
 
         A single worker can never be preempted — no checkpoint could switch
         control to anyone else — so its pages run on the calling thread
-        with no seams installed and no context switching.  The scheduler is
+        with no yield subscribed and no context switching.  The scheduler is
         still consulted once per page boundary, so the replay carries a
         real (all-zeros) decision log and a deterministic signature.
         """
@@ -536,13 +533,9 @@ class ConcurrentReplayer:
 
         previous_scope = self.recorder.activate_scope(None)
         saved_layers = self._live_layers()
-        saved_app_checkpoint = self.app.checkpoint
-        saved_txn_checkpoint = self.transactions.checkpoint
-        saved_client_checkpoints = [c.checkpoint for c in self.cache_clients]
-        self.app.checkpoint = self._checkpoint
-        self.transactions.checkpoint = self._checkpoint
-        for client in self.cache_clients:
-            client.checkpoint = self._checkpoint
+        # Looked up on the instance now: a shadow set on it is what yields.
+        yielder = hooks.OnPause(self._checkpoint)
+        hooks.subscribe(yielder)
 
         stuck: List[int] = []
         try:
@@ -562,12 +555,8 @@ class ConcurrentReplayer:
                 if worker.thread.is_alive():
                     stuck.append(worker.worker_id)
         finally:
-            # Restore the serial seams exactly as they were.
-            self.app.checkpoint = saved_app_checkpoint
-            self.transactions.checkpoint = saved_txn_checkpoint
-            for client, saved in zip(self.cache_clients,
-                                     saved_client_checkpoints):
-                client.checkpoint = saved
+            hooks.unsubscribe(yielder)
+            for client in self.cache_clients:
                 client.current_worker = None
             self.recorder.activate_scope(previous_scope)
             self._active_worker = None

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from ..errors import TransactionError
+from ..obs import hooks
 from .costmodel import Recorder
 
 
@@ -84,7 +85,10 @@ class TransactionManager:
     The engine is single-threaded per database instance — concurrency in the
     evaluation comes from the discrete-event simulation layer — so at most
     one explicit transaction is open at a time, exactly like one Django
-    worker's connection.
+    worker's connection.  Each outermost statement and each explicit commit
+    ends with a pause on :mod:`repro.obs.hooks`' chain (``db:statement`` /
+    ``db:commit``): a legal point for the concurrent replay engine to run
+    another worker.
     """
 
     def __init__(self, recorder: Recorder) -> None:
@@ -101,20 +105,11 @@ class TransactionManager:
         #: included).  CacheGenie's trigger-op queue flushes/discards here.
         self.on_commit: List[Callable[[], None]] = []
         self.on_abort: List[Callable[[], None]] = []
-        #: Cooperative-scheduling hook (installed only by the concurrent
-        #: replayer): called with a label after each outermost statement
-        #: completes and after each explicit commit, giving the interleave
-        #: scheduler a legal point to run another worker.
-        self.checkpoint: Optional[Callable[[str], None]] = None
         self._statements = (_Statement(self, False), _Statement(self, True))
 
     def _fire(self, callbacks: List[Callable[[], None]]) -> None:
         for callback in list(callbacks):
             callback()
-
-    def _checkpoint(self, label: str) -> None:
-        if self.checkpoint is not None:
-            self.checkpoint(label)
 
     # -- state ----------------------------------------------------------------
 
@@ -186,12 +181,13 @@ class TransactionManager:
             self.committed += 1
             context.current = None
             self._fire(self.on_commit)
-            self._checkpoint("db:commit" if wrote else "db:statement")
-        elif context.depth == 0:
+            if hooks.chain:
+                hooks.pause("db:commit" if wrote else "db:statement")
+        elif context.depth == 0 and hooks.chain:
             # A statement inside an explicit transaction: the transaction
             # stays open, but the statement boundary is still a legal
             # point for another worker to run.
-            self._checkpoint("db:statement")
+            hooks.pause("db:statement")
 
     def commit(self) -> Transaction:
         """Commit the open explicit transaction."""
@@ -206,7 +202,7 @@ class TransactionManager:
         self.committed += 1
         context.current = None
         self._fire(self.on_commit)
-        self._checkpoint("db:commit")
+        hooks.pause("db:commit")
         return txn
 
     def abort(self) -> Transaction:

@@ -43,6 +43,19 @@ class TestFaultEventValidation:
         with pytest.raises(CacheServerError):
             FaultEvent(at=1.0, action="join", node="cache9")
 
+    @pytest.mark.parametrize("action", FAULT_ACTIONS)
+    def test_each_action_refuses_the_other_field(self, action):
+        """A row carries only its own action's field: ``join cache9`` with
+        ``server=cache3`` would join cache3 while describing and tracing
+        itself as cache9, and a ``kill`` carrying a server would drop it."""
+        fields = {"node": "cache9", "server": CacheServer("cache3")}
+        with pytest.raises(CacheServerError):
+            FaultEvent(at=1.0, action=action, **fields)
+        own, target = (("server", "cache3") if action == "join"
+                       else ("node", "cache9"))
+        assert FaultEvent(at=1.0, action=action,
+                          **{own: fields[own]}).target == target
+
     def test_target_names_the_subject(self):
         assert FaultEvent(at=0.0, action="kill", node="cache1").target == "cache1"
         joiner = CacheServer("cache2")

@@ -32,6 +32,7 @@ from repro.core import (AsyncRefreshStrategy, CacheGenie, ExpiryStrategy,
                         InvalidateStrategy, LeasedInvalidateStrategy,
                         UpdateInPlaceStrategy, evaluate_many)
 from repro.memcache import CacheServer
+from repro.obs import hooks
 from repro.orm import CharField, ForeignKey, Model, Registry
 from repro.sim import VirtualClock
 from repro.storage import Database
@@ -131,9 +132,12 @@ class Fleet:
             self.read()
         assert self.strategy.band_for(self.key) == HERD_BAND
 
-    def watch_yields(self) -> None:
-        for client in (self.genie.app_cache, self.genie.trigger_cache):
-            client.checkpoint = self.checkpoints.append
+    def watch_yields(self):
+        """Record this fleet's cache pauses for the ``with`` block."""
+        def note(label: str) -> None:
+            if label.startswith("cache:"):
+                self.checkpoints.append(label)
+        return hooks.subscribed(hooks.OnPause(note))
 
     def state(self) -> Dict[str, Any]:
         genie, queue = self.genie, self.genie.refresh_queue
@@ -154,8 +158,6 @@ class Fleet:
         return self.genie.recorder.total.as_dict()
 
     def close(self) -> None:
-        for client in (self.genie.app_cache, self.genie.trigger_cache):
-            client.checkpoint = None
         self.genie.deactivate()
 
 
@@ -222,10 +224,11 @@ def test_evaluate_is_evaluate_many_on_a_batch_of_one(strategy, state):
         assert single.key == batched.key
         for fleet in fleets:
             prepare(fleet, strategy)
-            fleet.watch_yields()
-
-        assert single.read() == evaluate_many(
-            [(batched.cached, {"owner_id": batched.owner.pk})])[0]
+        with single.watch_yields():
+            value = single.read()
+        with batched.watch_yields():
+            assert value == evaluate_many(
+                [(batched.cached, {"owner_id": batched.owner.pk})])[0]
 
         assert single.state() == batched.state()
         single_totals = single.totals()
@@ -286,8 +289,8 @@ def test_eager_invalidation_is_a_one_key_flush(strategy, state):
         assert eager.key == flushed.key
         for fleet in fleets:
             prepare(fleet, strategy)
-            fleet.watch_yields()
-            fleet.write()
+            with fleet.watch_yields():
+                fleet.write()
 
         assert eager.state() == flushed.state()
         eager_totals = eager.totals()

@@ -10,6 +10,7 @@ from repro.core.cache_classes.base import evaluate_many
 from repro.core.trigger_queue import OpContext
 from repro.core.stats import CachedObjectStats
 from repro.memcache import CacheClient, CacheServer
+from repro.obs import hooks
 from repro.storage.costmodel import Recorder
 
 
@@ -522,9 +523,8 @@ class TestInterleavedFlushContention:
                 queue.flush()  # B commits while A still holds its token
                 queue.context = a
 
-        client.checkpoint = checkpoint
-        assert queue.flush() == 1
-        client.checkpoint = None
+        with hooks.subscribed(hooks.OnPause(checkpoint)):
+            assert queue.flush() == 1
         # Both transactions' mutations landed, in commit order (B then A).
         assert client.get("n") == 111
         assert queue.cas_retry_rounds == 1
@@ -552,8 +552,7 @@ class TestInterleavedFlushContention:
                 flushed_inside.append(queue.flush())
                 queue.context = a
 
-        client.checkpoint = checkpoint
-        queue.flush()
-        client.checkpoint = None
+        with hooks.subscribed(hooks.OnPause(checkpoint)):
+            queue.flush()
         assert flushed_inside == [1]
         assert not a.flushing

@@ -8,7 +8,7 @@ the same.  Three things differ by design:
   ``cache_sets``, ``cache_cas``, ``cache_deletes``, ``cache_leases``, or
   ``trigger_cache_ops`` on the trigger client) instead of one per-server
   batch event plus the per-key ``trigger_cache_batch_ops``;
-* no scheduler yield point (``checkpoint`` is never called);
+* no ``cache:<op>`` boundary, so no pause on the observer chain;
 * no ``cas_multi_mismatch`` event.
 
 Each case runs the single-key call on one fleet and the one-key batched
@@ -17,12 +17,13 @@ call on an identical fleet, then compares everything both left behind.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, NamedTuple, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import pytest
 
 from repro.cluster import GutterPool
 from repro.memcache import CAS_STORED, CacheClient, CacheServer
+from repro.obs import hooks
 from repro.storage.costmodel import Recorder
 
 ITEM_LIMIT = 1024
@@ -44,7 +45,6 @@ class Fleet(NamedTuple):
     recorder: Recorder
     servers: Dict[str, CacheServer]
     gutter: Optional[GutterPool]
-    checkpoints: List[str]
 
 
 def make_fleet(from_trigger: bool, with_gutter: bool) -> Fleet:
@@ -60,10 +60,7 @@ def make_fleet(from_trigger: bool, with_gutter: bool) -> Fleet:
                                          max_item_bytes=ITEM_LIMIT)])
         client.gutter = gutter
     client.current_worker = "w0"
-    checkpoints: List[str] = []
-    client.checkpoint = checkpoints.append
-    return Fleet(client, recorder, {s.name: s for s in servers}, gutter,
-                 checkpoints)
+    return Fleet(client, recorder, {s.name: s for s in servers}, gutter)
 
 
 def key_on(client: CacheClient, node: str) -> str:
@@ -193,6 +190,13 @@ def round_trips_as_single(totals: Dict[str, int], op: Op) -> Dict[str, int]:
     return out
 
 
+def paused(call: Callable[[], Any]) -> Tuple[Any, List[str]]:
+    """``call()``'s result and the pauses it announced."""
+    labels: List[str] = []
+    with hooks.subscribed(hooks.OnPause(labels.append)):
+        return call(), labels
+
+
 def server_stats(fleet: Fleet) -> Dict[str, Dict[str, float]]:
     servers = list(fleet.servers.values())
     if fleet.gutter is not None:
@@ -209,8 +213,11 @@ def test_single_key_call_is_its_batched_twin(op_name, scenario, from_trigger):
     token = setup(single, key)
     assert setup(batched, key) == token
 
-    assert op.single(single.client, key, token) == \
-        op.batched(batched.client, key, token)
+    single_result, single_pauses = paused(
+        lambda: op.single(single.client, key, token))
+    batched_result, batched_pauses = paused(
+        lambda: op.batched(batched.client, key, token))
+    assert single_result == batched_result
 
     assert single.client.stats.as_dict() == batched.client.stats.as_dict()
     assert server_stats(single) == server_stats(batched)
@@ -226,5 +233,5 @@ def test_single_key_call_is_its_batched_twin(op_name, scenario, from_trigger):
     assert round_trips_as_single(single_totals, op) == \
         round_trips_as_single(batched.recorder.total.as_dict(), op)
 
-    assert single.checkpoints == []
-    assert len(batched.checkpoints) == 1
+    assert single_pauses == []
+    assert len(batched_pauses) == 1

@@ -5,9 +5,10 @@ The observability layer's contract is that installing a tracer changes
 the concurrent schedule.  This suite replays every consistency strategy
 (plus the adaptive arm) with and without a tracer, at one and two workers,
 and requires bit-identical fingerprints — the fingerprint
-``tests/sim/test_differential.py`` pins against its golden digests.  It
-also pins what the trace actually contains: every instrumented layer and
-correct per-worker thread attribution.
+``tests/sim/test_differential.py`` pins against its golden digests — and
+that the replay leaves nothing subscribed to the boundary chain.  It also
+pins what the trace actually contains: every instrumented layer and correct
+per-worker thread attribution.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from repro.bench.experiments import (ADAPTIVE_SCENARIO,
                                      ablation_config, run_scenario)
 from repro.bench.scenarios import (LEASED_SCENARIO, Scenario,
                                    UPDATE_SCENARIO)
-from repro.obs import TRACED_MULTI_OPS, Tracer
+from repro.obs import Tracer, hooks
 from repro.sim import ADVERSARIAL, ROUND_ROBIN, ConcurrentReplayer
 from repro.workload import WorkloadGenerator
 
@@ -36,10 +37,8 @@ ADAPTIVE_WORKLOAD = MIXED_HOT_COLD_WORKLOAD.with_overrides(
 
 def replay_once(scenario_name: str, traced: bool, workers: int = 1,
                 policy: str = ROUND_ROBIN):
-    """One replay of the quick contention workload; returns (result, tracer,
-    scenario leak-check snapshot).  Assembled by hand, not through
-    ``run_scenario``: the leak check needs the scenario alive after the
-    replay."""
+    """One replay of the quick contention workload; returns (result,
+    tracer), after checking that the replay left no subscriber behind."""
     config = ablation_config(scenario_name, SeedScale.tiny())
     scenario = Scenario(config).setup()
     try:
@@ -52,30 +51,10 @@ def replay_once(scenario_name: str, traced: bool, workers: int = 1,
             page_interval_seconds=config.page_interval_seconds,
             tracer=tracer)
         result = replayer.replay(trace)
-        leaks = _instrumentation_leaks(scenario)
-        return result, tracer, leaks
+        assert hooks.chain == ()
+        return result, tracer
     finally:
         scenario.teardown()
-
-
-def _instrumentation_leaks(scenario):
-    """Instrumentation state still installed after the replay returned."""
-    leaks = []
-    if scenario.app.tracer is not None:
-        leaks.append("app.tracer")
-    genie = scenario.genie
-    if "try_fetch" in vars(genie.interceptor):
-        leaks.append("interceptor.try_fetch")
-    if genie.trigger_op_queue.tracer is not None:
-        leaks.append("trigger_op_queue.tracer")
-    if genie.refresh_queue.tracer is not None:
-        leaks.append("refresh_queue.tracer")
-    for client_name in ("app_cache", "trigger_cache"):
-        client = getattr(genie, client_name)
-        for op in TRACED_MULTI_OPS:
-            if op in vars(client):
-                leaks.append(f"{client_name}.{op}")
-    return leaks
 
 
 def replay_fingerprint(result):
@@ -99,12 +78,10 @@ class TestTracedReplayIdentical:
                              [(1, ROUND_ROBIN), (2, ADVERSARIAL)])
     def test_traced_identical_per_strategy(self, scenario_name, workers,
                                            policy):
-        untraced, _, _ = replay_once(scenario_name, False, workers, policy)
-        traced, tracer, leaks = replay_once(scenario_name, True, workers,
-                                            policy)
+        untraced, _ = replay_once(scenario_name, False, workers, policy)
+        traced, tracer = replay_once(scenario_name, True, workers, policy)
         assert replay_fingerprint(traced) == replay_fingerprint(untraced)
         assert tracer.finished, "traced replay recorded no spans"
-        assert leaks == []
 
     @pytest.mark.parametrize("workers,policy",
                              [(1, ROUND_ROBIN), (2, ADVERSARIAL)])
@@ -133,6 +110,7 @@ class TestTracedReplayIdentical:
         result_u, fingerprint_u = run(False)
         _result_t, fingerprint_t = run(True)
         assert fingerprint_t == fingerprint_u
+        assert hooks.chain == ()
         # Only meaningful if the band machinery genuinely ran.
         assert result_u.total_counters.band_switches > 0
 
@@ -141,15 +119,15 @@ class TestTraceContents:
     """What a traced replay actually records."""
 
     def test_all_layers_present_for_leased(self):
-        _, tracer, _ = replay_once(LEASED_SCENARIO, True, workers=2,
-                                   policy=ADVERSARIAL)
+        _, tracer = replay_once(LEASED_SCENARIO, True, workers=2,
+                                policy=ADVERSARIAL)
         assert set(tracer.categories()) >= {"page", "app", "orm", "cache",
                                             "trigger", "refresh"}
         assert tracer.dropped == 0
 
     def test_worker_attribution_at_two_workers(self):
-        _, tracer, _ = replay_once(UPDATE_SCENARIO, True, workers=2,
-                                   policy=ADVERSARIAL)
+        _, tracer = replay_once(UPDATE_SCENARIO, True, workers=2,
+                                policy=ADVERSARIAL)
         tids = {span.tid for span in tracer.finished}
         assert tids == {0, 1}
         # Every page span nests its fragments on the same worker's thread.
@@ -158,7 +136,7 @@ class TestTraceContents:
                 assert span.tid == span.parent.tid
 
     def test_serial_replay_traces_on_thread_zero(self):
-        _, tracer, _ = replay_once(UPDATE_SCENARIO, True, workers=1)
+        _, tracer = replay_once(UPDATE_SCENARIO, True, workers=1)
         assert {span.tid for span in tracer.finished} == {0}
         assert tracer.spans_named("trigger:flush")
 
@@ -166,8 +144,8 @@ class TestTraceContents:
         """The Update strategy at 2 adversarial workers is the scenario the
         contention ablation relies on for CAS retries — those rounds must
         be visible as nested trigger:cas_round spans."""
-        result, tracer, _ = replay_once(UPDATE_SCENARIO, True, workers=2,
-                                        policy=ADVERSARIAL)
+        result, tracer = replay_once(UPDATE_SCENARIO, True, workers=2,
+                                     policy=ADVERSARIAL)
         rounds = tracer.spans_named("trigger:cas_round")
         assert rounds
         assert all(r.parent is not None
@@ -180,8 +158,8 @@ class TestTraceContents:
         assert all(r.args["outstanding"] > 0 for r in retry_rounds)
 
     def test_cache_spans_distinguish_app_and_trigger_clients(self):
-        _, tracer, _ = replay_once(UPDATE_SCENARIO, True, workers=2,
-                                   policy=ADVERSARIAL)
+        _, tracer = replay_once(UPDATE_SCENARIO, True, workers=2,
+                                policy=ADVERSARIAL)
         clients = {span.args.get("client")
                    for span in tracer.finished
                    if span.category == "cache"}

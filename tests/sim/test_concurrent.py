@@ -26,7 +26,7 @@ from repro.cluster import (ClusterController, FaultEvent, FaultInjector,
                            FaultSchedule, GutterPool)
 from repro.errors import SimulationError
 from repro.memcache import CacheServer
-from repro.obs import Tracer
+from repro.obs import Tracer, hooks
 from repro.sim import (ADVERSARIAL, ALL_POLICIES, ConcurrentReplayResult,
                        ConcurrentReplayer, InterleaveScheduler, KEY_OVERLAP,
                        RANDOM, ROUND_ROBIN, ReplayResult, interleave_trace,
@@ -114,13 +114,10 @@ class TestSerialEquivalence:
 
     def test_serial_seams_restored_after_replay(self):
         with contention_scenario() as (scenario, config):
-            app_checkpoint = scenario.app.checkpoint
             contexts = layer_contexts(scenario)
             concurrent_replay(scenario, config, workers=2, policy=RANDOM)
-            assert scenario.app.checkpoint is app_checkpoint
-            assert scenario.database.transactions.checkpoint is None
+            assert hooks.chain == ()
             assert_same_objects(layer_contexts(scenario), contexts)
-            assert scenario.genie.app_cache.checkpoint is None
             assert scenario.genie.app_cache.current_worker is None
             # A serial replay on the same stack still works afterwards.
             follow_up = concurrent_replay(scenario, config, workers=1,
@@ -282,9 +279,8 @@ class TestEngineEdges:
                 page_interval_seconds=config.page_interval_seconds)
             with pytest.raises(RuntimeError):
                 replayer.replay(make_trace(config))
-            # The seams are restored even on the error path.
-            assert scenario.database.transactions.checkpoint is None
-            assert scenario.genie.app_cache.checkpoint is None
+            # The yield is unsubscribed even on the error path.
+            assert hooks.chain == ()
 
 
 # -- failure paths of the direct hand-off ----------------------------------------
@@ -298,22 +294,19 @@ def worker_threads():
             if t.name.startswith("replay-worker-")]
 
 
-def assert_stack_restored(scenario: Scenario, app_checkpoint, scope,
-                          contexts, tracer=None):
-    """Every seam, context and scope a threaded replay touches is back:
-    ``contexts`` is :func:`layer_contexts` taken before the replay."""
+def assert_stack_restored(scenario: Scenario, scope, contexts, tracer=None):
+    """Every subscriber, context and scope a threaded replay touches is
+    back: ``contexts`` is :func:`layer_contexts` taken before the replay."""
     transactions = scenario.database.transactions
     queue = scenario.genie.trigger_op_queue
     refresh = scenario.genie.refresh_queue
-    assert scenario.app.checkpoint is app_checkpoint
-    assert transactions.checkpoint is None
+    assert hooks.chain == ()
     assert_same_objects(layer_contexts(scenario, tracer), contexts)
     assert transactions.current is None
     assert queue.pending_count == 0
     # Every worker's refresh backlog was closed: sweeps reach only ours.
     assert refresh._backlogs == [refresh.context]
     for client in (scenario.genie.app_cache, scenario.genie.trigger_cache):
-        assert client.checkpoint is None
         assert client.current_worker is None
     recorder = scenario.database.recorder
     assert recorder.activate_scope(scope) is scope
@@ -422,7 +415,6 @@ class TestHandOffFailures:
         replays = []
         for reuse in (True, False):
             with contention_scenario() as (scenario, config):
-                app_checkpoint = scenario.app.checkpoint
                 contexts = layer_contexts(scenario)
                 scope = CostCounters()
                 scenario.database.recorder.activate_scope(scope)
@@ -444,8 +436,7 @@ class TestHandOffFailures:
                 replays.append(fail_then_replay(
                     failing, failing if reuse else fresh, trace, error))
                 assert swallowed == []
-                assert_stack_restored(scenario, app_checkpoint, scope,
-                                      contexts)
+                assert_stack_restored(scenario, scope, contexts)
         assert replays[0] == replays[1]
 
     def test_worker_error_while_another_is_parked_in_a_transaction(self):
@@ -484,7 +475,6 @@ class TestHandOffFailures:
             transactions.on_abort.insert(0, lambda: aborts.append(
                 (transactions.context, queue.context.key,
                  queue.pending_count)))
-            app_checkpoint = scenario.app.checkpoint
             scope = CostCounters()
             scenario.database.recorder.activate_scope(scope)
             tracer = Tracer(clock=scenario.clock)
@@ -504,8 +494,7 @@ class TestHandOffFailures:
             assert aborts[0][2] > 0
             assert transactions.aborted == 1
             assert BookmarkInstance.objects.count() == saved
-            assert_stack_restored(scenario, app_checkpoint, scope, contexts,
-                                  tracer)
+            assert_stack_restored(scenario, scope, contexts, tracer)
 
     @pytest.mark.parametrize("policy, in_retry_round", [
         (ROUND_ROBIN, False), (ADVERSARIAL, True)])
@@ -527,7 +516,6 @@ class TestHandOffFailures:
                     raise RuntimeError("page exploded")
                 return render(page, user_id)
             scenario.app.render = render_until_parked
-            app_checkpoint = scenario.app.checkpoint
             contexts = layer_contexts(scenario)
             scope = CostCounters()
             scenario.database.recorder.activate_scope(scope)
@@ -540,7 +528,7 @@ class TestHandOffFailures:
             assert time.monotonic() - started < FAILS_WITHIN_SECONDS
             assert scheduler.parked is not None
             assert (scheduler.retry_rounds_at_park > 0) == in_retry_round
-            assert_stack_restored(scenario, app_checkpoint, scope, contexts)
+            assert_stack_restored(scenario, scope, contexts)
             assert audit(scenario, trace) == []
             assert queue.cas_fallbacks > 0
 
@@ -560,7 +548,6 @@ class TestHandOffFailures:
                             0.4)
         unwedge = threading.Event()
         with contention_scenario() as (scenario, config):
-            app_checkpoint = scenario.app.checkpoint
             contexts = layer_contexts(scenario)
             render, calls = scenario.app.render, []
 
@@ -582,8 +569,7 @@ class TestHandOffFailures:
                     replayer.replay(trace)
                 assert time.monotonic() - started < FAILS_WITHIN_SECONDS
                 assert watchdog in str(raised.value.__cause__)
-                assert scenario.app.checkpoint is app_checkpoint
-                assert scenario.database.transactions.checkpoint is None
+                assert hooks.chain == ()
                 assert_same_objects(layer_contexts(scenario), contexts)
             finally:
                 unwedge.set()
@@ -650,7 +636,7 @@ class ContractCheckingScheduler(InterleaveScheduler):
             checkpoint(label)
         scenario.app.render = counting_render
         # Shadowed on the instance, the way the benchmark's span recorder
-        # does it: the engine looks the hook up when it installs the seams.
+        # does it: the engine looks the hook up when it subscribes it.
         replayer._checkpoint = recording_checkpoint
 
     def choose(self, runnable):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import TransactionError
+from repro.obs import hooks
 from repro.storage import ColumnDef, Database, TableSchema
 from repro.storage.transactions import TxnContext
 
@@ -207,9 +208,8 @@ class TestWorkerContexts:
     def test_checkpoint_fires_at_statement_boundaries(self, database):
         labels = []
         database.insert("accounts", {"owner": "zed", "balance": 1})
-        database.transactions.checkpoint = labels.append
-        database.insert("accounts", {"owner": "amy", "balance": 2})
-        database.get_by_pk("accounts", 1)
-        database.transactions.checkpoint = None
+        with hooks.subscribed(hooks.OnPause(labels.append)):
+            database.insert("accounts", {"owner": "amy", "balance": 2})
+            database.get_by_pk("accounts", 1)
         assert labels[0] == "db:commit"      # the write autocommitted
         assert "db:statement" in labels      # the read completed

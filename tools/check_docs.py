@@ -5,7 +5,7 @@ Run from the repository root (CI's docs job does)::
 
     PYTHONPATH=src python tools/check_docs.py
 
-Three checks keep the docs layer from rotting silently:
+Four checks keep the docs layer from rotting silently:
 
 * **Links** — every relative markdown link in ``README.md`` and ``docs/``
   must point at an existing file, and every ``#anchor`` must match a
@@ -18,6 +18,9 @@ Three checks keep the docs layer from rotting silently:
   ``ConsistencyStrategy``, and every ``ConsistencyStrategy`` method a
   built-in strategy overrides (``describe`` excepted) must be listed, so a
   deleted hook cannot linger in the docs and a new one cannot go unlisted.
+* **The yield-point table** in ``docs/CONCURRENCY.md`` — the backticked
+  labels of its second column must be exactly ``repro.obs.hooks.PAUSES``,
+  the pause labels the layers declare.
 
 Exit status 0 when everything passes; a non-zero status lists every broken
 link / failing example on stderr.  No dependencies beyond the standard
@@ -55,6 +58,13 @@ HOOK_TABLE_HEADER = "| hook | responsibility |"
 
 #: A backticked name, e.g. the ``fetch_multi`` of ``fetch_multi(client, …)``.
 _HOOK_NAME_RE = re.compile(r"`(\w+)")
+
+#: The page holding the yield-point table, and the table's header row.
+YIELD_TABLE_DOC = "docs/CONCURRENCY.md"
+YIELD_TABLE_HEADER = "| Boundary | Labels | Announced by |"
+
+#: A whole backticked span, e.g. ``page:<name>``.
+_CODE_SPAN_RE = re.compile(r"`([^`]+)`")
 
 
 def strip_code(text: str) -> str:
@@ -145,11 +155,17 @@ def check_doctests(paths: List[Path]) -> List[str]:
     return errors
 
 
+def table_column(text: str, header: str, column: int) -> List[str]:
+    """The cells of column ``column`` (1-based) of the table under
+    ``header``."""
+    table = text[text.index(header):].split("\n\n", 1)[0]
+    return [row.split("|")[column] for row in table.splitlines()[2:]]
+
+
 def hook_table_names(text: str) -> List[str]:
     """The backticked names in the first column of the hook table."""
-    table = text[text.index(HOOK_TABLE_HEADER):].split("\n\n", 1)[0]
-    return [name for row in table.splitlines()[2:]
-            for name in _HOOK_NAME_RE.findall(row.split("|")[1])]
+    return [name for cell in table_column(text, HOOK_TABLE_HEADER, 1)
+            for name in _HOOK_NAME_RE.findall(cell)]
 
 
 def check_hook_table() -> List[str]:
@@ -175,12 +191,34 @@ def check_hook_table() -> List[str]:
     return errors
 
 
+def yield_table_labels(text: str) -> List[str]:
+    """The backticked labels in the second column of the yield-point
+    table."""
+    return [label for cell in table_column(text, YIELD_TABLE_HEADER, 2)
+            for label in _CODE_SPAN_RE.findall(cell)]
+
+
+def check_yield_table() -> List[str]:
+    """One error per label the table lists but no layer declares, and per
+    declared label the table does not list."""
+    from repro.obs import hooks
+
+    listed = yield_table_labels((REPO_ROOT / YIELD_TABLE_DOC).read_text())
+    return ([f"{YIELD_TABLE_DOC}: the yield-point table lists `{label}`, "
+             f"which is not in repro.obs.hooks.PAUSES"
+             for label in listed if label not in hooks.PAUSES]
+            + [f"{YIELD_TABLE_DOC}: the yield-point table lacks `{label}`, "
+               f"which repro.obs.hooks.PAUSES declares"
+               for label in hooks.PAUSES if label not in listed])
+
+
 def main() -> int:
     paths = doc_paths()
     if not paths:
         print("check_docs: no documentation files found", file=sys.stderr)
         return 1
-    errors = check_links(paths) + check_doctests(paths) + check_hook_table()
+    errors = (check_links(paths) + check_doctests(paths) + check_hook_table()
+              + check_yield_table())
     snippet_count = sum(len(python_snippets(p)) for p in paths)
     if errors:
         for error in errors:
