@@ -118,6 +118,23 @@ class TestLayout:
         tree.check_invariants()
 
 
+@pytest.mark.parametrize("order", [4, 5, 8, 64])
+def test_sequential_keys_split_every_level_alike(order):
+    """Ascending keys (what an auto-assigned pk produces) split only the
+    rightmost node of each level — the leaf, then its parents, then the root:
+    every other node keeps the left half of its split, ``(order + 1) // 2``
+    keys.  Three levels at order 4."""
+    tree = BPlusTree(order)
+    for key in range(40 * order):
+        tree.insert(key, key)
+    tree.check_invariants()
+    level = [tree._root]
+    while not level[0].is_leaf:
+        level = [child for node in level for child in node.children]
+        assert all(len(node.keys) == (order + 1) // 2 for node in level[:-1])
+    assert tree.height >= 3 or order == 64
+
+
 def leaf_count(tree):
     node = tree._root
     while not node.is_leaf:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.errors import PlannerError
 from repro.storage import (ALWAYS_TRUE, And, Between, Comparison, Eq, In,
                            IsNull, Not, Or, predicate_from_filters)
+from tests.storage.scripts import drawn, predicate as random_predicate
 
 
 class TestComparison:
@@ -112,3 +113,29 @@ class TestPredicateFromFilters:
         expected = all(row.get(col) == val for col, val in filters.items())
         assert pred.matches(row) is expected
         assert pred.equality_bindings() == filters
+
+
+class TestCompile:
+    @settings(max_examples=500, deadline=None)
+    @given(predicate=drawn(random_predicate),
+           rows=st.lists(st.dictionaries(
+               st.sampled_from(("id", "a", "b", "k", "missing")),
+               st.one_of(st.none(), st.integers(0, 4))), max_size=6))
+    def test_compiled_predicate_agrees_with_matches(self, predicate, rows):
+        check = predicate.compile()
+        for row in rows:
+            expected = predicate.matches(row)
+            assert (True if check is None else bool(check(row))) == bool(expected)
+
+    def test_equalities_compile_to_closures_and_true_to_no_filter(self):
+        """What the ORM emits on the hot path must not fall back to ``matches``."""
+        assert ALWAYS_TRUE.compile() is None
+        single = Comparison("a", "=", 1)
+        pair = And([Comparison("a", "=", 1), Comparison("b", "=", 2)])
+        for predicate in (single, pair):
+            assert predicate.compile() != predicate.matches
+        assert single.compile()({"a": 1}) and not single.compile()({"a": 2})
+        assert pair.compile()({"a": 1, "b": 2}) and not pair.compile()({"a": 1, "b": 3})
+        # ``= NULL`` matches nothing, not the NULL rows.
+        assert not Comparison("a", "=", None).compile()({"a": None})
+        assert not And([Comparison("a", "=", None)]).compile()({"a": None})
