@@ -10,9 +10,11 @@ Per §3.1 of the paper, a cache class must perform three tasks:
    database (and populating the cache) on a miss, and transform the value
    into what the application expects.
 
-Subclasses (FeatureQuery, LinkQuery, CountQuery, TopKQuery) specialize the
-query template, the affected-key computation, and the incremental update
-logic.  Consistency *policy* lives on the object's
+A cached object is built from its :class:`~repro.orm.template.QueryTemplate`
+alone: the template is the one statement of its query, compiled by
+:meth:`QueryTemplate.query` for every recompute.  Subclasses (FeatureQuery,
+LinkQuery, CountQuery, TopKQuery) specialize the affected-key computation
+and the incremental update logic.  Consistency *policy* lives on the object's
 :class:`~repro.core.strategies.ConsistencyStrategy`: the read path, the
 trigger dispatch, and expiry all go through ``self.strategy`` — a cache
 class never compares strategy names.  The shared plumbing — key naming, CAS
@@ -60,31 +62,22 @@ class CacheClass:
         self,
         name: str,
         genie: "CacheGenie",
-        main_model: type,
-        where_fields: Sequence[str],
+        template: QueryTemplate,
         update_strategy: Any = UPDATE_IN_PLACE,
         use_transparently: bool = True,
         expiry_seconds: Optional[float] = None,
-        template: Optional[QueryTemplate] = None,
-        const_filters: Optional[Dict[str, Any]] = None,
     ) -> None:
-        if not where_fields:
-            raise CacheClassError(
-                f"cached object {name!r} must declare at least one where_field"
-            )
         self.name = name
         self.genie = genie
-        self.main_model = main_model
-        self.where_fields: List[str] = [
-            self._resolve_column(main_model, f) for f in where_fields
-        ]
+        #: The object's query: its shape is read off here, its recompute is
+        #: compiled from it, and interception matches against it.
+        self.template = template
+        self.main_model = template.model
+        self.where_fields: List[str] = list(template.param_fields)
         #: Constant equality filters narrowing the cached rows (e.g. a
         #: ``status="PENDING"`` alongside the Param): part of the query
         #: shape, the key fingerprint, and the trigger row gate.
-        self.const_filters: Dict[str, Any] = {
-            self._resolve_column(main_model, column): value
-            for column, value in (const_filters or {}).items()
-        }
+        self.const_filters: Dict[str, Any] = dict(template.const_filters)
         #: The consistency policy, resolved through the strategy registry;
         #: accepts a registered name or a ConsistencyStrategy instance.
         self.strategy: ConsistencyStrategy = resolve_strategy(update_strategy)
@@ -95,9 +88,6 @@ class CacheClass:
         #: evaluate() parameter name -> storage column, resolved once per
         #: name (a model's fields are fixed, and so bound the map).
         self._param_columns: Dict[str, str] = {}
-        #: The normalized query shape; built lazily (after subclass __init__
-        #: has set shape attributes) when not supplied by the declaration.
-        self._declared_template = template
 
     # -- helpers ---------------------------------------------------------------
 
@@ -140,14 +130,6 @@ class CacheClass:
     def _expire(self, key: Optional[str] = None) -> Optional[float]:
         return self.strategy.expiry_for(self, key=key)
 
-    def _query_filters(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        """Parameter values merged with the declared constant filters."""
-        if not self.const_filters:
-            return params
-        merged = dict(self.const_filters)
-        merged.update(params)
-        return merged
-
     # -- key construction ------------------------------------------------------
 
     def make_key(self, **params: Any) -> str:
@@ -175,11 +157,11 @@ class CacheClass:
         return all(row.get(column) == value
                    for column, value in self.const_filters.items())
 
-    # -- step 1: query generation (subclass responsibility) --------------------
+    # -- step 1: query generation ------------------------------------------------
 
     def compute_from_db(self, params: Dict[str, Any]) -> Any:
         """Compute the cached value for ``params`` from the database."""
-        raise NotImplementedError
+        return self.db.select(self.template.query(params))
 
     # -- step 2: trigger generation ---------------------------------------------
 
@@ -276,24 +258,6 @@ class CacheClass:
         return thaw_rows(value)
 
     # -- transparent interception -------------------------------------------------
-
-    @property
-    def template(self) -> QueryTemplate:
-        """The :class:`QueryTemplate` describing this object's query shape.
-
-        Queryset-native declarations pass the template in; the legacy keyword
-        form (and direct construction) derives an equivalent one here, so
-        *both* declaration styles and interception share one shape definition.
-        """
-        if self._declared_template is None:
-            self._declared_template = self._build_template()
-        return self._declared_template
-
-    def _build_template(self) -> QueryTemplate:
-        """Derive the query shape from this object's declaration parameters."""
-        return QueryTemplate(model=self.main_model, kind="select",
-                             param_fields=tuple(self.where_fields),
-                             const_filters=tuple(sorted(self.const_filters.items())))
 
     def matches(self, description: "QueryDescription") -> Optional[Dict[str, Any]]:
         """Return evaluate() parameters if this object can satisfy the query.

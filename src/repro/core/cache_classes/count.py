@@ -12,9 +12,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, TYPE_CHECKING
 
-from ...orm.template import QueryTemplate
-from ...storage.predicates import predicate_from_filters
-from ...storage.query import CountQuery as StorageCountQuery
 from ..serializer import freeze_value
 from .base import CacheClass
 
@@ -30,11 +27,7 @@ class CountQuery(CacheClass):
     # -- step 1: query generation ------------------------------------------------
 
     def compute_from_db(self, params: Dict[str, Any]) -> int:
-        query = StorageCountQuery(
-            table=self.main_table,
-            predicate=predicate_from_filters(self._query_filters(params)),
-        )
-        return self.db.count(query)
+        return self.db.count(self.template.query(params))
 
     # -- value handling ------------------------------------------------------------
 
@@ -45,11 +38,6 @@ class CountQuery(CacheClass):
         return int(value)
 
     # -- transparent interception ----------------------------------------------------
-
-    def _build_template(self) -> QueryTemplate:
-        return QueryTemplate(model=self.main_model, kind="count",
-                             param_fields=tuple(self.where_fields),
-                             const_filters=tuple(sorted(self.const_filters.items())))
 
     def result_for_application(self, value: int,
                                description: "QueryDescription") -> int:

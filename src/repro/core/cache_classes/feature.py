@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
-from ...storage.predicates import predicate_from_filters
-from ...storage.query import SelectQuery
 from .base import CacheClass
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -25,15 +23,6 @@ class FeatureQuery(CacheClass):
     """Cache full rows of ``main_model`` selected by equality on ``where_fields``."""
 
     cache_class_type = "FeatureQuery"
-
-    # -- step 1: query generation ------------------------------------------------
-
-    def compute_from_db(self, params: Dict[str, Any]) -> List[Dict[str, Any]]:
-        query = SelectQuery(
-            table=self.main_table,
-            predicate=predicate_from_filters(self._query_filters(params)),
-        )
-        return self.db.select(query)
 
     # -- transparent interception --------------------------------------------------
 

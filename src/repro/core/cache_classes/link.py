@@ -8,12 +8,11 @@ frequently executed Link Queries is often beneficial."  (§3.1)
 A LinkQuery is declared as a *chain* starting from a base model (filtered by
 ``where_fields``) and following one or more relationship steps; the cached
 value is the list of rows of the final model in the chain.  Example — the
-bookmarks created by a user's friends::
+bookmarks saved by a user's friends, newest first::
 
-    cacheable(cache_class_type="LinkQuery",
-              main_model="Friendship", where_fields=["from_user_id"],
-              chain=[ChainStep.forward("to_user"),
-                     ChainStep.reverse("BookmarkInstance", "adder")])
+    cacheable(Friendship.objects.filter(from_user_id=Param("from_user_id"))
+              .through("to_user", ("reverse", "BookmarkInstance", "user"))
+              .order_by("-added"))
 
 Triggers are installed on *every* table in the chain; a change anywhere walks
 the chain backwards to find the affected keys, which keeps invalidations
@@ -23,16 +22,10 @@ schemes, §2).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import Any, Dict, List, Optional
 
-from ...errors import CacheClassError
-from ...orm.template import ChainStep, QueryTemplate, coerce_chain_step
-from ...storage.predicates import predicate_from_filters
-from ...storage.query import Join, OrderBy, SelectQuery
+from ...orm.template import ChainStep, resolve_chain_models
 from .base import CacheClass
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ...orm.queryset import QueryDescription
 
 __all__ = ["ChainStep", "LinkQuery"]
 
@@ -42,106 +35,14 @@ class LinkQuery(CacheClass):
 
     cache_class_type = "LinkQuery"
 
-    def __init__(self, *args: Any, chain: Sequence[ChainStep],
-                 order_by: Optional[str] = None,
-                 descending: bool = True,
-                 limit: Optional[int] = None, **kwargs: Any) -> None:
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        if self.const_filters:
-            # Parity with QueryTemplate.from_queryset: chain evaluation does
-            # not apply constant predicates, so accepting one here would
-            # silently cache unfiltered rows under a filtered shape.
-            raise CacheClassError(
-                f"LinkQuery {self.name!r} does not support const_filters; "
-                f"filter the chain's base rows with where_fields only"
-            )
-        if not chain:
-            raise CacheClassError(
-                f"LinkQuery {self.name!r} requires a non-empty relationship chain"
-            )
-        self.chain = [coerce_chain_step(step) for step in chain]
-        self.limit = limit
-        self.descending = descending
         #: Models along the chain, index 0 = base model.
-        self.chain_models: List[type] = [self.main_model]
-        registry = self.main_model._meta.registry
-        for step in self.chain:
-            current = self.chain_models[-1]
-            if step.direction == "forward":
-                field = current._meta.get_field(step.field)
-                target = field.resolve_target(registry)
-            else:
-                target = registry.get_model(step.model_name)
-                # Validate that the FK actually exists on the next model.
-                target._meta.get_field(step.field)
-            self.chain_models.append(target)
+        self.chain_models = resolve_chain_models(self.main_model,
+                                                 self.template.chain)
         self.result_model = self.chain_models[-1]
-        self.order_column = (
-            self._resolve_column(self.result_model, order_by) if order_by else None
-        )
-
-    def _fingerprint(self) -> str:
-        # Include the chain (set lazily after __init__ of the base class runs,
-        # so fall back to the base fingerprint during construction).
-        chain = getattr(self, "chain", None)
-        base = super()._fingerprint()
-        if not chain:
-            return base
-        steps = ",".join(f"{s.direction}:{s.field}:{s.model_name}" for s in chain)
-        return f"{base}|{steps}"
-
-    # -- step 1: query generation ------------------------------------------------
-
-    def _build_joins(self) -> List[Join]:
-        joins: List[Join] = []
-        registry = self.main_model._meta.registry
-        for idx, step in enumerate(self.chain):
-            current = self.chain_models[idx]
-            nxt = self.chain_models[idx + 1]
-            if step.direction == "forward":
-                fk = current._meta.get_field(step.field)
-                joins.append(Join(
-                    left_table=current._meta.db_table,
-                    left_column=fk.column,
-                    right_table=nxt._meta.db_table,
-                    right_column=nxt._meta.pk_column,
-                ))
-            else:
-                fk = nxt._meta.get_field(step.field)
-                joins.append(Join(
-                    left_table=current._meta.db_table,
-                    left_column=current._meta.pk_column,
-                    right_table=nxt._meta.db_table,
-                    right_column=fk.column,
-                ))
-        return joins
-
-    def compute_from_db(self, params: Dict[str, Any]) -> List[Dict[str, Any]]:
-        query = SelectQuery(
-            table=self.main_table,
-            predicate=predicate_from_filters(params),
-            joins=self._build_joins(),
-            select_from=self.result_model._meta.db_table,
-        )
-        if self.order_column:
-            query.order_by = [OrderBy(column=self.order_column, descending=self.descending)]
-        if self.limit is not None:
-            query.limit = self.limit
-        return self.db.select(query)
-
-    # -- transparent interception ---------------------------------------------------
-
-    def _build_template(self) -> QueryTemplate:
-        # The chain makes template.match() always decline: single-table ORM
-        # querysets cannot express joins, so LinkQuery results are fetched
-        # through evaluate() (explicit use), exactly like the paper's opt-out
-        # path.
-        order_by = ((self.order_column, self.descending),) if self.order_column else ()
-        return QueryTemplate(
-            model=self.main_model, kind="select",
-            param_fields=tuple(self.where_fields),
-            order_by=order_by, limit=self.limit, chain=tuple(self.chain),
-        )
+        self.order_column, self.descending = (
+            self.template.order_by[0] if self.template.order_by else (None, True))
 
     # -- trigger generation ------------------------------------------------------------
 
@@ -166,7 +67,7 @@ class LinkQuery(CacheClass):
         """Map rows of chain model ``index`` to connected rows of the base model."""
         current_rows = rows
         for idx in range(index, 0, -1):
-            step = self.chain[idx - 1]
+            step = self.template.chain[idx - 1]
             parent_model = self.chain_models[idx - 1]
             parent_table = parent_model._meta.db_table
             parent_pk = parent_model._meta.pk_column

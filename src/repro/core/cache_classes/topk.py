@@ -13,10 +13,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
-from ...errors import CacheClassError
-from ...orm.template import QueryTemplate
-from ...storage.predicates import predicate_from_filters
-from ...storage.query import OrderBy, SelectQuery
 from .base import CacheClass
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -31,19 +27,13 @@ class TopKQuery(CacheClass):
 
     cache_class_type = "TopKQuery"
 
-    def __init__(self, *args: Any, sort_field: str, k: int,
-                 sort_order: str = "descending",
-                 reserve: int = DEFAULT_RESERVE, **kwargs: Any) -> None:
+    def __init__(self, *args: Any, reserve: int = DEFAULT_RESERVE,
+                 **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        if k < 1:
-            raise CacheClassError(f"TopKQuery {self.name!r} requires k >= 1")
-        if sort_order not in ("ascending", "descending"):
-            raise CacheClassError(
-                f"sort_order must be 'ascending' or 'descending', got {sort_order!r}"
-            )
-        self.sort_column = self._resolve_column(self.main_model, sort_field)
-        self.descending = sort_order == "descending"
-        self.k = k
+        # limit == k encodes the Top-K shape: match() accepts queries wanting
+        # the same ordering and at most K rows.
+        ((self.sort_column, self.descending),) = self.template.order_by
+        self.k = self.template.limit
         self.reserve = reserve
 
     @property
@@ -53,24 +43,9 @@ class TopKQuery(CacheClass):
     # -- step 1: query generation ------------------------------------------------
 
     def compute_from_db(self, params: Dict[str, Any]) -> List[Dict[str, Any]]:
-        query = SelectQuery(
-            table=self.main_table,
-            predicate=predicate_from_filters(self._query_filters(params)),
-            order_by=[OrderBy(column=self.sort_column, descending=self.descending)],
-            limit=self.capacity,
-        )
-        return self.db.select(query)
+        return self.db.select(self.template.query(params, limit=self.capacity))
 
     # -- transparent interception ---------------------------------------------------
-
-    def _build_template(self) -> QueryTemplate:
-        # limit == k encodes the Top-K shape: match() accepts queries wanting
-        # the same ordering and at most K rows.
-        return QueryTemplate(model=self.main_model, kind="select",
-                             param_fields=tuple(self.where_fields),
-                             order_by=((self.sort_column, self.descending),),
-                             limit=self.k,
-                             const_filters=tuple(sorted(self.const_filters.items())))
 
     def result_for_application(self, value: List[Dict[str, Any]],
                                description: "QueryDescription") -> Any:

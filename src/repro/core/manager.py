@@ -33,16 +33,17 @@ forwards to the currently activated CacheGenie instance.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, Optional, Sequence, Union
 
-from ..errors import CacheClassError
+from ..errors import CacheClassError, TemplateError
 from ..memcache.client import CacheClient
 from ..memcache.server import CacheServer
 from ..orm.queryset import QuerySet
 from ..orm.registry import Registry
-from ..orm.template import QueryTemplate
+from ..orm.template import Param, QueryTemplate
 from ..storage.database import Database
-from .cache_classes import BUILTIN_CACHE_CLASSES, CacheClass
+from .cache_classes import (BUILTIN_CACHE_CLASSES, CacheClass, CountQuery,
+                            LinkQuery, TopKQuery)
 from .interception import CacheGenieInterceptor
 from .refresh import RefreshQueue
 from .stats import CacheGenieStats, DeclarationInfo
@@ -74,7 +75,6 @@ class CacheGenie:
         batch_trigger_ops: bool = True,
         pipeline_batches: bool = True,
         cache_address: str = "cache-host:11211",
-        refresh_delay_seconds: float = 0.0,
     ) -> None:
         self.registry = registry
         self.db = database or registry.db
@@ -118,8 +118,7 @@ class CacheGenie:
         #: Background refresh worker for the stale-serving strategies
         #: (leased invalidation, async-refresh): stale reads schedule one
         #: recompute per key here, drained on subsequent cache activity.
-        self.refresh_queue = RefreshQueue(clock=self.now,
-                                          delay_seconds=refresh_delay_seconds)
+        self.refresh_queue = RefreshQueue(clock=self.now)
 
     # -- clock / background refresh ----------------------------------------------
 
@@ -258,21 +257,16 @@ class CacheGenie:
                 f"option(s) {sorted(forbidden)} are derived from the queryset "
                 f"shape; express them in the queryset (filter/order_by/slice/"
                 f"through/count) instead of overriding them")
-        type_name, inferred_params = template.infer_cache_class()
-        inferred_params.update(params)  # shape-neutral options (e.g. reserve=)
-        if template.const_filters:
-            inferred_params["const_filters"] = dict(template.const_filters)
+        cache_class = self._resolve_cache_class(template.infer_cache_class())
         return self._install(
-            cache_class=self._resolve_cache_class(type_name),
-            model=template.model,
-            where_fields=list(template.param_fields),
-            name=name,
+            cache_class, template,
+            name=name or self._default_name(cache_class, template.model,
+                                            template.param_fields),
             update_strategy=update_strategy,
             use_transparently=use_transparently,
             expiry_seconds=expiry_seconds,
-            template=template,
             declared_api=DeclarationInfo.QUERYSET,
-            params=inferred_params,
+            params=params,  # shape-neutral options (e.g. reserve=)
         )
 
     def _cacheable_legacy(
@@ -288,73 +282,73 @@ class CacheGenie:
     ) -> CacheClass:
         """The paper's keyword form: a thin adapter over the template path.
 
-        The cache class is named explicitly instead of inferred; the object
-        derives its :class:`QueryTemplate` from those keywords, so matching
-        and duplicate detection behave identically to the queryset form.
+        The cache class is named explicitly instead of inferred; the keywords
+        become the :class:`QueryTemplate` the queryset form would build, so
+        construction, matching and duplicate detection are the same.
         """
+        cache_class = self._resolve_cache_class(cache_class_type)
         model = (self.registry.get_model(main_model)
                  if isinstance(main_model, str) else main_model)
+        try:
+            template = _keyword_template(cache_class, model, where_fields,
+                                         params)
+        except TemplateError as exc:
+            raise CacheClassError(
+                f"invalid {cache_class_type} declaration: {exc}") from exc
         return self._install(
-            cache_class=self._resolve_cache_class(cache_class_type),
-            model=model,
-            where_fields=list(where_fields),
-            name=name,
+            cache_class, template,
+            name=name or self._default_name(cache_class, model, where_fields),
             update_strategy=update_strategy,
             use_transparently=use_transparently,
             expiry_seconds=expiry_seconds,
-            template=None,  # derived by the cache class from its parameters
             declared_api=DeclarationInfo.KEYWORDS,
-            params=dict(params),
+            params=params,
         )
 
-    def _install(self, cache_class: type, model: type, where_fields: List[str],
-                 name: Optional[str], update_strategy: Optional[str],
-                 use_transparently: bool, expiry_seconds: Optional[float],
-                 template: Optional[QueryTemplate], declared_api: str,
+    def _install(self, cache_class: type, template: QueryTemplate, name: str,
+                 update_strategy: Optional[str], use_transparently: bool,
+                 expiry_seconds: Optional[float], declared_api: str,
                  params: Dict[str, Any]) -> CacheClass:
         """Shared tail of both declaration paths: build, check, install."""
         if not self._activated:
             self.activate()
-        object_name = name or self._default_name(
-            cache_class.cache_class_type, model, where_fields)
-        if object_name in self.cached_objects:
-            raise CacheClassError(f"cached object {object_name!r} already defined")
+        if name in self.cached_objects:
+            raise CacheClassError(f"cached object {name!r} already defined")
         cached_object = cache_class(
-            name=object_name,
+            name=name,
             genie=self,
-            main_model=model,
-            where_fields=where_fields,
+            template=template,
             update_strategy=update_strategy or self.default_strategy,
             use_transparently=use_transparently,
             expiry_seconds=expiry_seconds,
-            template=template,
             **params,
         )
         shape = cached_object.template.shape_fingerprint()
         existing = self._shapes.get(shape)
         if existing is not None:
             raise CacheClassError(
-                f"cached objects {existing!r} and {object_name!r} declare the "
+                f"cached objects {existing!r} and {name!r} declare the "
                 f"same query shape [{shape}]; a second declaration would only "
                 f"install redundant triggers (the first-registered object "
                 f"serves all matching queries)")
-        self.cached_objects[object_name] = cached_object
-        self.stats.per_object[object_name] = cached_object.stats
-        self.stats.declarations[object_name] = DeclarationInfo(
+        self.cached_objects[name] = cached_object
+        self.stats.per_object[name] = cached_object.stats
+        self.stats.declarations[name] = DeclarationInfo(
             api=declared_api,
             cache_class=cache_class.cache_class_type,
             inferred=declared_api == DeclarationInfo.QUERYSET,
             shape=shape,
         )
-        self._shapes[shape] = object_name
+        self._shapes[shape] = name
         self.trigger_generator.install_for(cached_object)
         self.interceptor.register(cached_object)
         return cached_object
 
-    def _default_name(self, cache_class_type: str, model: type,
+    @staticmethod
+    def _default_name(cache_class: type, model: type,
                       where_fields: Sequence[str]) -> str:
-        return f"{cache_class_type.lower()}_{model.__name__.lower()}_by_" + \
-            "_".join(where_fields)
+        return (f"{cache_class.cache_class_type.lower()}_"
+                f"{model.__name__.lower()}_by_" + "_".join(where_fields))
 
     def remove_cached_object(self, name: str) -> None:
         """Drop a cached object, its triggers, its interception, and its stats."""
@@ -437,6 +431,49 @@ class CacheGenie:
             f"<CacheGenie {self.cached_object_count} cached objects, "
             f"{self.trigger_count} triggers>"
         )
+
+
+def _keyword_template(cache_class: type, model: type,
+                      where_fields: Sequence[str],
+                      params: Dict[str, Any]) -> QueryTemplate:
+    """The paper's keyword form as the queryset it stands for.
+
+    Pops the shape keywords of ``cache_class``'s family out of ``params``
+    (what is left is shape-neutral, such as ``reserve=``) and normalizes the
+    queryset with :meth:`QueryTemplate.from_queryset`, the validator the
+    queryset form goes through.
+    """
+    queryset = model.objects.filter(
+        **{field: Param(field) for field in where_fields})
+    queryset = queryset.filter(**(params.pop("const_filters", None) or {}))
+    type_name = cache_class.cache_class_type
+    if issubclass(cache_class, LinkQuery):
+        chain = params.pop("chain", None)
+        if not chain:
+            raise CacheClassError(
+                f"{type_name} requires a non-empty relationship chain")
+        queryset = queryset.through(*chain)
+        order_by = params.pop("order_by", None)
+        descending = params.pop("descending", True)
+        if order_by is not None:
+            queryset = queryset.order_by(("-" if descending else "") + order_by)
+        limit = params.pop("limit", None)
+        if limit is not None:
+            queryset = queryset[:limit]
+    elif issubclass(cache_class, TopKQuery):
+        sort_order = params.pop("sort_order", "descending")
+        if sort_order not in ("ascending", "descending"):
+            raise CacheClassError(
+                f"sort_order must be 'ascending' or 'descending', got "
+                f"{sort_order!r}")
+        if "sort_field" not in params or "k" not in params:
+            raise CacheClassError(f"{type_name} requires sort_field= and k=")
+        sign = "-" if sort_order == "descending" else ""
+        queryset = queryset.order_by(sign + params.pop("sort_field"))
+        queryset = queryset[:params.pop("k")]
+    if issubclass(cache_class, CountQuery):
+        return queryset.count()
+    return QueryTemplate.from_queryset(queryset)
 
 
 # -- module-level cacheable(), like the paper's free function -----------------------

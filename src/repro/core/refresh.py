@@ -62,17 +62,16 @@ class RefreshContext:
 class RefreshQueue:
     """Deduplicated queue of pending background recomputes.
 
-    ``clock`` is a callable returning virtual seconds (the genie's clock);
-    ``delay_seconds`` models the latency between scheduling a refresh and
-    the background worker completing it — with the default of 0 the refresh
-    is applied at the next drain point (still never on the critical path of
-    the read that scheduled it).
+    ``clock`` is a callable returning virtual seconds (the genie's clock).
+    A refresh is applied at the next drain point, never on the critical
+    path of the read that scheduled it.
     """
 
-    def __init__(self, clock: Callable[[], float],
-                 delay_seconds: float = 0.0) -> None:
+    def __init__(self, clock: Callable[[], float]) -> None:
         self.clock = clock
-        self.delay_seconds = float(delay_seconds)
+        #: Latency between scheduling a refresh and the background worker
+        #: completing it; tests raise it to hold a refresh back.
+        self.delay_seconds = 0.0
         #: The live refresh thread's backlog.
         self.context = RefreshContext()
         #: Every backlog not yet closed — the live one and any paused

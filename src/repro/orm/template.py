@@ -19,19 +19,24 @@ equality filter only                         FeatureQuery
 ``.through(...)`` relationship chain         LinkQuery
 ===========================================  ==============
 
-:class:`QueryTemplate` is the single normalization layer: the declaration
-path builds one from the queryset, and transparent interception matches
-incoming :class:`~repro.orm.queryset.QueryDescription` objects against the
-very same object (``QueryTemplate.match``), so a declaration and the
+:class:`QueryTemplate` is the single normalization layer and a cached
+object's only statement of its query: both declaration forms build one,
+the cache class is constructed from it, every recompute is compiled from it
+(``QueryTemplate.query``), and transparent interception matches incoming
+:class:`~repro.orm.queryset.QueryDescription` objects against the very same
+object (``QueryTemplate.match``), so a declaration, its recompute and the
 interceptor can never disagree about which queries a cached object serves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple, TYPE_CHECKING
+from functools import cached_property
+from typing import Any, Dict, Optional, Tuple, TYPE_CHECKING, Union
 
 from ..errors import CacheClassError, TemplateError
+from ..storage.predicates import predicate_from_filters
+from ..storage.query import CountQuery, Join, OrderBy, SelectQuery
 
 if TYPE_CHECKING:  # pragma: no cover
     from .queryset import QueryDescription, QuerySet
@@ -236,27 +241,59 @@ class QueryTemplate:
 
     # -- shape inference -------------------------------------------------------
 
-    def infer_cache_class(self) -> Tuple[str, Dict[str, Any]]:
-        """Return ``(cache_class_type, constructor_kwargs)`` for this shape."""
+    def infer_cache_class(self) -> str:
+        """The name of the built-in cache class this shape declares; the
+        class reads the rest of its shape off the template."""
         if self.chain:
-            kwargs: Dict[str, Any] = {"chain": list(self.chain)}
-            if self.order_by:
-                column, descending = self.order_by[0]
-                kwargs["order_by"] = column
-                kwargs["descending"] = descending
-            if self.limit is not None:
-                kwargs["limit"] = self.limit
-            return "LinkQuery", kwargs
+            return "LinkQuery"
         if self.kind == "count":
-            return "CountQuery", {}
+            return "CountQuery"
         if self.limit is not None:
-            column, descending = self.order_by[0]
-            return "TopKQuery", {
-                "sort_field": column,
-                "sort_order": "descending" if descending else "ascending",
-                "k": self.limit,
-            }
-        return "FeatureQuery", {}
+            return "TopKQuery"
+        return "FeatureQuery"
+
+    # -- compilation -----------------------------------------------------------
+
+    def query(self, params: Dict[str, Any],
+              limit: Optional[int] = None) -> Union[SelectQuery, CountQuery]:
+        """The storage query this shape stands for, with ``params`` bound.
+
+        The one compile of a cached object's query: every recompute runs it
+        through ``Database.select``/``Database.count``.  The predicate holds
+        the constant filters first, then ``params`` in the caller's order;
+        the chain becomes inner joins returning the final model's rows.
+        ``limit`` overrides the template's own (Top-K fetches its reserve
+        rows too).
+        """
+        filters = dict(self.const_filters)
+        filters.update(params)
+        predicate = predicate_from_filters(filters)
+        if self.kind == "count":
+            return CountQuery(table=self.table, predicate=predicate)
+        joins, select_from = self._joins
+        return SelectQuery(
+            table=self.table, predicate=predicate, joins=list(joins),
+            select_from=select_from,
+            order_by=[OrderBy(column=c, descending=d) for c, d in self.order_by],
+            limit=self.limit if limit is None else limit)
+
+    @cached_property
+    def _joins(self) -> Tuple[Tuple[Join, ...], Optional[str]]:
+        """The chain as equi-joins, and the table whose rows they return."""
+        if not self.chain:
+            return (), None
+        models = resolve_chain_models(self.model, self.chain)
+        joins = []
+        for step, here, there in zip(self.chain, models, models[1:]):
+            if step.direction == "forward":
+                joins.append(Join(here._meta.db_table,
+                                  here._meta.get_field(step.field).column,
+                                  there._meta.db_table, there._meta.pk_column))
+            else:
+                joins.append(Join(here._meta.db_table, here._meta.pk_column,
+                                  there._meta.db_table,
+                                  there._meta.get_field(step.field).column))
+        return tuple(joins), models[-1]._meta.db_table
 
     # -- shape identity --------------------------------------------------------
 

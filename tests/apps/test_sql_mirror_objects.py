@@ -10,12 +10,13 @@ object, LinkQuery's join chain included, against an engine written elsewhere.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from repro.apps.social.cached_objects import EXPECTED_CACHED_OBJECTS
-from repro.apps.social.models import FriendshipInvitation
-from repro.orm.template import QueryTemplate, resolve_chain_models
+from repro.apps.social.models import Friendship, FriendshipInvitation, WallPost
+from repro.orm.template import Param, QueryTemplate, resolve_chain_models
 from repro.storage import CountQuery, Join, OrderBy, SelectQuery
 from repro.storage.predicates import And, Comparison
 from tests.sqlmirror import Mirror, bag
@@ -52,6 +53,42 @@ def test_every_recompute_agrees_with_sqlite(social_genie):
         for user in users:
             query = template_query(obj.template, {column: user})
             mirror.expect(db, query)(obj._present(obj.compute_from_db({column: user})))
+
+
+def test_shapes_the_app_never_declares_agree_with_sqlite(social_genie):
+    """Ascending Top-K with its reserve rows (LIMIT k + reserve), a LinkQuery
+    ordered and limited, and constant-filtered Feature and Count shapes."""
+    genie, db = social_genie["genie"], social_genie["database"]
+    pending = FriendshipInvitation.STATUS_PENDING
+    users = range(1, social_genie["seed"].users + 1)
+    for user in users:                    # rows the constant filter drops
+        FriendshipInvitation(from_user_id=user % len(users) + 1,
+                             to_user_id=user,
+                             status=FriendshipInvitation.STATUS_DECLINED).save()
+    invitations = FriendshipInvitation.objects.filter(
+        to_user_id=Param("to_user_id"), status=pending)
+    declared = [
+        genie.cacheable(WallPost.objects.filter(user_id=Param("user_id"))
+                        .order_by("date_posted")[:1],
+                        name="oldest_wall_post", reserve=1),
+        genie.cacheable(Friendship.objects.filter(
+            from_user_id=Param("from_user_id"))
+            .through("to_user", ("reverse", "BookmarkInstance", "user"))
+            .order_by("added")[:3], name="first_friend_bookmarks"),
+        genie.cacheable(invitations, name="pending_invitations"),
+        genie.cacheable(invitations.count(), name="pending_invitations_count"),
+    ]
+    assert declared[0].template.limit == 1 and declared[0].capacity == 2
+    mirror = Mirror.of(db)
+    for obj in declared:
+        (column,) = obj.template.param_fields
+        template = replace(obj.template,
+                           limit=getattr(obj, "capacity", obj.template.limit))
+        for user in users:
+            query = template_query(template, {column: user})
+            mirror.expect(db, query)(obj.compute_from_db({column: user}))
+    assert max(len(declared[0].compute_from_db({"user_id": user}))
+               for user in users) == 2
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(

@@ -40,6 +40,12 @@ class TestDefinition:
             stack["genie"].cacheable(cache_class_type="LinkQuery", main_model="Edge",
                                      where_fields=["src_id"], chain=[])
 
+    def test_const_filters_on_a_chain_rejected(self, stack):
+        with pytest.raises(CacheClassError, match="constant filters"):
+            stack["genie"].cacheable(cache_class_type="LinkQuery", main_model="Edge",
+                                     where_fields=["src_id"], const_filters={"dst_id": 1},
+                                     chain=[ChainStep.forward("dst")])
+
     def test_reverse_step_requires_model_name(self):
         with pytest.raises(CacheClassError):
             ChainStep(direction="reverse", field="owner")

@@ -5,8 +5,8 @@ import inspect
 
 import pytest
 
-from repro.core import (CacheGenie, CountQuery, FeatureQuery, LinkQuery, Param,
-                        TopKQuery, cacheable)
+from repro.core import (CacheGenie, ChainStep, CountQuery, FeatureQuery,
+                        LinkQuery, Param, TopKQuery, cacheable)
 from repro.errors import CacheClassError, TemplateError
 
 
@@ -236,18 +236,72 @@ class TestAccountingLifecycle:
         genie.activate()  # leave the fixture something consistent to tear down
 
 
+def query_fields(value):
+    """A storage query (or any part of one) as nested plain values."""
+    if isinstance(value, list):
+        return [query_fields(part) for part in value]
+    if hasattr(value, "__dict__"):
+        return type(value).__name__, {name: query_fields(part)
+                                      for name, part in vars(value).items()}
+    return value
+
+
+#: One shape per cache class (and one with constant filters, declared in
+#: unsorted order): the paper's keywords, and the same query as a queryset.
+BOTH_FORMS = {
+    "FeatureQuery": (
+        dict(cache_class_type="FeatureQuery", main_model="Profile",
+             where_fields=["person_id"]),
+        lambda s: s["Profile"].objects.filter(person_id=Param("person_id"))),
+    "CountQuery": (
+        dict(cache_class_type="CountQuery", main_model="Item",
+             where_fields=["owner_id"]),
+        lambda s: s["Item"].objects.filter(owner_id=Param("o")).count()),
+    "TopKQuery": (
+        dict(cache_class_type="TopKQuery", main_model="Wall",
+             where_fields=["person_id"], sort_field="posted", k=5),
+        lambda s: s["Wall"].objects.filter(person_id=Param("person_id"))
+        .order_by("-posted")[:5]),
+    "LinkQuery": (
+        dict(cache_class_type="LinkQuery", main_model="Edge",
+             where_fields=["src_id"],
+             chain=[ChainStep.forward("dst"), ChainStep.reverse("Item", "owner")],
+             order_by="rank", descending=False, limit=2),
+        lambda s: s["Edge"].objects.filter(src_id=Param("src_id"))
+        .through("dst", ("reverse", "Item", "owner")).order_by("rank")[:2]),
+    "CountQuery-consts": (
+        dict(cache_class_type="CountQuery", main_model="Item",
+             where_fields=["owner"], const_filters={"rank": 1, "label": "x"}),
+        lambda s: s["Item"].objects.filter(owner_id=Param("o"), label="x",
+                                           rank=1).count()),
+}
+
+
 class TestLegacyAdapter:
-    def test_legacy_and_queryset_forms_share_one_template_shape(self, stack):
-        genie, Wall = stack["genie"], stack["Wall"]
-        legacy = genie.cacheable(
-            cache_class_type="TopKQuery", main_model="Wall",
-            where_fields=["person_id"], sort_field="posted", k=5,
-            name="legacy_topk")
-        native_template = Wall.objects.filter(person_id=Param("person_id")) \
-            .order_by("-posted")[:5]
-        from repro.orm import QueryTemplate
-        assert legacy.template.shape_fingerprint() == \
-            QueryTemplate.from_queryset(native_template).shape_fingerprint()
+    @pytest.mark.parametrize("shape", sorted(BOTH_FORMS))
+    def test_legacy_and_queryset_forms_share_one_template_shape(
+            self, stack, monkeypatch, shape):
+        genie = stack["genie"]
+        keywords, queryset = BOTH_FORMS[shape]
+
+        def declare(*args, **kwargs):
+            """Declare, recompute one key, remove; what the object was."""
+            cached = genie.cacheable(*args, name="both", **kwargs)
+            sent = []
+            for op in ("select", "count"):
+                run = getattr(genie.db, op)
+                monkeypatch.setattr(genie.db, op, lambda query, run=run: (
+                    sent.append(query_fields(query)), run(query))[1])
+            cached.compute_from_db({cached.where_fields[0]: 1})
+            monkeypatch.undo()
+            genie.remove_cached_object("both")
+            return (cached.template, cached.template.shape_fingerprint(),
+                    cached.keys.prefix, sent)
+
+        legacy = declare(**keywords)
+        native = declare(queryset(stack))
+        assert legacy == native
+        assert len(legacy[3]) == 1
 
     def test_legacy_positional_form_still_works(self, stack):
         cached = stack["genie"].cacheable("FeatureQuery", "Profile", ["person_id"])

@@ -9,7 +9,7 @@ from repro.orm import (CharField, FloatTimestampField, ForeignKey, IntegerField,
                        Model, Param, QueryTemplate, Registry)
 from repro.orm.queryset import QueryDescription
 from repro.orm.template import ChainStep, coerce_chain_step, resolve_chain_models
-from repro.storage import Database
+from repro.storage import CountQuery, Database
 
 _COUNTER = itertools.count()
 
@@ -86,48 +86,45 @@ class TestShapeNormalization:
         assert template.kind == "select"
         assert template.param_fields == ("author_id",)
         assert template.limit is None and not template.chain
-        assert template.infer_cache_class()[0] == "FeatureQuery"
+        assert template.infer_cache_class() == "FeatureQuery"
 
     def test_count_terminal_is_count_shape(self, models):
         Post = models["Post"]
         template = Post.objects.filter(author_id=Param("author_id")).count()
         assert isinstance(template, QueryTemplate)
         assert template.kind == "count"
-        assert template.infer_cache_class()[0] == "CountQuery"
+        assert template.infer_cache_class() == "CountQuery"
 
     def test_ordered_slice_is_topk_shape(self, models):
         Post = models["Post"]
         template = QueryTemplate.from_queryset(
             Post.objects.filter(author_id=Param("author_id"))
             .order_by("-posted")[:7])
-        type_name, params = template.infer_cache_class()
-        assert type_name == "TopKQuery"
-        assert params == {"sort_field": "posted", "sort_order": "descending",
-                          "k": 7}
+        assert template.infer_cache_class() == "TopKQuery"
+        assert template.order_by == (("posted", True),)
+        assert template.limit == 7
 
     def test_ascending_order_inferred(self, models):
         Post = models["Post"]
         template = QueryTemplate.from_queryset(
             Post.objects.filter(author_id=Param("author_id"))
             .order_by("score")[:3])
-        assert template.infer_cache_class()[1]["sort_order"] == "ascending"
+        assert template.order_by == (("score", False),)
 
     def test_through_chain_is_link_shape(self, models):
         Author, Post = models["Author"], models["Post"]
         template = QueryTemplate.from_queryset(
             Post.objects.filter(author_id=Param("author_id")).through("author"))
-        type_name, params = template.infer_cache_class()
-        assert type_name == "LinkQuery"
-        assert params["chain"] == [ChainStep.forward("author")]
+        assert template.infer_cache_class() == "LinkQuery"
+        assert template.chain == (ChainStep.forward("author"),)
 
     def test_reverse_chain_with_ordering(self, models):
         Author = models["Author"]
         template = QueryTemplate.from_queryset(
             Author.objects.filter(id=Param("id"))
             .through(("reverse", "Post", "author")).order_by("-posted"))
-        type_name, params = template.infer_cache_class()
-        assert type_name == "LinkQuery"
-        assert params["order_by"] == "posted" and params["descending"] is True
+        assert template.infer_cache_class() == "LinkQuery"
+        assert template.order_by == (("posted", True),)
 
     def test_order_by_after_through_resolves_on_chain_target(self, models):
         Author = models["Author"]
@@ -250,6 +247,41 @@ class TestShapeFingerprint:
                 base.through("author")).shape_fingerprint(),
         }
         assert len(shapes) == 5
+
+
+class TestCompile:
+    """``QueryTemplate.query()``, the one compile of every recompute."""
+
+    def test_constant_filters_come_before_the_parameters(self, models):
+        Post = models["Post"]
+        template = QueryTemplate.from_queryset(
+            Post.objects.filter(author_id=Param("a"), title="t", score=1))
+        query = template.query({"author_id": 7})
+        assert [(c.column, c.value) for c in query.predicate.children] == [
+            ("score", 1), ("title", "t"), ("author_id", 7)]
+        assert (query.joins, query.select_from, query.order_by,
+                query.limit) == ([], None, [], None)
+
+    def test_count_and_top_k(self, models):
+        Post = models["Post"]
+        base = Post.objects.filter(author_id=Param("a"))
+        assert isinstance(base.count().query({"author_id": 1}), CountQuery)
+        top = QueryTemplate.from_queryset(base.order_by("-posted")[:3])
+        query = top.query({"author_id": 1})
+        assert [(o.column, o.descending) for o in query.order_by] == [
+            ("posted", True)]
+        assert query.limit == 3
+        assert top.query({"author_id": 1}, limit=8).limit == 8
+
+    def test_chain_becomes_joins_returning_the_last_model(self, models):
+        Author, Post = models["Author"], models["Post"]
+        query = QueryTemplate.from_queryset(
+            Author.objects.filter(id=Param("id"))
+            .through(("reverse", "Post", "author"))).query({"id": 1})
+        authors, posts = Author._meta.db_table, Post._meta.db_table
+        assert [(j.left_table, j.left_column, j.right_table, j.right_column)
+                for j in query.joins] == [(authors, "id", posts, "author_id")]
+        assert query.select_from == posts
 
 
 class TestTemplateMatching:

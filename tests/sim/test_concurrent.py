@@ -10,6 +10,7 @@ import os
 import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -24,6 +25,7 @@ from repro.bench.scenarios import (INVALIDATE_SCENARIO, LEASED_SCENARIO,
                                    UPDATE_SCENARIO)
 from repro.cluster import (ClusterController, FaultEvent, FaultInjector,
                            FaultSchedule, GutterPool)
+from repro.core import LinkQuery
 from repro.errors import SimulationError
 from repro.memcache import CacheServer
 from repro.obs import Tracer, hooks
@@ -830,16 +832,20 @@ def fault_instants(interval: float, pages: int, start: float, plan):
     return [running[mark] for mark in marks]
 
 
-def canonical(value):
-    """Row lists as sets of distinct rows: ``LinkQuery`` keeps one copy of a
-    row the database join repeats per duplicate friendship edge."""
+def canonical(value, distinct: bool):
+    """Row lists as multisets of rows, or as sets of distinct rows."""
     if isinstance(value, list):
-        return sorted({tuple(sorted(row.items())) for row in value})
+        rows = (tuple(sorted(row.items())) for row in value)
+        return set(rows) if distinct else Counter(rows)
     return value
 
 
-def audit(scenario: Scenario, trace: WorkloadTrace):
-    """Every traced user x every cached object, cached versus recomputed."""
+def audit(scenario: Scenario, trace: WorkloadTrace,
+          links_distinct: bool = True):
+    """Every traced user x every cached object, cached versus recomputed, as
+    multisets; ``links_distinct`` compares a ``LinkQuery`` as a set, because
+    it keeps one copy of a row the database join repeats per duplicate
+    friendship edge."""
     genie, mismatches = scenario.genie, []
     for user_id in trace.distinct_users():
         for name, cached_object in genie.cached_objects.items():
@@ -847,7 +853,8 @@ def audit(scenario: Scenario, trace: WorkloadTrace):
             cached = cached_object.evaluate(**params)
             genie.app_cache.delete(cached_object.make_key(**params))
             fresh = cached_object.evaluate(**params)
-            if canonical(cached) != canonical(fresh):
+            distinct = links_distinct and isinstance(cached_object, LinkQuery)
+            if canonical(cached, distinct) != canonical(fresh, distinct):
                 mismatches.append(f"{name}({user_id})")
     return mismatches
 
@@ -864,7 +871,8 @@ class StatusRecordingScheduler(InterleaveScheduler):
         return super().choose(runnable)
 
 
-def replay_through_faults(name: str, plan, workers: int):
+def replay_through_faults(name: str, plan, workers: int,
+                          links_distinct: bool = True):
     """``workers`` replay while ``plan``'s faults fire behind a gutter pool;
     returns the result, what the other workers were parked at when each
     fault fired, the controller's counters and the audit."""
@@ -900,7 +908,8 @@ def replay_through_faults(name: str, plan, workers: int):
         result = replayer.replay(trace)
         assert ([(event.action, event.node) for event in injector.fired]
                 == [(action, node) for _fraction, action, node in plan])
-        return result, parked, controller.counters(), audit(scenario, trace)
+        return (result, parked, controller.counters(),
+                audit(scenario, trace, links_distinct))
 
 
 def replay_twice_through_faults(name: str, plan, workers: int):
@@ -946,4 +955,13 @@ class TestNodeFaults:
         cached object equals its recompute once both nodes are back."""
         _parked, _counters, mismatches = replay_twice_through_faults(
             name, FAULT_PLANS[plan], workers)
+        assert mismatches == []
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "LinkQuery._append_row dedups by primary key: once AcceptFR has "
+        "written a friendship edge twice, the database join repeats a "
+        "friend's new bookmark and friend_bookmarks holds it once"))
+    def test_link_queries_keep_the_joins_multiplicity(self):
+        *_, mismatches = replay_through_faults(
+            UPDATE_SCENARIO, SINGLE_FAULT, workers=2, links_distinct=False)
         assert mismatches == []
