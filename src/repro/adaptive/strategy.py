@@ -68,7 +68,7 @@ and only when representations actually differ:
 
 Counted as ``band_switches`` (every reclassification) and
 ``adaptive_migrations`` (switches that actually converted a cached value) on
-the cache client's stats and the cost recorder.
+the cost recorder.
 """
 
 from __future__ import annotations
@@ -280,7 +280,6 @@ class AdaptiveStrategy(ConsistencyStrategy):
         self.band_switches += 1
         self.switch_log.append((key, old_band, new_band))
         client = cached_object.app_cache
-        client.stats.band_switches += 1
         client.recorder.record("band_switches")
         self._migrate(cached_object, client, key, old_band, new_band, params)
 
@@ -329,7 +328,6 @@ class AdaptiveStrategy(ConsistencyStrategy):
         else:
             return  # cold <-> herd: same raw representation, nothing moves
         self.migrations += 1
-        client.stats.adaptive_migrations += 1
         client.recorder.record("adaptive_migrations")
 
     # -- storage ---------------------------------------------------------------

@@ -105,19 +105,22 @@ class ScenarioRun:
 
 
 def client_totals(scenario: Scenario) -> Dict[str, float]:
-    """Cumulative client-side counters at one instant of a replay: the app
-    and trigger clients' hits/misses/gutter traffic/node-down refusals, plus
-    the cached objects' stale serves (empty for NoCache)."""
-    if scenario.genie is None:
+    """Cumulative cache-tier counters at one instant of a replay: both
+    clients' hits, misses and node-down refusals from the shared cost
+    recorder, gutter traffic from the gutter pool, and the cached objects'
+    stale serves (empty for NoCache)."""
+    genie = scenario.genie
+    if genie is None:
         return {}
-    out = {"hits": 0.0, "misses": 0.0, "gutter_hits": 0.0,
-           "gutter_misses": 0.0, "node_down_errors": 0.0}
-    for client in (scenario.genie.app_cache, scenario.genie.trigger_cache):
-        for name in out:
-            out[name] += getattr(client.stats, name)
-    out["stale_served"] = scenario.genie.stats.totals().as_dict().get(
-        "stale_served", 0.0)
-    return out
+    total, gutter = genie.recorder.total, genie.app_cache.gutter
+    return {
+        "hits": float(total.cache_hits),
+        "misses": float(total.cache_misses),
+        "gutter_hits": float(gutter.hits if gutter else 0),
+        "gutter_misses": float(gutter.misses if gutter else 0),
+        "node_down_errors": float(total.cache_node_down),
+        "stale_served": genie.stats.totals().as_dict().get("stale_served", 0.0),
+    }
 
 
 def run_scenario(

@@ -9,9 +9,8 @@ Lifecycle verbs:
 
 * :meth:`join` — a new, cold node enters the ring.  Consistent hashing
   remaps only ``~1/n`` of the key space, but every remapped key now routes
-  to an empty node: the controller measures that warm-up debt by diffing
-  key ownership against a :class:`~repro.memcache.hashring.RingSnapshot`
-  over the keys currently cached.
+  to an empty node: the controller measures that warm-up debt as the
+  cached keys the live members hand over, and drops them there.
 * :meth:`drain` — planned removal: the node leaves the ring (keys remap to
   survivors) but stays alive, so nothing fails — only remapped keys go cold.
 * :meth:`kill` — a crash: the node stays **on** the ring (clients cannot
@@ -99,15 +98,6 @@ class ClusterController:
     def alive_nodes(self) -> List[str]:
         return [name for name, s in self._servers.items() if s.alive]
 
-    def _cached_keys(self) -> List[str]:
-        """Keys currently held by live ring members (the remap population)."""
-        keys: List[str] = []
-        for name in self.ring.servers:
-            server = self._servers.get(name)
-            if server is not None and server.alive:
-                keys.extend(server.store.keys())
-        return keys
-
     def _log(self, action: str, node: str, **details: float) -> ClusterEvent:
         event = ClusterEvent(at=self.clock(), action=action, node=node,
                              details=dict(details))
@@ -119,17 +109,26 @@ class ClusterController:
     def join(self, server: CacheServer) -> ClusterEvent:
         """Add a cold node to the fleet and the ring.
 
-        Measures the warm-up debt: of the keys currently cached, how many
-        now route to the (empty) newcomer and will therefore miss until
-        recomputed.
+        The node enters empty: a drained node joining again is flushed
+        first, because every write made while it was away went to the
+        survivors and its old items may be stale.  Measures the warm-up
+        debt: the cached keys that now route to the (empty) newcomer and
+        will therefore miss until recomputed.  Their old nodes drop them,
+        so each live node holds only keys that route to it: a copy left
+        behind would be served stale once a later :meth:`drain` routed
+        its key back.
         """
         if server.name in self._servers:
             raise CacheServerError(f"cache node {server.name!r} already in the fleet")
-        before = self.ring.snapshot()
+        server.flush_all()
         self._servers[server.name] = server
         self.ring.add_server(server.name)
-        remapped = sum(1 for key in self._cached_keys()
-                       if self.ring.server_for(key) != before.server_for(key))
+        remapped = 0
+        for name in self.ring.servers:
+            holder = self._servers[name]
+            if holder.alive:
+                remapped += holder.release(
+                    lambda key, name=name: self.ring.server_for(key) == name)
         self.keys_remapped += remapped
         return self._log("join", server.name, keys_remapped=remapped)
 
@@ -138,8 +137,8 @@ class ClusterController:
 
         Keys remap to the survivors and go cold there; nothing fails fast
         because no client routes to the drained node any more.  The node
-        stays registered (and alive) so a later :meth:`join` of the same
-        server object can bring it back.
+        leaves the fleet but stays alive, so a later :meth:`join` of the
+        same server object can bring it back (empty).
         """
         server = self.server(name)
         if name not in self.ring.servers:

@@ -1,8 +1,12 @@
 """The cache client used by the application and by database triggers.
 
-The client routes keys to servers via consistent hashing, aggregates
-statistics, and charges every round trip to the shared cost recorder so the
-simulation can model cache-network time.  Two "contexts" exist:
+The client routes keys to servers via consistent hashing and charges every
+round trip to the shared cost recorder so the simulation can model
+cache-network time.  It keeps no statistics of its own: each count has one
+owner — the recorder for per-call outcomes (hits, misses, round trips,
+bytes, ``cache_node_down``, ``lease_contended``), each
+:class:`CacheServer`'s ``stats`` for per-node state, and the gutter pool's
+counters for gutter traffic.  Two "contexts" exist:
 
 * the application client (``from_trigger=False``) — charges ``cache_*`` events;
 * the trigger client (``from_trigger=True``) — charges ``trigger_cache_ops``
@@ -20,7 +24,7 @@ things: the call is charged one single-key round trip (``cache_gets``,
 and the per-key ``trigger_cache_batch_ops``; it is no ``cache:<op>``
 boundary on :mod:`repro.obs.hooks`' chain; and a CAS mismatch records no
 ``cas_multi_mismatch``.  Routing, the dead-node and gutter branch and the
-per-key statistics are shared.  Single-key methods call the private family
+per-key accounting are shared.  Single-key methods call the private family
 method, never a public ``*_multi`` name: the benchmark's span recorder
 shadows those on the instance.
 """
@@ -35,8 +39,8 @@ from ..storage.costmodel import Recorder
 from .hashring import HashRing
 from .item import sizeof_value
 from .server import (CAS_MISMATCH, CAS_MISSING, CAS_STORED, CAS_TOO_LARGE,
-                     LEASE_ACQUIRED, LEASE_HIT, LEASE_STALE, CacheServer)
-from .stats import CacheStats
+                     LEASE_ACQUIRED, LEASE_CONTENDED, LEASE_HIT, LEASE_STALE,
+                     CacheServer)
 
 
 class CacheClient:
@@ -75,17 +79,10 @@ class CacheClient:
         self.reuse_connections = reuse_connections
         self.pipeline_batches = pipeline_batches
         self._connected = False
-        self.stats = CacheStats()
-        #: Worker attribution: the concurrent replayer sets
-        #: ``current_worker`` while a worker context runs, and every round
-        #: trip the client issues is tallied against it here.
+        #: The concurrent replayer sets ``current_worker`` while a worker
+        #: context runs; lease reads pass it to the server as the claimant,
+        #: and the server decides which rate-limited reads were contended.
         self.current_worker: Optional[Any] = None
-        self.ops_by_worker: Dict[Any, int] = {}
-        #: Which worker won each key's most recent lease window (every
-        #: lease read flows through this client, so the map stays exact):
-        #: a rate-limited read is *contended* only when a different worker
-        #: holds the window's token.
-        self._lease_winners: Dict[str, Any] = {}
         #: Optional per-key telemetry sink (adaptive consistency): a
         #: :class:`~repro.adaptive.telemetry.KeyTelemetry` attached by the
         #: adaptive strategy.  None everywhere else — every hook is guarded.
@@ -132,17 +129,16 @@ class CacheClient:
     def _node_down(self, server: CacheServer) -> None:
         """Account one fail-fast refusal against a dead node.
 
-        Counted on the client *and* on the dead server's stats, and recorded
-        as a ``cache_node_down`` cost event — free in the cost model, because
+        Counted on the dead server's stats and recorded as a
+        ``cache_node_down`` cost event — free in the cost model, because
         a refused connection is not a round trip.  The caller then surfaces
         the operation as a miss (or routes it to the gutter pool).
         """
-        self.stats.node_down_errors += 1
         server.stats.node_down_errors += 1
         self.recorder.record("cache_node_down")
 
     def _charge(self, event: str, single: bool, index: int = 0) -> None:
-        """Charge one round trip and tally it against the active worker.
+        """Charge one round trip.
 
         ``event`` is the application-side event; a trigger-side client
         charges ``trigger_cache_ops`` for a single-key call and
@@ -151,9 +147,6 @@ class CacheClient:
         pipelined, only the first pays network latency and the rest are
         charged as latency-free overlapped round trips.
         """
-        worker = self.current_worker
-        if worker is not None:
-            self.ops_by_worker[worker] = self.ops_by_worker.get(worker, 0) + 1
         overlapped = self.pipeline_batches and index > 0
         if self.from_trigger:
             event = ("trigger_cache_ops" if single
@@ -186,10 +179,7 @@ class CacheClient:
         if self.gutter is None:
             return {}
         self._charge(event, single, index)
-        found = self.gutter.get_multi(batch)
-        self.stats.gutter_hits += len(found)
-        self.stats.gutter_misses += len(batch) - len(found)
-        return found
+        return self.gutter.get_multi(batch)
 
     def _read(self, keys: Sequence[str], cas: bool,
               single: bool) -> Dict[str, Any]:
@@ -197,8 +187,8 @@ class CacheClient:
 
         Keys are grouped into per-server batches on the hash ring, one round
         trip each — the batched protocol the paper's §5.3 round-trip
-        analysis motivates; hit/miss statistics and byte transfer are
-        accounted per key.  A dead primary fails fast (``cache_node_down``,
+        analysis motivates; hits, misses and byte transfer are recorded per
+        key.  A dead primary fails fast (``cache_node_down``,
         no round trip) and a plain read falls through to the gutter pool
         when one is attached.  A CAS read of a dead primary is a plain miss:
         the gutter speaks no CAS, so there is no token to hand out and no
@@ -208,7 +198,7 @@ class CacheClient:
             return {}
         self._charge_connection()
         event = "cache_gets" if single else "cache_multi_gets"
-        stats, record = self.stats, self.recorder.record
+        record = self.recorder.record
         batch_ops = self.from_trigger and not single
         out: Dict[str, Any] = {}
         for index, (server_name, batch) in enumerate(self._group_by_server(keys).items()):
@@ -222,14 +212,11 @@ class CacheClient:
                 self._node_down(server)
                 server = self.gutter   # it sizes the values it serves
                 found = {} if cas else self._gutter_get(batch, event, single, index)
-            stats.gets += len(batch)
             for key in batch:
                 value = found.get(key)
                 if value is None:
-                    stats.misses += 1
                     record("cache_misses")
                 else:
-                    stats.hits += 1
                     record("cache_hits")
                     record("cache_bytes_moved", server.value_size(key))
                     out[key] = value
@@ -264,36 +251,16 @@ class CacheClient:
 
     # -- leases ---------------------------------------------------------------
 
-    def _note_lease_contention(self, key: str, state: str) -> None:
-        """Track lease-window winners and record contended stale serves.
-
-        A :data:`LEASE_STALE` read counts as *contended* only when the
-        window's token is held by a different worker than the reader —
-        the same worker re-reading its own window is just the per-key rate
-        limit working (and is what a serial replay produces).
-        """
-        # The record deliberately survives LEASE_HITs: the server's
-        # rate-limit window (and its winner) outlives a fresh store, so a
-        # stale read in the same window after a refresh must still compare
-        # against that window's winner — pruning here would diverge from
-        # the server's verdict.  The map is bounded by the leased key
-        # space and cleared by flush_all().
-        if state == LEASE_ACQUIRED:
-            self._lease_winners[key] = self.current_worker
-        elif state == LEASE_STALE and \
-                self._lease_winners.get(key) != self.current_worker:
-            self.stats.lease_contended += 1
-            self.recorder.record("lease_contended")
-            if self.telemetry is not None:
-                self.telemetry.note_lease_contended(key)
-
     def _lease(self, keys: Sequence[str], lease_seconds: float, single: bool,
                ) -> Dict[str, Tuple[str, Optional[Any], Optional[int]]]:
         """The lease family: read keys under the lease protocol (see
         :meth:`CacheServer.lease`).
 
         Accounted like a read: a served value (fresh or stale) counts as a
-        hit and moves its bytes, a true miss as a miss.  A dead primary
+        hit and moves its bytes, a true miss as a miss.  A read the server
+        answers :data:`LEASE_CONTENDED` (another worker holds the window's
+        token) is recorded as ``lease_contended`` and returned as
+        :data:`LEASE_STALE`, so callers see three states.  A dead primary
         degrades per the gutter contract: a gutter hit is served as
         :data:`LEASE_STALE` *without a token* (its freshness bound is the
         gutter TTL, and no token means no refresh is scheduled); a gutter
@@ -304,26 +271,22 @@ class CacheClient:
             return {}
         self._charge_connection()
         event = "cache_leases" if single else "cache_multi_leases"
-        stats, record = self.stats, self.recorder.record
+        record = self.recorder.record
         batch_ops = self.from_trigger and not single
         out: Dict[str, Tuple[str, Optional[Any], Optional[int]]] = {}
         for index, (server_name, batch) in enumerate(self._group_by_server(keys).items()):
             server = self._servers[server_name]
             if batch_ops:
                 record("trigger_cache_batch_ops", len(batch))
-            stats.gets += len(batch)
             if not server.alive:
                 self._node_down(server)
                 found = self._gutter_get(batch, event, single, index)
                 for key in batch:
                     value = found.get(key)
                     if value is None:
-                        stats.misses += 1
                         record("cache_misses")
                         out[key] = (LEASE_ACQUIRED, None, None)
                     else:
-                        stats.hits += 1
-                        stats.stale_hits += 1
                         record("cache_hits")
                         record("cache_bytes_moved", self.gutter.value_size(key))
                         out[key] = (LEASE_STALE, value, None)
@@ -332,19 +295,18 @@ class CacheClient:
             states = server.lease_multi(batch, lease_seconds,
                                         claimant=self.current_worker)
             for key in batch:
-                state, value, _token = out[key] = states[key]
-                self._note_lease_contention(key, state)
+                state, value, _token = answer = states[key]
+                if state == LEASE_CONTENDED:
+                    answer = (LEASE_STALE, value, None)
+                    record("lease_contended")
+                    if self.telemetry is not None:
+                        self.telemetry.note_lease_contended(key)
+                out[key] = answer
                 if value is None and state != LEASE_HIT:
-                    stats.misses += 1
                     record("cache_misses")
                 else:
-                    stats.hits += 1
-                    if state != LEASE_HIT:
-                        stats.stale_hits += 1
                     record("cache_hits")
                     record("cache_bytes_moved", server.value_size(key))
-                if state == LEASE_ACQUIRED:
-                    stats.leases_granted += 1
         if not single and hooks.chain:
             self._round_trip_done("cache:lease_multi", len(keys))
         return out
@@ -397,7 +359,6 @@ class CacheClient:
             for key in refused:
                 del sizes[key]
             failed.extend(refused)
-            self.stats.sets += len(sizes)
             if sizes:
                 self.recorder.record("cache_bytes_moved", sum(sizes.values()))
         if not single and hooks.chain:
@@ -423,7 +384,6 @@ class CacheClient:
         """
         self._charge_connection()
         server = self._server_for(key)
-        self.stats.adds += 1
         if not server.alive:
             self._node_down(server)
             if self.gutter is None:
@@ -457,7 +417,7 @@ class CacheClient:
             return {}
         self._charge_connection()
         event = "cache_cas" if single else "cache_multi_cas"
-        stats, record = self.stats, self.recorder.record
+        record = self.recorder.record
         verdicts: Dict[str, str] = {}
         for index, (server_name, batch) in enumerate(
                 self._group_by_server(list(items)).items()):
@@ -466,7 +426,6 @@ class CacheClient:
                 self._node_down(server)
                 for key in batch:
                     verdicts[key] = CAS_MISSING
-                stats.cas_miss += len(batch)
                 continue
             # A CAS is its own round-trip event — not a set — so the
             # ablations can separate conditional from unconditional writes.
@@ -480,16 +439,11 @@ class CacheClient:
                 verdict = verdicts[key] = outcome[key]
                 if verdict == CAS_TOO_LARGE:
                     continue
-                if verdict == CAS_STORED:
-                    stats.cas_ok += 1
-                elif verdict == CAS_MISMATCH:
-                    stats.cas_mismatch += 1
+                if verdict == CAS_MISMATCH:
                     if not single:
                         record("cas_multi_mismatch")
                     if self.telemetry is not None:
                         self.telemetry.note_cas_mismatch(key)
-                else:
-                    stats.cas_miss += 1
                 record("cache_bytes_moved", sizes[key])
         if not single and hooks.chain:
             self._round_trip_done("cache:cas_multi", len(items))
@@ -535,9 +489,6 @@ class CacheClient:
             server = self._servers[server_name]
             if batch_ops:
                 self.recorder.record("trigger_cache_batch_ops", len(batch))
-            self.stats.deletes += len(batch)
-            if stale_seconds is not None:
-                self.stats.lease_deletes += len(batch)
             if server.alive:
                 self._charge(event, single, index)
                 existed.extend(server.delete_multi(batch) if stale_seconds is None
@@ -588,7 +539,6 @@ class CacheClient:
             return {}
         self._charge_connection()
         event = "cache_sets" if single else "cache_multi_counters"
-        stats = self.stats
         out: Dict[str, Optional[int]] = {}
         for index, (server_name, batch) in enumerate(
                 self._group_by_server(list(deltas)).items()):
@@ -601,17 +551,7 @@ class CacheClient:
             else:
                 self._node_down(server)
                 results = dict.fromkeys(batch)
-            for key in batch:
-                result = out[key] = results[key]
-                if deltas[key] >= 0:
-                    if result is None:
-                        stats.incr_miss += 1
-                    else:
-                        stats.incr_ok += 1
-                elif result is None:
-                    stats.decr_miss += 1
-                else:
-                    stats.decr_ok += 1
+            out.update(results)
         if not single and hooks.chain:
             self._round_trip_done(label, len(deltas))
         return out
@@ -640,19 +580,3 @@ class CacheClient:
             server.flush_all()
         if self.gutter is not None:
             self.gutter.flush_all()
-        self._lease_winners.clear()
-
-    # -- introspection --------------------------------------------------------
-
-    def aggregate_server_stats(self) -> CacheStats:
-        """Sum the per-server statistics."""
-        total = CacheStats()
-        for server in self._servers.values():
-            total.add(server.stats)
-        return total
-
-    def total_items(self) -> int:
-        return sum(s.item_count for s in self._servers.values())
-
-    def total_used_bytes(self) -> int:
-        return sum(s.used_bytes for s in self._servers.values())

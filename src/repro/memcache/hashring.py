@@ -26,38 +26,6 @@ def _hash(value: str) -> int:
     return int.from_bytes(digest[:4], "big")
 
 
-class RingSnapshot:
-    """Frozen copy of a :class:`HashRing`'s state.
-
-    Supports the same ``server_for`` lookup as the live ring, so the cluster
-    controller can diff key ownership before/after a membership change
-    without replaying the change (``snap.server_for(k) != ring.server_for(k)``
-    marks ``k`` as remapped) — and can hand the copy back to ``restore``.
-    """
-
-    __slots__ = ("replicas", "_ring", "_sorted_points", "_servers")
-
-    def __init__(self, ring: "HashRing") -> None:
-        self.replicas = ring.replicas
-        self._ring = dict(ring._ring)
-        self._sorted_points = list(ring._sorted_points)
-        self._servers = list(ring._servers)
-
-    @property
-    def servers(self) -> List[str]:
-        return list(self._servers)
-
-    def server_for(self, key: str) -> str:
-        """Return the server that was responsible for ``key`` at snapshot time."""
-        if not self._sorted_points:
-            raise CacheServerError("hash ring snapshot is empty")
-        point = _hash(key)
-        idx = bisect.bisect_right(self._sorted_points, point)
-        if idx == len(self._sorted_points):
-            idx = 0
-        return self._ring[self._sorted_points[idx]]
-
-
 class HashRing:
     """Consistent-hash ring mapping keys to named servers."""
 
@@ -72,7 +40,7 @@ class HashRing:
         self._servers: List[str] = []
         #: key -> owning server memo.  Placement is pure given fixed
         #: membership, so the memo is cleared on every membership change
-        #: (add/remove/restore) and cannot change any lookup.
+        #: (add/remove) and cannot change any lookup.
         self._placement: Dict[str, str] = {}
         for server in servers:
             self.add_server(server)
@@ -107,21 +75,6 @@ class HashRing:
             del self._ring[point]
             idx = bisect.bisect_left(self._sorted_points, point)
             del self._sorted_points[idx]
-
-    def snapshot(self) -> RingSnapshot:
-        """Capture the current membership as a frozen :class:`RingSnapshot`."""
-        return RingSnapshot(self)
-
-    def restore(self, snapshot: RingSnapshot) -> None:
-        """Reinstate the membership captured by ``snapshot``."""
-        if snapshot.replicas != self.replicas:
-            raise CacheServerError(
-                f"snapshot was taken with replicas={snapshot.replicas}, "
-                f"this ring uses replicas={self.replicas}")
-        self._placement.clear()
-        self._ring = dict(snapshot._ring)
-        self._sorted_points = list(snapshot._sorted_points)
-        self._servers = list(snapshot._servers)
 
     def server_for(self, key: str) -> str:
         """Return the server responsible for ``key``."""

@@ -39,8 +39,11 @@ CAS_TOO_LARGE = "too-large"  # value exceeds max_item_bytes (SERVER_ERROR);
 #: Per-key states of a lease read (the leased-invalidation protocol, after
 #: the lease design in Nishtala et al., *Scaling Memcache at Facebook*).
 LEASE_HIT = "hit"            # live fresh entry: an ordinary cache hit
-LEASE_STALE = "stale"        # stale-retained value served; someone else holds
-                             # the lease (or the issue rate limit), don't recompute
+LEASE_STALE = "stale"        # stale-retained value served inside the caller's
+                             # own lease window (the issue rate limit): don't
+                             # recompute
+LEASE_CONTENDED = "contended"  # as LEASE_STALE, but a *different* claimant
+                               # holds the window's token: a real race
 LEASE_ACQUIRED = "acquired"  # caller won the lease token: it is the one
                              # reader responsible for recomputing this key
 
@@ -193,10 +196,11 @@ class CacheServer:
 
     # -- writes ---------------------------------------------------------------
 
-    def _store(self, key: str, value: Any, expire: Optional[float], flags: int,
-               value_size: Optional[int] = None) -> None:
-        """Store ``value``; ``value_size`` is its :func:`sizeof_value` when the
-        caller (the client, for its byte accounting) has already taken it."""
+    def _store(self, key: str, value: Any, expires_at: Optional[float],
+               flags: int, value_size: Optional[int] = None) -> None:
+        """Store ``value`` until ``expires_at`` (None: no expiry);
+        ``value_size`` is its :func:`sizeof_value` when the caller (the
+        client, for its byte accounting) has already taken it."""
         if value_size is None:
             value_size = sizeof_value(value)
         size = len(key) + value_size + ITEM_HEADER_BYTES
@@ -205,7 +209,7 @@ class CacheServer:
                 f"item of {size} bytes exceeds the {self.max_item_bytes}-byte limit"
             )
         item = Item(key=key, value=value, cas_id=next(self._cas_counter),
-                    flags=flags, expires_at=self._expiry(expire), size=size,
+                    flags=flags, expires_at=expires_at, size=size,
                     value_size=value_size)
         evicted = self.store.put(item)
         self.stats.evictions += len(evicted)
@@ -221,7 +225,8 @@ class CacheServer:
         is serialized once per store; omitted, the server sizes it.
         """
         self._check_key(key)
-        self._store(key, value, expire, flags, value_size)  # may reject an oversized value
+        # may reject an oversized value
+        self._store(key, value, self._expiry(expire), flags, value_size)
         self.stats.sets += 1
         return True
 
@@ -232,7 +237,7 @@ class CacheServer:
         self.stats.adds += 1
         if self._live_item(key, touch=False) is not None:
             return False
-        self._store(key, value, expire, flags, value_size)
+        self._store(key, value, self._expiry(expire), flags, value_size)
         return True
 
     def set_multi(self, mapping: Mapping[str, Any],
@@ -272,7 +277,8 @@ class CacheServer:
         if item.cas_id != cas_token:
             self.stats.cas_mismatch += 1
             return CAS_MISMATCH
-        self._store(key, value, expire, flags, value_size)  # may reject an oversized value
+        # may reject an oversized value
+        self._store(key, value, self._expiry(expire), flags, value_size)
         self.stats.cas_ok += 1
         # A successful CAS stores a value just like set() does.
         self.stats.sets += 1
@@ -385,11 +391,11 @@ class CacheServer:
         """Read ``key`` under the lease protocol.
 
         ``claimant`` identifies the reading context (the concurrent replay
-        passes its worker id; serial callers leave it None).  It feeds the
-        contention statistics only: ``lease_contended`` counts rate-limited
-        reads whose claimant differs from the window's token winner, and
-        ``herd_size_max`` tracks the most *distinct* claimants racing one
-        key's window.
+        passes its worker id; serial callers leave it None).  It decides
+        contention only: a rate-limited read whose claimant differs from the
+        window's token winner is :data:`LEASE_CONTENDED` and counts in
+        ``lease_contended``, and ``herd_size_max`` tracks the most
+        *distinct* claimants racing one key's window.
 
         Returns ``(state, value, token)``:
 
@@ -398,9 +404,11 @@ class CacheServer:
           one reader that should recompute.  ``value`` is the stale-retained
           value if one exists (serve it; recompute in the background) or
           None on a true miss (recompute on the critical path, as usual).
-        * :data:`LEASE_STALE` — a stale-retained value served while another
-          reader holds the lease (or the per-key token rate limit of one
-          token per ``lease_seconds`` is in effect): do not recompute.
+        * :data:`LEASE_STALE` — a stale-retained value served while the
+          per-key token rate limit of one token per ``lease_seconds`` is in
+          effect and the caller won the window's token: do not recompute.
+        * :data:`LEASE_CONTENDED` — the same, but another claimant won the
+          window's token.
 
         Token issuance is rate-limited per key — at most one token every
         ``lease_seconds`` — which is what bounds a hot key's recompute rate
@@ -440,11 +448,13 @@ class CacheServer:
             # the winner holds it is the contended case the concurrent
             # replay measures; the winner re-reading its own window is the
             # rate limit doing its job.
-            if claimant != self._lease_winner.get(key):
-                self.stats.lease_contended += 1
-            herd = self._lease_herd.setdefault(key, {self._lease_winner.get(key)})
+            winner = self._lease_winner.get(key)
+            herd = self._lease_herd.setdefault(key, {winner})
             herd.add(claimant)
             self.stats.herd_size_max = max(self.stats.herd_size_max, len(herd))
+            if claimant != winner:
+                self.stats.lease_contended += 1
+                return LEASE_CONTENDED, entry.value, None
             return LEASE_STALE, entry.value, None
         # True miss: nothing retained.  Always grant, and without starting
         # the rate-limit window — the caller must go to the database anyway,
@@ -469,7 +479,8 @@ class CacheServer:
             return None
         self.stats.incr_ok += 1
         new_value = item.value + delta
-        self._store(key, new_value, None, item.flags)
+        # memcached keeps an item's expiry across incr/decr.
+        self._store(key, new_value, item.expires_at, item.flags)
         return new_value
 
     def decr(self, key: str, delta: int = 1) -> Optional[int]:
@@ -481,7 +492,7 @@ class CacheServer:
             return None
         self.stats.decr_ok += 1
         new_value = max(0, item.value - delta)
-        self._store(key, new_value, None, item.flags)
+        self._store(key, new_value, item.expires_at, item.flags)
         return new_value
 
     def incr_multi(self, deltas: Mapping[str, int]) -> Dict[str, Optional[int]]:
@@ -504,6 +515,18 @@ class CacheServer:
     def decr_multi(self, deltas: Mapping[str, int]) -> Dict[str, Optional[int]]:
         """Batched :meth:`decr`: ``{key: delta}`` with deltas applied negatively."""
         return self.incr_multi({key: -delta for key, delta in deltas.items()})
+
+    def release(self, owns: Callable[[str], bool]) -> int:
+        """Drop the items (stale retentions included) whose keys ``owns``
+        rejects: a ring change gave them to another node, and a copy left
+        here would be served stale if a later change gave them back.  No
+        statistic moves; returns how many stored items went."""
+        gone = [key for key in self.store.keys() if not owns(key)]
+        for key in gone:
+            self.store.delete(key)
+        for key in [key for key in self._stale if not owns(key)]:
+            del self._stale[key]
+        return len(gone)
 
     def flush_all(self) -> None:
         """Drop every item (stale-retained values included)."""

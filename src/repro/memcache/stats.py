@@ -1,4 +1,4 @@
-"""Hit/miss/eviction statistics for cache servers and clients."""
+"""Hit/miss/eviction statistics for cache servers (memcached's ``stats``)."""
 
 from __future__ import annotations
 
@@ -22,12 +22,8 @@ CACHE_STAT_FIELDS: Tuple[str, ...] = (
     # already claimed, and the largest herd — claimants racing one key's
     # lease window (the token winner plus every stale-served reader).
     "lease_contended", "herd_size_max",
-    # Cluster dynamics: operations that failed fast against a dead node and
-    # the gutter-pool fallback's hit/miss split for those keys.
-    "node_down_errors", "gutter_hits", "gutter_misses",
-    # Adaptive per-key consistency: band reclassifications and the cache
-    # invalidations issued solely to migrate a key between bands.
-    "band_switches", "adaptive_migrations",
+    # Cluster dynamics: operations that failed fast against a dead node.
+    "node_down_errors",
 )
 
 

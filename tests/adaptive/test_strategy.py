@@ -128,8 +128,8 @@ class TestBandModel:
             [(COLD_BAND, REFRESH_BAND)]
         assert adaptive.band_for(key) == REFRESH_BAND
         assert (adaptive.band_switches, adaptive.migrations) == (1, 1)
-        assert stack["genie"].app_cache.stats.band_switches == 1
-        assert stack["genie"].app_cache.stats.adaptive_migrations == 1
+        totals = stack["genie"].recorder.total
+        assert (totals.band_switches, totals.adaptive_migrations) == (1, 1)
 
     def test_contention_promotes_to_herd_band(self, stack):
         adaptive = adaptive_strategy()

@@ -99,7 +99,7 @@ class TestDrain:
         assert "cache1" not in controller.ring.servers
         assert event.details["keys_remapped"] == held
         # Nothing fails: reads simply go cold on the survivors.
-        assert client.stats.node_down_errors == 0
+        assert client.recorder.total.cache_node_down == 0
 
     def test_drain_last_member_rejected(self):
         controller, _client, _servers, _clock = make_cluster(names=("solo",))
@@ -122,7 +122,8 @@ class TestKillAndRevive:
         assert controller.alive_nodes() == ["cache0"]
         key = keys_owned_by(controller, "cache1", 1)[0]
         assert client.get(key) is None
-        assert client.stats.node_down_errors == 1
+        assert client.recorder.total.cache_node_down == 1
+        assert servers["cache1"].stats.node_down_errors == 1
 
     def test_kill_dead_node_rejected(self):
         controller, _client, _servers, _clock = make_cluster()
@@ -188,4 +189,4 @@ class TestEventsAndCounters:
         assert counters["gutter_hits"] == 1
         assert counters["gutter_sets"] == 1
         assert counters["keys_remapped"] == 0
-        assert client.stats.gutter_hits == 1
+        assert client.recorder.total.cache_hits == 1

@@ -108,7 +108,8 @@ class TestDeadLeaseHolder:
         genie.app_cache.current_worker = 1
         assert cached.evaluate(owner_id=owner.pk) == 1
         assert queue.scheduled == 1
-        assert genie.app_cache.stats.lease_contended == 1
+        assert genie.recorder.total.lease_contended == 1
+        assert controller.server("cache1").stats.lease_contended == 1
 
         # The claimant's node dies: the claim is dropped with it.
         controller.kill("cache1")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.apps.social import SeedScale, seed_database, social_registry
 from repro.apps.social.cached_objects import install_cached_objects
@@ -13,6 +14,12 @@ from repro.core import CacheGenie
 from repro.memcache import CacheServer
 from repro.sim import VirtualClock
 from repro.storage import Database
+
+#: ``--hypothesis-profile=deep`` (CI's simulator-smoke job): longer and more
+#: histories for the state machines than tier-1's budget, which is what a
+#: run without the flag gets (tests/memcache/test_tier_model.py).
+settings.register_profile("deep", max_examples=500, stateful_step_count=80,
+                          deadline=None)
 
 
 @pytest.fixture

@@ -63,7 +63,8 @@ class TestOneRecomputePerContendedWindow:
             # Exactly one pending recompute, however many losers piled on.
             assert queue.scheduled == 1
             assert queue.pending_keys() == [key]
-            assert genie.app_cache.stats.lease_contended == 2
+            assert genie.recorder.total.lease_contended == 2
+            assert stack["cache_server"].stats.lease_contended == 2
             assert stack["cache_server"].stats.herd_size_max == 3
 
             # The background worker runs once; everyone is fresh again.

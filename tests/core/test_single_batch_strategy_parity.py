@@ -3,8 +3,8 @@ batched twins on a batch of one.
 
 ``evaluate()`` is ``evaluate_many()`` on a batch of one, and an eager
 trigger-side invalidation is a one-key flush of the commit-time queue, so
-the result, the per-object statistics, the client and server statistics, the
-refresh queue and every cost event must come out the same.  Two things
+the result, the per-object statistics, the server statistics, the gutter
+counters, the refresh queue and every cost event must come out the same.  Two things
 differ by design, exactly as for a single-key ``CacheClient`` call
 (``tests/memcache/test_single_batch_parity.py``):
 
@@ -146,8 +146,6 @@ class Fleet:
             servers += self.gutter.servers
         return {
             "object": self.cached.stats.as_dict(),
-            "app client": genie.app_cache.stats.as_dict(),
-            "trigger client": genie.trigger_cache.stats.as_dict(),
             "servers": {s.name: s.stats_dict() for s in servers},
             "gutter": self.gutter.counters() if self.gutter else None,
             "refresh queue": (queue.pending_keys(), queue.scheduled,

@@ -33,13 +33,6 @@ class TestRouting:
         # Keys actually spread over multiple servers.
         assert sum(1 for s in backing if s.item_count > 0) >= 2
 
-    def test_total_items_and_bytes(self):
-        client, _ = make_client()
-        client.set("a", "x" * 100)
-        client.set("b", "y" * 100)
-        assert client.total_items() == 2
-        assert client.total_used_bytes() > 200
-
 
 class TestOperations:
     def test_get_multi_returns_only_hits(self):
@@ -69,16 +62,6 @@ class TestOperations:
         client.set("a", 1)
         client.flush_all()
         assert client.get("a") is None
-
-    def test_stats_aggregate(self):
-        client, _ = make_client()
-        client.set("a", 1)
-        client.get("a")
-        client.get("missing")
-        assert client.stats.hits == 1
-        assert client.stats.misses == 1
-        aggregated = client.aggregate_server_stats()
-        assert aggregated.hits == 1
 
 
 class TestCostAccounting:

@@ -73,9 +73,8 @@ class TestFailFastWithoutGutter:
         key = key_on("cache1")
         kill(fleet)
         assert client.get(key) is None
-        assert client.stats.node_down_errors == 1
         assert fleet["servers"]["cache1"].stats.node_down_errors == 1
-        assert client.stats.misses == 1
+        assert fleet["recorder"].total.cache_misses == 1
         assert fleet["recorder"].total.cache_node_down == 1
         # Fail-fast is not a round trip: no cache_gets charged.
         assert fleet["recorder"].total.cache_gets == 0
@@ -86,7 +85,7 @@ class TestFailFastWithoutGutter:
         client.set(live_key, "v")
         kill(fleet)
         assert client.get(live_key) == "v"
-        assert client.stats.node_down_errors == 0
+        assert fleet["recorder"].total.cache_node_down == 0
 
     def test_gets_returns_no_token(self, fleet):
         client, key_on = fleet["client"], fleet["key_on"]
@@ -101,7 +100,10 @@ class TestFailFastWithoutGutter:
         _value, token = client.gets(key)
         kill(fleet)
         assert client.cas(key, "w", token) is False
-        assert client.stats.cas_miss == 1
+        # The tokens vanished with the node: no round trip, nothing swapped.
+        assert fleet["recorder"].total.cache_node_down == 1
+        assert fleet["recorder"].total.cache_cas == 0
+        assert fleet["servers"]["cache1"].stats.cas_ok == 0
 
     def test_set_and_delete_report_failure(self, fleet):
         client, key_on = fleet["client"], fleet["key_on"]
@@ -115,7 +117,8 @@ class TestFailFastWithoutGutter:
         key = key_on("cache1")
         kill(fleet)
         assert client.incr(key) is None
-        assert client.stats.incr_miss == 1
+        assert fleet["recorder"].total.cache_node_down == 1
+        assert fleet["recorder"].total.cache_round_trips == 0
 
     def test_lease_degrades_to_blocking_recompute(self, fleet):
         client, key_on = fleet["client"], fleet["key_on"]
@@ -139,9 +142,8 @@ class TestGutterRouting:
         kill(fleet)
         assert client.set(key, "v") is True
         assert client.get(key) == "v"
-        assert client.stats.gutter_hits == 1
-        assert client.stats.hits == 1
         assert gutter.hits == 1
+        assert fleet["recorder"].total.cache_hits == 1
         # Gutter round trips are charged like primary ones.
         assert fleet["recorder"].total.cache_gets == 1
 
@@ -150,8 +152,8 @@ class TestGutterRouting:
         key = key_on("cache1")
         kill(fleet)
         assert client.get(key) is None
-        assert client.stats.gutter_misses == 1
-        assert client.stats.misses == 1
+        assert gutter.misses == 1
+        assert fleet["recorder"].total.cache_misses == 1
 
     def test_gutter_entries_expire_at_the_short_ttl(self, fleet, gutter):
         client, key_on, clock = fleet["client"], fleet["key_on"], fleet["clock"]
@@ -180,8 +182,8 @@ class TestGutterRouting:
         client.set(key, "v")
         state, value, token = client.lease(key, 5.0)
         assert (state, value, token) == (LEASE_STALE, "v", None)
-        assert client.stats.stale_hits == 1
-        assert client.stats.gutter_hits == 1
+        assert gutter.hits == 1
+        assert fleet["recorder"].total.cache_hits == 1
 
     def test_get_multi_merges_gutter_and_primary(self, fleet, gutter):
         client, key_on = fleet["client"], fleet["key_on"]

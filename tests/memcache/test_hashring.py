@@ -70,85 +70,43 @@ class TestHashRing:
         assert ring.server_for(key) in {"a", "b", "c"}
 
 
-class TestSnapshotRestore:
-    KEYS = [f"key:{i}" for i in range(500)]
-
-    def test_snapshot_answers_like_the_ring_did(self):
-        ring = HashRing(["s1", "s2", "s3"])
-        snap = ring.snapshot()
-        before = {k: ring.server_for(k) for k in self.KEYS}
-        ring.add_server("s4")
-        ring.remove_server("s1")
-        # The live ring moved on; the snapshot still answers for the past.
-        assert {k: snap.server_for(k) for k in self.KEYS} == before
-        assert snap.servers == ["s1", "s2", "s3"]
-
-    def test_restore_reinstates_the_membership(self):
-        ring = HashRing(["s1", "s2", "s3"])
-        before = {k: ring.server_for(k) for k in self.KEYS}
-        snap = ring.snapshot()
-        ring.add_server("s4")
-        ring.remove_server("s2")
-        ring.restore(snap)
-        assert sorted(ring.servers) == ["s1", "s2", "s3"]
-        assert {k: ring.server_for(k) for k in self.KEYS} == before
-
-    def test_snapshot_is_isolated_from_later_restores(self):
-        ring = HashRing(["s1", "s2"])
-        snap = ring.snapshot()
-        ring.add_server("s3")
-        ring.restore(snap)
-        ring.add_server("s4")
-        # Mutating the restored ring never leaks back into the snapshot.
-        assert snap.servers == ["s1", "s2"]
-
-    def test_restore_rejects_replica_mismatch(self):
-        snap = HashRing(["s1"], replicas=50).snapshot()
-        with pytest.raises(CacheServerError):
-            HashRing(["s1"], replicas=100).restore(snap)
-
-
 KEYS = [f"key:{i}" for i in range(40)]
 NODES = ["n0", "n1", "n2", "n3", "n4"]
 
 
-def assert_ring_matches_fresh_snapshot(ring):
-    """The live (memoised) lookup equals a memo-less one on the same state."""
-    snapshot = ring.snapshot()
+def assert_ring_matches_a_fresh_ring(ring):
+    """The live (memoised) lookup equals that of a ring built afresh with
+    the same members, whose first answers come from no memo."""
+    fresh = HashRing(ring.servers, replicas=ring.replicas)
+    assert fresh._ring == ring._ring    # no virtual node was nudged
+    expected = [fresh.server_for(k) for k in KEYS]
     for _ in range(2):  # second pass: every answer now comes from the memo
-        assert ([ring.server_for(k) for k in KEYS]
-                == [snapshot.server_for(k) for k in KEYS])
+        assert [ring.server_for(k) for k in KEYS] == expected
 
 
 class TestPlacementMemo:
     """The placement memo never outlives the membership it was built on."""
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.tuples(st.sampled_from(["add", "remove", "snapshot",
-                                               "restore", "lookup"]),
+    @given(st.lists(st.tuples(st.sampled_from(["add", "remove", "lookup"]),
                               st.sampled_from(NODES)),
                     max_size=25))
-    def test_equals_snapshot_lookup_across_membership_changes(self, steps):
+    def test_equals_a_fresh_ring_across_membership_changes(self, steps):
         ring = HashRing(["n0", "n1"], replicas=20)
-        saved = ring.snapshot()
         for action, node in steps:
             if action == "add" and node not in ring.servers:
                 ring.add_server(node)
             elif action == "remove" and node in ring.servers \
                     and len(ring.servers) > 1:
                 ring.remove_server(node)
-            elif action == "snapshot":
-                saved = ring.snapshot()
-            elif action == "restore":
-                ring.restore(saved)
-            assert_ring_matches_fresh_snapshot(ring)
+            assert_ring_matches_a_fresh_ring(ring)
 
     def test_memo_is_capped(self, monkeypatch):
         monkeypatch.setattr(hashring, "PLACEMENT_MEMO_MAX", 16)
         ring = HashRing(["n0", "n1", "n2"], replicas=20)
-        snapshot = ring.snapshot()
+        fresh = HashRing(["n0", "n1", "n2"], replicas=20)
         for i in range(200):
-            assert ring.server_for(f"k{i}") == snapshot.server_for(f"k{i}")
+            assert ring.server_for(f"k{i}") == fresh.server_for(f"k{i}")
             assert len(ring._placement) <= 16
 
     def test_primary_and_gutter_rings_through_kill_and_revive(self):
@@ -159,15 +117,15 @@ class TestPlacementMemo:
                              CacheServer("gutter1", clock=clock)])
         controller = ClusterController([client], servers, clock, gutter=gutter)
         for ring in (controller.ring, gutter.ring):
-            assert_ring_matches_fresh_snapshot(ring)
+            assert_ring_matches_a_fresh_ring(ring)
         controller.kill("cache1")
         for key in KEYS:           # routed to the gutter while cache1 is dead
             client.set(key, 1)
         for ring in (controller.ring, gutter.ring):
-            assert_ring_matches_fresh_snapshot(ring)
+            assert_ring_matches_a_fresh_ring(ring)
         controller.revive("cache1")
         controller.join(CacheServer("cache3", clock=clock))
         controller.drain("cache0")
         for ring in (controller.ring, gutter.ring):
-            assert_ring_matches_fresh_snapshot(ring)
+            assert_ring_matches_a_fresh_ring(ring)
         assert client.ring is controller.ring

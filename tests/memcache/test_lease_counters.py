@@ -3,7 +3,8 @@
 import pytest
 
 from repro.memcache import CacheClient, CacheServer
-from repro.memcache.server import LEASE_ACQUIRED, LEASE_HIT, LEASE_STALE
+from repro.memcache.server import (LEASE_ACQUIRED, LEASE_CONTENDED, LEASE_HIT,
+                                   LEASE_STALE)
 from repro.storage.costmodel import Recorder
 
 
@@ -192,7 +193,7 @@ class TestClientLeaseAccounting:
         existed = client.lease_delete_multi(keys, 3.0)
         assert sorted(existed) == sorted(keys)
         assert recorder.total.cache_multi_deletes == 2
-        assert client.stats.lease_deletes == 6
+        assert sum(s.stats.lease_deletes for s in client.servers) == 6
         # The retained values serve as stale through the same client.
         assert client.lease(keys[0], 5.0)[1] == 1
 
@@ -207,8 +208,9 @@ class TestClientLeaseAccounting:
         assert out["absent"] is None
         assert all(out[k] in (9, 11) for k in keys)
         assert recorder.total.cache_multi_counters == 2
-        assert client.stats.incr_ok + client.stats.decr_ok == 6
-        assert client.stats.incr_miss == 1
+        assert sum(s.stats.incr_ok + s.stats.decr_ok
+                   for s in client.servers) == 6
+        assert sum(s.stats.incr_miss for s in client.servers) == 1
 
     def test_empty_batches_are_free(self):
         client, recorder, _now = self._stack()
@@ -228,7 +230,7 @@ class TestLeaseContention:
         assert server.stats.lease_contended == 0
         assert server.stats.herd_size_max == 1
         # A different claimant in the same window: contended, herd grows.
-        assert server.lease("k", 5.0, claimant=1)[0] == LEASE_STALE
+        assert server.lease("k", 5.0, claimant=1)[0] == LEASE_CONTENDED
         assert server.stats.lease_contended == 1
         assert server.stats.herd_size_max == 2
         # The winner re-reading its own window is the rate limit working,
@@ -236,7 +238,7 @@ class TestLeaseContention:
         assert server.lease("k", 5.0, claimant=0)[0] == LEASE_STALE
         assert server.stats.lease_contended == 1
         assert server.stats.herd_size_max == 2
-        assert server.lease("k", 5.0, claimant=2)[0] == LEASE_STALE
+        assert server.lease("k", 5.0, claimant=2)[0] == LEASE_CONTENDED
         assert server.stats.herd_size_max == 3
 
     def test_serial_claimant_never_contends(self, clocked_server):
@@ -248,7 +250,7 @@ class TestLeaseContention:
         assert server.stats.lease_contended == 0
         assert server.stats.herd_size_max == 1
 
-    def test_client_tracks_window_winners_per_worker(self):
+    def test_client_records_the_servers_contention_verdict(self):
         server = CacheServer("contend-srv")
         recorder = Recorder()
         client = CacheClient([server], recorder=recorder)
@@ -257,13 +259,40 @@ class TestLeaseContention:
         client.current_worker = 0
         state, _value, token = client.lease("k", 1000.0)
         assert state == LEASE_ACQUIRED and token is not None
+        # The client's callers see three states: a contended read is stale.
         client.current_worker = 1
-        assert client.lease("k", 1000.0)[0] == LEASE_STALE
-        assert client.stats.lease_contended == 1
+        assert client.lease("k", 1000.0) == (LEASE_STALE, "v", None)
         assert recorder.total.lease_contended == 1
+        assert server.stats.lease_contended == 1
         client.current_worker = 0
-        assert client.lease("k", 1000.0)[0] == LEASE_STALE
-        assert client.stats.lease_contended == 1  # own window: not contended
+        assert client.lease_multi(["k"], 1000.0)["k"] == (LEASE_STALE, "v", None)
+        assert recorder.total.lease_contended == 1  # own window: not contended
+        assert server.stats.lease_contended == 1
+
+    def test_own_window_reread_after_a_foreign_true_miss_is_not_contended(self):
+        """A true-miss grant opens no window, so it does not change the
+        window's winner: the winner re-reading its own window later is the
+        rate limit working, however many other workers were granted a
+        true miss in between.  (A client that kept its own copy of the
+        winner overwrote it on the true miss and counted this read as
+        contended while the server did not.)"""
+        now = [0.0]
+        server = CacheServer("contend-srv", clock=lambda: now[0])
+        recorder = Recorder()
+        client = CacheClient([server], recorder=recorder)
+        client.set("k", "v1")
+        client.lease_delete("k", 1.0)
+        client.current_worker = "W"
+        assert client.lease("k", 100.0)[0] == LEASE_ACQUIRED  # W's window
+        now[0] = 2.0                                  # the stale copy expires
+        client.current_worker = "R"
+        assert client.lease("k", 100.0)[:2] == (LEASE_ACQUIRED, None)
+        client.set("k", "v2")                         # R's recompute lands
+        client.lease_delete("k", 1.0)                 # and is invalidated
+        client.current_worker = "W"
+        assert client.lease("k", 100.0) == (LEASE_STALE, "v2", None)
+        assert server.stats.lease_contended == 0
+        assert recorder.total.lease_contended == 0
 
     def test_stats_aggregate_herd_by_max(self):
         from repro.memcache.stats import CacheStats

@@ -7,12 +7,21 @@ import pytest
 from repro.errors import CacheKeyError
 from repro.memcache import CacheClient, CacheServer, hashring
 from repro.memcache.item import sizeof_value
+from repro.memcache.stats import CacheStats
 from repro.storage.costmodel import Recorder
 
 
 def make_client(server_count=2, recorder=None, **kwargs):
     servers = [CacheServer(f"s{i}") for i in range(server_count)]
     return CacheClient(servers, recorder=recorder or Recorder(), **kwargs), servers
+
+
+def fleet_stats(servers):
+    """The servers' ``stats`` summed: what the fleet counted per key."""
+    total = CacheStats()
+    for server in servers:
+        total.add(server.stats)
+    return total
 
 
 class TestServerMultiOps:
@@ -74,12 +83,13 @@ class TestDecrAccountingFixes:
         assert server.stats.incr_miss == 0
 
     def test_client_decr_mirrors_incr_accounting(self):
-        client, _ = make_client(1)
+        client, servers = make_client(1)
         client.set("n", 10)
         assert client.decr("n", 4) == 6
         assert client.decr("missing") is None
-        assert client.stats.decr_ok == 1
-        assert client.stats.decr_miss == 1
+        assert servers[0].stats.decr_ok == 1
+        assert servers[0].stats.decr_miss == 1
+        assert servers[0].stats.incr_ok == servers[0].stats.incr_miss == 0
 
 
 class TestWriteAccountingFixes:
@@ -131,7 +141,7 @@ class TestHashRingGrouping:
 class TestClientMultiOpAccounting:
     def test_get_multi_charges_one_round_trip_per_server_batch(self):
         recorder = Recorder()
-        client, _ = make_client(2, recorder=recorder)
+        client, servers = make_client(2, recorder=recorder)
         keys = [f"key:{i}" for i in range(20)]
         for key in keys[:10]:
             client.set(key, "v")
@@ -146,19 +156,19 @@ class TestClientMultiOpAccounting:
         # ...but hit/miss outcomes still count per key.
         assert recorder.total.cache_hits - before.cache_hits == 10
         assert recorder.total.cache_misses - before.cache_misses == 10
-        assert client.stats.hits == 10
-        assert client.stats.misses == 10
+        assert fleet_stats(servers).hits == 10
+        assert fleet_stats(servers).misses == 10
 
     def test_set_and_delete_multi_round_trip_accounting(self):
         recorder = Recorder()
-        client, _ = make_client(2, recorder=recorder)
+        client, servers = make_client(2, recorder=recorder)
         mapping = {f"key:{i}": i for i in range(12)}
         batches = len(client._group_by_server(list(mapping)))
         assert client.set_multi(mapping) == []
         assert recorder.total.cache_multi_sets == batches
         assert recorder.total.cache_sets == 0
         assert recorder.total.cache_bytes_moved > 0
-        assert client.stats.sets == 12
+        assert fleet_stats(servers).sets == 12
         deleted = client.delete_multi(list(mapping))
         assert sorted(deleted) == sorted(mapping)
         assert recorder.total.cache_multi_deletes == batches
@@ -171,7 +181,7 @@ class TestClientMultiOpAccounting:
         failed = client.set_multi({"small": 1, "big": "x" * 1024})
         assert failed == ["big"]
         # Parity with single-op set(): the refused store counts nothing.
-        assert client.stats.sets == 1
+        assert servers[0].stats.sets == 1
         assert recorder.total.cache_bytes_moved == sizeof_value(1)
 
     def test_empty_multi_ops_charge_nothing(self):
@@ -272,7 +282,7 @@ class TestServerCasMulti:
 class TestClientCasAccounting:
     def test_single_cas_charges_cache_cas_not_cache_sets(self):
         recorder = Recorder()
-        client, _ = make_client(1, recorder=recorder)
+        client, servers = make_client(1, recorder=recorder)
         client.set("k", "v1")
         sets_before = recorder.total.cache_sets
         _value, token = client.gets("k")
@@ -281,8 +291,8 @@ class TestClientCasAccounting:
         assert not client.cas("k", "v3", token)
         assert recorder.total.cache_cas == 2
         assert recorder.total.cache_sets == sets_before
-        assert client.stats.cas_ok == 1
-        assert client.stats.cas_mismatch == 1
+        assert servers[0].stats.cas_ok == 1
+        assert servers[0].stats.cas_mismatch == 1
 
     def test_single_cas_on_a_vanished_key_counts_a_miss(self):
         client, servers = make_client(1)
@@ -294,8 +304,7 @@ class TestClientCasAccounting:
         client.delete("gone")
         assert not client.cas("stale", 3, stale_token)
         assert not client.cas("gone", 3, gone_token)
-        # The client agrees with the server (and with cas_multi).
-        assert (client.stats.cas_miss, client.stats.cas_mismatch) == (1, 1)
+        # One of each, as cas_multi counts them.
         assert (servers[0].stats.cas_miss, servers[0].stats.cas_mismatch) == (1, 1)
 
     def test_single_cas_mismatch_reaches_telemetry(self):
@@ -317,7 +326,7 @@ class TestClientCasAccounting:
     def test_cas_multi_round_trip_and_mismatch_accounting(self):
         from repro.memcache import CAS_MISMATCH, CAS_STORED
         recorder = Recorder()
-        client, _ = make_client(2, recorder=recorder)
+        client, servers = make_client(2, recorder=recorder)
         keys = [f"key:{i}" for i in range(8)]
         client.set_multi({k: 0 for k in keys})
         tokens = client.gets_multi(keys)
@@ -332,8 +341,8 @@ class TestClientCasAccounting:
         assert verdicts[keys[3]] == CAS_MISMATCH
         assert all(verdicts[k] == CAS_STORED for k in keys if k != keys[3])
         assert recorder.total.cas_multi_mismatch - before.cas_multi_mismatch == 1
-        assert client.stats.cas_ok == 7
-        assert client.stats.cas_mismatch == 1
+        assert fleet_stats(servers).cas_ok == 7
+        assert fleet_stats(servers).cas_mismatch == 1
 
     def test_partial_failure_retries_only_losers_without_double_charging(self):
         """Satellite acceptance: per-key verdicts, loser-only retry, and no

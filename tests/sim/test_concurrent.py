@@ -228,8 +228,11 @@ class TestContention:
             # Ops were attributed to both workers' contexts.
             contexts = set(queue.enqueued_by_context)
             assert {("worker", 0), ("worker", 1)} <= contexts
-            clients = scenario.genie.app_cache.ops_by_worker
-            assert set(clients) == {0, 1}
+        # ...and each worker's pages carry cache round trips in their own
+        # scoped counters.
+        assert {worker for worker, pages in result.page_stores.items()
+                if any(page.counters.cache_round_trips for page in pages)} \
+            == {0, 1}
         counters = result.total_counters
         assert counters.cas_multi_mismatch > 0
         assert counters.cas_retry_rounds > 0

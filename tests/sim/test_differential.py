@@ -79,8 +79,8 @@ GOLDEN_FINGERPRINTS = {
     "Adaptive/workers=1/round-robin": "2ce099471c03a325ec1c662a70456422343b34b21417fde145e847c3732e1ff3",
     "Adaptive/workers=2/round-robin": "040b916825ab464333e6f9e344db529f8f72f3daa59acb792be06ffee53ed8f7",
     "Adaptive/workers=2/random": "e035eadfebf21222928a854ee62a86d19790de3ee9eb5ecd6eb08adef5db3e75",
-    "Adaptive/workers=2/adversarial": "11905e17e2a0923f9788f8885ba5e809e693baff194f3bf47fe7679ee2da0cac",
-    "Adaptive/workers=2/key-overlap": "11905e17e2a0923f9788f8885ba5e809e693baff194f3bf47fe7679ee2da0cac",
+    "Adaptive/workers=2/adversarial": "c4fb2cedb985d1110f09044f4d87cc428e1a48c893be8d8634b98dd1d660bc39",
+    "Adaptive/workers=2/key-overlap": "c4fb2cedb985d1110f09044f4d87cc428e1a48c893be8d8634b98dd1d660bc39",
     "Adaptive/telemetry-capacity=32": "7d0070de886659eccc750a32172e1b81e66ab5638b032a0f60c1db7c3782f55a",
     # The baseline arm, where storage + ORM produce *every* counter: generated
     # at commit 3090995 from the per-row statement path (one ``record`` per
