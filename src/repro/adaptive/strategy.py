@@ -68,7 +68,8 @@ and only when representations actually differ:
 
 Counted as ``band_switches`` (every reclassification) and
 ``adaptive_migrations`` (switches that actually converted a cached value) on
-the cost recorder.
+the cost recorder, their only counter; :attr:`AdaptiveStrategy.switch_log`
+lists the switches themselves.
 """
 
 from __future__ import annotations
@@ -110,8 +111,8 @@ class _BandState:
 class AdaptiveStrategy(ConsistencyStrategy):
     """Telemetry-driven per-key strategy selection with hysteresis.
 
-    One instance carries per-run state (telemetry, band map, switch
-    counters) keyed to the genie it first serves; serving a *different*
+    One instance carries per-run state (telemetry, band map, switch log)
+    keyed to the genie it first serves; serving a *different*
     genie's cache client resets that state, so the registered singleton can
     be reused across sequential scenarios.  Experiments that tune the
     delegate windows pass fresh delegate instances.
@@ -172,8 +173,6 @@ class AdaptiveStrategy(ConsistencyStrategy):
         #: Keys currently in a non-cold band — the write path's fast-path
         #: guard (empty set = every affected key is necessarily cold).
         self._hot_keys: set = set()
-        self.band_switches = 0
-        self.migrations = 0
         #: ``(key, old_band, new_band)`` in switch order (deterministic).
         self.switch_log: List[Tuple[str, str, str]] = []
 
@@ -183,7 +182,7 @@ class AdaptiveStrategy(ConsistencyStrategy):
         """Bind telemetry to the object's cache clients (once per genie).
 
         A different genie's client means a new run: telemetry, band map,
-        and switch counters reset so state never leaks across scenarios.
+        and switch log reset so state never leaks across scenarios.
         """
         client = cached_object.app_cache
         if self._client is not client or self.telemetry is None:
@@ -196,8 +195,6 @@ class AdaptiveStrategy(ConsistencyStrategy):
             cached_object.trigger_cache.telemetry = self.telemetry
             self._bands = {}
             self._hot_keys = set()
-            self.band_switches = 0
-            self.migrations = 0
             self.switch_log = []
         return self.telemetry
 
@@ -277,7 +274,6 @@ class AdaptiveStrategy(ConsistencyStrategy):
             self._hot_keys.discard(key)
         else:
             self._hot_keys.add(key)
-        self.band_switches += 1
         self.switch_log.append((key, old_band, new_band))
         client = cached_object.app_cache
         client.recorder.record("band_switches")
@@ -327,7 +323,6 @@ class AdaptiveStrategy(ConsistencyStrategy):
                                                      params)
         else:
             return  # cold <-> herd: same raw representation, nothing moves
-        self.migrations += 1
         client.recorder.record("adaptive_migrations")
 
     # -- storage ---------------------------------------------------------------
@@ -465,6 +460,4 @@ class AdaptiveStrategy(ConsistencyStrategy):
         out["min_dwell_seconds"] = self.min_dwell_seconds
         out["telemetry"] = {"capacity": self.telemetry_capacity,
                             "half_life_seconds": self.half_life_seconds}
-        out["band_switches"] = self.band_switches
-        out["adaptive_migrations"] = self.migrations
         return out

@@ -77,11 +77,9 @@ class ClusterController:
             client.ring = self.ring
             client._servers = self._servers
             client.gutter = gutter
+        #: Every lifecycle action in order: the only record of the fleet's
+        #: dynamics (see :meth:`counters`).
         self.events: List[ClusterEvent] = []
-        # Cumulative fleet-level costs of dynamics.
-        self.keys_remapped = 0
-        self.orphaned_claims_dropped = 0
-        self.post_revival_invalidations = 0
 
     # -- introspection ---------------------------------------------------------
 
@@ -129,7 +127,6 @@ class ClusterController:
             if holder.alive:
                 remapped += holder.release(
                     lambda key, name=name: self.ring.server_for(key) == name)
-        self.keys_remapped += remapped
         return self._log("join", server.name, keys_remapped=remapped)
 
     def drain(self, name: str) -> ClusterEvent:
@@ -148,7 +145,6 @@ class ClusterController:
         remapped = len(server.store.keys())
         self.ring.remove_server(name)
         del self._servers[name]
-        self.keys_remapped += remapped
         return self._log("drain", name, keys_remapped=remapped)
 
     def kill(self, name: str) -> ClusterEvent:
@@ -167,7 +163,6 @@ class ClusterController:
         if self.genie is not None:
             orphaned = self.genie.refresh_queue.drop_orphaned(
                 lambda key: self.ring.server_for(key) == name)
-            self.orphaned_claims_dropped += orphaned
         return self._log("kill", name, orphaned_claims_dropped=orphaned)
 
     def revive(self, name: str) -> ClusterEvent:
@@ -183,17 +178,16 @@ class ClusterController:
         invalidated = server.item_count
         server.flush_all()
         server.alive = True
-        self.post_revival_invalidations += invalidated
         return self._log("revive", name, post_revival_invalidations=invalidated)
 
     # -- reporting -------------------------------------------------------------
 
     def counters(self) -> Dict[str, int]:
-        out = {
-            "keys_remapped": self.keys_remapped,
-            "orphaned_claims_dropped": self.orphaned_claims_dropped,
-            "post_revival_invalidations": self.post_revival_invalidations,
-        }
+        """The fleet counts summed over the details of :attr:`events`, plus
+        the gutter pool's counters when one is attached."""
+        out = {name: sum(event.details.get(name, 0) for event in self.events)
+               for name in ("keys_remapped", "orphaned_claims_dropped",
+                            "post_revival_invalidations")}
         if self.gutter is not None:
             out.update(self.gutter.counters())
         return out

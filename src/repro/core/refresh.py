@@ -77,16 +77,12 @@ class RefreshQueue:
         #: Every backlog not yet closed — the live one and any paused
         #: worker's — so removals and node deaths reach them all.
         self._backlogs: List[RefreshContext] = [self.context]
-        # Lifetime statistics, for tests and the ablation report.
+        # Lifetime statistics only this queue keeps.  Completed refreshes
+        # are the ``refresh:recompute`` spans (their args carry the key, in
+        # drain order) and drop_orphaned()'s return is logged by the
+        # cluster controller's ``kill`` event.
         self.scheduled = 0
         self.coalesced = 0
-        self.completed = 0
-        #: Refreshes dropped because their key's cache node died while the
-        #: claim was outstanding (see :meth:`drop_orphaned`).
-        self.orphaned_dropped = 0
-        #: Keys in completion order — lets tests pin that a fixed scheduler
-        #: seed drains contended refreshes in a deterministic order.
-        self.completed_log: List[str] = []
 
     # -- state ------------------------------------------------------------------
 
@@ -214,9 +210,7 @@ class RefreshQueue:
         lease holder is usually a paused worker).  Returns the number of
         claims dropped.
         """
-        dropped = self._drop_where(lambda key, entry: is_orphaned(key))
-        self.orphaned_dropped += dropped
-        return dropped
+        return self._drop_where(lambda key, entry: is_orphaned(key))
 
     def _drop_where(self, doomed: Callable[[str, Any], bool]) -> int:
         dropped = 0
@@ -242,5 +236,3 @@ class RefreshQueue:
         telemetry = getattr(cached_object.app_cache, "telemetry", None)
         if telemetry is not None:
             telemetry.note_refresh(entry.key)
-        self.completed += 1
-        self.completed_log.append(entry.key)

@@ -71,13 +71,11 @@ class _PendingOp:
 
 class OpContext:
     """One transaction's coalesced ops by cache key, whether a flush of them
-    is in progress, and their key set frozen; ``key`` attributes its counts
-    (``("worker", i)`` for a replay worker, None for the serial context)."""
+    is in progress, and their key set frozen."""
 
-    __slots__ = ("key", "ops", "flushing", "frozen")
+    __slots__ = ("ops", "flushing", "frozen")
 
-    def __init__(self, key: Any = None) -> None:
-        self.key = key
+    def __init__(self) -> None:
         self.ops: "OrderedDict[str, _PendingOp]" = OrderedDict()
         self.flushing = False
         #: ``frozenset(ops)``, cached until the key set changes.
@@ -105,23 +103,15 @@ class TriggerOpQueue:
         self.cas_max_retries = cas_max_retries
         #: The live transaction's pending ops (see :class:`OpContext`).
         self.context = OpContext()
-        # Lifetime statistics, for tests and the benchmark reports.
+        # Lifetime statistics only this queue keeps.  Flushes and their
+        # keys are flush()'s return and the ``trigger:flush`` span; CAS
+        # retry rounds are the recorder's ``cas_retry_rounds``, and the
+        # keys retried each owner's ``stats.cas_retries``.
         self.enqueued = 0
         self.coalesced = 0
-        self.flushes = 0
-        self.flushed_keys = 0
         self.discarded = 0
-        #: Keys re-read and re-swapped after losing a CAS round.
-        self.cas_retries = 0
         #: Keys invalidated after exhausting every CAS retry round.
         self.cas_fallbacks = 0
-        #: Extra gets_multi/cas_multi rounds forced by CAS losers — zero
-        #: for a single writer, nonzero once concurrent workers contend.
-        self.cas_retry_rounds = 0
-        #: Per-worker attribution: ops enqueued / keys flushed per context
-        #: key (the default serial context is ``None``).
-        self.enqueued_by_context: Dict[Any, int] = {}
-        self.flushed_keys_by_context: Dict[Any, int] = {}
 
     # -- state ------------------------------------------------------------------
 
@@ -132,17 +122,12 @@ class TriggerOpQueue:
     def pending_keys(self) -> List[str]:
         return list(self.context.ops)
 
-    @staticmethod
-    def _attribute(counter: Dict[Any, int], key: Any, n: int = 1) -> None:
-        counter[key] = counter.get(key, 0) + n
-
     # -- enqueueing -------------------------------------------------------------
 
     def enqueue_delete(self, owner: Any, key: str) -> None:
         """Queue an invalidation of ``key`` (wins over pending mutations)."""
         context = self.context
         self.enqueued += 1
-        self._attribute(self.enqueued_by_context, context.key)
         ops = context.ops
         if key in ops:
             self.coalesced += 1
@@ -161,7 +146,6 @@ class TriggerOpQueue:
         """
         context = self.context
         self.enqueued += 1
-        self._attribute(self.enqueued_by_context, context.key)
         pending = context.ops.get(key)
         if pending is not None:
             self.coalesced += 1
@@ -207,11 +191,6 @@ class TriggerOpQueue:
 
                 if deletes:
                     self._flush_deletes(deletes)
-
-                self.flushes += 1
-                self.flushed_keys += len(ops)
-                self._attribute(self.flushed_keys_by_context, context.key,
-                                len(ops))
                 return len(ops)
             except BaseException:
                 # delete_multi lands before its own pause, so this holds
@@ -335,8 +314,6 @@ class TriggerOpQueue:
             self._invalidate_fallback(unstorable)
         if not losers:
             return None
-        self.cas_retries += len(losers)
-        self.cas_retry_rounds += 1
         recorder = getattr(self.cache, "recorder", None)
         if recorder is not None:
             recorder.record("cas_retry_rounds")
@@ -365,10 +342,10 @@ class TriggerOpQueue:
         """Drop every queued operation without touching the cache (abort)."""
         return self.close_context(self.context)
 
-    def open_context(self, key: Any) -> OpContext:
-        """A new, empty op space attributed to ``key`` (a replay worker's);
-        it becomes live when assigned to :attr:`context`."""
-        return OpContext(key)
+    def open_context(self) -> OpContext:
+        """A new, empty op space (a replay worker's); it becomes live when
+        assigned to :attr:`context`."""
+        return OpContext()
 
     def close_context(self, context: OpContext) -> int:
         """Drop ``context``'s queued operations without touching the cache:

@@ -160,7 +160,7 @@ class _WorkerContext:
         #: :meth:`ConcurrentReplayer._install_layers`); the cache layers
         #: hand out their own, so the engine names no class of theirs.
         self.txn = TxnContext()
-        self.ops = (replayer.op_queue.open_context(("worker", worker_id))
+        self.ops = (replayer.op_queue.open_context()
                     if replayer.op_queue is not None else None)
         self.refresh = (replayer.refresh_queue.open_context()
                         if replayer.refresh_queue is not None else None)

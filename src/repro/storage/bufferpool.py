@@ -19,7 +19,12 @@ PageId = Tuple[str, int]
 
 
 class BufferPool:
-    """LRU set of (table, page_no) identifiers with hit/miss accounting."""
+    """LRU set of (table, page_no) identifiers.
+
+    Hits and misses are the recorder's ``pages_hit``/``pages_missed`` (the
+    database's recorder, for the database's pool); the pool itself counts
+    only what the recorder does not see: evictions and dirty write-backs.
+    """
 
     def __init__(self, capacity_pages: int, recorder: Optional[Recorder] = None) -> None:
         if capacity_pages < 1:
@@ -27,8 +32,6 @@ class BufferPool:
         self.capacity_pages = capacity_pages
         self.recorder = recorder or Recorder()
         self._pages: "OrderedDict[PageId, bool]" = OrderedDict()  # value: dirty flag
-        self.hits = 0
-        self.misses = 0
         self.evictions = 0
         self.dirty_writebacks = 0
 
@@ -38,7 +41,6 @@ class BufferPool:
         """Touch a page; return True on a hit, False on a (simulated) disk read."""
         page_id: PageId = (table, page_no)
         if page_id in self._pages:
-            self.hits += 1
             self.recorder.record("pages_hit")
             self._pages.move_to_end(page_id)
             if dirty:
@@ -46,7 +48,6 @@ class BufferPool:
                 self.recorder.record("pages_dirtied")
             return True
 
-        self.misses += 1
         self.recorder.record("pages_missed")
         self._pages[page_id] = dirty
         if dirty:
@@ -79,8 +80,9 @@ class BufferPool:
 
     @property
     def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+        total = self.recorder.total
+        accesses = total.pages_hit + total.pages_missed
+        return total.pages_hit / accesses if accesses else 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

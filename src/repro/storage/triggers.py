@@ -61,7 +61,6 @@ class TriggerManager:
         self._triggers: Dict[str, Trigger] = {}
         self._by_table_event: Dict[tuple, List[Trigger]] = {}
         self.globally_enabled = True
-        self.fired_count = 0
 
     # -- registration ---------------------------------------------------------
 
@@ -161,5 +160,4 @@ class TriggerManager:
                     f"trigger {trigger.name!r} failed on {event} of {table!r}: {exc}"
                 ) from exc
             fired += 1
-            self.fired_count += 1
         return fired

@@ -114,7 +114,7 @@ class TestBandModel:
         for _ in range(12):
             stack["clock"].advance(0.25)
             cached.evaluate(author_id=author.pk)
-        assert adaptive.band_switches == 0
+        assert adaptive.switch_log == []
         assert adaptive.bands_snapshot() == {}
 
     def test_write_storm_promotes_to_refresh_band(self, stack):
@@ -127,7 +127,6 @@ class TestBandModel:
         assert [(old, new) for _key, old, new in adaptive.switch_log] == \
             [(COLD_BAND, REFRESH_BAND)]
         assert adaptive.band_for(key) == REFRESH_BAND
-        assert (adaptive.band_switches, adaptive.migrations) == (1, 1)
         totals = stack["genie"].recorder.total
         assert (totals.band_switches, totals.adaptive_migrations) == (1, 1)
 
@@ -145,8 +144,8 @@ class TestBandModel:
             cached.evaluate(author_id=author.pk)
         assert adaptive.band_for(key) == HERD_BAND
         # cold -> herd shares the raw representation: nothing migrates.
-        assert adaptive.band_switches == 1
-        assert adaptive.migrations == 0
+        assert len(adaptive.switch_log) == 1
+        assert stack["genie"].recorder.total.adaptive_migrations == 0
 
     def test_dwell_blocks_immediate_switch(self, stack):
         adaptive = adaptive_strategy(min_dwell_seconds=120.0)
@@ -154,7 +153,7 @@ class TestBandModel:
         author = stack["Author"].objects.create(name="a")
         cached.evaluate(author_id=author.pk)
         write_storm(stack, cached, author)  # 4 virtual seconds < 120s dwell
-        assert adaptive.band_switches == 0
+        assert adaptive.switch_log == []
         assert adaptive.bands_snapshot() == {}
 
 
@@ -201,7 +200,7 @@ class TestMigration:
         assert cached.evaluate(author_id=author.pk) == 16  # refresh landed
         key = cached.make_key(author_id=author.pk)
         assert isinstance(genie.app_cache.get(key), int)  # re-homed raw
-        assert adaptive.migrations == 2
+        assert stack["genie"].recorder.total.adaptive_migrations == 2
 
     def test_refresh_to_herd_retires_envelope_via_lease(self, stack):
         adaptive = adaptive_strategy()
@@ -218,7 +217,7 @@ class TestMigration:
         assert adaptive.band_for(key) == HERD_BAND
         # The envelope was retired through a stale-retaining lease delete.
         assert stack["server"].stats.lease_deletes == lease_deletes + 1
-        assert adaptive.migrations == 2
+        assert stack["genie"].recorder.total.adaptive_migrations == 2
 
 
 class TestWritePath:

@@ -77,7 +77,8 @@ def seeded_state(scenario):
         "tables": tables,
         "pool": {"resident_lru_order": [[table, page_no, dirty] for
                                         (table, page_no), dirty in pool._pages.items()],
-                 "hits": pool.hits, "misses": pool.misses,
+                 "hits": pool.recorder.total.pages_hit,
+                 "misses": pool.recorder.total.pages_missed,
                  "evictions": pool.evictions,
                  "dirty_writebacks": pool.dirty_writebacks},
         "counters": database.recorder.total.as_dict(),

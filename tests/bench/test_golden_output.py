@@ -88,6 +88,25 @@ def test_output_matches_golden(name, tmp_path, monkeypatch):
     assert run_cli(GOLDEN[name]) == golden_text(name)
 
 
+def test_strategies_output_ignores_earlier_runs(tmp_path, monkeypatch):
+    """``strategies`` describes the registered strategies, not a run: after
+    the registered adaptive strategy has switched bands in this process, the
+    output is still its golden (it used to print the run's switch counts)."""
+    from repro.apps.social import SeedScale
+    from repro.bench.experiments import (HOT_KEY_WORKLOAD,
+                                         STRATEGY_PAGE_INTERVAL, run_scenario)
+    from repro.bench.scenarios import ADAPTIVE_SCENARIO, ScenarioConfig
+    from repro.core.strategies import get_strategy
+
+    config = ScenarioConfig(name=ADAPTIVE_SCENARIO, seed_scale=SeedScale.tiny(),
+                            page_interval_seconds=STRATEGY_PAGE_INTERVAL)
+    run = run_scenario(config, workload=HOT_KEY_WORKLOAD, warmup=None)
+    assert run.replay.total_counters.band_switches > 0
+    assert get_strategy("adaptive").switch_log
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(GOLDEN["strategies"]) == golden_text("strategies")
+
+
 def test_traced_run_document_still_renders(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     run_cli(GOLDEN["exp-contention--quick--trace-out--json-out"])

@@ -74,12 +74,13 @@ class TestJoin:
         assert event.action == "join"
         assert event.node == "cache1"
         # Consistent hashing: some but not most keys remap to the newcomer.
-        assert 0 < controller.keys_remapped < 40
-        assert event.details["keys_remapped"] == controller.keys_remapped
+        count = event.details["keys_remapped"]
+        assert 0 < count < 40
+        assert controller.counters()["keys_remapped"] == count
         # Every remapped key now routes to the (empty) joiner: a cold miss.
         remapped = [f"k{i}" for i in range(40)
                     if controller.ring.server_for(f"k{i}") == "cache1"]
-        assert len(remapped) == controller.keys_remapped
+        assert len(remapped) == count
         assert all(client.get(key) is None for key in remapped)
 
     def test_join_existing_node_rejected(self):
@@ -144,8 +145,8 @@ class TestKillAndRevive:
         assert event.at == 9.0
         assert servers["cache1"].alive
         assert servers["cache1"].item_count == 0
-        assert controller.post_revival_invalidations == held
         assert event.details["post_revival_invalidations"] == held
+        assert controller.counters()["post_revival_invalidations"] == held
 
     def test_revive_live_node_rejected(self):
         controller, _client, _servers, _clock = make_cluster()
@@ -164,8 +165,8 @@ class TestKillAndRevive:
         genie.refresh_queue.schedule(object(), victim_key, {})
         genie.refresh_queue.schedule(object(), survivor_key, {})
         event = controller.kill("cache1")
-        assert controller.orphaned_claims_dropped == 1
         assert event.details["orphaned_claims_dropped"] == 1
+        assert controller.counters()["orphaned_claims_dropped"] == 1
         assert genie.refresh_queue.pending_keys() == [survivor_key]
 
 
@@ -178,6 +179,25 @@ class TestEventsAndCounters:
         controller.revive("cache1")
         assert [(e.at, e.action, e.node) for e in controller.events] == [
             (3.5, "kill", "cache1"), (7.0, "revive", "cache1")]
+
+    def test_counters_sum_the_event_log(self):
+        controller, client, servers, _clock = make_cluster()
+        assert controller.counters() == {
+            "keys_remapped": 0, "orphaned_claims_dropped": 0,
+            "post_revival_invalidations": 0}
+        for i in range(40):
+            client.set(f"k{i}", i)
+        joined = controller.join(CacheServer("cache2"))
+        drained = controller.drain("cache0")
+        controller.kill("cache1")
+        revived = controller.revive("cache1")
+        assert controller.counters() == {
+            "keys_remapped": (joined.details["keys_remapped"]
+                              + drained.details["keys_remapped"]),
+            "orphaned_claims_dropped": 0,
+            "post_revival_invalidations":
+                revived.details["post_revival_invalidations"]}
+        assert controller.counters()["keys_remapped"] > 0
 
     def test_counters_merge_gutter_counters(self):
         controller, client, _servers, _clock = make_cluster(gutter=True)

@@ -112,10 +112,10 @@ class TestDeadLeaseHolder:
         assert controller.server("cache1").stats.lease_contended == 1
 
         # The claimant's node dies: the claim is dropped with it.
-        controller.kill("cache1")
+        event = controller.kill("cache1")
         assert queue.pending_keys() == []
-        assert queue.orphaned_dropped == 1
-        assert controller.orphaned_claims_dropped == 1
+        assert event.details["orphaned_claims_dropped"] == 1
+        assert controller.counters()["orphaned_claims_dropped"] == 1
 
         # Worker 1 is not blocked by the dead holder: its next read
         # degrades to a synchronous recompute (no gutter attached) and
@@ -157,7 +157,7 @@ class TestDeadLeaseHolder:
         queue.context = serial
         assert queue.pending_keys() == []     # claim parked with worker 0
 
-        controller.kill("cache1")
-        assert queue.orphaned_dropped == 1
+        event = controller.kill("cache1")
+        assert event.details["orphaned_claims_dropped"] == 1
         assert not worker.pending             # swept while parked
         queue.close_context(worker)

@@ -11,8 +11,10 @@ from repro.apps.social import SeedScale
 from repro.bench.experiments import HOT_KEY_WORKLOAD, ablation_config
 from repro.bench.scenarios import LEASED_SCENARIO, Scenario
 from repro.core import CacheGenie, LeasedInvalidateStrategy
+from repro.obs import hooks
 from repro.sim import ADVERSARIAL, ConcurrentReplayer
 from repro.workload import WorkloadGenerator
+from tests.helpers import SpanLog
 
 
 @contextlib.contextmanager
@@ -68,9 +70,9 @@ class TestOneRecomputePerContendedWindow:
             assert stack["cache_server"].stats.herd_size_max == 3
 
             # The background worker runs once; everyone is fresh again.
-            assert queue.drain(now=float("inf")) == 1
-            assert queue.completed == 1
-            assert queue.completed_log == [key]
+            with hooks.subscribed(SpanLog("refresh:recompute")) as log:
+                assert queue.drain(now=float("inf")) == 1
+            assert [args["key"] for _, args in log.spans] == [key]
             assert cached.stats.recomputations == 1
             assert cached.peek(owner_id=owner.pk) == 2
         finally:
@@ -149,7 +151,9 @@ class TestWorkerContexts:
 
 
 class TestDeterministicDrainOrder:
-    def _replay_completed_log(self, seed: int):
+    def _replay_recomputed_keys(self, seed: int):
+        """The keys the replay's refreshes recomputed, in drain order, read
+        off the ``refresh:recompute`` spans."""
         workload = HOT_KEY_WORKLOAD.with_overrides(
             clients=6, sessions_per_client=2, page_loads_per_session=4)
         with leased_scenario() as (scenario, config):
@@ -160,17 +164,18 @@ class TestDeterministicDrainOrder:
                 workers=3, policy=ADVERSARIAL, seed=seed,
                 clock=scenario.clock,
                 page_interval_seconds=config.page_interval_seconds)
-            result = replayer.replay(trace)
-            queue = scenario.genie.refresh_queue
-            return (result.schedule_signature, list(queue.completed_log),
-                    queue.scheduled, queue.completed)
+            with hooks.subscribed(SpanLog("refresh:recompute")) as log:
+                result = replayer.replay(trace)
+            recomputed = [args["key"] for _, args in log.spans]
+            return (result.schedule_signature, recomputed,
+                    scenario.genie.refresh_queue.scheduled)
 
     def test_fixed_seed_drains_in_identical_order(self):
-        first = self._replay_completed_log(seed=99)
-        second = self._replay_completed_log(seed=99)
+        first = self._replay_recomputed_keys(seed=99)
+        second = self._replay_recomputed_keys(seed=99)
         assert first == second
-        signature, completed_log, scheduled, completed = first
-        assert completed_log, "the hot-key replay should refresh something"
+        signature, recomputed, scheduled = first
+        assert recomputed, "the hot-key replay should refresh something"
         # Every scheduled recompute either completed or is still pending —
         # never more completions than schedules (one per window).
-        assert completed <= scheduled
+        assert len(recomputed) <= scheduled

@@ -144,12 +144,13 @@ class Fleet:
         servers = list(self.servers)
         if self.gutter is not None:
             servers += self.gutter.servers
+        # A completed refresh is the object's ``recomputations``.
         return {
             "object": self.cached.stats.as_dict(),
             "servers": {s.name: s.stats_dict() for s in servers},
             "gutter": self.gutter.counters() if self.gutter else None,
             "refresh queue": (queue.pending_keys(), queue.scheduled,
-                              queue.coalesced, queue.completed),
+                              queue.coalesced),
         }
 
     def totals(self) -> Dict[str, float]:

@@ -7,11 +7,11 @@ import pytest
 from repro.core import (CacheGenie, TransactionalCacheSession, TriggerOpQueue,
                         TwoPhaseLockingCoordinator)
 from repro.core.cache_classes.base import evaluate_many
-from repro.core.trigger_queue import OpContext
 from repro.core.stats import CachedObjectStats
 from repro.memcache import CacheClient, CacheServer
 from repro.obs import hooks
 from repro.storage.costmodel import Recorder
+from tests.helpers import SpanLog
 
 
 class FakeOwner:
@@ -158,13 +158,15 @@ class TestGenieCommitTimeBatching:
         recorder = db.recorder
         before = recorder.total.copy()
         ops_before = self._server_ops(batched["servers"])
-        with db.transaction():
-            for i in range(6):
-                db.insert(Wall._meta.db_table,
-                          {"person_id": alice.pk, "content": f"p{i}", "posted": float(i)})
+        with hooks.subscribed(SpanLog("trigger:flush")) as flushes:
+            with db.transaction():
+                for i in range(6):
+                    db.insert(Wall._meta.db_table,
+                              {"person_id": alice.pk, "content": f"p{i}",
+                               "posted": float(i)})
         delta = recorder.total
         # Six trigger firings enqueued six bumps that coalesced to one key...
-        assert genie.trigger_op_queue.flushed_keys == 1
+        assert [args["pending"] for _, args in flushes.spans] == [1]
         assert genie.trigger_op_queue.coalesced == 5
         # ...flushed as one read batch + one write batch (2 wire ops, not 6).
         assert self._server_ops(batched["servers"]) - ops_before == 2
@@ -377,7 +379,6 @@ class TestFlushCasRetries:
         assert client.get("l") == 101
         assert owner.stats.updates_applied == 2
         assert owner.stats.cas_retries == 1
-        assert queue.cas_retries == 1
         assert queue.cas_fallbacks == 0
 
     def test_retries_exhausted_fall_back_to_invalidation(self, cache):
@@ -396,7 +397,7 @@ class TestFlushCasRetries:
         assert client.get("hot") is None
         assert owner.stats.invalidations == 1
         assert owner.stats.updates_applied == 0
-        assert queue.cas_retries == 2
+        assert owner.stats.cas_retries == 2
         assert queue.cas_fallbacks == 1
 
     def test_oversized_result_invalidates_without_burning_retries(self, cache):
@@ -410,7 +411,7 @@ class TestFlushCasRetries:
         queue.flush()
         # One read round only: too-large skips straight to invalidation.
         assert server0.stats.gets - gets_before == 1
-        assert queue.cas_retries == 0
+        assert owner.stats.cas_retries == 0
         assert queue.cas_fallbacks == 1
         assert client.get("k") is None
         assert owner.stats.invalidations == 1
@@ -434,7 +435,7 @@ class TestFlushCasRetries:
         # no fallback copy outlives the mutation.
         assert client.get("gone") is None
         assert owner.stats.updates_applied == 0
-        assert queue.cas_retries == 0
+        assert owner.stats.cas_retries == 0
         assert queue.cas_fallbacks == 1
         # The key was already gone, so the fallback credits no invalidation.
         assert owner.stats.invalidations == 0
@@ -467,7 +468,7 @@ class TestWorkerContexts:
         client.set("a", 1)
         client.set("b", 2)
         queue = TriggerOpQueue(client)
-        serial, worker = queue.context, OpContext("w1")
+        serial, worker = queue.context, queue.open_context()
         owner = FakeOwner()
         queue.enqueue_mutate(owner, "a", lambda v: v + 1)
         queue.context = worker
@@ -480,15 +481,14 @@ class TestWorkerContexts:
         assert client.get("a") == 1  # the serial context's op is untouched
         queue.context = serial
         assert queue.pending_keys() == ["a"]
-        queue.flush()
+        assert queue.flush() == 1
         assert client.get("a") == 2
-        assert queue.enqueued_by_context == {None: 1, "w1": 1}
-        assert queue.flushed_keys_by_context == {None: 1, "w1": 1}
+        assert queue.enqueued == 2
 
     def test_close_context_discards_pending_ops(self, cache):
         client, _server = cache
         queue = TriggerOpQueue(client)
-        serial, worker = queue.context, OpContext("w1")
+        serial, worker = queue.context, queue.open_context()
         owner = FakeOwner()
         queue.context = worker
         queue.enqueue_delete(owner, "k")
@@ -507,7 +507,7 @@ class TestInterleavedFlushContention:
         client, _server = cache
         client.set("n", 100)
         queue = TriggerOpQueue(client)
-        a, b = queue.context, OpContext("B")
+        a, b = queue.context, queue.open_context()
         owner = FakeOwner()
         queue.enqueue_mutate(owner, "n", lambda v: v + 1)       # context A
         queue.context = b
@@ -527,8 +527,6 @@ class TestInterleavedFlushContention:
             assert queue.flush() == 1
         # Both transactions' mutations landed, in commit order (B then A).
         assert client.get("n") == 111
-        assert queue.cas_retry_rounds == 1
-        assert queue.cas_retries == 1
         assert owner.stats.cas_retries == 1
         assert client.recorder.total.cas_multi_mismatch == 1
         assert client.recorder.total.cas_retry_rounds == 1
@@ -537,7 +535,7 @@ class TestInterleavedFlushContention:
         client, _server = cache
         client.set("x", 1)
         queue = TriggerOpQueue(client)
-        a, b = queue.context, OpContext("B")
+        a, b = queue.context, queue.open_context()
         owner = FakeOwner()
         queue.enqueue_mutate(owner, "x", lambda v: v + 1)
         flushed_inside = []

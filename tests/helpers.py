@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.memcache import CacheServer
+from repro.obs import hooks
 from repro.orm import (CharField, FloatTimestampField, ForeignKey,
                        IntegerField, Model, Registry, TextField)
 from repro.storage import Database
@@ -61,3 +62,16 @@ def build_blog_models(name: str = "blog") -> Dict[str, object]:
 def build_cache_servers(count: int = 2, capacity: int = 4 * 1024 * 1024):
     """Build a list of small cache servers for CacheGenie tests."""
     return [CacheServer(f"test-cache{i}", capacity_bytes=capacity) for i in range(count)]
+
+
+class SpanLog(hooks.Observer):
+    """Subscribe it to the hook chain to log each closing span of the
+    watched labels as ``(label, args)``, in the order they close."""
+
+    def __init__(self, *labels: str) -> None:
+        self.labels = labels
+        self.spans: List[Tuple[str, Dict[str, Any]]] = []
+
+    def exit(self, label: str, args: Dict[str, Any]) -> None:
+        if label in self.labels:
+            self.spans.append((label, dict(args)))

@@ -103,8 +103,8 @@ class TestTracedReplayIdentical:
             fingerprint = replay_fingerprint(result)
             fingerprint["key_telemetry"] = result.key_telemetry
             fingerprint["switch_log"] = list(strategy.switch_log)
-            fingerprint["band_switches"] = strategy.band_switches
-            fingerprint["migrations"] = strategy.migrations
+            fingerprint["band_switches"] = len(strategy.switch_log)
+            fingerprint["migrations"] = result.total_counters.adaptive_migrations
             return result, fingerprint
 
         result_u, fingerprint_u = run(False)

@@ -222,17 +222,14 @@ class TestContention:
         with contention_scenario() as (scenario, config):
             result = concurrent_replay(scenario, config, workers=2,
                                        policy=ADVERSARIAL)
-            queue = scenario.genie.trigger_op_queue
-            assert queue.cas_retry_rounds > 0
-            assert queue.cas_retries > 0
-            # Ops were attributed to both workers' contexts.
-            contexts = set(queue.enqueued_by_context)
-            assert {("worker", 0), ("worker", 1)} <= contexts
-        # ...and each worker's pages carry cache round trips in their own
-        # scoped counters.
-        assert {worker for worker, pages in result.page_stores.items()
-                if any(page.counters.cache_round_trips for page in pages)} \
-            == {0, 1}
+            assert scenario.genie.stats.totals().cas_retries > 0
+        # Both workers enqueued trigger ops and flushed them: each one's
+        # pages carry trigger-side and other cache round trips in their
+        # own scoped counters.
+        for counter in ("trigger_launches", "cache_round_trips"):
+            assert {worker for worker, pages in result.page_stores.items()
+                    if any(getattr(page.counters, counter)
+                           for page in pages)} == {0, 1}
         counters = result.total_counters
         assert counters.cas_multi_mismatch > 0
         assert counters.cas_retry_rounds > 0
@@ -363,9 +360,9 @@ class ParkAFlushingWorker(InterleaveScheduler):
     ``cache:gets_multi`` — with ``in_retry_round``, the ``gets_multi`` of a
     CAS retry round — then that worker stays parked while the others run."""
 
-    def __init__(self, policy, queue, in_retry_round):
+    def __init__(self, policy, recorder, in_retry_round):
         super().__init__(policy)
-        self.queue = queue
+        self.recorder = recorder
         self.in_retry_round = in_retry_round
         self.parked = None
         self.retry_rounds_at_park = None
@@ -375,7 +372,7 @@ class ParkAFlushingWorker(InterleaveScheduler):
         if self.parked is None:
             # A label changes only when its worker yields: the one that
             # just ran is the last one picked.
-            rounds = self.queue.cas_retry_rounds
+            rounds = self.recorder.total.cas_retry_rounds
             retrying, self._retry_rounds = rounds > self._retry_rounds, rounds
             for status in runnable:
                 if (status.label == "cache:gets_multi"
@@ -454,11 +451,11 @@ class TestHandOffFailures:
             queue = scenario.genie.trigger_op_queue
             cache = scenario.genie.app_cache
             saved = BookmarkInstance.objects.count()
-            began_in = []
+            serial_ops, began_in = queue.context, []
 
             def render(page, user_id):
                 if cache.current_worker == 1:
-                    began_in.append(transactions.context)
+                    began_in.append((transactions.context, queue.context))
                     transactions.begin()
                     BookmarkInstance(bookmark_id=1, user_id=user_id,
                                      description="parked", note="").save()
@@ -478,8 +475,7 @@ class TestHandOffFailures:
 
             aborts = []
             transactions.on_abort.insert(0, lambda: aborts.append(
-                (transactions.context, queue.context.key,
-                 queue.pending_count)))
+                (transactions.context, queue.context, queue.pending_count)))
             scope = CostCounters()
             scenario.database.recorder.activate_scope(scope)
             tracer = Tracer(clock=scenario.clock)
@@ -494,8 +490,9 @@ class TestHandOffFailures:
             # One rollback, in worker 1's transaction *and* op-queue context,
             # with its trigger ops still pending there to be discarded.
             assert len(aborts) == 1 and len(began_in) == 1
-            assert aborts[0][0] is began_in[0]
-            assert aborts[0][1] == ("worker", 1)
+            assert aborts[0][0] is began_in[0][0]
+            assert aborts[0][1] is began_in[0][1]
+            assert aborts[0][1] is not serial_ops
             assert aborts[0][2] > 0
             assert transactions.aborted == 1
             assert BookmarkInstance.objects.count() == saved
@@ -513,7 +510,8 @@ class TestHandOffFailures:
         with contention_scenario() as (scenario, config):
             queue = scenario.genie.trigger_op_queue
             cache = scenario.genie.app_cache
-            scheduler = ParkAFlushingWorker(policy, queue, in_retry_round)
+            scheduler = ParkAFlushingWorker(policy, queue.cache.recorder,
+                                            in_retry_round)
             render = scenario.app.render
 
             def render_until_parked(page, user_id):
@@ -627,6 +625,7 @@ class ContractCheckingScheduler(InterleaveScheduler):
     def watch(self, scenario, replayer):
         """Observe renders and checkpoints from outside the engine."""
         self.queue = scenario.genie.trigger_op_queue
+        self.serial_ops = self.queue.context
         self.cache = cache = scenario.genie.app_cache
         render, checkpoint = scenario.app.render, replayer._checkpoint
 
@@ -651,10 +650,13 @@ class ContractCheckingScheduler(InterleaveScheduler):
         yielding = self.cache.current_worker   # None: the main thread
         if yielding is not None:
             # The decision runs on the yielding worker's thread, in its own
-            # op context — the same object for the whole replay.
+            # op context — the same object for the whole replay, and
+            # neither the caller's nor another worker's.
             live = self.queue.context
-            assert live.key == ("worker", yielding)
+            assert live is not self.serial_ops
             assert self.op_contexts.setdefault(yielding, live) is live
+            assert [w for w, own in self.op_contexts.items()
+                    if own is live] == [yielding]
         for status in runnable:
             worker_id = status.worker_id
             assert status.label == self.labels[worker_id]

@@ -10,8 +10,8 @@ class TestBufferPool:
         pool = BufferPool(4)
         assert pool.access("t", 0) is False
         assert pool.access("t", 0) is True
-        assert pool.hits == 1
-        assert pool.misses == 1
+        assert pool.recorder.total.pages_hit == 1
+        assert pool.recorder.total.pages_missed == 1
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -46,8 +46,8 @@ def charged(db: Database, scopes, call):
     """Run ``call``; return its outcome (or the refusal's type and message)
     and everything it charged: both counter scopes and the pool's deltas."""
     own, handed_off = CostCounters(), CostCounters()
-    pool = db.buffer_pool
-    before = (pool.hits, pool.misses, pool.evictions)
+    pool, total = db.buffer_pool, db.recorder.total
+    before = (total.pages_hit, total.pages_missed, pool.evictions)
     scopes["handed_off"] = handed_off
     outer = db.recorder.activate_scope(own)
     try:
@@ -57,7 +57,7 @@ def charged(db: Database, scopes, call):
     finally:
         db.recorder.activate_scope(outer)
     return (outcome, own.as_dict(), handed_off.as_dict(),
-            (pool.hits - before[0], pool.misses - before[1],
+            (total.pages_hit - before[0], total.pages_missed - before[1],
              pool.evictions - before[2]))
 
 

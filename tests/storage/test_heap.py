@@ -88,10 +88,10 @@ class TestHeapFile:
         heap = make_heap(page_size=256)
         for i in range(40):
             heap.insert({"id": i, "text": "x" * 100})
-        pool = heap.buffer_pool
-        before = pool.hits + pool.misses
+        total = heap.buffer_pool.recorder.total
+        before = total.pages_hit + total.pages_missed
         list(heap.scan())
-        accesses = (pool.hits + pool.misses) - before
+        accesses = (total.pages_hit + total.pages_missed) - before
         assert accesses == heap.page_count
 
     def test_delete_leaves_a_hole_every_read_steps_over(self):
@@ -129,9 +129,9 @@ class TestHeapFile:
     def test_fetch_many_deduplicates_page_accesses(self):
         heap = make_heap(page_size=4096)
         rows = [heap.insert({"id": i, "text": "small"}) for i in range(20)]
-        pool = heap.buffer_pool
-        before = pool.hits + pool.misses
+        total = heap.buffer_pool.recorder.total
+        before = total.pages_hit + total.pages_missed
         fetched = heap.fetch_many(iter(r.rowid for r in rows))
         assert [rowid for rowid, _values in fetched] == [r.rowid for r in rows]
         # All 20 small rows share a single 4 KB page.
-        assert (pool.hits + pool.misses) - before == 1
+        assert (total.pages_hit + total.pages_missed) - before == 1

@@ -67,7 +67,8 @@ class TestExplicitTransactions:
                 primary_key="id"))
             for i in range(5000):
                 db.insert("accounts", {"owner": f"owner-{i}", "balance": i})
-            pool_before = (db.buffer_pool.hits, db.buffer_pool.misses)
+            total = db.recorder.total
+            pool_before = (total.pages_hit, total.pages_missed)
             with db.measure() as counters:
                 if explicit:
                     db.begin()
@@ -75,8 +76,8 @@ class TestExplicitTransactions:
                 if explicit:
                     db.commit()
             assert [row["balance"] for row in rows] == [-1]
-            pool = (db.buffer_pool.hits - pool_before[0],
-                    db.buffer_pool.misses - pool_before[1])
+            pool = (total.pages_hit - pool_before[0],
+                    total.pages_missed - pool_before[1])
             return db, counters.as_dict(), pool
 
         _db, autocommit, autocommit_pool = measured_update(explicit=False)

@@ -5,7 +5,7 @@ Run from the repository root (CI's docs job does)::
 
     PYTHONPATH=src python tools/check_docs.py
 
-Four checks keep the docs layer from rotting silently:
+Five checks keep the docs layer from rotting silently:
 
 * **Links** — every relative markdown link in ``README.md`` and ``docs/``
   must point at an existing file, and every ``#anchor`` must match a
@@ -21,6 +21,11 @@ Four checks keep the docs layer from rotting silently:
 * **The yield-point table** in ``docs/CONCURRENCY.md`` — the backticked
   labels of its second column must be exactly ``repro.obs.hooks.PAUSES``,
   the pause labels the layers declare.
+* **The count table** in ``docs/OBSERVABILITY.md`` — every count of the
+  owners in :func:`count_owners` must be in exactly one of its owner's rows,
+  an owner's row may list only its own counts, and a name two owners keep
+  must be one of the declared :data:`HOMONYMS`; so a second copy of a count
+  cannot be added without failing here.
 
 Exit status 0 when everything passes; a non-zero status lists every broken
 link / failing example on stderr.  No dependencies beyond the standard
@@ -65,6 +70,24 @@ YIELD_TABLE_HEADER = "| Boundary | Labels | Announced by |"
 
 #: A whole backticked span, e.g. ``page:<name>``.
 _CODE_SPAN_RE = re.compile(r"`([^`]+)`")
+
+#: The page holding the table of where each count lives, and its header.
+COUNT_TABLE_DOC = "docs/OBSERVABILITY.md"
+COUNT_TABLE_HEADER = "| Count | Owner | Read it from |"
+
+#: Names that more than one owner keeps, each for a different event or at a
+#: different grain — not copies of one count.
+HOMONYMS = {
+    "deletes": "statement DELETEs on the recorder, cache deletes on a server",
+    "lease_contended": "the recorder's per-page sum of the servers' "
+                       "verdicts, and the telemetry's per key",
+    "cache_hits": "the recorder's per key read; an object's per evaluation",
+    "cache_misses": "the recorder's per key read; an object's per evaluation",
+    "evictions": "a server's LRU, the buffer pool's LRU, the telemetry's cap",
+    "coalesced": "trigger ops folded into one key, refreshes into one",
+    "cas_retries": "an object's per loser, the telemetry's per key",
+    "stale_served": "an object's per read, the telemetry's per key",
+}
 
 
 def strip_code(text: str) -> str:
@@ -212,13 +235,79 @@ def check_yield_table() -> List[str]:
                for label in hooks.PAUSES if label not in listed])
 
 
+def count_owners() -> Dict[str, Tuple[str, ...]]:
+    """The owners the count table must cover name for name: the first
+    backticked name of an owner cell -> the counts that owner keeps."""
+    from dataclasses import fields
+
+    from repro.cluster import ClusterController, GutterPool
+    from repro.core.stats import CachedObjectStats
+    from repro.memcache import CacheClient, CacheServer
+    from repro.memcache.stats import CACHE_STAT_FIELDS
+    from repro.storage.costmodel import COST_COUNTER_FIELDS
+
+    server = CacheServer("count-table")
+    controller = ClusterController([CacheClient([server])], [server],
+                                   clock=lambda: 0.0)
+    return {
+        "Recorder": COST_COUNTER_FIELDS,
+        "CacheServer.stats": CACHE_STAT_FIELDS,
+        "CachedObjectStats": tuple(f.name for f in fields(CachedObjectStats)),
+        "GutterPool": tuple(GutterPool([server]).counters()),
+        "ClusterController": tuple(controller.counters()),
+    }
+
+
+def count_table_rows(text: str) -> List[Tuple[str, List[str]]]:
+    """``(owner, counts)`` per row of the count table: the first backticked
+    name of the owner cell, and the backticked names of the count cell."""
+    owners = table_column(text, COUNT_TABLE_HEADER, 2)
+    counts = table_column(text, COUNT_TABLE_HEADER, 1)
+    return [(_CODE_SPAN_RE.findall(owner)[0], _CODE_SPAN_RE.findall(cell))
+            for owner, cell in zip(owners, counts)]
+
+
+def check_count_table() -> List[str]:
+    """One error per count missing from its owner's rows or listed twice
+    there, per count a row lists that its owner does not keep, and per
+    name two owners keep that is not a declared homonym."""
+    owners = count_owners()
+    rows = count_table_rows((REPO_ROOT / COUNT_TABLE_DOC).read_text())
+    errors: List[str] = []
+    for owner, names in owners.items():
+        for name in names:
+            listed = sum(counts.count(name) for row_owner, counts in rows
+                         if row_owner == owner)
+            if listed != 1:
+                errors.append(f"{COUNT_TABLE_DOC}: `{name}` of {owner} is "
+                              f"listed {listed} times in its rows, not once")
+    keepers: Dict[str, set] = {}
+    for owner, names in owners.items():
+        for name in names:
+            keepers.setdefault(name, set()).add(owner)
+    for owner, counts in rows:
+        for name in counts:
+            if owner in owners and name not in owners[owner]:
+                errors.append(f"{COUNT_TABLE_DOC}: the {owner} row lists "
+                              f"`{name}`, which {owner} does not keep")
+            keepers.setdefault(name, set()).add(owner)
+    shared = {name for name, kept_by in keepers.items() if len(kept_by) > 1}
+    errors += [f"{COUNT_TABLE_DOC}: `{name}` is kept by "
+               f"{', '.join(sorted(keepers[name]))}: one count, one owner "
+               f"(or declare it in HOMONYMS)"
+               for name in sorted(shared - set(HOMONYMS))]
+    errors += [f"check_docs.py: HOMONYMS declares `{name}`, which only one "
+               f"owner keeps" for name in sorted(set(HOMONYMS) - shared)]
+    return errors
+
+
 def main() -> int:
     paths = doc_paths()
     if not paths:
         print("check_docs: no documentation files found", file=sys.stderr)
         return 1
     errors = (check_links(paths) + check_doctests(paths) + check_hook_table()
-              + check_yield_table())
+              + check_yield_table() + check_count_table())
     snippet_count = sum(len(python_snippets(p)) for p in paths)
     if errors:
         for error in errors:
