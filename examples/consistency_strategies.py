@@ -38,7 +38,7 @@ class Player(Model):
 
 
 class Score(Model):
-    player = ForeignKey(Player, related_name="scores")
+    player = ForeignKey(Player)
     points = IntegerField(default=0)
 
     class Meta:

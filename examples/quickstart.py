@@ -32,7 +32,7 @@ class User(Model):
 
 
 class Profile(Model):
-    user = ForeignKey(User, related_name="profiles")
+    user = ForeignKey(User)
     about = TextField(null=True)
 
     class Meta:

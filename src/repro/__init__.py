@@ -15,8 +15,8 @@ This package reproduces "A Trigger-Based Middleware Cache for ORMs"
 
 Quickstart::
 
-    from repro.bench import build_scenario
-    scenario = build_scenario("Update")
+    from repro.bench import Scenario, ScenarioConfig
+    scenario = Scenario(ScenarioConfig(name="Update")).setup()
     page = scenario.app.lookup_bookmarks(user_id=1)
 """
 

@@ -29,7 +29,7 @@ Design constraints, in order:
 from __future__ import annotations
 
 from heapq import heappop, heappush, heapreplace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 
 class KeyStats:
@@ -63,11 +63,6 @@ class KeyStats:
     def traffic(self) -> int:
         """Lifetime reads + writes — the eviction ranking."""
         return self.reads + self.writes
-
-    @property
-    def contention(self) -> int:
-        """Lifetime contention events of every kind."""
-        return self.cas_mismatches + self.cas_retries + self.lease_contended
 
     def as_dict(self) -> Dict[str, float]:
         return {
@@ -226,13 +221,3 @@ class KeyTelemetry:
             self._decay(entry, now)
             out[entry.key] = entry.as_dict()
         return out
-
-    def describe(self) -> Dict[str, Any]:
-        return {
-            "capacity": self.capacity,
-            "half_life_seconds": self.half_life_seconds,
-            "tracked_keys": len(self._entries),
-            "evictions": self.evictions,
-            "total_reads": self.total_reads,
-            "total_writes": self.total_writes,
-        }

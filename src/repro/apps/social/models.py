@@ -42,7 +42,7 @@ class User(Model):
 class Profile(Model):
     """User-entered profile details, one row per user."""
 
-    user = ForeignKey(User, related_name="profiles")
+    user = ForeignKey(User)
     name = CharField(max_length=120, null=True)
     about = TextField(null=True)
     location = CharField(max_length=80, null=True)
@@ -56,8 +56,8 @@ class Profile(Model):
 class Friendship(Model):
     """A directed friendship edge; accepted friendships store two rows."""
 
-    from_user = ForeignKey(User, related_name="friendships_from")
-    to_user = ForeignKey(User, related_name="friendships_to")
+    from_user = ForeignKey(User)
+    to_user = ForeignKey(User)
     added = FloatTimestampField(auto_now_add=True)
 
     class Meta:
@@ -72,8 +72,8 @@ class FriendshipInvitation(Model):
     STATUS_ACCEPTED = 5
     STATUS_DECLINED = 6
 
-    from_user = ForeignKey(User, related_name="invitations_sent")
-    to_user = ForeignKey(User, related_name="invitations_received")
+    from_user = ForeignKey(User)
+    to_user = ForeignKey(User)
     message = TextField(null=True)
     sent = FloatTimestampField(auto_now_add=True)
     status = IntegerField(default=STATUS_PENDING, db_index=True)
@@ -89,7 +89,7 @@ class Bookmark(Model):
     url = CharField(max_length=500, db_index=True)
     description = TextField(null=True)
     added = FloatTimestampField(auto_now_add=True)
-    adder = ForeignKey(User, related_name="added_bookmarks", null=True)
+    adder = ForeignKey(User, null=True)
 
     class Meta:
         registry = social_registry
@@ -99,8 +99,8 @@ class Bookmark(Model):
 class BookmarkInstance(Model):
     """One user's saved copy of a bookmark."""
 
-    bookmark = ForeignKey(Bookmark, related_name="saved_instances")
-    user = ForeignKey(User, related_name="bookmark_instances")
+    bookmark = ForeignKey(Bookmark)
+    user = ForeignKey(User)
     description = TextField(null=True)
     note = TextField(null=True)
     added = FloatTimestampField(auto_now_add=True, db_index=True)
@@ -113,8 +113,8 @@ class BookmarkInstance(Model):
 class WallPost(Model):
     """A note posted on a user's wall by a friend (the §3.2 Top-K example)."""
 
-    user = ForeignKey(User, related_name="wall_posts")
-    sender = ForeignKey(User, related_name="sent_wall_posts")
+    user = ForeignKey(User)
+    sender = ForeignKey(User)
     content = TextField()
     date_posted = FloatTimestampField(auto_now_add=True, db_index=True)
 

@@ -112,11 +112,6 @@ class ScenarioConfig:
     def uses_cache(self) -> bool:
         return self.name != NO_CACHE
 
-    @property
-    def strategy_name(self) -> Optional[str]:
-        """The resolved strategy's registry name (None for NoCache)."""
-        return self.strategy.name if self.strategy is not None else None
-
     def variant(self, **overrides) -> "ScenarioConfig":
         """Return a copy with the given fields replaced.
 
@@ -217,22 +212,3 @@ class Scenario:
                 else:
                     total[key] = total.get(key, 0) + value
         return total
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "name": self.config.name,
-            "strategy": self.config.strategy_name,
-            "cache_size_bytes": self.config.cache_size_bytes if self.config.uses_cache else 0,
-            "buffer_pool_pages": self.config.buffer_pool_pages,
-            "triggers_enabled": self.config.triggers_enabled,
-            "seed": self.seed_summary.as_dict() if self.seed_summary else {},
-        }
-
-
-def build_scenario(name: str, **overrides) -> Scenario:
-    """Convenience constructor: build and set up a scenario by name."""
-    if name not in ALL_STRATEGY_SCENARIOS:
-        raise ValueError(
-            f"unknown scenario {name!r}; expected one of {ALL_STRATEGY_SCENARIOS}")
-    config = ScenarioConfig(name=name).variant(**overrides) if overrides else ScenarioConfig(name=name)
-    return Scenario(config).setup()

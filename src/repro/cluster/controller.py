@@ -83,10 +83,6 @@ class ClusterController:
 
     # -- introspection ---------------------------------------------------------
 
-    @property
-    def servers(self) -> List[CacheServer]:
-        return list(self._servers.values())
-
     def server(self, name: str) -> CacheServer:
         try:
             return self._servers[name]

@@ -72,11 +72,6 @@ class FaultSchedule:
     def __iter__(self):
         return iter(self.events)
 
-    @property
-    def horizon(self) -> float:
-        """The time of the last scheduled fault (0.0 when empty)."""
-        return self.events[-1].at if self.events else 0.0
-
     def describe(self) -> List[str]:
         return [f"t={e.at:g}s {e.action} {e.target}" for e in self.events]
 
@@ -119,10 +114,6 @@ class FaultInjector:
         experiments use this to sample segment boundaries deterministically.
         """
         self._engine.schedule_at(at, probe)
-
-    @property
-    def pending(self) -> int:
-        return self._engine.pending_events
 
     def fire_due(self, now: float) -> int:
         """Fire every event scheduled at or before ``now``; returns the count."""

@@ -112,14 +112,7 @@ class GutterPool:
     def delete_multi(self, keys: Sequence[str]) -> List[str]:
         return [key for key in keys if self.delete(key)]
 
-    def flush_all(self) -> None:
-        for server in self._servers.values():
-            server.flush_all()
-
     # -- introspection ---------------------------------------------------------
-
-    def item_count(self) -> int:
-        return sum(s.item_count for s in self._servers.values())
 
     def counters(self) -> Dict[str, int]:
         """The pool's traffic split (clients account round trips)."""

@@ -209,14 +209,6 @@ class CacheClass:
         normalized = self._normalize_params(params)
         return self.strategy.fetch(self, self._key_of(normalized), normalized)
 
-    def evaluate_multi(self, params_list: Sequence[Dict[str, Any]]) -> List[Any]:
-        """Batched :meth:`evaluate`: one multi-get round trip per server.
-
-        Misses are computed from the database and written back with a single
-        batched ``set_multi``.  Results come back in request order.
-        """
-        return evaluate_many([(self, params) for params in params_list])
-
     def _present(self, thawed: Any) -> Any:
         """Shape a thawed cached value the way evaluate() hands it out.
 
@@ -258,15 +250,6 @@ class CacheClass:
         return thaw_rows(value)
 
     # -- transparent interception -------------------------------------------------
-
-    def matches(self, description: "QueryDescription") -> Optional[Dict[str, Any]]:
-        """Return evaluate() parameters if this object can satisfy the query.
-
-        Matching is delegated to :meth:`QueryTemplate.match` — the same
-        normalization the declaration produced — so the set of intercepted
-        queries is exactly the declared shape.
-        """
-        return self.template.match(description)
 
     def result_for_application(self, value: Any,
                                description: "QueryDescription") -> Any:

@@ -26,9 +26,8 @@ class FeatureQuery(CacheClass):
 
     # -- transparent interception --------------------------------------------------
 
-    # matches() comes from the base class: the inherited feature-shaped
-    # template accepts any ordering/limit, which result_for_application()
-    # applies to the cached row set below.
+    # The feature-shaped template accepts any ordering/limit, which
+    # result_for_application() applies to the cached row set below.
 
     def result_for_application(self, value: List[Dict[str, Any]],
                                description: "QueryDescription") -> Any:

@@ -14,8 +14,9 @@ depends only on a query description's shape — table, kind, filter-key set,
 ordering, limit, offset — so the interceptor remembers, per shape, the ordered
 list of cached objects that pass it.  Per call only the value-dependent half
 (:meth:`~repro.orm.template.QueryTemplate.bind`) and the
-``use_transparently`` flag are evaluated (both halves together *are*
-``match``).  The memo is cleared whenever the set of registered objects
+``use_transparently`` flag are evaluated.  Every cached object is built from
+a :class:`~repro.orm.template.QueryTemplate`, so these two halves are the
+whole match.  The memo is cleared whenever the set of registered objects
 changes, and dropped wholesale at :data:`SHAPE_MEMO_MAX` shapes (limits and
 offsets are part of a shape, so a paginating caller could otherwise grow it
 without bound).
@@ -32,10 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..orm.queryset import QueryDescription
     from .cache_classes.base import CacheClass
 
-#: Shape-memo entry: the cached object plus whether its template verdict is
-#: known shape-true (False means "unknown — fall back to obj.matches()").
-_MemoEntry = Tuple["CacheClass", bool]
-
 #: Most distinct query shapes the memo holds before it is dropped and refilled.
 SHAPE_MEMO_MAX = 4096
 
@@ -46,7 +43,7 @@ class CacheGenieInterceptor(QueryInterceptor):
     def __init__(self) -> None:
         self._cached_objects: List["CacheClass"] = []
         #: Shape-key -> ordered shape-passing objects.
-        self._match_cache: Dict[tuple, List[_MemoEntry]] = {}
+        self._match_cache: Dict[tuple, List["CacheClass"]] = {}
 
     def register(self, cached_object: "CacheClass") -> None:
         self._cached_objects.append(cached_object)
@@ -57,17 +54,9 @@ class CacheGenieInterceptor(QueryInterceptor):
             self._cached_objects.remove(cached_object)
             self._match_cache.clear()
 
-    def clear(self) -> None:
-        self._cached_objects.clear()
-        self._match_cache.clear()
-
-    @property
-    def cached_objects(self) -> List["CacheClass"]:
-        return list(self._cached_objects)
-
     # -- shape memo -------------------------------------------------------------
 
-    def _shape_candidates(self, description: "QueryDescription") -> List[_MemoEntry]:
+    def _shape_candidates(self, description: "QueryDescription") -> List["CacheClass"]:
         """The registered objects whose template shape admits ``description``,
         in registration order, computed once per distinct shape."""
         key = (description.table, description.kind,
@@ -76,16 +65,8 @@ class CacheGenieInterceptor(QueryInterceptor):
                description.limit, description.offset)
         entries = self._match_cache.get(key)
         if entries is None:
-            entries = []
-            for cached_object in self._cached_objects:
-                try:
-                    if cached_object.template.match_shape(description):
-                        entries.append((cached_object, True))
-                except Exception:
-                    # An object without the template protocol: keep it with
-                    # an unknown verdict so the per-call fallback still asks
-                    # its matches() on every call.
-                    entries.append((cached_object, False))
+            entries = [cached_object for cached_object in self._cached_objects
+                       if cached_object.template.match_shape(description)]
             if len(self._match_cache) >= SHAPE_MEMO_MAX:
                 self._match_cache.clear()
             self._match_cache[key] = entries
@@ -106,13 +87,10 @@ class CacheGenieInterceptor(QueryInterceptor):
             return hit, value
 
     def _serve(self, description: "QueryDescription") -> Tuple[bool, Any]:
-        for cached_object, shape_known in self._shape_candidates(description):
+        for cached_object in self._shape_candidates(description):
             if not cached_object.use_transparently:
                 continue
-            if shape_known:
-                params = cached_object.template.bind(description)
-            else:
-                params = cached_object.matches(description)
+            params = cached_object.template.bind(description)
             if params is None:
                 continue
             value = cached_object.evaluate(**params)

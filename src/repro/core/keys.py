@@ -65,10 +65,6 @@ class KeyScheme:
         parts.extend(_encode_component(v) for v in values)
         return ":".join(parts)
 
-    def key_for_mapping(self, where_fields: Sequence[str], mapping: Dict[str, Any]) -> str:
-        """Build the cache key from a ``{column: value}`` mapping."""
-        return self.key_for([mapping[f] for f in where_fields])
-
 
 def fingerprint(*parts: Any) -> str:
     """Build a stable fingerprint string from definition parameters."""

@@ -368,12 +368,6 @@ class CacheGenie:
         self.trigger_generator.uninstall_for(cached_object)
         self.interceptor.unregister(cached_object)
 
-    def get_cached_object(self, name: str) -> CacheClass:
-        try:
-            return self.cached_objects[name]
-        except KeyError:
-            raise CacheClassError(f"no cached object named {name!r}") from None
-
     # -- introspection / metrics -------------------------------------------------------
 
     @property
@@ -421,10 +415,6 @@ class CacheGenie:
     def cache_hit_ratio(self) -> float:
         totals = self.stats.totals()
         return totals.hit_ratio
-
-    def flush_cache(self) -> None:
-        """Empty every cache server (used between experiment runs)."""
-        self.app_cache.flush_all()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -64,11 +64,6 @@ class CacheGenieStats:
     #: Per-object declaration metadata (api used, inferred class, shape).
     declarations: Dict[str, DeclarationInfo] = field(default_factory=dict)
 
-    def for_object(self, name: str) -> CachedObjectStats:
-        if name not in self.per_object:
-            self.per_object[name] = CachedObjectStats()
-        return self.per_object[name]
-
     def totals(self) -> CachedObjectStats:
         total = CachedObjectStats()
         for stats in self.per_object.values():
@@ -82,12 +77,3 @@ class CacheGenieStats:
         for info in self.declarations.values():
             counts[info.api] = counts.get(info.api, 0) + 1
         return counts
-
-    def as_dict(self) -> Dict[str, Dict[str, float]]:
-        out = {name: stats.as_dict() for name, stats in self.per_object.items()}
-        out["_total"] = self.totals().as_dict()
-        if self.declarations:
-            out["_declarations"] = {
-                name: info.as_dict() for name, info in self.declarations.items()
-            }
-        return out

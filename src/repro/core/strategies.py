@@ -689,19 +689,3 @@ INVALIDATE_STRATEGY = register_strategy(InvalidateStrategy())
 EXPIRY_STRATEGY = register_strategy(ExpiryStrategy())
 LEASED_INVALIDATE_STRATEGY = register_strategy(LeasedInvalidateStrategy())
 ASYNC_REFRESH_STRATEGY = register_strategy(AsyncRefreshStrategy())
-
-
-# -- legacy string helpers (kept for API compatibility) -------------------------
-
-def validate_strategy(strategy: Union[str, ConsistencyStrategy]) -> str:
-    """Validate a strategy spec, returning its canonical *name*.
-
-    The pre-registry API took and returned plain strings; it now resolves
-    through the registry, so custom registered strategies validate too.
-    """
-    return resolve_strategy(strategy).name
-
-
-def needs_triggers(strategy: Union[str, ConsistencyStrategy]) -> bool:
-    """Return True if the strategy keeps the cache consistent via triggers."""
-    return resolve_strategy(strategy).needs_triggers

@@ -142,7 +142,3 @@ class TriggerGenerator:
     @property
     def generated_line_count(self) -> int:
         return sum(record.line_count for record in self.generated)
-
-    def full_source(self) -> str:
-        """Concatenated source of every generated trigger."""
-        return "\n".join(record.source for record in self.generated)

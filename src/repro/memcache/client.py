@@ -166,10 +166,6 @@ class CacheClient:
         hooks.pause_in_span(label, keys=keys,
                             client="trigger" if self.from_trigger else "app")
 
-    @property
-    def servers(self) -> List[CacheServer]:
-        return list(self._servers.values())
-
     # -- reads ----------------------------------------------------------------
 
     def _gutter_get(self, batch: List[str], event: str, single: bool,
@@ -572,11 +568,3 @@ class CacheClient:
         """Batched :meth:`decr`: ``{key: delta}`` with deltas applied negatively."""
         return self._counters({key: -delta for key, delta in deltas.items()},
                               False, "cache:decr_multi")
-
-    def flush_all(self) -> None:
-        """Drop every item on every server (dead nodes included) and in the
-        gutter pool, so a full flush leaves no fallback copies behind."""
-        for server in self._servers.values():
-            server.flush_all()
-        if self.gutter is not None:
-            self.gutter.flush_all()

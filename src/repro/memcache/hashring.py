@@ -93,10 +93,3 @@ class HashRing:
             placement.clear()
         placement[key] = server
         return server
-
-    def distribution(self, keys: Sequence[str]) -> Dict[str, int]:
-        """Count how many of ``keys`` map to each server (for tests/metrics)."""
-        counts = {server: 0 for server in self._servers}
-        for key in keys:
-            counts[self.server_for(key)] += 1
-        return counts

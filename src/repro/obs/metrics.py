@@ -90,10 +90,6 @@ class Histogram:
         if self.max is None or value > self.max:
             self.max = value
 
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
     def quantile(self, fraction: float) -> float:
         """Nearest-rank quantile, reported as the containing bucket's upper
         edge clamped into the observed [min, max].

@@ -1,14 +1,13 @@
 """ORM substrate (stands in for Django's model layer).
 
-Provides declarative models, fields, relationships, managers, and lazily
+Provides declarative models, fields, foreign keys, managers, and lazily
 evaluated QuerySets that compile to the storage engine.  The registry exposes
 the interception hook CacheGenie uses to serve queries from memcached.
 """
 
-from .fields import (AutoField, BooleanField, CharField, DateTimeField, Field,
-                     FloatField, FloatTimestampField, ForeignKey, IntegerField,
-                     ManyToManyField, TextField)
-from .manager import Manager, RelatedManager
+from .fields import (AutoField, BooleanField, CharField, Field, FloatField,
+                     FloatTimestampField, ForeignKey, IntegerField, TextField)
+from .manager import Manager
 from .models import Model
 from .queryset import QueryDescription, QuerySet
 from .registry import QueryInterceptor, Registry, default_registry
@@ -19,14 +18,12 @@ __all__ = [
     "BooleanField",
     "ChainStep",
     "CharField",
-    "DateTimeField",
     "Field",
     "FloatField",
     "FloatTimestampField",
     "ForeignKey",
     "IntegerField",
     "Manager",
-    "ManyToManyField",
     "Model",
     "Param",
     "QueryDescription",
@@ -34,7 +31,6 @@ __all__ = [
     "QuerySet",
     "QueryTemplate",
     "Registry",
-    "RelatedManager",
     "TextField",
     "default_registry",
 ]

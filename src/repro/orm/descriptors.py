@@ -1,18 +1,14 @@
-"""Attribute descriptors for relationships.
+"""The attribute descriptor for a relationship.
 
 ``ForeignKeyDescriptor`` gives ``bookmark.user`` semantics (lazy load, cached
-per instance); ``ReverseForeignKeyDescriptor`` gives ``user.bookmark_set``;
-``ManyToManyDescriptor`` gives ``group.members`` with ``add/remove/all/count``
-backed by an auto-created through table.
+per instance).
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
-from ..errors import DoesNotExist
-from .fields import ForeignKey, ManyToManyField
-from .manager import RelatedManager
+from .fields import ForeignKey
 
 
 class ForeignKeyDescriptor:
@@ -48,97 +44,3 @@ class ForeignKeyDescriptor:
             setattr(instance, self.field.attname, value)
             setattr(instance, self.cache_attr, None)
 
-
-class ReverseForeignKeyDescriptor:
-    """Class attribute for the reverse side of a ForeignKey (``x_set``)."""
-
-    def __init__(self, source_model: type, field: ForeignKey) -> None:
-        self.source_model = source_model
-        self.field = field
-
-    def __get__(self, instance: Any, owner: type) -> Any:
-        if instance is None:
-            return self
-        return RelatedManager(
-            model=self.source_model,
-            fk_column=self.field.attname,
-            fk_value=instance.pk,
-        )
-
-
-class ManyToManyManager:
-    """Accessor for a many-to-many relation through its join table."""
-
-    def __init__(self, instance: Any, field: ManyToManyField) -> None:
-        self.instance = instance
-        self.field = field
-        self.registry = instance._meta.registry
-        self.target = field.resolve_target(self.registry)
-        self.through_table = field.through_table_name()
-        self.source_column = f"{instance.__class__.__name__.lower()}_id"
-        self.target_column = f"{self.target.__name__.lower()}_id"
-        if self.source_column == self.target_column:
-            self.target_column = f"to_{self.target_column}"
-
-    # -- reads ----------------------------------------------------------------
-
-    def _target_ids(self) -> list:
-        rows = self.registry.db.find(
-            self.through_table, where={self.source_column: self.instance.pk}
-        )
-        return [row[self.target_column] for row in rows]
-
-    def all(self) -> list:
-        ids = self._target_ids()
-        if not ids:
-            return []
-        return list(self.target.objects.filter(**{f"{self.target._meta.pk.name}__in": ids}))
-
-    def count(self) -> int:
-        return len(self._target_ids())
-
-    def exists(self) -> bool:
-        return bool(self._target_ids())
-
-    def __iter__(self):
-        return iter(self.all())
-
-    # -- writes ---------------------------------------------------------------
-
-    def add(self, *objects: Any) -> None:
-        """Link the given target instances (idempotent per pair)."""
-        existing = set(self._target_ids())
-        for obj in objects:
-            pk = getattr(obj, "pk", obj)
-            if pk in existing:
-                continue
-            self.registry.db.insert(self.through_table, {
-                self.source_column: self.instance.pk,
-                self.target_column: pk,
-            })
-
-    def remove(self, *objects: Any) -> None:
-        """Unlink the given target instances."""
-        for obj in objects:
-            pk = getattr(obj, "pk", obj)
-            self.registry.db.delete(self.through_table, where={
-                self.source_column: self.instance.pk,
-                self.target_column: pk,
-            })
-
-    def clear(self) -> None:
-        self.registry.db.delete(
-            self.through_table, where={self.source_column: self.instance.pk}
-        )
-
-
-class ManyToManyDescriptor:
-    """Instance attribute exposing a :class:`ManyToManyManager`."""
-
-    def __init__(self, field: ManyToManyField) -> None:
-        self.field = field
-
-    def __get__(self, instance: Any, owner: type) -> Any:
-        if instance is None:
-            return self
-        return ManyToManyManager(instance, self.field)

@@ -2,8 +2,8 @@
 
 Fields describe how a model attribute maps onto a storage-engine column:
 its data type, nullability, default, and whether it gets a secondary index.
-``ForeignKey`` and ``ManyToManyField`` additionally describe relationships,
-which is what CacheGenie's LinkQuery cache class traverses.
+``ForeignKey`` additionally describes a relationship, which is what
+CacheGenie's LinkQuery cache class traverses.
 """
 
 from __future__ import annotations
@@ -11,8 +11,8 @@ from __future__ import annotations
 from typing import Any, Callable, Optional, Union
 
 from ..errors import FieldError
-from ..storage.datatypes import (BOOLEAN, FLOAT, INTEGER, TEXT, TIMESTAMP,
-                                 DataType, TextType)
+from ..storage.datatypes import (BOOLEAN, FLOAT, INTEGER, TEXT, DataType,
+                                 TextType)
 
 
 class Field:
@@ -68,10 +68,6 @@ class Field:
         """Name of the instance attribute holding the raw column value."""
         return self.name or self.column
 
-    def to_python(self, value: Any) -> Any:
-        """Convert a storage value to the Python-level value."""
-        return value
-
     def get_prep_value(self, value: Any) -> Any:
         """Convert a Python-level value to what the storage engine stores."""
         return value
@@ -120,21 +116,6 @@ class TextField(Field):
     data_type = TEXT
 
 
-class DateTimeField(Field):
-    """Timestamp field.
-
-    ``auto_now_add`` fills the field at INSERT time from the clock callable
-    configured on the registry (the workload generator installs a virtual
-    clock so timestamps are deterministic).
-    """
-
-    data_type = TIMESTAMP
-
-    def __init__(self, auto_now_add: bool = False, **kwargs: Any) -> None:
-        super().__init__(**kwargs)
-        self.auto_now_add = auto_now_add
-
-
 class FloatTimestampField(FloatField):
     """A timestamp stored as a float (seconds); simpler for sorting in Top-K."""
 
@@ -152,12 +133,10 @@ class ForeignKey(Field):
 
     data_type = INTEGER
 
-    def __init__(self, to: Union[str, type], related_name: Optional[str] = None,
-                 **kwargs: Any) -> None:
+    def __init__(self, to: Union[str, type], **kwargs: Any) -> None:
         kwargs.setdefault("db_index", True)
         super().__init__(**kwargs)
         self.to = to
-        self.related_name = related_name
 
     def contribute_to_class(self, model: type, name: str) -> None:
         self._attname = f"{name}_id"  # formatted once, read on every access
@@ -182,32 +161,3 @@ class ForeignKey(Field):
         pk = getattr(value, "pk", None)
         return pk if pk is not None else value
 
-
-class ManyToManyField(Field):
-    """Many-to-many relationship implemented through an auto-created join table."""
-
-    data_type = INTEGER
-
-    def __init__(self, to: Union[str, type], related_name: Optional[str] = None,
-                 through: Optional[str] = None, **kwargs: Any) -> None:
-        super().__init__(null=True, **kwargs)
-        self.to = to
-        self.related_name = related_name
-        self.through = through
-
-    @property
-    def column(self) -> str:
-        raise FieldError(
-            f"ManyToManyField {self.name!r} has no column; use its through table"
-        )
-
-    def through_table_name(self) -> str:
-        if self.through:
-            return self.through
-        assert self.model is not None and self.name is not None
-        return f"{self.model._meta.db_table}_{self.name}"
-
-    def resolve_target(self, registry) -> type:
-        if isinstance(self.to, str):
-            return registry.get_model(self.to)
-        return self.to

@@ -1,4 +1,4 @@
-"""Model managers: the ``Model.objects`` entry point and related managers."""
+"""Model managers: the ``Model.objects`` entry point."""
 
 from __future__ import annotations
 
@@ -23,36 +23,14 @@ class Manager:
 
     # -- convenience passthroughs ---------------------------------------------
 
-    def all(self) -> QuerySet:
-        return self.get_queryset()
-
     def filter(self, **kwargs: Any) -> QuerySet:
         return self.get_queryset().filter(**kwargs)
-
-    def exclude(self, **kwargs: Any) -> QuerySet:
-        return self.get_queryset().exclude(**kwargs)
 
     def get(self, **kwargs: Any) -> Any:
         return self.get_queryset().get(**kwargs)
 
-    def order_by(self, *names: str) -> QuerySet:
-        return self.get_queryset().order_by(*names)
-
-    def values(self, *fields: str) -> QuerySet:
-        return self.get_queryset().values(*fields)
-
-    def using_database(self) -> QuerySet:
-        """A queryset that bypasses cache interception (fresh database read)."""
-        return self.get_queryset().using_database()
-
     def count(self) -> int:
         return self.get_queryset().count()
-
-    def exists(self) -> bool:
-        return self.get_queryset().exists()
-
-    def first(self) -> Any:
-        return self.get_queryset().first()
 
     def create(self, **kwargs: Any) -> Any:
         """Instantiate and immediately save a model instance."""
@@ -71,12 +49,6 @@ class Manager:
             params.update(defaults or {})
             return self.create(**params), True
 
-    def bulk_create(self, instances) -> list:
-        """Save a list of unsaved instances (one INSERT each)."""
-        for instance in instances:
-            instance.save()
-        return list(instances)
-
 
 class ManagerDescriptor:
     """Restricts manager access to the class (``Model.objects``), like Django."""
@@ -89,19 +61,3 @@ class ManagerDescriptor:
             raise AttributeError("Manager is not accessible via model instances")
         return self.manager
 
-
-class RelatedManager(Manager):
-    """Manager for the reverse side of a ForeignKey (e.g. ``user.bookmark_set``)."""
-
-    def __init__(self, model: type, fk_column: str, fk_value: Any) -> None:
-        super().__init__()
-        self.model = model
-        self.fk_column = fk_column
-        self.fk_value = fk_value
-
-    def get_queryset(self) -> QuerySet:
-        return QuerySet(self.model).filter(**{self.fk_column: self.fk_value})
-
-    def create(self, **kwargs: Any) -> Any:
-        kwargs.setdefault(self.fk_column, self.fk_value)
-        return super().create(**kwargs)

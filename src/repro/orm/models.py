@@ -2,20 +2,18 @@
 
 Mirrors the slice of Django's model layer that the paper's workload needs:
 declarative fields, an implicit ``id`` primary key, ``objects`` managers,
-``save``/``delete``, foreign-key and many-to-many accessors, and reverse
-relations.  Writes always go straight to the database — CacheGenie keeps the
-cache consistent via database triggers, never via the ORM write path (§3.2).
+``save``/``delete`` and foreign-key accessors.  Writes always go straight to
+the database — CacheGenie keeps the cache consistent via database triggers,
+never via the ORM write path (§3.2).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict
 
 from ..errors import DoesNotExist, ModelError
-from .descriptors import (ForeignKeyDescriptor, ManyToManyDescriptor,
-                          ReverseForeignKeyDescriptor)
-from .fields import (AutoField, DateTimeField, Field, FloatTimestampField,
-                     ForeignKey, ManyToManyField)
+from .descriptors import ForeignKeyDescriptor
+from .fields import AutoField, Field, ForeignKey
 from .manager import Manager
 from .options import Options
 from .registry import Registry, default_registry
@@ -50,8 +48,6 @@ class ModelBase(type):
             field.contribute_to_class(cls, key)
             if isinstance(field, ForeignKey):
                 setattr(cls, key, ForeignKeyDescriptor(field))
-            elif isinstance(field, ManyToManyField):
-                setattr(cls, key, ManyToManyDescriptor(field))
 
         # Attach non-field attributes (methods, class attributes, managers).
         manager_found = False
@@ -70,35 +66,8 @@ class ModelBase(type):
         cls.DoesNotExist = type("DoesNotExist", (DoesNotExist,), {})
 
         registry.register_model(cls)
-        mcs._wire_reverse_relations(cls, registry)
         return cls
 
-    @staticmethod
-    def _wire_reverse_relations(cls: type, registry: Registry) -> None:
-        """Install reverse descriptors for FKs whose targets are already defined."""
-        for field in cls._meta.fields:
-            if not isinstance(field, ForeignKey):
-                continue
-            if isinstance(field.to, str):
-                try:
-                    target = registry.get_model(field.to)
-                except ModelError:
-                    continue  # target defined later; wired by its own pass below
-            else:
-                target = field.to
-            accessor = field.related_name or f"{cls.__name__.lower()}_set"
-            if not hasattr(target, accessor):
-                setattr(target, accessor, ReverseForeignKeyDescriptor(cls, field))
-        # Also resolve string FKs from previously registered models that point here.
-        for other in registry.models.values():
-            if other is cls:
-                continue
-            for field in other._meta.fields:
-                if isinstance(field, ForeignKey) and isinstance(field.to, str) \
-                        and field.to.lower() == cls.__name__.lower():
-                    accessor = field.related_name or f"{other.__name__.lower()}_set"
-                    if not hasattr(cls, accessor):
-                        setattr(cls, accessor, ReverseForeignKeyDescriptor(other, field))
 
 
 class Model(metaclass=ModelBase):
@@ -181,17 +150,6 @@ class Model(metaclass=ModelBase):
         db = self._meta.registry.db
         db.delete(self._meta.db_table, where={self._meta.pk_column: self.pk})
         self._state_adding = True
-
-    def refresh_from_db(self) -> "Model":
-        """Reload all field values from the database (bypassing the cache)."""
-        db = self._meta.registry.db
-        row = db.get_by_pk(self._meta.db_table, self.pk)
-        if row is None:
-            raise self.DoesNotExist(
-                f"{self.__class__.__name__} with pk={self.pk!r} no longer exists"
-            )
-        self._load_row(row)
-        return self
 
     def _load_row(self, row: Dict[str, Any]) -> None:
         # Attnames are plain instance attributes (the ForeignKey descriptor

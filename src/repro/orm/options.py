@@ -1,20 +1,17 @@
 """Per-model metadata (the ``_meta`` object).
 
 Collects a model's fields, knows the backing table name, and can emit the
-storage-engine schemas for the model table and any many-to-many through
-tables — the equivalent of Django's ``Options`` + ``syncdb`` DDL generation.
+storage-engine schema for the model table — the equivalent of Django's
+``Options`` + ``syncdb`` DDL generation.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import FieldError, ModelError
 from ..storage.schema import ColumnDef, IndexDef, TableSchema
-from .fields import AutoField, Field, ForeignKey, ManyToManyField
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .registry import Registry
+from .fields import AutoField, Field, ForeignKey
 
 
 class Options:
@@ -29,7 +26,6 @@ class Options:
         self.ordering: List[str] = list(getattr(meta, "ordering", []))
         self.fields: List[Field] = []
         self.fields_by_name: Dict[str, Field] = {}
-        self.m2m_fields: List[ManyToManyField] = []
         self.pk: Optional[Field] = None
         self.pk_attname: Optional[str] = None
         #: ``(instance attribute, storage column)`` of every concrete field:
@@ -59,9 +55,6 @@ class Options:
         self.fields_by_name[field.name] = field
         self._filter_targets.clear()
         self.init_targets.clear()
-        if isinstance(field, ManyToManyField):
-            self.m2m_fields.append(field)
-            return
         self.fields.append(field)
         attname, column = field.attname, field.column
         self.attname_columns += ((attname, column),)
@@ -82,10 +75,6 @@ class Options:
             self.pk = field
             self.pk_attname = attname
 
-    def concrete_fields(self) -> List[Field]:
-        """Fields that map to a column on the model's own table."""
-        return list(self.fields)
-
     def get_field(self, name: str) -> Field:
         try:
             return self.fields_by_name[name]
@@ -102,12 +91,7 @@ class Options:
     def column_for(self, name: str) -> str:
         """Resolve a field name (or raw attname) to its storage column."""
         if name in self.fields_by_name:
-            field = self.fields_by_name[name]
-            if isinstance(field, ManyToManyField):
-                raise FieldError(
-                    f"cannot filter directly on ManyToManyField {name!r}"
-                )
-            return field.column
+            return self.fields_by_name[name].column
         # Allow raw attnames like "user_id" to pass through.
         for field in self.fields:
             if field.attname == name or field.column == name:
@@ -132,10 +116,6 @@ class Options:
         or the ForeignKey descriptor that unwraps an instance or a pk.
         Memoised per model in :attr:`init_targets`."""
         field = self.fields_by_name.get(key)
-        if isinstance(field, ManyToManyField):
-            raise ModelError(
-                f"cannot set ManyToManyField {key!r} in the constructor"
-            )
         if isinstance(field, ForeignKey):
             target = (key, True)
         elif field is not None:
@@ -182,34 +162,6 @@ class Options:
             primary_key=self.pk_column,
             indexes=indexes,
         )
-
-    def build_m2m_schemas(self, registry: "Registry") -> List[TableSchema]:
-        """Build schemas for auto-created many-to-many through tables."""
-        schemas: List[TableSchema] = []
-        for m2m in self.m2m_fields:
-            if m2m.through:
-                # An explicit through model owns its own table.
-                continue
-            target = m2m.resolve_target(registry)
-            source_col = f"{self.model.__name__.lower()}_id"
-            target_col = f"{target.__name__.lower()}_id"
-            if source_col == target_col:
-                target_col = f"to_{target_col}"
-            table_name = m2m.through_table_name()
-            schemas.append(TableSchema(
-                name=table_name,
-                columns=[
-                    ColumnDef("id", "integer", nullable=True),
-                    ColumnDef(source_col, "integer", nullable=False),
-                    ColumnDef(target_col, "integer", nullable=False),
-                ],
-                primary_key="id",
-                indexes=[
-                    IndexDef(f"{table_name}_{source_col}_idx", (source_col,)),
-                    IndexDef(f"{table_name}_{target_col}_idx", (target_col,)),
-                ],
-            ))
-        return schemas
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Options for {self.model.__name__} (table {self.db_table!r})>"

@@ -57,14 +57,10 @@ class QuerySet:
     def __init__(self, model: type) -> None:
         self.model = model
         self._filters: Dict[str, Any] = {}
-        self._excludes: List[Dict[str, Any]] = []
         self._order_by: List[Tuple[str, bool]] = []
         self._limit: Optional[int] = None
         self._offset: int = 0
         self._result_cache: Optional[List[Any]] = None
-        self._values_mode: Optional[List[str]] = None
-        #: When True, skip interceptors and read straight from the database.
-        self._bypass_cache = False
         #: Relationship hops added by through(); makes this a template.
         self._through_steps: List[ChainStep] = []
         #: True when this queryset declares a shape instead of fetching rows
@@ -77,12 +73,9 @@ class QuerySet:
     def _clone(self) -> "QuerySet":
         clone = QuerySet(self.model)
         clone._filters = dict(self._filters)
-        clone._excludes = [dict(e) for e in self._excludes]
         clone._order_by = list(self._order_by)
         clone._limit = self._limit
         clone._offset = self._offset
-        clone._values_mode = list(self._values_mode) if self._values_mode else None
-        clone._bypass_cache = self._bypass_cache
         clone._through_steps = list(self._through_steps)
         clone.is_template = self.is_template
         return clone
@@ -95,14 +88,6 @@ class QuerySet:
                 "be filtered in a cacheable template")
         clone = self._clone()
         clone._filters.update(clone._normalize_filters(kwargs))
-        return clone
-
-    def exclude(self, **kwargs: Any) -> "QuerySet":
-        """Exclude rows matching all the given filters."""
-        if self._through_steps:
-            raise TemplateError("exclude() cannot follow through()")
-        clone = self._clone()
-        clone._excludes.append(clone._normalize_filters(kwargs))
         return clone
 
     def order_by(self, *names: str) -> "QuerySet":
@@ -142,22 +127,6 @@ class QuerySet:
         if not self._through_steps:
             return self.model
         return resolve_chain_models(self.model, tuple(self._through_steps))[-1]
-
-    def all(self) -> "QuerySet":
-        return self._clone()
-
-    def using_database(self) -> "QuerySet":
-        """Return a clone that bypasses cache interception (fresh DB read)."""
-        clone = self._clone()
-        clone._bypass_cache = True
-        return clone
-
-    def values(self, *fields: str) -> "QuerySet":
-        """Return dictionaries instead of model instances."""
-        clone = self._clone()
-        columns = [self.model._meta.column_for(f) for f in fields] if fields else None
-        clone._values_mode = columns or [f.column for f in self.model._meta.fields]
-        return clone
 
     def __getitem__(self, item):
         if isinstance(item, slice):
@@ -224,8 +193,6 @@ class QuerySet:
         return self.model._meta.registry
 
     def _describe(self, kind: str) -> Optional[QueryDescription]:
-        if self._excludes or self._values_mode:
-            return None
         equalities = self._equality_only_filters()
         if equalities is None:
             return None
@@ -248,19 +215,13 @@ class QuerySet:
         )
         return query
 
-    def _apply_excludes(self, rows: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-        if not self._excludes:
-            return rows
-        predicates = [predicate_from_filters(excl) for excl in self._excludes]
-        return [row for row in rows if not any(p.matches(row) for p in predicates)]
-
     def _fetch_all(self) -> List[Any]:
         if self._result_cache is not None:
             return self._result_cache
         self._require_executable("execute")
         registry = self._registry
 
-        if registry.interceptors and not self._bypass_cache:
+        if registry.interceptors:
             description = self._describe("select")
             if description is not None:
                 handled, rows = registry.intercept(description)
@@ -269,13 +230,10 @@ class QuerySet:
                     return self._result_cache
 
         rows = registry.db.select(self._compile_select())
-        rows = self._apply_excludes(rows)
         self._result_cache = self._rows_to_results(rows)
         return self._result_cache
 
     def _rows_to_results(self, rows: List[Dict[str, Any]]) -> List[Any]:
-        if self._values_mode is not None:
-            return [{col: row.get(col) for col in self._values_mode} for row in rows]
         from_db = self.model._from_db
         return [from_db(row) for row in rows]
 
@@ -324,14 +282,12 @@ class QuerySet:
         if self.is_template:
             return QueryTemplate.from_queryset(self, kind="count")
         registry = self._registry
-        if registry.interceptors and not self._bypass_cache:
+        if registry.interceptors:
             description = self._describe("count")
             if description is not None:
                 handled, value = registry.intercept(description)
                 if handled:
                     return int(value)
-        if self._excludes:
-            return len(self._fetch_all())
         query = CountQuery(
             table=self.model._meta.db_table,
             predicate=predicate_from_filters(self._filters),

@@ -54,12 +54,6 @@ class Registry:
         except KeyError:
             raise ModelError(f"no model named {name!r} is registered") from None
 
-    def model_for_table(self, table_name: str) -> Optional[type]:
-        for model in self.models.values():
-            if model._meta.db_table == table_name:
-                return model
-        return None
-
     # -- database binding -----------------------------------------------------
 
     def bind(self, database: Database) -> None:
@@ -79,7 +73,7 @@ class Registry:
         return self.database
 
     def create_all(self) -> None:
-        """Create storage tables (and M2M through tables) for all models."""
+        """Create the storage table of every model."""
         from .models import Model  # local import to avoid a cycle
 
         for model in self.models.values():
@@ -88,23 +82,6 @@ class Registry:
             schema = model._meta.build_schema()
             if not self.db.has_table(schema.name):
                 self.db.create_table(schema)
-        # Through tables are created after base tables so FK targets exist.
-        for model in self.models.values():
-            for m2m_schema in model._meta.build_m2m_schemas(self):
-                if not self.db.has_table(m2m_schema.name):
-                    self.db.create_table(m2m_schema)
-
-    def drop_all(self) -> None:
-        """Drop every table this registry created (best effort)."""
-        if self.database is None:
-            return
-        for model in list(self.models.values()):
-            table = model._meta.db_table
-            if self.db.has_table(table):
-                self.db.drop_table(table)
-            for m2m_schema in model._meta.build_m2m_schemas(self):
-                if self.db.has_table(m2m_schema.name):
-                    self.db.drop_table(m2m_schema.name)
 
     # -- interception ---------------------------------------------------------
 

@@ -24,7 +24,7 @@ object's only statement of its query: both declaration forms build one,
 the cache class is constructed from it, every recompute is compiled from it
 (``QueryTemplate.query``), and transparent interception matches incoming
 :class:`~repro.orm.queryset.QueryDescription` objects against the very same
-object (``QueryTemplate.match``), so a declaration, its recompute and the
+object (``QueryTemplate.match_shape`` then ``QueryTemplate.bind``), so a declaration, its recompute and the
 interceptor can never disagree about which queries a cached object serves.
 """
 
@@ -161,12 +161,6 @@ class QueryTemplate:
         Validates the shape eagerly so declaration mistakes fail at the
         ``cacheable()`` call, not when the interceptor silently never matches.
         """
-        if queryset._excludes:
-            raise TemplateError(
-                "cacheable templates cannot use exclude(); only equality "
-                "filters on Param placeholders are supported")
-        if queryset._values_mode is not None:
-            raise TemplateError("cacheable templates cannot use values()")
         if queryset._offset:
             raise TemplateError(
                 "cacheable templates cannot be sliced with an offset; "
@@ -312,22 +306,8 @@ class QueryTemplate:
 
     # -- interception matching -------------------------------------------------
 
-    def match(self, description: "QueryDescription") -> Optional[Dict[str, Any]]:
-        """Return evaluate() parameters if ``description`` fits this shape.
-
-        This is the single matching predicate used by transparent
-        interception; because the declaration built the same template, the
-        two can never disagree on which queries the cached object serves.
-        Split into :meth:`match_shape` (value-independent checks, safe to
-        memoize per description shape) and :meth:`bind` (const-value checks
-        plus parameter extraction, run per call).
-        """
-        if not self.match_shape(description):
-            return None
-        return self.bind(description)
-
     def match_shape(self, description: "QueryDescription") -> bool:
-        """Value-independent half of :meth:`match`.
+        """Value-independent half of a match (:meth:`bind` is the other).
 
         Depends only on the description's *shape* — table, kind, filter-key
         set, ordering, limit, offset — never on filter values, so the
@@ -358,7 +338,7 @@ class QueryTemplate:
         return set(description.filters) == expected
 
     def bind(self, description: "QueryDescription") -> Optional[Dict[str, Any]]:
-        """Value-dependent half of :meth:`match`: const equality, then the
+        """Value-dependent half of a match: const equality, then the
         evaluate() parameter dict.  Only valid after :meth:`match_shape`."""
         filters = description.filters
         for column, value in self.const_filters:

@@ -13,8 +13,7 @@ from .metrics import (RUN_JSON_SCHEMA, PageCompletion, RunMetrics,
 from .mva import MVAResult, asymptotic_bounds, exact_mva
 from .resources import DelayResource, QueueingResource
 from .runner import (STREAM_CLIENT_THRESHOLD, ReplayResult, ReplayedPage,
-                     SimulationOptions, aggregate_resource_demands,
-                     simulate_population)
+                     SimulationOptions, simulate_population)
 
 __all__ = [
     "ADVERSARIAL",
@@ -40,7 +39,6 @@ __all__ = [
     "SimulationOptions",
     "VirtualClock",
     "WorkerStatus",
-    "aggregate_resource_demands",
     "asymptotic_bounds",
     "exact_mva",
     "interleave_trace",

@@ -34,10 +34,6 @@ class PageDemand:
     user_id: int
     demand: Demand
 
-    @property
-    def total_ms(self) -> float:
-        return self.demand.total_ms
-
 
 class SimulatedClient:
     """One closed-loop client replaying its page-demand sequence."""
@@ -75,10 +71,6 @@ class SimulatedClient:
     def start(self) -> None:
         """Begin executing the client's first page load."""
         self.engine.schedule(0.0, self._start_next_page)
-
-    @property
-    def finished(self) -> bool:
-        return self._index >= len(self.pages)
 
     # Stage 1: database CPU, Stage 2: database disk, Stage 3: cache network.
     # Each stage hands the resource a *fresh* bound method.  Never store one on

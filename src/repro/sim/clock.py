@@ -29,11 +29,5 @@ class VirtualClock:
         self._now += seconds
         return self._now
 
-    def advance_to(self, timestamp: float) -> float:
-        """Move the clock to an absolute time (no-op if already past it)."""
-        if timestamp > self._now:
-            self._now = timestamp
-        return self._now
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<VirtualClock t={self._now:.6f}s>"

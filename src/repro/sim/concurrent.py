@@ -287,7 +287,7 @@ class ConcurrentReplayer:
         #: virtual seconds to advance before that page.  Overrides the
         #: constant ``page_interval_seconds`` when set; the constant stays
         #: the default, so existing replays are bit-identical.  See
-        #: :mod:`repro.workload.arrival` for flash-crowd/diurnal shapes.
+        #: :mod:`repro.workload.arrival` for the flash-crowd shape.
         self.arrival_model = arrival_model
         #: Optional :class:`~repro.cluster.faults.FaultInjector`: scheduled
         #: node faults fire at the clock-advance points (the same points in

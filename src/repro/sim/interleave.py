@@ -210,11 +210,6 @@ class InterleaveScheduler:
         payload = ",".join(str(d) for d in self.decisions)
         return hashlib.sha256(payload.encode("ascii")).hexdigest()[:16]
 
-    def describe(self) -> dict:
-        return {"policy": self.policy, "seed": self.seed,
-                "decisions": len(self.decisions),
-                "signature": self.signature()}
-
 
 def build_scheduler(policy: str = ROUND_ROBIN, seed: int = 0,
                     scheduler: Optional[InterleaveScheduler] = None,

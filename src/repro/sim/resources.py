@@ -70,16 +70,6 @@ class QueueingResource:
 
     # -- statistics -----------------------------------------------------------
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._queue)
-
-    def utilization(self, elapsed: float) -> float:
-        """Fraction of capacity used over ``elapsed`` simulated time."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / (elapsed * self.servers))
-
     def mean_wait(self) -> float:
         if self.jobs_served == 0:
             return 0.0

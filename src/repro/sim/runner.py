@@ -114,9 +114,6 @@ class ReplayResult:
             self.index_builds += 1
         return self._client_index
 
-    def pages_for_client(self, client_id: int) -> List[ReplayedPage]:
-        return list(self._indexed_by_client().get(client_id, []))
-
     def client_ids(self) -> List[int]:
         return sorted(self._indexed_by_client())
 
@@ -129,14 +126,6 @@ class ReplayResult:
             total.add(page.demand)
         return total.scaled(1.0 / len(self.pages))
 
-    def mean_demand_by_page(self) -> Dict[str, Demand]:
-        sums: Dict[str, Demand] = {}
-        counts: Dict[str, int] = {}
-        for page in self.pages:
-            sums.setdefault(page.page, Demand()).add(page.demand)
-            counts[page.page] = counts.get(page.page, 0) + 1
-        return {name: sums[name].scaled(1.0 / counts[name]) for name in sums}
-
     # -- stable JSON export -----------------------------------------------------
 
     def to_json(self) -> Dict[str, Any]:
@@ -146,9 +135,7 @@ class ReplayResult:
         :class:`~repro.sim.concurrent.ConcurrentReplayResult` adds a
         ``"concurrent"`` block (schedule, signature, per-worker page
         counts); per-worker page *stores* are views of ``pages`` and are
-        not exported.  :meth:`from_json` round-trips the document
-        byte-for-byte, and the reconstructed result drives
-        :func:`simulate_population` to identical metrics.
+        not exported.
         """
         doc: Dict[str, Any] = {
             "schema": RUN_JSON_SCHEMA,
@@ -176,39 +163,6 @@ class ReplayResult:
             }
         return doc
 
-    @classmethod
-    def from_json(cls, doc: Dict[str, Any]) -> "ReplayResult":
-        """Rebuild a replay result exported by :meth:`to_json`."""
-        if doc.get("kind") != "replay_result":
-            raise SimulationError(
-                f"not a replay_result document: kind={doc.get('kind')!r}")
-        if doc.get("schema") != RUN_JSON_SCHEMA:
-            raise SimulationError(
-                f"unsupported replay_result schema {doc.get('schema')!r} "
-                f"(this build reads schema {RUN_JSON_SCHEMA})")
-        concurrent = doc.get("concurrent")
-        if concurrent is not None:
-            from .concurrent import ConcurrentReplayResult
-            result: ReplayResult = ConcurrentReplayResult(
-                workers=concurrent["workers"],
-                policy=concurrent["policy"],
-                seed=concurrent["seed"],
-                schedule=list(concurrent["schedule"]),
-                schedule_signature=concurrent["schedule_signature"],
-                pages_by_worker={int(worker): count for worker, count
-                                 in concurrent["pages_by_worker"].items()},
-                key_telemetry={key: dict(row) for key, row
-                               in concurrent["key_telemetry"].items()},
-            )
-        else:
-            result = cls()
-        for row in doc["pages"]:
-            result.pages.append(ReplayedPage(
-                client_id=row["client_id"], page=row["page"],
-                user_id=row["user_id"], demand=Demand(**row["demand"]),
-                counters=CostCounters(**row["counters"])))
-        result.total_counters = CostCounters(**doc["total_counters"])
-        return result
 
 
 def simulate_population(
@@ -303,9 +257,3 @@ def simulate_population(
     metrics.duration = end_time / 1000.0
     metrics.engine_events = engine.processed_events
     return metrics
-
-
-def aggregate_resource_demands(replay: ReplayResult) -> Dict[str, float]:
-    """Mean per-page demand at each queueing station, in ms (for MVA checks)."""
-    mean = replay.mean_demand()
-    return {"db_cpu": mean.db_cpu_ms, "db_disk": mean.db_disk_ms}

@@ -59,33 +59,8 @@ class BufferPool:
                 self.dirty_writebacks += 1
         return False
 
-    # -- management -----------------------------------------------------------
-
-    def invalidate_table(self, table: str) -> int:
-        """Drop all cached pages of ``table`` (used by DROP TABLE).  Returns count."""
-        victims = [pid for pid in self._pages if pid[0] == table]
-        for pid in victims:
-            del self._pages[pid]
-        return len(victims)
-
-    def clear(self) -> None:
-        """Empty the pool (simulates a cold restart)."""
-        self._pages.clear()
-
-    def resident_pages(self, table: Optional[str] = None) -> int:
-        """Number of resident pages, optionally restricted to one table."""
-        if table is None:
-            return len(self._pages)
-        return sum(1 for pid in self._pages if pid[0] == table)
-
-    @property
-    def hit_ratio(self) -> float:
-        total = self.recorder.total
-        accesses = total.pages_hit + total.pages_missed
-        return total.pages_hit / accesses if accesses else 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         return (
             f"<BufferPool {len(self._pages)}/{self.capacity_pages} pages, "
-            f"hit_ratio={self.hit_ratio:.2f}>"
+            f"{self.evictions} evictions>"
         )

@@ -255,11 +255,6 @@ class CostModel:
     trigger_connection_net_ms: float = 2.7
     trigger_cache_op_ms: float = 0.2        # each memcached op issued from a trigger
 
-    @property
-    def trigger_connection_ms(self) -> float:
-        """Total simulated cost of opening a memcached connection in a trigger."""
-        return self.trigger_connection_cpu_ms + self.trigger_connection_net_ms
-
     def demand(self, counters: CostCounters) -> Demand:
         """Convert ``counters`` into a per-resource service demand."""
         cpu = (

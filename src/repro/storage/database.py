@@ -4,7 +4,7 @@
 pool, triggers, transactions, executor, and the cost recorder.  It exposes
 the API the ORM and CacheGenie use:
 
-* DDL — ``create_table``, ``drop_table``, ``create_index``, ``create_trigger``
+* DDL — ``create_table``, ``create_index``, ``create_trigger``
 * DML — ``insert``, ``update``, ``delete``
 * queries — ``select``, ``count``
 * transactions — ``begin`` / ``commit`` / ``abort``
@@ -63,15 +63,6 @@ class Database:
         table = Table(schema, self.buffer_pool, self.triggers, self.recorder)
         self._tables[schema.name] = table
         return table
-
-    def drop_table(self, name: str) -> None:
-        """Drop a table, its indexes, and its buffer-pool pages."""
-        if name not in self._tables:
-            raise TableNotFoundError(f"table {name!r} does not exist")
-        del self._tables[name]
-        self.buffer_pool.invalidate_table(name)
-        for trigger in self.triggers.list_triggers(table=name):
-            self.triggers.drop_trigger(trigger.name)
 
     def create_index(self, table: str, index: IndexDef) -> None:
         """Create a secondary index on an existing table."""

@@ -130,17 +130,6 @@ class TableSchema:
     def column_names(self) -> List[str]:
         return [c.name for c in self.columns]
 
-    def has_column(self, name: str) -> bool:
-        return name in self._by_name
-
-    def column(self, name: str) -> ColumnDef:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise ColumnNotFoundError(
-                f"table {self.name!r} has no column {name!r}"
-            ) from None
-
     # -- index helpers ------------------------------------------------------
 
     def add_index(self, index: IndexDef) -> None:
@@ -151,10 +140,6 @@ class TableSchema:
                     f"index {index.name!r} references unknown column {col!r}"
                 )
         self.indexes.append(index)
-
-    def indexes_covering(self, column: str) -> List[IndexDef]:
-        """Return indexes whose leading column is ``column``."""
-        return [idx for idx in self.indexes if idx.columns[0] == column]
 
     # -- row helpers ---------------------------------------------------------
 

@@ -39,7 +39,6 @@ class Trigger:
     #: Free-form metadata; CacheGenie stores the cached-object name and the
     #: generated source text here so programmer-effort metrics can be computed.
     metadata: Dict[str, Any] = field(default_factory=dict)
-    enabled: bool = True
 
     def __post_init__(self) -> None:
         if self.event not in EVENTS:
@@ -93,11 +92,6 @@ class TriggerManager:
         if trigger in bucket:
             bucket.remove(trigger)
 
-    def drop_all(self) -> None:
-        """Remove every registered trigger."""
-        self._triggers.clear()
-        self._by_table_event.clear()
-
     def list_triggers(self, table: Optional[str] = None) -> List[Trigger]:
         """List registered triggers, optionally restricted to one table."""
         triggers = list(self._triggers.values())
@@ -117,15 +111,6 @@ class TriggerManager:
         """Globally disable trigger firing (Experiment 5's ideal system)."""
         self.globally_enabled = False
 
-    def enable_all(self) -> None:
-        self.globally_enabled = True
-
-    def set_enabled(self, name: str, enabled: bool) -> None:
-        try:
-            self._triggers[name].enabled = enabled
-        except KeyError:
-            raise TriggerError(f"trigger {name!r} does not exist") from None
-
     # -- firing ---------------------------------------------------------------
 
     def fire(
@@ -135,7 +120,7 @@ class TriggerManager:
         new: Optional[Mapping[str, Any]],
         old: Optional[Mapping[str, Any]],
     ) -> int:
-        """Fire all enabled triggers for (table, event).  Returns count fired.
+        """Fire every trigger on (table, event).  Returns count fired.
 
         Trigger exceptions propagate to the caller: as in Postgres, a failing
         trigger aborts the statement that caused it.
@@ -144,8 +129,6 @@ class TriggerManager:
             return 0
         fired = 0
         for trigger in self._by_table_event.get((table, event), []):
-            if not trigger.enabled:
-                continue
             self.recorder.record("trigger_launches")
             trigger_data = {
                 "event": event,

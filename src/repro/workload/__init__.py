@@ -1,16 +1,14 @@
-"""Workload substrate: configuration, zipf user selection, trace generation,
-arrival shapes."""
+"""Workload substrate: configuration, zipf session counts, trace generation,
+the flash-crowd arrival shape."""
 
-from .arrival import ConstantArrival, DiurnalArrival, FlashCrowdArrival
+from .arrival import FlashCrowdArrival
 from .config import DEFAULT_PAGE_MIX, WorkloadConfig
 from .generator import WorkloadGenerator
 from .trace import PageLoad, Session, WorkloadTrace
-from .zipf import SessionCountSampler, ZipfSampler
+from .zipf import SessionCountSampler
 
 __all__ = [
-    "ConstantArrival",
     "DEFAULT_PAGE_MIX",
-    "DiurnalArrival",
     "FlashCrowdArrival",
     "PageLoad",
     "Session",
@@ -18,5 +16,4 @@ __all__ = [
     "WorkloadConfig",
     "WorkloadGenerator",
     "WorkloadTrace",
-    "ZipfSampler",
 ]

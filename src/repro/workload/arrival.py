@@ -6,7 +6,9 @@ replaces that constant with a shape: a callable mapping the global page
 index (0-based, in clock-advance order) to the virtual seconds to advance
 before that page.  Pass it as ``arrival_model=`` to
 :class:`~repro.sim.concurrent.ConcurrentReplayer`; the constant interval
-stays the default, so existing replays are bit-identical.
+stays the default, so existing replays are bit-identical.  The one shape is
+:class:`FlashCrowdArrival`, which ``exp-adaptive`` and the benchmark's
+adaptive workload replay.
 
 The models are plain classes (not closures) so sweep cells that carry one
 across process boundaries (:func:`repro.sim.parallel.run_cells`) can pickle
@@ -24,27 +26,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["ConstantArrival", "DiurnalArrival", "FlashCrowdArrival"]
-
-
-class ConstantArrival:
-    """The identity shape: every page advances the clock by ``interval``.
-
-    Exists so code can treat "constant" and "shaped" arrivals uniformly;
-    ``ConstantArrival(x)`` replays bit-identically to
-    ``page_interval_seconds=x``.
-    """
-
-    def __init__(self, interval_seconds: float) -> None:
-        if interval_seconds < 0:
-            raise ValueError("interval_seconds must be non-negative")
-        self.interval_seconds = float(interval_seconds)
-
-    def __call__(self, page_index: int) -> float:
-        return self.interval_seconds
-
-    def __repr__(self) -> str:
-        return f"ConstantArrival({self.interval_seconds!r})"
+__all__ = ["FlashCrowdArrival"]
 
 
 class FlashCrowdArrival:
@@ -92,41 +74,3 @@ class FlashCrowdArrival:
                 f"burst_factor={self.burst_factor!r}, "
                 f"recovery_pages={self.recovery_pages!r})")
 
-
-class DiurnalArrival:
-    """A day/night cycle: the arrival rate swings sinusoidally.
-
-    The rate oscillates between ``1`` and ``peak_factor`` times the
-    baseline over a period of ``period_pages`` pages (starting at the
-    trough, so early pages are the quiet phase):
-
-    ``interval(i) = base / (1 + (peak_factor - 1) * (1 - cos(2*pi*i / period)) / 2)``
-
-    Repeated peaks promote and demote the same keys cycle after cycle —
-    the steady-state band-flapping test that hysteresis dwell is meant to
-    dampen.
-    """
-
-    def __init__(self, base_interval_seconds: float = 0.25,
-                 period_pages: int = 120, peak_factor: float = 4.0) -> None:
-        if base_interval_seconds <= 0:
-            raise ValueError("base_interval_seconds must be positive")
-        if period_pages <= 0:
-            raise ValueError("period_pages must be positive")
-        if peak_factor < 1.0:
-            raise ValueError("peak_factor must be >= 1")
-        self.base_interval_seconds = float(base_interval_seconds)
-        self.period_pages = int(period_pages)
-        self.peak_factor = float(peak_factor)
-
-    def __call__(self, page_index: int) -> float:
-        phase = (1.0 - math.cos(
-            2.0 * math.pi * page_index / self.period_pages)) / 2.0
-        rate_boost = 1.0 + (self.peak_factor - 1.0) * phase
-        return self.base_interval_seconds / rate_boost
-
-    def __repr__(self) -> str:
-        return (f"DiurnalArrival(base_interval_seconds="
-                f"{self.base_interval_seconds!r}, "
-                f"period_pages={self.period_pages!r}, "
-                f"peak_factor={self.peak_factor!r})")

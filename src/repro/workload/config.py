@@ -60,17 +60,6 @@ class WorkloadConfig:
 
     # -- derived properties ------------------------------------------------------
 
-    @property
-    def read_fraction(self) -> float:
-        """Fraction of page loads that are read pages (LookupBM + LookupFBM)."""
-        total = sum(self.page_mix.values())
-        reads = self.page_mix.get("LookupBM", 0.0) + self.page_mix.get("LookupFBM", 0.0)
-        return reads / total
-
-    @property
-    def write_fraction(self) -> float:
-        return 1.0 - self.read_fraction
-
     def normalized_mix(self) -> List[Tuple[str, float]]:
         """Page mix as (page, probability) pairs summing to 1."""
         total = sum(self.page_mix.values())

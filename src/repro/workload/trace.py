@@ -9,7 +9,7 @@ configuration sees exactly the same sessions, users, and page types.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List
+from typing import Iterator, List
 
 
 @dataclass
@@ -42,18 +42,9 @@ class WorkloadTrace:
         for session in self.sessions:
             yield from session.page_loads
 
-    def page_loads_for_client(self, client_id: int) -> List[PageLoad]:
-        return [pl for pl in self.page_loads() if pl.client_id == client_id]
-
     @property
     def total_page_loads(self) -> int:
         return sum(len(s.page_loads) for s in self.sessions)
-
-    def page_type_histogram(self) -> Dict[str, int]:
-        histogram: Dict[str, int] = {}
-        for page_load in self.page_loads():
-            histogram[page_load.page] = histogram.get(page_load.page, 0) + 1
-        return histogram
 
     def distinct_users(self) -> List[int]:
         return sorted({s.user_id for s in self.sessions})

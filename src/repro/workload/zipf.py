@@ -1,64 +1,21 @@
-"""Bounded zipf sampling for user selection.
+"""Bounded zipf sampling of how many sessions each user runs.
 
 §5.1/§5.4: "The distribution of users across sessions is according to a zipf
 distribution with the zipf parameter set to 2.0", and Experiment 3 sweeps the
-parameter from 1.1 to 2.0.  The paper's formulation makes p(x) the probability
-that a user logs in x times; operationally the driver needs to pick *which*
-user runs each session such that session counts per user follow that law.
-We implement this by sampling each session's user from a zipf-weighted rank
-distribution over the user population: low ranks (frequent users) absorb most
-sessions, and smaller ``a`` spreads sessions more evenly — the property the
-experiments rely on.
+parameter from 1.1 to 2.0.  The paper's formulation makes p(x) = x⁻ᵃ/ζ(a) the
+probability that a user logs in x times, and that is what
+:class:`SessionCountSampler` draws, truncated at ``max_sessions``: a smaller
+``a`` gives a heavier tail, so a few users run most sessions and the workload
+is more skewed — the property the experiments rely on.
 """
 
 from __future__ import annotations
 
 import bisect
 import random
-from typing import List, Sequence
+from typing import List
 
 from ..errors import WorkloadError
-
-
-class ZipfSampler:
-    """Samples items with probability proportional to ``rank ** -a``."""
-
-    def __init__(self, population: int, parameter: float,
-                 rng: random.Random) -> None:
-        if population < 1:
-            raise WorkloadError("zipf population must be >= 1")
-        if parameter <= 1.0:
-            raise WorkloadError("zipf parameter must be > 1.0")
-        self.population = population
-        self.parameter = parameter
-        self.rng = rng
-        weights = [rank ** -parameter for rank in range(1, population + 1)]
-        total = sum(weights)
-        cumulative: List[float] = []
-        acc = 0.0
-        for weight in weights:
-            acc += weight / total
-            cumulative.append(acc)
-        cumulative[-1] = 1.0
-        self._cumulative = cumulative
-
-    def sample_rank(self) -> int:
-        """Return a 1-based rank (1 = most popular)."""
-        u = self.rng.random()
-        return bisect.bisect_left(self._cumulative, u) + 1
-
-    def sample(self, items: Sequence) -> object:
-        """Sample an item from ``items`` by zipf rank (items[0] most popular)."""
-        if len(items) != self.population:
-            raise WorkloadError(
-                f"expected {self.population} items, got {len(items)}"
-            )
-        return items[self.sample_rank() - 1]
-
-    def expected_top_share(self, top_n: int) -> float:
-        """Probability mass of the ``top_n`` most popular ranks (for tests)."""
-        top_n = min(top_n, self.population)
-        return self._cumulative[top_n - 1]
 
 
 class SessionCountSampler:
@@ -94,12 +51,3 @@ class SessionCountSampler:
         """Return a session count in [1, max_sessions]."""
         u = self.rng.random()
         return bisect.bisect_left(self._cumulative, u) + 1
-
-    def mean(self) -> float:
-        """Expected session count of the truncated distribution (for tests)."""
-        previous = 0.0
-        expectation = 0.0
-        for x, cumulative in enumerate(self._cumulative, start=1):
-            expectation += x * (cumulative - previous)
-            previous = cumulative
-        return expectation

@@ -34,7 +34,7 @@ def build_stack(batch_trigger_ops: bool = True):
             registry = reg
 
     class Post(Model):
-        author = ForeignKey(Author, related_name="posts")
+        author = ForeignKey(Author)
         title = CharField(max_length=80)
 
         class Meta:

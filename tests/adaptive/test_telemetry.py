@@ -55,7 +55,6 @@ class TestCounting:
         telemetry.note_cas_retry("k")
         telemetry.note_lease_contended("k")
         entry = telemetry.get("k")
-        assert entry.contention == 3
         assert entry.contention_rate == 3.0
         assert (entry.cas_mismatches, entry.cas_retries,
                 entry.lease_contended) == (1, 1, 1)
@@ -206,12 +205,3 @@ class TestSnapshot:
             return telemetry.snapshot()
 
         assert build() == build()
-
-    def test_describe_reports_bounds_and_totals(self, clock):
-        telemetry = KeyTelemetry(clock, capacity=7, half_life_seconds=3.0)
-        telemetry.note_read("k")
-        out = telemetry.describe()
-        assert out["capacity"] == 7
-        assert out["half_life_seconds"] == 3.0
-        assert out["tracked_keys"] == 1
-        assert out["total_reads"] == 1

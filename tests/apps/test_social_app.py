@@ -9,6 +9,8 @@ from repro.apps.social import (EXPECTED_CACHED_OBJECTS, Bookmark,
 from repro.apps.social.pages import (PAGE_ACCEPT_FR, PAGE_CREATE_BM,
                                      PAGE_LOOKUP_BM, PAGE_LOOKUP_FBM)
 
+from tests.helpers import database_rows
+
 
 class TestSeeding:
     def test_tiny_seed_populates_every_table(self, social_stack):
@@ -30,7 +32,7 @@ class TestSeeding:
         assert WallPost.objects.count() == summary.wall_posts
 
     def test_every_user_has_a_profile(self, social_stack):
-        for user in User.objects.all():
+        for user in User.objects.filter():
             assert Profile.objects.filter(user_id=user.pk).count() == 1
 
     def test_paper_ratio_scale(self):
@@ -118,7 +120,7 @@ class TestPagesWithCacheGenie:
         after = cached_count.peek(user_id=5)
         if before is not None:
             assert after == before + 1
-        assert after == BookmarkInstance.objects.using_database().filter(user_id=5).count()
+        assert after == len(database_rows(BookmarkInstance, user_id=5))
 
     def test_friend_bookmarks_cached_object_used(self, social_genie):
         app = social_genie["app"]

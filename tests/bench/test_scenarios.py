@@ -1,12 +1,9 @@
 """Tests for scenario assembly (NoCache / Invalidate / Update / new strategies)."""
 
-import pytest
-
 from repro.apps.social import SeedScale
 from repro.bench import (ASYNC_REFRESH_SCENARIO, EXPIRY_SCENARIO,
                          INVALIDATE_SCENARIO, LEASED_SCENARIO, NO_CACHE,
-                         Scenario, ScenarioConfig, UPDATE_SCENARIO,
-                         build_scenario)
+                         Scenario, ScenarioConfig, UPDATE_SCENARIO)
 from repro.core import (ASYNC_REFRESH, ConsistencyStrategy, EXPIRY, INVALIDATE,
                         LEASED_INVALIDATE, LeasedInvalidateStrategy,
                         UPDATE_IN_PLACE, get_strategy)
@@ -28,7 +25,6 @@ class TestScenarioConfig:
             config = ScenarioConfig(name=name)
             assert isinstance(config.strategy, ConsistencyStrategy)
             assert config.strategy is get_strategy(expected)
-            assert config.strategy_name == expected
 
     def test_strategy_accepts_names_and_instances(self):
         by_name = ScenarioConfig(name=UPDATE_SCENARIO, strategy=INVALIDATE)
@@ -58,9 +54,6 @@ class TestScenarioConfig:
             name=INVALIDATE_SCENARIO, strategy=custom)
         assert kept.strategy is custom
 
-    def test_unknown_scenario_name_rejected(self):
-        with pytest.raises(ValueError):
-            build_scenario("WriteThrough")
 
 
 class TestScenarioAssembly:
@@ -81,8 +74,6 @@ class TestScenarioAssembly:
             assert scenario.genie.cached_object_count == 14
             assert all(obj.update_strategy == UPDATE_IN_PLACE
                        for obj in scenario.cached_objects.values())
-            description = scenario.describe()
-            assert description["strategy"] == UPDATE_IN_PLACE
         finally:
             scenario.teardown()
 

@@ -89,13 +89,6 @@ class TestReducedProtocol:
         assert pool.get_multi(["a", "big", "b"]) == {"a": 1, "b": 2}
         assert pool.servers[0].stats.sets == 2
 
-    def test_flush_all_and_item_count(self):
-        pool, _clock = make_pool()
-        pool.set_multi({f"k{i}": i for i in range(8)})
-        assert pool.item_count() == 8
-        pool.flush_all()
-        assert pool.item_count() == 0
-
     def test_no_cas_and_no_lease_surface(self):
         pool, _clock = make_pool()
         assert not hasattr(pool, "gets")

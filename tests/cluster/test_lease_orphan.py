@@ -42,7 +42,7 @@ def cluster_stack():
             registry = reg
 
     class Item(Model):
-        owner = ForeignKey(Person, related_name="items")
+        owner = ForeignKey(Person)
         label = CharField(max_length=60)
         rank = IntegerField(default=0)
 

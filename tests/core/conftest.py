@@ -27,14 +27,14 @@ def stack():
             registry = reg
 
     class Profile(Model):
-        person = ForeignKey(Person, related_name="profiles")
+        person = ForeignKey(Person)
         bio = TextField(null=True)
 
         class Meta:
             registry = reg
 
     class Wall(Model):
-        person = ForeignKey(Person, related_name="wall_posts")
+        person = ForeignKey(Person)
         content = TextField()
         posted = FloatTimestampField(db_index=True)
 
@@ -44,14 +44,14 @@ def stack():
     class Edge(Model):
         """A follows B."""
 
-        src = ForeignKey(Person, related_name="out_edges")
-        dst = ForeignKey(Person, related_name="in_edges")
+        src = ForeignKey(Person)
+        dst = ForeignKey(Person)
 
         class Meta:
             registry = reg
 
     class Item(Model):
-        owner = ForeignKey(Person, related_name="items")
+        owner = ForeignKey(Person)
         label = CharField(max_length=60)
         rank = IntegerField(default=0)
 

@@ -38,7 +38,7 @@ def wall(request):
             registry = reg
 
     class Wall(Model):
-        person = ForeignKey(Person, related_name="wall_posts")
+        person = ForeignKey(Person)
         content = TextField()
 
         class Meta:

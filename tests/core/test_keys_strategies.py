@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.core import keys as keys_module
 from repro.core.keys import KeyScheme, fingerprint
 from repro.core.strategies import (EXPIRY, INVALIDATE, UPDATE_IN_PLACE,
-                                   needs_triggers, validate_strategy)
+                                   resolve_strategy)
 from repro.errors import CacheClassError
 
 
@@ -34,10 +34,6 @@ class TestKeyScheme:
         key = scheme.key_for(["value with spaces", None, 3.5])
         assert len(key) <= 250
         assert not any(ch.isspace() for ch in key)
-
-    def test_key_for_mapping(self):
-        scheme = KeyScheme("obj", "fp")
-        assert scheme.key_for_mapping(["a", "b"], {"b": 2, "a": 1}) == scheme.key_for([1, 2])
 
     def test_long_values_are_hashed(self):
         scheme = KeyScheme("obj", "fp")
@@ -93,13 +89,13 @@ class TestKeyMemo:
 class TestStrategies:
     def test_validate_known(self):
         for strategy in (UPDATE_IN_PLACE, INVALIDATE, EXPIRY):
-            assert validate_strategy(strategy) == strategy
+            assert resolve_strategy(strategy).name == strategy
 
     def test_validate_unknown_raises(self):
         with pytest.raises(CacheClassError):
-            validate_strategy("write-through")
+            resolve_strategy("write-through")
 
     def test_needs_triggers(self):
-        assert needs_triggers(UPDATE_IN_PLACE)
-        assert needs_triggers(INVALIDATE)
-        assert not needs_triggers(EXPIRY)
+        assert resolve_strategy(UPDATE_IN_PLACE).needs_triggers
+        assert resolve_strategy(INVALIDATE).needs_triggers
+        assert not resolve_strategy(EXPIRY).needs_triggers

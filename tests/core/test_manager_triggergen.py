@@ -104,7 +104,8 @@ class TestEffortMetrics:
         cached = genie.cacheable(cache_class_type="TopKQuery", main_model="Wall",
                                  where_fields=["person_id"], sort_field="posted",
                                  k=5)
-        source = genie.trigger_generator.full_source()
+        source = "\n".join(record.source
+                           for record in genie.trigger_generator.generated)
         assert "def cg_" in source
         # Batched default: the trigger enqueues; the flush runs the CAS pair.
         assert "queue.enqueue_mutate(cache_key" in source
@@ -126,7 +127,8 @@ class TestEffortMetrics:
                 cache_class_type="TopKQuery", main_model="Wall",
                 where_fields=["person_id"], sort_field="posted", k=5,
                 name="eager_topk")
-            source = genie.trigger_generator.full_source()
+            source = "\n".join(
+                record.source for record in genie.trigger_generator.generated)
             assert "cache.gets(cache_key)" in source
             assert "cache.cas(cache_key" in source
             assert "queue.enqueue" not in source
@@ -157,11 +159,4 @@ class TestStats:
         cached.evaluate(person_id=person.pk)
         cached.evaluate(person_id=person.pk)
         assert 0.0 < genie.cache_hit_ratio() < 1.0
-        stats = genie.stats.as_dict()
-        assert stats["_total"]["cache_hits"] == 1
-
-    def test_flush_cache_empties_servers(self, stack):
-        genie = stack["genie"]
-        genie.app_cache.set("some:key", 1)
-        genie.flush_cache()
-        assert stack["cache_server"].item_count == 0
+        assert genie.stats.totals().cache_hits == 1

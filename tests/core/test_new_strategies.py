@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import (AsyncRefreshStrategy, CacheGenie,
                         LeasedInvalidateStrategy)
+from repro.core.cache_classes.base import evaluate_many
 from repro.memcache import CacheServer
 from repro.orm import CharField, ForeignKey, IntegerField, Model, Registry
 from repro.sim import VirtualClock
@@ -27,7 +28,7 @@ def timed_stack():
             registry = reg
 
     class Note(Model):
-        owner = ForeignKey(Owner, related_name="notes")
+        owner = ForeignKey(Owner)
         body = CharField(max_length=80)
         score = IntegerField(default=0)
 
@@ -234,7 +235,7 @@ class TestAsyncRefresh:
         Note.objects.create(owner=owner, body="n1")
         cached.evaluate(owner_id=owner.pk)
         stack["clock"].advance(11.0)
-        results = cached.evaluate_multi([{"owner_id": owner.pk}])
+        results = evaluate_many([(cached, {"owner_id": owner.pk})])
         assert len(results[0]) == 1
         assert cached.stats.stale_served == 1
         assert stack["genie"].refresh_queue.pending_count == 1

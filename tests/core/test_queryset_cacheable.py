@@ -311,7 +311,7 @@ class TestLegacyAdapter:
         cached = stack["genie"].cacheable("CountQuery", "Item", ["owner_id"],
                                           "my_count")
         assert cached.name == "my_count"
-        assert stack["genie"].get_cached_object("my_count") is cached
+        assert stack["genie"].cached_objects["my_count"] is cached
 
     def test_excess_legacy_positionals_rejected(self, stack):
         with pytest.raises(CacheClassError, match="positional"):

@@ -111,15 +111,12 @@ class TestStats:
 
     def test_totals_aggregate_across_objects(self):
         stats = CacheGenieStats()
-        stats.for_object("a").cache_hits = 2
-        stats.for_object("b").cache_hits = 3
-        stats.for_object("b").invalidations = 1
+        stats.per_object["a"] = CachedObjectStats(cache_hits=2)
+        stats.per_object["b"] = CachedObjectStats(cache_hits=3,
+                                                  invalidations=1)
         totals = stats.totals()
         assert totals.cache_hits == 5
         assert totals.invalidations == 1
-        as_dict = stats.as_dict()
-        assert as_dict["_total"]["cache_hits"] == 5
-        assert set(as_dict) == {"a", "b", "_total"}
 
 
 class TestExpiryStrategy:

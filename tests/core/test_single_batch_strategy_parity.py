@@ -79,7 +79,7 @@ class Fleet:
                 registry = reg
 
         class Note(Model):
-            owner = ForeignKey(Owner, related_name="notes")
+            owner = ForeignKey(Owner)
             body = CharField(max_length=80)
 
             class Meta:

@@ -248,7 +248,7 @@ class TestEvaluateMany:
         cached = genie.cacheable(cache_class_type="FeatureQuery",
                                  main_model=Profile, where_fields=["person"])
         before = recorder.total.copy()
-        results = cached.evaluate_multi([{"person": p.pk} for p in people])
+        results = evaluate_many([(cached, {"person": p.pk}) for p in people])
         delta_multi = recorder.total.cache_multi_gets - before.cache_multi_gets
         delta_single = recorder.total.cache_gets - before.cache_gets
         assert [rows[0]["bio"] for rows in results] == \
@@ -257,7 +257,7 @@ class TestEvaluateMany:
         assert delta_single == 0
         assert cached.stats.cache_misses == 3
         # The write-back used set_multi; a second batch is all hits.
-        results2 = cached.evaluate_multi([{"person": p.pk} for p in people])
+        results2 = evaluate_many([(cached, {"person": p.pk}) for p in people])
         assert results2 == results
         assert cached.stats.cache_hits == 3
 
@@ -267,7 +267,7 @@ class TestEvaluateMany:
         person = Person(name="dot"); person.save()
         counted = genie.cacheable(cache_class_type="CountQuery",
                                   main_model=Wall, where_fields=["person"])
-        results = counted.evaluate_multi([{"person": person.pk}] * 3)
+        results = evaluate_many([(counted, {"person": person.pk})] * 3)
         assert results == [0, 0, 0]
         assert counted.stats.db_fallbacks == 1
         assert counted.stats.cache_hits == 2
@@ -281,7 +281,7 @@ class TestEvaluateMany:
         top = genie.cacheable(cache_class_type="TopKQuery",
                               main_model=Item, where_fields=["owner"],
                               sort_field="rank", k=3, reserve=4)
-        (rows,) = top.evaluate_multi([{"owner": person.pk}])
+        (rows,) = evaluate_many([(top, {"owner": person.pk})])
         assert len(rows) == 3  # never the k + reserve backing list
         assert [r["rank"] for r in rows] == [7, 6, 5]
         assert rows == top.evaluate(owner=person.pk)

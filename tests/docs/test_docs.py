@@ -71,3 +71,42 @@ def test_github_slugging_matches_linked_anchors():
     assert check_docs.github_slug("Batching is now the default") == \
         "batching-is-now-the-default"
     assert check_docs.github_slug("## `code` & Symbols!") == "-code--symbols"
+
+
+def test_module_map_names_only_what_exists():
+    assert check_docs.check_entry_points() == []
+
+
+def test_module_map_check_catches_a_stale_entry_point():
+    header = check_docs.ENTRY_TABLE_HEADER
+    text = (f"{header}\n|---|---|---|\n"
+            "| ring | `src/repro/memcache/hashring.py` | "
+            "`HashRing.server_for()`, `snapshot()`/`restore()` |\n"
+            "| interception | `src/repro/core/interception.py` | "
+            "`CacheGenieInterceptor.try_fetch()/try_intercept()` |\n"
+            "| arrivals | `src/repro/workload/arrival.py` | "
+            "`FlashCrowdArrival`, `DiurnalArrival` |\n")
+    errors = check_docs.check_entry_points(text)
+    assert [error.split("`")[1] for error in errors] == [
+        "snapshot()", "restore()",
+        "CacheGenieInterceptor.try_fetch()/try_intercept()",
+        "DiurnalArrival"]
+
+
+def test_module_map_reads_bare_files_and_packages():
+    modules = check_docs.row_modules(
+        "`src/repro/memcache/client.py`, `server.py`, `src/repro/workload/`")
+    names = [module.__name__ for module in modules]
+    assert names[:3] == ["repro.memcache.client", "repro.memcache.server",
+                         "repro.workload"]
+    assert "repro.workload.zipf" in names[3:]
+
+
+def test_module_map_resolves_a_bare_method_on_the_class_named_before_it():
+    header = check_docs.ENTRY_TABLE_HEADER
+    text = (f"{header}\n|---|---|---|\n"
+            "| ring | `src/repro/memcache/hashring.py` | "
+            "`HashRing`, `server_for()`, `no_such_method()` |\n"
+            "| cli | `python -m repro.bench` | `anything()` |\n")
+    errors = check_docs.check_entry_points(text)
+    assert [error.split("`")[1] for error in errors] == ["no_such_method()"]

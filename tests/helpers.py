@@ -11,6 +11,12 @@ from repro.orm import (CharField, FloatTimestampField, ForeignKey,
 from repro.storage import Database
 
 
+def database_rows(model: type, **filters: Any) -> List[Dict[str, Any]]:
+    """``model``'s rows whose columns equal ``filters``, read from its
+    database directly: the ground truth no interceptor can answer for."""
+    return model._meta.registry.db.find(model._meta.db_table, where=filters)
+
+
 def build_blog_models(name: str = "blog") -> Dict[str, object]:
     """Create a small Author/Post/Comment model set on a fresh registry.
 
@@ -27,7 +33,7 @@ def build_blog_models(name: str = "blog") -> Dict[str, object]:
             registry = reg
 
     class Post(Model):
-        author = ForeignKey(Author, related_name="posts")
+        author = ForeignKey(Author)
         title = CharField(max_length=120)
         body = TextField(null=True)
         score = IntegerField(default=0, db_index=True)
@@ -37,8 +43,8 @@ def build_blog_models(name: str = "blog") -> Dict[str, object]:
             registry = reg
 
     class Comment(Model):
-        post = ForeignKey(Post, related_name="comments")
-        author = ForeignKey(Author, related_name="comments")
+        post = ForeignKey(Post)
+        author = ForeignKey(Author)
         text = TextField()
         created = FloatTimestampField(auto_now_add=True)
 

@@ -17,13 +17,15 @@ from repro.apps.social import (Bookmark, BookmarkInstance, Friendship,
                                FriendshipInvitation, Profile, User, WallPost)
 from repro.core import INVALIDATE, UPDATE_IN_PLACE
 
+from tests.helpers import database_rows
+
 
 def db_truth_count(model, **filters):
-    return model.objects.using_database().filter(**filters).count()
+    return len(database_rows(model, **filters))
 
 
 def db_truth_rows(model, **filters):
-    return [m.to_dict() for m in model.objects.using_database().filter(**filters)]
+    return [dict(row) for row in database_rows(model, **filters)]
 
 
 class TestCacheDatabaseAgreement:
@@ -68,7 +70,7 @@ class TestCacheDatabaseAgreement:
         user_id = 1
         cached["user_bookmark_count"].evaluate(user_id=user_id)
         before = cached["user_bookmark_count"].peek(user_id=user_id)
-        bookmark = Bookmark.objects.first()
+        bookmark = Bookmark.objects.filter().first()
         database.insert("bookmarks_bookmarkinstance", {
             "bookmark_id": bookmark.pk, "user_id": user_id,
             "description": "raw insert", "note": "", "added": 123.0,

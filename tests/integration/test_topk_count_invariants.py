@@ -17,6 +17,8 @@ from repro.memcache import CacheServer
 from repro.orm import FloatField, ForeignKey, IntegerField, Model, Registry, CharField
 from repro.storage import Database
 
+from tests.helpers import database_rows
+
 _IDS = itertools.count()
 
 
@@ -30,7 +32,7 @@ def build_stack():
             registry = reg
 
     class Entry(Model):
-        owner = ForeignKey(Owner, related_name="entries")
+        owner = ForeignKey(Owner)
         score = FloatField(default=0.0, db_index=True)
         group = IntegerField(default=0)
 
@@ -88,8 +90,7 @@ class TestTopKAndCountInvariants:
 
                 # Invariant: any cached value equals the database truth.
                 for check_owner in owners:
-                    truth = [e.to_dict() for e in
-                             Entry.objects.using_database().filter(owner_id=check_owner.pk)]
+                    truth = database_rows(Entry, owner_id=check_owner.pk)
                     truth.sort(key=lambda r: r["score"], reverse=True)
 
                     cached_top = topk.peek(owner_id=check_owner.pk)

@@ -57,11 +57,6 @@ class TestOperations:
         assert client.decr("n", 3) == 4
         assert client.delete("n") is True
 
-    def test_flush_all(self):
-        client, _ = make_client()
-        client.set("a", 1)
-        client.flush_all()
-        assert client.get("a") is None
 
 
 class TestCostAccounting:

@@ -164,6 +164,7 @@ class TestClientLeaseAccounting:
         cache_servers = [CacheServer(f"s{i}", clock=lambda: now[0])
                          for i in range(servers)]
         client = CacheClient(cache_servers, recorder=recorder)
+        self.servers = cache_servers
         return client, recorder, now
 
     def test_lease_charges_one_round_trip(self):
@@ -193,7 +194,7 @@ class TestClientLeaseAccounting:
         existed = client.lease_delete_multi(keys, 3.0)
         assert sorted(existed) == sorted(keys)
         assert recorder.total.cache_multi_deletes == 2
-        assert sum(s.stats.lease_deletes for s in client.servers) == 6
+        assert sum(s.stats.lease_deletes for s in self.servers) == 6
         # The retained values serve as stale through the same client.
         assert client.lease(keys[0], 5.0)[1] == 1
 
@@ -209,8 +210,8 @@ class TestClientLeaseAccounting:
         assert all(out[k] in (9, 11) for k in keys)
         assert recorder.total.cache_multi_counters == 2
         assert sum(s.stats.incr_ok + s.stats.decr_ok
-                   for s in client.servers) == 6
-        assert sum(s.stats.incr_miss for s in client.servers) == 1
+                   for s in self.servers) == 6
+        assert sum(s.stats.incr_miss for s in self.servers) == 1
 
     def test_empty_batches_are_free(self):
         client, recorder, _now = self._stack()

@@ -8,8 +8,7 @@ from repro.apps.social import SeedScale
 from repro.apps.social.models import User
 from repro.bench.scenarios import NO_CACHE, Scenario, ScenarioConfig
 from repro.errors import DoesNotExist, ModelError
-from repro.orm import (CharField, IntegerField, ManyToManyField, Model,
-                       Registry)
+from repro.orm import CharField, IntegerField, Model, Registry
 from repro.storage import Database
 
 from tests.helpers import build_blog_models
@@ -30,7 +29,7 @@ class TestModelDeclaration:
         stack = build_blog_models("decl3")
         Post = stack["Post"]
         schema = Post._meta.build_schema()
-        assert schema.has_column("author_id")
+        assert "author_id" in schema.column_names
         assert any(idx.columns == ("author_id",) for idx in schema.indexes)
 
     def test_unique_field_gets_unique_index(self):
@@ -48,7 +47,6 @@ class TestModelDeclaration:
         stack = build_blog_models("decl6")
         registry = stack["registry"]
         assert registry.get_model("author") is stack["Author"]
-        assert registry.model_for_table("post") is stack["Post"]
 
 
 class TestConstructor:
@@ -76,26 +74,6 @@ class TestConstructor:
         assert str(caught.value) == "Author has no field 'nonexistent'"
         with pytest.raises(ModelError):                   # and again: no memo
             stack["Author"](nonexistent="y")
-
-    def test_many_to_many_keyword_message(self):
-        reg = Registry("ctor3")
-
-        class Tag(Model):
-            label = CharField()
-
-            class Meta:
-                registry = reg
-
-        class Note(Model):
-            tags = ManyToManyField(Tag)
-
-            class Meta:
-                registry = reg
-
-        with pytest.raises(ModelError) as caught:
-            Note(tags=[])
-        assert str(caught.value) == (
-            "cannot set ManyToManyField 'tags' in the constructor")
 
     def test_callable_defaults_run_once_per_instance(self):
         reg = Registry("ctor4")
@@ -217,14 +195,6 @@ class TestPersistence:
         stack = build_blog_models("persist4")
         with pytest.raises(ModelError):
             stack["Author"](username="x").delete()
-
-    def test_refresh_from_db(self):
-        stack = build_blog_models("persist5")
-        Author = stack["Author"]
-        author = Author.objects.create(username="alice")
-        Author.objects.filter(id=author.pk).update(karma=77)
-        author.refresh_from_db()
-        assert author.karma == 77
 
     def test_auto_now_add_uses_registry_clock(self):
         stack = build_blog_models("persist6")

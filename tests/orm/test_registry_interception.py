@@ -78,15 +78,6 @@ class TestInterception:
         list(stack["Post"].objects.filter(score__gte=3))
         assert interceptor.seen == []
 
-    def test_bypass_cache_clone_not_offered(self):
-        stack = build_blog_models("icept4")
-        Author = stack["Author"]
-        Author.objects.create(username="db-truth")
-        interceptor = RecordingInterceptor([{"id": 1, "username": "cached", "karma": 0}])
-        stack["registry"].add_interceptor(interceptor)
-        fresh = list(Author.objects.filter(username="db-truth").using_database())
-        assert fresh[0].username == "db-truth"
-
     def test_count_interception(self):
         stack = build_blog_models("icept5")
 

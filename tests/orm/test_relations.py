@@ -1,9 +1,4 @@
-"""Tests for ForeignKey descriptors, reverse managers, and ManyToMany fields."""
-
-import pytest
-
-from repro.orm import (CharField, ForeignKey, ManyToManyField, Model, Registry)
-from repro.storage import Database
+"""Tests for the ForeignKey descriptor."""
 
 from tests.helpers import build_blog_models
 
@@ -49,73 +44,4 @@ class TestForeignKey:
         post.author = None
         assert post.author is None
 
-    def test_reverse_manager(self):
-        stack = build_blog_models("fk6")
-        Author, Post = stack["Author"], stack["Post"]
-        author = Author.objects.create(username="alice")
-        other = Author.objects.create(username="bob")
-        for i in range(3):
-            Post.objects.create(author=author, title=f"p{i}")
-        Post.objects.create(author=other, title="other")
-        assert author.posts.count() == 3
-        assert {p.title for p in author.posts.all()} == {"p0", "p1", "p2"}
 
-    def test_reverse_manager_create_sets_fk(self):
-        stack = build_blog_models("fk7")
-        author = stack["Author"].objects.create(username="alice")
-        post = author.posts.create(title="made via related manager")
-        assert post.author_id == author.pk
-
-
-class TestManyToMany:
-    def _build(self, name):
-        reg = Registry(name)
-
-        class Person(Model):
-            name = CharField(max_length=40)
-
-            class Meta:
-                registry = reg
-
-        class Group(Model):
-            title = CharField(max_length=40)
-            members = ManyToManyField(Person, related_name="groups")
-
-            class Meta:
-                registry = reg
-
-        db = Database()
-        reg.bind(db)
-        reg.create_all()
-        return reg, db, Person, Group
-
-    def test_through_table_created(self):
-        _reg, db, _Person, _Group = self._build("m2m1")
-        assert db.has_table("group_members")
-
-    def test_add_remove_and_count(self):
-        _reg, _db, Person, Group = self._build("m2m2")
-        alice = Person.objects.create(name="alice")
-        bob = Person.objects.create(name="bob")
-        group = Group.objects.create(title="readers")
-        group.members.add(alice, bob)
-        assert group.members.count() == 2
-        assert {p.name for p in group.members.all()} == {"alice", "bob"}
-        group.members.remove(alice)
-        assert group.members.count() == 1
-
-    def test_add_is_idempotent(self):
-        _reg, _db, Person, Group = self._build("m2m3")
-        alice = Person.objects.create(name="alice")
-        group = Group.objects.create(title="g")
-        group.members.add(alice)
-        group.members.add(alice)
-        assert group.members.count() == 1
-
-    def test_clear(self):
-        _reg, _db, Person, Group = self._build("m2m4")
-        group = Group.objects.create(title="g")
-        group.members.add(Person.objects.create(name="a"),
-                          Person.objects.create(name="b"))
-        group.members.clear()
-        assert not group.members.exists()

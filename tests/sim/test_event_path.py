@@ -257,7 +257,8 @@ def completion_rows(metrics):
 def selected(replay, clients=None):
     """The ``(client_id, pages)`` list ``simulate_population`` simulates."""
     order = getattr(replay, "client_dispatch_order", replay.client_ids)()
-    return [(client_id, replay.pages_for_client(client_id))
+    return [(client_id, [page for page in replay.pages
+                         if page.client_id == client_id])
             for client_id in order[:clients]]
 
 

@@ -154,4 +154,4 @@ class TestSignature:
         assert a.signature() != b.signature()
         b.choose(run)
         assert a.signature() == b.signature()
-        assert a.describe()["decisions"] == 1
+        assert len(a.decisions) == 1

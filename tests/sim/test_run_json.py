@@ -1,10 +1,9 @@
-"""Stable JSON export: replay and metrics documents round-trip losslessly.
+"""Stable JSON export: replay and metrics documents.
 
 The run documents (``ReplayResult.to_json`` / ``RunMetrics.to_json``) are
 what ``python -m repro.bench report`` consumes and what sweeps archive, so
-they must be versioned, JSON-serializable as-is, and byte-stable through a
-dump/load cycle — and a reconstructed replay must drive the closed-loop
-simulator to the numbers the original produced.
+they must be versioned and JSON-serializable as-is, and byte-stable through
+a dump/load cycle.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from repro.apps.social import SeedScale
 from repro.bench.experiments import (QUICK_HOT_KEY_WORKLOAD as WORKLOAD,
                                      ablation_config, run_scenario)
 from repro.bench.scenarios import UPDATE_SCENARIO
-from repro.errors import SimulationError
 from repro.sim import (ADVERSARIAL, RUN_JSON_SCHEMA, ReplayResult,
                        ReplayedPage, simulate_population)
 from repro.storage.costmodel import CostCounters, Demand
@@ -47,43 +45,12 @@ class TestReplayResultRoundTrip:
         encoded = canonical(doc)
         assert canonical(json.loads(encoded)) == encoded
 
-    def test_round_trip_is_byte_identical(self, replay):
-        doc = replay.to_json()
-        rebuilt = ReplayResult.from_json(json.loads(canonical(doc)))
-        assert canonical(rebuilt.to_json()) == canonical(doc)
-
-    def test_rebuilt_replay_preserves_engine_fields(self, replay):
-        rebuilt = ReplayResult.from_json(replay.to_json())
-        assert rebuilt.schedule_signature == replay.schedule_signature
-        assert rebuilt.schedule == replay.schedule
-        assert rebuilt.pages_by_worker == replay.pages_by_worker
-        assert rebuilt.workers == replay.workers
-        assert len(rebuilt.pages) == len(replay.pages)
-        assert (rebuilt.total_counters.as_dict()
-                == replay.total_counters.as_dict())
-
-    def test_rebuilt_replay_simulates_identically(self, replay):
-        rebuilt = ReplayResult.from_json(replay.to_json())
-        original = simulate_population(replay, clients=WORKLOAD.clients)
-        again = simulate_population(rebuilt, clients=WORKLOAD.clients)
-        assert again.summary() == original.summary()
-        assert again.latency_by_page() == original.latency_by_page()
-
     def test_serial_replay_exports_without_concurrent_block(self):
         result = ReplayResult()
         doc = result.to_json()
         assert "concurrent" not in doc
-        rebuilt = ReplayResult.from_json(doc)
-        assert type(rebuilt) is ReplayResult
-        assert rebuilt.pages == []
+        assert doc["pages"] == []
 
-    def test_wrong_kind_and_schema_rejected(self, replay):
-        with pytest.raises(SimulationError):
-            ReplayResult.from_json({"kind": "run_metrics", "schema": 1})
-        doc = replay.to_json()
-        doc["schema"] = RUN_JSON_SCHEMA + 1
-        with pytest.raises(SimulationError):
-            ReplayResult.from_json(doc)
 
 
 class TestSlottedReplayedPage:
@@ -139,15 +106,6 @@ class TestSlottedReplayedPage:
         assert (moved.page, moved.demand) == ("CreateBM", page.demand)
         assert page.page == "LookupBM"
 
-    def test_documents_stay_byte_identical_over_repeated_round_trips(
-            self, replay):
-        first = canonical(replay.to_json())
-        rebuilt = ReplayResult.from_json(json.loads(first))
-        assert not hasattr(rebuilt.pages[0], "__dict__")
-        second = canonical(rebuilt.to_json())
-        third = canonical(
-            ReplayResult.from_json(json.loads(second)).to_json())
-        assert first == second == third
 
 
 class TestRunMetricsDocument:

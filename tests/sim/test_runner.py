@@ -1,11 +1,12 @@
 """Tests for the serial (one-worker) replay and closed-loop simulation."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim import (STREAM_CLIENT_THRESHOLD, ConcurrentReplayer,
-                       SimulationOptions, exact_mva,
-                       aggregate_resource_demands, simulate_population)
+                       SimulationOptions, exact_mva, simulate_population)
 from repro.sim.runner import ReplayResult, ReplayedPage
 from repro.storage.costmodel import CostCounters, Demand
 from repro.workload import WorkloadConfig, WorkloadGenerator
@@ -49,11 +50,6 @@ class TestReplay:
         assert mean.db_cpu_ms > 0
         assert mean.total_ms > 0
 
-    def test_mean_demand_by_page_has_all_types(self, replayed):
-        replay, trace = replayed
-        by_page = replay.mean_demand_by_page()
-        assert set(by_page) == set(trace.page_type_histogram())
-
     def test_unrecorded_replay_returns_empty(self, social_genie):
         config = WorkloadConfig(clients=1, sessions_per_client=1,
                                 page_loads_per_session=2)
@@ -68,26 +64,16 @@ class TestReplay:
         first_clients = [p.client_id for p in replay.pages[:4]]
         assert first_clients == [0, 1, 2, 3]
 
-    def test_pages_for_client_matches_a_linear_scan(self, replayed):
+    def test_client_index_tracks_appends(self, replayed):
         replay, _ = replayed
-        for client_id in replay.client_ids():
-            expected = [p for p in replay.pages if p.client_id == client_id]
-            assert replay.pages_for_client(client_id) == expected
-        assert replay.pages_for_client(9999) == []
-
-    def test_pages_for_client_index_tracks_appends(self, replayed):
-        replay, _ = replayed
-        before = len(replay.pages_for_client(0))
+        assert 9999 not in replay.client_ids()
         # The per-client index must rebuild when pages are appended after a
         # lookup (the concurrent replayer appends in completion order).
-        replay.pages.append(replay.pages_for_client(0)[0])
-        assert len(replay.pages_for_client(0)) == before + 1
+        replay.pages.append(dataclasses.replace(replay.pages[0],
+                                                client_id=9999))
+        assert replay.client_ids()[-1] == 9999
+        replay.pages.pop()
 
-    def test_pages_for_client_returns_a_copy(self, replayed):
-        replay, _ = replayed
-        listing = replay.pages_for_client(0)
-        listing.clear()
-        assert replay.pages_for_client(0)
 
 
 class TestSimulation:
@@ -121,8 +107,8 @@ class TestSimulation:
         replay, _ = replayed
         options = SimulationOptions(think_time_ms=30.0)
         metrics = simulate_population(replay, clients=4, options=options)
-        demands = aggregate_resource_demands(replay)
         mean = replay.mean_demand()
+        demands = {"db_cpu": mean.db_cpu_ms, "db_disk": mean.db_disk_ms}
         mva = exact_mva(demands, clients=4,
                         think_time_ms=options.think_time_ms + mean.cache_net_ms)
         # The replayed pages are heterogeneous while MVA assumes homogeneous

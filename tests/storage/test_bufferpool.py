@@ -43,26 +43,3 @@ class TestBufferPool:
         assert counters.pages_missed == 2
         assert counters.pages_hit == 1
         assert counters.pages_dirtied == 1
-
-    def test_invalidate_table_drops_only_that_table(self):
-        pool = BufferPool(8)
-        pool.access("a", 0)
-        pool.access("a", 1)
-        pool.access("b", 0)
-        assert pool.invalidate_table("a") == 2
-        assert pool.resident_pages("a") == 0
-        assert pool.resident_pages("b") == 1
-
-    def test_hit_ratio(self):
-        pool = BufferPool(4)
-        assert pool.hit_ratio == 0.0
-        pool.access("t", 0)
-        pool.access("t", 0)
-        assert pool.hit_ratio == pytest.approx(0.5)
-
-    def test_clear_empties_pool(self):
-        pool = BufferPool(4)
-        pool.access("t", 0)
-        pool.clear()
-        assert pool.resident_pages() == 0
-        assert pool.access("t", 0) is False

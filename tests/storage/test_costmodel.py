@@ -61,8 +61,6 @@ class TestCostModel:
         demand = model.demand(CostCounters(trigger_connections=1))
         assert demand.db_cpu_ms == pytest.approx(model.trigger_connection_cpu_ms)
         assert demand.cache_net_ms == pytest.approx(model.trigger_connection_net_ms)
-        assert model.trigger_connection_ms == pytest.approx(
-            model.trigger_connection_cpu_ms + model.trigger_connection_net_ms)
 
     def test_demand_add_and_scale(self):
         model = CostModel()

@@ -16,30 +16,17 @@ def users_schema():
 
 
 class TestDDL:
-    def test_create_and_drop_table(self):
+    def test_create_table(self):
         db = Database()
         db.create_table(users_schema())
         assert db.has_table("users")
         assert db.table_names() == ["users"]
-        db.drop_table("users")
-        assert not db.has_table("users")
 
     def test_duplicate_table_rejected(self):
         db = Database()
         db.create_table(users_schema())
         with pytest.raises(DuplicateTableError):
             db.create_table(users_schema())
-
-    def test_drop_missing_table_raises(self):
-        with pytest.raises(TableNotFoundError):
-            Database().drop_table("nope")
-
-    def test_drop_table_removes_its_triggers(self):
-        db = Database()
-        db.create_table(users_schema())
-        db.create_trigger("t", "users", "insert", lambda d: None)
-        db.drop_table("users")
-        assert len(db.triggers) == 0
 
     def test_create_index_on_existing_table(self):
         db = Database()

@@ -46,13 +46,10 @@ class TestIndexDef:
 class TestTableSchema:
     def test_column_lookup(self):
         schema = make_schema()
-        assert schema.column("name").nullable is False
-        assert schema.has_column("age")
-        assert not schema.has_column("missing")
-
-    def test_unknown_column_raises(self):
-        with pytest.raises(ColumnNotFoundError):
-            make_schema().column("missing")
+        columns = {column.name: column for column in schema.columns}
+        assert columns["name"].nullable is False
+        assert "age" in schema.column_names
+        assert "missing" not in schema.column_names
 
     def test_duplicate_column_rejected(self):
         with pytest.raises(SchemaError):
@@ -70,7 +67,7 @@ class TestTableSchema:
     def test_add_index_validates(self):
         schema = make_schema()
         schema.add_index(IndexDef("users_age", ("age",)))
-        assert schema.indexes_covering("age")
+        assert schema.indexes[-1].columns == ("age",)
         with pytest.raises(SchemaError):
             schema.add_index(IndexDef("bad", ("missing",)))
 

@@ -66,18 +66,10 @@ class TestFiring:
     def test_global_disable(self, manager):
         calls = []
         manager.create_trigger("t1", "wall", "insert", lambda d: calls.append(1))
+        assert manager.fire("wall", "insert", new={}, old=None) == 1
         manager.disable_all()
         assert manager.fire("wall", "insert", new={}, old=None) == 0
-        manager.enable_all()
-        assert manager.fire("wall", "insert", new={}, old=None) == 1
         assert calls == [1]
-
-    def test_per_trigger_disable(self, manager):
-        calls = []
-        manager.create_trigger("t1", "wall", "insert", lambda d: calls.append(1))
-        manager.set_enabled("t1", False)
-        manager.fire("wall", "insert", new={}, old=None)
-        assert calls == []
 
     def test_fire_records_launch_events(self, manager):
         manager.create_trigger("t1", "wall", "insert", lambda d: None)

@@ -1,24 +1,11 @@
-"""Unit tests for the time-varying arrival shapes (``repro.workload.arrival``)."""
+"""Unit tests for the flash-crowd arrival shape (``repro.workload.arrival``)."""
 
 import math
 import pickle
 
 import pytest
 
-from repro.workload import ConstantArrival, DiurnalArrival, FlashCrowdArrival
-
-
-class TestConstantArrival:
-    def test_identity_shape(self):
-        arrival = ConstantArrival(0.25)
-        assert [arrival(i) for i in (0, 1, 7, 1000)] == [0.25] * 4
-
-    def test_zero_interval_allowed(self):
-        assert ConstantArrival(0.0)(5) == 0.0
-
-    def test_negative_interval_rejected(self):
-        with pytest.raises(ValueError):
-            ConstantArrival(-0.1)
+from repro.workload import FlashCrowdArrival
 
 
 class TestFlashCrowdArrival:
@@ -54,43 +41,12 @@ class TestFlashCrowdArrival:
             FlashCrowdArrival(recovery_pages=0)
 
 
-class TestDiurnalArrival:
-    def test_starts_at_the_trough(self):
-        arrival = DiurnalArrival(base_interval_seconds=1.0, period_pages=8,
-                                 peak_factor=4.0)
-        assert arrival(0) == pytest.approx(1.0)
-
-    def test_peak_divides_interval_by_peak_factor(self):
-        arrival = DiurnalArrival(base_interval_seconds=1.0, period_pages=8,
-                                 peak_factor=4.0)
-        assert arrival(4) == pytest.approx(1.0 / 4.0)
-
-    def test_periodicity(self):
-        arrival = DiurnalArrival(base_interval_seconds=0.5, period_pages=12,
-                                 peak_factor=3.0)
-        for i in range(12):
-            assert arrival(i) == pytest.approx(arrival(i + 12))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DiurnalArrival(base_interval_seconds=-1.0)
-        with pytest.raises(ValueError):
-            DiurnalArrival(period_pages=0)
-        with pytest.raises(ValueError):
-            DiurnalArrival(peak_factor=0.9)
-
-
 class TestPicklability:
     """Sweep cells carry arrival models across process boundaries."""
 
-    @pytest.mark.parametrize("model", [
-        ConstantArrival(0.25),
-        FlashCrowdArrival(base_interval_seconds=0.5, burst_start=3,
-                          burst_factor=6.0, recovery_pages=9),
-        DiurnalArrival(base_interval_seconds=0.25, period_pages=30,
-                       peak_factor=5.0),
-    ])
-    def test_round_trip_preserves_the_shape(self, model):
+    def test_round_trip_preserves_the_shape(self):
+        model = FlashCrowdArrival(base_interval_seconds=0.5, burst_start=3,
+                                  burst_factor=6.0, recovery_pages=9)
         clone = pickle.loads(pickle.dumps(model))
         assert [clone(i) for i in range(50)] == [model(i) for i in range(50)]
         assert repr(clone) == repr(model)

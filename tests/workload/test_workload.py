@@ -1,19 +1,25 @@
 """Tests for workload configuration, zipf sampling, and trace generation."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from repro.errors import WorkloadError
 from repro.workload import (DEFAULT_PAGE_MIX, SessionCountSampler,
-                            WorkloadConfig, WorkloadGenerator, ZipfSampler)
+                            WorkloadConfig, WorkloadGenerator)
+
+
+def read_share(config):
+    """The probability of a read page (LookupBM or LookupFBM)."""
+    return sum(probability for page, probability in config.normalized_mix()
+               if page in ("LookupBM", "LookupFBM"))
 
 
 class TestWorkloadConfig:
     def test_default_mix_is_80_20(self):
         config = WorkloadConfig()
-        assert config.read_fraction == pytest.approx(0.8)
-        assert config.write_fraction == pytest.approx(0.2)
+        assert read_share(config) == pytest.approx(0.8)
 
     def test_normalized_mix_sums_to_one(self):
         config = WorkloadConfig()
@@ -21,7 +27,7 @@ class TestWorkloadConfig:
 
     def test_with_read_fraction(self):
         config = WorkloadConfig().with_read_fraction(0.5)
-        assert config.read_fraction == pytest.approx(0.5)
+        assert read_share(config) == pytest.approx(0.5)
         read_only = WorkloadConfig().with_read_fraction(1.0)
         assert set(read_only.page_mix) == {"LookupBM", "LookupFBM"}
         write_only = WorkloadConfig().with_read_fraction(0.0)
@@ -52,28 +58,14 @@ class TestWorkloadConfig:
 
 
 class TestZipfSamplers:
-    def test_rank_sampler_favors_top_ranks(self):
-        rng = random.Random(1)
-        sampler = ZipfSampler(population=100, parameter=2.0, rng=rng)
-        ranks = [sampler.sample_rank() for _ in range(2000)]
-        assert all(1 <= r <= 100 for r in ranks)
-        top_share = sum(1 for r in ranks if r <= 5) / len(ranks)
-        assert top_share > 0.7
-        assert sampler.expected_top_share(5) > 0.7
-
-    def test_rank_sampler_validation(self):
-        rng = random.Random(1)
-        with pytest.raises(WorkloadError):
-            ZipfSampler(0, 2.0, rng)
-        with pytest.raises(WorkloadError):
-            ZipfSampler(10, 1.0, rng)
-
     def test_session_count_sampler_mean_grows_as_parameter_drops(self):
         """Paper semantics: lower a = heavier tail = more skewed workload."""
         rng = random.Random(2)
         skewed = SessionCountSampler(1.2, rng)
         uniform = SessionCountSampler(2.0, rng)
-        assert skewed.mean() > uniform.mean()
+        draws = 4000
+        assert (sum(skewed.sample() for _ in range(draws))
+                > sum(uniform.sample() for _ in range(draws)))
 
     def test_session_count_sampler_bounds(self):
         rng = random.Random(3)
@@ -81,6 +73,34 @@ class TestZipfSamplers:
         samples = [sampler.sample() for _ in range(500)]
         assert all(1 <= s <= 10 for s in samples)
         assert min(samples) == 1
+
+    def test_session_count_sampler_follows_the_truncated_zeta_law(self):
+        """p(x) = x^-a / ζ(a), renormalised over [1, max_sessions] (§5.4)."""
+        parameter, top, draws = 2.0, 5, 20000
+        sampler = SessionCountSampler(parameter, random.Random(11),
+                                      max_sessions=top)
+        counts = Counter(sampler.sample() for _ in range(draws))
+        norm = sum(x ** -parameter for x in range(1, top + 1))
+        for x in range(1, top + 1):
+            expected = x ** -parameter / norm
+            assert counts[x] / draws == pytest.approx(expected, abs=0.01)
+
+    def test_session_count_sampler_is_a_function_of_its_rng(self):
+        first = SessionCountSampler(1.5, random.Random(4))
+        second = SessionCountSampler(1.5, random.Random(4))
+        assert ([first.sample() for _ in range(200)]
+                == [second.sample() for _ in range(200)])
+
+    def test_one_session_at_most_is_always_one(self):
+        sampler = SessionCountSampler(1.5, random.Random(5), max_sessions=1)
+        assert {sampler.sample() for _ in range(100)} == {1}
+
+    @pytest.mark.parametrize("kwargs", [{"parameter": 1.0},
+                                        {"parameter": 0.5},
+                                        {"parameter": 2.0, "max_sessions": 0}])
+    def test_session_count_sampler_validation(self, kwargs):
+        with pytest.raises(WorkloadError):
+            SessionCountSampler(rng=random.Random(0), **kwargs)
 
 
 class TestWorkloadGenerator:
@@ -91,7 +111,7 @@ class TestWorkloadGenerator:
         assert len(trace.sessions) == 12
         # login + 5 actions + logout per session
         assert trace.total_page_loads == 12 * 7
-        histogram = trace.page_type_histogram()
+        histogram = Counter(load.page for load in trace.page_loads())
         assert histogram["Login"] == 12
         assert histogram["Logout"] == 12
         assert sum(histogram.get(p, 0) for p in
@@ -102,7 +122,7 @@ class TestWorkloadGenerator:
                                 page_loads_per_session=4,
                                 include_login_logout=False)
         trace = WorkloadGenerator(config, [1, 2, 3]).generate()
-        assert "Login" not in trace.page_type_histogram()
+        assert "Login" not in Counter(load.page for load in trace.page_loads())
         assert trace.total_page_loads == 16
 
     def test_trace_is_deterministic_for_seed(self):
@@ -134,7 +154,7 @@ class TestWorkloadGenerator:
                                 page_loads_per_session=10,
                                 include_login_logout=False).with_read_fraction(1.0)
         trace = WorkloadGenerator(config, list(range(1, 20))).generate()
-        histogram = trace.page_type_histogram()
+        histogram = Counter(load.page for load in trace.page_loads())
         assert set(histogram) <= {"LookupBM", "LookupFBM"}
 
     def test_empty_user_population_rejected(self):

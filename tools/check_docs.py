@@ -5,7 +5,7 @@ Run from the repository root (CI's docs job does)::
 
     PYTHONPATH=src python tools/check_docs.py
 
-Five checks keep the docs layer from rotting silently:
+Six checks keep the docs layer from rotting silently:
 
 * **Links** — every relative markdown link in ``README.md`` and ``docs/``
   must point at an existing file, and every ``#anchor`` must match a
@@ -26,6 +26,11 @@ Five checks keep the docs layer from rotting silently:
   an owner's row may list only its own counts, and a name two owners keep
   must be one of the declared :data:`HOMONYMS`; so a second copy of a count
   cannot be added without failing here.
+* **The module map** in ``docs/ARCHITECTURE.md`` — every backticked
+  ``Class.method()`` (and ``Class.a()/b()``, a bare ``function()``, a bare
+  ``CamelCase`` name) in its "Entry points" column must resolve in a module
+  its "Module" column names, so a deleted or renamed entry point cannot
+  linger there.
 
 Exit status 0 when everything passes; a non-zero status lists every broken
 link / failing example on stderr.  No dependencies beyond the standard
@@ -35,10 +40,12 @@ library (plus the ``repro`` package being importable for the snippets).
 from __future__ import annotations
 
 import doctest
+import importlib
+import pkgutil
 import re
 import sys
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -74,6 +81,15 @@ _CODE_SPAN_RE = re.compile(r"`([^`]+)`")
 #: The page holding the table of where each count lives, and its header.
 COUNT_TABLE_DOC = "docs/OBSERVABILITY.md"
 COUNT_TABLE_HEADER = "| Count | Owner | Read it from |"
+
+#: The page holding the module map, and the map's header row.
+ENTRY_TABLE_DOC = "docs/ARCHITECTURE.md"
+ENTRY_TABLE_HEADER = "| Paper concept (§) | Module | Entry points |"
+
+#: An entry point: ``owner.name()`` or ``name()``, then ``/more()`` methods
+#: of the same owner; or a bare ``CamelCase`` name.
+_ENTRY_CALL_RE = re.compile(r"^(?:(\w+)\.)?(\w+)\(\)((?:/\w+\(\))*)$")
+_ENTRY_NAME_RE = re.compile(r"^[A-Z]\w*$")
 
 #: Names that more than one owner keeps, each for a different event or at a
 #: different grain — not copies of one count.
@@ -235,6 +251,84 @@ def check_yield_table() -> List[str]:
                for label in hooks.PAUSES if label not in listed])
 
 
+def row_modules(cell: str) -> List[object]:
+    """The modules a "Module" cell names: ``src/repro/...py`` files, bare
+    ``name.py`` files beside the previous one, and ``src/repro/.../``
+    packages with every module in them."""
+    modules: List[object] = []
+    directory = None
+    for path in _CODE_SPAN_RE.findall(cell):
+        if not path.startswith("src/repro/"):
+            if directory is None or "/" in path:
+                continue
+            path = directory + path
+        directory = path if path.endswith("/") else path.rsplit("/", 1)[0] + "/"
+        dotted = path[len("src/"):].rstrip("/").replace("/", ".")
+        if dotted.endswith(".py"):
+            modules.append(importlib.import_module(dotted[:-3]))
+            continue
+        package = importlib.import_module(dotted)
+        modules.append(package)
+        modules.extend(importlib.import_module(f"{dotted}.{info.name}")
+                       for info in pkgutil.iter_modules(package.__path__))
+    return modules
+
+
+def _lookup(modules: List[object], name: str) -> Optional[object]:
+    """``name`` in the first of ``modules`` that has it, or the module of
+    that name."""
+    for module in modules:
+        if hasattr(module, name):
+            return getattr(module, name)
+        if module.__name__.rsplit(".", 1)[-1] == name:
+            return module
+    return None
+
+
+def check_entry_points(text: Optional[str] = None) -> List[str]:
+    """One error per entry point of the module map (``text``, by default
+    the page's) that names nothing in its row's modules.  A bare ``name()``
+    may be a module function or a method of a class the cell named before
+    it."""
+    if text is None:
+        text = (REPO_ROOT / ENTRY_TABLE_DOC).read_text()
+    table = text[text.index(ENTRY_TABLE_HEADER):].split("\n\n", 1)[0]
+    errors = []
+    for row in table.splitlines()[2:]:
+        _concept, module_cell, entry_cell = row.split("|")[1:4]
+        modules = row_modules(module_cell)
+        if not modules:
+            continue
+        owners: List[object] = []    # the classes the cell named so far
+        for span in _CODE_SPAN_RE.findall(entry_cell):
+            call = _ENTRY_CALL_RE.match(span)
+            if call is None:
+                if _ENTRY_NAME_RE.match(span):
+                    owner = _lookup(modules, span)
+                    if owner is None:
+                        errors.append(f"{ENTRY_TABLE_DOC}: `{span}` is in no "
+                                      f"module of its row")
+                    else:
+                        owners.append(owner)
+                continue
+            owner_name, name, more = call.groups()
+            names = [name] + re.findall(r"\w+", more)
+            if owner_name is None:
+                found = all(any(hasattr(owner, each)
+                                for owner in modules + owners)
+                            for each in names)
+            else:
+                owner = _lookup(modules, owner_name)
+                found = owner is not None and all(hasattr(owner, each)
+                                                  for each in names)
+                if owner is not None:
+                    owners.append(owner)
+            if not found:
+                errors.append(f"{ENTRY_TABLE_DOC}: `{span}` does not resolve "
+                              f"in its row's modules")
+    return errors
+
+
 def count_owners() -> Dict[str, Tuple[str, ...]]:
     """The owners the count table must cover name for name: the first
     backticked name of an owner cell -> the counts that owner keeps."""
@@ -307,7 +401,8 @@ def main() -> int:
         print("check_docs: no documentation files found", file=sys.stderr)
         return 1
     errors = (check_links(paths) + check_doctests(paths) + check_hook_table()
-              + check_yield_table() + check_count_table())
+              + check_yield_table() + check_count_table()
+              + check_entry_points())
     snippet_count = sum(len(python_snippets(p)) for p in paths)
     if errors:
         for error in errors:
