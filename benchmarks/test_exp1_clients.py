@@ -32,8 +32,8 @@ def test_experiment1_throughput_latency(benchmark, save_result):
     # We accept a wider band: the scaled-down dataset stretches it, and the
     # now-default batched cache protocol (batch_ops) lifts the cached
     # scenarios above the paper's eager-trigger numbers.
-    update_speedup = speedup_over_nocache(result, UPDATE_SCENARIO, 15)
-    invalidate_speedup = speedup_over_nocache(result, INVALIDATE_SCENARIO, 15)
+    update_speedup = speedup_over_nocache(result, UPDATE_SCENARIO)
+    invalidate_speedup = speedup_over_nocache(result, INVALIDATE_SCENARIO)
     assert 1.7 <= update_speedup <= 4.5
     assert 1.6 <= invalidate_speedup <= 4.5
 

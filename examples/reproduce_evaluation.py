@@ -37,8 +37,8 @@ def main() -> None:
     print("=" * 72)
     result = run_sweep("exp1", clients=(1, 5, 15, 30))
     print(render_sweep(result))
-    update_speedup = speedup_over_nocache(result, "Update", clients=15)
-    invalidate_speedup = speedup_over_nocache(result, "Invalidate", clients=15)
+    update_speedup = speedup_over_nocache(result, "Update")
+    invalidate_speedup = speedup_over_nocache(result, "Invalidate")
     print()
     print(f"Speedup over NoCache at 15 clients:  Update {update_speedup:.2f}x, "
           f"Invalidate {invalidate_speedup:.2f}x   (paper: 2-2.5x)")

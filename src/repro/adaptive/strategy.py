@@ -80,8 +80,8 @@ from typing import (Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING)
 from ..core.strategies import (ASYNC_REFRESH, AsyncRefreshStrategy,
                                ConsistencyStrategy, LEASED_INVALIDATE,
                                LeasedInvalidateStrategy, ReadEntry,
-                               UPDATE_IN_PLACE, UpdateInPlaceStrategy,
-                               get_strategy, is_envelope, unwrap_envelope)
+                               UPDATE_IN_PLACE, get_strategy, is_envelope,
+                               unwrap_envelope)
 from .telemetry import KeyStats, KeyTelemetry
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -128,16 +128,18 @@ class AdaptiveStrategy(ConsistencyStrategy):
                 "fallback, hot-contended keys leased-invalidate's tokenless "
                 "gutter stale serves, hot-write-heavy keys async-refresh's "
                 "gutter-TTL-bounded envelopes")
+    #: Decayed CAS-mismatch/retry/lease-contention rate above which a hot
+    #: key is *contended* (promoted to the leased band, taking precedence
+    #: over the write-share test).
+    contention_threshold = 1.0
 
     def __init__(
         self,
         hot_rate_threshold: float = 4.0,
         write_share_threshold: float = 0.3,
-        contention_threshold: float = 1.0,
         min_dwell_seconds: float = 1.0,
         telemetry_capacity: int = 512,
         half_life_seconds: float = 8.0,
-        update_in_place: Optional[UpdateInPlaceStrategy] = None,
         leased: Optional[LeasedInvalidateStrategy] = None,
         async_refresh: Optional[AsyncRefreshStrategy] = None,
     ) -> None:
@@ -152,16 +154,11 @@ class AdaptiveStrategy(ConsistencyStrategy):
         #: Write share of a hot key's traffic above which it is
         #: *write-heavy* (promoted to the async-refresh band).
         self.write_share_threshold = float(write_share_threshold)
-        #: Decayed CAS-mismatch/retry/lease-contention rate above which a
-        #: hot key is *contended* (promoted to the leased band, taking
-        #: precedence over the write-share test).
-        self.contention_threshold = float(contention_threshold)
         #: Virtual seconds a key must dwell in its band before switching.
         self.min_dwell_seconds = float(min_dwell_seconds)
         self.telemetry_capacity = int(telemetry_capacity)
         self.half_life_seconds = float(half_life_seconds)
-        self._update = (update_in_place if update_in_place is not None
-                        else get_strategy(UPDATE_IN_PLACE))
+        self._update = get_strategy(UPDATE_IN_PLACE)
         self._leased = (leased if leased is not None
                         else get_strategy(LEASED_INVALIDATE))
         self._async = (async_refresh if async_refresh is not None

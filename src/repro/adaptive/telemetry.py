@@ -204,18 +204,15 @@ class KeyTelemetry:
 
     # -- introspection ---------------------------------------------------------
 
-    def snapshot(self, top: Optional[int] = None) -> Dict[str, Dict[str, float]]:
+    def snapshot(self) -> Dict[str, Dict[str, float]]:
         """Per-key telemetry, hottest first (ties broken by key string).
 
         Rates are decayed to the current clock before reporting, so two
-        snapshots at the same virtual time are identical.  ``top`` limits
-        the output to the N hottest keys.
+        snapshots at the same virtual time are identical.
         """
         now = self.clock()
         ranked = sorted(self._entries.values(),
                         key=lambda e: (-e.traffic, e.key))
-        if top is not None:
-            ranked = ranked[:top]
         out: Dict[str, Dict[str, float]] = {}
         for entry in ranked:
             self._decay(entry, now)

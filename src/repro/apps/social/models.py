@@ -32,7 +32,7 @@ class User(Model):
     username = CharField(max_length=80, unique=True)
     email = CharField(max_length=120, null=True)
     is_active = BooleanField(default=True)
-    date_joined = FloatTimestampField(auto_now_add=True)
+    date_joined = FloatTimestampField()
 
     class Meta:
         registry = social_registry
@@ -58,7 +58,7 @@ class Friendship(Model):
 
     from_user = ForeignKey(User)
     to_user = ForeignKey(User)
-    added = FloatTimestampField(auto_now_add=True)
+    added = FloatTimestampField()
 
     class Meta:
         registry = social_registry
@@ -75,7 +75,7 @@ class FriendshipInvitation(Model):
     from_user = ForeignKey(User)
     to_user = ForeignKey(User)
     message = TextField(null=True)
-    sent = FloatTimestampField(auto_now_add=True)
+    sent = FloatTimestampField()
     status = IntegerField(default=STATUS_PENDING, db_index=True)
 
     class Meta:
@@ -88,7 +88,7 @@ class Bookmark(Model):
 
     url = CharField(max_length=500, db_index=True)
     description = TextField(null=True)
-    added = FloatTimestampField(auto_now_add=True)
+    added = FloatTimestampField()
     adder = ForeignKey(User, null=True)
 
     class Meta:
@@ -103,7 +103,7 @@ class BookmarkInstance(Model):
     user = ForeignKey(User)
     description = TextField(null=True)
     note = TextField(null=True)
-    added = FloatTimestampField(auto_now_add=True, db_index=True)
+    added = FloatTimestampField(db_index=True)
 
     class Meta:
         registry = social_registry
@@ -116,7 +116,7 @@ class WallPost(Model):
     user = ForeignKey(User)
     sender = ForeignKey(User)
     content = TextField()
-    date_posted = FloatTimestampField(auto_now_add=True, db_index=True)
+    date_posted = FloatTimestampField(db_index=True)
 
     class Meta:
         registry = social_registry

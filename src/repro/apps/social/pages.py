@@ -277,22 +277,19 @@ class SocialApplication:
         return PageResult(page=PAGE_LOOKUP_FBM, user_id=user_id,
                           items=len(friend_bookmarks), detail={"header": header})
 
-    def create_bookmark(self, user_id: int, url: Optional[str] = None,
-                        description: str = "") -> PageResult:
+    def create_bookmark(self, user_id: int) -> PageResult:
         """CreateBM: save a (possibly new) bookmark, then re-render the list."""
         self._load_account(user_id)
         header = self._render_header(user_id)
-        if url is None:
-            # Users mostly re-save URLs that already circulate on the site (the
-            # seeded unique bookmarks), occasionally introducing new ones.
-            url = f"http://example.com/page/{self.rng.randrange(0, 300)}"
+        # Users mostly re-save URLs that already circulate on the site (the
+        # seeded unique bookmarks), occasionally introducing new ones.
+        url = f"http://example.com/page/{self.rng.randrange(0, 300)}"
         with hooks.span("app:write", pause=True, user=user_id,
                         kind="create_bookmark"):
             bookmark, created = Bookmark.objects.get_or_create(
-                url=url, defaults={"description": description, "adder_id": user_id})
+                url=url, defaults={"description": "", "adder_id": user_id})
             instance = BookmarkInstance(
-                bookmark=bookmark, user_id=user_id,
-                description=description or url, note="")
+                bookmark=bookmark, user_id=user_id, description=url, note="")
             instance.save()
         hooks.pause("app:post-write")
         # Post-save renders: the redirect shows the user's bookmark list again,

@@ -35,7 +35,7 @@ from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
 from ..apps.social import SeedScale
 from ..memcache import CacheClient, CacheServer
 from ..sim import (ADVERSARIAL, ALL_POLICIES, ConcurrentReplayer, RANDOM,
-                   ROUND_ROBIN, ReplayResult, RunMetrics, SimulationOptions,
+                   ROUND_ROBIN, ReplayResult, RunMetrics,
                    simulate_population)
 from ..sim.parallel import run_cells
 from ..storage import ColumnDef, Database, IndexDef, Recorder, TableSchema
@@ -43,7 +43,8 @@ from ..storage.costmodel import CostCounters
 from ..workload import FlashCrowdArrival, WorkloadConfig, WorkloadGenerator
 from .reporting import ARMS, ROWS, SERIES, YES_NO, Table, flatten, pivot
 from .scenarios import (ADAPTIVE_SCENARIO, ALL_SCENARIOS,
-                        ASYNC_REFRESH_SCENARIO, EXPIRY_SCENARIO,
+                        ASYNC_REFRESH_SCENARIO, CACHE_SERVER_COUNT,
+                        EXPIRY_SCENARIO,
                         INVALIDATE_SCENARIO, LEASED_SCENARIO, NO_CACHE,
                         SCENARIO_STRATEGIES, Scenario, ScenarioConfig,
                         UPDATE_SCENARIO)
@@ -127,7 +128,6 @@ def run_scenario(
     config: ScenarioConfig,
     workload: WorkloadConfig = DEFAULT_WORKLOAD,
     warmup: Optional[WorkloadConfig] = DEFAULT_WARMUP,
-    sim_options: Optional[SimulationOptions] = None,
     clients: Optional[int] = None,
     workers: int = 1,
     policy: str = ROUND_ROBIN,
@@ -169,8 +169,7 @@ def run_scenario(
             seed=seed, arrival_model=arrival_model, tracer=tracer,
             fault_injector=faults(scenario, trace) if faults else None,
             **engine).replay(trace)
-        metrics = simulate_population(replay, clients=clients or workload.clients,
-                                      options=sim_options)
+        metrics = simulate_population(replay, clients=clients or workload.clients)
         genie = scenario.genie
         queue = genie.trigger_op_queue if genie else None
         demand = scenario.database.cost_model.demand(replay.total_counters)
@@ -332,11 +331,11 @@ class SweepResult:
         (row,) = self.where(**match)
         return row
 
-    def series(self, key: str, x: str, arm: str = "scenario",
+    def series(self, key: str, x: str,
                explode: Optional[str] = None) -> Dict[object, List[object]]:
-        """``arm value -> [row[key] along x]``, the data of one figure."""
+        """``scenario -> [row[key] along x]``, the data of one figure."""
         rows = flatten(self.rows, explode) if explode else self.rows
-        xs, arms, cells = pivot(rows, x, arm)
+        xs, arms, cells = pivot(rows, x, "scenario")
         return {a: [cells[value, a][key] for value in xs] for a in arms}
 
 
@@ -482,13 +481,11 @@ def _exp1_cell(point, sizing):
             "latency_by_page": table2.latency_by_page()}
 
 
-def speedup_over_nocache(result: SweepResult, scenario: str,
-                         clients: Optional[int] = None) -> float:
-    """exp1: throughput ratio over NoCache at ``clients`` (default: the
-    largest population swept)."""
+def speedup_over_nocache(result: SweepResult, scenario: str) -> float:
+    """exp1: throughput ratio over NoCache at the paper's 15 clients
+    (Figure 2a), which the sweep must include."""
     series = result.series("throughput", x="clients", explode="sweep")
-    counts = result.axes["clients"]
-    index = counts.index(clients) if clients is not None else -1
+    index = result.axes["clients"].index(15)
     base = series[NO_CACHE][index]
     return series[scenario][index] / base if base else 0.0
 
@@ -615,14 +612,13 @@ def skew_gain(result: SweepResult, scenario: str) -> float:
     return series[0] / series[-1] if series[-1] else 0.0
 
 
-def plateau_size(result: SweepResult, scenario: str,
-                 tolerance: float = 0.05) -> int:
-    """exp4: smallest cache size (KB) whose throughput is within
-    ``tolerance`` of the scenario's best."""
+def plateau_size(result: SweepResult, scenario: str) -> int:
+    """exp4: smallest cache size (KB) whose throughput is within 5 % of the
+    scenario's best."""
     series = result.series("throughput", x="cache_kb")[scenario]
     sizes = result.axes["cache_kb"]
     for size, value in zip(sizes, series):
-        if value >= max(series) * (1.0 - tolerance):
+        if value >= max(series) * 0.95:
             return size
     return sizes[-1]
 
@@ -1186,12 +1182,11 @@ def contended(row: Dict[str, object]) -> bool:
             or row["cache"].get("herd_size_max", 0) > 1)
 
 
-def check_contended(result: SweepResult, min_workers: int = 2) -> List[str]:
-    """Every contention counter must fire somewhere at ``min_workers``+
-    workers.  Returns the failures (empty = the subsystem still
-    interleaves)."""
-    multi = [row for row in result.rows if row["workers"] >= min_workers]
-    return [f"{name} stayed 0 across every run with >= {min_workers} workers "
+def check_contended(result: SweepResult) -> List[str]:
+    """Every contention counter must fire somewhere at two or more workers.
+    Returns the failures (empty = the subsystem still interleaves)."""
+    multi = [row for row in result.rows if row["workers"] >= 2]
+    return [f"{name} stayed 0 across every run with >= 2 workers "
             f"— the concurrent replay no longer contends"
             for name in CONTENTION_COUNTERS if max_counter(multi, name) <= 0]
 
@@ -1282,9 +1277,7 @@ EXP_CONTENTION = Experiment(
 )
 
 
-def trace_contention_cell(scenario_name: str = LEASED_SCENARIO,
-                          workers: int = 2, policy: str = ADVERSARIAL,
-                          seed: int = CONTENTION_SEED):
+def trace_contention_cell(seed: int = CONTENTION_SEED):
     """Re-run one representative quick contention cell with tracing on.
 
     Powers ``python -m repro.bench exp-contention --trace-out``: the quick
@@ -1303,7 +1296,7 @@ def trace_contention_cell(scenario_name: str = LEASED_SCENARIO,
     """
     from ..obs import Histogram, exponential_buckets
     from ..sim.metrics import RUN_JSON_SCHEMA
-    point = {"scenario": scenario_name, "workers": workers, "policy": policy,
+    point = {"scenario": LEASED_SCENARIO, "workers": 2, "policy": ADVERSARIAL,
              "seed": seed}
     run = run_scenario(**_ablation_plan(point, EXP_CONTENTION.quick),
                        traced=True)
@@ -1370,7 +1363,7 @@ class _ClusterFaults:
         from ..cluster import (ClusterController, FaultEvent, FaultInjector,
                                FaultSchedule, GutterPool)
         config = scenario.config
-        per_server = max(1, config.cache_size_bytes // config.cache_server_count)
+        per_server = max(1, config.cache_size_bytes // CACHE_SERVER_COUNT)
         gutter = None
         if self.gutter_enabled:
             gutter = GutterPool(
@@ -1385,7 +1378,7 @@ class _ClusterFaults:
         t0 = scenario.clock.now()
         duration = self.pages * config.page_interval_seconds
         if self.fault_case == CLUSTER_SCALE_OUT:
-            joiner = CacheServer(f"cache{config.cache_server_count}",
+            joiner = CacheServer(f"cache{CACHE_SERVER_COUNT}",
                                  capacity_bytes=per_server, clock=scenario.clock)
             self.boundaries = [("pre-fault", CLUSTER_JOIN_AT)]
             self.tail_label = "scaled-out"
@@ -1633,7 +1626,6 @@ def micro_lookup(rows: int = 2000, lookups: int = 200) -> MicroLookupResult:
     schema = TableSchema(
         "kv",
         [ColumnDef("id", "integer", nullable=True), ColumnDef("payload", "text")],
-        primary_key="id",
         indexes=[IndexDef("kv_payload_idx", ("payload",))],
     )
     database.create_table(schema)
@@ -1679,8 +1671,7 @@ def micro_trigger(inserts: int = 100) -> MicroTriggerResult:
     def build_db() -> Database:
         database = Database(name="micro-trigger", buffer_pool_pages=256)
         database.create_table(TableSchema(
-            "t", [ColumnDef("id", "integer", nullable=True), ColumnDef("v", "text")],
-            primary_key="id"))
+            "t", [ColumnDef("id", "integer", nullable=True), ColumnDef("v", "text")]))
         return database
 
     # Plain INSERT.

@@ -228,8 +228,12 @@ def render_effort(result: EffortResult) -> str:
 
 # -- observability: flame summaries and run-document reports ----------------------
 
-def render_flame(rows: Sequence[Dict[str, object]], limit: int = 20) -> str:
-    """Text flame summary of a traced replay.
+#: Span rows a flame summary shows.
+FLAME_ROWS = 20
+
+
+def render_flame(rows: Sequence[Dict[str, object]]) -> str:
+    """Text flame summary of a traced replay: the top :data:`FLAME_ROWS`.
 
     ``rows`` are :meth:`repro.obs.Tracer.flame` rows (one per span name:
     count, total ticks, self ticks, virtual seconds), already sorted by
@@ -237,7 +241,7 @@ def render_flame(rows: Sequence[Dict[str, object]], limit: int = 20) -> str:
     — the work measure *within* a virtual instant, since the simulated
     clock only advances between pages.
     """
-    shown = list(rows)[:limit]
+    shown = list(rows)[:FLAME_ROWS]
     headers = ["Span", "Count", "Ticks", "Self ticks", "Virtual s"]
     table_rows = [[row["name"], row["count"], row["ticks"], row["self_ticks"],
                    f"{row['seconds']:.3f}"] for row in shown]

@@ -59,6 +59,15 @@ SCENARIO_STRATEGIES: Dict[str, Optional[str]] = {
 #: Every buildable scenario name (the strategy ablation sweeps the cached ones).
 ALL_STRATEGY_SCENARIOS = tuple(SCENARIO_STRATEGIES)
 
+#: Cache servers the cache capacity is split over.
+CACHE_SERVER_COUNT = 2
+#: Database buffer-pool size in pages; chosen so the scaled dataset does
+#: not fully fit, preserving the paper's CPU-bound vs disk-bound split.
+BUFFER_POOL_PAGES = 64
+#: Seed of the application's own random choices: the URL a new bookmark
+#: saves, the user a friend request goes to.
+APP_RNG_SEED = 99
+
 
 @dataclass
 class ScenarioConfig:
@@ -68,10 +77,6 @@ class ScenarioConfig:
     #: Cache capacity across all cache servers, in bytes (the paper's default
     #: is 512 MB on a dedicated memcached machine; scaled down with the data).
     cache_size_bytes: int = 8 * 1024 * 1024
-    cache_server_count: int = 2
-    #: Database buffer-pool size in pages; chosen so the scaled dataset does
-    #: not fully fit, preserving the paper's CPU-bound vs disk-bound split.
-    buffer_pool_pages: int = 64
     #: Experiment 5's "ideal system": triggers removed, cache never updated.
     triggers_enabled: bool = True
     #: Future-work optimization: reuse memcached connections between triggers.
@@ -98,7 +103,6 @@ class ScenarioConfig:
     #: deadlines actually elapse during a replay.
     page_interval_seconds: float = 0.0
     seed_scale: SeedScale = field(default_factory=SeedScale)
-    rng_seed: int = 99
 
     def __post_init__(self) -> None:
         if self.strategy is None:
@@ -133,7 +137,7 @@ class Scenario:
         self.clock = VirtualClock()
         self.database = Database(
             name=config.name,
-            buffer_pool_pages=config.buffer_pool_pages,
+            buffer_pool_pages=BUFFER_POOL_PAGES,
             cost_model=CostModel(),
         )
         self.registry = social_registry
@@ -148,7 +152,7 @@ class Scenario:
         self.cached_objects: Dict[str, CacheClass] = {}
         self.seed_summary: Optional[SeedSummary] = None
         self.app = SocialApplication(cached_objects={},
-                                     rng=random.Random(config.rng_seed))
+                                     rng=random.Random(APP_RNG_SEED))
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -156,10 +160,10 @@ class Scenario:
         """Seed the dataset and (for cached scenarios) install CacheGenie."""
         self.seed_summary = seed_database(self.config.seed_scale)
         if self.config.uses_cache:
-            per_server = max(1, self.config.cache_size_bytes // self.config.cache_server_count)
+            per_server = max(1, self.config.cache_size_bytes // CACHE_SERVER_COUNT)
             self.cache_servers = [
                 CacheServer(f"cache{i}", capacity_bytes=per_server, clock=self.clock)
-                for i in range(self.config.cache_server_count)
+                for i in range(CACHE_SERVER_COUNT)
             ]
             self.genie = CacheGenie(
                 registry=self.registry,
@@ -172,7 +176,7 @@ class Scenario:
             self.cached_objects = install_cached_objects(
                 self.genie, update_strategy=self.config.strategy)
             self.app = SocialApplication(cached_objects=self.cached_objects,
-                                         rng=random.Random(self.config.rng_seed),
+                                         rng=random.Random(APP_RNG_SEED),
                                          batch_reads=self.config.batch_ops)
             if not self.config.triggers_enabled:
                 self.database.triggers.disable_all()

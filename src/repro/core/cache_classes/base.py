@@ -403,14 +403,14 @@ class CacheClass:
             queue.enqueue_mutate(
                 self, key,
                 lambda _current: self._freeze(self.compute_from_db(params)),
-                counter="recomputations", expire=self._expire(key))
+                counter="recomputations")
             return
         current, _token = self.trigger_cache.gets(key)
         if current is None:
             # Paper semantics: triggers only maintain entries already cached.
             return
         value = self.compute_from_db(params)
-        self.trigger_cache.set(key, self._freeze(value), expire=self._expire(key))
+        self.trigger_cache.set(key, self._freeze(value))
         self.stats.recomputations += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

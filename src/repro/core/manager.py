@@ -47,7 +47,6 @@ from .cache_classes import (BUILTIN_CACHE_CLASSES, CacheClass, CountQuery,
 from .interception import CacheGenieInterceptor
 from .refresh import RefreshQueue
 from .stats import CacheGenieStats, DeclarationInfo
-from .strategies import UPDATE_IN_PLACE, resolve_strategy
 from .trigger_queue import TriggerOpQueue
 from .triggergen import TriggerGenerator
 
@@ -70,7 +69,6 @@ class CacheGenie:
         registry: Registry,
         database: Optional[Database] = None,
         cache_servers: Optional[Sequence[CacheServer]] = None,
-        default_strategy: Any = UPDATE_IN_PLACE,
         reuse_trigger_connections: bool = False,
         batch_trigger_ops: bool = True,
         pipeline_batches: bool = True,
@@ -83,9 +81,6 @@ class CacheGenie:
             cache_servers = [CacheServer("cache0")]
         self.cache_servers = list(cache_servers)
         self.cache_address = cache_address
-        #: Default consistency policy, resolved through the strategy registry
-        #: (a registered name or a ConsistencyStrategy instance).
-        self.default_strategy = resolve_strategy(default_strategy)
         self.pipeline_batches = pipeline_batches
         #: Client used by the application (and by evaluate()).
         self.app_cache = CacheClient(self.cache_servers, recorder=self.recorder,
@@ -318,7 +313,7 @@ class CacheGenie:
             name=name,
             genie=self,
             template=template,
-            update_strategy=update_strategy or self.default_strategy,
+            update_strategy=update_strategy,
             use_transparently=use_transparently,
             expiry_seconds=expiry_seconds,
             **params,

@@ -1,8 +1,8 @@
 """First-class, pluggable cache-consistency strategies.
 
 The paper exposes three per-cached-object strategies (§3.1, §4), selected
-with ``cacheable(..., update_strategy=...)`` or inherited from the genie's
-``default_strategy``.  They used to be plain strings dispatched with
+with ``cacheable(..., update_strategy=...)``, ``update-in-place`` when none
+is given.  They used to be plain strings dispatched with
 ``if strategy == "invalidate"`` comparisons scattered across the trigger
 generator, the commit-time op queue, the cache-class base, and the benchmark
 scenarios; they are now *objects* implementing the
@@ -250,6 +250,8 @@ class ConsistencyStrategy:
 
         ``key`` is the cache key being stored, for strategies whose policy
         varies per key (the adaptive strategy); static strategies ignore it.
+        A key that ``on_write`` recomputes in place must get None: the
+        recompute writes its value back with no expiry.
         """
         return None
 
@@ -466,14 +468,13 @@ class LeasedInvalidateStrategy(InvalidateStrategy):
                 "lease holder's claim is dropped by the refresh queue so a "
                 "new claimant wins within one cycle")
 
-    def __init__(self, lease_seconds: float = 2.0,
-                 stale_seconds: Optional[float] = None) -> None:
+    def __init__(self, lease_seconds: float = 2.0) -> None:
         if lease_seconds <= 0:
             raise CacheClassError("lease_seconds must be positive")
         self.lease_seconds = float(lease_seconds)
-        #: How long a lease-deleted value is retained as servable-stale.
-        self.stale_seconds = float(stale_seconds if stale_seconds is not None
-                                   else lease_seconds)
+        #: How long a lease-deleted value is retained as servable-stale:
+        #: one lease window.
+        self.stale_seconds = self.lease_seconds
 
     # -- read path -------------------------------------------------------------
 
@@ -556,15 +557,13 @@ class AsyncRefreshStrategy(ConsistencyStrategy):
                 "deadline but expire on the gutter TTL; orphaned refresh "
                 "claims are dropped like leased-invalidate's")
 
-    def __init__(self, refresh_seconds: float = 30.0,
-                 stale_grace_seconds: Optional[float] = None) -> None:
+    def __init__(self, refresh_seconds: float = 30.0) -> None:
         if refresh_seconds <= 0:
             raise CacheClassError("refresh_seconds must be positive")
         self.refresh_seconds = float(refresh_seconds)
-        #: How long past the freshness deadline an entry stays servable.
-        self.stale_grace_seconds = float(
-            stale_grace_seconds if stale_grace_seconds is not None
-            else 4.0 * refresh_seconds)
+        #: How long past the freshness deadline an entry stays servable:
+        #: four refresh windows.
+        self.stale_grace_seconds = 4.0 * self.refresh_seconds
 
     # -- storage ---------------------------------------------------------------
 
@@ -620,13 +619,12 @@ class AsyncRefreshStrategy(ConsistencyStrategy):
 _REGISTRY: Dict[str, ConsistencyStrategy] = {}
 
 
-def register_strategy(strategy: ConsistencyStrategy,
-                      replace: bool = False) -> ConsistencyStrategy:
+def register_strategy(strategy: ConsistencyStrategy) -> ConsistencyStrategy:
     """Register a strategy instance under its :attr:`name`.
 
     Raises :class:`~repro.errors.CacheClassError` if the name is taken
-    (pass ``replace=True`` to override deliberately) or the object does not
-    implement the protocol.
+    (:func:`unregister_strategy` it first to replace it deliberately) or the
+    object does not implement the protocol.
     """
     if not isinstance(strategy, ConsistencyStrategy):
         raise CacheClassError(
@@ -635,10 +633,10 @@ def register_strategy(strategy: ConsistencyStrategy,
     if not name or name == ConsistencyStrategy.name:
         raise CacheClassError(
             "consistency strategies must define a non-default name")
-    if name in _REGISTRY and not replace:
+    if name in _REGISTRY:
         raise CacheClassError(
             f"consistency strategy {name!r} is already registered "
-            f"({_REGISTRY[name]!r}); pass replace=True to override it")
+            f"({_REGISTRY[name]!r}); unregister it first to replace it")
     _REGISTRY[name] = strategy
     return strategy
 
@@ -663,12 +661,11 @@ def get_strategy(name: str) -> ConsistencyStrategy:
 
 def resolve_strategy(
     strategy: Union[str, ConsistencyStrategy, None],
-    default: Union[str, ConsistencyStrategy] = UPDATE_IN_PLACE,
 ) -> ConsistencyStrategy:
     """Resolve a strategy spec — a registered name, an instance, or None
-    (meaning ``default``) — to a :class:`ConsistencyStrategy` object."""
+    (meaning update-in-place) — to a :class:`ConsistencyStrategy` object."""
     if strategy is None:
-        strategy = default
+        strategy = UPDATE_IN_PLACE
     if isinstance(strategy, ConsistencyStrategy):
         return strategy
     if isinstance(strategy, str):

@@ -58,15 +58,14 @@ FLUSH_CAS_MAX_RETRIES = 5
 class _PendingOp:
     """The coalesced pending operation for one cache key."""
 
-    __slots__ = ("kind", "owner", "mutations", "counter", "expire")
+    __slots__ = ("kind", "owner", "mutations", "counter")
 
-    def __init__(self, kind: str, owner: Any, counter: str = "updates_applied",
-                 expire: Optional[float] = None) -> None:
+    def __init__(self, kind: str, owner: Any,
+                 counter: str = "updates_applied") -> None:
         self.kind = kind                     # "delete" | "mutate"
         self.owner = owner                   # the CacheClass for stats credit
         self.mutations: List[MutateFn] = []
         self.counter = counter               # stat bumped when a write lands
-        self.expire = expire
 
 
 class OpContext:
@@ -113,15 +112,6 @@ class TriggerOpQueue:
         #: Keys invalidated after exhausting every CAS retry round.
         self.cas_fallbacks = 0
 
-    # -- state ------------------------------------------------------------------
-
-    @property
-    def pending_count(self) -> int:
-        return len(self.context.ops)
-
-    def pending_keys(self) -> List[str]:
-        return list(self.context.ops)
-
     # -- enqueueing -------------------------------------------------------------
 
     def enqueue_delete(self, owner: Any, key: str) -> None:
@@ -136,8 +126,7 @@ class TriggerOpQueue:
         ops[key] = _PendingOp("delete", owner)
 
     def enqueue_mutate(self, owner: Any, key: str, mutate: MutateFn,
-                       counter: str = "updates_applied",
-                       expire: Optional[float] = None) -> None:
+                       counter: str = "updates_applied") -> None:
         """Queue a read-modify-write of ``key``.
 
         A pending delete absorbs the mutation (the key will not be cached
@@ -153,9 +142,8 @@ class TriggerOpQueue:
                 return
             pending.mutations.append(mutate)
             pending.counter = counter
-            pending.expire = expire
             return
-        op = _PendingOp("mutate", owner, counter=counter, expire=expire)
+        op = _PendingOp("mutate", owner, counter=counter)
         op.mutations.append(mutate)
         context.frozen = None
         context.ops[key] = op
@@ -228,7 +216,7 @@ class TriggerOpQueue:
         """Propagate mutation chains with batched CAS, retrying only losers.
 
         Each round: one ``gets_multi`` over the outstanding keys, the chains
-        applied in memory, one ``cas_multi`` per expiry group.  Keys whose
+        applied in memory, one ``cas_multi``.  Keys whose
         token went stale (``mismatch``) stay outstanding for the next round;
         keys that vanished, were never cached, or whose chain declined to
         write drop out (the trigger quits, paper §3.2).  Keys still losing
@@ -252,7 +240,7 @@ class TriggerOpQueue:
         """One gets_multi → mutate → cas_multi round; returns the losing
         keys still outstanding, or None when the flush is settled."""
         current = self.cache.gets_multi(list(outstanding))
-        staged: Dict[Optional[float], Dict[str, Tuple[Any, int]]] = {}
+        staged: Dict[str, Tuple[Any, int]] = {}
         staged_ops: Dict[str, _PendingOp] = {}
         foreign: Dict[str, _PendingOp] = {}
         for key, op in outstanding.items():
@@ -280,7 +268,7 @@ class TriggerOpQueue:
                     dirty = True
             if not dirty:
                 continue
-            staged.setdefault(op.expire, {})[key] = (value, token)
+            staged[key] = (value, token)
             staged_ops[key] = op
         if foreign:
             self._invalidate_fallback(foreign)
@@ -288,28 +276,26 @@ class TriggerOpQueue:
             return None
         losers: Dict[str, _PendingOp] = {}
         unstorable: Dict[str, _PendingOp] = {}
-        for expire, items in staged.items():
-            verdicts = self.cache.cas_multi(items, expire=expire)
-            for key, verdict in verdicts.items():
-                if verdict == CAS_STORED:
-                    self._credit(staged_ops[key].owner, staged_ops[key].counter)
-                elif verdict == CAS_MISMATCH:
-                    # Token went stale between the batched read and this
-                    # write: keep only this key for the next round.
-                    losers[key] = staged_ops[key]
-                elif verdict == CAS_TOO_LARGE:
-                    # Re-reading cannot shrink an oversized value, so
-                    # skip the retry rounds and invalidate immediately.
-                    unstorable[key] = staged_ops[key]
-                else:
-                    # "missing": the entry vanished between the read and
-                    # the write.  On a live node the invalidation is a
-                    # cheap no-op (the key is already gone), but when the
-                    # verdict comes from a *dead* node — CAS tokens die
-                    # with their node — the fallback forwards the delete
-                    # to the gutter pool, so no fallback copy of the key
-                    # outlives the mutation that just failed to land.
-                    unstorable[key] = staged_ops[key]
+        for key, verdict in self.cache.cas_multi(staged).items():
+            if verdict == CAS_STORED:
+                self._credit(staged_ops[key].owner, staged_ops[key].counter)
+            elif verdict == CAS_MISMATCH:
+                # Token went stale between the batched read and this
+                # write: keep only this key for the next round.
+                losers[key] = staged_ops[key]
+            elif verdict == CAS_TOO_LARGE:
+                # Re-reading cannot shrink an oversized value, so
+                # skip the retry rounds and invalidate immediately.
+                unstorable[key] = staged_ops[key]
+            else:
+                # "missing": the entry vanished between the read and
+                # the write.  On a live node the invalidation is a
+                # cheap no-op (the key is already gone), but when the
+                # verdict comes from a *dead* node — CAS tokens die
+                # with their node — the fallback forwards the delete
+                # to the gutter pool, so no fallback copy of the key
+                # outlives the mutation that just failed to land.
+                unstorable[key] = staged_ops[key]
         if unstorable:
             self._invalidate_fallback(unstorable)
         if not losers:

@@ -397,7 +397,7 @@ class CacheClient:
         self.recorder.record("cache_bytes_moved", size)
         return added
 
-    def _cas(self, items: Dict[str, Tuple[Any, int]], expire: Optional[float],
+    def _cas(self, items: Dict[str, Tuple[Any, int]],
              single: bool) -> Dict[str, str]:
         """The CAS family: a per-key verdict map (``"stored"`` /
         ``"mismatch"`` / ``"missing"`` / ``"too-large"``).
@@ -429,7 +429,7 @@ class CacheClient:
             if self.from_trigger and not single:
                 record("trigger_cache_batch_ops", len(batch))
             sizes = {k: sizeof_value(items[k][0]) for k in batch}
-            outcome = server.cas_multi({k: items[k] for k in batch}, expire,
+            outcome = server.cas_multi({k: items[k] for k in batch},
                                        value_sizes=sizes)
             for key in batch:
                 verdict = verdicts[key] = outcome[key]
@@ -445,19 +445,17 @@ class CacheClient:
             self._round_trip_done("cache:cas_multi", len(items))
         return verdicts
 
-    def cas(self, key: str, value: Any, cas_token: int,
-            expire: Optional[float] = None) -> bool:
+    def cas(self, key: str, value: Any, cas_token: int) -> bool:
         """Compare-and-swap a value previously read with :meth:`gets`."""
-        return self._cas({key: (value, cas_token)}, expire, True)[key] == CAS_STORED
+        return self._cas({key: (value, cas_token)}, True)[key] == CAS_STORED
 
-    def cas_multi(self, items: Dict[str, Tuple[Any, int]],
-                  expire: Optional[float] = None) -> Dict[str, str]:
+    def cas_multi(self, items: Dict[str, Tuple[Any, int]]) -> Dict[str, str]:
         """Compare-and-swap several keys in one round trip per server.
 
         ``items`` maps each key to ``(new_value, cas_token)`` as returned by
         :meth:`gets_multi`; returns the per-key verdicts.
         """
-        return self._cas(items, expire, False)
+        return self._cas(items, False)
 
     # -- deletes --------------------------------------------------------------
 

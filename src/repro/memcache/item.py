@@ -1,4 +1,4 @@
-"""Cache items: value, flags, CAS id, expiry, and size accounting."""
+"""Cache items: value, CAS id, expiry, and size accounting."""
 
 from __future__ import annotations
 
@@ -39,7 +39,6 @@ class Item:
     key: str
     value: Any
     cas_id: int
-    flags: int = 0
     #: Absolute expiry time in seconds on the cache's clock; None = no expiry.
     expires_at: Optional[float] = None
     size: int = field(default=0)

@@ -197,7 +197,7 @@ class CacheServer:
     # -- writes ---------------------------------------------------------------
 
     def _store(self, key: str, value: Any, expires_at: Optional[float],
-               flags: int, value_size: Optional[int] = None) -> None:
+               value_size: Optional[int] = None) -> None:
         """Store ``value`` until ``expires_at`` (None: no expiry);
         ``value_size`` is its :func:`sizeof_value` when the caller (the
         client, for its byte accounting) has already taken it."""
@@ -209,14 +209,14 @@ class CacheServer:
                 f"item of {size} bytes exceeds the {self.max_item_bytes}-byte limit"
             )
         item = Item(key=key, value=value, cas_id=next(self._cas_counter),
-                    flags=flags, expires_at=expires_at, size=size,
+                    expires_at=expires_at, size=size,
                     value_size=value_size)
         evicted = self.store.put(item)
         self.stats.evictions += len(evicted)
         # A fresh store supersedes any stale-retained value for the key.
         self._stale.pop(key, None)
 
-    def set(self, key: str, value: Any, expire: Optional[float] = None, flags: int = 0,
+    def set(self, key: str, value: Any, expire: Optional[float] = None,
             value_size: Optional[int] = None) -> bool:
         """Unconditionally store a value.
 
@@ -226,42 +226,40 @@ class CacheServer:
         """
         self._check_key(key)
         # may reject an oversized value
-        self._store(key, value, self._expiry(expire), flags, value_size)
+        self._store(key, value, self._expiry(expire), value_size)
         self.stats.sets += 1
         return True
 
-    def add(self, key: str, value: Any, expire: Optional[float] = None, flags: int = 0,
+    def add(self, key: str, value: Any, expire: Optional[float] = None,
             value_size: Optional[int] = None) -> bool:
         """Store only if the key is absent; returns False if it exists."""
         self._check_key(key)
         self.stats.adds += 1
         if self._live_item(key, touch=False) is not None:
             return False
-        self._store(key, value, self._expiry(expire), flags, value_size)
+        self._store(key, value, self._expiry(expire), value_size)
         return True
 
     def set_multi(self, mapping: Mapping[str, Any],
-                  expire: Optional[float] = None, flags: int = 0,
+                  expire: Optional[float] = None,
                   value_sizes: Optional[Mapping[str, int]] = None) -> List[str]:
         """Batched :meth:`set`.  Returns the keys that failed to store."""
         failed: List[str] = []
         sizes = value_sizes or {}
         for key, value in mapping.items():
             try:
-                self.set(key, value, expire, flags, sizes.get(key))
+                self.set(key, value, expire, sizes.get(key))
             except CacheValueError:
                 failed.append(key)
         return failed
 
     def cas(self, key: str, value: Any, cas_token: int,
-            expire: Optional[float] = None, flags: int = 0,
             value_size: Optional[int] = None) -> bool:
         """Compare-and-swap: store only if the item's CAS id still matches."""
-        return self.cas_verdict(key, value, cas_token, expire, flags,
+        return self.cas_verdict(key, value, cas_token,
                                 value_size) == CAS_STORED
 
     def cas_verdict(self, key: str, value: Any, cas_token: int,
-                    expire: Optional[float] = None, flags: int = 0,
                     value_size: Optional[int] = None) -> str:
         """:meth:`cas` distinguishing why a swap failed.
 
@@ -277,15 +275,14 @@ class CacheServer:
         if item.cas_id != cas_token:
             self.stats.cas_mismatch += 1
             return CAS_MISMATCH
-        # may reject an oversized value
-        self._store(key, value, self._expiry(expire), flags, value_size)
+        # may reject an oversized value; a swapped item has no expiry
+        self._store(key, value, None, value_size)
         self.stats.cas_ok += 1
         # A successful CAS stores a value just like set() does.
         self.stats.sets += 1
         return CAS_STORED
 
     def cas_multi(self, items: Mapping[str, Tuple[Any, int]],
-                  expire: Optional[float] = None, flags: int = 0,
                   value_sizes: Optional[Mapping[str, int]] = None) -> Dict[str, str]:
         """Batched :meth:`cas`: ``{key: (value, cas_token)}`` in, per-key
         verdicts out.
@@ -298,7 +295,7 @@ class CacheServer:
         sizes = value_sizes or {}
         for key, (value, token) in items.items():
             try:
-                out[key] = self.cas_verdict(key, value, token, expire, flags,
+                out[key] = self.cas_verdict(key, value, token,
                                             sizes.get(key))
             except CacheValueError:
                 # Parity with set_multi: an oversized value fails only its
@@ -480,7 +477,7 @@ class CacheServer:
         self.stats.incr_ok += 1
         new_value = item.value + delta
         # memcached keeps an item's expiry across incr/decr.
-        self._store(key, new_value, item.expires_at, item.flags)
+        self._store(key, new_value, item.expires_at)
         return new_value
 
     def decr(self, key: str, delta: int = 1) -> Optional[int]:
@@ -492,7 +489,7 @@ class CacheServer:
             return None
         self.stats.decr_ok += 1
         new_value = max(0, item.value - delta)
-        self._store(key, new_value, item.expires_at, item.flags)
+        self._store(key, new_value, item.expires_at)
         return new_value
 
     def incr_multi(self, deltas: Mapping[str, int]) -> Dict[str, Optional[int]]:

@@ -214,23 +214,6 @@ class Tracer(Observer):
 
     # -- derived views ----------------------------------------------------------
 
-    @property
-    def events(self) -> int:
-        """Total events recorded (finished spans + instants)."""
-        return len(self.finished) + len(self.instants)
-
-    def spans_named(self, name: str) -> List[Span]:
-        return [s for s in self.finished if s.name == name]
-
-    def categories(self) -> List[str]:
-        """Distinct layer categories seen, in first-finished order."""
-        seen: Dict[str, None] = {}
-        for span in self.finished:
-            seen.setdefault(span.category, None)
-        for span in self.instants:
-            seen.setdefault(span.category, None)
-        return list(seen)
-
     def flame(self) -> List[Dict[str, Any]]:
         """Aggregate finished spans by name: the text flame summary.
 

@@ -24,6 +24,9 @@ class Field:
     #: Creation order counter so fields keep their declaration order.
     _creation_counter = 0
 
+    #: The default of a field declared with none (or ``default=None``).
+    implicit_default: Any = None
+
     def __init__(
         self,
         null: bool = False,
@@ -31,14 +34,12 @@ class Field:
         unique: bool = False,
         db_index: bool = False,
         primary_key: bool = False,
-        db_column: Optional[str] = None,
     ) -> None:
         self.null = null
-        self.default = default
+        self.default = self.implicit_default if default is None else default
         self.unique = unique
         self.db_index = db_index
         self.primary_key = primary_key
-        self.db_column = db_column
         self.name: Optional[str] = None       # set by the metaclass
         self.model: Optional[type] = None     # set by the metaclass
         self._order = Field._creation_counter
@@ -57,8 +58,6 @@ class Field:
     @property
     def column(self) -> str:
         """Name of the storage-engine column backing this field."""
-        if self.db_column:
-            return self.db_column
         if self.name is None:
             raise FieldError("field is not attached to a model yet")
         return self.name
@@ -96,9 +95,7 @@ class FloatField(Field):
 
 class BooleanField(Field):
     data_type = BOOLEAN
-
-    def __init__(self, default: Any = False, **kwargs: Any) -> None:
-        super().__init__(default=default, **kwargs)
+    implicit_default = False
 
 
 class CharField(Field):
@@ -117,11 +114,10 @@ class TextField(Field):
 
 
 class FloatTimestampField(FloatField):
-    """A timestamp stored as a float (seconds); simpler for sorting in Top-K."""
+    """A timestamp stored as a float (seconds); simpler for sorting in Top-K.
+    Set to the registry clock's time when its row is first saved."""
 
-    def __init__(self, auto_now_add: bool = False, **kwargs: Any) -> None:
-        super().__init__(**kwargs)
-        self.auto_now_add = auto_now_add
+    auto_now_add = True
 
 
 class ForeignKey(Field):
@@ -144,7 +140,7 @@ class ForeignKey(Field):
 
     @property
     def column(self) -> str:
-        return self.db_column or self._attname
+        return self._attname
 
     @property
     def attname(self) -> str:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Any, Dict
 
 from ..errors import DoesNotExist, ModelError
+from ..storage.predicates import predicate_from_filters
 from .descriptors import ForeignKeyDescriptor
 from .fields import AutoField, Field, ForeignKey
 from .manager import Manager
@@ -140,7 +141,7 @@ class Model(metaclass=ModelBase):
             self._state_adding = False
         else:
             values = self._column_values(include_pk=False)
-            db.update(table, values, where={pk_col: self.pk})
+            db.update(table, values, predicate_from_filters({pk_col: self.pk}))
         return self
 
     def delete(self) -> None:
@@ -148,7 +149,8 @@ class Model(metaclass=ModelBase):
         if self.pk is None:
             raise ModelError("cannot delete an unsaved instance")
         db = self._meta.registry.db
-        db.delete(self._meta.db_table, where={self._meta.pk_column: self.pk})
+        db.delete(self._meta.db_table,
+                  predicate_from_filters({self._meta.pk_column: self.pk}))
         self._state_adding = True
 
     def _load_row(self, row: Dict[str, Any]) -> None:

@@ -159,7 +159,6 @@ class Options:
         return TableSchema(
             name=self.db_table,
             columns=columns,
-            primary_key=self.pk_column,
             indexes=indexes,
         )
 

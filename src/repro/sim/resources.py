@@ -24,15 +24,12 @@ Completion = Callable[[], None]
 
 
 class QueueingResource:
-    """A FIFO server pool with a fixed number of identical servers."""
+    """A FIFO single-server queue."""
 
-    def __init__(self, engine: EventEngine, name: str, servers: int = 1) -> None:
-        if servers < 1:
-            raise ValueError("a queueing resource needs at least one server")
+    def __init__(self, engine: EventEngine, name: str) -> None:
         self.engine = engine
         self.name = name
-        self.servers = servers
-        self._busy = 0
+        self._busy = False
         # Each queued entry is (service_time, completion callback, arrival time).
         self._queue: Deque[Tuple[float, Completion, float]] = deque()
         # Statistics
@@ -45,8 +42,8 @@ class QueueingResource:
         """Request ``service_time`` units of service; call ``done`` when finished."""
         if service_time <= 0:
             done()
-        elif self._busy < self.servers:
-            self._busy += 1
+        elif not self._busy:
+            self._busy = True
             self.busy_time += service_time
             self.total_service_time += service_time
             self.engine.schedule(service_time, self._complete, done)
@@ -65,7 +62,7 @@ class QueueingResource:
             self.total_service_time += service_time
             self.engine.schedule(service_time, self._complete, next_done)
         else:
-            self._busy -= 1
+            self._busy = False
         done()
 
     # -- statistics -----------------------------------------------------------

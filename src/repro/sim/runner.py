@@ -50,18 +50,12 @@ class SimulationOptions:
     #: application layer plus the client turnaround.  Calibrated so the
     #: throughput knee falls in the 5–15 client range, as in Figure 2a.
     think_time_ms: float = 30.0
-    db_cpu_servers: int = 1
-    db_disk_servers: int = 1
 
     def __post_init__(self) -> None:
         if not 0 <= self.think_time_ms < math.inf:
             raise SimulationError(
                 f"think_time_ms must be finite and non-negative, "
                 f"got {self.think_time_ms}")
-        for name in ("db_cpu_servers", "db_disk_servers"):
-            if getattr(self, name) < 1:
-                raise SimulationError(
-                    f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -206,8 +200,8 @@ def simulate_population(
         retain_completions = len(client_ids) < STREAM_CLIENT_THRESHOLD
 
     engine = EventEngine()
-    db_cpu = QueueingResource(engine, "db_cpu", servers=options.db_cpu_servers)
-    db_disk = QueueingResource(engine, "db_disk", servers=options.db_disk_servers)
+    db_cpu = QueueingResource(engine, "db_cpu")
+    db_disk = QueueingResource(engine, "db_disk")
     cache_net = DelayResource(engine, "cache_net")
     metrics = RunMetrics(retain_completions=retain_completions,
                          contention=contention,

@@ -108,23 +108,21 @@ class Database:
         return result
 
     def update(self, table: str, changes: Dict[str, Any],
-               where: Optional[Dict[str, Any]] = None,
-               predicate: Optional[Predicate] = None) -> List[Dict[str, Any]]:
+               predicate: Predicate) -> List[Dict[str, Any]]:
         """Update matching rows; fires triggers; returns the new row versions."""
         with self.transactions.statement(wrote=True):
             pre_images, result = self.executor.update(UpdateQuery(
-                table=table, changes=changes,
-                predicate=self._predicate(where, predicate)))
+                table=table, changes=changes, predicate=predicate))
             if pre_images and self.transactions.in_transaction:
                 self._register_update_undo(table, pre_images)
         return result
 
-    def delete(self, table: str, where: Optional[Dict[str, Any]] = None,
-               predicate: Optional[Predicate] = None) -> List[Dict[str, Any]]:
+    def delete(self, table: str,
+               predicate: Predicate) -> List[Dict[str, Any]]:
         """Delete matching rows; fires triggers; returns the deleted rows."""
         with self.transactions.statement(wrote=True):
             pre_images, result = self.executor.delete(DeleteQuery(
-                table=table, predicate=self._predicate(where, predicate)))
+                table=table, predicate=predicate))
             if self.transactions.in_transaction:
                 for values in pre_images:
                     self._register_delete_undo(table, values)
@@ -148,7 +146,8 @@ class Database:
              order_by: Optional[Sequence] = None,
              limit: Optional[int] = None) -> List[Dict[str, Any]]:
         """Convenience SELECT with Django-style ``where`` filters."""
-        query = SelectQuery(table=table, predicate=self._predicate(where, None))
+        query = SelectQuery(table=table,
+                            predicate=predicate_from_filters(where or {}))
         if order_by:
             query.order_by = list(order_by)
         query.limit = limit
@@ -196,12 +195,6 @@ class Database:
         return self.cost_model.demand(counters)
 
     # -------------------------------------------------------------- internal --
-
-    def _predicate(self, where: Optional[Dict[str, Any]],
-                   predicate: Optional[Predicate]) -> Predicate:
-        if predicate is not None:
-            return predicate
-        return predicate_from_filters(where or {})
 
     def _register_insert_undo(self, table: str, row: Dict[str, Any]) -> None:
         tbl = self.table(table)

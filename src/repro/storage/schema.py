@@ -68,20 +68,21 @@ class IndexDef:
 
 
 class TableSchema:
-    """Declarative description of a table: columns, primary key, indexes."""
+    """Declarative description of a table: columns and indexes.  Every table
+    is keyed by its ``id`` column."""
+
+    primary_key = "id"
 
     def __init__(
         self,
         name: str,
         columns: Sequence[ColumnDef],
-        primary_key: str = "id",
         indexes: Optional[Sequence[IndexDef]] = None,
     ) -> None:
         if not name:
             raise SchemaError("table name must be non-empty")
         self.name = name
         self.columns: List[ColumnDef] = list(columns)
-        self.primary_key = primary_key
         self.indexes: List[IndexDef] = list(indexes or [])
 
         seen: Dict[str, ColumnDef] = {}
@@ -91,10 +92,10 @@ class TableSchema:
             seen[col.name] = col
         self._by_name = seen
 
-        if primary_key not in self._by_name:
+        if self.primary_key not in self._by_name:
             raise SchemaError(
-                f"primary key column {primary_key!r} not defined on table {name!r}"
-            )
+                f"primary key column {self.primary_key!r} not defined on "
+                f"table {name!r}")
 
         for idx in self.indexes:
             for col in idx.columns:
@@ -113,7 +114,7 @@ class TableSchema:
         #: NOT NULL columns; the primary key is assigned, never checked.
         self.not_null_columns: Tuple[str, ...] = tuple(
             col.name for col in self.columns
-            if not col.nullable and col.name != primary_key)
+            if not col.nullable and col.name != self.primary_key)
         # Width: the row header plus every fixed-width column, summed once;
         # only the types that measure their value (text) are asked per row.
         def measures(dtype: DataType) -> bool:

@@ -111,10 +111,6 @@ class Table:
     def name(self) -> str:
         return self.schema.name
 
-    @property
-    def row_count(self) -> int:
-        return self.heap.row_count
-
     def all_indexes(self) -> List[Index]:
         return [self.primary_index, *self.secondary_indexes.values()]
 
@@ -239,13 +235,6 @@ class Table:
 
     # -- reads ----------------------------------------------------------------
 
-    def fetch_by_pk(self, pk: Any) -> Optional[Row]:
-        """Point lookup through the primary-key index."""
-        rowids = self.primary_index.lookup(pk)
-        if not rowids:
-            return None
-        return self.heap.fetch(rowids[0])
-
     def fetch_rows(self, rowids: List[int]) -> List[Tuple[int, Dict[str, Any]]]:
         """``(rowid, stored values)`` of the given ascending rows."""
         return self.heap.fetch_many(rowids)
@@ -264,4 +253,4 @@ class Table:
         return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Table {self.name}: {self.row_count} rows>"
+        return f"<Table {self.name}: {self.heap.row_count} rows>"

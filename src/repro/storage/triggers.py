@@ -92,12 +92,9 @@ class TriggerManager:
         if trigger in bucket:
             bucket.remove(trigger)
 
-    def list_triggers(self, table: Optional[str] = None) -> List[Trigger]:
-        """List registered triggers, optionally restricted to one table."""
-        triggers = list(self._triggers.values())
-        if table is not None:
-            triggers = [t for t in triggers if t.table == table]
-        return triggers
+    def list_triggers(self, table: str) -> List[Trigger]:
+        """The registered triggers on ``table``."""
+        return [t for t in self._triggers.values() if t.table == table]
 
     def __len__(self) -> int:
         return len(self._triggers)

@@ -35,8 +35,6 @@ class WorkloadConfig:
     page_mix: Dict[str, float] = field(default_factory=lambda: dict(DEFAULT_PAGE_MIX))
     zipf_parameter: float = 2.0
     seed: int = 1234
-    #: Include Login/Logout page loads around each session (as the paper does).
-    include_login_logout: bool = True
 
     def __post_init__(self) -> None:
         if self.clients < 1:
@@ -88,7 +86,6 @@ class WorkloadConfig:
             page_mix=mix,
             zipf_parameter=self.zipf_parameter,
             seed=self.seed,
-            include_login_logout=self.include_login_logout,
         )
         return clone
 
@@ -101,7 +98,6 @@ class WorkloadConfig:
             "page_mix": dict(self.page_mix),
             "zipf_parameter": self.zipf_parameter,
             "seed": self.seed,
-            "include_login_logout": self.include_login_logout,
         }
         params.update(kwargs)
         return WorkloadConfig(**params)

@@ -75,13 +75,11 @@ class WorkloadGenerator:
                 session = Session(client_id=client_id,
                                   session_index=session_index,
                                   user_id=user_id)
-                pages: List[str] = []
-                if self.config.include_login_logout:
-                    pages.append(_LOGIN)
+                # Login and Logout around each session, as in §5.1.
+                pages = [_LOGIN]
                 pages.extend(self._sample_page()
                              for _ in range(self.config.page_loads_per_session))
-                if self.config.include_login_logout:
-                    pages.append(_LOGOUT)
+                pages.append(_LOGOUT)
                 for page in pages:
                     session.page_loads.append(PageLoad(
                         client_id=client_id,

@@ -186,12 +186,6 @@ class TestSnapshot:
         telemetry.note_read("a")
         assert list(telemetry.snapshot()) == ["c", "a", "b"]
 
-    def test_top_limits_output(self, clock):
-        telemetry = KeyTelemetry(clock)
-        for key in ("a", "b", "c"):
-            telemetry.note_read(key)
-        assert list(telemetry.snapshot(top=2)) == ["a", "b"]
-
     def test_identical_histories_snapshot_identically(self):
         def build():
             clock = ManualClock()

@@ -76,7 +76,7 @@ class TestBatchedPages:
     def test_create_bookmark_keeps_cached_lists_fresh(self, batched_app):
         app, cached = batched_app["app"], batched_app["cached"]
         count_before = cached["user_bookmark_count"].evaluate(user_id=3)
-        result = app.create_bookmark(3, url="http://example.com/batched")
+        result = app.create_bookmark(3)
         assert result.wrote
         assert cached["user_bookmark_count"].evaluate(user_id=3) == count_before + 1
         rows = cached["bookmarks_of_user"].evaluate(user_id=3)

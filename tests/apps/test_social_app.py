@@ -1,5 +1,7 @@
 """Tests for the social application: models, seeding, cached objects, pages."""
 
+import random
+
 import pytest
 
 from repro.apps.social import (EXPECTED_CACHED_OBJECTS, Bookmark,
@@ -72,12 +74,15 @@ class TestPagesWithoutCache:
     def test_create_bookmark_persists_instance(self, social_stack):
         app = social_stack["app"]
         before = BookmarkInstance.objects.filter(user_id=3).count()
-        result = app.create_bookmark(3, url="http://example.com/shared")
+        url = f"http://example.com/page/{random.Random(7).randrange(0, 300)}"
+        app.rng = random.Random(7)
+        result = app.create_bookmark(3)
         assert result.wrote
         assert BookmarkInstance.objects.filter(user_id=3).count() == before + 1
         # Saving the same URL again reuses the unique Bookmark row.
-        app.create_bookmark(4, url="http://example.com/shared")
-        assert Bookmark.objects.filter(url="http://example.com/shared").count() == 1
+        app.rng = random.Random(7)
+        app.create_bookmark(4)
+        assert Bookmark.objects.filter(url=url).count() == 1
 
     def test_accept_friend_request_creates_symmetric_edges(self, social_stack):
         app = social_stack["app"]

@@ -25,8 +25,7 @@ TINY_WARMUP = WorkloadConfig(clients=4, sessions_per_client=1,
 
 
 def tiny_config(name, **overrides):
-    return ScenarioConfig(name=name, seed_scale=TINY_SCALE,
-                          buffer_pool_pages=48).variant(**overrides)
+    return ScenarioConfig(name=name, seed_scale=TINY_SCALE).variant(**overrides)
 
 
 class TestRunScenario:

@@ -101,8 +101,7 @@ class TestScenarioAssembly:
 
     def test_cache_size_respected(self):
         scenario = Scenario(ScenarioConfig(name=UPDATE_SCENARIO, seed_scale=TINY,
-                                           cache_size_bytes=1024 * 1024,
-                                           cache_server_count=2)).setup()
+                                           cache_size_bytes=1024 * 1024)).setup()
         try:
             assert len(scenario.cache_servers) == 2
             assert sum(s.store.capacity_bytes for s in scenario.cache_servers) == 1024 * 1024

@@ -71,8 +71,7 @@ def cluster_stack():
 def _owner_on(stack, node):
     """Create owners until one's cached count key routes to ``node``."""
     genie, controller = stack["genie"], stack["controller"]
-    strategy = LeasedInvalidateStrategy(lease_seconds=1000.0,
-                                        stale_seconds=1000.0)
+    strategy = LeasedInvalidateStrategy(lease_seconds=1000.0)
     cached = genie.cacheable(cache_class_type="CountQuery",
                              main_model="Item", where_fields=["owner_id"],
                              update_strategy=strategy)

@@ -94,11 +94,11 @@ def test_a_lost_race_credits_only_a_removal(wall):
     swap = trigger.cas
     verdicts = []
 
-    def racing_cas(key, value, token, expire=None):
+    def racing_cas(key, value, token):
         # A concurrent writer rewrites the entry before every swap, and
         # deletes it once the last swap has lost.
         app.set(key, app.get(key))
-        verdicts.append(swap(key, value, token, expire))
+        verdicts.append(swap(key, value, token))
         if len(verdicts) == CAS_MAX_RETRIES:
             app.delete(key)
         return verdicts[-1]

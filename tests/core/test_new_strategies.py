@@ -196,8 +196,7 @@ class TestAsyncRefresh:
         cached = stack["genie"].cacheable(
             cache_class_type="FeatureQuery", main_model="Note",
             where_fields=["owner_id"], name="async_rows",
-            update_strategy=AsyncRefreshStrategy(refresh_seconds=2.0,
-                                                 stale_grace_seconds=4.0))
+            update_strategy=AsyncRefreshStrategy(refresh_seconds=2.0))
         owner = Owner.objects.create(name="hal")
         Note.objects.create(owner=owner, body="n1")
         cached.evaluate(owner_id=owner.pk)

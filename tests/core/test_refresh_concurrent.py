@@ -41,8 +41,7 @@ class TestOneRecomputePerContendedWindow:
             # loser's read really does find the window contended.
             genie.refresh_queue.delay_seconds = 1e9
             Item = stack["Item"]
-            strategy = LeasedInvalidateStrategy(lease_seconds=1000.0,
-                                                stale_seconds=1000.0)
+            strategy = LeasedInvalidateStrategy(lease_seconds=1000.0)
             cached = genie.cacheable(cache_class_type="CountQuery",
                                      main_model="Item",
                                      where_fields=["owner_id"],

@@ -42,7 +42,7 @@ class TestRegistry:
         assert "update-in-place" in message        # the known names are listed
         assert "ConsistencyStrategy" in message    # ...and the escape hatch
 
-    def test_duplicate_registration_rejected_unless_replaced(self):
+    def test_duplicate_registration_rejected_until_unregistered(self):
         class Custom(InvalidateStrategy):
             name = "dup-strategy-test"
 
@@ -50,7 +50,8 @@ class TestRegistry:
         try:
             with pytest.raises(CacheClassError, match="already registered"):
                 register_strategy(Custom())
-            second = register_strategy(Custom(), replace=True)
+            unregister_strategy("dup-strategy-test")
+            second = register_strategy(Custom())
             assert get_strategy("dup-strategy-test") is second is not first
         finally:
             unregister_strategy("dup-strategy-test")
@@ -67,7 +68,6 @@ class TestRegistry:
         custom = LeasedInvalidateStrategy(lease_seconds=9.0)
         assert resolve_strategy(custom) is custom
         assert resolve_strategy(None) is get_strategy(UPDATE_IN_PLACE)
-        assert resolve_strategy(None, default=EXPIRY) is get_strategy(EXPIRY)
         with pytest.raises(CacheClassError):
             resolve_strategy(42)
 

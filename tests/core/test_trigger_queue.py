@@ -35,7 +35,7 @@ class TestQueueCoalescing:
         owner = FakeOwner()
         for _ in range(5):
             queue.enqueue_mutate(owner, "n", lambda v: v + 1)
-        assert queue.pending_count == 1
+        assert queue.context.pending_keys() == frozenset({"n"})
         assert queue.coalesced == 4
         gets_before, sets_before = server.stats.gets, server.stats.sets
         assert queue.flush() == 1
@@ -55,7 +55,7 @@ class TestQueueCoalescing:
         # A mutation arriving after the delete is absorbed: the eager path
         # would find the key gone and quit.
         queue.enqueue_mutate(owner, "k", lambda v: v + [3])
-        assert queue.pending_count == 1
+        assert queue.context.pending_keys() == frozenset({"k"})
         queue.flush()
         assert client.get("k") is None
         assert owner.stats.invalidations == 1
@@ -104,7 +104,7 @@ class TestQueueCoalescing:
         queue.enqueue_delete(FakeOwner(), "other")
         deletes_before = server.stats.deletes
         assert queue.discard() == 2
-        assert queue.pending_count == 0
+        assert not queue.context.pending_keys()
         assert queue.flush() == 0
         assert client.get("k") == 1
         # No queued delete ever reached the server.
@@ -187,7 +187,7 @@ class TestGenieCommitTimeBatching:
         db.insert(Wall._meta.db_table,
                   {"person_id": bob.pk, "content": "solo", "posted": 1.0})
         # No transaction block: the statement's implicit commit flushed.
-        assert genie.trigger_op_queue.pending_count == 0
+        assert not genie.trigger_op_queue.context.pending_keys()
         assert counted.evaluate(person=bob.pk) == 1
 
     def test_abort_discards_queued_trigger_ops(self, batched):
@@ -201,9 +201,9 @@ class TestGenieCommitTimeBatching:
             with db.transaction():
                 db.insert(Wall._meta.db_table,
                           {"person_id": eve.pk, "content": "doomed", "posted": 9.0})
-                assert genie.trigger_op_queue.pending_count == 1
+                assert len(genie.trigger_op_queue.context.pending_keys()) == 1
                 raise RuntimeError("roll it back")
-        assert genie.trigger_op_queue.pending_count == 0
+        assert not genie.trigger_op_queue.context.pending_keys()
         # The cache never saw the aborted bump (the eager path would have
         # left a dirty count behind).
         assert counted.evaluate(person=eve.pk) == 0
@@ -334,7 +334,7 @@ class TestTransactionalSessionQueue:
         session2 = TransactionalCacheSession(coordinator, client, op_queue=queue2)
         queue2.enqueue_mutate(FakeOwner(), "n", lambda v: v + 10)
         session2.abort()
-        assert queue2.pending_count == 0
+        assert not queue2.context.pending_keys()
         assert client.get("n") == 6
 
 
@@ -459,7 +459,7 @@ class TestFlushCasRetries:
         assert client.get("a") is None and client.get("b") is None
         assert queue.cas_fallbacks == 2
         assert owner.stats.invalidations == 2
-        assert queue.pending_count == 0 and not queue.context.flushing
+        assert not queue.context.pending_keys() and not queue.context.flushing
 
 
 class TestWorkerContexts:
@@ -472,15 +472,15 @@ class TestWorkerContexts:
         owner = FakeOwner()
         queue.enqueue_mutate(owner, "a", lambda v: v + 1)
         queue.context = worker
-        assert queue.pending_count == 0  # w1 starts with its own empty space
+        assert not queue.context.pending_keys()  # w1 starts with its own empty space
         queue.enqueue_mutate(owner, "b", lambda v: v + 10)
-        assert queue.pending_keys() == ["b"]
+        assert queue.context.pending_keys() == frozenset({"b"})
         assert worker.pending_keys() == frozenset({"b"})
         assert queue.flush() == 1  # flushes only w1's op
         assert client.get("b") == 12
         assert client.get("a") == 1  # the serial context's op is untouched
         queue.context = serial
-        assert queue.pending_keys() == ["a"]
+        assert queue.context.pending_keys() == frozenset({"a"})
         assert queue.flush() == 1
         assert client.get("a") == 2
         assert queue.enqueued == 2

@@ -37,7 +37,7 @@ def build_blog_models(name: str = "blog") -> Dict[str, object]:
         title = CharField(max_length=120)
         body = TextField(null=True)
         score = IntegerField(default=0, db_index=True)
-        published = FloatTimestampField(auto_now_add=True, db_index=True)
+        published = FloatTimestampField(db_index=True)
 
         class Meta:
             registry = reg
@@ -46,7 +46,7 @@ def build_blog_models(name: str = "blog") -> Dict[str, object]:
         post = ForeignKey(Post)
         author = ForeignKey(Author)
         text = TextField()
-        created = FloatTimestampField(auto_now_add=True)
+        created = FloatTimestampField()
 
         class Meta:
             registry = reg

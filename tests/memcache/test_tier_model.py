@@ -419,9 +419,10 @@ class TierModel(RuleBasedStateMachine):
             else:
                 self.guttered[key] = (value, self.now() + GUTTER_TTL)
 
-    def cas_verdicts(self, items: Dict[str, Tuple[Any, int]],
-                     expire: Optional[float]) -> Tuple[Dict[str, str], int]:
-        """The model's verdicts for a CAS call, applied; and its bytes."""
+    def cas_verdicts(self, items: Dict[str, Tuple[Any, int]]
+                     ) -> Tuple[Dict[str, str], int]:
+        """The model's verdicts for a CAS call, applied; and its bytes.  A
+        swapped entry has no expiry."""
         verdicts, moved = {}, 0
         for key, (value, token) in items.items():
             if not self.alive(key):
@@ -437,7 +438,7 @@ class TierModel(RuleBasedStateMachine):
                 continue
             else:
                 verdicts[key] = CAS_STORED
-                self.store(key, value, expire)
+                self.store(key, value, None)
             moved += sizeof_value(value)
         return verdicts, moved
 
@@ -446,8 +447,8 @@ class TierModel(RuleBasedStateMachine):
                                     st.sampled_from(KINDS),
                                     st.sampled_from(("current", "old", "zero"))),
                           max_size=4),
-          expire=st.sampled_from((None, 1.0)), single=st.booleans())
-    def cas(self, client, writes, expire, single):
+          single=st.booleans())
+    def cas(self, client, writes, single):
         if single:
             writes = writes[:1] or [("ka", "small", "current")]
         items = {}
@@ -464,12 +465,12 @@ class TierModel(RuleBasedStateMachine):
         if single:
             key = keys[0]
             ok = self.call(client, "cas", keys,
-                           lambda c: c.cas(key, *items[key], expire))
+                           lambda c: c.cas(key, *items[key]))
             got = {key: ok}
         else:
             got = self.call(client, "cas", keys,
-                            lambda c: c.cas_multi(items, expire))
-        want, moved = self.cas_verdicts(items, expire)
+                            lambda c: c.cas_multi(items))
+        want, moved = self.cas_verdicts(items)
         if single:
             want = {key: want[key] == CAS_STORED}
         assert got == want, (got, want)
@@ -495,7 +496,7 @@ class TierModel(RuleBasedStateMachine):
                  for key, (_value, token) in found.items()}
         got = self.call("trigger", "cas", list(items),
                         lambda c: c.cas_multi(items))
-        want, moved = self.cas_verdicts(items, None)
+        want, moved = self.cas_verdicts(items)
         assert got == want, (got, want)
         self.check_bytes(moved)
 

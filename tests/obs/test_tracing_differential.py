@@ -121,8 +121,8 @@ class TestTraceContents:
     def test_all_layers_present_for_leased(self):
         _, tracer = replay_once(LEASED_SCENARIO, True, workers=2,
                                 policy=ADVERSARIAL)
-        assert set(tracer.categories()) >= {"page", "app", "orm", "cache",
-                                            "trigger", "refresh"}
+        assert {span.category for span in tracer.finished} >= {
+            "page", "app", "orm", "cache", "trigger", "refresh"}
         assert tracer.dropped == 0
 
     def test_worker_attribution_at_two_workers(self):
@@ -138,7 +138,7 @@ class TestTraceContents:
     def test_serial_replay_traces_on_thread_zero(self):
         _, tracer = replay_once(UPDATE_SCENARIO, True, workers=1)
         assert {span.tid for span in tracer.finished} == {0}
-        assert tracer.spans_named("trigger:flush")
+        assert any(span.name == "trigger:flush" for span in tracer.finished)
 
     def test_cas_retry_rounds_become_spans(self):
         """The Update strategy at 2 adversarial workers is the scenario the
@@ -146,7 +146,8 @@ class TestTraceContents:
         be visible as nested trigger:cas_round spans."""
         result, tracer = replay_once(UPDATE_SCENARIO, True, workers=2,
                                      policy=ADVERSARIAL)
-        rounds = tracer.spans_named("trigger:cas_round")
+        rounds = [span for span in tracer.finished
+                  if span.name == "trigger:cas_round"]
         assert rounds
         assert all(r.parent is not None
                    and r.parent.name == "trigger:flush" for r in rounds)

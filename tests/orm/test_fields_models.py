@@ -8,7 +8,7 @@ from repro.apps.social import SeedScale
 from repro.apps.social.models import User
 from repro.bench.scenarios import NO_CACHE, Scenario, ScenarioConfig
 from repro.errors import DoesNotExist, ModelError
-from repro.orm import CharField, IntegerField, Model, Registry
+from repro.orm import BooleanField, CharField, IntegerField, Model, Registry
 from repro.storage import Database
 
 from tests.helpers import build_blog_models
@@ -93,6 +93,23 @@ class TestConstructor:
         assert first.tags == [] and first.tags is not second.tags
         assert first.owner == "nobody"
         assert list(vars(first)) == ["_state_adding", "id", "number", "tags", "owner"]
+
+    def test_a_boolean_field_declared_without_a_default_is_false(self):
+        reg = Registry("ctor6")
+
+        class Flag(Model):
+            on = BooleanField()
+            forced = BooleanField(default=True)
+            label = CharField(null=True)
+
+            class Meta:
+                registry = reg
+
+        reg.bind(Database(name="ctor6-db"))
+        reg.create_all()
+        flag = Flag.objects.create()
+        assert (flag.on, flag.forced, flag.label) == (False, True, None)
+        assert Flag.objects.get(id=flag.pk).on is False
 
     def test_field_added_after_the_first_instance_is_seen(self):
         stack = build_blog_models("ctor5")

@@ -305,7 +305,7 @@ def assert_stack_restored(scenario: Scenario, scope, contexts, tracer=None):
     assert hooks.chain == ()
     assert_same_objects(layer_contexts(scenario, tracer), contexts)
     assert transactions.current is None
-    assert queue.pending_count == 0
+    assert not queue.context.pending_keys()
     # Every worker's refresh backlog was closed: sweeps reach only ours.
     assert refresh._backlogs == [refresh.context]
     for client in (scenario.genie.app_cache, scenario.genie.trigger_cache):
@@ -475,7 +475,8 @@ class TestHandOffFailures:
 
             aborts = []
             transactions.on_abort.insert(0, lambda: aborts.append(
-                (transactions.context, queue.context, queue.pending_count)))
+                (transactions.context, queue.context,
+                 len(queue.context.pending_keys()))))
             scope = CostCounters()
             scenario.database.recorder.activate_scope(scope)
             tracer = Tracer(clock=scenario.clock)

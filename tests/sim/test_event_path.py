@@ -77,11 +77,10 @@ class ReferenceEngine:
 
 
 class ReferenceQueueingResource:
-    def __init__(self, engine, name, servers=1):
+    def __init__(self, engine, name):
         self.engine = engine
         self.name = name
-        self.servers = servers
-        self._busy = 0
+        self._busy = False
         self._queue = deque()
         self.jobs_served = 0
         self.busy_time = 0.0
@@ -92,20 +91,20 @@ class ReferenceQueueingResource:
         if service_time <= 0:
             done()
             return
-        if self._busy < self.servers:
+        if not self._busy:
             self._start(service_time, done, queued_at=None)
         else:
             self._queue.append((service_time, done, self.engine.now))
 
     def _start(self, service_time, done, queued_at):
-        self._busy += 1
+        self._busy = True
         if queued_at is not None:
             self.total_queue_wait += self.engine.now - queued_at
         self.busy_time += service_time
         self.total_service_time += service_time
 
         def complete():
-            self._busy -= 1
+            self._busy = False
             self.jobs_served += 1
             if self._queue:
                 next_service, next_done, arrived = self._queue.popleft()
@@ -206,16 +205,15 @@ REFERENCE = Rig(ReferenceEngine, ReferenceQueueingResource,
 REAL = Rig(EventEngine, QueueingResource, DelayResource, SimulatedClient)
 
 
-def run_rig(rig, client_pages, think_time_ms=0.0, cpu_servers=1,
-            disk_servers=1):
+def run_rig(rig, client_pages, think_time_ms=0.0):
     """Assemble and run one simulation the way ``simulate_population`` does;
     return everything a run can be told apart by.
 
     ``client_pages`` is ``[(client_id, pages), ...]`` in dispatch order.
     """
     engine = rig.engine()
-    db_cpu = rig.queueing(engine, "db_cpu", servers=cpu_servers)
-    db_disk = rig.queueing(engine, "db_disk", servers=disk_servers)
+    db_cpu = rig.queueing(engine, "db_cpu")
+    db_disk = rig.queueing(engine, "db_disk")
     cache_net = rig.delay(engine, "cache_net")
     metrics = RunMetrics(retain_completions=True)
 
@@ -308,10 +306,6 @@ PINNED_POPULATIONS = {
         SimulationOptions(think_time_ms=0.0)),
     "thinking/40x12/think=30": (
         lambda: population(21, 40, 12), SimulationOptions()),
-    "servers=2,3/12x10/think=0.5": (
-        lambda: population(22, 12, 10),
-        SimulationOptions(think_time_ms=0.5, db_cpu_servers=2,
-                          db_disk_servers=3)),
     "zero-stages/16x8/think=0": (
         lambda: population(23, 16, 8, ZERO_STAGE_DEMANDS,
                            demand_per_page=True),
@@ -326,8 +320,6 @@ GOLDEN_EVENT_ORDER = {
         "6469e68c5cbc291ad0d8cff8d4162a81b2f0761a80c84afbba9db99383ea4ab3",
     "thinking/40x12/think=30":
         "76528d08adeb8961078c0cb9ae1e8c7066a11d0d5aef784928b82bdab4731c96",
-    "servers=2,3/12x10/think=0.5":
-        "e2712e44dcad197c533ee411cb95739a727ffb9414db181854abb28aa72923cc",
     "zero-stages/16x8/think=0":
         "bc70d3b14105d9d9e7c1e696175701e12b7c94b54a8ad229f89af7afc8e4cf22",
 }
@@ -413,8 +405,6 @@ def scripts(draw):
         "order": draw(st.permutations(range(len(page_counts)))),
         "take": draw(st.integers(1, len(page_counts))),
         "think_time_ms": draw(st.sampled_from([0.0, 0.5, 30.0])),
-        "cpu_servers": draw(st.integers(1, 3)),
-        "disk_servers": draw(st.integers(1, 3)),
     }
 
 
@@ -429,9 +419,7 @@ def script_pages(script):
 
 
 def script_options(script):
-    return dict(think_time_ms=script["think_time_ms"],
-                cpu_servers=script["cpu_servers"],
-                disk_servers=script["disk_servers"])
+    return dict(think_time_ms=script["think_time_ms"])
 
 
 def dispatched_replay(pages_by_client, order):
@@ -474,10 +462,7 @@ def test_event_path_matches_the_closure_based_reference(script):
     expected = run_rig(REFERENCE, selected(replay, script["take"]), **options)
     metrics = simulate_population(
         replay, clients=script["take"], retain_completions=True,
-        options=SimulationOptions(
-            think_time_ms=script["think_time_ms"],
-            db_cpu_servers=script["cpu_servers"],
-            db_disk_servers=script["disk_servers"]))
+        options=SimulationOptions(think_time_ms=script["think_time_ms"]))
     assert completion_rows(metrics) == expected["completions"]
     assert metrics.engine_events == expected["engine_events"]
     assert metrics.duration == expected["duration"]
@@ -488,9 +473,7 @@ def test_reference_reproduces_the_pins():
     """The reference in this file is the path the pins were taken from."""
     for name, (build, options) in PINNED_POPULATIONS.items():
         run = run_rig(REFERENCE, selected(build()),
-                      think_time_ms=options.think_time_ms,
-                      cpu_servers=options.db_cpu_servers,
-                      disk_servers=options.db_disk_servers)
+                      think_time_ms=options.think_time_ms)
         fingerprint = event_order_fingerprint(
             run["completions"], run["engine_events"], run["duration"],
             run["window_end"])
@@ -513,7 +496,7 @@ class DoneBeforeNextJob(QueueingResource):
             self.total_service_time += service_time
             self.engine.schedule(service_time, self._complete, next_done)
         else:
-            self._busy -= 1
+            self._busy = False
 
 
 class SkipsTheNextPageEvent(SimulatedClient):

@@ -83,7 +83,7 @@ class TestEventEngine:
 class TestQueueingResource:
     def test_single_server_serializes_jobs(self):
         engine = EventEngine()
-        resource = QueueingResource(engine, "disk", servers=1)
+        resource = QueueingResource(engine, "disk")
         finish_times = []
         for _ in range(3):
             resource.request(10.0, lambda: finish_times.append(engine.now))
@@ -91,15 +91,6 @@ class TestQueueingResource:
         assert finish_times == [10.0, 20.0, 30.0]
         assert resource.jobs_served == 3
         assert resource.mean_wait() == pytest.approx(10.0)
-
-    def test_multiple_servers_run_in_parallel(self):
-        engine = EventEngine()
-        resource = QueueingResource(engine, "cpu", servers=2)
-        finish_times = []
-        for _ in range(2):
-            resource.request(10.0, lambda: finish_times.append(engine.now))
-        engine.run()
-        assert finish_times == [10.0, 10.0]
 
     def test_zero_service_completes_immediately(self):
         engine = EventEngine()

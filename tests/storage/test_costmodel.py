@@ -80,7 +80,7 @@ class TestCalibration:
         """The paper's unloaded INSERT is ~6.3 ms; ours lands in the same order."""
         database = Database()
         database.create_table(TableSchema(
-            "t", [ColumnDef("id", "integer", nullable=True)], primary_key="id"))
+            "t", [ColumnDef("id", "integer", nullable=True)]))
         with database.measure() as counters:
             for _ in range(10):
                 database.insert("t", {})

@@ -5,13 +5,13 @@ import pytest
 from repro.errors import DuplicateTableError, TableNotFoundError
 from repro.storage import (ColumnDef, Database, IndexDef, OrderBy, SelectQuery,
                            TableSchema)
+from repro.storage.predicates import predicate_from_filters as where
 
 
 def users_schema():
     return TableSchema(
         "users",
         [ColumnDef("id", "integer", nullable=True), ColumnDef("name", "text")],
-        primary_key="id",
     )
 
 
@@ -55,9 +55,9 @@ class TestDMLHelpers:
         db.create_table(users_schema())
         db.insert("users", {"name": "alice"})
         db.insert("users", {"name": "bob"})
-        updated = db.update("users", {"name": "carol"}, where={"name": "alice"})
+        updated = db.update("users", {"name": "carol"}, where({"name": "alice"}))
         assert len(updated) == 1
-        deleted = db.delete("users", where={"name": "bob"})
+        deleted = db.delete("users", where({"name": "bob"}))
         assert len(deleted) == 1
         assert len(db.find("users")) == 1
 
@@ -94,7 +94,6 @@ class TestRowOwnership:
             "people",
             [ColumnDef("id", "integer", nullable=True), ColumnDef("name", "text"),
              ColumnDef("team", "text"), ColumnDef("age", "integer", default=0)],
-            primary_key="id",
             indexes=[IndexDef("people_team_idx", ("team",)),
                      IndexDef("people_age_idx", ("age",))]))
         for i in range(6):
@@ -133,8 +132,8 @@ class TestRowOwnership:
     def test_mutating_dml_return_values_leaves_storage_unchanged(self):
         db = self.make_db()
         inserted = db.insert("people", {"name": "new", "team": "a", "age": 1})
-        updated = db.update("people", {"age": 50}, where={"team": "b"})
-        deleted = db.delete("people", where={"name": "p0"})
+        updated = db.update("people", {"age": 50}, where({"team": "b"}))
+        deleted = db.delete("people", where({"name": "p0"}))
         assert (len(updated), len(deleted)) == (3, 1)
         before = self.snapshot(db)
         for row in [inserted, *updated, *deleted]:
@@ -155,10 +154,10 @@ class TestRowOwnership:
                             self.scribble(image)
                 db.create_trigger(f"t_{event}_{n}", "people", event, handler)
         db.insert("people", {"name": "new", "team": "a", "age": 1})
-        db.update("people", {"age": 2}, where={"name": "new"})
+        db.update("people", {"age": 2}, where({"name": "new"}))
         assert db.find("people", where={"age": 2}) == [
             {"id": 7, "name": "new", "team": "a", "age": 2}]
-        db.delete("people", where={"name": "new"})
+        db.delete("people", where({"name": "new"}))
         new_row = {"id": 7, "name": "new", "team": "a", "age": 1}
         assert seen == [
             ("insert", new_row, {}), ("insert", new_row, {}),
@@ -172,23 +171,23 @@ class TestRowOwnership:
     def test_a_row_keeps_showing_the_values_it_was_read_over(self):
         db = self.make_db()
         table = db.table("people")
-        row = table.fetch_by_pk(3)
+        row = table.heap.fetch(table.primary_index.lookup(3)[0])
         copy = row.to_dict()
         self.scribble(copy)
-        assert table.fetch_by_pk(3)["name"] == "p2"
-        db.update("people", {"name": "renamed", "age": 99}, where={"id": 3})
+        assert db.find("people", where={"id": 3})[0]["name"] == "p2"
+        db.update("people", {"name": "renamed", "age": 99}, where({"id": 3}))
         assert (row["name"], row["age"]) == ("p2", 22)
-        assert table.fetch_by_pk(3)["name"] == "renamed"
-        db.delete("people", where={"id": 3})
+        assert db.find("people", where={"id": 3})[0]["name"] == "renamed"
+        db.delete("people", where({"id": 3}))
         assert (row["name"], row["age"]) == ("p2", 22)
 
     def test_abort_restores_equal_rows_even_if_results_were_mutated(self):
         db = self.make_db()
         before = self.snapshot(db)
         db.begin()
-        for row in db.update("people", {"age": 1, "team": "z"}, where={"team": "a"}):
+        for row in db.update("people", {"age": 1, "team": "z"}, where({"team": "a"})):
             self.scribble(row)
-        for row in db.delete("people", where={"team": "b"}):
+        for row in db.delete("people", where({"team": "b"})):
             self.scribble(row)
         self.scribble(db.insert("people", {"name": "temp", "team": "a"}))
         db.abort()

@@ -21,7 +21,6 @@ def database():
     db.create_table(TableSchema(
         "authors",
         [ColumnDef("id", "integer", nullable=True), ColumnDef("name", "text")],
-        primary_key="id",
     ))
     db.create_table(TableSchema(
         "posts",
@@ -31,7 +30,6 @@ def database():
             ColumnDef("title", "text"),
             ColumnDef("score", "integer"),
         ],
-        primary_key="id",
         indexes=[IndexDef("posts_author_idx", ("author_id",)),
                  IndexDef("posts_score_idx", ("score",))],
     ))
@@ -83,7 +81,7 @@ def keyed_table():
     db.create_table(TableSchema(
         "t", [ColumnDef("id", "integer", nullable=True), ColumnDef("k", "integer"),
               ColumnDef("b", "integer", default=0)],
-        primary_key="id", indexes=[IndexDef("t_k", ("k",))]))
+        indexes=[IndexDef("t_k", ("k",))]))
     return db
 
 
@@ -96,14 +94,15 @@ class TestStatementsReadBeforeTheyWrite:
         db = keyed_table()
         for k in (1, 1, 1, 1, 1, 2):
             db.insert("t", {"k": k})
-        assert len(db.delete("t", where={"k": 1})) == 5
+        assert len(db.delete("t", predicate_from_filters({"k": 1}))) == 5
         assert db.count(CountQuery("t")) == 1
 
     def test_update_into_a_key_its_range_scan_has_still_to_read(self):
         db = keyed_table()
         for k in (1, 2, 3, 10):
             db.insert("t", {"k": k})
-        updated = db.update("t", {"k": 10}, where={"k__gte": 1})
+        updated = db.update("t", {"k": 10},
+                            predicate_from_filters({"k__gte": 1}))
         assert sorted(row["id"] for row in updated) == [1, 2, 3, 4]
         assert db.table("t").index_for_column("k").lookup(10) == [1, 2, 3, 4]
 
@@ -113,7 +112,8 @@ class TestStatementsReadBeforeTheyWrite:
             db.insert("t", {"k": 1})
         db.create_trigger("spawn", "t", "update",
                           lambda _data: db.insert("t", {"k": 1}))
-        assert len(db.update("t", {"b": 1}, where={"k": 1})) == 3
+        assert len(db.update("t", {"b": 1},
+                             predicate_from_filters({"k": 1}))) == 3
         assert sorted(row["b"] for row in db.find("t", where={"k": 1})) == [
             0, 0, 0, 1, 1, 1]
 
@@ -123,7 +123,6 @@ def two_range_indexes():
     db.create_table(TableSchema(
         "t", [ColumnDef("id", "integer", nullable=True),
               ColumnDef("alpha", "integer"), ColumnDef("beta", "integer")],
-        primary_key="id",
         indexes=[IndexDef("t_alpha", ("alpha",)), IndexDef("t_beta", ("beta",))]))
     for i in range(200):
         db.insert("t", {"alpha": i, "beta": i})
@@ -185,10 +184,9 @@ def composite_first(single_too):
     db.create_table(TableSchema(
         "c", [ColumnDef("id", "integer", nullable=True), ColumnDef("a", "integer"),
               ColumnDef("b", "integer")],
-        primary_key="id", indexes=indexes))
+        indexes=indexes))
     db.create_table(TableSchema(
-        "p", [ColumnDef("id", "integer", nullable=True), ColumnDef("ref", "integer")],
-        primary_key="id"))
+        "p", [ColumnDef("id", "integer", nullable=True), ColumnDef("ref", "integer")]))
     for i in range(12):
         db.insert("c", {"a": i % 4, "b": i})
     for ref in (1, 3, 7):
@@ -289,11 +287,11 @@ class TestExecutorCountAndDml:
         assert database.count(query) == 5
 
     def test_update_returns_new_rows(self, database):
-        updated = database.update("posts", {"score": 0}, where={"author_id": 1})
+        updated = database.update("posts", {"score": 0}, predicate_from_filters({"author_id": 1}))
         assert len(updated) == 10
         assert all(row["score"] == 0 for row in updated)
 
     def test_delete_returns_deleted_rows(self, database):
-        deleted = database.delete("posts", where={"author_id": 2})
+        deleted = database.delete("posts", predicate_from_filters({"author_id": 2}))
         assert len(deleted) == 10
         assert database.count(CountQuery("posts")) == 40

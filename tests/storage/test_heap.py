@@ -11,7 +11,6 @@ def make_heap(page_size=512, pool_pages=64):
     schema = TableSchema(
         "notes",
         [ColumnDef("id", "integer", nullable=True), ColumnDef("text", "text")],
-        primary_key="id",
     )
     return HeapFile(schema, BufferPool(pool_pages), page_size=page_size)
 

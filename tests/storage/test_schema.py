@@ -14,7 +14,6 @@ def make_schema(**kwargs):
             ColumnDef("name", "text", nullable=False),
             ColumnDef("age", "integer", default=0),
         ],
-        primary_key="id",
         **kwargs,
     )
 
@@ -53,12 +52,12 @@ class TestTableSchema:
 
     def test_duplicate_column_rejected(self):
         with pytest.raises(SchemaError):
-            TableSchema("t", [ColumnDef("a", "integer"), ColumnDef("a", "text")],
-                        primary_key="a")
+            TableSchema("t", [ColumnDef("id", "integer"),
+                              ColumnDef("id", "text")])
 
     def test_primary_key_must_exist(self):
         with pytest.raises(SchemaError):
-            TableSchema("t", [ColumnDef("a", "integer")], primary_key="b")
+            TableSchema("t", [ColumnDef("a", "integer")])
 
     def test_index_referencing_unknown_column_rejected(self):
         with pytest.raises(SchemaError):

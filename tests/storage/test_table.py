@@ -6,6 +6,7 @@ from repro.errors import ConstraintViolation, RowNotFoundError
 from repro.storage import (BufferPool, ColumnDef, Database, IndexDef,
                            Recorder, TableSchema)
 from repro.storage.table import Table
+from repro.storage.predicates import predicate_from_filters as where
 from repro.storage.triggers import TriggerManager
 
 
@@ -21,7 +22,6 @@ def make_table(unique_email=False):
             ColumnDef("email", "text", nullable=False),
             ColumnDef("age", "integer", default=0),
         ],
-        primary_key="id",
         indexes=indexes,
     )
     return Table(schema, BufferPool(64, recorder), TriggerManager(recorder), recorder)
@@ -51,14 +51,14 @@ class TestInsert:
         table.insert({"id": 1, "email": "a@x"})
         with pytest.raises(ConstraintViolation):
             table.insert({"id": 1, "email": "b@x"})
-        assert table.row_count == 1
+        assert table.heap.row_count == 1
 
     def test_unique_secondary_index_enforced(self):
         table = make_table(unique_email=True)
         table.insert({"email": "a@x"})
         with pytest.raises(ConstraintViolation):
             table.insert({"email": "a@x"})
-        assert table.row_count == 1
+        assert table.heap.row_count == 1
 
     def test_secondary_index_populated(self):
         table = make_table()
@@ -111,7 +111,7 @@ class TestInsertCharges:
         with db.measure() as lookup:
             db.find("users", where={"email": "a@x"})
         with db.measure() as delete:
-            db.delete("users", where={"id": 1})
+            db.delete("users", where({"id": 1}))
         assert lookup.index_node_touches == 1
         assert delete.index_node_touches == 4           # find it, then 3 trees
 
@@ -150,7 +150,7 @@ class TestUpdateDelete:
         row = table.insert({"email": "a@x", "age": 25})
         table.delete_row(row.rowid)
         assert table.index_for_column("age").lookup(25) == []
-        assert table.fetch_by_pk(row["id"]) is None
+        assert table.primary_index.lookup(row["id"]) == []
 
 
 class TestTriggers:

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import TransactionError
 from repro.obs import hooks
 from repro.storage import ColumnDef, Database, TableSchema
+from repro.storage.predicates import predicate_from_filters as where
 from repro.storage.transactions import TxnContext
 
 
@@ -15,7 +16,6 @@ def database():
         "accounts",
         [ColumnDef("id", "integer", nullable=True),
          ColumnDef("owner", "text"), ColumnDef("balance", "integer", default=0)],
-        primary_key="id",
     ))
     return db
 
@@ -48,7 +48,7 @@ class TestExplicitTransactions:
     def test_abort_undoes_update(self, database):
         database.insert("accounts", {"owner": "alice", "balance": 10})
         database.begin()
-        database.update("accounts", {"balance": 99}, where={"owner": "alice"})
+        database.update("accounts", {"balance": 99}, where({"owner": "alice"}))
         database.abort()
         assert database.find("accounts", where={"owner": "alice"})[0]["balance"] == 10
 
@@ -63,8 +63,7 @@ class TestExplicitTransactions:
                 "accounts",
                 [ColumnDef("id", "integer", nullable=True),
                  ColumnDef("owner", "text"),
-                 ColumnDef("balance", "integer", default=0)],
-                primary_key="id"))
+                 ColumnDef("balance", "integer", default=0)]))
             for i in range(5000):
                 db.insert("accounts", {"owner": f"owner-{i}", "balance": i})
             total = db.recorder.total
@@ -72,7 +71,7 @@ class TestExplicitTransactions:
             with db.measure() as counters:
                 if explicit:
                     db.begin()
-                rows = db.update("accounts", {"balance": -1}, where={"id": 17})
+                rows = db.update("accounts", {"balance": -1}, where({"id": 17}))
                 if explicit:
                     db.commit()
             assert [row["balance"] for row in rows] == [-1]
@@ -88,7 +87,7 @@ class TestExplicitTransactions:
         assert explicit["rows_scanned"] == 1 and explicit["commits"] == 1
 
         db.begin()
-        db.update("accounts", {"balance": 0, "owner": "x"}, where={"id": 17})
+        db.update("accounts", {"balance": 0, "owner": "x"}, where({"id": 17}))
         db.abort()
         assert db.get_by_pk("accounts", 17) == {
             "id": 17, "owner": "owner-16", "balance": -1}
@@ -96,7 +95,7 @@ class TestExplicitTransactions:
     def test_abort_undoes_delete(self, database):
         database.insert("accounts", {"owner": "alice", "balance": 10})
         database.begin()
-        database.delete("accounts", where={"owner": "alice"})
+        database.delete("accounts", where({"owner": "alice"}))
         database.abort()
         rows = database.find("accounts", where={"owner": "alice"})
         assert len(rows) == 1

@@ -2,16 +2,19 @@
 
 ``tools/reach.py --check`` runs every command of the system under a profiler
 (minutes); these tests run none.  They hand :func:`reach.triage` a seen-set
-directly and check that the gate fails on an unreached function without a
-keeper and on a keeper that keeps nothing, and that every row of
-:data:`reach.KEEPERS` and every name the frozen benchmark reaches into still
-names a function under ``src/repro``.
+and :func:`reach.triage_options` a set of seen values directly, and check
+that the gate fails on an unreached function or a single-valued option
+without a keeper and on a keeper that keeps nothing, and that every row of
+:data:`reach.KEEPERS` and :data:`reach.OPTION_KEEPERS` and every name the
+frozen benchmark reaches into still names a function or an option under
+``src/repro``.
 """
 
 from __future__ import annotations
 
 import ast
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -168,3 +171,220 @@ class TestTheRealTree:
                 ("storage/transactions.py", "TransactionManager.commit"),
                 } <= names
         assert all(site in defined for site in frozen)
+
+
+# -- the option pass ---------------------------------------------------------
+
+def option(owner="f", name="n", position=-1, scalar=True, default=("int", 1),
+           path="m.py"):
+    return reach.Option(path, owner, name, position, scalar, default)
+
+
+def one_value(value=("int", 1)):
+    return {option().key: {value}}
+
+
+def calls(source):
+    """What :func:`reach.calls_in` reads from ``source``."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "probe.py"
+        path.write_text(source)
+        return reach.calls_in([path])
+
+
+def triage_options(options, values, keepers=None, frozen="", band="",
+                   bases=None):
+    return reach.triage_options(options, values, keepers or {},
+                                calls(frozen), calls(band), bases or {})
+
+
+class TestSyntheticOptions:
+    def test_a_single_valued_option_without_a_second_user_fails(self):
+        result = triage_options([option()], one_value())
+        assert result.unkept == [option().key]
+        assert list(result.single) == [option().key]
+
+    def test_an_option_two_values_reach_needs_no_keeper(self):
+        result = triage_options([option()],
+                                {option().key: {("int", 1), ("int", 2)}})
+        assert result.single == {} and result.unkept == []
+
+    def test_a_band_test_keyword_is_a_second_value(self):
+        result = triage_options([option()], one_value(), band="f(n=2)\n")
+        assert result.kept[option().key][0] == reach.BAND
+        assert result.unkept == []
+
+    def test_a_band_test_passing_the_same_value_is_no_second_user(self):
+        result = triage_options([option()], one_value(), band="f(n=1)\n")
+        assert result.unkept == [option().key]
+
+    def test_a_band_test_argument_that_is_no_literal_is_no_second_value(self):
+        result = triage_options([option()], one_value(), band="f(n=x)\n")
+        assert result.unkept == result.unresolved == [option().key]
+        assert list(reach.option_report(result, one_value()))[0] == (
+            "  m.py:f(n) = 1  [UNKEPT: a band test passes a value that is no "
+            "literal; needs a row]")
+        field = option(owner="ScenarioConfig", path="bench/scenarios.py")
+        result = triage_options([field], {field.key: {("int", 1)}},
+                                band="helper(n=x)\n")
+        assert result.unkept == result.unresolved == [field.key]
+
+    def test_a_band_test_leaving_it_out_passes_the_default(self):
+        seen = {option().key: {("int", 5)}}
+        result = triage_options([option()], seen, band="f()\n")
+        assert result.kept[option().key][0] == reach.BAND
+
+    def test_a_config_fields_keyword_counts_in_any_call(self):
+        field = option(owner="ScenarioConfig", path="bench/scenarios.py")
+        seen = {field.key: {("int", 1)}}
+        result = triage_options([field], seen, band="helper(n=3)\n")
+        assert result.kept[field.key][0] == reach.BAND
+        result = triage_options([option()], one_value(),
+                                band="helper(n=3)\n")
+        assert result.unkept == [option().key]     # a parameter's does not
+
+    def test_the_frozen_benchmark_passing_it_keeps_it(self):
+        result = triage_options([option(position=0)], one_value(),
+                                frozen="f(1)\n")
+        assert result.kept[option(position=0).key][0] == reach.FROZEN
+
+    def test_an_object_annotation_is_not_an_option(self):
+        result = triage_options([option(scalar=False)], one_value())
+        assert result.kept[option().key][0] == reach.NOT_OPTION
+
+    def test_a_keeper_row_keeps_it(self):
+        result = triage_options([option()], one_value(),
+                                keepers={"m.py:f(n)": (reach.FLAG, "--n")})
+        assert result.kept[option().key] == (reach.FLAG, "--n")
+        assert result.stale == []
+
+    def test_a_keeper_of_a_gone_option_is_stale(self):
+        result = triage_options([], {},
+                                keepers={"m.py:f(n)": (reach.FLAG, "--n")})
+        assert result.stale == ["m.py:f(n)"]
+
+    def test_a_keeper_of_a_two_valued_option_is_stale(self):
+        result = triage_options([option()],
+                                {option().key: {("int", 1), ("int", 2)}},
+                                keepers={"m.py:f(n)": (reach.FLAG, "--n")})
+        assert result.stale == ["m.py:f(n)"]
+
+    def test_an_override_shares_its_interfaces_second_user(self):
+        base = option(owner="Base.hook")
+        sub = option(owner="Sub.hook")
+        result = triage_options(
+            [base, sub], {base.key: {("int", 1)}, sub.key: {("int", 1)}},
+            keepers={"m.py:Base.hook(n)": (reach.FLAG, "--n")},
+            bases={"Base": set(), "Sub": {"Base"}})
+        assert result.kept[sub.key][0] == reach.RULE
+        assert result.unkept == []
+
+    def test_the_report_names_each_option_and_counts_the_census(self):
+        field = option(owner="Config", path="x.py")
+        keepers = {"m.py:f(n)": (reach.FLAG, "--n")}
+        result = triage_options([option(), field],
+                                {option().key: {("int", 1)},
+                                 field.key: {("str", "a"), ("str", "b")}},
+                                keepers=keepers)
+        lines = list(reach.option_report(result, {option().key: {("int", 1)}}))
+        assert lines[0] == "  m.py:f(n) = 1  [command flag: --n]"
+        assert lines[-1].startswith("Options: 2 defaulted parameters and 0 "
+                                    "config fields reached; 1 take one "
+                                    "scalar value; kept: command flag 1;")
+
+
+class TestCensus:
+    def test_values_are_tagged_by_type_and_objects_settle(self):
+        assert reach.scalar(1) != reach.scalar(1.0) != reach.scalar(True)
+        assert reach.scalar((1, "a")) == ("tuple", (1, "a"))
+        assert reach.scalar((1, object())) is reach.OBJECT
+        assert reach.scalar([1]) is reach.OBJECT
+
+    def test_the_profiler_reads_each_call_and_a_generators_first_entry(self):
+        def plain(a, n=1):
+            return n
+
+        def lazy(n=1):
+            n = 99
+            yield n
+            yield n
+
+        sites = {}
+        for function in (plain, lazy):
+            code = function.__code__
+            sites[(code.co_filename, code.co_firstlineno)] = [
+                option(owner=function.__name__)]
+        census = reach.Census(sites, {})
+        sys.setprofile(census.profiler())
+        try:
+            plain(0)
+            plain(0, n=1)
+            list(lazy(n=2))
+        finally:
+            sys.setprofile(None)
+        assert census.values == {"m.py:plain(n)": {("int", 1)},
+                                 "m.py:lazy(n)": {("int", 2)}}
+
+    def test_a_config_field_is_read_where_the_instance_is_built(self):
+        from repro.sim import SimulationOptions
+        fields = reach.options(reach.functions()[0])[1]
+        census = reach.Census({}, fields)
+        sys.setprofile(census.profiler())
+        try:
+            SimulationOptions(think_time_ms=2.0)
+        finally:
+            sys.setprofile(None)
+        assert census.values == {
+            "sim/runner.py:SimulationOptions(think_time_ms)": {("float", 2.0)}}
+
+    def test_a_dataclass_s_other_generated_methods_record_no_field(self):
+        from repro.sim import SimulationOptions
+        fields = reach.options(reach.functions()[0])[1]
+        census = reach.Census({}, fields)
+        sys.setprofile(census.profiler())
+        try:
+            built = SimulationOptions(think_time_ms=2.0)
+            repr(built)
+            assert built == SimulationOptions(think_time_ms=2.0)
+        finally:
+            sys.setprofile(None)
+        assert census.values == {
+            "sim/runner.py:SimulationOptions(think_time_ms)": {("float", 2.0)}}
+
+    def test_calls_read_keywords_positions_and_stop_at_star_args(self):
+        found = calls("Pool(1, ttl=2.0)\nobj.method(*rest, 3, flag=True)\n")
+        assert found == {"Pool": [{0: ("int", 1), "ttl": ("float", 2.0)}],
+                         "method": [{"flag": ("bool", True)}]}
+
+
+class TestTheRealOptions:
+    def test_every_option_keeper_names_an_option_that_exists(self):
+        params, fields = reach.options(reach.functions()[0])
+        every = [option for found in list(params.values())
+                 + list(fields.values()) for option in found]
+        missing = [key for key in reach.OPTION_KEEPERS
+                   if not any(reach.keeps_option(key, option)
+                              for option in every)]
+        assert missing == []
+
+    def test_every_option_keeper_says_why(self):
+        for category, reason in reach.OPTION_KEEPERS.values():
+            assert category in (reach.FLAG, reach.ROADMAP, reach.DEPLOYMENT,
+                                reach.TEST_SCALE, reach.BAND, reach.FROZEN,
+                                reach.REFERENCE)
+            assert reason
+
+    def test_the_config_fields_are_read(self):
+        fields = reach.options(reach.functions()[0])[1]
+        assert sorted(fields) == sorted(reach.CONFIGS)
+        names = {option.name for option in
+                 fields["bench/scenarios.py:ScenarioConfig"]}
+        assert {"name", "strategy", "reuse_trigger_connections"} <= names
+
+    def test_a_band_test_reaches_a_config_field_through_a_helper(self):
+        band = reach.calls_in(reach.band_paths())
+        fields = reach.options(reach.functions()[0])[1]
+        field = next(option for option in fields[
+            "bench/scenarios.py:ScenarioConfig"]
+            if option.name == "reuse_trigger_connections")
+        assert ("bool", True) in reach.passed(band, field, omitted=False)

@@ -117,14 +117,6 @@ class TestWorkloadGenerator:
         assert sum(histogram.get(p, 0) for p in
                    ("LookupBM", "LookupFBM", "CreateBM", "AcceptFR")) == 60
 
-    def test_trace_without_login_logout(self):
-        config = WorkloadConfig(clients=2, sessions_per_client=2,
-                                page_loads_per_session=4,
-                                include_login_logout=False)
-        trace = WorkloadGenerator(config, [1, 2, 3]).generate()
-        assert "Login" not in Counter(load.page for load in trace.page_loads())
-        assert trace.total_page_loads == 16
-
     def test_trace_is_deterministic_for_seed(self):
         config = WorkloadConfig(clients=3, sessions_per_client=2, seed=77)
         users = list(range(1, 101))
@@ -151,11 +143,10 @@ class TestWorkloadGenerator:
 
     def test_read_fraction_reflected_in_trace(self):
         config = WorkloadConfig(clients=5, sessions_per_client=5,
-                                page_loads_per_session=10,
-                                include_login_logout=False).with_read_fraction(1.0)
+                                page_loads_per_session=10).with_read_fraction(1.0)
         trace = WorkloadGenerator(config, list(range(1, 20))).generate()
         histogram = Counter(load.page for load in trace.page_loads())
-        assert set(histogram) <= {"LookupBM", "LookupFBM"}
+        assert set(histogram) <= {"Login", "LookupBM", "LookupFBM", "Logout"}
 
     def test_empty_user_population_rejected(self):
         with pytest.raises(WorkloadError):

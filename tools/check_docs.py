@@ -5,7 +5,7 @@ Run from the repository root (CI's docs job does)::
 
     PYTHONPATH=src python tools/check_docs.py
 
-Six checks keep the docs layer from rotting silently:
+Seven checks keep the docs layer from rotting silently:
 
 * **Links** — every relative markdown link in ``README.md`` and ``docs/``
   must point at an existing file, and every ``#anchor`` must match a
@@ -31,6 +31,10 @@ Six checks keep the docs layer from rotting silently:
   ``CamelCase`` name) in its "Entry points" column must resolve in a module
   its "Module" column names, so a deleted or renamed entry point cannot
   linger there.
+* **The tuning-knob table** in ``docs/ADAPTIVE.md`` — each row's backticked
+  knob must be a parameter of ``AdaptiveStrategy.__init__`` whose default
+  is the row's default, and each scalar parameter must have a row, so the
+  table names only options that exist.
 
 Exit status 0 when everything passes; a non-zero status lists every broken
 link / failing example on stderr.  No dependencies beyond the standard
@@ -83,6 +87,9 @@ COUNT_TABLE_DOC = "docs/OBSERVABILITY.md"
 COUNT_TABLE_HEADER = "| Count | Owner | Read it from |"
 
 #: The page holding the module map, and the map's header row.
+KNOB_TABLE_DOC = "docs/ADAPTIVE.md"
+KNOB_TABLE_HEADER = "| knob | default | meaning |"
+
 ENTRY_TABLE_DOC = "docs/ARCHITECTURE.md"
 ENTRY_TABLE_HEADER = "| Paper concept (§) | Module | Entry points |"
 
@@ -227,6 +234,41 @@ def check_hook_table() -> List[str]:
         for name in sorted((hooks & set(vars(cls))) - set(listed)):
             errors.append(f"{HOOK_TABLE_DOC}: the hook table lacks `{name}`, "
                           f"which {cls.__name__} overrides")
+    return errors
+
+
+def knob_rows(text: str) -> List[Tuple[str, str]]:
+    """(knob, default) of each row of the tuning-knob table."""
+    return [(_CODE_SPAN_RE.findall(knob)[0], default.strip())
+            for knob, default in zip(
+                table_column(text, KNOB_TABLE_HEADER, 1),
+                table_column(text, KNOB_TABLE_HEADER, 2))]
+
+
+def check_knob_table() -> List[str]:
+    """One error per knob row that is no ``AdaptiveStrategy.__init__``
+    parameter or shows another default, and per scalar parameter with no
+    row (the delegate strategies are objects, not knobs)."""
+    import inspect
+
+    from repro.adaptive import AdaptiveStrategy
+
+    parameters = inspect.signature(AdaptiveStrategy.__init__).parameters
+    rows = knob_rows((REPO_ROOT / KNOB_TABLE_DOC).read_text())
+    errors = []
+    for knob, default in rows:
+        parameter = parameters.get(knob)
+        if parameter is None:
+            errors.append(f"{KNOB_TABLE_DOC}: the knob table lists `{knob}`, "
+                          f"which AdaptiveStrategy() does not take")
+        elif repr(parameter.default) != default:
+            errors.append(f"{KNOB_TABLE_DOC}: `{knob}` defaults to "
+                          f"{parameter.default!r}, not {default}")
+    listed = {knob for knob, _default in rows}
+    for name, parameter in parameters.items():
+        if (isinstance(parameter.default, (int, float))
+                and name not in listed):
+            errors.append(f"{KNOB_TABLE_DOC}: the knob table lacks `{name}`")
     return errors
 
 
@@ -402,7 +444,7 @@ def main() -> int:
         return 1
     errors = (check_links(paths) + check_doctests(paths) + check_hook_table()
               + check_yield_table() + check_count_table()
-              + check_entry_points())
+              + check_entry_points() + check_knob_table())
     snippet_count = sum(len(python_snippets(p)) for p in paths)
     if errors:
         for error in errors:

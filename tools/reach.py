@@ -1,5 +1,5 @@
 """Which functions under ``src/repro`` does no command of the system reach,
-and what keeps each one that none does?
+which options does only one value reach, and what keeps each of them?
 
 Runs every golden ``python -m repro.bench`` invocation (the 23 argv lists of
 ``tests/bench/test_golden_output.py``), ``report run.json`` on the traced
@@ -23,15 +23,42 @@ span and what keeps it:
   interface that method implements).  An ``__init__`` no command runs is a
   class no command builds: it needs a keeper like any other function.
 
+The same run is a census of options.  It records the distinct values each
+defaulted parameter of a reached ``def`` under ``src/repro`` takes, and
+each field of the config dataclasses the commands build (:data:`CONFIGS`).
+A value is a scalar (None, bool, int, float, str) or a small tuple, list or
+dict of them; a parameter that takes an object is a dependency, not an
+option.  Then it lists every option that one scalar value reaches, with
+its second user:
+
+* **not an option**: its annotation admits no scalar
+  (``Optional[VirtualClock] = None``);
+* **frozen**: the frozen benchmark passes it, read with :mod:`ast`;
+* **band**: a band test (``benchmarks/test_*.py``) passes another literal
+  value, read with :mod:`ast` (a call that leaves it out passes the
+  default; a config field's keyword counts in any call, since helpers hand
+  it on).  An argument that is no literal shows no second value: the
+  option is reported unresolved and needs a row;
+* **a row of** :data:`OPTION_KEEPERS`: a command flag, a ROADMAP item, a
+  deployment setting, a structural size a named test shrinks, a reference
+  a test checks it against;
+* **by rule**: the same parameter of the method it overrides, or that
+  overrides it, takes two values or is kept.
+
+Band tests and the frozen benchmark are read, not run: pytest-benchmark's
+fixture switches the profiler off while it times.
+
 Work done in the worker processes of the ``--jobs 2`` golden is not seen: a
 function only those processes run is listed as unreached.  Stdlib only::
 
     PYTHONPATH=src python tools/reach.py            # the report; exits 0
     PYTHONPATH=src python tools/reach.py --check    # exits 1 on a finding
 
-``--check`` fails when an unreached function has no keeper, or when a row of
-:data:`KEEPERS` keeps nothing: the function it names was deleted, or a
-command reaches it now.  Either way the row goes.
+``--check`` fails when an unreached function or a single-valued option has
+no keeper, or when a row of :data:`KEEPERS` or :data:`OPTION_KEEPERS` keeps
+nothing: what it names was deleted, or a command reaches it now (a
+function) or passes it a second value (an option).  Either way the row
+goes.
 """
 
 from __future__ import annotations
@@ -39,7 +66,10 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
+import dataclasses
+import dis
 import importlib
+import inspect
 import io
 import os
 import pathlib
@@ -47,7 +77,8 @@ import runpy
 import sys
 import tempfile
 import threading
-from typing import Dict, Iterator, List, NamedTuple, Set, Tuple
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Set, Tuple)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
@@ -70,6 +101,8 @@ class Function(NamedTuple):
     first: int
     last: int
     nested: bool     # defined inside another def
+    method: bool = False     # defined in a class body
+    node: Optional[ast.AST] = None
 
 
 ROADMAP = "ROADMAP item"
@@ -219,28 +252,18 @@ KEEPERS: Dict[str, Tuple[str, str]] = {
     # Reads a layer's unit tests check its state through, where no reached
     # method gives the same fact.
     "adaptive/telemetry.py:KeyTelemetry.get": (
-        ORACLE, "tests/adaptive: one key's decayed record"),
+        ORACLE, "tests/adaptive: one key's decayed record, first_seen and "
+                "traffic included (snapshot() leaves them out)"),
     "core/refresh.py:RefreshQueue.pending_keys": (
-        ORACLE, "tests/core, tests/cluster: the current context's backlog"),
-    "core/trigger_queue.py:TriggerOpQueue.pending_count": (
-        ORACLE, "tests/core, tests/sim: the current context's backlog"),
-    "core/trigger_queue.py:TriggerOpQueue.pending_keys": (
-        ORACLE, "tests/core, tests/sim: the current context's backlog"),
+        ORACLE, "tests/core, tests/cluster: the current context's backlog "
+                "by key (pending_count gives only its size)"),
     "storage/heap.py:HeapFile.fetch": (
-        ORACLE, "tests/storage/test_heap.py: one row by rowid"),
+        ORACLE, "tests/storage: one row by rowid, refusing an unknown one "
+                "(fetch_many skips it)"),
     "storage/heap.py:HeapFile.row_count": (
-        ORACLE, "tests/storage/test_heap.py, HeapFile.__repr__"),
+        ORACLE, "tests/storage; the Table and HeapFile __repr__"),
     "storage/heap.py:HeapFile.page_count": (
         ORACLE, "tests/storage/test_heap.py, HeapFile.__repr__"),
-    "storage/table.py:Table.row_count": (
-        ORACLE, "tests/storage/test_table.py"),
-    "storage/table.py:Table.fetch_by_pk": (
-        ORACLE, "tests/storage: a row by primary key, past the executor"),
-    "obs/tracer.py:Tracer.events": (ORACLE, "tests/obs/test_tracer.py"),
-    "obs/tracer.py:Tracer.spans_named": (
-        ORACLE, "tests/obs/test_tracing_differential.py"),
-    "obs/tracer.py:Tracer.categories": (
-        ORACLE, "tests/obs: the layers a traced replay crossed"),
 }
 
 
@@ -260,7 +283,8 @@ def functions() -> Tuple[Dict[Site, Function], Dict[str, Set[str]]]:
                                                   child.decorator_list])
                     name = prefix + child.name
                     found[(str(path), first)] = Function(
-                        relative, name, first, child.end_lineno, nested)
+                        relative, name, first, child.end_lineno, nested,
+                        isinstance(node, ast.ClassDef), child)
                     visit(child, name + ".", True)
                 elif isinstance(child, ast.ClassDef):
                     bases.setdefault(child.name, set()).update(
@@ -490,6 +514,479 @@ def triage(defined: Dict[Site, Function], seen: Set[Site],
     return Triage(kept, unkept, [key for key in keepers if key not in used])
 
 
+# -- the option pass --------------------------------------------------------
+
+FLAG = "command flag"
+DEPLOYMENT = "deployment"
+TEST_SCALE = "test scale"
+NOT_OPTION = "not an option"
+
+#: The configuration dataclasses, whose fields are options.  Each one's
+#: generated ``__init__`` is compiled from a string, not read from its file,
+#: so the pass knows it by the class of ``self``.
+CONFIGS = ("bench/scenarios.py:ScenarioConfig",
+           "workload/config.py:WorkloadConfig",
+           "sim/runner.py:SimulationOptions",
+           "storage/costmodel.py:CostModel")
+
+#: Names in an annotation that admit a scalar value.  A defaulted parameter
+#: annotated with none of them (``Optional[VirtualClock] = None``) takes an
+#: object: a dependency, not an option.
+SCALAR_TYPES = {"int", "float", "str", "bool", "Literal", "Any"}
+
+#: A value that is not a scalar, or an argument :mod:`ast` cannot evaluate.
+OBJECT = ("object",)
+
+_ITEM_18_UNDO = ("item 18: the undo path restores a row with "
+                 "fire_triggers=False")
+
+#: What keeps each option that one value reaches, when neither the frozen
+#: benchmark nor a band test supplies a second one: its second user.  A key
+#: is ``"path:Owner(name)"`` (the owner is the function, or the class for an
+#: ``__init__`` parameter or a config field), ``"path:Owner"`` for every
+#: option of one owner, or a module.  Value: (category, reason).
+OPTION_KEEPERS: Dict[str, Tuple[str, str]] = {
+    # A flag of a command sets it.
+    "bench/experiments.py:run_scenario(seed)": (
+        FLAG, "--seed (exp1, exp-contention) seeds the replay's scheduler"),
+    "bench/experiments.py:trace_contention_cell(seed)": (
+        FLAG, "exp-contention --trace-out --seed"),
+    "sim/interleave.py:build_scheduler(seed)": (
+        FLAG, "--seed (exp1, exp-contention) seeds the scheduler"),
+    "core/strategies.py:ConsistencyStrategy.flush_invalidations(single)": (
+        FLAG, "exp-batch --scenario Invalidate --batch-ops off: an eager "
+              "trigger drops each key alone"),
+    # What a function the frozen benchmark keeps passes.
+    "memcache/client.py:CacheClient._counters(label)": (
+        FROZEN, "CacheClient.decr_multi, which spans.py shadows, passes "
+                "cache:decr_multi"),
+    # Open ROADMAP items vary it.
+    "storage/costmodel.py:CostModel": (
+        ROADMAP, "item 11 takes each constant to x1/2 and x2"),
+    "core/txn2pl.py": (
+        ROADMAP, "item 9 (§3.3's serializable mode as a replayable "
+                 "strategy)"),
+    "storage/table.py:Table.insert(fire_triggers)": (ROADMAP, _ITEM_18_UNDO),
+    "storage/table.py:Table.update_row(fire_triggers)": (
+        ROADMAP, _ITEM_18_UNDO),
+    "storage/table.py:Table.delete_row(fire_triggers)": (
+        ROADMAP, _ITEM_18_UNDO),
+    "adaptive/strategy.py:AdaptiveStrategy(telemetry_capacity)": (
+        ROADMAP, "item 3 (c), and GOLDEN_FINGERPRINTS' "
+                 "Adaptive/telemetry-capacity=32"),
+    # Where the system runs.
+    "core/manager.py:CacheGenie(cache_address)": (
+        DEPLOYMENT, "the memcached address the generated triggers connect "
+                    "to"),
+    # What a band test sets through a config field.
+    "core/manager.py:CacheGenie(reuse_trigger_connections)": (
+        BAND, "benchmarks/test_ablation_connection_reuse.py, through "
+              "ScenarioConfig.reuse_trigger_connections"),
+    "memcache/client.py:CacheClient(reuse_connections)": (
+        BAND, "benchmarks/test_ablation_connection_reuse.py, through "
+              "ScenarioConfig.reuse_trigger_connections"),
+    # A structural size a test shrinks so that a split, an eviction, an
+    # overflow or a retry bound happens at test size.
+    "storage/btree.py:BPlusTree(order)": (
+        TEST_SCALE, "tests/storage/test_btree.py::TestBasicOperations::"
+                    "test_splits_grow_height (order 4)"),
+    "storage/heap.py:HeapFile(page_size)": (
+        TEST_SCALE, "tests/storage/test_heap.py::"
+                    "test_rows_spill_onto_multiple_pages (256 bytes)"),
+    "memcache/hashring.py:HashRing(replicas)": (
+        TEST_SCALE, "tests/memcache/test_multi_ops.py::"
+                    "test_virtual_node_collision_nudges_to_free_point (2)"),
+    "memcache/server.py:CacheServer(max_item_bytes)": (
+        TEST_SCALE, "tests/memcache/test_size_once.py::"
+                    "test_set_multi_failed_list_and_bytes (256 bytes)"),
+    "core/cache_classes/topk.py:TopKQuery(reserve)": (
+        TEST_SCALE, "tests/integration/test_topk_count_invariants.py "
+                    "(reserve 2: refills at test size)"),
+    "core/trigger_queue.py:TriggerOpQueue(cas_max_retries)": (
+        TEST_SCALE, "tests/core/test_trigger_queue.py::"
+                    "test_retries_exhausted_fall_back_to_invalidation (2)"),
+    "adaptive/telemetry.py:KeyTelemetry(capacity)": (
+        TEST_SCALE, "tests/adaptive/test_telemetry.py::TestEviction (2)"),
+    "workload/zipf.py:SessionCountSampler(max_sessions)": (
+        TEST_SCALE, "tests/workload/test_workload.py::"
+                    "test_session_count_sampler_follows_the_truncated_zeta_"
+                    "law (5)"),
+    "bench/experiments.py:micro_lookup": (
+        TEST_SCALE, "tests/storage/test_costmodel.py::"
+                    "test_btree_lookup_is_many_times_slower_than_cache_get"),
+    "bench/experiments.py:micro_trigger(inserts)": (
+        TEST_SCALE, "tests/bench/test_experiments_reporting.py::"
+                    "test_micro_trigger_ordering (40)"),
+    # A reference a test checks the reached value against.
+    "sim/runner.py:simulate_population(retain_completions)": (
+        REFERENCE, "tests/sim/test_runner.py checks streamed metrics "
+                   "against retained ones on one replay"),
+    "memcache/server.py:CacheServer.incr(delta)": (REFERENCE, _TIER_MODEL),
+    "storage/executor.py:Executor._scan(stop_at)": (
+        REFERENCE, "an index-ordered LIMIT stops early: GOLDEN_CORPUS pins "
+                   "the rows it charges"),
+}
+
+
+class Option(NamedTuple):
+    path: str        # relative to src/repro
+    owner: str       # "run_scenario", "CacheServer.set"; the class for
+                     # an __init__ parameter or a config field
+    name: str
+    position: int    # among the positional parameters after self; -1 if none
+    scalar: bool     # unannotated, or annotated with a scalar type
+    default: tuple   # as scalar() keeps it
+
+    @property
+    def key(self) -> str:
+        return f"{self.path}:{self.owner}({self.name})"
+
+
+def _scalar_typed(annotation) -> bool:
+    """Whether an annotation admits a scalar value: it is missing, or names
+    one of :data:`SCALAR_TYPES` outside a ``Callable[...]``."""
+    if annotation is None:
+        return True
+    stack = [annotation]
+    while stack:
+        node = stack.pop()
+        if (isinstance(node, ast.Subscript)
+                and getattr(node.value, "id", None) == "Callable"):
+            continue
+        if isinstance(node, ast.Name) and node.id in SCALAR_TYPES:
+            return True
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            stack.append(ast.parse(node.value, mode="eval").body)
+        stack.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def _literal(node) -> tuple:
+    """An argument or a default as :func:`scalar` keeps it, or
+    :data:`OBJECT` when it is not a literal."""
+    try:
+        return scalar(ast.literal_eval(node))
+    except ValueError:
+        return OBJECT
+
+
+def options(defined: Dict[Site, Function]
+            ) -> Tuple[Dict[Site, List[Option]], Dict[str, List[Option]]]:
+    """Every defaulted parameter of each ``def`` of :func:`functions`, by
+    its site, and every field of each of :data:`CONFIGS`, by
+    ``"path:Class"``."""
+    params: Dict[Site, List[Option]] = {}
+    for site, function in defined.items():
+        arguments = function.node.args
+        owner = function.name.rpartition(".")[0] if function.name.endswith(
+            ".__init__") else function.name
+        skip = int(function.method and not any(
+            getattr(d, "id", None) == "staticmethod"
+            for d in function.node.decorator_list))
+        positional = arguments.posonlyargs + arguments.args
+        first = len(positional) - len(arguments.defaults)
+        found = [Option(function.path, owner, arg.arg, index - skip,
+                        _scalar_typed(arg.annotation), _literal(default))
+                 for index, (arg, default) in enumerate(
+                     zip(positional[first:], arguments.defaults), first)]
+        found += [Option(function.path, owner, arg.arg, -1,
+                         _scalar_typed(arg.annotation), _literal(default))
+                  for arg, default in zip(arguments.kwonlyargs,
+                                          arguments.kw_defaults)
+                  if default is not None]
+        if found:
+            params[site] = found
+    fields: Dict[str, List[Option]] = {}
+    for key in CONFIGS:
+        path, _, name = key.partition(":")
+        tree = ast.parse((PACKAGE / path).read_text())
+        cls = next(node for node in tree.body
+                   if isinstance(node, ast.ClassDef) and node.name == name)
+        fields[key] = [
+            Option(path, name, item.target.id, index,
+                   _scalar_typed(item.annotation),
+                   OBJECT if item.value is None else _literal(item.value))
+            for index, item in enumerate(
+                item for item in cls.body if isinstance(item, ast.AnnAssign)
+                and isinstance(item.target, ast.Name))]
+    return params, fields
+
+
+SCALARS = (type(None), bool, int, float, str)
+
+
+def scalar(value) -> tuple:
+    """A value as the census keeps it: a scalar, or a tuple of scalars,
+    tagged with its type, so that ``1``, ``1.0`` and ``True`` stay apart;
+    anything else as :data:`OBJECT`."""
+    if type(value) in SCALARS or (type(value) is tuple and all(
+            type(item) in SCALARS for item in value)):
+        return (type(value).__name__, value)
+    return OBJECT
+
+
+GENERATOR_FLAGS = (inspect.CO_GENERATOR | inspect.CO_COROUTINE
+                   | inspect.CO_ASYNC_GENERATOR)
+
+
+@dataclasses.dataclass
+class _Probe:
+    field: int = 0
+
+
+#: Where every dataclass's generated ``__init__`` says it was defined: it is
+#: compiled from a string, so the census knows a config's by ``self``.
+GENERATED_INIT: Site = (_Probe.__init__.__code__.co_filename,
+                        _Probe.__init__.__code__.co_firstlineno)
+
+
+class Census:
+    """What the commands reach: the site of every code object that runs,
+    and the values each option takes.
+
+    Each is read from the frame's locals when its function is entered (a
+    generator's only at its first entry; a config field's when the
+    dataclass's generated ``__init__`` is).  An option is settled, and no
+    longer read, once it has two values or an object."""
+
+    def __init__(self, params: Dict[Site, List[Option]],
+                 fields: Dict[str, List[Option]]) -> None:
+        self.seen: Set[Site] = set()
+        self.values: Dict[str, Set[tuple]] = {}
+        self._watched: Dict[Site, List[Option]] = dict(params)
+        self._watched[GENERATED_INIT] = []
+        self._configs: Dict[Tuple[str, str], List[Option]] = {}
+        for key, found in fields.items():
+            path, _, name = key.partition(":")
+            module = "repro." + path[:-len(".py")].replace("/", ".")
+            self._configs[(module, name)] = found
+        self._first_resume: Dict[object, int] = {}
+
+    def _note(self, option: Option, value) -> bool:
+        """Record one value; whether the option is settled."""
+        values = self.values.setdefault(option.key, set())
+        if len(values) < 2 and OBJECT not in values:
+            values.add(scalar(value))
+        return len(values) >= 2 or OBJECT in values
+
+    def _resumed(self, frame) -> bool:
+        """Whether a generator's or coroutine's call event is a resume, not
+        its first entry: at the first, ``f_lasti`` is the offset of the
+        code's first ``RESUME`` (Python 3.11+), or -1 before it."""
+        code = frame.f_code
+        first = self._first_resume.get(code)
+        if first is None:
+            first = self._first_resume[code] = next(
+                (op.offset for op in dis.get_instructions(code)
+                 if op.opname == "RESUME"), -1)
+        return frame.f_lasti != first
+
+    def profiler(self) -> Callable:
+        """The ``sys.setprofile`` function: a closure over locals, since it
+        runs on every event of every command."""
+        seen_add, note, resumed = self.seen.add, self._note, self._resumed
+        watched, configs = self._watched, self._configs
+        watched_get = watched.get
+
+        def profile(frame, event, arg) -> None:
+            if event != "call":
+                return
+            code = frame.f_code
+            site = (code.co_filename, code.co_firstlineno)
+            seen_add(site)
+            options = watched_get(site)
+            if options is None or (code.co_flags & GENERATOR_FLAGS
+                                   and resumed(frame)):
+                return
+            local = frame.f_locals
+            if site == GENERATED_INIT:
+                # Every method a dataclass generates shares the site; only
+                # __init__ has the fields among its locals.
+                if code.co_name != "__init__":
+                    return
+                cls = type(local.get("self"))
+                for option in configs.get((cls.__module__, cls.__qualname__),
+                                          ()):
+                    note(option, local.get(option.name))
+            elif all([note(option, local.get(option.name))
+                      for option in options]):
+                watched.pop(site, None)
+        return profile
+
+
+#: One call read with :mod:`ast`: keyword, or position, -> the value passed.
+Call = Dict[object, tuple]
+
+
+def calls_in(paths: List[pathlib.Path]) -> Dict[str, List[Call]]:
+    """Callee -> every call of it in ``paths``, read with :mod:`ast`.  The
+    callee is the called name's last part (``GutterPool``,
+    ``with_overrides``); positions stop at the first ``*args``."""
+    found: Dict[str, List[Call]] = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = getattr(node.func, "id", None) or getattr(
+                node.func, "attr", None)
+            if callee is None:
+                continue
+            call: Call = {}
+            for index, arg in enumerate(node.args):
+                if isinstance(arg, ast.Starred):
+                    break
+                call[index] = _literal(arg)
+            call.update((keyword.arg, _literal(keyword.value))
+                        for keyword in node.keywords if keyword.arg)
+            found.setdefault(callee, []).append(call)
+    return found
+
+
+def band_paths() -> List[pathlib.Path]:
+    return sorted((ROOT / "benchmarks").glob("test_*.py"))
+
+
+def frozen_paths() -> List[pathlib.Path]:
+    return sorted(E2E.rglob("*.py"))
+
+
+def passed(calls: Dict[str, List[Call]], option: Option,
+           omitted: bool) -> Set[tuple]:
+    """The values ``calls`` give ``option``: by keyword or position to its
+    owner, and with ``omitted`` its default when a call of the owner leaves
+    it out.  A config field takes a keyword to any callee, because helpers
+    hand fields on (``_scenario_config(reuse_trigger_connections=True)``
+    builds a ``ScenarioConfig``)."""
+    owner = option.owner.rpartition(".")[2]
+    field = f"{option.path}:{option.owner}" in CONFIGS
+    found: Set[tuple] = set()
+    for callee, made in calls.items():
+        if callee != owner and not field:
+            continue
+        for call in made:
+            if option.name in call:
+                found.add(call[option.name])
+            elif callee == owner and option.position in call:
+                found.add(call[option.position])
+            elif callee == owner and omitted:
+                found.add(option.default)
+    return found
+
+
+def keeps_option(key: str, option: Option) -> bool:
+    """Whether the :data:`OPTION_KEEPERS` key names ``option``."""
+    path, _, name = key.partition(":")
+    return option.path == path and name in ("", option.owner,
+                                            f"{option.owner}({option.name})")
+
+
+def _family(bases: Dict[str, Set[str]], cls: str) -> Set[str]:
+    """``cls``'s ancestors and descendants."""
+    found, frontier = set(), {cls}
+    while frontier:
+        found |= frontier
+        frontier = set().union(*(bases.get(parent, set())
+                                 for parent in frontier)) - found
+    frontier = {cls}
+    while frontier:
+        found |= frontier
+        frontier = {c for c, parents in bases.items()
+                    if parents & frontier} - found
+    return found - {cls}
+
+
+class OptionTriage(NamedTuple):
+    options: Dict[str, Option]          # every reached option, by key
+    single: Dict[str, Option]           # the ones one scalar value reaches
+    kept: Dict[str, Tuple[str, str]]    # key -> (category, reason)
+    unkept: List[str]
+    unresolved: List[str]               # unkept, but a band test passes a
+                                        # value that is no literal
+    stale: List[str]                    # OPTION_KEEPERS keys that keep nothing
+
+
+def triage_options(reached: List[Option], values: Dict[str, Set[tuple]],
+                   keepers: Dict[str, Tuple[str, str]],
+                   frozen: Dict[str, List[Call]],
+                   band: Dict[str, List[Call]],
+                   bases: Dict[str, Set[str]]) -> OptionTriage:
+    """Sort every reached option that one scalar value reaches into kept or
+    unkept.  Its second user is the first of: none needed, its annotation
+    admits no scalar; the frozen benchmark passes it (any value: it cannot
+    be edited, so what it names stays); a band test passes another literal
+    value (leaving it out passes the default); a keeper row; or, by rule,
+    the same parameter of the method it overrides or that overrides it
+    takes two values or is kept.  A band test's argument that is no literal
+    (``seed=seed``) shows no second value: the option stays unkept, and is
+    listed as unresolved, until a row names the value it passes.  A keeper
+    row that keeps no option is stale."""
+    by_key = {option.key: option for option in reached}
+    single: Dict[str, Option] = {}
+    kept: Dict[str, Tuple[str, str]] = {}
+    used: Set[str] = set()
+    for key in sorted(by_key):
+        option = by_key[key]
+        seen = values.get(key, set())
+        if len(seen) != 1 or OBJECT in seen:
+            continue
+        single[key] = option
+        row = next((row for row in keepers if keeps_option(row, option)),
+                   None)
+        if not option.scalar:
+            kept[key] = (NOT_OPTION, "annotated with no scalar type")
+        elif passed(frozen, option, omitted=False):
+            kept[key] = (FROZEN, f"benchmarks/e2e passes {option.name}")
+        elif passed(band, option, omitted=True) - seen - {OBJECT}:
+            kept[key] = (BAND, f"a band test passes a second {option.name}")
+        elif row is not None:
+            kept[key] = keepers[row]
+            used.add(row)
+    unkept: List[str] = []
+    for key, option in single.items():
+        if key in kept:
+            continue
+        cls, _, method = option.owner.rpartition(".")
+        family = {f"{other}.{method}" for other in _family(bases, cls)
+                  } if cls and "." not in cls else set()
+        twin = next((other for other in by_key.values()
+                     if other.name == option.name and other.owner in family
+                     and (other.key in kept
+                          or len(values.get(other.key, ())) >= 2)), None)
+        if twin is not None:
+            kept[key] = (RULE, f"the interface's parameter, as "
+                               f"{twin.owner}({option.name})")
+        else:
+            unkept.append(key)
+    unresolved = [key for key in unkept
+                  if OBJECT in passed(band, single[key], omitted=False)]
+    return OptionTriage(by_key, single, kept, unkept, unresolved,
+                        [row for row in keepers if row not in used])
+
+
+def option_report(result: OptionTriage,
+                  values: Dict[str, Set[tuple]]) -> Iterator[str]:
+    for key in sorted(result.single):
+        (_tag, value), = values[key]
+        category, reason = result.kept.get(key, (
+            "UNKEPT", "a band test passes a value that is no literal; needs "
+                      "a row" if key in result.unresolved
+            else "no second user"))
+        yield f"  {key} = {value!r}  [{category}: {reason}]"
+    fields = sum(f"{option.path}:{option.owner}" in CONFIGS
+                 for option in result.options.values())
+    categories: Dict[str, int] = {}
+    for category, _reason in result.kept.values():
+        categories[category] = categories.get(category, 0) + 1
+    kept = ", ".join(f"{category} {categories[category]}"
+                     for category in sorted(categories))
+    yield (f"Options: {len(result.options) - fields} defaulted parameters "
+           f"and {fields} config fields reached; {len(result.single)} take "
+           f"one scalar value; kept: {kept or 'none'}; no second user: "
+           f"{len(result.unkept)}.")
+    for key in result.stale:
+        yield f"Stale option keeper (keeps no single-valued option): {key}"
+
+
 def golden_commands() -> List[List[str]]:
     sys.path.insert(0, str(ROOT))
     from tests.bench.test_golden_output import GOLDEN
@@ -508,17 +1005,12 @@ def _run_script(path: pathlib.Path, *args: str) -> None:
         sys.argv = argv
 
 
-def run_commands(seen: Set[Site]) -> None:
-    """Run every command with the profiler recording each code object."""
-
-    def profile(frame, event, arg):
-        if event == "call":
-            code = frame.f_code
-            seen.add((code.co_filename, code.co_firstlineno))
-
+def run_commands(census: Census) -> None:
+    """Run every command with the census profiling each call."""
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)
+        profile = census.profiler()
         sys.setprofile(profile)
         threading.setprofile(profile)
         try:
@@ -583,17 +1075,31 @@ def report(defined: Dict[Site, Function], result: Triage) -> Iterator[str]:
 def main(args: List[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", action="store_true",
-                        help="exit 1 when an unreached function has no "
-                             "keeper or a keeper keeps nothing")
+                        help="exit 1 when an unreached function or a "
+                             "single-valued option has no keeper, or a "
+                             "keeper keeps nothing")
     check = parser.parse_args(args).check
     defined, bases = functions()
-    seen: Set[Site] = set()
-    run_commands(seen)
-    result = triage(defined, seen, KEEPERS, frozen_sites(defined, bases),
-                    bases)
+    params, fields = options(defined)
+    census = Census(params, fields)
+    run_commands(census)
+    result = triage(defined, census.seen, KEEPERS,
+                    frozen_sites(defined, bases), bases)
     for line in report(defined, result):
         print(line)
-    return int(check and bool(result.unkept or result.stale))
+    reached = [option for site, found in params.items()
+               if site in census.seen for option in found]
+    reached += [option for found in fields.values() for option in found
+                if option.key in census.values]
+    options_result = triage_options(
+        reached, census.values, OPTION_KEEPERS, calls_in(frozen_paths()),
+        calls_in(band_paths()), bases)
+    print()
+    for line in option_report(options_result, census.values):
+        print(line)
+    return int(check and bool(result.unkept or result.stale
+                              or options_result.unkept
+                              or options_result.stale))
 
 
 if __name__ == "__main__":
