@@ -331,12 +331,12 @@ class AdaptiveStrategy(ConsistencyStrategy):
         return self._delegate(self.band_for(key)).expiry_for(
             cached_object, key=key)
 
-    def wrap_for_store(self, cached_object: "CacheClass", frozen: Any,
+    def wrap_for_store(self, cached_object: "CacheClass", value: Any,
                        key: Optional[str] = None) -> Any:
         if key is None:
-            return frozen
+            return value
         return self._delegate(self.band_for(key)).wrap_for_store(
-            cached_object, frozen, key=key)
+            cached_object, value, key=key)
 
     # -- read path -------------------------------------------------------------
 

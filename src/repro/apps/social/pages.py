@@ -51,13 +51,20 @@ WRITE_PAGES = (PAGE_CREATE_BM, PAGE_ACCEPT_FR)
 
 @dataclass
 class PageResult:
-    """Outcome of rendering one page."""
+    """What one rendered page showed.
+
+    ``shown`` maps each fragment to the values it displays, held by
+    reference exactly as the fragment got them: counts, row mappings (a
+    cached row is a read-only view over the stored dict), model instances,
+    or lists of them; a fragment of several values (the header) is a dict.
+    Nothing is copied or hashed while rendering.  The same page shows the
+    same values with or without the cache (§3.1), which is what
+    ``tests/apps/test_page_oracle.py`` checks.
+    """
 
     page: str
     user_id: int
-    items: int = 0
-    wrote: bool = False
-    detail: Dict[str, Any] = field(default_factory=dict)
+    shown: Dict[str, Any] = field(default_factory=dict)
 
 
 class SocialApplication:
@@ -98,7 +105,7 @@ class SocialApplication:
 
     # -- shared fragments -------------------------------------------------------
 
-    def _render_header(self, user_id: int) -> Dict[str, int]:
+    def _render_header(self, user_id: int) -> Dict[str, Any]:
         """The header shown on every page: badges for friends/invites/bookmarks.
 
         Pinax templates recompute these fragments in several template blocks,
@@ -109,7 +116,7 @@ class SocialApplication:
         with hooks.span("app:header", pause=True, user=user_id):
             return self._render_header_body(user_id)
 
-    def _render_header_body(self, user_id: int) -> Dict[str, int]:
+    def _render_header_body(self, user_id: int) -> Dict[str, Any]:
         fetched = self._fetch_many([
             ("user_by_id", {"id": user_id}),
             ("user_profile", {"user_id": user_id}),
@@ -122,41 +129,40 @@ class SocialApplication:
         ])
         if fetched is not None:
             (_user, _profile, friend_count, invitation_count,
-             bookmark_count, wall_count, _friendships, _invitations) = fetched
-            return {
-                "friends": friend_count,
-                "invitations": invitation_count,
-                "bookmarks": bookmark_count,
-                "wall_posts": wall_count,
-            }
-        list(User.objects.filter(id=user_id))
-        list(Profile.objects.filter(user_id=user_id))
-        friend_count = Friendship.objects.filter(from_user_id=user_id).count()
-        invitation_count = FriendshipInvitation.objects.filter(to_user_id=user_id).count()
-        bookmark_count = BookmarkInstance.objects.filter(user_id=user_id).count()
-        wall_count = WallPost.objects.filter(user_id=user_id).count()
-        # The "friends online" sidebar fragment re-reads the friendship edges
-        # and the invitation list (both cacheable FeatureQuery patterns).
-        list(Friendship.objects.filter(from_user_id=user_id))
-        list(FriendshipInvitation.objects.filter(to_user_id=user_id))
+             bookmark_count, wall_count, friendships, invitations) = fetched
+        else:
+            list(User.objects.filter(id=user_id))
+            list(Profile.objects.filter(user_id=user_id))
+            friend_count = Friendship.objects.filter(from_user_id=user_id).count()
+            invitation_count = FriendshipInvitation.objects.filter(to_user_id=user_id).count()
+            bookmark_count = BookmarkInstance.objects.filter(user_id=user_id).count()
+            wall_count = WallPost.objects.filter(user_id=user_id).count()
+            # The "friends online" sidebar fragment re-reads the friendship edges
+            # and the invitation list (both cacheable FeatureQuery patterns).
+            friendships = list(Friendship.objects.filter(from_user_id=user_id))
+            invitations = list(FriendshipInvitation.objects.filter(to_user_id=user_id))
         return {
             "friends": friend_count,
             "invitations": invitation_count,
             "bookmarks": bookmark_count,
             "wall_posts": wall_count,
+            "friendships": friendships,
+            "invitation_list": invitations,
         }
 
-    def _render_uncacheable_fragments(self, user_id: int) -> None:
+    def _render_uncacheable_fragments(self, user_id: int) -> Dict[str, Any]:
         """Queries whose patterns CacheGenie does not cache (§3.1).
 
         The paper notes that workloads contain infrequent query shapes outside
         the supported patterns, and that these uncached queries are what keeps
         the database on the critical path even in the cached configurations.
         """
-        # Range predicate: not an equality FeatureQuery, so never intercepted.
-        list(BookmarkInstance.objects.filter(user_id=user_id, added__gt=0.0)[:3])
-        # Count keyed on a column no cached object covers (sender, not owner).
-        WallPost.objects.filter(sender_id=user_id).count()
+        return {
+            # Range predicate: not an equality FeatureQuery, so never intercepted.
+            "recent": list(BookmarkInstance.objects.filter(user_id=user_id, added__gt=0.0)[:3]),
+            # Count keyed on a column no cached object covers (sender, not owner).
+            "sent_wall_posts": WallPost.objects.filter(sender_id=user_id).count(),
+        }
 
     def _load_account(self, user_id: int) -> Dict[str, Any]:
         with hooks.span("app:account", pause=True, user=user_id):
@@ -182,7 +188,9 @@ class SocialApplication:
         friend_ids = [f.to_user_id for f in Friendship.objects.filter(from_user_id=user_id)]
         if not friend_ids:
             return []
-        return [u.to_dict() for u in User.objects.filter(id__in=friend_ids)]
+        # One row per friendship edge, as the cached join returns them.
+        users = {u.pk: u for u in User.objects.filter(id__in=friend_ids)}
+        return [users[pk].to_dict() for pk in friend_ids if pk in users]
 
     def _friend_bookmarks(self, user_id: int) -> List[Dict[str, Any]]:
         """Bookmarks saved by the user's friends (the expensive join)."""
@@ -207,79 +215,92 @@ class SocialApplication:
             ("wall_post_count", {"user_id": user_id}),
         ])
         if wall_fragment is not None:
-            wall = wall_fragment[0]
+            wall, wall_count = wall_fragment
         else:
             wall = list(WallPost.objects.filter(user_id=user_id)
                         .order_by("-date_posted")[:20])
-            WallPost.objects.filter(user_id=user_id).count()
-        self._render_uncacheable_fragments(user_id)
-        return PageResult(page=PAGE_LOGIN, user_id=user_id,
-                          items=len(wall), detail={"header": header,
-                                                   "has_profile": account["profile"] is not None})
+            wall_count = WallPost.objects.filter(user_id=user_id).count()
+        return PageResult(page=PAGE_LOGIN, user_id=user_id, shown={
+            "account": account, "header": header, "wall": wall,
+            "wall_count": wall_count,
+            "uncacheable": self._render_uncacheable_fragments(user_id)})
 
     def logout(self, user_id: int) -> PageResult:
         """Logout: a light page — account row plus a couple of badges."""
-        self._load_account(user_id)
-        if self._fetch_many([("user_bookmark_count", {"user_id": user_id})]) is None:
-            BookmarkInstance.objects.filter(user_id=user_id).count()
-        return PageResult(page=PAGE_LOGOUT, user_id=user_id)
+        account = self._load_account(user_id)
+        fetched = self._fetch_many([("user_bookmark_count", {"user_id": user_id})])
+        if fetched is not None:
+            (bookmark_count,) = fetched
+        else:
+            bookmark_count = BookmarkInstance.objects.filter(user_id=user_id).count()
+        return PageResult(page=PAGE_LOGOUT, user_id=user_id, shown={
+            "account": account, "bookmark_count": bookmark_count})
 
     def lookup_bookmarks(self, user_id: int) -> PageResult:
         """LookupBM: the user's saved bookmarks with per-bookmark save counts."""
-        self._load_account(user_id)
+        account = self._load_account(user_id)
         header = self._render_header(user_id)
         lists_fragment = self._fetch_many([
             ("bookmarks_of_user", {"user_id": user_id}),
             ("latest_bookmarks", {"user_id": user_id}),
         ])
         if lists_fragment is not None:
-            instance_rows, latest = lists_fragment
+            instances, latest = lists_fragment
+            listed = [r["bookmark_id"] for r in instances[:20]]
             # One more multi-get for the per-bookmark save-count badges (the
             # keys depend on the instance list, so they form a second batch).
-            self._fetch_many([("bookmark_save_count", {"bookmark_id": r["bookmark_id"]})
-                              for r in instance_rows[:20]])
-            bookmark_ids = [r["bookmark_id"] for r in instance_rows[:1]]
+            save_counts = self._fetch_many([
+                ("bookmark_save_count", {"bookmark_id": bookmark_id})
+                for bookmark_id in listed])
         else:
             instances = list(BookmarkInstance.objects.filter(user_id=user_id))
-            instance_rows = instances
+            listed = [instance.bookmark_id for instance in instances[:20]]
             # The Pinax template shows, for each listed bookmark, how many users
             # saved it, plus the unique bookmark's details (not a cached pattern:
             # the Bookmark-by-id rows are fetched straight from the database).
-            for instance in instances[:20]:
-                BookmarkInstance.objects.filter(bookmark_id=instance.bookmark_id).count()
-            bookmark_ids = [instance.bookmark_id for instance in instances[:1]]
+            save_counts = [BookmarkInstance.objects.filter(bookmark_id=bookmark_id).count()
+                           for bookmark_id in listed]
             latest = list(BookmarkInstance.objects.filter(user_id=user_id)
                           .order_by("-added")[:10])
-        for bookmark_id in bookmark_ids:
-            list(Bookmark.objects.filter(id=bookmark_id))
-        self._render_uncacheable_fragments(user_id)
-        return PageResult(page=PAGE_LOOKUP_BM, user_id=user_id,
-                          items=len(instance_rows), detail={"header": header,
-                                                            "latest": len(latest)})
+        return PageResult(page=PAGE_LOOKUP_BM, user_id=user_id, shown={
+            "account": account, "header": header, "bookmarks": instances,
+            "latest": latest, "save_counts": list(zip(listed, save_counts)),
+            "bookmark_details": self._bookmark_details(listed[:1]),
+            "uncacheable": self._render_uncacheable_fragments(user_id)})
+
+    @staticmethod
+    def _bookmark_details(bookmark_ids: List[int]) -> List[Bookmark]:
+        """The unique bookmarks' rows, straight from the database."""
+        return [bookmark for bookmark_id in bookmark_ids
+                for bookmark in Bookmark.objects.filter(id=bookmark_id)]
 
     def lookup_friend_bookmarks(self, user_id: int) -> PageResult:
         """LookupFBM: bookmarks created by the user's friends."""
-        self._load_account(user_id)
+        account = self._load_account(user_id)
         header = self._render_header(user_id)
         fetched = self._fetch_many([("friend_bookmarks", {"from_user_id": user_id})])
         if fetched is not None:
-            friend_bookmarks = fetched[0]
+            (friend_bookmarks,) = fetched
+            listed = [row["bookmark_id"] for row in friend_bookmarks[:10]]
             # Save-count badges for the first page of results, batched.
-            self._fetch_many([("bookmark_save_count", {"bookmark_id": row["bookmark_id"]})
-                              for row in friend_bookmarks[:10]])
+            save_counts = self._fetch_many([
+                ("bookmark_save_count", {"bookmark_id": bookmark_id})
+                for bookmark_id in listed])
         else:
             friend_bookmarks = self._friend_bookmarks(user_id)
+            listed = [row["bookmark_id"] for row in friend_bookmarks[:10]]
             # Show save counts for the first page of results, one query each.
-            for row in friend_bookmarks[:10]:
-                BookmarkInstance.objects.filter(bookmark_id=row["bookmark_id"]).count()
-        for row in friend_bookmarks[:1]:
-            list(Bookmark.objects.filter(id=row["bookmark_id"]))
-        return PageResult(page=PAGE_LOOKUP_FBM, user_id=user_id,
-                          items=len(friend_bookmarks), detail={"header": header})
+            save_counts = [BookmarkInstance.objects.filter(bookmark_id=bookmark_id).count()
+                           for bookmark_id in listed]
+        return PageResult(page=PAGE_LOOKUP_FBM, user_id=user_id, shown={
+            "account": account, "header": header,
+            "friend_bookmarks": friend_bookmarks,
+            "save_counts": list(zip(listed, save_counts)),
+            "bookmark_details": self._bookmark_details(listed[:1])})
 
     def create_bookmark(self, user_id: int) -> PageResult:
         """CreateBM: save a (possibly new) bookmark, then re-render the list."""
-        self._load_account(user_id)
+        account = self._load_account(user_id)
         header = self._render_header(user_id)
         # Users mostly re-save URLs that already circulate on the site (the
         # seeded unique bookmarks), occasionally introducing new ones.
@@ -294,25 +315,31 @@ class SocialApplication:
         hooks.pause("app:post-write")
         # Post-save renders: the redirect shows the user's bookmark list again,
         # including the fresh entry, its save count, and the latest-first view.
-        if self._fetch_many([
+        after = self._fetch_many([
             ("user_bookmark_count", {"user_id": user_id}),
             ("bookmarks_of_user", {"user_id": user_id}),
             ("latest_bookmarks", {"user_id": user_id}),
             ("bookmark_save_count", {"bookmark_id": bookmark.pk}),
-        ]) is None:
-            BookmarkInstance.objects.filter(user_id=user_id).count()
-            list(BookmarkInstance.objects.filter(user_id=user_id))
-            list(BookmarkInstance.objects.filter(user_id=user_id).order_by("-added")[:10])
-            BookmarkInstance.objects.filter(bookmark_id=bookmark.pk).count()
-        self._render_header(user_id)
-        return PageResult(page=PAGE_CREATE_BM, user_id=user_id, wrote=True,
-                          items=1, detail={"header": header,
-                                           "new_bookmark": created,
-                                           "bookmark_id": bookmark.pk})
+        ])
+        if after is None:
+            after = [
+                BookmarkInstance.objects.filter(user_id=user_id).count(),
+                list(BookmarkInstance.objects.filter(user_id=user_id)),
+                list(BookmarkInstance.objects.filter(user_id=user_id)
+                     .order_by("-added")[:10]),
+                BookmarkInstance.objects.filter(bookmark_id=bookmark.pk).count(),
+            ]
+        bookmark_count, bookmarks, latest, saves = after
+        return PageResult(page=PAGE_CREATE_BM, user_id=user_id, shown={
+            "account": account, "header": header, "saved": bookmark,
+            "created": created, "instance": instance,
+            "bookmark_count": bookmark_count, "bookmarks": bookmarks,
+            "latest": latest, "saves": saves,
+            "header_after": self._render_header(user_id)})
 
     def accept_friend_request(self, user_id: int) -> PageResult:
         """AcceptFR: accept one pending invitation (or send one if none pending)."""
-        self._load_account(user_id)
+        account = self._load_account(user_id)
         header = self._render_header(user_id)
         fetched = self._fetch_many([("invitations_to_user", {"to_user_id": user_id})])
         if fetched is not None:
@@ -344,20 +371,27 @@ class SocialApplication:
         hooks.pause("app:post-write")
         # Re-render the friends panel after the write: the updated counts, the
         # friend list, and the new friend's recent activity (their bookmarks).
-        if self._fetch_many([
+        after = self._fetch_many([
             ("friend_count", {"from_user_id": user_id}),
             ("friends_of_user", {"from_user_id": user_id}),
             ("pending_invitation_count", {"to_user_id": user_id}),
             ("friend_bookmarks", {"from_user_id": user_id}),
-        ]) is None:
-            Friendship.objects.filter(from_user_id=user_id).count()
-            self._friends_of(user_id)
-            FriendshipInvitation.objects.filter(to_user_id=user_id).count()
-            self._friend_bookmarks(user_id)
-        self._render_header(user_id)
-        return PageResult(page=PAGE_ACCEPT_FR, user_id=user_id, wrote=True,
-                          detail={"header": header, "accepted": accepted,
-                                  "other_user": other})
+        ])
+        if after is None:
+            after = [
+                Friendship.objects.filter(from_user_id=user_id).count(),
+                self._friends_of(user_id),
+                FriendshipInvitation.objects.filter(to_user_id=user_id).count(),
+                self._friend_bookmarks(user_id),
+            ]
+        friend_count, friends, invitation_count, friend_bookmarks = after
+        return PageResult(page=PAGE_ACCEPT_FR, user_id=user_id, shown={
+            "account": account, "header": header, "pending": pending,
+            "accepted": accepted, "other_user": other,
+            "friend_count": friend_count, "friends": friends,
+            "invitation_count": invitation_count,
+            "friend_bookmarks": friend_bookmarks,
+            "header_after": self._render_header(user_id)})
 
     def _pick_other_user(self, user_id: int) -> int:
         total_users = User.objects.count()

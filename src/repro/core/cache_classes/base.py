@@ -29,7 +29,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CH
 from ...errors import CacheClassError, FieldError
 from ...orm.template import QueryTemplate
 from ..keys import KeyScheme, fingerprint
-from ..serializer import freeze_rows, freeze_value, thaw_rows
+# freeze_rows/freeze_value: benchmarks/e2e/e2ebench/spans.py looks them up here.
+from ..serializer import freeze_rows, freeze_value, thaw_rows  # noqa: F401
 from ..stats import CachedObjectStats
 from ..strategies import (ConsistencyStrategy, UPDATE_IN_PLACE, is_envelope,
                           read_through, resolve_strategy, unwrap_envelope)
@@ -209,20 +210,23 @@ class CacheClass:
         normalized = self._normalize_params(params)
         return self.strategy.fetch(self, self._key_of(normalized), normalized)
 
-    def _present(self, thawed: Any) -> Any:
-        """Shape a thawed cached value the way evaluate() hands it out.
+    def _present(self, value: Any) -> Any:
+        """Shape a stored value the way evaluate() hands it out: a new list
+        of read-only views over the stored rows (:func:`thaw_rows`), never a
+        copy of one.
 
-        Subclasses whose :meth:`evaluate` post-processes the raw cached value
-        (TopKQuery trims the reserve rows) override this so the batched
-        :func:`evaluate_many` path returns the same shape.
+        Subclasses whose values are shaped differently override this
+        (TopKQuery trims the reserve rows, CountQuery hands out the count).
         """
-        return thawed
+        return thaw_rows(value)
 
     def peek(self, **params: Any) -> Optional[Any]:
-        """Return the cached value without falling back to the database."""
+        """Return the cached value as stored, without falling back to the
+        database: a row list as views (a Top-K list with its reserve rows),
+        a count as itself."""
         key = self._key_of(self._normalize_params(params))
         value = unwrap_envelope(self.app_cache.get(key))
-        return self._thaw(value) if value is not None else None
+        return thaw_rows(value) if isinstance(value, list) else value
 
     def _normalize_params(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """Accept field names or columns; resolve model instances to pks."""
@@ -240,14 +244,6 @@ class CacheClass:
                 value = value.pk
             normalized[column] = value
         return normalized
-
-    # Value freezing/thawing: subclasses override for non-list values.
-
-    def _freeze(self, value: Any) -> Any:
-        return freeze_rows(value)
-
-    def _thaw(self, value: Any) -> Any:
-        return thaw_rows(value)
 
     # -- transparent interception -------------------------------------------------
 
@@ -402,15 +398,14 @@ class CacheClass:
             # sees the transaction's final state exactly once per key.
             queue.enqueue_mutate(
                 self, key,
-                lambda _current: self._freeze(self.compute_from_db(params)),
+                lambda _current: self.compute_from_db(params),
                 counter="recomputations")
             return
         current, _token = self.trigger_cache.gets(key)
         if current is None:
             # Paper semantics: triggers only maintain entries already cached.
             return
-        value = self.compute_from_db(params)
-        self.trigger_cache.set(key, self._freeze(value))
+        self.trigger_cache.set(key, self.compute_from_db(params))
         self.stats.recomputations += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

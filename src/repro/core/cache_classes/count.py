@@ -10,13 +10,9 @@ The cached value is a plain integer.  Update-in-place uses memcached's
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, TYPE_CHECKING
+from typing import Any, Dict, Optional
 
-from ..serializer import freeze_value
 from .base import CacheClass
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ...orm.queryset import QueryDescription
 
 
 class CountQuery(CacheClass):
@@ -29,19 +25,10 @@ class CountQuery(CacheClass):
     def compute_from_db(self, params: Dict[str, Any]) -> int:
         return self.db.count(self.template.query(params))
 
-    # -- value handling ------------------------------------------------------------
+    # -- evaluation shaping: the count itself ---------------------------------------
 
-    def _freeze(self, value: Any) -> Any:
-        return int(value)
-
-    def _thaw(self, value: Any) -> Any:
-        return int(value)
-
-    # -- transparent interception ----------------------------------------------------
-
-    def result_for_application(self, value: int,
-                               description: "QueryDescription") -> int:
-        return int(value)
+    def _present(self, value: int) -> int:
+        return value
 
     # -- update-in-place ---------------------------------------------------------------
 

@@ -31,7 +31,7 @@ class FeatureQuery(CacheClass):
 
     def result_for_application(self, value: List[Dict[str, Any]],
                                description: "QueryDescription") -> Any:
-        rows = list(value)
+        rows = value
         if description.order_by:
             for column, descending in reversed(description.order_by):
                 rows.sort(key=lambda r, c=column: (r.get(c) is None, r.get(c)),
@@ -74,7 +74,7 @@ class FeatureQuery(CacheClass):
     def _append_row(rows: List[Dict[str, Any]], new: Dict[str, Any],
                     pk_column: str) -> List[Dict[str, Any]]:
         out = [r for r in rows if r.get(pk_column) != new.get(pk_column)]
-        out.append(dict(new))
+        out.append(new)
         return out
 
     @staticmethod
@@ -89,10 +89,10 @@ class FeatureQuery(CacheClass):
         replaced = False
         for row in rows:
             if row.get(pk_column) == new.get(pk_column):
-                out.append(dict(new))
+                out.append(new)
                 replaced = True
             else:
                 out.append(row)
         if not replaced:
-            out.append(dict(new))
+            out.append(new)
         return out

@@ -184,7 +184,7 @@ class LinkQuery(CacheClass):
     def _append_row(rows: List[Dict[str, Any]], new: Dict[str, Any], pk_column: str,
                     order_column: Optional[str], descending: bool) -> List[Dict[str, Any]]:
         out = [r for r in rows if r.get(pk_column) != new.get(pk_column)]
-        out.append(dict(new))
+        out.append(new)
         if order_column is not None:
             out.sort(key=lambda r: (r.get(order_column) is None, r.get(order_column)),
                      reverse=descending)
@@ -205,7 +205,7 @@ class LinkQuery(CacheClass):
         changed = False
         for row in rows:
             if row.get(pk_column) == new.get(pk_column):
-                out.append(dict(new))
+                out.append(new)
                 changed = True
             else:
                 out.append(row)

@@ -50,13 +50,13 @@ class TopKQuery(CacheClass):
     def result_for_application(self, value: List[Dict[str, Any]],
                                description: "QueryDescription") -> Any:
         limit = description.limit if description.limit is not None else self.k
-        return list(value)[: min(limit, self.k)]
+        return value[: min(limit, self.k)]
 
     # -- evaluation shaping: never hand out more than K rows -------------------------
 
-    def _present(self, thawed: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    def _present(self, value: List[Dict[str, Any]]) -> Any:
         """Trim the cached reserve rows: callers only ever see the top K."""
-        return list(thawed)[: self.k]
+        return super()._present(value[: self.k])
 
     # -- update-in-place ---------------------------------------------------------------
 
@@ -82,7 +82,7 @@ class TopKQuery(CacheClass):
                     out = self._remove(rows, old, pk_column)
                     if out is not None and len(out) < self.k:
                         self.stats.recomputations += 1
-                        return self._freeze(self.compute_from_db(params))
+                        return self.compute_from_db(params)
                     return out
                 queue.enqueue_mutate(self, key, remove_and_refill)
                 return
@@ -131,7 +131,7 @@ class TopKQuery(CacheClass):
         if insert_pos >= self.capacity:
             # The new row sorts below everything we keep: nothing to do.
             return out if len(out) != len(rows) else None
-        out.insert(insert_pos, dict(new))
+        out.insert(insert_pos, new)
         return out[: self.capacity]
 
     def _remove(self, rows: List[Dict[str, Any]], old: Dict[str, Any],

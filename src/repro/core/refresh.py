@@ -225,13 +225,12 @@ class RefreshQueue:
 
     def _run(self, entry: _PendingRefresh) -> None:
         cached_object = entry.cached_object
-        frozen = cached_object._freeze(
-            cached_object.compute_from_db(entry.params))
+        value = cached_object.compute_from_db(entry.params)
         # Stored through the *current* strategy: if the key's band switched
         # while the refresh was pending (adaptive consistency), the store
         # re-homes the entry under the new band's envelope + TTL.
         cached_object.strategy.store(cached_object, cached_object.app_cache,
-                                     entry.key, frozen)
+                                     entry.key, value)
         cached_object.stats.recomputations += 1
         telemetry = getattr(cached_object.app_cache, "telemetry", None)
         if telemetry is not None:

@@ -1,53 +1,50 @@
-"""Value (de)serialization between CacheGenie and the cache.
+"""How cached rows pass between CacheGenie and the application.
 
-Real memcached stores opaque bytes, which naturally decouples cached values
-from live application objects.  Our in-process cache stores Python objects,
-so CacheGenie defensively copies values on the way in and out — otherwise a
-caller mutating a returned row list would silently corrupt the cache.
+The cache keeps "the raw results of queries and not Django model objects"
+(the paper): plain dicts, ints and lists that any consumer can rebuild
+model instances from.  Real memcached stores opaque bytes; our in-process
+servers store the Python objects themselves, and what those objects would
+cost on the wire is modelled separately (``cache_bytes_moved``, sized once
+per store by :func:`repro.memcache.item.sizeof_value`).
 
-Row dictionaries are also *normalized*: the paper caches "the raw results of
-queries and not Django model objects", so values are plain dicts / ints /
-lists that any consumer can reconstruct model instances from.
+No row is copied on the way in or out.  The storage engine's row-ownership
+rule (:mod:`repro.storage.rows`) extends to the cache: **a stored value is
+never mutated**.
+
+* A store keeps the fresh rows the database returned
+  (``compute_from_db``), or the copy of a row that
+  :meth:`~repro.storage.triggers.TriggerManager.fire` makes for each
+  trigger; a patch builds a new list and never edits the old one.
+* A hit hands out a new ``list`` of read-only
+  :class:`types.MappingProxyType` views over the stored rows
+  (:func:`thaw_rows`).  A caller that assigns into a row gets
+  ``TypeError`` instead of a silently detached copy.
+
+Stored rows stay plain dicts: a view does not pickle, so storing one would
+change every modelled byte count (and ``sizeof_value`` refuses it).
 """
 
 from __future__ import annotations
 
-import copy
-from typing import Any, Dict, List, Sequence
-
-#: The immutable scalar types: ``copy.deepcopy`` of one (exactly one — not a
-#: subclass, which it reconstructs) is the object itself, so a shallow
-#: ``dict()`` of a row holding only these *is* its deep copy.
-_ATOMIC_TYPES = frozenset((str, int, float, bool, bytes, type(None)))
+from types import MappingProxyType
+from typing import Any, List, Mapping, Sequence
 
 
-def _copy_row(row: Dict[str, Any]) -> Dict[str, Any]:
-    """A copy of ``row`` sharing no mutable state with it.
-
-    Equal to ``copy.deepcopy(row)``; rows of scalars (every row the ORM
-    produces) take the shallow copy, anything holding a container or an
-    object falls back to the deep one.
-    """
-    out = dict(row)
-    if _ATOMIC_TYPES.issuperset(map(type, out.values())):
-        return out
-    return copy.deepcopy(out)
-
-
-def freeze_rows(rows: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """Deep-copy a list of row dicts for storage in the cache."""
-    return [_copy_row(row) for row in rows]
-
-
-def thaw_rows(value: Any) -> List[Dict[str, Any]]:
-    """Deep-copy a cached list of row dicts for return to the application."""
+def thaw_rows(value: Any) -> List[Mapping[str, Any]]:
+    """A new list of read-only views over a cached list of row dicts."""
     if value is None:
         return []
-    return [_copy_row(row) for row in value]
+    return list(map(MappingProxyType, value))
+
+
+def freeze_rows(rows: Sequence[Any]) -> Sequence[Any]:
+    """What a store does to rows: nothing, since a stored value is never
+    mutated.  No store calls it; like :func:`freeze_value` it remains as a
+    named entry point, which the frozen benchmark's span recorder
+    (``benchmarks/e2e``) looks up on :mod:`repro.core.cache_classes.base`."""
+    return rows
 
 
 def freeze_value(value: Any) -> Any:
-    """Deep-copy an arbitrary cached value (counts are immutable ints)."""
-    if type(value) in _ATOMIC_TYPES:
-        return value
-    return copy.deepcopy(value)
+    """What a store does to any cached value: nothing (see :func:`freeze_rows`)."""
+    return value

@@ -123,7 +123,7 @@ def is_envelope(value: Any) -> bool:
 
 
 def unwrap_envelope(value: Any) -> Any:
-    """The frozen value inside an async-refresh envelope; any other value
+    """The stored value inside an async-refresh envelope; any other value
     is returned as it is."""
     return value["value"] if is_envelope(value) else value
 
@@ -171,7 +171,7 @@ def read_through(client: Any, entries: Sequence[ReadEntry],
     results: List[Any] = []
     for cached_object, key, normalized in entries:
         if key in found:
-            frozen, stale = found[key]
+            value, stale = found[key]
             cached_object.stats.cache_hits += 1
             if stale:
                 cached_object.stats.stale_served += 1
@@ -179,17 +179,15 @@ def read_through(client: Any, entries: Sequence[ReadEntry],
             # A duplicate request in the same batch: serve the value computed
             # a moment ago (a sequential loop would have hit the fresh entry).
             cached_object.stats.cache_hits += 1
-            frozen = computed[key]
+            value = computed[key]
         else:
             cached_object.stats.cache_misses += 1
             cached_object.stats.db_fallbacks += 1
-            value = cached_object.compute_from_db(normalized)
-            frozen = cached_object._freeze(value)
-            computed[key] = frozen
+            value = computed[key] = cached_object.compute_from_db(normalized)
             writes.setdefault(cached_object._expire(key), {})[key] = \
-                cached_object.strategy.wrap_for_store(cached_object, frozen,
+                cached_object.strategy.wrap_for_store(cached_object, value,
                                                       key=key)
-        results.append(cached_object._present(cached_object._thaw(frozen)))
+        results.append(cached_object._present(value))
     for expire, mapping in writes.items():
         if single:
             [(key, value)] = mapping.items()
@@ -255,18 +253,18 @@ class ConsistencyStrategy:
         """
         return None
 
-    def wrap_for_store(self, cached_object: "CacheClass", frozen: Any,
+    def wrap_for_store(self, cached_object: "CacheClass", value: Any,
                        key: Optional[str] = None) -> Any:
-        """Envelope a frozen value before it is stored (identity by default).
+        """Envelope a value before it is stored (identity by default).
 
         ``key`` is the cache key being stored (see :meth:`expiry_for`).
         """
-        return frozen
+        return value
 
     def store(self, cached_object: "CacheClass", client: Any, key: str,
-              frozen: Any) -> None:
+              value: Any) -> None:
         """Write a computed value through this strategy's envelope + TTL."""
-        client.set(key, self.wrap_for_store(cached_object, frozen, key=key),
+        client.set(key, self.wrap_for_store(cached_object, value, key=key),
                    expire=self.expiry_for(cached_object, key=key))
 
     # -- read path -------------------------------------------------------------
@@ -283,7 +281,7 @@ class ConsistencyStrategy:
         """The read protocol of :func:`read_through`.
 
         ``items`` carries unique keys with their owning object and
-        parameters.  Returns ``{key: (frozen_value, was_stale)}`` for every
+        parameters.  Returns ``{key: (stored_value, was_stale)}`` for every
         key this strategy can serve without the database; the caller
         computes the rest and writes them back.  Side effects (scheduling
         refreshes) happen here; per-request hit/miss statistics are counted
@@ -576,14 +574,14 @@ class AsyncRefreshStrategy(ConsistencyStrategy):
                    key: Optional[str] = None) -> Optional[float]:
         return self._freshness_window(cached_object) + self.stale_grace_seconds
 
-    def wrap_for_store(self, cached_object: "CacheClass", frozen: Any,
+    def wrap_for_store(self, cached_object: "CacheClass", value: Any,
                        key: Optional[str] = None) -> Any:
         deadline = (cached_object.genie.now()
                     + self._freshness_window(cached_object))
-        return {_FRESH_UNTIL_KEY: deadline, "value": frozen}
+        return {_FRESH_UNTIL_KEY: deadline, "value": value}
 
     def _unwrap(self, cached_object: "CacheClass", raw: Any) -> Tuple[Any, bool]:
-        """Return ``(frozen_value, is_stale)`` from a stored envelope."""
+        """Return ``(stored_value, is_stale)`` from a stored envelope."""
         if isinstance(raw, dict) and _FRESH_UNTIL_KEY in raw:
             stale = cached_object.genie.now() > raw[_FRESH_UNTIL_KEY]
             return raw["value"], stale
@@ -599,10 +597,10 @@ class AsyncRefreshStrategy(ConsistencyStrategy):
             raw = found.get(key)
             if raw is None:
                 continue
-            frozen, stale = self._unwrap(cached_object, raw)
+            value, stale = self._unwrap(cached_object, raw)
             if stale:
                 cached_object.genie.schedule_refresh(cached_object, key, params)
-            served[key] = (frozen, stale)
+            served[key] = (value, stale)
         return served
 
     def describe(self) -> Dict[str, Any]:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import pickle
-import sys
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -14,7 +13,9 @@ def sizeof_value(value: Any) -> int:
     Real memcached stores opaque byte strings; clients serialize values
     before sending them.  We estimate the pickled size so that eviction under
     a memory cap behaves realistically without paying full serialization cost
-    on every operation for simple types.
+    on every operation for simple types.  A value that does not pickle (a
+    read-only row view, a lambda) cannot be sent to memcached, so its store
+    fails here with the pickling error rather than being given a wrong size.
     """
     if isinstance(value, bytes):
         return len(value)
@@ -22,10 +23,7 @@ def sizeof_value(value: Any) -> int:
         return len(value.encode("utf-8", errors="replace"))
     if isinstance(value, (int, float, bool)) or value is None:
         return 16
-    try:
-        return len(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
-    except Exception:  # pragma: no cover - unpicklable exotic objects
-        return sys.getsizeof(value)
+    return len(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 #: Per-item bookkeeping overhead (memcached's item header).

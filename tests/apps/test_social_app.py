@@ -77,7 +77,7 @@ class TestPagesWithoutCache:
         url = f"http://example.com/page/{random.Random(7).randrange(0, 300)}"
         app.rng = random.Random(7)
         result = app.create_bookmark(3)
-        assert result.wrote
+        assert result.shown["instance"].user_id == 3
         assert BookmarkInstance.objects.filter(user_id=3).count() == before + 1
         # Saving the same URL again reuses the unique Bookmark row.
         app.rng = random.Random(7)
@@ -90,9 +90,9 @@ class TestPagesWithoutCache:
         pending = [i for i in FriendshipInvitation.objects.filter(to_user_id=user_id)
                    if i.status == FriendshipInvitation.STATUS_PENDING]
         result = app.accept_friend_request(user_id)
-        assert result.wrote
+        assert result.shown["accepted"] == bool(pending)
         if pending:
-            other = result.detail["other_user"]
+            other = result.shown["other_user"]
             assert Friendship.objects.filter(from_user_id=user_id, to_user_id=other).exists()
             assert Friendship.objects.filter(from_user_id=other, to_user_id=user_id).exists()
 
@@ -102,13 +102,6 @@ class TestPagesWithoutCache:
 
 
 class TestPagesWithCacheGenie:
-    def test_pages_render_identically_with_cache(self, social_genie):
-        app = social_genie["app"]
-        for page in ("Login", PAGE_LOOKUP_BM, PAGE_LOOKUP_FBM, PAGE_CREATE_BM,
-                     PAGE_ACCEPT_FR, "Logout"):
-            result = app.render(page, user_id=1)
-            assert result.page == page
-
     def test_repeated_reads_hit_cache(self, social_genie):
         app = social_genie["app"]
         app.lookup_bookmarks(1)

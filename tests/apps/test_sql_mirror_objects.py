@@ -109,7 +109,7 @@ def test_friend_bookmarks_keeps_the_joins_multiplicity(social_genie):
     friend_bookmarks = cached["friend_bookmarks"]
     friend_bookmarks.evaluate(from_user_id=user)             # cached
     for _ in range(2):
-        assert app.accept_friend_request(user).detail["other_user"] == friend
+        assert app.accept_friend_request(user).shown["other_user"] == friend
     app.create_bookmark(friend)
     maintained = friend_bookmarks.evaluate(from_user_id=user)
     query = template_query(friend_bookmarks.template, {"from_user_id": user})

@@ -65,14 +65,22 @@ class TestEvaluateAndTransparency:
         rows = cached.evaluate(person_id=person)
         assert rows[0]["person_id"] == person.pk
 
-    def test_returned_rows_are_detached_copies(self, profile_setup):
+    def test_returned_rows_are_read_only_views(self, profile_setup):
         genie = profile_setup["genie"]
         cached = genie.cacheable(cache_class_type="FeatureQuery", main_model="Profile",
                                  where_fields=["person_id"])
         person = profile_setup["people"][0]
-        rows = cached.evaluate(person_id=person.pk)
-        rows[0]["bio"] = "mutated by caller"
+        cached.evaluate(person_id=person.pk)            # the miss stores
+        rows = cached.evaluate(person_id=person.pk)     # the hit
+        assert type(rows) is list
+        with pytest.raises(TypeError):
+            rows[0]["bio"] = "mutated by caller"
         assert cached.evaluate(person_id=person.pk)[0]["bio"] == "bio of p0"
+        # A view over the stored dict, not a copy of it: a change made
+        # behind the cache's back (no code under src does this) shows.
+        stored = genie.app_cache.get(cached.make_key(person_id=person.pk))
+        stored[0]["bio"] = "edited in the store"
+        assert rows[0]["bio"] == "edited in the store"
 
 
 class TestParameterNames:

@@ -1,7 +1,10 @@
 """Tests for cache items and size estimation."""
 
+from types import MappingProxyType
+
 import pytest
 
+from repro.memcache import CacheClient, CacheServer
 from repro.memcache.item import Item, sizeof_value
 
 
@@ -22,6 +25,18 @@ class TestSizeofValue:
 
     def test_unicode_measured_in_bytes(self):
         assert sizeof_value("héllo") > len("hello")
+
+    def test_a_store_refuses_a_value_that_does_not_pickle(self):
+        # A read-only row view cannot go over the wire: its store fails
+        # loudly instead of being given a size that pickling never measured.
+        server = CacheServer("s0")
+        client = CacheClient([server])
+        view = MappingProxyType({"id": 1})
+        with pytest.raises(TypeError):
+            client.set("k", [view])
+        with pytest.raises(TypeError):
+            server.set("k", [view])
+        assert client.get("k") is None
 
 
 class TestItem:
