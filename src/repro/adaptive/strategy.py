@@ -341,7 +341,7 @@ class AdaptiveStrategy(ConsistencyStrategy):
     # -- read path -------------------------------------------------------------
 
     def fetch_multi(self, client: Any, items: Sequence[ReadEntry],
-                    single: bool = False) -> Dict[str, Tuple[Any, bool]]:
+                    ) -> Dict[str, Tuple[Any, bool]]:
         groups: "OrderedDict[str, List[ReadEntry]]" = OrderedDict()
         for cached_object, key, params in items:
             entry = self._ensure_attached(cached_object).note_read(key)
@@ -352,7 +352,7 @@ class AdaptiveStrategy(ConsistencyStrategy):
             # A stray envelope (the band switched mid-flight, e.g. a
             # lease-retained value stored under the old band) is unwrapped.
             for key, (frozen, stale) in self._delegate(band).fetch_multi(
-                    client, group, single).items():
+                    client, group).items():
                 served[key] = (unwrap_envelope(frozen), stale)
         return served
 
@@ -400,15 +400,15 @@ class AdaptiveStrategy(ConsistencyStrategy):
             if bands[key] != REFRESH_BAND:
                 cached_object.invalidate_key(key)
 
-    def flush_invalidations(self, client: Any, keys: Sequence[str],
-                            single: bool = False) -> List[str]:
+    def flush_invalidations(self, client: Any,
+                            keys: Sequence[str]) -> List[str]:
         groups: "OrderedDict[str, List[str]]" = OrderedDict()
         for key in keys:
             groups.setdefault(self.band_for(key), []).append(key)
         removed: List[str] = []
         for band, group in groups.items():
             removed.extend(self._delegate(band).flush_invalidations(
-                client, group, single))
+                client, group))
         return removed
 
     def render_trigger_body(self, cached_object: "CacheClass",

@@ -59,7 +59,7 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> st
 ROWS, ARMS, SERIES = "rows", "arms", "series"
 
 #: One column (or, under ``ARMS``, one metric line): a label, a dotted key
-#: into the row (``"counters.cache_gets"``), and a ``str.format`` template
+#: into the row (``"counters.cache_multi_gets"``), and a ``str.format`` template
 #: or a callable rendering the value.
 Column = Tuple[str, str, Union[str, Callable[[object], str]]]
 

@@ -34,13 +34,11 @@ from ..serializer import freeze_rows, freeze_value, thaw_rows  # noqa: F401
 from ..stats import CachedObjectStats
 from ..strategies import (ConsistencyStrategy, UPDATE_IN_PLACE, is_envelope,
                           read_through, resolve_strategy, unwrap_envelope)
+from ..trigger_queue import CAS_MAX_RETRIES
 
 if TYPE_CHECKING:  # pragma: no cover
     from ...orm.queryset import QueryDescription
     from ..manager import CacheGenie
-
-#: Maximum CAS retries inside a trigger before falling back to invalidation.
-CAS_MAX_RETRIES = 5
 
 
 @dataclass
@@ -204,7 +202,7 @@ class CacheClass:
         This is both the explicit API (``cached_user_profile.evaluate(user_id=42)``)
         and what transparent interception calls under the hood.  It is
         :func:`evaluate_many`'s read path on a batch of one (the strategy's
-        ``fetch``), with single-key round trips.
+        ``fetch``).
         """
         self.genie.run_pending_refreshes()
         normalized = self._normalize_params(params)
@@ -309,8 +307,7 @@ class CacheClass:
         queue = self._op_queue()
         if queue is not None:
             queue.enqueue_delete(self, key)
-        elif self.strategy.flush_invalidations(self.trigger_cache, [key],
-                                               single=True):
+        elif self.strategy.flush_invalidations(self.trigger_cache, [key]):
             self.stats.invalidations += 1
 
     def affected_keys(self, table: str, row: Dict[str, Any]) -> List[str]:

@@ -79,13 +79,10 @@ needs, and call :func:`register_strategy`::
 
 The read path is written once, in :func:`read_through`; a strategy changes
 how keys are read by overriding ``fetch_multi`` and how they are dropped by
-overriding ``flush_invalidations``.  Both take ``single``, which the call
-site fixes: ``evaluate()`` reads a batch of one and an eager trigger drops
-one key with ``single=True``.  The strategy then calls the single-key client
-method (``get``, ``lease``, ``delete``, ``lease_delete``; the write-back is a
-``set``) instead of its ``*_multi`` form, so the round trip is charged as a
-single-key event and does not yield to the replay scheduler.  Nothing else
-depends on it.
+overriding ``flush_invalidations``.  Both take a batch of keys and call the
+client's ``*_multi`` methods.  ``evaluate()`` reads a batch of one and an
+eager trigger drops one key as a batch of one: the cache charges, counts
+and announces a batch of one like any other batch.
 
 Legacy string names (``"update-in-place"``, ``"invalidate"``, ``"expiry"``)
 resolve through the registry to module-level singletons, so every existing
@@ -128,16 +125,7 @@ def unwrap_envelope(value: Any) -> Any:
     return value["value"] if is_envelope(value) else value
 
 
-def _get(client: Any, keys: List[str], single: bool) -> Dict[str, Any]:
-    """``get_multi``, or ``get`` for a batch of one; returns the hits."""
-    if not single:
-        return client.get_multi(keys)
-    value = client.get(keys[0])
-    return {} if value is None else {keys[0]: value}
-
-
-def read_through(client: Any, entries: Sequence[ReadEntry],
-                 single: bool = False) -> List[Any]:
+def read_through(client: Any, entries: Sequence[ReadEntry]) -> List[Any]:
     """The read path (§3.1): serve each request from the cache, else compute
     it from the database and write it back.
 
@@ -146,7 +134,6 @@ def read_through(client: Any, entries: Sequence[ReadEntry],
     stale-serving strategy also schedules its background refreshes there).
     Hits, stale serves and misses are counted on each request's object, and
     the misses are written back with one ``set_multi`` per expiry group.
-    ``single`` is ``evaluate()``'s batch of one (see the module docstring).
     Returns the values in request order, shaped as ``evaluate()`` hands them
     out.
     """
@@ -161,7 +148,7 @@ def read_through(client: Any, entries: Sequence[ReadEntry],
         bucket[1].append((cached_object, key, normalized))
     found: Dict[str, Tuple[Any, bool]] = {}
     for strategy, items in by_strategy.values():
-        found.update(strategy.fetch_multi(client, items, single))
+        found.update(strategy.fetch_multi(client, items))
 
     # Miss write-back: every value is enveloped by its *own* object's
     # strategy (wrap_for_store may depend on per-object state), then batched
@@ -189,11 +176,7 @@ def read_through(client: Any, entries: Sequence[ReadEntry],
                                                       key=key)
         results.append(cached_object._present(value))
     for expire, mapping in writes.items():
-        if single:
-            [(key, value)] = mapping.items()
-            client.set(key, value, expire=expire)
-        else:
-            client.set_multi(mapping, expire=expire)
+        client.set_multi(mapping, expire=expire)
     return results
 
 
@@ -217,7 +200,7 @@ class ConsistencyStrategy:
     ``counters_moved``           class attr: stats this strategy moves (for docs)
     ``on_write``                 a trigger fired: propagate the change
     ``flush_invalidations``      drop the commit-time queue's keys, or one key
-                                 eagerly (``single=True``)
+                                 eagerly (a batch of one)
     ``render_trigger_body``      per-key body lines of the generated trigger source
     ``fetch_multi``              the read protocol of :func:`read_through`
     ``fetch``                    evaluate()'s read path: fetch_multi on a batch
@@ -274,10 +257,10 @@ class ConsistencyStrategy:
         """``evaluate()``'s read path: :meth:`fetch_multi` on a batch of one,
         through :func:`read_through`.  Override :meth:`fetch_multi`."""
         return read_through(cached_object.app_cache,
-                            [(cached_object, key, params)], single=True)[0]
+                            [(cached_object, key, params)])[0]
 
     def fetch_multi(self, client: Any, items: Sequence[ReadEntry],
-                    single: bool = False) -> Dict[str, Tuple[Any, bool]]:
+                    ) -> Dict[str, Tuple[Any, bool]]:
         """The read protocol of :func:`read_through`.
 
         ``items`` carries unique keys with their owning object and
@@ -287,7 +270,7 @@ class ConsistencyStrategy:
         refreshes) happen here; per-request hit/miss statistics are counted
         by the caller.  The default is the classic look-aside ``get``.
         """
-        found = _get(client, [key for _, key, _ in items], single)
+        found = client.get_multi([key for _, key, _ in items])
         return {key: (value, False) for key, value in found.items()}
 
     # -- write path (trigger side) ---------------------------------------------
@@ -301,16 +284,14 @@ class ConsistencyStrategy:
         triggers exist to fire).  The default does nothing.
         """
 
-    def flush_invalidations(self, client: Any, keys: Sequence[str],
-                            single: bool = False) -> List[str]:
-        """Drop ``keys``: the commit-time queue's pending invalidations for
-        this strategy in one multi-op per server, or — ``single`` — one key
-        right now (the eager, per-operation trigger path).
+    def flush_invalidations(self, client: Any,
+                            keys: Sequence[str]) -> List[str]:
+        """Drop ``keys`` in one multi-op per server: the commit-time queue's
+        pending invalidations for this strategy, or one key right now (the
+        eager, per-operation trigger path).
 
         Returns the keys that existed (for ``invalidations`` crediting).
         """
-        if single:
-            return [keys[0]] if client.delete(keys[0]) else []
         return client.delete_multi(list(keys))
 
     def render_trigger_body(self, cached_object: "CacheClass",
@@ -477,10 +458,9 @@ class LeasedInvalidateStrategy(InvalidateStrategy):
     # -- read path -------------------------------------------------------------
 
     def fetch_multi(self, client: Any, items: Sequence[ReadEntry],
-                    single: bool = False) -> Dict[str, Tuple[Any, bool]]:
-        keys = [key for _, key, _ in items]
-        states = ({keys[0]: client.lease(keys[0], self.lease_seconds)}
-                  if single else client.lease_multi(keys, self.lease_seconds))
+                    ) -> Dict[str, Tuple[Any, bool]]:
+        states = client.lease_multi([key for _, key, _ in items],
+                                    self.lease_seconds)
         served: Dict[str, Tuple[Any, bool]] = {}
         for cached_object, key, params in items:
             state, value, token = states.get(key, (None, None, None))
@@ -499,11 +479,8 @@ class LeasedInvalidateStrategy(InvalidateStrategy):
 
     # -- write path ------------------------------------------------------------
 
-    def flush_invalidations(self, client: Any, keys: Sequence[str],
-                            single: bool = False) -> List[str]:
-        if single:
-            return ([keys[0]] if client.lease_delete(keys[0], self.stale_seconds)
-                    else [])
+    def flush_invalidations(self, client: Any,
+                            keys: Sequence[str]) -> List[str]:
         return client.lease_delete_multi(list(keys), self.stale_seconds)
 
     def render_trigger_body(self, cached_object: "CacheClass",
@@ -590,8 +567,8 @@ class AsyncRefreshStrategy(ConsistencyStrategy):
     # -- read path -------------------------------------------------------------
 
     def fetch_multi(self, client: Any, items: Sequence[ReadEntry],
-                    single: bool = False) -> Dict[str, Tuple[Any, bool]]:
-        found = _get(client, [key for _, key, _ in items], single)
+                    ) -> Dict[str, Tuple[Any, bool]]:
+        found = client.get_multi([key for _, key, _ in items])
         served: Dict[str, Tuple[Any, bool]] = {}
         for cached_object, key, params in items:
             raw = found.get(key)

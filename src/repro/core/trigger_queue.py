@@ -29,7 +29,7 @@ The flush propagates mutations with the *batched CAS protocol*:
 per server), the mutation chains run in memory, and ``cas_multi`` writes the
 results back conditionally (again one round trip per server).  Per-key
 verdicts mean a stale token loses only its own key: the flush re-reads and
-retries just the losers, up to :data:`FLUSH_CAS_MAX_RETRIES` rounds, then
+retries just the losers, up to :data:`CAS_MAX_RETRIES` rounds, then
 falls back to invalidating whatever still cannot win — the same safety net
 as the eager path's per-key CAS loop.  Within one database (one writer) the
 tokens never go stale and the flush costs exactly one gets_multi/cas_multi
@@ -50,9 +50,10 @@ from .strategies import is_envelope
 #: Mutation: current cached value -> new value, or None to leave it untouched.
 MutateFn = Callable[[Any], Optional[Any]]
 
-#: Bounded CAS retry rounds per flush before falling back to invalidation,
-#: matching the eager trigger path's per-key retry bound.
-FLUSH_CAS_MAX_RETRIES = 5
+#: Bounded CAS attempts before falling back to invalidation: retry rounds
+#: per flush here, and per key on the eager trigger path
+#: (``CacheClass._cas_update``).
+CAS_MAX_RETRIES = 5
 
 
 class _PendingOp:
@@ -97,7 +98,7 @@ class TriggerOpQueue:
     """
 
     def __init__(self, cache_client: Any,
-                 cas_max_retries: int = FLUSH_CAS_MAX_RETRIES) -> None:
+                 cas_max_retries: int = CAS_MAX_RETRIES) -> None:
         self.cache = cache_client
         self.cas_max_retries = cas_max_retries
         #: The live transaction's pending ops (see :class:`OpContext`).

@@ -9,22 +9,18 @@ bytes, ``cache_node_down``, ``lease_contended``), each
 counters for gutter traffic.  Two "contexts" exist:
 
 * the application client (``from_trigger=False``) — charges ``cache_*`` events;
-* the trigger client (``from_trigger=True``) — charges ``trigger_cache_ops``
-  and, once per trigger-side client construction, a connection-open cost,
-  reproducing the paper's observation that opening a remote memcached
+* the trigger client (``from_trigger=True``) — charges ``trigger_cache_*``
+  events and, once per trigger-side client construction, a connection-open
+  cost, reproducing the paper's observation that opening a remote memcached
   connection inside a trigger dominates trigger overhead (§5.3).
 
 One implementation per operation: each family — reads, leases, stores,
 CAS, deletes, counters — is written once, over a batch of keys, and a
-single-key call (``get``, ``cas``, ``incr``, ...) is its batched twin run on
-a batch of one with ``single=True``.  That flag changes exactly three
-things: the call is charged one single-key round trip (``cache_gets``,
-``cache_sets``, ``cache_cas``, ``cache_deletes``, ``cache_leases``, or
-``trigger_cache_ops`` from a trigger) instead of a per-server batch event
-and the per-key ``trigger_cache_batch_ops``; it is no ``cache:<op>``
-boundary on :mod:`repro.obs.hooks`' chain; and a CAS mismatch records no
-``cas_multi_mismatch``.  Routing, the dead-node and gutter branch and the
-per-key accounting are shared.  Single-key methods call the private family
+single-key call (``get``, ``cas``, ``incr``, ...) is that family on a batch
+of one.  A batch of one is a batch: it is charged one per-server batch
+event (plus one ``trigger_cache_batch_ops`` from a trigger), a CAS mismatch
+records ``cas_multi_mismatch``, and it is a ``cache:<op>`` boundary on
+:mod:`repro.obs.hooks`' chain.  Single-key methods call the private family
 method, never a public ``*_multi`` name: the benchmark's span recorder
 shadows those on the instance.
 """
@@ -137,27 +133,25 @@ class CacheClient:
         server.stats.node_down_errors += 1
         self.recorder.record("cache_node_down")
 
-    def _charge(self, event: str, single: bool, index: int = 0) -> None:
-        """Charge one round trip.
+    def _charge(self, event: str, index: int = 0) -> None:
+        """Charge one server batch's round trip.
 
         ``event`` is the application-side event; a trigger-side client
-        charges ``trigger_cache_ops`` for a single-key call and
-        ``trigger_cache_batches`` for a server batch.  ``index`` is a
-        batch's position within its multi-op call: when batches are
-        pipelined, only the first pays network latency and the rest are
-        charged as latency-free overlapped round trips.
+        charges ``trigger_cache_batches``.  ``index`` is a batch's position
+        within its call: when batches are pipelined, only the first pays
+        network latency and the rest are charged as latency-free overlapped
+        round trips.
         """
         overlapped = self.pipeline_batches and index > 0
         if self.from_trigger:
-            event = ("trigger_cache_ops" if single
-                     else "trigger_cache_overlapped_batches" if overlapped
+            event = ("trigger_cache_overlapped_batches" if overlapped
                      else "trigger_cache_batches")
         elif overlapped:
             event = "cache_overlapped_batches"
         self.recorder.record(event)
 
     def _round_trip_done(self, label: str, keys: int) -> None:
-        """Announce a completed multi-key call as its ``cache:<op>``
+        """Announce a completed call as its ``cache:<op>``
         boundary: a span holding a pause, where another replay worker may
         run (which is what lets two workers race a gets_multi/cas_multi pair
         on the same key).  The call records no trace event and moves no
@@ -168,17 +162,16 @@ class CacheClient:
 
     # -- reads ----------------------------------------------------------------
 
-    def _gutter_get(self, batch: List[str], event: str, single: bool,
+    def _gutter_get(self, batch: List[str], event: str,
                     index: int) -> Dict[str, Any]:
         """A dead primary's batch read from the gutter pool (a round trip of
         its own); nothing without a pool."""
         if self.gutter is None:
             return {}
-        self._charge(event, single, index)
+        self._charge(event, index)
         return self.gutter.get_multi(batch)
 
-    def _read(self, keys: Sequence[str], cas: bool,
-              single: bool) -> Dict[str, Any]:
+    def _read(self, keys: Sequence[str], cas: bool) -> Dict[str, Any]:
         """The read family; returns the hits (``(value, token)`` with ``cas``).
 
         Keys are grouped into per-server batches on the hash ring, one round
@@ -193,21 +186,20 @@ class CacheClient:
         if not keys:
             return {}
         self._charge_connection()
-        event = "cache_gets" if single else "cache_multi_gets"
         record = self.recorder.record
-        batch_ops = self.from_trigger and not single
         out: Dict[str, Any] = {}
         for index, (server_name, batch) in enumerate(self._group_by_server(keys).items()):
             server = self._servers[server_name]
-            if batch_ops:
+            if self.from_trigger:
                 record("trigger_cache_batch_ops", len(batch))
             if server.alive:
-                self._charge(event, single, index)
+                self._charge("cache_multi_gets", index)
                 found = server.gets_multi(batch) if cas else server.get_multi(batch)
             else:
                 self._node_down(server)
                 server = self.gutter   # it sizes the values it serves
-                found = {} if cas else self._gutter_get(batch, event, single, index)
+                found = {} if cas else self._gutter_get(
+                    batch, "cache_multi_gets", index)
             for key in batch:
                 value = found.get(key)
                 if value is None:
@@ -216,7 +208,7 @@ class CacheClient:
                     record("cache_hits")
                     record("cache_bytes_moved", server.value_size(key))
                     out[key] = value
-        if not single and hooks.chain:
+        if hooks.chain:
             # gets_multi's pause is what makes batched CAS contendable: a
             # worker that just read its tokens can be suspended here while
             # another worker writes the same keys.
@@ -226,16 +218,16 @@ class CacheClient:
 
     def get(self, key: str) -> Optional[Any]:
         """Fetch a value; returns None on a miss."""
-        return self._read([key], False, True).get(key)
+        return self._read([key], False).get(key)
 
     def gets(self, key: str) -> Tuple[Optional[Any], Optional[int]]:
         """Fetch a value together with its CAS token (``(None, None)`` on a
         miss)."""
-        return self._read([key], True, True).get(key, (None, None))
+        return self._read([key], True).get(key, (None, None))
 
     def get_multi(self, keys: Sequence[str]) -> Dict[str, Any]:
         """Fetch several keys in one round trip per server; returns the hits."""
-        return self._read(keys, False, False)
+        return self._read(keys, False)
 
     def gets_multi(self, keys: Sequence[str]) -> Dict[str, Tuple[Any, int]]:
         """Fetch several keys *with their CAS tokens*, batched per server.
@@ -243,11 +235,11 @@ class CacheClient:
         The read half of a batched read-modify-write (``gets_multi`` +
         :meth:`cas_multi`).  Returns ``{key: (value, token)}`` for the hits.
         """
-        return self._read(keys, True, False)
+        return self._read(keys, True)
 
     # -- leases ---------------------------------------------------------------
 
-    def _lease(self, keys: Sequence[str], lease_seconds: float, single: bool,
+    def _lease(self, keys: Sequence[str], lease_seconds: float,
                ) -> Dict[str, Tuple[str, Optional[Any], Optional[int]]]:
         """The lease family: read keys under the lease protocol (see
         :meth:`CacheServer.lease`).
@@ -266,17 +258,15 @@ class CacheClient:
         if not keys:
             return {}
         self._charge_connection()
-        event = "cache_leases" if single else "cache_multi_leases"
         record = self.recorder.record
-        batch_ops = self.from_trigger and not single
         out: Dict[str, Tuple[str, Optional[Any], Optional[int]]] = {}
         for index, (server_name, batch) in enumerate(self._group_by_server(keys).items()):
             server = self._servers[server_name]
-            if batch_ops:
+            if self.from_trigger:
                 record("trigger_cache_batch_ops", len(batch))
             if not server.alive:
                 self._node_down(server)
-                found = self._gutter_get(batch, event, single, index)
+                found = self._gutter_get(batch, "cache_multi_leases", index)
                 for key in batch:
                     value = found.get(key)
                     if value is None:
@@ -287,7 +277,7 @@ class CacheClient:
                         record("cache_bytes_moved", self.gutter.value_size(key))
                         out[key] = (LEASE_STALE, value, None)
                 continue
-            self._charge(event, single, index)
+            self._charge("cache_multi_leases", index)
             states = server.lease_multi(batch, lease_seconds,
                                         claimant=self.current_worker)
             for key in batch:
@@ -303,24 +293,24 @@ class CacheClient:
                 else:
                     record("cache_hits")
                     record("cache_bytes_moved", server.value_size(key))
-        if not single and hooks.chain:
+        if hooks.chain:
             self._round_trip_done("cache:lease_multi", len(keys))
         return out
 
     def lease(self, key: str,
               lease_seconds: float) -> Tuple[str, Optional[Any], Optional[int]]:
         """Read a key under the lease protocol: ``(state, value, token)``."""
-        return self._lease([key], lease_seconds, True)[key]
+        return self._lease([key], lease_seconds)[key]
 
     def lease_multi(self, keys: Sequence[str], lease_seconds: float,
                     ) -> Dict[str, Tuple[str, Optional[Any], Optional[int]]]:
         """Batched :meth:`lease` in one round trip per server."""
-        return self._lease(keys, lease_seconds, False)
+        return self._lease(keys, lease_seconds)
 
     # -- writes ---------------------------------------------------------------
 
-    def _set(self, mapping: Dict[str, Any], expire: Optional[float],
-             single: bool) -> List[str]:
+    def _set(self, mapping: Dict[str, Any],
+             expire: Optional[float]) -> List[str]:
         """The store family; returns the keys that failed to store.
 
         A key fails when its value is over the item limit (the server
@@ -333,7 +323,6 @@ class CacheClient:
         if not mapping:
             return []
         self._charge_connection()
-        event = "cache_sets" if single else "cache_multi_sets"
         failed: List[str] = []
         for index, (server_name, batch) in enumerate(
                 self._group_by_server(list(mapping)).items()):
@@ -343,8 +332,8 @@ class CacheClient:
                 if self.gutter is None:
                     failed.extend(batch)
                     continue
-            self._charge(event, single, index)
-            if self.from_trigger and not single:
+            self._charge("cache_multi_sets", index)
+            if self.from_trigger:
                 self.recorder.record("trigger_cache_batch_ops", len(batch))
             sizes = {k: sizeof_value(mapping[k]) for k in batch}
             values = {k: mapping[k] for k in batch}
@@ -357,24 +346,25 @@ class CacheClient:
             failed.extend(refused)
             if sizes:
                 self.recorder.record("cache_bytes_moved", sum(sizes.values()))
-        if not single and hooks.chain:
+        if hooks.chain:
             self._round_trip_done("cache:set_multi", len(mapping))
         return failed
 
     def set(self, key: str, value: Any, expire: Optional[float] = None) -> bool:
         """Store a value unconditionally; False if it was refused."""
-        return not self._set({key: value}, expire, True)
+        return not self._set({key: value}, expire)
 
     def set_multi(self, mapping: Dict[str, Any],
                   expire: Optional[float] = None) -> List[str]:
         """Store several values in one round trip per server; returns the
         keys that failed to store."""
-        return self._set(mapping, expire, False)
+        return self._set(mapping, expire)
 
     def add(self, key: str, value: Any, expire: Optional[float] = None) -> bool:
         """Store a value only if the key is absent.
 
-        It has no batched twin.  A dead primary routes the add to the gutter
+        It has no batched twin and is no ``cache:<op>`` pause; it is charged
+        as a store of one key.  A dead primary routes the add to the gutter
         pool (or fails without one); an oversized value is refused, as
         :meth:`set` refuses it.
         """
@@ -384,7 +374,9 @@ class CacheClient:
             self._node_down(server)
             if self.gutter is None:
                 return False
-        self._charge("cache_sets", True)
+        self._charge("cache_multi_sets")
+        if self.from_trigger:
+            self.recorder.record("trigger_cache_batch_ops")
         size = sizeof_value(value)
         try:
             if server.alive:
@@ -397,8 +389,7 @@ class CacheClient:
         self.recorder.record("cache_bytes_moved", size)
         return added
 
-    def _cas(self, items: Dict[str, Tuple[Any, int]],
-             single: bool) -> Dict[str, str]:
+    def _cas(self, items: Dict[str, Tuple[Any, int]]) -> Dict[str, str]:
         """The CAS family: a per-key verdict map (``"stored"`` /
         ``"mismatch"`` / ``"missing"`` / ``"too-large"``).
 
@@ -406,13 +397,12 @@ class CacheClient:
         travels to its server whatever the verdict, except an oversized one
         the server refused.  Against a dead primary the tokens have vanished
         with the node: every key reports ``"missing"`` (callers invalidate,
-        not retry), with no round trip.  A batched mismatch records a
+        not retry), with no round trip.  A mismatch records a
         ``cas_multi_mismatch`` event for the CAS-contention ablation.
         """
         if not items:
             return {}
         self._charge_connection()
-        event = "cache_cas" if single else "cache_multi_cas"
         record = self.recorder.record
         verdicts: Dict[str, str] = {}
         for index, (server_name, batch) in enumerate(
@@ -425,8 +415,8 @@ class CacheClient:
                 continue
             # A CAS is its own round-trip event — not a set — so the
             # ablations can separate conditional from unconditional writes.
-            self._charge(event, single, index)
-            if self.from_trigger and not single:
+            self._charge("cache_multi_cas", index)
+            if self.from_trigger:
                 record("trigger_cache_batch_ops", len(batch))
             sizes = {k: sizeof_value(items[k][0]) for k in batch}
             outcome = server.cas_multi({k: items[k] for k in batch},
@@ -436,18 +426,17 @@ class CacheClient:
                 if verdict == CAS_TOO_LARGE:
                     continue
                 if verdict == CAS_MISMATCH:
-                    if not single:
-                        record("cas_multi_mismatch")
+                    record("cas_multi_mismatch")
                     if self.telemetry is not None:
                         self.telemetry.note_cas_mismatch(key)
                 record("cache_bytes_moved", sizes[key])
-        if not single and hooks.chain:
+        if hooks.chain:
             self._round_trip_done("cache:cas_multi", len(items))
         return verdicts
 
     def cas(self, key: str, value: Any, cas_token: int) -> bool:
         """Compare-and-swap a value previously read with :meth:`gets`."""
-        return self._cas({key: (value, cas_token)}, True)[key] == CAS_STORED
+        return self._cas({key: (value, cas_token)})[key] == CAS_STORED
 
     def cas_multi(self, items: Dict[str, Tuple[Any, int]]) -> Dict[str, str]:
         """Compare-and-swap several keys in one round trip per server.
@@ -455,12 +444,12 @@ class CacheClient:
         ``items`` maps each key to ``(new_value, cas_token)`` as returned by
         :meth:`gets_multi`; returns the per-key verdicts.
         """
-        return self._cas(items, False)
+        return self._cas(items)
 
     # -- deletes --------------------------------------------------------------
 
-    def _delete(self, keys: Sequence[str], stale_seconds: Optional[float],
-                single: bool) -> List[str]:
+    def _delete(self, keys: Sequence[str],
+                stale_seconds: Optional[float]) -> List[str]:
         """The delete family; returns the keys that existed (and were removed).
 
         With ``stale_seconds`` it is the leased-invalidation variant: each
@@ -476,23 +465,21 @@ class CacheClient:
         if not keys:
             return []
         self._charge_connection()
-        event = "cache_deletes" if single else "cache_multi_deletes"
-        batch_ops = self.from_trigger and not single
         existed: List[str] = []
         for index, (server_name, batch) in enumerate(self._group_by_server(keys).items()):
             server = self._servers[server_name]
-            if batch_ops:
+            if self.from_trigger:
                 self.recorder.record("trigger_cache_batch_ops", len(batch))
             if server.alive:
-                self._charge(event, single, index)
+                self._charge("cache_multi_deletes", index)
                 existed.extend(server.delete_multi(batch) if stale_seconds is None
                                else server.lease_delete_multi(batch, stale_seconds))
             else:
                 self._node_down(server)
                 if self.gutter is not None:
-                    self._charge(event, single, index)
+                    self._charge("cache_multi_deletes", index)
                     existed.extend(self.gutter.delete_multi(batch))
-        if not single and hooks.chain:
+        if hooks.chain:
             self._round_trip_done(
                 "cache:delete_multi" if stale_seconds is None
                 else "cache:lease_delete_multi", len(keys))
@@ -500,24 +487,24 @@ class CacheClient:
 
     def delete(self, key: str) -> bool:
         """Invalidate a key; True if it existed."""
-        return bool(self._delete([key], None, True))
+        return bool(self._delete([key], None))
 
     def delete_multi(self, keys: Sequence[str]) -> List[str]:
         """Invalidate several keys in one round trip per server."""
-        return self._delete(keys, None, False)
+        return self._delete(keys, None)
 
     def lease_delete(self, key: str, stale_seconds: float) -> bool:
         """Invalidate a key, retaining its value as servable-stale."""
-        return bool(self._delete([key], stale_seconds, True))
+        return bool(self._delete([key], stale_seconds))
 
     def lease_delete_multi(self, keys: Sequence[str],
                            stale_seconds: float) -> List[str]:
         """Batched :meth:`lease_delete` in one round trip per server."""
-        return self._delete(keys, stale_seconds, False)
+        return self._delete(keys, stale_seconds)
 
     # -- counters -------------------------------------------------------------
 
-    def _counters(self, deltas: Dict[str, int], single: bool,
+    def _counters(self, deltas: Dict[str, int],
                   label: str = "cache:incr_multi") -> Dict[str, Optional[int]]:
         """The counter family: ``{key: signed_delta}`` in, new values out.
 
@@ -532,37 +519,36 @@ class CacheClient:
         if not deltas:
             return {}
         self._charge_connection()
-        event = "cache_sets" if single else "cache_multi_counters"
         out: Dict[str, Optional[int]] = {}
         for index, (server_name, batch) in enumerate(
                 self._group_by_server(list(deltas)).items()):
             server = self._servers[server_name]
             if server.alive:
-                self._charge(event, single, index)
-                if self.from_trigger and not single:
+                self._charge("cache_multi_counters", index)
+                if self.from_trigger:
                     self.recorder.record("trigger_cache_batch_ops", len(batch))
                 results = server.incr_multi({k: deltas[k] for k in batch})
             else:
                 self._node_down(server)
                 results = dict.fromkeys(batch)
             out.update(results)
-        if not single and hooks.chain:
+        if hooks.chain:
             self._round_trip_done(label, len(deltas))
         return out
 
     def incr(self, key: str, delta: int = 1) -> Optional[int]:
         """Add the signed ``delta`` to an integer value (None on a miss)."""
-        return self._counters({key: delta}, True)[key]
+        return self._counters({key: delta})[key]
 
     def decr(self, key: str, delta: int = 1) -> Optional[int]:
         """Subtract ``delta`` from an integer value, floored at zero."""
-        return self._counters({key: -delta}, True)[key]
+        return self._counters({key: -delta}, "cache:decr_multi")[key]
 
     def incr_multi(self, deltas: Dict[str, int]) -> Dict[str, Optional[int]]:
         """Adjust several counters (signed deltas) in one round trip per server."""
-        return self._counters(deltas, False)
+        return self._counters(deltas)
 
     def decr_multi(self, deltas: Dict[str, int]) -> Dict[str, Optional[int]]:
         """Batched :meth:`decr`: ``{key: delta}`` with deltas applied negatively."""
         return self._counters({key: -delta for key, delta in deltas.items()},
-                              False, "cache:decr_multi")
+                              "cache:decr_multi")

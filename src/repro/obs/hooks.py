@@ -10,8 +10,9 @@ is patched.  The boundaries:
   page and its fragments in the social application: a pause, then a span;
   ``app:post-write`` is a pause alone;
 * ``orm:intercept`` — one query offered to the interceptor, a span;
-* ``cache:<op>`` — one multi-key round trip of either cache client, a span
-  holding a pause, announced once the round trip completes;
+* ``cache:<op>`` — one call of either cache client, a span holding a
+  pause, announced once the call completes (a single-key call is its
+  family's batch of one: ``get`` is a ``cache:get_multi``);
 * ``trigger:flush`` / ``trigger:cas_round`` and ``refresh:drain`` /
   ``refresh:recompute`` — spans;
 * ``db:statement`` / ``db:commit`` — pauses, once a statement or a commit

@@ -38,15 +38,13 @@ COST_COUNTER_FIELDS: Tuple[str, ...] = (
     "statements", "inserts", "updates", "deletes", "commits",
     "sorts", "sorted_rows", "joins",
     # Trigger events (see the field comments below)
-    "trigger_launches", "trigger_connections", "trigger_cache_ops",
-    "trigger_cache_batches", "trigger_cache_overlapped_batches",
+    "trigger_launches", "trigger_connections", "trigger_cache_batches", "trigger_cache_overlapped_batches",
     "trigger_cache_batch_ops", "trigger_rows_examined",
     # Cache client events (issued by the application, not by triggers)
-    "cache_gets", "cache_sets", "cache_deletes", "cache_cas",
     "cache_multi_gets", "cache_multi_sets", "cache_multi_deletes",
     "cache_multi_cas", "cas_multi_mismatch", "cas_retry_rounds",
     "lease_contended", "cache_overlapped_batches",
-    "cache_leases", "cache_multi_leases", "cache_multi_counters",
+    "cache_multi_leases", "cache_multi_counters",
     "cache_hits", "cache_misses", "cache_bytes_moved", "cache_node_down",
     # Adaptive per-key consistency: band reclassifications and the cache
     # invalidations issued solely to migrate a key between bands.  Free in
@@ -62,21 +60,20 @@ class CostCounters:
     signature — every field a keyword with a 0 default — is unchanged).
     Field semantics, beyond the self-explanatory ones:
 
-    * ``trigger_cache_batches`` — batched multi-key round trips issued from
-      triggers (one per server batch).
+    * ``trigger_cache_batches`` — round trips issued from triggers, one per
+      server batch (a single-key call is a batch of one).
     * ``trigger_cache_overlapped_batches`` — trigger-side server batches
       whose latency is hidden behind another batch of the same multi-op call
       (``pipeline_batches``): still a wire round trip, but charged no
       network wait.
     * ``trigger_cache_batch_ops`` — keys carried inside trigger-side batches
       (marshalling CPU, no round trip).
-    * ``cache_cas`` — single compare-and-swap round trips (stored or not —
-      the value travels to the server either way).
-    * ``cache_multi_gets``/``_sets``/``_deletes``/``_cas`` — batched
-      multi-key round trips (one event per server batch, not per key).
-    * ``cas_multi_mismatch`` — per-key CAS losses inside batched CAS (any
-      client context): keys whose token went stale between the batched read
-      and the batched write.
+    * ``cache_multi_gets``/``_sets``/``_deletes``/``_cas`` — application
+      round trips, one event per server batch, not per key (a single-key
+      call is a batch of one; a CAS is charged stored or not — the value
+      travels to the server either way).
+    * ``cas_multi_mismatch`` — per-key CAS losses (any client context):
+      keys whose token went stale between the read and the write.
     * ``cas_retry_rounds`` — extra gets_multi/cas_multi rounds a commit-time
       flush ran because at least one key lost its CAS (the rounds' round
       trips are counted by their own events; this tallies how often
@@ -87,10 +84,10 @@ class CostCounters:
     * ``cache_overlapped_batches`` — application-side server batches
       overlapped by ``pipeline_batches`` (wire round trips that wait behind
       a concurrent batch, so zero net ms).
-    * ``cache_leases``/``cache_multi_leases`` — lease-protocol reads (single
-      round trips) and their batched form (one event per server batch).
-    * ``cache_multi_counters`` — batched counter adjustments
-      (incr_multi/decr_multi, one per server batch).
+    * ``cache_multi_leases`` — lease-protocol reads, one event per server
+      batch.
+    * ``cache_multi_counters`` — counter adjustments (incr/decr and their
+      ``*_multi`` forms), one event per server batch.
     * ``cache_node_down`` — operations that failed fast against a dead cache
       node (cluster faults).  Not a round trip and free in the cost model:
       the liveness check is a client-side connection refusal, not a server
@@ -104,19 +101,17 @@ class CostCounters:
 
     @property
     def cache_round_trips(self) -> int:
-        """Total cache-network round trips (single ops + one per server batch).
+        """Total cache-network round trips (one per server batch).
 
         Overlapped (pipelined) batches are still round trips on the wire —
         pipelining hides their *latency*, it does not remove the messages —
         so they count here and are excluded only from the network demand.
         """
-        return (self.cache_gets + self.cache_sets + self.cache_deletes
-                + self.cache_cas + self.cache_leases
-                + self.cache_multi_gets + self.cache_multi_sets
+        return (self.cache_multi_gets + self.cache_multi_sets
                 + self.cache_multi_deletes + self.cache_multi_cas
                 + self.cache_multi_leases + self.cache_multi_counters
                 + self.cache_overlapped_batches
-                + self.trigger_cache_ops + self.trigger_cache_batches
+                + self.trigger_cache_batches
                 + self.trigger_cache_overlapped_batches)
 
     def copy(self) -> "CostCounters":
@@ -267,9 +262,8 @@ class CostModel:
             + counters.pages_hit * self.page_hit_cpu_ms
             + counters.trigger_launches * self.trigger_launch_cpu_ms
             + counters.trigger_rows_examined * self.trigger_row_cpu_ms
-            + counters.trigger_cache_ops * self.trigger_op_cpu_ms
             # Batching a trigger-side op saves the round trip, not the
-            # per-value marshalling: each batched key still pays CPU.
+            # per-value marshalling: each key of a batch pays CPU.
             + counters.trigger_cache_batch_ops * self.trigger_op_cpu_ms
             + counters.trigger_connections * self.trigger_connection_cpu_ms
         )
@@ -282,25 +276,21 @@ class CostModel:
             + counters.commits * self.commit_disk_ms
         )
         net = (
-            (counters.cache_gets + counters.cache_sets + counters.cache_deletes
-             + counters.cache_cas
-             # A multi-key batch pays one round trip per server, however many
-             # keys it carries (the per-key payload is in cache_bytes_moved).
-             # Overlapped batches (``pipeline_batches``) wait behind another
-             # batch of the same call, so they add no network time here —
-             # the flush pays max() over its per-server batches, not sum().
-             + counters.cache_leases
-             + counters.cache_multi_gets + counters.cache_multi_sets
+            # A batch pays one round trip per server, however many keys it
+            # carries (the per-key payload is in cache_bytes_moved).
+            # Overlapped batches (``pipeline_batches``) wait behind another
+            # batch of the same call, so they add no network time here —
+            # the flush pays max() over its per-server batches, not sum().
+            (counters.cache_multi_gets + counters.cache_multi_sets
              + counters.cache_multi_deletes + counters.cache_multi_cas
              + counters.cache_multi_leases + counters.cache_multi_counters)
             * self.cache_op_net_ms
             + counters.cache_bytes_moved * self.cache_byte_net_ms
             # The network-wait half of opening a trigger-side memcached
             # connection, plus each memcached round trip issued by a trigger
-            # (batched trigger ops likewise pay one round trip per batch;
-            # overlapped trigger batches are latency-free, as above).
+            # (one per server batch; overlapped trigger batches are
+            # latency-free, as above).
             + counters.trigger_connections * self.trigger_connection_net_ms
-            + (counters.trigger_cache_ops + counters.trigger_cache_batches)
-            * self.trigger_cache_op_ms
+            + counters.trigger_cache_batches * self.trigger_cache_op_ms
         )
         return Demand(db_cpu_ms=cpu, db_disk_ms=disk, cache_net_ms=net)

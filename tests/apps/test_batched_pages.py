@@ -68,10 +68,12 @@ class TestBatchedPages:
         app.render(PAGE_LOGIN, user_id=2)  # warm
         before = database.recorder.total.copy()
         app.render(PAGE_LOGIN, user_id=2)
-        delta_single = database.recorder.total.cache_gets - before.cache_gets
-        delta_multi = database.recorder.total.cache_multi_gets - before.cache_multi_gets
-        assert delta_multi > 0
-        assert delta_single == 0
+        total = database.recorder.total
+        keys_read = (total.cache_hits - before.cache_hits
+                     + total.cache_misses - before.cache_misses)
+        delta_multi = total.cache_multi_gets - before.cache_multi_gets
+        # Fewer get round trips than keys: the reads travel in batches.
+        assert 0 < delta_multi < keys_read
 
     def test_create_bookmark_keeps_cached_lists_fresh(self, batched_app):
         app, cached = batched_app["app"], batched_app["cached"]

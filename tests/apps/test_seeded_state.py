@@ -26,11 +26,13 @@ SCALES = {
 #: Generated at commit ebe5bdc from the per-column insert path (one
 #: ``coerce``/NOT NULL/width call per column per row, the recursive B+tree
 #: insert, one ``record`` per index per row).  Regenerate only for a
-#: deliberate change of what an INSERT stores, places or charges.
+#: deliberate change of what an INSERT stores, places or charges, through
+#: ``tools/repin.py``; it re-pinned these when ``CostCounters`` lost six
+#: single-key fields, which were zero in every counter bag hashed here.
 GOLDEN_SEEDED_STATE = {
-    "tiny": "328bb21270c518b9f670004c81959c7a5ff8ac5efeb7aa1bc9a1313fb0c420b9",
-    "default": "3dbb917a00dc37f450bb55e8b0d0bc4d4a74c66c6a135fb695bb5334c362fdbe",
-    "paper_ratio(600)": "dc8627afe6fc02e6f04c59740e555b3a4846fae297ded84056039cb66bb0499e",
+    "tiny": "e436831646b633b377c8fd61689cf9b737bde6edf38523f091cde2bc0e8a311d",
+    "default": "913a64515052fa1583bb4617ebb8e79aa38484ecb056071a90944d7be2bf89f4",
+    "paper_ratio(600)": "5bf4d719cd2ca6bcb676197e134abf7e1e3cee1cad61a9d7737e6ae080b88046",
 }
 
 
@@ -85,17 +87,25 @@ def seeded_state(scenario):
     }
 
 
-@pytest.mark.parametrize("scale", sorted(SCALES))
-def test_seeded_state_matches_the_pin(scale):
+def seeded_state_at(scale):
+    """The state ``GOLDEN_SEEDED_STATE[scale]`` is the digest of."""
     scenario = Scenario(ScenarioConfig(name=NO_CACHE,
                                        seed_scale=SCALES[scale]())).setup()
     try:
-        state = seeded_state(scenario)
+        return seeded_state(scenario)
     finally:
         scenario.teardown()
+
+
+def state_digest(state):
     payload = json.dumps(state, sort_keys=True)
-    assert (hashlib.sha256(payload.encode("utf-8")).hexdigest()
-            == GOLDEN_SEEDED_STATE[scale])
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("scale", sorted(SCALES))
+def test_seeded_state_matches_the_pin(scale):
+    state = seeded_state_at(scale)
+    assert state_digest(state) == GOLDEN_SEEDED_STATE[scale]
     # One INSERT a seeded row, and nothing else wrote.
     assert state["counters"]["inserts"] == sum(state["summary"].values())
 

@@ -7,19 +7,17 @@ capture is the Table 2 header of the ``exp1 --quick`` golden, which used to
 claim "15 clients" for a table computed at 6.
 
 Tier-1 compares the quick invocations and the full commands that finish in
-under two seconds.  Running this file as a script compares every golden,
-including the six slower full sweeps (the CI ``bench-golden`` step)::
+under two seconds.  ``tools/repin.py`` compares every golden, including the
+six slower full sweeps, and re-pins them (``run_cli`` and ``GOLDEN`` are
+what it runs)::
 
-    PYTHONPATH=src python tests/bench/test_golden_output.py
+    PYTHONPATH=src python tools/repin.py --check
 """
 
 import argparse
 import contextlib
 import io
-import os
 import pathlib
-import sys
-import tempfile
 
 import pytest
 
@@ -195,14 +193,3 @@ def cli_surface():
 
 def test_cli_surface_is_pinned():
     assert cli_surface() == CLI_SURFACE
-
-
-if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as scratch:
-        os.chdir(scratch)
-        failed = [name for name in GOLDEN
-                  if run_cli(GOLDEN[name]) != golden_text(name)]
-    for name in failed:
-        print(f"MISMATCH {name}: python -m repro.bench {' '.join(GOLDEN[name])}")
-    print(f"{len(GOLDEN) - len(failed)}/{len(GOLDEN)} golden outputs match")
-    sys.exit(1 if failed else 0)

@@ -132,15 +132,15 @@ class TestEagerBulkCounters:
             owner = items_setup["owners"][0]
             assert cached.evaluate(owner_id=owner.pk) == 5
             recorder = items_setup["database"].recorder
-            singles_before = recorder.total.trigger_cache_ops
             batches_before = recorder.total.trigger_cache_batches
+            counters_before = recorder.total.cache_multi_counters
             Item.objects.create(owner=owner, label="bulk")
             assert cached.peek(owner_id=owner.pk) == 6
             assert cached.stats.updates_applied == 1
-            # The bump traveled as a one-key incr_multi batch (1 RT), not a
-            # single-op incr: batch count up, single-op count unchanged.
+            # The bump traveled as one one-key incr_multi batch (1 RT), on
+            # the trigger's account, not the application's.
             assert recorder.total.trigger_cache_batches == batches_before + 1
-            assert recorder.total.trigger_cache_ops == singles_before
+            assert recorder.total.cache_multi_counters == counters_before
         finally:
             eager.deactivate()
 

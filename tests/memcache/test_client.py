@@ -68,12 +68,13 @@ class TestCostAccounting:
             client.get("a")
             client.get("missing")
             client.delete("a")
-        assert counters.cache_sets == 1
-        assert counters.cache_gets == 2
+        # Each single-key call is a batch of one: one batch event apiece.
+        assert counters.cache_multi_sets == 1
+        assert counters.cache_multi_gets == 2
         assert counters.cache_hits == 1
         assert counters.cache_misses == 1
-        assert counters.cache_deletes == 1
-        assert counters.trigger_cache_ops == 0
+        assert counters.cache_multi_deletes == 1
+        assert counters.trigger_cache_batches == 0
 
     def test_trigger_ops_recorded_with_connection(self):
         recorder = Recorder()
@@ -83,7 +84,8 @@ class TestCostAccounting:
             client.get("k")
             client.set("k", 1)
         assert counters.trigger_connections == 1
-        assert counters.trigger_cache_ops == 2
+        assert counters.trigger_cache_batches == 2
+        assert counters.trigger_cache_batch_ops == 2
 
     def test_connection_reopened_per_trigger_without_reuse(self):
         recorder = Recorder()

@@ -76,8 +76,8 @@ class TestFailFastWithoutGutter:
         assert fleet["servers"]["cache1"].stats.node_down_errors == 1
         assert fleet["recorder"].total.cache_misses == 1
         assert fleet["recorder"].total.cache_node_down == 1
-        # Fail-fast is not a round trip: no cache_gets charged.
-        assert fleet["recorder"].total.cache_gets == 0
+        # Fail-fast is not a round trip: none charged.
+        assert fleet["recorder"].total.cache_round_trips == 0
 
     def test_live_node_keys_are_unaffected(self, fleet):
         client, key_on = fleet["client"], fleet["key_on"]
@@ -102,7 +102,7 @@ class TestFailFastWithoutGutter:
         assert client.cas(key, "w", token) is False
         # The tokens vanished with the node: no round trip, nothing swapped.
         assert fleet["recorder"].total.cache_node_down == 1
-        assert fleet["recorder"].total.cache_cas == 0
+        assert fleet["recorder"].total.cache_multi_cas == 0
         assert fleet["servers"]["cache1"].stats.cas_ok == 0
 
     def test_set_and_delete_report_failure(self, fleet):
@@ -145,7 +145,7 @@ class TestGutterRouting:
         assert gutter.hits == 1
         assert fleet["recorder"].total.cache_hits == 1
         # Gutter round trips are charged like primary ones.
-        assert fleet["recorder"].total.cache_gets == 1
+        assert fleet["recorder"].total.cache_multi_gets == 1
 
     def test_gutter_miss_counts_both_ways(self, fleet, gutter):
         client, key_on = fleet["client"], fleet["key_on"]

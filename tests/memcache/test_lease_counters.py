@@ -172,7 +172,7 @@ class TestClientLeaseAccounting:
         client.set("k", "v")
         state, value, _ = client.lease("k", 5.0)
         assert (state, value) == (LEASE_HIT, "v")
-        assert recorder.total.cache_leases == 1
+        assert recorder.total.cache_multi_leases == 1
         assert recorder.total.cache_hits == 1
 
     def test_lease_multi_batches_per_server(self):

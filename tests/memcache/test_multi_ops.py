@@ -8,6 +8,7 @@ from repro.errors import CacheKeyError
 from repro.memcache import CacheClient, CacheServer, hashring
 from repro.memcache.item import sizeof_value
 from repro.memcache.stats import CacheStats
+from repro.obs import hooks
 from repro.storage.costmodel import Recorder
 
 
@@ -99,6 +100,22 @@ class TestWriteAccountingFixes:
         client.add("k", "payload")
         assert recorder.total.cache_bytes_moved > 0
 
+    @pytest.mark.parametrize("from_trigger", [False, True])
+    def test_client_add_is_charged_as_a_store_of_one_key(self, from_trigger):
+        """``add`` costs what a ``set`` of the same key costs, app or
+        trigger side, but announces no ``cache:<op>`` pause."""
+        totals, labels = [], []
+        for call in (lambda c: c.add("k", "payload"),
+                     lambda c: c.set("k", "payload")):
+            client, _ = make_client(1, from_trigger=from_trigger)
+            with hooks.subscribed(hooks.OnPause(labels.append)):
+                assert call(client)
+            totals.append(client.recorder.total.as_dict())
+        assert totals[0] == totals[1]
+        assert totals[0]["cache_multi_sets" if not from_trigger
+                         else "trigger_cache_batch_ops"] == 1
+        assert labels == ["cache:set_multi"]
+
     def test_server_cas_success_counts_as_set(self):
         server = CacheServer("m0")
         server.set("k", "v1")
@@ -151,8 +168,9 @@ class TestClientMultiOpAccounting:
         batches = len(client._group_by_server(keys))
         assert 1 <= batches <= 2
         assert recorder.total.cache_multi_gets - before.cache_multi_gets == batches
-        # No per-key single-op round trips were charged...
-        assert recorder.total.cache_gets == before.cache_gets
+        # One round trip per server batch, not one per key...
+        assert (recorder.total.cache_round_trips
+                - before.cache_round_trips) == batches
         # ...but hit/miss outcomes still count per key.
         assert recorder.total.cache_hits - before.cache_hits == 10
         assert recorder.total.cache_misses - before.cache_misses == 10
@@ -166,13 +184,13 @@ class TestClientMultiOpAccounting:
         batches = len(client._group_by_server(list(mapping)))
         assert client.set_multi(mapping) == []
         assert recorder.total.cache_multi_sets == batches
-        assert recorder.total.cache_sets == 0
+        assert recorder.total.cache_round_trips == batches
         assert recorder.total.cache_bytes_moved > 0
         assert fleet_stats(servers).sets == 12
         deleted = client.delete_multi(list(mapping))
         assert sorted(deleted) == sorted(mapping)
         assert recorder.total.cache_multi_deletes == batches
-        assert recorder.total.cache_deletes == 0
+        assert recorder.total.cache_round_trips == 2 * batches
 
     def test_set_multi_failed_keys_excluded_from_set_accounting(self):
         recorder = Recorder()
@@ -281,18 +299,20 @@ class TestServerCasMulti:
 
 class TestClientCasAccounting:
     def test_single_cas_charges_cache_cas_not_cache_sets(self):
+        """A single ``cas`` is a CAS batch of one: ``cache_multi_cas``."""
         recorder = Recorder()
         client, servers = make_client(1, recorder=recorder)
         client.set("k", "v1")
-        sets_before = recorder.total.cache_sets
+        sets_before = recorder.total.cache_multi_sets
         _value, token = client.gets("k")
         assert client.cas("k", "v2", token)
         # A losing CAS is a round trip too — and still not a set.
         assert not client.cas("k", "v3", token)
-        assert recorder.total.cache_cas == 2
-        assert recorder.total.cache_sets == sets_before
+        assert recorder.total.cache_multi_cas == 2
+        assert recorder.total.cache_multi_sets == sets_before
         assert servers[0].stats.cas_ok == 1
         assert servers[0].stats.cas_mismatch == 1
+        assert recorder.total.cas_multi_mismatch == 1
 
     def test_single_cas_on_a_vanished_key_counts_a_miss(self):
         client, servers = make_client(1)
@@ -337,7 +357,7 @@ class TestClientCasAccounting:
         assert recorder.total.cache_multi_cas - before.cache_multi_cas \
             + recorder.total.cache_overlapped_batches \
             - before.cache_overlapped_batches == batches
-        assert recorder.total.cache_sets == before.cache_sets
+        assert recorder.total.cache_multi_sets == before.cache_multi_sets
         assert verdicts[keys[3]] == CAS_MISMATCH
         assert all(verdicts[k] == CAS_STORED for k in keys if k != keys[3])
         assert recorder.total.cas_multi_mismatch - before.cas_multi_mismatch == 1

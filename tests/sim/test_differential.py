@@ -68,34 +68,38 @@ def fingerprint_digest(fingerprint) -> str:
 
 #: Golden replay fingerprints, generated at commit 5bd6aac from the
 #: *uncompiled* path (every memo off, ``deepcopy`` of every row, values
-#: pickled on every hit).  Regenerate only for a deliberate behaviour change.
+#: pickled on every hit).  Regenerate only for a deliberate behaviour change,
+#: through ``tools/repin.py``.  Every entry was re-pinned so when
+#: ``CostCounters`` lost its six single-key fields: the serial entries moved
+#: by those keys vanishing and their counts joining the batch fields, the
+#: threaded ones also by their schedules.
 GOLDEN_FINGERPRINTS = {
-    "Update": "bbc67aa22100ade74afd075b41ae42004ef78c0d9f6e7351fdbd3b08ea752c2e",
-    "Invalidate": "336f78f6ccca0de75fd9c0a9228334234f7b488e3a3c21ff43f855207dd7b767",
-    "LeasedInvalidate": "fd0c15ed9534d151e43f06ac14b9b7be8dfbd166997ddde92bb47f75d3382187",
-    "AsyncRefresh": "22cf214fb115e3685fa055abcf4e47c209c1ad2a268a2c3f89f90d484005162d",
-    "Expiry": "6ba3f2d30d30b9bb0a9d11a34346d54be35c92d5b605f4bd22f1d1c9070aa0b1",
-    "Update/workers=2/adversarial": "33381c9c427faefa805747fcffc868f9b21eb2fe8b7f8091ae5f3632c018c2d4",
-    "Adaptive/workers=1/round-robin": "2ce099471c03a325ec1c662a70456422343b34b21417fde145e847c3732e1ff3",
-    "Adaptive/workers=2/round-robin": "040b916825ab464333e6f9e344db529f8f72f3daa59acb792be06ffee53ed8f7",
-    "Adaptive/workers=2/random": "e035eadfebf21222928a854ee62a86d19790de3ee9eb5ecd6eb08adef5db3e75",
-    "Adaptive/workers=2/adversarial": "c4fb2cedb985d1110f09044f4d87cc428e1a48c893be8d8634b98dd1d660bc39",
-    "Adaptive/workers=2/key-overlap": "c4fb2cedb985d1110f09044f4d87cc428e1a48c893be8d8634b98dd1d660bc39",
-    "Adaptive/telemetry-capacity=32": "7d0070de886659eccc750a32172e1b81e66ab5638b032a0f60c1db7c3782f55a",
+    "Update": "5e18cca75e80b854f6a646b6ff2ed244b1b07bb6f348a7b92009d4cab2b7513f",
+    "Invalidate": "2fbc8f4dee5c584250399471033dc82bc0804f505d7d6e4ffa685e717d7d85d4",
+    "LeasedInvalidate": "de768f0963b2c761b634f0e4efb130dafb2efbfeffd1b20bc998aef91519569d",
+    "AsyncRefresh": "c2d520c2878b172873148d8e3d9d3e9dee10a1e206899063cbc5918a1186da47",
+    "Expiry": "f79267a50f0af1c333903768eb2c5902bb3abd76942726d72346d2254f2d79a4",
+    "Update/workers=2/adversarial": "fdf5a1e1115b870d8a92c10ffe6fec0a4a656bb10a2cceec3fb95ff8b440983b",
+    "Adaptive/workers=1/round-robin": "0cd491cc371056ecbfe1130b57455ffd2d89d6ae99b78babaeeed3739b2e688b",
+    "Adaptive/workers=2/round-robin": "4853356af6e08738963b3745d3484aafa50ee8254a969f6d2653299438c49a74",
+    "Adaptive/workers=2/random": "2b4dab61292ca44a74aa64c167736de9a707e70c6cb6f77441a3733f121e0ea5",
+    "Adaptive/workers=2/adversarial": "71800233d329c3e1aa5dad703b8eaca95660c5e8f69fcf9b11cef696706c93d5",
+    "Adaptive/workers=2/key-overlap": "71800233d329c3e1aa5dad703b8eaca95660c5e8f69fcf9b11cef696706c93d5",
+    "Adaptive/telemetry-capacity=32": "4bf9b2b972d28ef706e2e1e55331dfe00858e2a87ba311f1f5003647e7614b33",
     # The baseline arm, where storage + ORM produce *every* counter: generated
     # at commit 3090995 from the per-row statement path (one ``record`` per
     # scanned and per returned row, every candidate copied before its check).
-    "NoCache": "0855d839d56fe110a9b6df323d5bfaecfe8352cac47bbf5c86ccc1997fd6a6b2",
-    "NoCache/workers=2/adversarial": "366deeb6776d6e0021244a38247db6ffff4d9f186bf9c6527d91021b156b28f7",
+    "NoCache": "1828d2d63adbea8584c231d2af2ce5330efc963b24a45d379db8f59fcbc09043",
+    "NoCache/workers=2/adversarial": "34511a6c2521d14bee7d77bf95ac704144cfb37f01dba46c905d15be236020af",
     # Schedules that switch threads on almost every decision, with more than
     # two batons in play: generated at commit c517e74 from the scheduler-thread
     # loop (two semaphores a decision), before workers took the decision
     # themselves.  The adversarial pins above re-pick the yielder 83 % of the
     # time; round-robin and key-overlap do so under 4 %, random at 34 %.
-    "Update/workers=3/round-robin": "60e52717f0a36c63d68ba3e389f6c625d59a5d9548f94811090eeb90643d37bf",
-    "Update/workers=4/random": "ba423cab7431e4ea6d62f0c9ca0a474a837628709956762449ae8eff0d255256",
-    "LeasedInvalidate/workers=4/key-overlap": "00d0b2a561136b4dca5e88e082ed7cc18de9a3b6976886c448fc8b6f6dfbbcf9",
-    "Invalidate/workers=3/round-robin": "d3462927f0ea02fd2ff083e71873a3ddf7bc5b8dc6021d17e88e67e3579e3877",
+    "Update/workers=3/round-robin": "e6b1df44059ce27e16b54eed571d967014ca9562082f2877aa193fb8dd331f63",
+    "Update/workers=4/random": "5af965b0218de5cb3fb7151b67de269fa1e69c79fc92f20fff8666d5a447bd3c",
+    "LeasedInvalidate/workers=4/key-overlap": "baf187c00d766b938ea1c5e2ba698ab812fb391f98241e7e1af07786a13a6c42",
+    "Invalidate/workers=3/round-robin": "3e36c90cf908aa00d718c22e7f34bee821fa1bc25ea49ec38cb6ebe0492e8ace",
 }
 
 #: The pins above whose schedule hands the baton to *another* worker on most
@@ -126,6 +130,23 @@ def plain_fingerprint(scenario_name: str, workers: int = 1,
                       policy: str = ROUND_ROBIN):
     return replay_fingerprint(
         replay_once(scenario_name, workers=workers, policy=policy))
+
+
+def golden_fingerprint(pin: str):
+    """The fingerprint ``GOLDEN_FINGERPRINTS[pin]`` is the digest of, built
+    from the pin's name (``tools/repin.py`` rebuilds every pin through it):
+    ``"<scenario>"`` is a serial replay, ``"<scenario>/workers=N/<policy>"``
+    a threaded one, and ``"Adaptive/telemetry-capacity=N"`` the serial
+    adaptive replay with that telemetry bound."""
+    scenario_name, *rest = pin.split("/")
+    if rest and rest[0].startswith("telemetry-capacity="):
+        return adaptive_fingerprint(*replay_adaptive(
+            telemetry_capacity=int(rest[0].split("=")[1])))
+    workers, policy = ((int(rest[0].split("=")[1]), rest[1]) if rest
+                       else (1, ROUND_ROBIN))
+    if scenario_name == ADAPTIVE_SCENARIO:
+        return adaptive_fingerprint(*replay_adaptive(workers, policy))
+    return plain_fingerprint(scenario_name, workers, policy)
 
 
 class TestGoldenFingerprints:
@@ -205,19 +226,31 @@ GOLDEN_CACHE_ACCOUNTING = {
 }
 
 
+def cache_accounting(scenario_name: str):
+    """The named quantities of ``GOLDEN_CACHE_ACCOUNTING[scenario_name]``."""
+    run = run_scenario(
+        ablation_config(scenario_name, SeedScale.tiny(),
+                        cache_size_bytes=ACCOUNTING_CACHE_BYTES),
+        workload=WORKLOAD, warmup=None)
+    counters, stats = run.replay.total_counters, run.cache_stats
+    return {"cache_bytes_moved": counters.cache_bytes_moved,
+            "cache_hits": counters.cache_hits,
+            "cache_misses": counters.cache_misses,
+            "evictions": int(stats["evictions"]),
+            "used_bytes": int(stats["bytes"])}
+
+
+def accounting_pin(quantities):
+    return tuple(quantities.values())
+
+
 class TestCacheAccountingPins:
     """Sizing each value once per store moves no byte, hit or eviction."""
 
     @pytest.mark.parametrize("scenario_name", STRATEGY_ABLATION_SCENARIOS)
     def test_bytes_hits_evictions_match_reference(self, scenario_name):
-        run = run_scenario(
-            ablation_config(scenario_name, SeedScale.tiny(),
-                            cache_size_bytes=ACCOUNTING_CACHE_BYTES),
-            workload=WORKLOAD, warmup=None)
-        counters, stats = run.replay.total_counters, run.cache_stats
-        assert (counters.cache_bytes_moved, counters.cache_hits,
-                counters.cache_misses, int(stats["evictions"]),
-                int(stats["bytes"])) == GOLDEN_CACHE_ACCOUNTING[scenario_name]
+        assert (accounting_pin(cache_accounting(scenario_name))
+                == GOLDEN_CACHE_ACCOUNTING[scenario_name])
 
 
 #: The adaptive differential workload: the quick ablation's mixed hot/cold

@@ -335,18 +335,22 @@ def digest(fingerprint):
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def event_order(name):
+    """The fingerprint ``GOLDEN_EVENT_ORDER[name]`` is the digest of."""
+    build, options = PINNED_POPULATIONS[name]
+    replay = build()
+    metrics = simulate_population(replay, options=options,
+                                  retain_completions=True)
+    assert len(metrics.completions) == len(replay.pages)
+    return event_order_fingerprint(
+        completion_rows(metrics), metrics.engine_events, metrics.duration,
+        metrics.window_end)
+
+
 class TestGoldenEventOrder:
     @pytest.mark.parametrize("name", sorted(PINNED_POPULATIONS))
     def test_retained_run_matches_the_pin(self, name):
-        build, options = PINNED_POPULATIONS[name]
-        replay = build()
-        metrics = simulate_population(replay, options=options,
-                                      retain_completions=True)
-        assert len(metrics.completions) == len(replay.pages)
-        fingerprint = event_order_fingerprint(
-            completion_rows(metrics), metrics.engine_events, metrics.duration,
-            metrics.window_end)
-        assert digest(fingerprint) == GOLDEN_EVENT_ORDER[name]
+        assert digest(event_order(name)) == GOLDEN_EVENT_ORDER[name]
 
     @pytest.mark.parametrize("name", sorted(PINNED_POPULATIONS))
     def test_streamed_run_equals_the_retained_run(self, name):

@@ -11,9 +11,9 @@ class TestRecorder:
         recorder.record("inserts")
         with recorder.measure() as counters:
             recorder.record("inserts", 2)
-            recorder.record("cache_gets")
+            recorder.record("cache_multi_gets")
         assert counters.inserts == 2
-        assert counters.cache_gets == 1
+        assert counters.cache_multi_gets == 1
         assert recorder.total.inserts == 3
 
     def test_nested_measure_propagates_to_outer(self):
@@ -26,7 +26,7 @@ class TestRecorder:
         assert outer.statements == 3
 
     def test_counters_add_and_copy(self):
-        a = CostCounters(inserts=1, cache_gets=2)
+        a = CostCounters(inserts=1, cache_multi_gets=2)
         b = CostCounters(inserts=3)
         a.add(b)
         assert a.inserts == 4
@@ -53,7 +53,7 @@ class TestCostModel:
 
     def test_cache_ops_charge_network(self):
         model = CostModel()
-        demand = model.demand(CostCounters(cache_gets=5))
+        demand = model.demand(CostCounters(cache_multi_gets=5))
         assert demand.cache_net_ms == pytest.approx(5 * model.cache_op_net_ms)
 
     def test_trigger_connection_split_between_cpu_and_net(self):

@@ -77,7 +77,7 @@ CASES = [
     ("TableSchema", lambda w: w["database"].table("member").schema,
      "handle"),
     ("Row", lambda w: Row(7, {"handle": "ada"}), "#7"),
-    ("CostCounters", lambda w: CostCounters(cache_gets=2), "cache_gets=2"),
+    ("CostCounters", lambda w: CostCounters(cache_multi_gets=2), "cache_multi_gets=2"),
     ("DataType", lambda w: IntegerType(), "IntegerType"),
     ("Join", lambda w: Join("a", "b_id", "b", "id"), "JOIN b ON a.b_id"),
     ("TruePredicate", lambda w: ALWAYS_TRUE, "TRUE"),

@@ -553,9 +553,6 @@ OPTION_KEEPERS: Dict[str, Tuple[str, str]] = {
         FLAG, "exp-contention --trace-out --seed"),
     "sim/interleave.py:build_scheduler(seed)": (
         FLAG, "--seed (exp1, exp-contention) seeds the scheduler"),
-    "core/strategies.py:ConsistencyStrategy.flush_invalidations(single)": (
-        FLAG, "exp-batch --scenario Invalidate --batch-ops off: an eager "
-              "trigger drops each key alone"),
     # What a function the frozen benchmark keeps passes.
     "memcache/client.py:CacheClient._counters(label)": (
         FROZEN, "CacheClient.decr_multi, which spans.py shadows, passes "
