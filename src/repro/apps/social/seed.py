@@ -11,11 +11,12 @@ every knob so experiments pick a laptop-sized dataset with the same ratios.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, List
+from dataclasses import astuple, dataclass, replace
+from typing import Any, Dict, List, Tuple
 
 from .models import (Bookmark, BookmarkInstance, Friendship,
-                     FriendshipInvitation, Profile, User, WallPost)
+                     FriendshipInvitation, Profile, User, WallPost,
+                     social_registry)
 
 
 @dataclass
@@ -67,14 +68,37 @@ class SeedSummary:
         return self.__dict__.copy()
 
 
+#: What this process has seeded: (the ``SeedScale`` fields, the buffer pool's
+#: pages, the table names) -> (the ``Database.snapshot()`` bytes, the summary).
+_SEEDED: Dict[Tuple[Any, ...], Tuple[bytes, SeedSummary]] = {}
+
+
 def seed_database(scale: SeedScale) -> SeedSummary:
     """Populate the bound database with a synthetic social network.
 
-    Seeding writes through the storage layer directly (table inserts via the
-    ORM's ``save``), with triggers untouched — experiments install CacheGenie
-    *after* seeding, exactly as the original system adds caching to an
-    existing site.
+    Experiments install CacheGenie *after* seeding, exactly as the original
+    system adds caching to an existing site.  The first call for a key seeds
+    through the ORM and keeps a snapshot of the result; every later call
+    restores that snapshot into the freshly created tables, which leaves the
+    same rows, trees, pages and counters.  Either way the database must be
+    unused, and no clock is read.
     """
+    database = social_registry.db
+    key = (astuple(scale), database.buffer_pool.capacity_pages,
+           tuple(database.table_names()))
+    seeded = _SEEDED.get(key)
+    if seeded is not None:
+        snapshot, summary = seeded
+        database.restore(snapshot)
+        return replace(summary)
+    database.require_unused()
+    summary = _seed(scale)
+    _SEEDED[key] = database.snapshot(), summary
+    return replace(summary)
+
+
+def _seed(scale: SeedScale) -> SeedSummary:
+    """Seed through the ORM: table inserts via each model's ``save``."""
     rng = random.Random(scale.seed)
     now = 1_000_000.0
 

@@ -74,6 +74,26 @@ class _Internal(_Node):
         self.children: List[_Node] = []
 
 
+def _dump(node: _Node) -> Tuple[bool, List[Any], List[Any]]:
+    if node.is_leaf:
+        return True, node.keys, node.values  # type: ignore[attr-defined]
+    return False, node.keys, [_dump(child) for child in node.children]  # type: ignore[attr-defined]
+
+
+def _load(state: Tuple[bool, List[Any], List[Any]], leaves: List[_Leaf]) -> _Node:
+    is_leaf, keys, items = state
+    node: _Node
+    if is_leaf:
+        node = _Leaf()
+        node.values = items
+        leaves.append(node)
+    else:
+        node = _Internal()
+        node.children = [_load(child, leaves) for child in items]
+    node.keys = keys
+    return node
+
+
 class BPlusTree:
     """B+Tree index mapping keys to ascending row ids.
 
@@ -230,6 +250,24 @@ class BPlusTree:
             del leaf.keys[idx]
             del leaf.values[idx]
         return True
+
+    # -- snapshot -------------------------------------------------------------
+
+    def snapshot(self) -> Tuple[int, int, List[int], Any]:
+        """The tree as plain data: its counters, the NULL bucket and the
+        nodes nested as ``(True, keys, postings)`` for a leaf and ``(False,
+        keys, children)`` above it, so the depth is the height, never the
+        length of the leaf chain.  The lists are the live ones, not copies."""
+        return self.node_touches, self._size, self._null_bucket, _dump(self._root)
+
+    def restore(self, state: Tuple[int, int, List[int], Any]) -> None:
+        """Take what :meth:`snapshot` gave (its lists become this tree's own)
+        and relink the leaves left to right."""
+        self.node_touches, self._size, self._null_bucket, root = state
+        leaves: List[_Leaf] = []
+        self._root = _load(root, leaves)
+        for leaf, right in zip(leaves, leaves[1:]):
+            leaf.next = right
 
     # -- scans ----------------------------------------------------------------
 

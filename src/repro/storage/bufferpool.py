@@ -11,7 +11,7 @@ queries are mostly unrepeated or writes).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .costmodel import Recorder
 
@@ -58,6 +58,17 @@ class BufferPool:
             if was_dirty:
                 self.dirty_writebacks += 1
         return False
+
+    # -- snapshot -------------------------------------------------------------
+
+    def snapshot(self) -> Tuple[List[Tuple[PageId, bool]], int, int]:
+        """The resident pages in LRU order with their dirty flags, and the
+        two counters."""
+        return list(self._pages.items()), self.evictions, self.dirty_writebacks
+
+    def restore(self, state: Tuple[List[Tuple[PageId, bool]], int, int]) -> None:
+        pages, self.evictions, self.dirty_writebacks = state
+        self._pages = OrderedDict(pages)
 
     def __repr__(self) -> str:
         return (

@@ -143,6 +143,27 @@ class HeapFile:
                 self.buffer_pool.access(self.schema.name, page_no)
                 yield [(rowid, values[rowid]) for rowid in rowids]  # type: ignore[misc]
 
+    # -- snapshot -------------------------------------------------------------
+
+    def snapshot(self) -> Tuple[List[Optional[Tuple[Any, ...]]], List[int],
+                                int, List[int], List[List[int]]]:
+        """The heap as plain data: each stored row as the tuple of its
+        values (a stored dict holds its columns in schema order), ``None``
+        for a deleted row; then the row-to-page list, the live-row count and
+        each page's free bytes and row ids, which are the live lists."""
+        rows = [None if values is None else tuple(values.values())
+                for values in self._values]
+        return rows, self._pages, self._live, self._page_free, self._page_rows
+
+    def restore(self, state: Tuple[List[Optional[Tuple[Any, ...]]], List[int],
+                                   int, List[int], List[List[int]]]) -> None:
+        """Take what :meth:`snapshot` gave.  Each row is rebuilt keyed by this
+        schema's own column-name objects, as an INSERT keys it."""
+        rows, self._pages, self._live, self._page_free, self._page_rows = state
+        names = self.schema.column_names
+        self._values = [None if values is None else dict(zip(names, values))
+                        for values in rows]
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<HeapFile {self.schema.name}: {self.row_count} rows, "

@@ -252,5 +252,22 @@ class Table:
                 return index
         return None
 
+    # -- snapshot -------------------------------------------------------------
+
+    def snapshot(self) -> Tuple[Any, int, List[Any]]:
+        """The heap, the next primary key and every index's tree (primary
+        first), as plain data."""
+        next_pk = self._next_pk()
+        self._pk_counter = itertools.count(next_pk)
+        return (self.heap.snapshot(), next_pk,
+                [index.tree.snapshot() for index in self.all_indexes()])
+
+    def restore(self, state: Tuple[Any, int, List[Any]]) -> None:
+        heap, next_pk, trees = state
+        self.heap.restore(heap)
+        self._pk_counter = itertools.count(next_pk)
+        for index, tree in zip(self.all_indexes(), trees, strict=True):
+            index.tree.restore(tree)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Table {self.name}: {self.heap.row_count} rows>"

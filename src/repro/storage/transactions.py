@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from ..errors import TransactionError
 from ..obs import hooks
@@ -219,6 +219,19 @@ class TransactionManager:
         context.current = None
         self._fire(self.on_abort)
         return txn
+
+    # -- snapshot -------------------------------------------------------------
+
+    def snapshot(self) -> Tuple[int, int, int]:
+        """The next transaction id and the two outcome counters (call it
+        between transactions: an open one is not part of the data)."""
+        next_tid = next(self._tid_counter)
+        self._tid_counter = itertools.count(next_tid)
+        return next_tid, self.committed, self.aborted
+
+    def restore(self, state: Tuple[int, int, int]) -> None:
+        next_tid, self.committed, self.aborted = state
+        self._tid_counter = itertools.count(next_tid)
 
     def record_undo(self, apply: Callable[[], None], description: str = "") -> None:
         """Attach an undo record to the open explicit transaction (if any)."""

@@ -171,11 +171,6 @@ KEEPERS: Dict[str, Tuple[str, str]] = {
         REFERENCE, "Database.create_index (reference-checked) adds the index"),
     "storage/schema.py:TableSchema.add_index": (
         REFERENCE, "Database.create_index (reference-checked) declares it"),
-    "storage/database.py:Database.table_names": (
-        REFERENCE, "the sqlite mirror and GOLDEN_SEEDED_STATE walk the "
-                   "tables through it"),
-    "storage/schema.py:TableSchema.column_names": (
-        REFERENCE, "the sqlite mirror reads a schema's columns through it"),
     "storage/query.py:SelectQuery.tables": (
         REFERENCE, "the sqlite mirror checks each join's tables"),
     "storage/query.py:CountQuery.tables": (
