@@ -17,20 +17,16 @@ class Manager:
         self.model = model
         setattr(model, name, ManagerDescriptor(self))
 
-    def get_queryset(self) -> QuerySet:
-        assert self.model is not None
-        return QuerySet(self.model)
-
     # -- convenience passthroughs ---------------------------------------------
 
     def filter(self, **kwargs: Any) -> QuerySet:
-        return self.get_queryset().filter(**kwargs)
+        return QuerySet(self.model, kwargs)
 
     def get(self, **kwargs: Any) -> Any:
-        return self.get_queryset().get(**kwargs)
+        return QuerySet(self.model, {}).get(**kwargs)
 
     def count(self) -> int:
-        return self.get_queryset().count()
+        return QuerySet(self.model, {}).count()
 
     def create(self, **kwargs: Any) -> Any:
         """Instantiate and immediately save a model instance."""

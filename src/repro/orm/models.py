@@ -66,6 +66,8 @@ class ModelBase(type):
         # Per-model DoesNotExist, like Django.
         cls.DoesNotExist = type("DoesNotExist", (DoesNotExist,), {})
 
+        # One row constructor per model, compiled once its fields are in.
+        cls._meta.from_db = cls._meta.compile_from_db()
         registry.register_model(cls)
         return cls
 
@@ -152,21 +154,6 @@ class Model(metaclass=ModelBase):
         db.delete(self._meta.db_table,
                   predicate_from_filters({self._meta.pk_column: self.pk}))
         self._state_adding = True
-
-    def _load_row(self, row: Dict[str, Any]) -> None:
-        # Attnames are plain instance attributes (the ForeignKey descriptor
-        # lives on the field *name*), so the instance dict is filled directly.
-        state = self.__dict__
-        for attname, column in self._meta.attname_columns:
-            state[attname] = row.get(column)
-        state["_state_adding"] = False
-
-    @classmethod
-    def _from_db(cls, row: Dict[str, Any]) -> "Model":
-        """Build an instance from a raw storage row (no validation)."""
-        instance = cls.__new__(cls)
-        instance._load_row(row)
-        return instance
 
     def to_dict(self) -> Dict[str, Any]:
         """Return the instance's column values as a plain dict."""

@@ -7,9 +7,10 @@ storage-engine schema for the model table — the equivalent of Django's
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..errors import FieldError, ModelError
+from ..errors import FieldError, ModelError, PlannerError
+from ..storage.predicates import filter_lookup
 from ..storage.schema import ColumnDef, IndexDef, TableSchema
 from .fields import AutoField, Field, ForeignKey
 
@@ -31,7 +32,15 @@ class Options:
         #: ``(instance attribute, storage column)`` of every concrete field:
         #: what loading a row into an instance (and reading it back) walks.
         self.attname_columns: Tuple[Tuple[str, str], ...] = ()
-        self._filter_targets: Dict[str, Tuple[str, Optional[ForeignKey]]] = {}
+        #: ``filter()`` keyword -> (storage column with its lookup suffix,
+        #: the ForeignKey whose value it unwraps or None); :meth:`filter_key`.
+        self.filter_keys: Dict[str, Tuple[str, Optional[ForeignKey]]] = {}
+        #: Call shape -> :class:`~repro.orm.queryset.PreparedRead`: each read
+        #: shape of this model is resolved once (``QuerySet._prepared``).
+        self.prepared_reads: Dict[tuple, Any] = {}
+        #: Build an instance from a storage row: compiled once the model
+        #: class has all its declared fields, and again by a later add_field.
+        self.from_db: Optional[Callable[[Dict[str, Any]], Any]] = None
         # The insert plan, kept current by add_field.  It names attributes
         # and columns only — never a clock or a database: both live on the
         # registry, which a new Scenario rebinds, and are read at save time.
@@ -53,11 +62,14 @@ class Options:
                 f"duplicate field {field.name!r} on model {self.model.__name__}"
             )
         self.fields_by_name[field.name] = field
-        self._filter_targets.clear()
+        self.filter_keys.clear()
+        self.prepared_reads.clear()
         self.init_targets.clear()
         self.fields.append(field)
         attname, column = field.attname, field.column
         self.attname_columns += ((attname, column),)
+        if self.from_db is not None:
+            self.from_db = self.compile_from_db()
         if callable(field.default):
             self.initial_state[attname] = None
             self.default_factories += ((attname, field.default),)
@@ -101,14 +113,44 @@ class Options:
     def filter_target(self, name: str) -> Tuple[str, Optional[ForeignKey]]:
         """Resolve a filter/update keyword to its storage column, plus the
         ForeignKey when ``name`` is a relation (whose value may be a model
-        instance to unwrap).  Memoised per model."""
-        target = self._filter_targets.get(name)
-        if target is None:
-            field = self.fields_by_name.get(name)
-            target = (self.column_for(name),
-                      field if isinstance(field, ForeignKey) else None)
-            self._filter_targets[name] = target
+        instance to unwrap)."""
+        field = self.fields_by_name.get(name)
+        return (self.column_for(name),
+                field if isinstance(field, ForeignKey) else None)
+
+    def filter_key(self, key: str) -> Tuple[str, Optional[ForeignKey]]:
+        """Resolve a ``filter()`` keyword (``field`` or ``field__lookup``) to
+        its storage column with the lookup suffix kept, plus the ForeignKey
+        that unwraps its value (an equality on a relation only).  Memoised
+        per model in :attr:`filter_keys`."""
+        try:
+            name, suffix, _build = filter_lookup(key)
+        except PlannerError:
+            raise FieldError(f"unsupported lookup {key!r}") from None
+        column, foreign_key = self.filter_target(name)
+        target = self.filter_keys[key] = (
+            f"{column}__{suffix}" if suffix else column,
+            foreign_key if suffix in ("", "exact") else None)
         return target
+
+    def compile_from_db(self) -> Callable[[Dict[str, Any]], Any]:
+        """One constructor for this model's rows: a fresh instance whose
+        ``__dict__`` gets each attname from its column (None when the row
+        lacks it), then the saved-state flag — one store per field, no loop.
+        Attnames are plain instance attributes (the ForeignKey descriptor
+        lives on the field *name*), so the dict is filled directly."""
+        stores = "".join(f"    state[{attname!r}] = get({column!r})\n"
+                         for attname, column in self.attname_columns)
+        source = ("def from_db(row):\n"
+                  "    instance = new(model)\n"
+                  "    state = instance.__dict__\n"
+                  "    get = row.get\n"
+                  f"{stores}"
+                  "    state['_state_adding'] = False\n"
+                  "    return instance\n")
+        namespace = {"new": object.__new__, "model": self.model}
+        exec(compile(source, f"<{self.model.__name__}.from_db>", "exec"), namespace)
+        return namespace["from_db"]
 
     def init_target(self, key: str) -> Tuple[str, bool]:
         """Resolve a constructor keyword to ``(attribute, is_relation)``: a

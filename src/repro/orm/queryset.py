@@ -6,6 +6,12 @@ Before hitting the database it offers a normalized :class:`QueryDescription`
 to the registry's interceptors — this is the hook CacheGenie uses to satisfy
 Feature/Link/Count/Top-K queries from memcached transparently (§3.1).
 
+Every read is a prepared statement: its *call shape* — the kind, the filter
+keys with their lookups and the ordering — is resolved once per
+model into a :class:`PreparedRead` (memoised in ``Options.prepared_reads``),
+which holds how each filter becomes a predicate, whether the shape is
+interceptable and the ORDER BY terms.  A call then only binds its values.
+
 A QuerySet whose filters carry :class:`~repro.orm.template.Param`
 placeholders (or that traverses relationships via :meth:`QuerySet.through`)
 is a *template*: it cannot be executed, but it can be handed to
@@ -16,17 +22,14 @@ its shape.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field as dataclass_field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
-from ..errors import DoesNotExist, FieldError, MultipleObjectsReturned, TemplateError
-from ..storage.predicates import predicate_from_filters
+from ..errors import DoesNotExist, MultipleObjectsReturned, TemplateError
+from ..storage.predicates import conjunction, filter_lookup, predicate_from_filters
 from ..storage.query import CountQuery, OrderBy, SelectQuery
 from .template import (ChainStep, Param, QueryTemplate, coerce_chain_step,
                        resolve_chain_models)
-
-_FILTER_SUFFIXES = ("exact", "lt", "lte", "gt", "gte", "ne", "in", "isnull")
 
 
 @dataclass
@@ -51,32 +54,80 @@ class QueryDescription:
         return self.model._meta.db_table
 
 
-class QuerySet:
-    """A chainable, lazily evaluated query over one model."""
+class PreparedRead:
+    """One call shape of one model, resolved once: what a SELECT or COUNT
+    of that shape needs besides its filter values.
 
-    def __init__(self, model: type) -> None:
+    * ``lookups`` — per filter key, in order: its column and the predicate
+      its lookup builds (:func:`~repro.storage.predicates.filter_lookup`);
+    * ``columns`` — the filtered columns when every filter is an equality
+      (the shape is interceptable), else None;
+    * ``order_by`` — the ORDER BY terms, shared by every statement.
+    """
+
+    __slots__ = ("table", "kind", "lookups", "columns", "order_by")
+
+    def __init__(self, queryset: "QuerySet", kind: str) -> None:
+        self.table = queryset.model._meta.db_table
+        self.kind = kind
+        lookups = [filter_lookup(key) for key in queryset._filters]
+        suffixes = {suffix for _column, suffix, _build in lookups}
+        self.lookups = tuple((column, build) for column, _suffix, build in lookups)
+        self.columns = (tuple(column for column, _suffix, _build in lookups)
+                        if suffixes <= {"", "exact"} else None)
+        self.order_by = tuple(OrderBy(column=column, descending=descending)
+                              for column, descending in queryset._order_by)
+
+    def query(self, queryset: "QuerySet") -> Union[SelectQuery, CountQuery]:
+        """The storage statement of ``queryset``, whose shape this is."""
+        predicate = conjunction([
+            build(column, value) for (column, build), value
+            in zip(self.lookups, queryset._filters.values())])
+        if self.kind == "count":
+            return CountQuery(self.table, predicate)
+        # Positionally — no join predicates, no joins, every column — since
+        # the keyword form costs each read another 0.4 µs.
+        return SelectQuery(self.table, predicate, {}, [], None, self.order_by,
+                           queryset._limit, queryset._offset)
+
+
+class QuerySet:
+    """A chainable, lazily evaluated query over one model.
+
+    What a queryset asks for never changes once a chaining call has
+    returned it: each call builds a new one, sharing the filter dict and
+    the tuples it does not change (the ordering and the ``through()``
+    steps are tuples, so no clone can change another's).
+    """
+
+    __slots__ = ("model", "_filters", "_order_by", "_limit", "_offset",
+                 "_result_cache", "_through_steps", "is_template")
+
+    def __init__(self, model: type, filters: Dict[str, Any]) -> None:
         self.model = model
-        self._filters: Dict[str, Any] = {}
-        self._order_by: List[Tuple[str, bool]] = []
+        self._order_by: Tuple[Tuple[str, bool], ...] = ()
         self._limit: Optional[int] = None
         self._offset: int = 0
         self._result_cache: Optional[List[Any]] = None
         #: Relationship hops added by through(); makes this a template.
-        self._through_steps: List[ChainStep] = []
+        self._through_steps: Tuple[ChainStep, ...] = ()
         #: True when this queryset declares a shape instead of fetching rows
         #: (a Param placeholder or a through() step).  Decided as filters and
         #: steps are added, so terminals only read it.
         self.is_template = False
+        self._filters: Dict[str, Any] = self._normalize_filters(filters)
 
     # -- chaining helpers ------------------------------------------------------
 
     def _clone(self) -> "QuerySet":
-        clone = QuerySet(self.model)
-        clone._filters = dict(self._filters)
-        clone._order_by = list(self._order_by)
+        clone = QuerySet.__new__(QuerySet)
+        clone.model = self.model
+        clone._filters = self._filters
+        clone._order_by = self._order_by
         clone._limit = self._limit
         clone._offset = self._offset
-        clone._through_steps = list(self._through_steps)
+        clone._result_cache = None
+        clone._through_steps = self._through_steps
         clone.is_template = self.is_template
         return clone
 
@@ -87,7 +138,7 @@ class QuerySet:
                 "filter() must come before through(); chained models cannot "
                 "be filtered in a cacheable template")
         clone = self._clone()
-        clone._filters.update(clone._normalize_filters(kwargs))
+        clone._filters = {**self._filters, **clone._normalize_filters(kwargs)}
         return clone
 
     def order_by(self, *names: str) -> "QuerySet":
@@ -97,13 +148,10 @@ class QuerySet:
         model of the relationship chain (the rows a LinkQuery caches).
         """
         clone = self._clone()
-        clone._order_by = []
-        target = self._chain_target_model()
-        for name in names:
-            descending = name.startswith("-")
-            raw = name[1:] if descending else name
-            column = target._meta.column_for(raw)
-            clone._order_by.append((column, descending))
+        column_for = self._chain_target_model()._meta.column_for
+        clone._order_by = tuple(
+            (column_for(name[1:]), True) if name.startswith("-")
+            else (column_for(name), False) for name in names)
         return clone
 
     def through(self, *steps: Union[str, Tuple[Any, ...], ChainStep]) -> "QuerySet":
@@ -116,26 +164,33 @@ class QuerySet:
         executed directly — hand it to ``cacheable()``.
         """
         clone = self._clone()
-        clone._through_steps.extend(coerce_chain_step(step) for step in steps)
+        clone._through_steps = self._through_steps + tuple(
+            coerce_chain_step(step) for step in steps)
         clone.is_template = True
         # Resolve eagerly so a typo in a field/model name fails right here.
-        resolve_chain_models(self.model, tuple(clone._through_steps))
+        resolve_chain_models(self.model, clone._through_steps)
         return clone
 
     def _chain_target_model(self) -> type:
         """The model whose rows this queryset yields (chain-aware)."""
         if not self._through_steps:
             return self.model
-        return resolve_chain_models(self.model, tuple(self._through_steps))[-1]
+        return resolve_chain_models(self.model, self._through_steps)[-1]
 
     def __getitem__(self, item):
         if isinstance(item, slice):
+            # A window counted from the end or with a step has no LIMIT /
+            # OFFSET form: refuse it, as Django does.
+            start, stop = item.start or 0, item.stop
+            if item.step is not None:
+                raise ValueError("a queryset slice takes no step")
+            if start < 0 or (stop is not None and stop < 0):
+                raise ValueError("negative indexing is not supported")
             # Compose with the window already in force: the new one is
             # taken *inside* it, so it can only shrink what remains.
             clone = self._clone()
-            start = item.start or 0
             clone._offset = self._offset + start
-            limit = None if item.stop is None else item.stop - start
+            limit = None if stop is None else stop - start
             if self._limit is not None:
                 remaining = self._limit - start
                 limit = remaining if limit is None else min(limit, remaining)
@@ -148,34 +203,22 @@ class QuerySet:
     # -- filter normalization --------------------------------------------------
 
     def _normalize_filters(self, kwargs: Dict[str, Any]) -> Dict[str, Any]:
-        """Resolve field names to storage columns, keeping lookup suffixes.
+        """Resolve field names to storage columns, keeping lookup suffixes
+        (``Options.filter_key``, memoised per keyword).
 
         A :class:`Param` value marks this queryset as a template.
         """
         normalized: Dict[str, Any] = {}
-        filter_target = self.model._meta.filter_target
+        meta = self.model._meta
+        keys = meta.filter_keys
         for key, value in kwargs.items():
-            name, sep, suffix = key.partition("__")
-            if suffix and suffix not in _FILTER_SUFFIXES:
-                # Treat unknown suffix as part of a related lookup we don't support.
-                raise FieldError(f"unsupported lookup {key!r}")
-            column, foreign_key = filter_target(name)
-            if foreign_key is not None and (not suffix or suffix == "exact"):
+            column_key, foreign_key = keys.get(key) or meta.filter_key(key)
+            if foreign_key is not None:
                 value = foreign_key.get_prep_value(value)
             if isinstance(value, Param):
                 self.is_template = True
-            normalized[column + (sep + suffix if suffix else "")] = value
+            normalized[column_key] = value
         return normalized
-
-    def _equality_only_filters(self) -> Optional[Dict[str, Any]]:
-        """Return {column: value} if all filters are equalities, else None."""
-        out: Dict[str, Any] = {}
-        for key, value in self._filters.items():
-            column, _, suffix = key.partition("__")
-            if suffix and suffix != "exact":
-                return None
-            out[column] = value
-        return out
 
     # -- template detection -----------------------------------------------------
 
@@ -188,54 +231,42 @@ class QuerySet:
 
     # -- execution -------------------------------------------------------------
 
-    @property
-    def _registry(self):
-        return self.model._meta.registry
+    def _prepared(self, kind: str) -> PreparedRead:
+        """This queryset's call shape, prepared once per model.  A slice's
+        bounds are values, not part of the shape, so paging grows no memo."""
+        key = (kind, tuple(self._filters), self._order_by)
+        reads = self.model._meta.prepared_reads
+        prepared = reads.get(key)
+        if prepared is None:
+            prepared = reads[key] = PreparedRead(self, kind)
+        return prepared
 
-    def _describe(self, kind: str) -> Optional[QueryDescription]:
-        equalities = self._equality_only_filters()
-        if equalities is None:
-            return None
-        return QueryDescription(
+    def _intercept(self, prepared: PreparedRead) -> Tuple[bool, Any]:
+        """Offer an equality-only shape to the registry's interceptors."""
+        return self.model._meta.registry.intercept(QueryDescription(
             model=self.model,
-            kind=kind,
-            filters=equalities,
+            kind=prepared.kind,
+            filters=dict(zip(prepared.columns, self._filters.values())),
             order_by=list(self._order_by),
             limit=self._limit,
             offset=self._offset,
-        )
-
-    def _compile_select(self) -> SelectQuery:
-        query = SelectQuery(
-            table=self.model._meta.db_table,
-            predicate=predicate_from_filters(self._filters),
-            order_by=[OrderBy(column=c, descending=d) for c, d in self._order_by],
-            limit=self._limit,
-            offset=self._offset,
-        )
-        return query
+        ))
 
     def _fetch_all(self) -> List[Any]:
         if self._result_cache is not None:
             return self._result_cache
         self._require_executable("execute")
-        registry = self._registry
-
-        if registry.interceptors:
-            description = self._describe("select")
-            if description is not None:
-                handled, rows = registry.intercept(description)
-                if handled:
-                    self._result_cache = self._rows_to_results(rows)
-                    return self._result_cache
-
-        rows = registry.db.select(self._compile_select())
-        self._result_cache = self._rows_to_results(rows)
+        meta = self.model._meta
+        registry = meta.registry
+        prepared = self._prepared("select")
+        handled = False
+        if registry.interceptors and prepared.columns is not None:
+            handled, rows = self._intercept(prepared)
+        if not handled:
+            rows = registry.db.select(prepared.query(self))
+        from_db = meta.from_db
+        self._result_cache = [from_db(row) for row in rows]
         return self._result_cache
-
-    def _rows_to_results(self, rows: List[Dict[str, Any]]) -> List[Any]:
-        from_db = self.model._from_db
-        return [from_db(row) for row in rows]
 
     # -- public terminal operations ---------------------------------------------
 
@@ -250,8 +281,7 @@ class QuerySet:
 
     def get(self, **kwargs: Any) -> Any:
         """Return exactly one matching instance, or raise."""
-        qs = self.filter(**kwargs) if kwargs else self._clone()
-        results = qs._fetch_all()
+        results = (self.filter(**kwargs) if kwargs else self._clone())._fetch_all()
         if not results:
             # Models carry their own DoesNotExist subclass, like Django.
             exc_class = getattr(self.model, "DoesNotExist", DoesNotExist)
@@ -265,11 +295,11 @@ class QuerySet:
         return results[0]
 
     def first(self) -> Optional[Any]:
-        results = self._clone()[:1]._fetch_all()
+        results = self[:1]._fetch_all()
         return results[0] if results else None
 
     def exists(self) -> bool:
-        return bool(self._clone()[:1]._fetch_all())
+        return bool(self[:1]._fetch_all())
 
     def count(self) -> Union[int, QueryTemplate]:
         """COUNT(*) honoring filters; interceptable by CountQuery cache class.
@@ -281,18 +311,13 @@ class QuerySet:
         """
         if self.is_template:
             return QueryTemplate.from_queryset(self, kind="count")
-        registry = self._registry
-        if registry.interceptors:
-            description = self._describe("count")
-            if description is not None:
-                handled, value = registry.intercept(description)
-                if handled:
-                    return int(value)
-        query = CountQuery(
-            table=self.model._meta.db_table,
-            predicate=predicate_from_filters(self._filters),
-        )
-        return registry.db.count(query)
+        registry = self.model._meta.registry
+        prepared = self._prepared("count")
+        if registry.interceptors and prepared.columns is not None:
+            handled, value = self._intercept(prepared)
+            if handled:
+                return int(value)
+        return registry.db.count(prepared.query(self))
 
     # -- bulk writes -------------------------------------------------------------
 
@@ -306,7 +331,7 @@ class QuerySet:
             if foreign_key is not None:
                 value = foreign_key.get_prep_value(value)
             changes[column] = value
-        rows = self._registry.db.update(
+        rows = meta.registry.db.update(
             meta.db_table, changes,
             predicate=predicate_from_filters(self._filters),
         )
@@ -316,7 +341,7 @@ class QuerySet:
         """DELETE matching rows directly in the database (fires triggers)."""
         self._require_executable("delete through")
         meta = self.model._meta
-        rows = self._registry.db.delete(
+        rows = meta.registry.db.delete(
             meta.db_table,
             predicate=predicate_from_filters(self._filters),
         )

@@ -134,15 +134,11 @@ class Database:
 
     def select(self, query: SelectQuery) -> List[Dict[str, Any]]:
         """Run a SELECT described by a :class:`SelectQuery`."""
-        with self.transactions.statement(wrote=False):
-            result = self.executor.select(query)
-        return result
+        return self.transactions.read(self.executor.select, query)
 
     def count(self, query: CountQuery) -> int:
         """Run a COUNT described by a :class:`CountQuery`."""
-        with self.transactions.statement(wrote=False):
-            result = self.executor.count(query)
-        return result
+        return self.transactions.read(self.executor.count, query)
 
     def find(self, table: str, where: Optional[Dict[str, Any]] = None,
              order_by: Optional[Sequence] = None,

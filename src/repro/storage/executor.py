@@ -1,14 +1,17 @@
 """Query execution.
 
-The executor takes logical query objects (``repro.storage.query``), asks the
-planner for an access path on the base table, applies predicates, executes
-inner equi-joins as index nested-loop joins, sorts, limits, and returns plain
-dictionaries.  All physical work is charged to the database's event recorder
-so the cost model can convert it into simulated service time.
+The executor takes logical query objects (``repro.storage.query``), takes
+the access path of each statement's shape from its base table's plan memo
+(:meth:`Table.plan_for`: the planner runs once per shape and table),
+applies predicates, executes inner equi-joins as index nested-loop joins,
+sorts, limits, and returns plain dictionaries.  All physical work is charged
+to the database's event recorder so the cost model can convert it into
+simulated service time.
 
-Every statement kind runs through one path: :meth:`Executor._batches` yields
+Every statement kind runs through one path: :meth:`Executor._open` yields
 candidate rows as ``(rowid, stored values)`` pairs, one list per heap fetch,
-and :meth:`Executor._scan` filters them with the predicate compiled once.
+and :meth:`Executor._scan` filters them with the predicate compiled once —
+or not at all when a point lookup's key is the whole predicate.
 Stored dicts are looked at in place and copied once, when a row leaves the
 engine (:mod:`repro.storage.rows`).  ``rows_scanned`` / ``rows_returned`` are
 counted in locals and charged once per scan, **before control leaves the
@@ -22,7 +25,7 @@ from itertools import chain
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import TableNotFoundError
-from .planner import AccessPath, IndexLookup, IndexRange, PkLookup, plan_access
+from .planner import AccessPath, IndexRange, Plan
 from .predicates import ALWAYS_TRUE
 from .query import CountQuery, DeleteQuery, Join, SelectQuery, UpdateQuery
 from .table import Table
@@ -46,21 +49,27 @@ class Executor:
         except KeyError:
             raise TableNotFoundError(f"table {name!r} does not exist") from None
 
-    def _open(self, query) -> Tuple[Table, AccessPath, Iterable[List[Candidate]], RowCheck]:
+    def _open(self, query) -> Tuple[Table, Plan, Iterable[List[Candidate]], RowCheck]:
         """Charge one statement and open the scan of its base table."""
         self._recorder.record("statements")
         table = self._table(query.table)
-        path = plan_access(table, query)
-        return table, path, self._batches(table, path), query.predicate.compile()
+        plan = table.plan_for(query)
+        predicate = query.predicate
+        if plan.point:
+            if plan.whole:
+                value = predicate.value
+                match = None if value is not None else predicate.compile()
+            else:
+                value = predicate.equality_bindings()[plan.column]
+                match = predicate.compile()
+            return table, plan, (table.fetch_rows(plan.index.lookup(value)),), match
+        return (table, plan, self._batches(table, plan.path_for(predicate)),
+                predicate.compile())
 
     def _batches(self, table: Table, path: AccessPath) -> Iterable[List[Candidate]]:
-        """Candidate rows of the base table for the chosen access path, one
-        list per heap fetch.  Range and sequential scans stay lazy: pages are
-        touched only as far as the consumer pulls."""
-        if isinstance(path, PkLookup):
-            return (table.fetch_rows(table.primary_index.lookup(path.value)),)
-        if isinstance(path, IndexLookup):
-            return (table.fetch_rows(path.index.lookup(path.value)),)
+        """Candidate rows of the base table for a range or sequential scan,
+        one list per heap fetch.  Both stay lazy: pages are touched only as
+        far as the consumer pulls."""
         if isinstance(path, IndexRange):
             return (table.fetch_rows(rowids) for _key, rowids in path.index.range(
                 path.low, path.high, reverse=path.reverse,
@@ -138,22 +147,15 @@ class Executor:
 
     def select(self, query: SelectQuery) -> List[Dict[str, Any]]:
         """Execute a SELECT and return a list of result-row dictionaries."""
-        _table, path, batches, match = self._open(query)
+        _table, plan, batches, match = self._open(query)
         record = self._recorder.record
         limit, offset = query.limit, query.offset
 
-        ordered_by_path = (
-            isinstance(path, IndexRange)
-            and not query.joins
-            and len(query.order_by) == 1
-            and query.order_by[0].column == path.index.columns[0]
-            and query.order_by[0].descending == path.reverse
-        )
         if query.joins:
             rows = list(self._joined_rows(batches, match, query))
         else:
             # Early exit when the access path already yields the right order.
-            stop_at = (limit + offset if ordered_by_path and limit is not None
+            stop_at = (limit + offset if plan.ordered and limit is not None
                        and not query.distinct else None)
             rows = [values for _rowid, values in self._scan(batches, match, stop_at)]
 
@@ -166,7 +168,7 @@ class Executor:
             rows = list(unique.values())
         record("rows_returned", len(rows))
 
-        if query.order_by and not ordered_by_path:
+        if query.order_by and not plan.ordered:
             record("sorts")
             record("sorted_rows", len(rows))
             for term in reversed(query.order_by):
@@ -189,7 +191,7 @@ class Executor:
 
     def count(self, query: CountQuery) -> int:
         """Execute a COUNT(*) query."""
-        _table, _path, batches, match = self._open(query)
+        _table, _plan, batches, match = self._open(query)
         column = query.distinct_column
         if not query.joins:
             found = self._scan(batches, match)
@@ -216,7 +218,7 @@ class Executor:
     def _victims(self, query) -> Tuple[Table, List[int]]:
         """The table and the row ids an UPDATE/DELETE applies to.  The scan
         is charged here, before the first trigger can fire."""
-        table, _path, batches, match = self._open(query)
+        table, _plan, batches, match = self._open(query)
         return table, [rowid for rowid, _values in self._scan(batches, match)]
 
     def update(self, query: UpdateQuery

@@ -11,16 +11,24 @@ The planner chooses an access path for the *base table* of a query:
 Joins are always executed as index nested-loop joins by the executor (the
 schemas generated by the ORM index every foreign key), so the planner only
 needs to pick how the outer rows are produced.
+
+The choice depends on a statement's *shape* only — its predicate's
+:meth:`~repro.storage.predicates.Predicate.shape`, its ordering, whether it
+has a limit and whether it joins — never on its values, so each table plans
+a shape once (:meth:`Table.plan_for`) and keeps the :class:`Plan`, which
+takes its values from each statement it runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Union
+from typing import Any, Optional, Tuple, Union, TYPE_CHECKING
 
 from .predicates import Between, Comparison, Predicate, And
 from .query import CountQuery, SelectQuery
-from .table import Index, Table
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .table import Index, Table
 
 
 @dataclass
@@ -125,3 +133,63 @@ def plan_access(table: Table, query: Union[SelectQuery, CountQuery]) -> AccessPa
 
     # 4. sequential scan
     return SeqScan()
+
+
+def statement_key(query) -> Tuple[Any, ...]:
+    """The shape of a statement, as :func:`plan_access` reads it: equal for
+    every two statements that it plans alike on one table.  Strings, bools,
+    None and tuples of them only."""
+    order_by = getattr(query, "order_by", ())
+    return (query.predicate.shape(),
+            tuple([(term.column, term.descending, term.table) for term in order_by]),
+            getattr(query, "limit", None) is not None,
+            bool(getattr(query, "joins", ())))
+
+
+class Plan:
+    """The access path :func:`plan_access` chose for one statement shape on
+    one table, kept without any statement's values: each statement's own
+    predicate supplies them (a point lookup's key, a range scan's bounds).
+
+    * ``index`` / ``column`` — the index the path walks and its column
+      (None for a sequential scan);
+    * ``point`` — the path is a point lookup;
+    * ``whole`` — a point lookup whose predicate is one ``=`` on that
+      column: with a non-None key the lookup returns exactly the matching
+      rows, so no residual check runs;
+    * ``bounded`` — a range scan whose bounds come from the predicate;
+    * ``scan`` — the path itself when it carries no values (a sequential
+      scan, or an ``ORDER BY ... LIMIT`` index walk), shared by every
+      statement of the shape; else None;
+    * ``ordered`` — the path yields the rows in the statement's order.
+    """
+
+    __slots__ = ("index", "column", "point", "whole", "bounded", "scan",
+                 "ordered")
+
+    def __init__(self, table: Table, query: Union[SelectQuery, CountQuery]) -> None:
+        path = plan_access(table, query)
+        predicate = query.predicate
+        ranged = isinstance(path, IndexRange)
+        self.point = isinstance(path, (PkLookup, IndexLookup))
+        self.index = (table.primary_index if isinstance(path, PkLookup)
+                      else getattr(path, "index", None))
+        self.column = None if self.index is None else self.index.columns[0]
+        self.whole = (self.point and isinstance(predicate, Comparison)
+                      and predicate.op == "=")
+        self.bounded = (ranged
+                        and _range_bounds(predicate, self.column) is not None)
+        self.scan = None if self.point or self.bounded else path
+        order_by = getattr(query, "order_by", ())
+        self.ordered = (ranged
+                        and not getattr(query, "joins", ())
+                        and len(order_by) == 1
+                        and order_by[0].column == self.column
+                        and order_by[0].descending == path.reverse)
+
+    def path_for(self, predicate: Predicate) -> AccessPath:
+        """This plan's range or sequential scan for a statement with
+        ``predicate``: a bounded range scan takes its bounds from it."""
+        if self.bounded:
+            return IndexRange(self.index, *_range_bounds(predicate, self.column))
+        return self.scan

@@ -45,6 +45,18 @@ class Predicate:
         """
         return {}
 
+    def shape(self) -> Tuple[Any, ...]:
+        """What the planner reads of this predicate, without its values: a
+        tuple of strings (and nested tuples) equal for every predicate that
+        :func:`~repro.storage.planner.plan_access` must plan alike.
+
+        The planner reads :meth:`columns`, the keys of
+        :meth:`equality_bindings` (an ``IN`` of one distinct value is an
+        equality) and, of a comparison, its operator.
+        """
+        return (type(self).__name__, tuple(self.columns()),
+                tuple(self.equality_bindings()))
+
     # Boolean combinators -----------------------------------------------------
 
     def __and__(self, other: "Predicate") -> "Predicate":
@@ -114,6 +126,9 @@ class Comparison(Predicate):
         if self.op == "=":
             return {self.column: self.value}
         return {}
+
+    def shape(self) -> Tuple[str, str]:
+        return (self.column, self.op)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"({self.column} {self.op} {self.value!r})"
@@ -228,6 +243,9 @@ class And(Predicate):
             out.update(child.equality_bindings())
         return out
 
+    def shape(self) -> Tuple[Any, ...]:
+        return ("AND", *(child.shape() for child in self.children))
+
     def __repr__(self) -> str:  # pragma: no cover
         return "(" + " AND ".join(repr(c) for c in self.children) + ")"
 
@@ -267,6 +285,39 @@ class Not(Predicate):
         return f"(NOT {self.child!r})"
 
 
+#: The predicate each Django-style lookup suffix builds from its column and
+#: value (``""`` is a bare column name).
+_LOOKUPS: Dict[str, Callable[[str, Any], Predicate]] = {
+    "": lambda column, value: Comparison(column, "=", value),
+    "exact": lambda column, value: Comparison(column, "=", value),
+    "lt": lambda column, value: Comparison(column, "<", value),
+    "lte": lambda column, value: Comparison(column, "<=", value),
+    "gt": lambda column, value: Comparison(column, ">", value),
+    "gte": lambda column, value: Comparison(column, ">=", value),
+    "ne": lambda column, value: Comparison(column, "!=", value),
+    "in": lambda column, value: In(column, value),
+    "isnull": lambda column, value: IsNull(column, negated=not value),
+}
+
+
+def filter_lookup(key: str) -> Tuple[str, str, Callable[[str, Any], Predicate]]:
+    """Split a filter key into its column, its lookup suffix and the
+    predicate that lookup builds from ``(column, value)``."""
+    column, _, suffix = key.partition("__")
+    try:
+        return column, suffix, _LOOKUPS[suffix]
+    except KeyError:
+        raise PlannerError(
+            f"unsupported filter suffix {suffix!r} in {key!r}") from None
+
+
+def conjunction(parts: List[Predicate]) -> Predicate:
+    """``parts`` joined by AND: everything for none, the part for one."""
+    if not parts:
+        return ALWAYS_TRUE
+    return parts[0] if len(parts) == 1 else And(parts)
+
+
 def predicate_from_filters(filters: Mapping[str, Any]) -> Predicate:
     """Build a conjunctive predicate from a ``{column: value}`` mapping.
 
@@ -274,32 +325,12 @@ def predicate_from_filters(filters: Mapping[str, Any]) -> Predicate:
 
     * ``col`` / ``col__exact`` — equality
     * ``col__lt``, ``col__lte``, ``col__gt``, ``col__gte`` — comparisons
+    * ``col__ne`` — inequality
     * ``col__in`` — membership
     * ``col__isnull`` — null check (value is a boolean)
     """
-    if not filters:
-        return ALWAYS_TRUE
     parts: List[Predicate] = []
     for key, value in filters.items():
-        column, _, suffix = key.partition("__")
-        if not suffix or suffix == "exact":
-            parts.append(Comparison(column, "=", value))
-        elif suffix == "lt":
-            parts.append(Comparison(column, "<", value))
-        elif suffix == "lte":
-            parts.append(Comparison(column, "<=", value))
-        elif suffix == "gt":
-            parts.append(Comparison(column, ">", value))
-        elif suffix == "gte":
-            parts.append(Comparison(column, ">=", value))
-        elif suffix == "ne":
-            parts.append(Comparison(column, "!=", value))
-        elif suffix == "in":
-            parts.append(In(column, value))
-        elif suffix == "isnull":
-            parts.append(IsNull(column, negated=not value))
-        else:
-            raise PlannerError(f"unsupported filter suffix {suffix!r} in {key!r}")
-    if len(parts) == 1:
-        return parts[0]
-    return And(parts)
+        column, _suffix, build = filter_lookup(key)
+        parts.append(build(column, value))
+    return conjunction(parts)

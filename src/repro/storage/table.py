@@ -17,6 +17,7 @@ from .btree import BPlusTree
 from .bufferpool import BufferPool
 from .costmodel import Recorder
 from .heap import HeapFile
+from .planner import Plan, statement_key
 from .rows import Row
 from .schema import IndexDef, TableSchema
 from .triggers import TriggerManager
@@ -104,6 +105,9 @@ class Table:
         self.secondary_indexes: Dict[str, Index] = {}
         for index_def in schema.indexes:
             self.secondary_indexes[index_def.name] = Index(index_def, recorder)
+        #: Statement shape -> its :class:`Plan` over this table's indexes
+        #: (:meth:`plan_for`; :meth:`add_index` drops them all).
+        self._plans: Dict[Any, Plan] = {}
 
     # -- metadata -------------------------------------------------------------
 
@@ -124,6 +128,7 @@ class Table:
             for rowid, values in page:
                 index.insert(values, rowid)
         self.secondary_indexes[definition.name] = index
+        self._plans.clear()
         return index
 
     # -- constraint helpers ---------------------------------------------------
@@ -241,6 +246,16 @@ class Table:
 
     def scan(self) -> Iterator[List[Tuple[int, Dict[str, Any]]]]:
         return self.heap.scan()
+
+    def plan_for(self, query) -> Plan:
+        """The plan of ``query``'s shape
+        (:func:`~repro.storage.planner.statement_key`) on this table, made
+        on first use."""
+        key = statement_key(query)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = Plan(self, query)
+        return plan
 
     def index_for_column(self, column: str) -> Optional[Index]:
         """Return an index on exactly ``column``, if any: a composite index

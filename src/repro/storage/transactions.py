@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from ..errors import TransactionError
 from ..obs import hooks
@@ -160,6 +160,31 @@ class TransactionManager:
         """
         return self._statements[wrote]
 
+    def read(self, execute: Callable[[Any], Any], query: Any) -> Any:
+        """Run one SELECT or COUNT, ``execute(query)``, as a statement.
+
+        Issued outside any transaction — the only case in which no other
+        statement can join it, since a read fires no trigger — it runs in
+        this one flat bracket and allocates no :class:`Transaction`: it
+        takes the next tid, commits (``committed``, ``on_commit``) and
+        pauses at ``db:statement`` exactly as :meth:`statement` would, and
+        on an exception leaves the open autocommit transaction that
+        :meth:`statement` leaves.  Inside an open transaction — explicit, or
+        a trigger body's enclosing statement — it is :meth:`statement`.
+        """
+        context = self.context
+        if context.current is not None or context.depth:
+            with self._statements[False]:
+                return execute(query)
+        tid = next(self._tid_counter)
+        try:
+            result = execute(query)
+        except BaseException:
+            context.current = Transaction(tid=tid, autocommit=True)
+            raise
+        self._autocommitted(wrote=False)
+        return result
+
     def statement_finished(self, wrote: bool) -> None:
         """Called by the database after each statement.
 
@@ -175,19 +200,25 @@ class TransactionManager:
             return
         txn.statements += 1
         if txn.autocommit and context.depth == 0:
-            if wrote:
-                self.recorder.record("commits")
             txn.status = "committed"
-            self.committed += 1
             context.current = None
-            self._fire(self.on_commit)
-            if hooks.chain:
-                hooks.pause("db:commit" if wrote else "db:statement")
+            self._autocommitted(wrote)
         elif context.depth == 0 and hooks.chain:
             # A statement inside an explicit transaction: the transaction
             # stays open, but the statement boundary is still a legal
             # point for another worker to run.
             hooks.pause("db:statement")
+
+    def _autocommitted(self, wrote: bool) -> None:
+        """An outermost autocommit statement has finished: charge a writing
+        commit, count it, run the commit callbacks, then pause."""
+        if wrote:
+            self.recorder.record("commits")
+        self.committed += 1
+        if self.on_commit:
+            self._fire(self.on_commit)
+        if hooks.chain:
+            hooks.pause("db:commit" if wrote else "db:statement")
 
     def commit(self) -> Transaction:
         """Commit the open explicit transaction."""

@@ -120,7 +120,7 @@ class TestShapeNormalization:
         # retargets field resolution to the chain's final model.
         qs = Author.objects.filter(id=Param("id")) \
             .through(("reverse", "Post", "author")).order_by("-posted")
-        assert qs._order_by == [("posted", True)]
+        assert qs._order_by == (("posted", True),)
         with pytest.raises(FieldError):
             Author.objects.filter(id=Param("id")).order_by("-posted")
 

@@ -78,6 +78,27 @@ class TestOrderingSlicing:
         assert scores(ordered[:0]) == []
         assert scores(ordered[5:3]) == []
 
+    def test_a_negative_bound_is_refused(self, blog):
+        """An ordered index walk stops at ``limit + offset`` rows, which a
+        negative bound made negative: ``[-3:-1]`` returned one row.  Like
+        Django, the queryset refuses negative bounds instead."""
+        ordered = blog["Post"].objects.filter().order_by("id")
+        with pytest.raises(ValueError, match="negative"):
+            ordered[-3:-1]
+        with pytest.raises(ValueError, match="negative"):
+            ordered[-3:]
+
+    def test_a_negative_bound_on_a_slice_is_refused(self, blog):
+        """``[2:][:-1]`` composed a limit of -1 and returned no rows."""
+        sliced = blog["Post"].objects.filter()[2:]
+        with pytest.raises(ValueError, match="negative"):
+            sliced[:-1]
+
+    def test_a_step_is_refused(self, blog):
+        """``[1:5:2]`` ignored its step and returned four rows."""
+        with pytest.raises(ValueError, match="step"):
+            blog["Post"].objects.filter()[1:5:2]
+
     def test_first_and_exists_respect_an_existing_slice(self, blog):
         ordered = blog["Post"].objects.filter().order_by("score")
         assert ordered[5:].first().score == [p.score for p in ordered][5]

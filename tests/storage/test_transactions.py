@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import TransactionError
 from repro.obs import hooks
-from repro.storage import ColumnDef, Database, TableSchema
+from repro.storage import (ColumnDef, CountQuery, Database, SelectQuery,
+                           TableSchema)
 from repro.storage.predicates import predicate_from_filters as where
 from repro.storage.transactions import TxnContext
 
@@ -213,3 +214,124 @@ class TestWorkerContexts:
             database.get_by_pk("accounts", 1)
         assert labels[0] == "db:commit"      # the write autocommitted
         assert "db:statement" in labels      # the read completed
+
+
+def bracket_state(database):
+    """What a statement leaves behind: the open transaction (its fields),
+    the nesting depth, and the next tid with the outcome counters."""
+    txm = database.transactions
+    txn = txm.context.current
+    fields = None if txn is None else (txn.tid, txn.autocommit, txn.statements,
+                                       txn.status, list(txn.undo_log))
+    return fields, txm.context.depth, txm.snapshot()
+
+
+class TestFlatReadBracket:
+    """A read issued outside any transaction runs in one flat bracket that
+    allocates no Transaction.  It must leave exactly what the ``_Statement``
+    bracket leaves, and a read inside an open transaction must still be
+    that bracket."""
+
+    @staticmethod
+    def through_the_statement_bracket(database, query):
+        with database.transactions.statement(wrote=False):
+            return database.executor.select(query)
+
+    @staticmethod
+    def watched(database):
+        """The database's commit callbacks and pauses, as one list."""
+        seen = []
+        database.transactions.on_commit.append(lambda: seen.append("on_commit"))
+        return seen
+
+    def test_a_read_commits_as_a_statement_does(self, database):
+        twin = Database()
+        for db in (database, twin):
+            db.create_table(TableSchema("t", [ColumnDef("id", "integer", nullable=True)]))
+            db.insert("t", {})
+        query = SelectQuery("t")
+        flat, bracketed = self.watched(database), self.watched(twin)
+        with hooks.subscribed(hooks.OnPause(flat.append)):
+            assert database.select(query) == [{"id": 1}]
+        with hooks.subscribed(hooks.OnPause(bracketed.append)):
+            assert self.through_the_statement_bracket(twin, query) == [{"id": 1}]
+        assert flat == bracketed == ["on_commit", "db:statement"]
+        assert bracket_state(database) == bracket_state(twin)
+        assert database.recorder.total == twin.recorder.total
+
+    @pytest.mark.parametrize("query", [
+        SelectQuery("missing"),
+        SelectQuery("accounts", where({"owner__lt": 5})),
+    ], ids=["no such table", "raising predicate"])
+    def test_a_failing_read_leaves_what_the_statement_bracket_leaves(
+            self, database, query):
+        twin = Database()
+        twin.create_table(database.table("accounts").schema)
+        for db in (database, twin):
+            db.insert("accounts", {"owner": "alice", "balance": 10})
+        flat, bracketed = self.watched(database), self.watched(twin)
+        with pytest.raises(Exception) as raised:
+            database.select(query)
+        with pytest.raises(raised.type):
+            self.through_the_statement_bracket(twin, query)
+        assert bracket_state(database) == bracket_state(twin)
+        assert bracket_state(database)[0] is not None   # left open, as before
+        # The next statement joins the transaction left open and commits it.
+        for db in (database, twin):
+            db.insert("accounts", {"owner": "bob", "balance": 1})
+        assert bracket_state(database) == bracket_state(twin)
+        assert flat == bracketed == ["on_commit"]
+
+    def test_a_read_in_a_trigger_body_joins_the_enclosing_transaction(self, database):
+        txm = database.transactions
+        inside = []
+
+        def read_back(data):
+            database.select(SelectQuery("accounts"))
+            inside.append((txm.context.current, txm.context.depth, txm.committed))
+        database.create_trigger("reads_back", "accounts", "insert", read_back)
+        order = self.watched(database)
+        (next_tid, committed, _aborted) = txm.snapshot()
+        database.insert("accounts", {"owner": "carol", "balance": 5})
+        [(txn, depth, committed_inside)] = inside
+        assert txn.tid == next_tid and txn.autocommit and depth == 1
+        assert committed_inside == committed          # nothing committed yet
+        assert txm.snapshot()[:2] == (next_tid + 1, committed + 1)
+        assert order == ["on_commit"]
+
+    def test_a_link_query_walk_back_joins_the_writing_statement(self, social_genie):
+        """LinkQuery's ``_walk_back`` reads the chain back with real SELECTs
+        while the INSERT that fired it is still open."""
+        from repro.apps.social.models import BookmarkInstance
+
+        database = social_genie["database"]
+        txm = database.transactions
+        reads = []
+        select = database.executor.select
+
+        def watched_select(query):
+            reads.append((query.table, txm.context.current, txm.context.depth))
+            return select(query)
+        database.executor.select = watched_select
+        try:
+            next_tid, committed, _ = txm.snapshot()
+            BookmarkInstance(bookmark_id=1, user_id=2, description="d",
+                             note="").save()
+        finally:
+            del database.executor.select
+        walked = [(table, txn, depth) for table, txn, depth in reads if depth > 1]
+        assert walked, reads
+        assert all(txn.tid == next_tid and depth == 2 for _t, txn, depth in walked)
+        assert txm.committed == committed + 1 + len(reads) - len(walked)
+
+    def test_a_read_in_an_explicit_transaction_pauses_at_db_statement(self, database):
+        labels = []
+        database.begin()
+        opened = database.transactions.current
+        with hooks.subscribed(hooks.OnPause(labels.append)):
+            database.select(SelectQuery("accounts"))
+            database.count(CountQuery("accounts"))
+        assert labels == ["db:statement", "db:statement"]
+        assert database.transactions.current is opened
+        assert opened.statements == 2
+        database.commit()

@@ -139,6 +139,12 @@ def package():
     return reach.functions()
 
 
+@pytest.fixture(scope="module")
+def real_options(package):
+    """The real tree's ``(params, fields)``, analysed once per module."""
+    return reach.options(package[0])
+
+
 class TestTheRealTree:
     def test_every_keeper_names_a_function_that_exists(self, package):
         defined, _bases = package
@@ -325,9 +331,9 @@ class TestCensus:
         assert census.values == {"m.py:plain(n)": {("int", 1)},
                                  "m.py:lazy(n)": {("int", 2)}}
 
-    def test_a_config_field_is_read_where_the_instance_is_built(self):
+    def test_a_config_field_is_read_where_the_instance_is_built(self, real_options):
         from repro.sim import SimulationOptions
-        fields = reach.options(reach.functions()[0])[1]
+        fields = real_options[1]
         census = reach.Census({}, fields)
         sys.setprofile(census.profiler())
         try:
@@ -337,9 +343,9 @@ class TestCensus:
         assert census.values == {
             "sim/runner.py:SimulationOptions(think_time_ms)": {("float", 2.0)}}
 
-    def test_a_dataclass_s_other_generated_methods_record_no_field(self):
+    def test_a_dataclass_s_other_generated_methods_record_no_field(self, real_options):
         from repro.sim import SimulationOptions
-        fields = reach.options(reach.functions()[0])[1]
+        fields = real_options[1]
         census = reach.Census({}, fields)
         sys.setprofile(census.profiler())
         try:
@@ -358,8 +364,8 @@ class TestCensus:
 
 
 class TestTheRealOptions:
-    def test_every_option_keeper_names_an_option_that_exists(self):
-        params, fields = reach.options(reach.functions()[0])
+    def test_every_option_keeper_names_an_option_that_exists(self, real_options):
+        params, fields = real_options
         every = [option for found in list(params.values())
                  + list(fields.values()) for option in found]
         missing = [key for key in reach.OPTION_KEEPERS
@@ -374,16 +380,16 @@ class TestTheRealOptions:
                                 reach.REFERENCE)
             assert reason
 
-    def test_the_config_fields_are_read(self):
-        fields = reach.options(reach.functions()[0])[1]
+    def test_the_config_fields_are_read(self, real_options):
+        fields = real_options[1]
         assert sorted(fields) == sorted(reach.CONFIGS)
         names = {option.name for option in
                  fields["bench/scenarios.py:ScenarioConfig"]}
         assert {"name", "strategy", "reuse_trigger_connections"} <= names
 
-    def test_a_band_test_reaches_a_config_field_through_a_helper(self):
+    def test_a_band_test_reaches_a_config_field_through_a_helper(self, real_options):
         band = reach.calls_in(reach.band_paths())
-        fields = reach.options(reach.functions()[0])[1]
+        fields = real_options[1]
         field = next(option for option in fields[
             "bench/scenarios.py:ScenarioConfig"]
             if option.name == "reuse_trigger_connections")
