@@ -58,9 +58,9 @@ and only when representations actually differ:
   handoff); toward ``cold`` the envelope stays servable and one background
   recompute is scheduled, whose store re-homes the key as a raw value — so
   demotion, like promotion, never costs a blocking fallback;
-* a lingering envelope is safe against triggers: both incremental patch
-  paths (the eager CAS loop and the commit-time flush) detect the foreign
-  representation and invalidate instead of patching, so no write is ever
+* a lingering envelope is safe against triggers: the trigger-op queue's
+  flush (at commit, or per operation in the eager mode) detects the foreign
+  representation and invalidates instead of patching, so no write is ever
   absorbed into a base the triggers do not own;
 * pending refresh-queue entries are re-homed automatically — the background
   worker stores through ``cached_object.strategy.store``, which routes by
@@ -298,9 +298,9 @@ class AdaptiveStrategy(ConsistencyStrategy):
           re-homes the key as the cold band's raw value, so demotion never
           costs a blocking fallback either.  Until that recompute lands the
           trigger paths treat the lingering envelope as unpatchable and
-          invalidate instead of patching (``_cas_update`` and the flush's
-          foreign-representation check), so no write is ever absorbed into
-          a base the triggers do not own.
+          invalidate instead of patching (the flush's foreign-representation
+          check), so no write is ever absorbed into a base the triggers do
+          not own.
         """
         if new_band == REFRESH_BAND:
             raw = client.get(key)

@@ -171,7 +171,6 @@ def run_scenario(
             **engine).replay(trace)
         metrics = simulate_population(replay, clients=clients or workload.clients)
         genie = scenario.genie
-        queue = genie.trigger_op_queue if genie else None
         demand = scenario.database.cost_model.demand(replay.total_counters)
         return ScenarioRun(
             scenario=config.name,
@@ -183,7 +182,7 @@ def run_scenario(
             effort=genie.effort_report() if genie else {},
             object_totals=genie.stats.totals().as_dict() if genie else {},
             client_totals=client_totals(scenario),
-            cas_fallbacks=queue.cas_fallbacks if queue is not None else 0,
+            cas_fallbacks=genie.trigger_op_queue.cas_fallbacks if genie else 0,
             db_time_ms=demand.db_cpu_ms + demand.db_disk_ms,
             workers=workers,
             policy=policy,
@@ -672,13 +671,13 @@ EXP5 = Experiment(
 # ---------------------------------------------------------------------------
 
 #: Mode names of the batching ablation: the legacy per-key protocol
-#: (``--batch-ops off``: batching *and* pipelining disabled) and the current
-#: default configuration.
+#: (``--batch-ops off``: batching *and* pipelining disabled, the trigger-op
+#: queue flushed per operation) and the current default configuration.
 UNBATCHED = "Unbatched"
 BATCHED = "Batched"
 
 #: Mode names of the CAS-batching ablation (``exp-cas-batch``).
-EAGER_CAS = "EagerCAS"          # legacy: one gets + one cas per key
+EAGER_CAS = "EagerCAS"          # the flush per operation: a pair per key
 BATCHED_CAS = "BatchedCAS"      # gets_multi/cas_multi flush, serial batches
 PIPELINED_CAS = "Pipelined"     # + per-server batches overlap (the default)
 
@@ -788,8 +787,9 @@ def _cas_batching_footer(result: SweepResult) -> List[str]:
 #: The update-in-place strategy is the paper's headline consistency
 #: mechanism, and its trigger bodies are read-modify-writes — the one path
 #: plain ``get_multi``/``set_multi`` batching cannot carry.  The ablation
-#: replays the wall/top-k workload three ways: the legacy eager path (one
-#: ``gets`` + one ``cas`` round trip per key), the batched CAS flush
+#: replays the wall/top-k workload three ways: the legacy eager path (the
+#: flush per operation: one ``gets_multi`` + one ``cas_multi`` round trip
+#: per key), the batched CAS flush
 #: (``gets_multi`` + ``cas_multi``, one round trip per server batch), and the
 #: batched flush with per-server batches pipelined (overlapping batches
 #: charge no additional network latency).
@@ -804,9 +804,9 @@ EXP_CAS_BATCH = Experiment(
                       "both": ALL_CAS_MODES},
              help="run the update-in-place CAS path batched (on — the "
                   "default configuration, batched + pipelined), eager (off "
-                  "— one gets + one cas round trip per key), or both, which "
-                  "adds the intermediate serial-batches column (default: "
-                  "both)"),
+                  "— one gets_multi + one cas_multi round trip per key), or "
+                  "both, which adds the intermediate serial-batches column "
+                  "(default: both)"),
         Axis("scenario", (UPDATE_SCENARIO,)),
     ),
     cell=_mode_cell,

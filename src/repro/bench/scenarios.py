@@ -85,7 +85,8 @@ class ScenarioConfig:
     #: ``--batch-ops`` baseline in EXPERIMENTS.md): application hot paths
     #: read through multi-get, and trigger-side ops coalesce per key and
     #: flush as gets_multi/cas_multi/delete_multi batches at transaction
-    #: commit.  ``--batch-ops off`` restores the legacy per-key protocol.
+    #: commit.  ``--batch-ops off`` restores the legacy per-key protocol:
+    #: the same trigger-op queue, flushed right after each enqueued op.
     batch_ops: bool = True
     #: Issue one flush's per-server batches concurrently, charging the max
     #: (pipelined) instead of the sum of their round-trip latencies

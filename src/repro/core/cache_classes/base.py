@@ -17,8 +17,8 @@ LinkQuery, CountQuery, TopKQuery) specialize the affected-key computation
 and the incremental update logic.  Consistency *policy* lives on the object's
 :class:`~repro.core.strategies.ConsistencyStrategy`: the read path, the
 trigger dispatch, and expiry all go through ``self.strategy`` — a cache
-class never compares strategy names.  The shared plumbing — key naming, CAS
-retry loops, statistics — lives here.
+class never compares strategy names.  The shared plumbing — key naming, the
+trigger side's enqueues, statistics — lives here.
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ from ..keys import KeyScheme, fingerprint
 # freeze_rows/freeze_value: benchmarks/e2e/e2ebench/spans.py looks them up here.
 from ..serializer import freeze_rows, freeze_value, thaw_rows  # noqa: F401
 from ..stats import CachedObjectStats
-from ..strategies import (ConsistencyStrategy, UPDATE_IN_PLACE, is_envelope,
-                          read_through, resolve_strategy, unwrap_envelope)
-from ..trigger_queue import CAS_MAX_RETRIES
+from ..strategies import (ConsistencyStrategy, UPDATE_IN_PLACE, read_through,
+                          resolve_strategy, unwrap_envelope)
 
 if TYPE_CHECKING:  # pragma: no cover
     from ...orm.queryset import QueryDescription
@@ -121,10 +120,6 @@ class CacheClass:
     @property
     def trigger_cache(self):
         return self.genie.trigger_cache
-
-    def _op_queue(self):
-        """The genie's commit-time trigger-op queue, or None when eager."""
-        return getattr(self.genie, "trigger_op_queue", None)
 
     def _expire(self, key: Optional[str] = None) -> Optional[float]:
         return self.strategy.expiry_for(self, key=key)
@@ -300,15 +295,11 @@ class CacheClass:
             self.invalidate_key(key)
 
     def invalidate_key(self, key: str) -> None:
-        """Invalidate one key: enqueue it on the commit-time queue when
-        batching is on, else drop it now through the strategy's one-key
-        flush (a plain ``delete`` for classic invalidation, a stale-retaining
-        ``lease_delete`` for leased invalidation)."""
-        queue = self._op_queue()
-        if queue is not None:
-            queue.enqueue_delete(self, key)
-        elif self.strategy.flush_invalidations(self.trigger_cache, [key]):
-            self.stats.invalidations += 1
+        """Invalidate one key: enqueue it on the trigger-op queue, whose
+        flush drops it through the strategy's batched invalidation (a plain
+        ``delete_multi`` for classic invalidation, a stale-retaining
+        ``lease_delete_multi`` for leased invalidation)."""
+        self.genie.trigger_op_queue.enqueue_delete(self, key)
 
     def affected_keys(self, table: str, row: Dict[str, Any]) -> List[str]:
         """Cache keys affected by a change to ``row`` in ``table``.
@@ -332,20 +323,15 @@ class CacheClass:
 
     # -- shared update helpers ------------------------------------------------------
 
-    def _cas_update(self, key: str, mutate: Callable[[Any], Any]) -> bool:
-        """Read-modify-write ``key`` with gets/cas, as the paper's triggers do.
+    def _cas_update(self, key: str, mutate: Callable[[Any], Any]) -> None:
+        """Read-modify-write ``key``, as the paper's triggers do with
+        gets/cas: enqueue ``mutate`` on the genie's trigger-op queue, whose
+        flush applies it to the batched read of ``key`` and writes the result
+        back with ``cas_multi``.
 
         ``mutate`` receives the current value and returns the new value, or
-        ``None`` to leave the entry untouched.  Returns True if an update was
-        written.  If the key is absent the trigger quits (paper: "If not
-        present, the trigger quits").  Only a lost race is retried: a failed
-        ``cas`` whose re-read finds the same token changed nothing, so the
-        server refused the value (it outgrew the item limit) and the key is
-        invalidated at once, as the flush does with a ``too-large`` verdict.
-
-        With commit-time batching enabled the mutation is enqueued instead
-        (applied to a single batched read at flush); the queue's single-writer
-        flush needs no CAS loop.  Returns True, meaning "accepted".
+        ``None`` to leave the entry untouched.  If the key is absent the
+        trigger quits (paper: "If not present, the trigger quits").
         """
         telemetry = getattr(self.trigger_cache, "telemetry", None)
         if telemetry is not None:
@@ -354,56 +340,17 @@ class CacheClass:
             # strategy's all-cold write path relies on this so it never has
             # to recompute the affected-key set just for telemetry.
             telemetry.note_write(key)
-        queue = self._op_queue()
-        if queue is not None:
-            queue.enqueue_mutate(self, key, mutate)
-            return True
-        value, token = self.trigger_cache.gets(key)
-        for attempt in range(CAS_MAX_RETRIES):
-            if value is None:
-                return False
-            if is_envelope(value):
-                # An adaptive band migration left an async-refresh envelope
-                # under this key; the incremental patch cannot apply to the
-                # foreign representation, so invalidate instead — the next
-                # read recomputes under the key's current band.
-                break
-            new_value = mutate(value)
-            if new_value is None:
-                return False
-            if self.trigger_cache.cas(key, new_value, token):
-                self.stats.updates_applied += 1
-                return True
-            if attempt + 1 < CAS_MAX_RETRIES:
-                value, read_token = self.trigger_cache.gets(key)
-                if read_token == token:
-                    break  # refused, not raced: no retry can shrink it
-                token = read_token
-            self.stats.cas_retries += 1
-        # Lost every race, refused or foreign: fall back to invalidation for
-        # safety, crediting only a removal (as the flush's fallback does).
-        if self.trigger_cache.delete(key):
-            self.stats.invalidations += 1
-        return False
+        self.genie.trigger_op_queue.enqueue_mutate(self, key, mutate)
 
     def _recompute_key(self, key: str, params: Dict[str, Any]) -> None:
-        """Recompute a key's value from the database and overwrite it."""
-        queue = self._op_queue()
-        if queue is not None:
-            # The flush's batched read supplies the "only maintain entries
-            # already cached" check; the recompute runs post-commit, so it
-            # sees the transaction's final state exactly once per key.
-            queue.enqueue_mutate(
-                self, key,
-                lambda _current: self.compute_from_db(params),
-                counter="recomputations")
-            return
-        current, _token = self.trigger_cache.gets(key)
-        if current is None:
-            # Paper semantics: triggers only maintain entries already cached.
-            return
-        self.trigger_cache.set(key, self.compute_from_db(params))
-        self.stats.recomputations += 1
+        """Recompute a key's value from the database and overwrite it.
+
+        The flush's batched read supplies the "only maintain entries already
+        cached" check; at commit the recompute sees the transaction's final
+        state exactly once per key."""
+        self.genie.trigger_op_queue.enqueue_mutate(
+            self, key, lambda _current: self.compute_from_db(params),
+            counter="recomputations")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -4,8 +4,9 @@
 queries are good candidates for caching, as they take up little memory in
 cache but can be slow to execute in the database."  (§3.1)
 
-The cached value is a plain integer.  Update-in-place uses memcached's
-``incr``/``decr`` so the trigger never has to read the old value.
+The cached value is a plain integer.  Update-in-place bumps it with a
+read-modify-write on the trigger-op queue (``gets_multi`` + ``cas_multi`` at
+the flush), like every other trigger-side write.
 """
 
 from __future__ import annotations
@@ -45,38 +46,14 @@ class CountQuery(CacheClass):
             old_key = self.key_from_row(old)
             new_key = self.key_from_row(new)
             if old_key != new_key:
-                # A group-moving update is a pure-counter run: one batched
-                # incr_multi carries the -1/+1 pair in a single round trip
-                # per server on the eager path (queued mode chains per key).
-                self._bump_many({old_key: -1, new_key: +1})
+                # A group-moving update is a -1 on its old group and a +1
+                # on its new one.
+                self._bump(old_key, -1)
+                self._bump(new_key, +1)
             # An update that keeps the where-field does not change the count.
 
     def _bump(self, key: str, delta: int) -> None:
-        """Increment/decrement the cached count if (and only if) it is cached."""
-        self._bump_many({key: delta})
-
-    def _bump_many(self, deltas: Dict[str, int]) -> None:
-        """Apply a run of counter deltas, batched where the path allows.
-
-        With commit-time batching the deltas enqueue per key (chaining with
-        the transaction's other mutations).  The eager path sends every run
-        — single deltas included — through the ``incr_multi`` bulk counter
-        protocol: one round trip per server batch, signed deltas, so a
-        group-moving UPDATE's ``-1``/``+1`` pair rides one wire batch and
-        single bumps no longer need their own ``incr``/``decr`` code path.
-        """
-        telemetry = getattr(self.trigger_cache, "telemetry", None)
-        if telemetry is not None:
-            # Adaptive runs only: counter bumps bypass ``_cas_update``, so
-            # they attribute their write telemetry here (same convention).
-            for key in deltas:
-                telemetry.note_write(key)
-        queue = self._op_queue()
-        if queue is not None:
-            for key, delta in deltas.items():
-                queue.enqueue_mutate(self, key, lambda value, d=delta: (
-                    max(0, value + d) if isinstance(value, int) else None))
-            return
-        results = self.trigger_cache.incr_multi(deltas)
-        self.stats.updates_applied += sum(
-            1 for value in results.values() if value is not None)
+        """Increment/decrement the cached count if (and only if) it is
+        cached, floored at zero."""
+        self._cas_update(key, lambda value: (
+            max(0, value + delta) if isinstance(value, int) else None))

@@ -73,27 +73,21 @@ class TopKQuery(CacheClass):
         if event == "delete" and old is not None:
             key = self.key_from_row(old)
             params = {c: old.get(c) for c in self.where_fields}
-            queue = self._op_queue()
-            if queue is not None:
-                # Commit-time path: fold the remove and the refill decision
-                # into one mutation, so the flush reads and writes the key
-                # exactly once however the transaction interleaved deletes.
-                def remove_and_refill(rows):
-                    out = self._remove(rows, old, pk_column)
-                    if out is not None and len(out) < self.k:
-                        self.stats.recomputations += 1
-                        return self.compute_from_db(params)
-                    return out
-                queue.enqueue_mutate(self, key, remove_and_refill)
-                return
-            removed_below_k = self._cas_update(
-                key, lambda rows: self._remove(rows, old, pk_column))
-            if removed_below_k:
-                # If the reserve is exhausted the list may now be shorter than
-                # K while the database still has qualifying rows: recompute.
-                value, _ = self.trigger_cache.gets(key)
-                if value is not None and len(value) < self.k:
-                    self._recompute_key(key, params)
+
+            # Fold the remove and the refill decision into one mutation, so
+            # the flush reads and writes the key exactly once however the
+            # transaction interleaved deletes.  If the reserve is exhausted
+            # the list may now be shorter than K while the database still
+            # has qualifying rows: recompute.  Unlike ``_cas_update``, a
+            # delete notes no adaptive write telemetry.
+            def remove_and_refill(rows):
+                out = self._remove(rows, old, pk_column)
+                if out is not None and len(out) < self.k:
+                    self.stats.recomputations += 1
+                    return self.compute_from_db(params)
+                return out
+            self.genie.trigger_op_queue.enqueue_mutate(self, key,
+                                                      remove_and_refill)
             return
 
         if event == "update" and new is not None and old is not None:
@@ -118,14 +112,9 @@ class TopKQuery(CacheClass):
         out = [r for r in rows if r.get(pk_column) != new.get(pk_column)]
         new_value = self._sort_value(new)
         insert_pos = len(out)
-        for idx, row in enumerate(out):
-            existing = self._sort_value(row)
-            if self.descending:
-                if new_value is not None and (existing is None or new_value > existing):
-                    insert_pos = idx
-                    break
-            else:
-                if new_value is not None and (existing is None or new_value < existing):
+        if new_value is not None:
+            for idx, row in enumerate(out):
+                if self._precedes(new_value, new.get(pk_column), row, pk_column):
                     insert_pos = idx
                     break
         if insert_pos >= self.capacity:
@@ -133,6 +122,20 @@ class TopKQuery(CacheClass):
             return out if len(out) != len(rows) else None
         out.insert(insert_pos, new)
         return out[: self.capacity]
+
+    def _precedes(self, value: Any, pk: Any, row: Dict[str, Any],
+                  pk_column: str) -> bool:
+        """Whether a row with the non-NULL sort ``value`` and primary key
+        ``pk`` goes before ``row``: before a NULL, then by the sort column,
+        and within a tie by primary key ascending in either direction — the
+        order the engine returns a tie in (its sort is stable over row-id
+        order, and a reversed index walk reverses only the keys)."""
+        existing = self._sort_value(row)
+        if existing is None:
+            return True
+        if value == existing:
+            return pk < row.get(pk_column)
+        return value > existing if self.descending else value < existing
 
     def _remove(self, rows: List[Dict[str, Any]], old: Dict[str, Any],
                 pk_column: str) -> Optional[List[Dict[str, Any]]]:

@@ -98,18 +98,15 @@ class CacheGenie:
         #: shape fingerprint -> cached-object name, for duplicate detection.
         self._shapes: Dict[str, str] = {}
         self._activated = False
-        #: Commit-time trigger-op batching (the default since the committed
-        #: `--batch-ops` baseline): trigger-side cache operations enqueue
-        #: here (coalescing per key) and flush as gets_multi/cas_multi/
-        #: delete_multi batches when the database transaction commits.
-        #: Pass ``batch_trigger_ops=False`` for the paper's original eager
-        #: per-operation trigger propagation.
+        #: Trigger-side cache operations enqueue here (coalescing per key)
+        #: and flush as gets_multi/cas_multi/delete_multi batches when the
+        #: database transaction commits (the default since the committed
+        #: `--batch-ops` baseline).  ``batch_trigger_ops=False`` flushes
+        #: right after each enqueued operation instead: the paper's original
+        #: eager per-operation trigger propagation.
         self.batch_trigger_ops = batch_trigger_ops
         self.trigger_op_queue: Optional[TriggerOpQueue] = None
-        if batch_trigger_ops:
-            self.trigger_op_queue = TriggerOpQueue(self.trigger_cache)
-            self.db.transactions.on_commit.append(self.trigger_op_queue.flush)
-            self.db.transactions.on_abort.append(self.trigger_op_queue.discard)
+        self._open_op_queue()
         #: Background refresh worker for the stale-serving strategies
         #: (leased invalidation, async-refresh): stale reads schedule one
         #: recompute per key here, drained on subsequent cache activity.
@@ -132,11 +129,21 @@ class CacheGenie:
 
     # -- lifecycle --------------------------------------------------------------
 
+    def _open_op_queue(self) -> None:
+        """Create the trigger-op queue and hook it to commit and abort."""
+        self.trigger_op_queue = TriggerOpQueue(
+            self.trigger_cache, per_operation=not self.batch_trigger_ops)
+        self.db.transactions.on_commit.append(self.trigger_op_queue.flush)
+        self.db.transactions.on_abort.append(self.trigger_op_queue.discard)
+
     def activate(self) -> "CacheGenie":
-        """Register the interceptor with the ORM registry (idempotent)."""
+        """Register the interceptor with the ORM registry (idempotent); a
+        deactivated genie gets a fresh trigger-op queue."""
         if not self._activated:
             self.registry.add_interceptor(self.interceptor)
             self._activated = True
+        if self.trigger_op_queue is None:
+            self._open_op_queue()
         _set_active_genie(self)
         return self
 

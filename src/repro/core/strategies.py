@@ -21,7 +21,8 @@ Built-in strategies
     a write.  With commit-time batching (the system default) each
     transaction's mutations coalesce per key and flush at COMMIT as one
     ``gets_multi`` + ``cas_multi`` pair per server with per-key verdicts;
-    the eager mode runs a per-key ``gets``/``cas`` loop inside the trigger.
+    the eager mode flushes the same queue right after each enqueued
+    operation, inside the trigger.
     Moves ``updates_applied`` (and ``recomputations`` where a patch is not
     derivable), plus ``cas_retries``/``invalidations`` under contention.
 
@@ -81,8 +82,8 @@ The read path is written once, in :func:`read_through`; a strategy changes
 how keys are read by overriding ``fetch_multi`` and how they are dropped by
 overriding ``flush_invalidations``.  Both take a batch of keys and call the
 client's ``*_multi`` methods.  ``evaluate()`` reads a batch of one and an
-eager trigger drops one key as a batch of one: the cache charges, counts
-and announces a batch of one like any other batch.
+eager trigger's per-operation flush drops one key as a batch of one: the
+cache charges, counts and announces a batch of one like any other batch.
 
 Legacy string names (``"update-in-place"``, ``"invalidate"``, ``"expiry"``)
 resolve through the registry to module-level singletons, so every existing
@@ -199,8 +200,7 @@ class ConsistencyStrategy:
     ``serves_stale``             class attr: may a read return stale data?
     ``counters_moved``           class attr: stats this strategy moves (for docs)
     ``on_write``                 a trigger fired: propagate the change
-    ``flush_invalidations``      drop the commit-time queue's keys, or one key
-                                 eagerly (a batch of one)
+    ``flush_invalidations``      drop the trigger-op queue's pending keys
     ``render_trigger_body``      per-key body lines of the generated trigger source
     ``fetch_multi``              the read protocol of :func:`read_through`
     ``fetch``                    evaluate()'s read path: fetch_multi on a batch
@@ -286,9 +286,9 @@ class ConsistencyStrategy:
 
     def flush_invalidations(self, client: Any,
                             keys: Sequence[str]) -> List[str]:
-        """Drop ``keys`` in one multi-op per server: the commit-time queue's
-        pending invalidations for this strategy, or one key right now (the
-        eager, per-operation trigger path).
+        """Drop ``keys`` in one multi-op per server: the trigger-op queue's
+        pending invalidations for this strategy, flushed at commit or, in
+        the eager mode, right after each enqueue (a batch of one).
 
         Returns the keys that existed (for ``invalidations`` crediting).
         """

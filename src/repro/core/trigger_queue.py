@@ -7,9 +7,14 @@ when they all land on the same handful of keys.  The :class:`TriggerOpQueue`
 is the middleware answer: trigger-side operations *enqueue* instead of
 executing, duplicate operations against the same key coalesce, and the queue
 flushes as batched multi-key operations when the surrounding database
-transaction commits (aborts simply discard the queue — the cache was never
-touched, so there is nothing to undo, an improvement over the eager path's
-transiently dirty entries).
+transaction commits.  An abort simply discards the queue: the cache was never
+touched, so there is nothing to undo.
+
+The paper's eager propagation (``CacheGenie(batch_trigger_ops=False)``) is
+this same queue flushed right after each enqueued operation, inside the
+trigger.  It writes the cache before its transaction commits, so it keeps
+the paper's "dirty but not stale" window: an abort finds nothing to discard
+and leaves whatever the flushes wrote.
 
 Deferral also amortizes the trigger-side connection: however many triggers
 fired during the transaction, the flush opens (at most) one memcached
@@ -22,7 +27,7 @@ Two operation kinds cover every generated trigger body:
 * ``mutate`` — a read-modify-write (incremental update, count bump, or
   recomputation).  Mutations against the same key chain in order and are
   applied to a single batched read at flush; if the key is not cached the
-  whole chain quits, exactly like the eager gets/cas path.
+  whole chain quits (paper §3.2).
 
 The flush propagates mutations with the *batched CAS protocol*:
 ``gets_multi`` reads every pending key with its CAS token (one round trip
@@ -30,11 +35,10 @@ per server), the mutation chains run in memory, and ``cas_multi`` writes the
 results back conditionally (again one round trip per server).  Per-key
 verdicts mean a stale token loses only its own key: the flush re-reads and
 retries just the losers, up to :data:`CAS_MAX_RETRIES` rounds, then
-falls back to invalidating whatever still cannot win — the same safety net
-as the eager path's per-key CAS loop.  Within one database (one writer) the
-tokens never go stale and the flush costs exactly one gets_multi/cas_multi
-pair; under concurrent writers the CAS keeps lost-update anomalies out of
-the cache at the cost of the occasional retry round.
+falls back to invalidating whatever still cannot win.  Within one database
+(one writer) the tokens never go stale and the flush costs exactly one
+gets_multi/cas_multi pair; under concurrent writers the CAS keeps lost-update
+anomalies out of the cache at the cost of the occasional retry round.
 """
 
 from __future__ import annotations
@@ -50,9 +54,7 @@ from .strategies import is_envelope
 #: Mutation: current cached value -> new value, or None to leave it untouched.
 MutateFn = Callable[[Any], Optional[Any]]
 
-#: Bounded CAS attempts before falling back to invalidation: retry rounds
-#: per flush here, and per key on the eager trigger path
-#: (``CacheClass._cas_update``).
+#: Bounded CAS rounds per flush before falling back to invalidation.
 CAS_MAX_RETRIES = 5
 
 
@@ -94,12 +96,14 @@ class TriggerOpQueue:
 
     Ops enqueue during the transaction (keyed by cache key, coalescing
     duplicates) and flush as ``gets_multi``/``cas_multi``/``delete_multi``
-    batches at commit.  :meth:`discard` drops everything on abort.
+    batches at commit, or right after each enqueue when ``per_operation``
+    (the eager mode).  :meth:`discard` drops everything on abort.
     """
 
-    def __init__(self, cache_client: Any,
+    def __init__(self, cache_client: Any, per_operation: bool,
                  cas_max_retries: int = CAS_MAX_RETRIES) -> None:
         self.cache = cache_client
+        self.per_operation = per_operation
         self.cas_max_retries = cas_max_retries
         #: The live transaction's pending ops (see :class:`OpContext`).
         self.context = OpContext()
@@ -125,13 +129,15 @@ class TriggerOpQueue:
         else:
             context.frozen = None
         ops[key] = _PendingOp("delete", owner)
+        if self.per_operation:
+            self.flush()
 
     def enqueue_mutate(self, owner: Any, key: str, mutate: MutateFn,
                        counter: str = "updates_applied") -> None:
         """Queue a read-modify-write of ``key``.
 
         A pending delete absorbs the mutation (the key will not be cached
-        when the trigger would have read it, so the eager path would quit);
+        when the trigger would have read it, so the trigger would quit);
         a pending mutation chains with it.
         """
         context = self.context
@@ -148,6 +154,8 @@ class TriggerOpQueue:
         op.mutations.append(mutate)
         context.frozen = None
         context.ops[key] = op
+        if self.per_operation:
+            self.flush()
 
     # -- flush / discard ---------------------------------------------------------
 
@@ -221,8 +229,7 @@ class TriggerOpQueue:
         token went stale (``mismatch``) stay outstanding for the next round;
         keys that vanished, were never cached, or whose chain declined to
         write drop out (the trigger quits, paper §3.2).  Keys still losing
-        after the retry bound are invalidated for safety, exactly like the
-        eager path's exhausted CAS loop.
+        after the retry bound are invalidated for safety.
         """
         outstanding = dict(pending)
         for round_index in range(self.cas_max_retries):
@@ -233,7 +240,7 @@ class TriggerOpQueue:
                 return
             outstanding = losers
         # Retries exhausted: invalidate the unwinnable keys so no stale
-        # value survives (the eager path's identical last resort).
+        # value survives.
         self._invalidate_fallback(outstanding)
 
     def _flush_cas_round(self, outstanding: Dict[str, _PendingOp],
@@ -261,7 +268,7 @@ class TriggerOpQueue:
             dirty = False
             for mutate in op.mutations:
                 # None means "this mutation leaves the entry alone"
-                # (the eager path's per-op quit); later mutations in
+                # (the trigger's per-op quit); later mutations in
                 # the chain still apply to the last written value.
                 new_value = mutate(value)
                 if new_value is not None:

@@ -18,11 +18,10 @@ One implementation per operation: each family — reads, leases, stores,
 CAS, deletes, counters — is written once, over a batch of keys, and a
 single-key call (``get``, ``cas``, ``incr``, ...) is that family on a batch
 of one.  A batch of one is a batch: it is charged one per-server batch
-event (plus one ``trigger_cache_batch_ops`` from a trigger), a CAS mismatch
-records ``cas_multi_mismatch``, and it is a ``cache:<op>`` boundary on
-:mod:`repro.obs.hooks`' chain.  Single-key methods call the private family
-method, never a public ``*_multi`` name: the benchmark's span recorder
-shadows those on the instance.
+event, a CAS mismatch records ``cas_multi_mismatch``, and it is a
+``cache:<op>`` boundary on :mod:`repro.obs.hooks`' chain.  Single-key
+methods call the private family method, never a public ``*_multi`` name:
+the benchmark's span recorder shadows those on the instance.
 """
 
 from __future__ import annotations
@@ -133,17 +132,21 @@ class CacheClient:
         server.stats.node_down_errors += 1
         self.recorder.record("cache_node_down")
 
-    def _charge(self, event: str, index: int = 0) -> None:
-        """Charge one server batch's round trip.
+    def _charge(self, event: str, keys: int, index: int = 0) -> None:
+        """Charge one server batch's round trip, carrying ``keys`` keys.
 
         ``event`` is the application-side event; a trigger-side client
-        charges ``trigger_cache_batches``.  ``index`` is a batch's position
-        within its call: when batches are pipelined, only the first pays
-        network latency and the rest are charged as latency-free overlapped
-        round trips.
+        charges ``trigger_cache_batches``, and its ``keys`` as
+        ``trigger_cache_batch_ops`` (per-key trigger CPU): the one place a
+        trigger pays for the keys of a batch, so it pays only for a batch
+        that is sent, to a live node or to the gutter pool.  ``index`` is a
+        batch's position within its call: when batches are pipelined, only
+        the first pays network latency and the rest are charged as
+        latency-free overlapped round trips.
         """
         overlapped = self.pipeline_batches and index > 0
         if self.from_trigger:
+            self.recorder.record("trigger_cache_batch_ops", keys)
             event = ("trigger_cache_overlapped_batches" if overlapped
                      else "trigger_cache_batches")
         elif overlapped:
@@ -168,7 +171,7 @@ class CacheClient:
         its own); nothing without a pool."""
         if self.gutter is None:
             return {}
-        self._charge(event, index)
+        self._charge(event, len(batch), index)
         return self.gutter.get_multi(batch)
 
     def _read(self, keys: Sequence[str], cas: bool) -> Dict[str, Any]:
@@ -190,10 +193,8 @@ class CacheClient:
         out: Dict[str, Any] = {}
         for index, (server_name, batch) in enumerate(self._group_by_server(keys).items()):
             server = self._servers[server_name]
-            if self.from_trigger:
-                record("trigger_cache_batch_ops", len(batch))
             if server.alive:
-                self._charge("cache_multi_gets", index)
+                self._charge("cache_multi_gets", len(batch), index)
                 found = server.gets_multi(batch) if cas else server.get_multi(batch)
             else:
                 self._node_down(server)
@@ -262,8 +263,6 @@ class CacheClient:
         out: Dict[str, Tuple[str, Optional[Any], Optional[int]]] = {}
         for index, (server_name, batch) in enumerate(self._group_by_server(keys).items()):
             server = self._servers[server_name]
-            if self.from_trigger:
-                record("trigger_cache_batch_ops", len(batch))
             if not server.alive:
                 self._node_down(server)
                 found = self._gutter_get(batch, "cache_multi_leases", index)
@@ -277,7 +276,7 @@ class CacheClient:
                         record("cache_bytes_moved", self.gutter.value_size(key))
                         out[key] = (LEASE_STALE, value, None)
                 continue
-            self._charge("cache_multi_leases", index)
+            self._charge("cache_multi_leases", len(batch), index)
             states = server.lease_multi(batch, lease_seconds,
                                         claimant=self.current_worker)
             for key in batch:
@@ -332,9 +331,7 @@ class CacheClient:
                 if self.gutter is None:
                     failed.extend(batch)
                     continue
-            self._charge("cache_multi_sets", index)
-            if self.from_trigger:
-                self.recorder.record("trigger_cache_batch_ops", len(batch))
+            self._charge("cache_multi_sets", len(batch), index)
             sizes = {k: sizeof_value(mapping[k]) for k in batch}
             values = {k: mapping[k] for k in batch}
             if server.alive:
@@ -374,9 +371,7 @@ class CacheClient:
             self._node_down(server)
             if self.gutter is None:
                 return False
-        self._charge("cache_multi_sets")
-        if self.from_trigger:
-            self.recorder.record("trigger_cache_batch_ops")
+        self._charge("cache_multi_sets", 1)
         size = sizeof_value(value)
         try:
             if server.alive:
@@ -415,9 +410,7 @@ class CacheClient:
                 continue
             # A CAS is its own round-trip event — not a set — so the
             # ablations can separate conditional from unconditional writes.
-            self._charge("cache_multi_cas", index)
-            if self.from_trigger:
-                record("trigger_cache_batch_ops", len(batch))
+            self._charge("cache_multi_cas", len(batch), index)
             sizes = {k: sizeof_value(items[k][0]) for k in batch}
             outcome = server.cas_multi({k: items[k] for k in batch},
                                        value_sizes=sizes)
@@ -468,16 +461,14 @@ class CacheClient:
         existed: List[str] = []
         for index, (server_name, batch) in enumerate(self._group_by_server(keys).items()):
             server = self._servers[server_name]
-            if self.from_trigger:
-                self.recorder.record("trigger_cache_batch_ops", len(batch))
             if server.alive:
-                self._charge("cache_multi_deletes", index)
+                self._charge("cache_multi_deletes", len(batch), index)
                 existed.extend(server.delete_multi(batch) if stale_seconds is None
                                else server.lease_delete_multi(batch, stale_seconds))
             else:
                 self._node_down(server)
                 if self.gutter is not None:
-                    self._charge("cache_multi_deletes", index)
+                    self._charge("cache_multi_deletes", len(batch), index)
                     existed.extend(self.gutter.delete_multi(batch))
         if hooks.chain:
             self._round_trip_done(
@@ -524,9 +515,7 @@ class CacheClient:
                 self._group_by_server(list(deltas)).items()):
             server = self._servers[server_name]
             if server.alive:
-                self._charge("cache_multi_counters", index)
-                if self.from_trigger:
-                    self.recorder.record("trigger_cache_batch_ops", len(batch))
+                self._charge("cache_multi_counters", len(batch), index)
                 results = server.incr_multi({k: deltas[k] for k in batch})
             else:
                 self._node_down(server)

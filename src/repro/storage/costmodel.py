@@ -67,7 +67,8 @@ class CostCounters:
       (``pipeline_batches``): still a wire round trip, but charged no
       network wait.
     * ``trigger_cache_batch_ops`` — keys carried inside trigger-side batches
-      (marshalling CPU, no round trip).
+      that are sent, to a live node or the gutter (marshalling CPU, no round
+      trip).
     * ``cache_multi_gets``/``_sets``/``_deletes``/``_cas`` — application
       round trips, one event per server batch, not per key (a single-key
       call is a batch of one; a CAS is charged stored or not — the value

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.apps.social import SeedScale
+from repro.apps.social.models import User, WallPost
 from repro.bench.cli import build_parser
 from repro.bench.experiments import (BATCHED, BATCHED_CAS, EAGER_CAS,
                                      PIPELINED_CAS, UNBATCHED,
@@ -37,14 +38,25 @@ class TestScenarioWiring:
             scenario.teardown()
 
     def test_batch_ops_off_restores_legacy_eager_mode(self):
+        """The eager mode is the same trigger-op queue, flushed inside each
+        firing: a write in an open transaction leaves nothing pending."""
         scenario = Scenario(ScenarioConfig(name=UPDATE_SCENARIO, seed_scale=TINY,
                                            batch_ops=False,
                                            pipeline_batches=False)).setup()
         try:
-            assert not scenario.genie.batch_trigger_ops
-            assert scenario.genie.trigger_op_queue is None
+            genie = scenario.genie
+            assert not genie.batch_trigger_ops
             assert not scenario.app.batch_reads
-            assert not scenario.genie.app_cache.pipeline_batches
+            assert not genie.app_cache.pipeline_batches
+            queue = genie.trigger_op_queue
+            assert queue is not None
+            user = User.objects.filter().first()
+            enqueued = queue.enqueued
+            with scenario.database.transaction():
+                WallPost.objects.create(user=user, sender=user, content="hi",
+                                        date_posted=1.0)
+                assert queue.enqueued > enqueued
+                assert not queue.context.pending_keys()
         finally:
             scenario.teardown()
 
@@ -67,8 +79,8 @@ class TestBatchingAblation:
         # A batched trigger round trip carries several keys...
         assert batched["trigger_cache_batch_ops"] > batched["trigger_cache_batches"]
         eager = result.one(mode=UNBATCHED)["counters"]
-        # ...an eager one carries exactly one: per-key gets/cas, and counter
-        # bumps as one-key incr_multi batches.
+        # ...an eager one carries exactly one: the queue flushed per
+        # operation reads and swaps one key at a time.
         assert eager["trigger_cache_batches"] > 0
         assert eager["trigger_cache_batch_ops"] == eager["trigger_cache_batches"]
         # The application reads one key per round trip without batching.

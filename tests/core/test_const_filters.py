@@ -7,7 +7,7 @@ touch the cache), boundary-crossing updates, and transparent interception.
 
 import pytest
 
-from repro.core import CacheGenie, Param
+from repro.core import Param
 from repro.errors import CacheClassError
 
 
@@ -148,34 +148,3 @@ class TestEvaluationAndTriggers:
         assert cached.evaluate(owner_id=person.pk) == 2
         Item.objects.create(owner=person, label="d", rank=3)   # out of scope
         assert cached.evaluate(owner_id=person.pk) == 2
-
-
-class TestEagerCounterRuns:
-    def test_group_moving_update_uses_one_incr_multi_batch(self, stack):
-        """On the eager path a CountQuery's -1/+1 pair rides one incr_multi."""
-        from repro.core import CacheGenie
-        registry, database = stack["registry"], stack["database"]
-        Person, Item = stack["Person"], stack["Item"]
-        genie = CacheGenie(registry=registry, database=database,
-                           cache_servers=[stack["cache_server"]],
-                           batch_trigger_ops=False).activate()
-        try:
-            cached = genie.cacheable(
-                cache_class_type="CountQuery", main_model="Item",
-                where_fields=["owner_id"], name="eager_count")
-            a = Person.objects.create(name="a")
-            b = Person.objects.create(name="b")
-            item = Item.objects.create(owner=a, label="x", rank=0)
-            assert cached.evaluate(owner_id=a.pk) == 1
-            assert cached.evaluate(owner_id=b.pk) == 0
-            before = genie.recorder.total.trigger_cache_batches
-            # Move the item between owners: the -1/+1 run is one batch
-            # per server instead of two single counter round trips.
-            Item.objects.filter(id=item.pk).update(owner_id=b.pk)
-            assert genie.recorder.total.trigger_cache_batches == before + 1
-            assert cached.evaluate(owner_id=a.pk) == 0
-            assert cached.evaluate(owner_id=b.pk) == 1
-            assert cached.stats.updates_applied == 2
-        finally:
-            genie.deactivate()
-            stack["genie"].activate()

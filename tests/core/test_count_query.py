@@ -113,11 +113,12 @@ class TestCountQuery:
         assert cached.stats.cache_hits == 1
 
 
-class TestEagerBulkCounters:
-    def test_eager_single_bump_rides_incr_multi(self, items_setup):
-        """The eager (batch_trigger_ops=False) path sends every counter run
-        through the incr_multi bulk protocol: one trigger batch per bump,
-        no classic per-key incr/decr wire op."""
+class TestEagerBumps:
+    def test_eager_bump_is_one_gets_multi_and_one_cas_multi(self, items_setup):
+        """With ``batch_trigger_ops=False`` a counter bump is the trigger-op
+        queue flushed at once, inside the firing: one one-key ``gets_multi``
+        and one one-key ``cas_multi``, on the trigger's account, and nothing
+        left pending for the commit."""
         from repro.core import CacheGenie
         items_setup["genie"].deactivate()
         eager = CacheGenie(registry=items_setup["registry"],
@@ -131,41 +132,31 @@ class TestEagerBulkCounters:
                                      where_fields=["owner_id"])
             owner = items_setup["owners"][0]
             assert cached.evaluate(owner_id=owner.pk) == 5
+            server = items_setup["cache_server"]
             recorder = items_setup["database"].recorder
-            batches_before = recorder.total.trigger_cache_batches
-            counters_before = recorder.total.cache_multi_counters
-            Item.objects.create(owner=owner, label="bulk")
+            before = recorder.total.copy()
+            gets_before, cas_before = server.stats.gets, server.stats.cas_ok
+            Item.objects.create(owner=owner, label="bump")
+            after = recorder.total.copy()
+            assert (server.stats.gets - gets_before,
+                    server.stats.cas_ok - cas_before) == (1, 1)
+            assert (after.trigger_cache_batches
+                    - before.trigger_cache_batches) == 2
+            assert (after.trigger_cache_batch_ops
+                    - before.trigger_cache_batch_ops) == 2
+            assert after.cache_multi_counters == before.cache_multi_counters
+            assert not eager.trigger_op_queue.context.pending_keys()
             assert cached.peek(owner_id=owner.pk) == 6
             assert cached.stats.updates_applied == 1
-            # The bump traveled as one one-key incr_multi batch (1 RT), on
-            # the trigger's account, not the application's.
-            assert recorder.total.trigger_cache_batches == batches_before + 1
-            assert recorder.total.cache_multi_counters == counters_before
-        finally:
-            eager.deactivate()
-
-    def test_eager_group_move_is_one_mixed_batch(self, items_setup):
-        from repro.core import CacheGenie
-        items_setup["genie"].deactivate()
-        eager = CacheGenie(registry=items_setup["registry"],
-                           database=items_setup["database"],
-                           cache_servers=[items_setup["cache_server"]],
-                           batch_trigger_ops=False).activate()
-        try:
-            Item = items_setup["Item"]
-            cached = eager.cacheable(cache_class_type="CountQuery",
-                                     main_model="Item",
-                                     where_fields=["owner_id"])
-            old_owner, new_owner = items_setup["owners"]
-            assert cached.evaluate(owner_id=old_owner.pk) == 5
-            assert cached.evaluate(owner_id=new_owner.pk) == 2
-            recorder = items_setup["database"].recorder
-            batches_before = recorder.total.trigger_cache_batches
-            Item.objects.filter(owner_id=old_owner.pk, label="item0").update(
-                owner_id=new_owner.pk)
-            assert cached.peek(owner_id=old_owner.pk) == 4
-            assert cached.peek(owner_id=new_owner.pk) == 3
-            # The -1/+1 pair rode one batch (both keys on the one server).
-            assert recorder.total.trigger_cache_batches == batches_before + 1
+            # A group-moving update bumps two keys: a pair for each.
+            other = items_setup["owners"][1]
+            assert cached.evaluate(owner_id=other.pk) == 2
+            before = recorder.total.copy()
+            Item.objects.filter(owner_id=owner.pk, label="bump").update(
+                owner_id=other.pk)
+            assert (recorder.total.trigger_cache_batches
+                    - before.trigger_cache_batches) == 4
+            assert cached.peek(owner_id=owner.pk) == 5
+            assert cached.peek(owner_id=other.pk) == 3
         finally:
             eager.deactivate()

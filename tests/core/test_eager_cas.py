@@ -1,11 +1,12 @@
-"""The eager trigger path's CAS loop retries only a lost race.
+"""A trigger's CAS retries only a lost race, in both flush timings.
 
-A ``cas`` fails for two reasons: another writer changed the entry since the
-``gets`` (a race: re-read and retry), or the server refused the new value
-because it outgrew the item limit (no retry can shrink it).  The loop tells
-them apart by its re-read: an unchanged CAS token means nothing raced.  Its
-invalidation fallback credits ``invalidations`` only for a removal, as the
-commit-time flush's fallback does.
+The eager mode is the trigger-op queue flushed right after each enqueued
+operation, so a patch in either mode is the flush's ``gets_multi`` +
+``cas_multi``.  A swap fails for two reasons: another writer changed the
+entry since the read (a ``mismatch``: re-read and retry), or the server
+refused the new value because it outgrew the item limit (``too-large``: no
+retry can shrink it, so the key is invalidated at once).  The invalidation
+fallback credits ``invalidations`` only for a removal.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import pytest
 from repro.core import CacheGenie
 from repro.core.trigger_queue import CAS_MAX_RETRIES
 from repro.memcache import CacheServer
+from repro.memcache.server import CAS_MISMATCH
 from repro.orm import CharField, ForeignKey, Model, Registry, TextField
 from repro.storage import Database
 
@@ -27,8 +29,8 @@ _COUNTER = itertools.count()
 @pytest.fixture
 def wall(request):
     """A cached wall (FeatureQuery rows) on a server with a small item
-    limit, propagated eagerly (the default) or, with an indirect ``True``
-    parameter, by the commit-time flush."""
+    limit, its trigger-op queue flushed per operation (the eager mode, the
+    default here) or, with an indirect ``True`` parameter, at commit."""
     reg = Registry(f"eager-cas{next(_COUNTER)}")
 
     class Person(Model):
@@ -77,36 +79,33 @@ def test_an_oversized_patch_is_invalidated_without_retries(wall):
 
     assert cached.stats.cas_retries == 0
     assert cached.stats.invalidations == 1
-    if genie.batch_trigger_ops:
-        # gets_multi, cas_multi ("too-large"), delete_multi
-        assert round_trips == 3
-    else:
-        # gets, cas (refused), gets (same token: nothing raced), delete:
-        # four batches of one
-        assert round_trips == 4
+    # gets_multi, cas_multi ("too-large"), delete_multi
+    assert round_trips == 3
 
 
 def test_a_lost_race_credits_only_a_removal(wall):
     genie, cached, Wall, person = wall
     app, trigger = genie.app_cache, genie.trigger_cache
-    swap = trigger.cas
+    swap = trigger.cas_multi
     verdicts = []
 
-    def racing_cas(key, value, token):
+    def racing_cas_multi(items):
         # A concurrent writer rewrites the entry before every swap, and
         # deletes it once the last swap has lost.
+        (key,) = items
         app.set(key, app.get(key))
-        verdicts.append(swap(key, value, token))
+        verdicts.append(swap(items)[key])
         if len(verdicts) == CAS_MAX_RETRIES:
             app.delete(key)
-        return verdicts[-1]
+        return {key: verdicts[-1]}
 
-    trigger.cas = racing_cas
+    trigger.cas_multi = racing_cas_multi
     try:
         Wall.objects.create(person=person, content="x")
     finally:
-        del trigger.cas
-    assert verdicts == [False] * CAS_MAX_RETRIES
+        del trigger.cas_multi
+    assert verdicts == [CAS_MISMATCH] * CAS_MAX_RETRIES
     assert cached.stats.cas_retries == CAS_MAX_RETRIES
+    assert genie.trigger_op_queue.cas_fallbacks == 1
     assert cached.stats.invalidations == 0   # the delete found nothing
     assert cached.peek(person_id=person.pk) is None

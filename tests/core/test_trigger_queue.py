@@ -1,4 +1,5 @@
-"""TriggerOpQueue: coalescing, commit-time flush, abort-discard, txn2pl."""
+"""TriggerOpQueue: coalescing, commit-time and per-operation flush,
+abort-discard, txn2pl."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from repro.core.stats import CachedObjectStats
 from repro.memcache import CacheClient, CacheServer
 from repro.obs import hooks
 from repro.storage.costmodel import Recorder
-from tests.helpers import SpanLog
+from tests.helpers import SpanLog, database_rows
 
 
 class FakeOwner:
@@ -31,7 +32,7 @@ class TestQueueCoalescing:
     def test_mutations_to_same_key_chain_into_one_op(self, cache):
         client, server = cache
         client.set("n", 10)
-        queue = TriggerOpQueue(client)
+        queue = TriggerOpQueue(client, per_operation=False)
         owner = FakeOwner()
         for _ in range(5):
             queue.enqueue_mutate(owner, "n", lambda v: v + 1)
@@ -48,7 +49,7 @@ class TestQueueCoalescing:
     def test_delete_wins_over_pending_mutations(self, cache):
         client, _server = cache
         client.set("k", [1])
-        queue = TriggerOpQueue(client)
+        queue = TriggerOpQueue(client, per_operation=False)
         owner = FakeOwner()
         queue.enqueue_mutate(owner, "k", lambda v: v + [2])
         queue.enqueue_delete(owner, "k")
@@ -63,7 +64,7 @@ class TestQueueCoalescing:
 
     def test_absent_key_quits_like_the_eager_trigger(self, cache):
         client, server = cache
-        queue = TriggerOpQueue(client)
+        queue = TriggerOpQueue(client, per_operation=False)
         owner = FakeOwner()
         queue.enqueue_mutate(owner, "never-cached", lambda v: v + 1)
         sets_before = server.stats.sets
@@ -74,7 +75,7 @@ class TestQueueCoalescing:
     def test_mutation_returning_none_leaves_entry_untouched(self, cache):
         client, _server = cache
         client.set("k", "original")
-        queue = TriggerOpQueue(client)
+        queue = TriggerOpQueue(client, per_operation=False)
         queue.enqueue_mutate(FakeOwner(), "k", lambda v: None)
         queue.flush()
         assert client.get("k") == "original"
@@ -87,7 +88,7 @@ class TestQueueCoalescing:
         """
         client, _server = cache
         client.set("rows", [1, 2, 3])
-        queue = TriggerOpQueue(client)
+        queue = TriggerOpQueue(client, per_operation=False)
         owner = FakeOwner()
         queue.enqueue_mutate(owner, "rows", lambda rows: [10, 20])
         queue.enqueue_mutate(owner, "rows", lambda rows: None)  # nothing to do
@@ -99,7 +100,7 @@ class TestQueueCoalescing:
     def test_discard_drops_everything_without_touching_cache(self, cache):
         client, server = cache
         client.set("k", 1)
-        queue = TriggerOpQueue(client)
+        queue = TriggerOpQueue(client, per_operation=False)
         queue.enqueue_mutate(FakeOwner(), "k", lambda v: v + 1)
         queue.enqueue_delete(FakeOwner(), "other")
         deletes_before = server.stats.deletes
@@ -114,7 +115,7 @@ class TestQueueCoalescing:
     def test_flush_is_reentrancy_safe(self, cache):
         client, _server = cache
         client.set("a", 1)
-        queue = TriggerOpQueue(client)
+        queue = TriggerOpQueue(client, per_operation=False)
 
         def mutate(value):
             # A recompute-from-db mutation can commit read statements, which
@@ -127,17 +128,39 @@ class TestQueueCoalescing:
         assert client.get("a") == 2
 
 
+class TestPerOperationFlush:
+    def test_each_enqueue_flushes_at_once(self, cache):
+        """The eager mode: every enqueue is its own flush, so nothing
+        coalesces and an abort has nothing to discard."""
+        client, _server = cache
+        client.set("n", 1)
+        queue = TriggerOpQueue(client, per_operation=True)
+        owner = FakeOwner()
+        queue.enqueue_mutate(owner, "n", lambda v: v + 1)
+        assert client.get("n") == 2
+        assert not queue.context.pending_keys()
+        queue.enqueue_mutate(owner, "n", lambda v: v + 1)
+        queue.enqueue_delete(owner, "n")
+        assert client.get("n") is None
+        assert owner.stats.updates_applied == 2
+        assert owner.stats.invalidations == 1
+        assert queue.coalesced == 0
+        assert queue.discard() == 0
+
+
 class TestGenieCommitTimeBatching:
-    @pytest.fixture
-    def batched(self, stack):
-        """Rebuild the conftest stack's genie with commit-time batching on."""
+    @pytest.fixture(params=[True, False], ids=["at-commit", "per-operation"])
+    def batched(self, request, stack):
+        """Rebuild the conftest stack's genie with its trigger-op queue
+        flushed at commit, or right after each enqueued operation (the
+        eager mode)."""
         stack["genie"].deactivate()
         servers = [CacheServer("bq0", capacity_bytes=8 * 1024 * 1024),
                    CacheServer("bq1", capacity_bytes=8 * 1024 * 1024)]
         genie = CacheGenie(registry=stack["registry"],
                            database=stack["database"],
                            cache_servers=servers,
-                           batch_trigger_ops=True).activate()
+                           batch_trigger_ops=request.param).activate()
         stack["genie"] = genie
         stack["servers"] = servers
         yield stack
@@ -148,7 +171,8 @@ class TestGenieCommitTimeBatching:
         return sum(s.stats.gets + s.stats.sets + s.stats.deletes for s in servers)
 
     def test_multi_row_transaction_one_op_per_distinct_key(self, batched):
-        """Acceptance: N same-key rows in one txn -> one coalesced op at commit."""
+        """Acceptance: N same-key rows in one txn -> one coalesced op at
+        commit; flushed per operation, one op per row."""
         genie, db = batched["genie"], batched["database"]
         Person, Wall = batched["Person"], batched["Wall"]
         alice = Person(name="alice"); alice.save()
@@ -165,6 +189,16 @@ class TestGenieCommitTimeBatching:
                               {"person_id": alice.pk, "content": f"p{i}",
                                "posted": float(i)})
         delta = recorder.total
+        if not genie.batch_trigger_ops:
+            # Each firing flushed its own bump: a read and a write batch,
+            # over a connection of its own.
+            assert [args["pending"] for _, args in flushes.spans] == [1] * 6
+            assert genie.trigger_op_queue.coalesced == 0
+            assert self._server_ops(batched["servers"]) - ops_before == 12
+            assert delta.trigger_cache_batches - before.trigger_cache_batches == 12
+            assert delta.trigger_connections - before.trigger_connections == 6
+            assert counted.evaluate(person=alice.pk) == 6
+            return
         # Six trigger firings enqueued six bumps that coalesced to one key...
         assert [args["pending"] for _, args in flushes.spans] == [1]
         assert genie.trigger_op_queue.coalesced == 5
@@ -196,16 +230,20 @@ class TestGenieCommitTimeBatching:
         counted = genie.cacheable(cache_class_type="CountQuery",
                                   main_model=Wall, where_fields=["person"])
         assert counted.evaluate(person=eve.pk) == 0
+        at_commit = genie.batch_trigger_ops
         with pytest.raises(RuntimeError):
             with db.transaction():
                 db.insert(Wall._meta.db_table,
                           {"person_id": eve.pk, "content": "doomed", "posted": 9.0})
-                assert len(genie.trigger_op_queue.context.pending_keys()) == 1
+                assert len(genie.trigger_op_queue.context.pending_keys()) == \
+                    (1 if at_commit else 0)
                 raise RuntimeError("roll it back")
         assert not genie.trigger_op_queue.context.pending_keys()
-        # The cache never saw the aborted bump (the eager path would have
-        # left a dirty count behind).
-        assert counted.evaluate(person=eve.pk) == 0
+        # At commit, the cache never saw the aborted bump.  Flushed per
+        # operation, the bump landed before the abort: the paper's "dirty
+        # but not stale" window leaves the dirty count behind.
+        assert counted.evaluate(person=eve.pk) == (0 if at_commit else 1)
+        assert database_rows(Wall, person_id=eve.pk) == []
 
     def test_invalidate_strategy_coalesces_deletes(self, batched):
         genie, db = batched["genie"], batched["database"]
@@ -221,8 +259,10 @@ class TestGenieCommitTimeBatching:
                 db.insert(Wall._meta.db_table,
                           {"person_id": kim.pk, "content": f"w{i}", "posted": float(i)})
         delta = db.recorder.total
-        # Four invalidations of one key -> one delete batch at commit.
-        assert delta.trigger_cache_batches - before.trigger_cache_batches == 1
+        # Four invalidations of one key -> one delete batch at commit, or
+        # one per row flushed per operation (the first removes the key).
+        assert delta.trigger_cache_batches - before.trigger_cache_batches == \
+            (1 if genie.batch_trigger_ops else 4)
         assert cached.stats.invalidations == 1
 
     def test_deactivate_unregisters_commit_hooks(self, batched):
@@ -233,6 +273,22 @@ class TestGenieCommitTimeBatching:
         assert genie.trigger_op_queue is None
         assert flush not in db.transactions.on_commit
         assert db.transactions.on_abort == []
+
+    def test_reactivated_genie_propagates_through_a_fresh_queue(self, batched):
+        genie, db = batched["genie"], batched["database"]
+        Person, Wall = batched["Person"], batched["Wall"]
+        genie.deactivate()
+        genie.activate()
+        queue = genie.trigger_op_queue
+        assert queue is not None and queue.per_operation != genie.batch_trigger_ops
+        assert db.transactions.on_commit.count(queue.flush) == 1
+        ann = Person(name="ann"); ann.save()
+        counted = genie.cacheable(cache_class_type="CountQuery",
+                                  main_model=Wall, where_fields=["person"])
+        assert counted.evaluate(person=ann.pk) == 0
+        db.insert(Wall._meta.db_table,
+                  {"person_id": ann.pk, "content": "back", "posted": 1.0})
+        assert counted.peek(person=ann.pk) == 1
 
 
 class TestEvaluateMany:
@@ -321,13 +377,13 @@ class TestTransactionalSessionQueue:
         coordinator = TwoPhaseLockingCoordinator()
         client = CacheClient([CacheServer("2pl-cache")], recorder=Recorder())
         client.set("n", 5)
-        queue = TriggerOpQueue(client)
+        queue = TriggerOpQueue(client, per_operation=False)
         session = TransactionalCacheSession(coordinator, client, op_queue=queue)
         queue.enqueue_mutate(FakeOwner(), "n", lambda v: v + 1)
         session.commit()
         assert client.get("n") == 6
         # Abort path: queued work vanishes with the transaction.
-        queue2 = TriggerOpQueue(client)
+        queue2 = TriggerOpQueue(client, per_operation=False)
         session2 = TransactionalCacheSession(coordinator, client, op_queue=queue2)
         queue2.enqueue_mutate(FakeOwner(), "n", lambda v: v + 10)
         session2.abort()
@@ -341,7 +397,7 @@ class TestFlushCasRetries:
     def test_flush_writes_through_cas(self, cache):
         client, server = cache
         client.set("n", 1)
-        queue = TriggerOpQueue(client)
+        queue = TriggerOpQueue(client, per_operation=False)
         queue.enqueue_mutate(FakeOwner(), "n", lambda v: v + 1)
         cas_before = server.stats.cas_ok
         queue.flush()
@@ -352,7 +408,7 @@ class TestFlushCasRetries:
         client, server = cache
         client.set("w", 10)
         client.set("l", 10)
-        queue = TriggerOpQueue(client)
+        queue = TriggerOpQueue(client, per_operation=False)
         owner = FakeOwner()
         sneaks = []
 
@@ -381,7 +437,7 @@ class TestFlushCasRetries:
     def test_retries_exhausted_fall_back_to_invalidation(self, cache):
         client, _server = cache
         client.set("hot", 0)
-        queue = TriggerOpQueue(client, cas_max_retries=2)
+        queue = TriggerOpQueue(client, per_operation=False, cas_max_retries=2)
         owner = FakeOwner()
 
         def always_contended(value):
@@ -401,7 +457,7 @@ class TestFlushCasRetries:
         server0 = CacheServer("tiny", max_item_bytes=256)
         client = CacheClient([server0], recorder=Recorder(), from_trigger=True)
         client.set("k", "seed")
-        queue = TriggerOpQueue(client)
+        queue = TriggerOpQueue(client, per_operation=False)
         owner = FakeOwner()
         queue.enqueue_mutate(owner, "k", lambda v: "x" * 1024)
         gets_before = server0.stats.gets
@@ -416,7 +472,7 @@ class TestFlushCasRetries:
     def test_key_vanishing_mid_flush_falls_back_to_invalidation(self, cache):
         client, _server = cache
         client.set("gone", 1)
-        queue = TriggerOpQueue(client)
+        queue = TriggerOpQueue(client, per_operation=False)
         owner = FakeOwner()
 
         def deletes_underneath(value):
@@ -443,7 +499,7 @@ class TestFlushCasRetries:
         client, _server = cache
         client.set("a", 1)
         client.set("b", 2)
-        queue = TriggerOpQueue(client)
+        queue = TriggerOpQueue(client, per_operation=False)
         owner = FakeOwner()
 
         def explodes(value):
@@ -464,7 +520,7 @@ class TestWorkerContexts:
         client, _server = cache
         client.set("a", 1)
         client.set("b", 2)
-        queue = TriggerOpQueue(client)
+        queue = TriggerOpQueue(client, per_operation=False)
         serial, worker = queue.context, queue.open_context()
         owner = FakeOwner()
         queue.enqueue_mutate(owner, "a", lambda v: v + 1)
@@ -484,7 +540,7 @@ class TestWorkerContexts:
 
     def test_close_context_discards_pending_ops(self, cache):
         client, _server = cache
-        queue = TriggerOpQueue(client)
+        queue = TriggerOpQueue(client, per_operation=False)
         serial, worker = queue.context, queue.open_context()
         owner = FakeOwner()
         queue.context = worker
@@ -503,7 +559,7 @@ class TestInterleavedFlushContention:
         stale, loses the swap, and pays a retry round."""
         client, _server = cache
         client.set("n", 100)
-        queue = TriggerOpQueue(client)
+        queue = TriggerOpQueue(client, per_operation=False)
         a, b = queue.context, queue.open_context()
         owner = FakeOwner()
         queue.enqueue_mutate(owner, "n", lambda v: v + 1)       # context A
@@ -531,7 +587,7 @@ class TestInterleavedFlushContention:
     def test_suspended_flush_flag_is_per_context(self, cache):
         client, _server = cache
         client.set("x", 1)
-        queue = TriggerOpQueue(client)
+        queue = TriggerOpQueue(client, per_operation=False)
         a, b = queue.context, queue.open_context()
         owner = FakeOwner()
         queue.enqueue_mutate(owner, "x", lambda v: v + 1)

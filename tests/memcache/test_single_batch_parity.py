@@ -205,5 +205,10 @@ def test_single_key_call_is_its_batched_twin(op_name, scenario, from_trigger):
 
     assert single.recorder.total.as_dict() == \
         batched.recorder.total.as_dict()
+    # A trigger pays per-key CPU for a batch only when the batch is sent, to
+    # a live node or to the gutter: never for one a dead node refuses.
+    total = single.recorder.total
+    assert total.trigger_cache_batch_ops == (
+        total.trigger_cache_batches + total.trigger_cache_overlapped_batches)
 
     assert single_pauses == batched_pauses == [op.pause]

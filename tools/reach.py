@@ -138,6 +138,9 @@ KEEPERS: Dict[str, Tuple[str, str]] = {
                 "node is down to the gutter pool"),
     "memcache/client.py:CacheClient._server_for": (
         FROZEN, "CacheClient.add, which spans.py shadows, routes through it"),
+    "memcache/client.py:CacheClient._counters": (
+        FROZEN, "the counter family of CacheClient.incr/decr/incr_multi/"
+                "decr_multi, which spans.py shadows; " + _TIER_MODEL),
     # Open ROADMAP items.
     "core/txn2pl.py": (
         ROADMAP, "item 9 (§3.3's serializable mode as a replayable strategy)"),
@@ -548,10 +551,6 @@ OPTION_KEEPERS: Dict[str, Tuple[str, str]] = {
         FLAG, "exp-contention --trace-out --seed"),
     "sim/interleave.py:build_scheduler(seed)": (
         FLAG, "--seed (exp1, exp-contention) seeds the scheduler"),
-    # What a function the frozen benchmark keeps passes.
-    "memcache/client.py:CacheClient._counters(label)": (
-        FROZEN, "CacheClient.decr_multi, which spans.py shadows, passes "
-                "cache:decr_multi"),
     # Open ROADMAP items vary it.
     "storage/costmodel.py:CostModel": (
         ROADMAP, "item 11 takes each constant to x1/2 and x2"),
@@ -613,7 +612,6 @@ OPTION_KEEPERS: Dict[str, Tuple[str, str]] = {
     "sim/runner.py:simulate_population(retain_completions)": (
         REFERENCE, "tests/sim/test_runner.py checks streamed metrics "
                    "against retained ones on one replay"),
-    "memcache/server.py:CacheServer.incr(delta)": (REFERENCE, _TIER_MODEL),
     "storage/executor.py:Executor._scan(stop_at)": (
         REFERENCE, "an index-ordered LIMIT stops early: GOLDEN_CORPUS pins "
                    "the rows it charges"),
