@@ -79,9 +79,11 @@ class GutterPool:
                 out[key] = value
         return out
 
-    def value_size(self, key: str) -> int:
-        """Stored size of the value a gutter read of ``key`` just served."""
-        return self._server_for(key).value_size(key)
+    def value_bytes(self, keys: Sequence[str]) -> int:
+        """Total stored size of the values a gutter read of ``keys`` just
+        served (:meth:`CacheServer.value_bytes`, per gutter server)."""
+        return sum(self._servers[name].value_bytes(batch)
+                   for name, batch in self.ring.partition(keys).items())
 
     def set(self, key: str, value: Any, value_size: Optional[int] = None) -> bool:
         self.sets += 1

@@ -24,6 +24,7 @@ trigger side's enqueues, statistics — lives here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ...errors import CacheClassError, FieldError
@@ -72,6 +73,11 @@ class CacheClass:
         self.template = template
         self.main_model = template.model
         self.where_fields: List[str] = list(template.param_fields)
+        #: A normalized request's where-field values, as the tuple the key
+        #: scheme takes (``itemgetter`` hands one field back bare).
+        self._where_values: Callable[[Dict[str, Any]], tuple] = (
+            itemgetter(*self.where_fields) if len(self.where_fields) > 1
+            else lambda params, field=self.where_fields[0]: (params[field],))
         #: Constant equality filters narrowing the cached rows (e.g. a
         #: ``status="PENDING"`` alongside the Param): part of the query
         #: shape, the key fingerprint, and the trigger row gate.
@@ -127,18 +133,33 @@ class CacheClass:
     # -- key construction ------------------------------------------------------
 
     def make_key(self, **params: Any) -> str:
-        """Build the cache key for one combination of where-field values."""
-        return self._key_of(params)
+        """Build the cache key for one combination of where-field values,
+        named as :meth:`evaluate` accepts them."""
+        return self._request(params)[0]
 
-    def _key_of(self, params: Dict[str, Any]) -> str:
-        """:meth:`make_key` over a ``{column: value}`` mapping."""
+    def _request(self, params: Dict[str, Any]) -> Tuple[str, Dict[str, Any]]:
+        """One read request's cache key and its normalized parameters: field
+        names or columns accepted, model instances resolved to pks."""
+        columns = self._param_columns
+        normalized: Dict[str, Any] = {}
+        for name, value in params.items():
+            column = columns.get(name)
+            if column is None:
+                try:
+                    column = columns[name] = self._resolve_column(
+                        self.main_model, name)
+                except FieldError:
+                    column = name  # not a field: passes through, never kept
+            if hasattr(value, "pk"):
+                value = value.pk
+            normalized[column] = value
         try:
-            values = [params[column] for column in self.where_fields]
+            values = self._where_values(normalized)
         except KeyError as exc:
             raise CacheClassError(
                 f"cached object {self.name!r} requires parameter {exc.args[0]!r}"
             ) from None
-        return self.keys.key_for(values)
+        return self.keys.key_for(values), normalized
 
     def key_from_row(self, row: Dict[str, Any]) -> str:
         """Build the cache key from a main-table row's values."""
@@ -200,8 +221,8 @@ class CacheClass:
         ``fetch``).
         """
         self.genie.run_pending_refreshes()
-        normalized = self._normalize_params(params)
-        return self.strategy.fetch(self, self._key_of(normalized), normalized)
+        key, normalized = self._request(params)
+        return self.strategy.fetch(self, key, normalized)
 
     def _present(self, value: Any) -> Any:
         """Shape a stored value the way evaluate() hands it out: a new list
@@ -217,26 +238,9 @@ class CacheClass:
         """Return the cached value as stored, without falling back to the
         database: a row list as views (a Top-K list with its reserve rows),
         a count as itself."""
-        key = self._key_of(self._normalize_params(params))
+        key = self._request(params)[0]
         value = unwrap_envelope(self.app_cache.get(key))
         return thaw_rows(value) if isinstance(value, list) else value
-
-    def _normalize_params(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        """Accept field names or columns; resolve model instances to pks."""
-        columns = self._param_columns
-        normalized: Dict[str, Any] = {}
-        for name, value in params.items():
-            column = columns.get(name)
-            if column is None:
-                try:
-                    column = columns[name] = self._resolve_column(
-                        self.main_model, name)
-                except FieldError:
-                    column = name  # not a field: passes through, never kept
-            if hasattr(value, "pk"):
-                value = value.pk
-            normalized[column] = value
-        return normalized
 
     # -- transparent interception -------------------------------------------------
 
@@ -374,15 +378,16 @@ def evaluate_many(
     """
     if not requests:
         return []
-    client = requests[0][0].app_cache
-    requests[0][0].genie.run_pending_refreshes()
+    first = requests[0][0]
+    genie, client = first.genie, first.app_cache
+    genie.run_pending_refreshes()
     entries: List[Tuple[CacheClass, str, Dict[str, Any]]] = []
     for cached_object, params in requests:
-        if cached_object.app_cache is not client:
+        if (cached_object.genie is not genie
+                and cached_object.app_cache is not client):
             raise CacheClassError(
                 "evaluate_many() requires cached objects on the same cache client"
             )
-        normalized = cached_object._normalize_params(params)
-        entries.append((cached_object, cached_object._key_of(normalized),
-                        normalized))
+        key, normalized = cached_object._request(params)
+        entries.append((cached_object, key, normalized))
     return read_through(client, entries)

@@ -78,16 +78,14 @@ class TopKQuery(CacheClass):
             # the flush reads and writes the key exactly once however the
             # transaction interleaved deletes.  If the reserve is exhausted
             # the list may now be shorter than K while the database still
-            # has qualifying rows: recompute.  Unlike ``_cas_update``, a
-            # delete notes no adaptive write telemetry.
+            # has qualifying rows: recompute.
             def remove_and_refill(rows):
                 out = self._remove(rows, old, pk_column)
                 if out is not None and len(out) < self.k:
                     self.stats.recomputations += 1
                     return self.compute_from_db(params)
                 return out
-            self.genie.trigger_op_queue.enqueue_mutate(self, key,
-                                                      remove_and_refill)
+            self._cas_update(key, remove_and_refill)
             return
 
         if event == "update" and new is not None and old is not None:

@@ -40,18 +40,25 @@ class KeyScheme:
     def __init__(self, object_name: str, definition_fingerprint: str) -> None:
         digest = hashlib.md5(definition_fingerprint.encode("utf-8")).hexdigest()[:8]
         self.prefix = f"cg:{_encode_component(object_name)}:{digest}"
-        #: (component types, component values) -> built key.  The types are
-        #: part of the memo key because ``1 == True == 1.0`` hash alike yet
-        #: encode differently: a key must not depend on which was seen first.
+        #: Component values -> built key.  No ``int`` equals a ``str``, so a
+        #: combination of only those two is keyed by its values alone.  Any
+        #: other memoised combination is keyed by ``(component types,
+        #: values)``, because ``1 == True`` hash alike yet encode differently:
+        #: a key must not depend on which was seen first.
         self._memo: Dict[tuple, str] = {}
 
     def key_for(self, values: Sequence[Any]) -> str:
         """Build the cache key for one combination of where-field values."""
-        types = tuple(map(type, values))
-        if not _MEMO_TYPES.issuperset(types):
-            return self._build(values)
+        memo_key = tuple(values)
+        for value in memo_key:
+            cls = type(value)
+            if cls is not int and cls is not str:
+                types = tuple(map(type, memo_key))
+                if not _MEMO_TYPES.issuperset(types):
+                    return self._build(memo_key)
+                memo_key = (types, memo_key)
+                break
         memo = self._memo
-        memo_key = (types, tuple(values))
         built = memo.get(memo_key)
         if built is None:
             built = self._build(values)

@@ -140,16 +140,26 @@ def read_through(client: Any, entries: Sequence[ReadEntry]) -> List[Any]:
     """
     by_strategy: Dict[int, Tuple[ConsistencyStrategy, List[ReadEntry]]] = {}
     seen_keys = set()
-    for cached_object, key, normalized in entries:
+    for entry in entries:
+        key = entry[1]
         if key in seen_keys:
             continue
         seen_keys.add(key)
-        bucket = by_strategy.setdefault(
-            id(cached_object.strategy), (cached_object.strategy, []))
-        bucket[1].append((cached_object, key, normalized))
-    found: Dict[str, Tuple[Any, bool]] = {}
+        strategy = entry[0].strategy
+        bucket = by_strategy.get(id(strategy))
+        if bucket is None:
+            by_strategy[id(strategy)] = (strategy, [entry])
+        else:
+            bucket[1].append(entry)
+    # The first strategy's answer is the accumulator: a batch one strategy
+    # serves (the common case) is never copied.
+    found: Optional[Dict[str, Tuple[Any, bool]]] = None
     for strategy, items in by_strategy.values():
-        found.update(strategy.fetch_multi(client, items))
+        served = strategy.fetch_multi(client, items)
+        if found is None:
+            found = served
+        else:
+            found.update(served)
 
     # Miss write-back: every value is enveloped by its *own* object's
     # strategy (wrap_for_store may depend on per-object state), then batched
@@ -158,8 +168,9 @@ def read_through(client: Any, entries: Sequence[ReadEntry]) -> List[Any]:
     computed: Dict[str, Any] = {}
     results: List[Any] = []
     for cached_object, key, normalized in entries:
-        if key in found:
-            value, stale = found[key]
+        hit = found.get(key)
+        if hit is not None:
+            value, stale = hit
             cached_object.stats.cache_hits += 1
             if stale:
                 cached_object.stats.stale_served += 1

@@ -106,21 +106,6 @@ class CacheClient:
     def _server_for(self, key: str) -> CacheServer:
         return self._servers[self.ring.server_for(key)]
 
-    def _group_by_server(self, keys: Sequence[str]) -> Dict[str, List[str]]:
-        """Partition ``keys`` into per-server batches via the hash ring.
-
-        Duplicates are dropped (one wire slot per key) but the first-seen
-        order within each server batch is preserved.
-        """
-        batches: Dict[str, List[str]] = {}
-        seen = set()
-        for key in keys:
-            if key in seen:
-                continue
-            seen.add(key)
-            batches.setdefault(self.ring.server_for(key), []).append(key)
-        return batches
-
     def _node_down(self, server: CacheServer) -> None:
         """Account one fail-fast refusal against a dead node.
 
@@ -165,50 +150,59 @@ class CacheClient:
 
     # -- reads ----------------------------------------------------------------
 
-    def _gutter_get(self, batch: List[str], event: str,
-                    index: int) -> Dict[str, Any]:
-        """A dead primary's batch read from the gutter pool (a round trip of
-        its own); nothing without a pool."""
-        if self.gutter is None:
-            return {}
-        self._charge(event, len(batch), index)
-        return self.gutter.get_multi(batch)
+    def _sent(self, event: str, keys: int, index: int) -> int:
+        """Charge one sent batch of a read call.  A trigger-side or an
+        overlapped batch is charged here (:meth:`_charge`); an app-side batch
+        that pays its latency returns 1, for the call's one
+        :meth:`Recorder.record_read`."""
+        if self.from_trigger or (self.pipeline_batches and index > 0):
+            self._charge(event, keys, index)
+            return 0
+        return 1
 
     def _read(self, keys: Sequence[str], cas: bool) -> Dict[str, Any]:
         """The read family; returns the hits (``(value, token)`` with ``cas``).
 
         Keys are grouped into per-server batches on the hash ring, one round
         trip each — the batched protocol the paper's §5.3 round-trip
-        analysis motivates; hits, misses and byte transfer are recorded per
-        key.  A dead primary fails fast (``cache_node_down``,
+        analysis motivates.  A dead primary fails fast (``cache_node_down``,
         no round trip) and a plain read falls through to the gutter pool
         when one is attached.  A CAS read of a dead primary is a plain miss:
         the gutter speaks no CAS, so there is no token to hand out and no
-        swap to attempt later.
+        swap to attempt later.  The call's round trips, hits, misses and
+        bytes moved are summed over its batches and recorded at once, before
+        control can leave the call (its ``cache:<op>`` pause, or an error).
         """
         if not keys:
             return {}
         self._charge_connection()
-        record = self.recorder.record
+        servers, gutter = self._servers, self.gutter
         out: Dict[str, Any] = {}
-        for index, (server_name, batch) in enumerate(self._group_by_server(keys).items()):
-            server = self._servers[server_name]
-            if server.alive:
-                self._charge("cache_multi_gets", len(batch), index)
-                found = server.gets_multi(batch) if cas else server.get_multi(batch)
-            else:
-                self._node_down(server)
-                server = self.gutter   # it sizes the values it serves
-                found = {} if cas else self._gutter_get(
-                    batch, "cache_multi_gets", index)
-            for key in batch:
-                value = found.get(key)
-                if value is None:
-                    record("cache_misses")
+        trips = hits = misses = moved = 0
+        try:
+            for index, (name, batch) in enumerate(
+                    self.ring.partition(keys).items()):
+                server = servers[name]
+                if server.alive:
+                    trips += self._sent("cache_multi_gets", len(batch), index)
+                    found = (server.gets_multi(batch) if cas
+                             else server.get_multi(batch))
                 else:
-                    record("cache_hits")
-                    record("cache_bytes_moved", server.value_size(key))
-                    out[key] = value
+                    self._node_down(server)
+                    if cas or gutter is None:
+                        misses += len(batch)
+                        continue
+                    trips += self._sent("cache_multi_gets", len(batch), index)
+                    server = gutter   # it sizes the values it serves
+                    found = gutter.get_multi(batch)
+                if found:
+                    hits += len(found)
+                    moved += server.value_bytes(found)
+                    out.update(found)
+                misses += len(batch) - len(found)
+        finally:
+            self.recorder.record_read("cache_multi_gets", trips, hits, misses,
+                                      moved)
         if hooks.chain:
             # gets_multi's pause is what makes batched CAS contendable: a
             # worker that just read its tokens can be suspended here while
@@ -254,44 +248,57 @@ class CacheClient:
         :data:`LEASE_STALE` *without a token* (its freshness bound is the
         gutter TTL, and no token means no refresh is scheduled); a gutter
         miss — or no gutter — comes back :data:`LEASE_ACQUIRED` with no
-        token, which callers resolve by recomputing synchronously.
+        token, which callers resolve by recomputing synchronously.  The
+        counts are recorded at once, as :meth:`_read` records them.
         """
         if not keys:
             return {}
         self._charge_connection()
-        record = self.recorder.record
+        servers, gutter = self._servers, self.gutter
         out: Dict[str, Tuple[str, Optional[Any], Optional[int]]] = {}
-        for index, (server_name, batch) in enumerate(self._group_by_server(keys).items()):
-            server = self._servers[server_name]
-            if not server.alive:
-                self._node_down(server)
-                found = self._gutter_get(batch, "cache_multi_leases", index)
+        trips = hits = misses = moved = 0
+        try:
+            for index, (name, batch) in enumerate(
+                    self.ring.partition(keys).items()):
+                server = servers[name]
+                if not server.alive:
+                    self._node_down(server)
+                    found: Dict[str, Any] = {}
+                    if gutter is not None:
+                        trips += self._sent("cache_multi_leases", len(batch),
+                                            index)
+                        found = gutter.get_multi(batch)
+                        if found:
+                            hits += len(found)
+                            moved += gutter.value_bytes(found)
+                    misses += len(batch) - len(found)
+                    for key in batch:
+                        value = found.get(key)
+                        out[key] = ((LEASE_ACQUIRED, None, None) if value is None
+                                    else (LEASE_STALE, value, None))
+                    continue
+                trips += self._sent("cache_multi_leases", len(batch), index)
+                states = server.lease_multi(batch, lease_seconds,
+                                            claimant=self.current_worker)
+                served: List[str] = []
                 for key in batch:
-                    value = found.get(key)
-                    if value is None:
-                        record("cache_misses")
-                        out[key] = (LEASE_ACQUIRED, None, None)
+                    state, value, _token = answer = states[key]
+                    if state == LEASE_CONTENDED:
+                        answer = (LEASE_STALE, value, None)
+                        self.recorder.record("lease_contended")
+                        if self.telemetry is not None:
+                            self.telemetry.note_lease_contended(key)
+                    out[key] = answer
+                    if value is None and state != LEASE_HIT:
+                        misses += 1
                     else:
-                        record("cache_hits")
-                        record("cache_bytes_moved", self.gutter.value_size(key))
-                        out[key] = (LEASE_STALE, value, None)
-                continue
-            self._charge("cache_multi_leases", len(batch), index)
-            states = server.lease_multi(batch, lease_seconds,
-                                        claimant=self.current_worker)
-            for key in batch:
-                state, value, _token = answer = states[key]
-                if state == LEASE_CONTENDED:
-                    answer = (LEASE_STALE, value, None)
-                    record("lease_contended")
-                    if self.telemetry is not None:
-                        self.telemetry.note_lease_contended(key)
-                out[key] = answer
-                if value is None and state != LEASE_HIT:
-                    record("cache_misses")
-                else:
-                    record("cache_hits")
-                    record("cache_bytes_moved", server.value_size(key))
+                        served.append(key)
+                if served:
+                    hits += len(served)
+                    moved += server.value_bytes(served)
+        finally:
+            self.recorder.record_read("cache_multi_leases", trips, hits,
+                                      misses, moved)
         if hooks.chain:
             self._round_trip_done("cache:lease_multi", len(keys))
         return out
@@ -324,7 +331,7 @@ class CacheClient:
         self._charge_connection()
         failed: List[str] = []
         for index, (server_name, batch) in enumerate(
-                self._group_by_server(list(mapping)).items()):
+                self.ring.partition(mapping).items()):
             server = self._servers[server_name]
             if not server.alive:
                 self._node_down(server)
@@ -401,7 +408,7 @@ class CacheClient:
         record = self.recorder.record
         verdicts: Dict[str, str] = {}
         for index, (server_name, batch) in enumerate(
-                self._group_by_server(list(items)).items()):
+                self.ring.partition(items).items()):
             server = self._servers[server_name]
             if not server.alive:
                 self._node_down(server)
@@ -459,7 +466,7 @@ class CacheClient:
             return []
         self._charge_connection()
         existed: List[str] = []
-        for index, (server_name, batch) in enumerate(self._group_by_server(keys).items()):
+        for index, (server_name, batch) in enumerate(self.ring.partition(keys).items()):
             server = self._servers[server_name]
             if server.alive:
                 self._charge("cache_multi_deletes", len(batch), index)
@@ -512,7 +519,7 @@ class CacheClient:
         self._charge_connection()
         out: Dict[str, Optional[int]] = {}
         for index, (server_name, batch) in enumerate(
-                self._group_by_server(list(deltas)).items()):
+                self.ring.partition(deltas).items()):
             server = self._servers[server_name]
             if server.alive:
                 self._charge("cache_multi_counters", len(batch), index)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Dict, List, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from ..errors import CacheServerError
 
@@ -93,3 +93,24 @@ class HashRing:
             placement.clear()
         placement[key] = server
         return server
+
+    def partition(self, keys: Iterable[str]) -> Dict[str, List[str]]:
+        """Split ``keys`` into per-server batches, ``{server: [key, ...]}``.
+
+        Duplicates are dropped (one wire slot per key) and each batch keeps
+        its keys' first-seen order; servers appear in the order their first
+        key does.  One pass over the placement memo; only a key it lacks
+        goes through :meth:`server_for`.
+        """
+        placement = self._placement
+        batches: Dict[str, List[str]] = {}
+        for key in dict.fromkeys(keys):
+            server = placement.get(key)
+            if server is None:
+                server = self.server_for(key)
+            batch = batches.get(server)
+            if batch is None:
+                batches[server] = [key]
+            else:
+                batch.append(key)
+        return batches

@@ -13,7 +13,8 @@ from __future__ import annotations
 import itertools
 import re
 import time as _time
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from ..errors import CacheKeyError, CacheValueError, NodeDownError
 from .item import ITEM_HEADER_BYTES, Item, sizeof_value
@@ -46,6 +47,17 @@ LEASE_CONTENDED = "contended"  # as LEASE_STALE, but a *different* claimant
                                # holds the window's token: a real race
 LEASE_ACQUIRED = "acquired"  # caller won the lease token: it is the one
                              # reader responsible for recomputing this key
+
+
+def _key_refusal(key: Any) -> Optional[str]:
+    """Why memcached would refuse ``key``, or None for a valid key."""
+    if not isinstance(key, str) or not key:
+        return f"invalid cache key {key!r}"
+    if len(key) > MAX_KEY_LENGTH:
+        return f"cache key longer than {MAX_KEY_LENGTH} bytes: {key[:40]}..."
+    if _BAD_KEY_CHAR.search(key):
+        return f"cache key contains whitespace/control chars: {key!r}"
+    return None
 
 
 class _StaleEntry:
@@ -106,20 +118,19 @@ class CacheServer:
 
     def _check_key(self, key: str) -> None:
         self._check_alive()
-        if not isinstance(key, str) or not key:
-            raise CacheKeyError(f"invalid cache key {key!r}")
-        if len(key) > MAX_KEY_LENGTH:
-            raise CacheKeyError(f"cache key longer than {MAX_KEY_LENGTH} bytes: {key[:40]}...")
-        if _BAD_KEY_CHAR.search(key):
-            raise CacheKeyError(f"cache key contains whitespace/control chars: {key!r}")
+        refusal = _key_refusal(key)
+        if refusal is not None:
+            raise CacheKeyError(refusal)
 
     def _expiry(self, expire: Optional[float]) -> Optional[float]:
         if expire is None or expire == 0:
             return None
         return self.clock() + float(expire)
 
-    def _live_item(self, key: str, *, touch: bool = True) -> Optional[Item]:
-        item = self.store.get(key, touch=touch)
+    def _live_item(self, key: str) -> Optional[Item]:
+        """The unexpired item for ``key``, without an LRU touch (the read
+        families touch in their own loops); an expired one is dropped."""
+        item = self.store.get(key, touch=False)
         if item is None:
             return None
         if item.is_expired(self.clock()):
@@ -130,27 +141,63 @@ class CacheServer:
 
     # -- reads ----------------------------------------------------------------
 
+    def _read(self, keys: Sequence[str], cas: bool) -> Dict[str, Any]:
+        """The read family in one pass: ``{key: value}`` for the keys that
+        hit (``{key: (value, cas_token)}`` with ``cas``).
+
+        One liveness check and one clock reading serve the whole batch, so
+        expiry is judged at the batch's instant.  Each key is looked up, then
+        touched (LRU) or lazily expired, in order.  Only a key the store does
+        not hold is validated: every stored key was, when it was stored.
+        The statistics are summed as it goes and added on the way out, so a
+        key refused mid-batch leaves the earlier keys counted, as N single
+        reads would.  A stored None is counted as a hit but left out of the
+        result.
+        """
+        out: Dict[str, Any] = {}
+        if not keys:
+            return out
+        self._check_alive()
+        now = self.clock()
+        store = self.store
+        # LRUStore.get inlined: the lookup and the touch on the store's map.
+        lookup, touch = store._items.get, store._items.move_to_end
+        gets = hits = expired = 0
+        try:
+            for key in keys:
+                item = lookup(key) if isinstance(key, str) else None
+                if item is None:
+                    refusal = _key_refusal(key)
+                    if refusal is not None:
+                        raise CacheKeyError(refusal)
+                    gets += 1
+                    continue
+                gets += 1
+                expires_at = item.expires_at
+                if expires_at is not None and now >= expires_at:
+                    store.delete(key)
+                    expired += 1
+                    continue
+                touch(key)
+                hits += 1
+                value = item.value
+                if value is not None:
+                    out[key] = (value, item.cas_id) if cas else value
+        finally:
+            stats = self.stats
+            stats.gets += gets
+            stats.hits += hits
+            stats.misses += gets - hits
+            stats.expirations += expired
+        return out
+
     def get(self, key: str) -> Optional[Any]:
         """Return the value for ``key`` or None on a miss."""
-        self._check_key(key)
-        self.stats.gets += 1
-        item = self._live_item(key)
-        if item is None:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return item.value
+        return self._read((key,), False).get(key)
 
     def gets(self, key: str) -> Tuple[Optional[Any], Optional[int]]:
         """Return ``(value, cas_token)`` — the CAS form of :meth:`get`."""
-        self._check_key(key)
-        self.stats.gets += 1
-        item = self._live_item(key)
-        if item is None:
-            self.stats.misses += 1
-            return None, None
-        self.stats.hits += 1
-        return item.value, item.cas_id
+        return self._read((key,), True).get(key, (None, None))
 
     def get_multi(self, keys: Sequence[str]) -> Dict[str, Any]:
         """Batched :meth:`get`: return the values of the keys that hit.
@@ -158,12 +205,7 @@ class CacheServer:
         One network round trip carries the whole batch (the client charges
         round-trip costs); hit/miss statistics still count per key.
         """
-        out: Dict[str, Any] = {}
-        for key in keys:
-            value = self.get(key)
-            if value is not None:
-                out[key] = value
-        return out
+        return self._read(keys, False)
 
     def gets_multi(self, keys: Sequence[str]) -> Dict[str, Tuple[Any, int]]:
         """Batched :meth:`gets`: ``{key: (value, cas_token)}`` for the hits.
@@ -171,28 +213,28 @@ class CacheServer:
         The CAS form of :meth:`get_multi` — the read half of the batched
         read-modify-write protocol (``gets_multi`` + ``cas_multi``).
         """
-        out: Dict[str, Tuple[Any, int]] = {}
-        for key in keys:
-            value, token = self.gets(key)
-            if value is not None:
-                out[key] = (value, token)
-        return out
+        return self._read(keys, True)
 
     def touch_key(self, key: str) -> bool:
         """Return True if the key is present (without counting a get)."""
-        return self._live_item(key, touch=False) is not None
+        return self._live_item(key) is not None
 
-    def value_size(self, key: str) -> int:
-        """Serialized size of the value a read of ``key`` just served.
+    def value_bytes(self, keys: Iterable[str]) -> int:
+        """Total serialized size of the values a read of ``keys`` just
+        served.
 
-        Values are sized once, when stored; a read reports that size rather
-        than serializing the value again.  Covers the live item and, for
-        lease reads, the stale-retained entry.  No statistics, no LRU touch.
+        Values are sized once, when stored; a read reports those sizes
+        rather than serializing the values again.  Covers live items and,
+        for lease reads, stale-retained entries.  No statistics, no LRU
+        touch.
         """
-        item = self.store.get(key, touch=False)
-        if item is not None:
-            return item.value_size
-        return self._stale[key].value_size
+        lookup = self.store._items.get
+        total = 0
+        for key in keys:
+            item = lookup(key)
+            total += (item.value_size if item is not None
+                      else self._stale[key].value_size)
+        return total
 
     # -- writes ---------------------------------------------------------------
 
@@ -235,7 +277,7 @@ class CacheServer:
         """Store only if the key is absent; returns False if it exists."""
         self._check_key(key)
         self.stats.adds += 1
-        if self._live_item(key, touch=False) is not None:
+        if self._live_item(key) is not None:
             return False
         self._store(key, value, self._expiry(expire), value_size)
         return True
@@ -268,7 +310,7 @@ class CacheServer:
         :data:`CAS_MISSING` (the entry vanished — a retry cannot help).
         """
         self._check_key(key)
-        item = self._live_item(key, touch=False)
+        item = self._live_item(key)
         if item is None:
             self.stats.cas_miss += 1
             return CAS_MISSING
@@ -354,7 +396,7 @@ class CacheServer:
         self.stats.deletes += 1
         self.stats.lease_deletes += 1
         self._sweep_stale()
-        item = self._live_item(key, touch=False)
+        item = self._live_item(key)
         if item is not None:
             self.store.delete(key)
             self._stale[key] = _StaleEntry(item.value, item.value_size,
@@ -382,6 +424,105 @@ class CacheServer:
             del self._stale[key]
             return None
         return entry
+
+    def _lease(self, keys: Sequence[str], lease_seconds: float, claimant: Any,
+               ) -> Dict[str, Tuple[str, Optional[Any], Optional[int]]]:
+        """The lease family in one pass: ``{key: (state, value, token)}``.
+
+        As :meth:`_read`: one liveness check and one clock reading for the
+        batch, each key answered in order (a key the store does not hold
+        validated first), and the statistics summed as it goes and added on
+        the way out.
+        """
+        out: Dict[str, Tuple[str, Optional[Any], Optional[int]]] = {}
+        if not keys:
+            return out
+        self._check_alive()
+        now = self.clock()
+        window = float(lease_seconds)
+        store = self.store
+        stale, issued_at = self._stale, self._lease_issued_at
+        herds, winners = self._lease_herd, self._lease_winner
+        gets = hits = stale_hits = granted = contended = expired = 0
+        herd_max = 0
+        try:
+            for key in keys:
+                item = store.get(key) if isinstance(key, str) else None
+                if item is None:
+                    refusal = _key_refusal(key)
+                    if refusal is not None:
+                        raise CacheKeyError(refusal)
+                gets += 1
+                if item is not None:
+                    expires_at = item.expires_at
+                    if expires_at is None or now < expires_at:
+                        hits += 1
+                        out[key] = (LEASE_HIT, item.value, None)
+                        continue
+                    store.delete(key)
+                    expired += 1
+                record = issued_at.get(key)
+                issued = record[0] if record is not None else None
+                can_issue = issued is None or (now - issued) >= window
+                entry = stale.get(key)
+                if entry is not None and now >= entry.stale_until:
+                    del stale[key]
+                    entry = None
+                if entry is None:
+                    if issued is not None and can_issue:
+                        # Lazy pruning: with no stale value retained and the
+                        # rate-limit window passed, the record carries no
+                        # information — drop it so a churning key space
+                        # doesn't grow this map without bound (the
+                        # lease_delete-time sweep catches keys never read
+                        # again).
+                        del issued_at[key]
+                        herds.pop(key, None)
+                        winners.pop(key, None)
+                    # True miss: nothing retained.  Always grant, and without
+                    # starting the rate-limit window — the caller must go to
+                    # the database anyway, and its set repopulates the key
+                    # for everyone; the limit exists to bound recomputes of
+                    # *stale-retained* (hot, invalidated) keys.
+                    granted += 1
+                    out[key] = (LEASE_ACQUIRED, None, next(self._cas_counter))
+                    continue
+                hits += 1
+                stale_hits += 1
+                if can_issue:
+                    issued_at[key] = (now, window)
+                    granted += 1
+                    # A fresh window opens with one claimant: the token winner.
+                    winners[key] = claimant
+                    herds[key] = {claimant}
+                    herd_max = max(herd_max, 1)
+                    out[key] = (LEASE_ACQUIRED, entry.value,
+                                next(self._cas_counter))
+                    continue
+                # Rate-limited.  A *different* claimant wanting the token
+                # while the winner holds it is the contended case the
+                # concurrent replay measures; the winner re-reading its own
+                # window is the rate limit doing its job.
+                winner = winners.get(key)
+                herd = herds.setdefault(key, {winner})
+                herd.add(claimant)
+                herd_max = max(herd_max, len(herd))
+                if claimant != winner:
+                    contended += 1
+                    out[key] = (LEASE_CONTENDED, entry.value, None)
+                else:
+                    out[key] = (LEASE_STALE, entry.value, None)
+        finally:
+            stats = self.stats
+            stats.gets += gets
+            stats.hits += hits
+            stats.misses += gets - hits
+            stats.expirations += expired
+            stats.stale_hits += stale_hits
+            stats.leases_granted += granted
+            stats.lease_contended += contended
+            stats.herd_size_max = max(stats.herd_size_max, herd_max)
+        return out
 
     def lease(self, key: str, lease_seconds: float,
               claimant: Any = None) -> Tuple[str, Optional[Any], Optional[int]]:
@@ -411,66 +552,18 @@ class CacheServer:
         ``lease_seconds`` — which is what bounds a hot key's recompute rate
         however many invalidations and readers hit it.
         """
-        self._check_key(key)
-        self.stats.gets += 1
-        item = self._live_item(key)
-        if item is not None:
-            self.stats.hits += 1
-            return LEASE_HIT, item.value, None
-        now = self.clock()
-        record = self._lease_issued_at.get(key)
-        issued = record[0] if record is not None else None
-        can_issue = issued is None or (now - issued) >= float(lease_seconds)
-        entry = self._stale_entry(key)
-        if entry is None and issued is not None and can_issue:
-            # Lazy pruning: with no stale value retained and the rate-limit
-            # window passed, the record carries no information — drop it so
-            # a churning key space doesn't grow this map without bound (the
-            # lease_delete-time sweep catches keys never read again).
-            del self._lease_issued_at[key]
-            self._lease_herd.pop(key, None)
-            self._lease_winner.pop(key, None)
-        if entry is not None:
-            self.stats.hits += 1
-            self.stats.stale_hits += 1
-            if can_issue:
-                self._lease_issued_at[key] = (now, float(lease_seconds))
-                self.stats.leases_granted += 1
-                # A fresh window opens with one claimant: the token winner.
-                self._lease_winner[key] = claimant
-                self._lease_herd[key] = {claimant}
-                self.stats.herd_size_max = max(self.stats.herd_size_max, 1)
-                return LEASE_ACQUIRED, entry.value, next(self._cas_counter)
-            # Rate-limited.  A *different* claimant wanting the token while
-            # the winner holds it is the contended case the concurrent
-            # replay measures; the winner re-reading its own window is the
-            # rate limit doing its job.
-            winner = self._lease_winner.get(key)
-            herd = self._lease_herd.setdefault(key, {winner})
-            herd.add(claimant)
-            self.stats.herd_size_max = max(self.stats.herd_size_max, len(herd))
-            if claimant != winner:
-                self.stats.lease_contended += 1
-                return LEASE_CONTENDED, entry.value, None
-            return LEASE_STALE, entry.value, None
-        # True miss: nothing retained.  Always grant, and without starting
-        # the rate-limit window — the caller must go to the database anyway,
-        # and its set repopulates the key for everyone; the limit exists to
-        # bound recomputes of *stale-retained* (hot, invalidated) keys.
-        self.stats.misses += 1
-        self.stats.leases_granted += 1
-        return LEASE_ACQUIRED, None, next(self._cas_counter)
+        return self._lease((key,), lease_seconds, claimant)[key]
 
     def lease_multi(self, keys: Sequence[str], lease_seconds: float,
                     claimant: Any = None,
                     ) -> Dict[str, Tuple[str, Optional[Any], Optional[int]]]:
         """Batched :meth:`lease`: ``{key: (state, value, token)}``."""
-        return {key: self.lease(key, lease_seconds, claimant) for key in keys}
+        return self._lease(keys, lease_seconds, claimant)
 
     def incr(self, key: str, delta: int = 1) -> Optional[int]:
         """Increment an integer value; returns the new value or None on miss."""
         self._check_key(key)
-        item = self._live_item(key, touch=False)
+        item = self._live_item(key)
         if item is None or not isinstance(item.value, int):
             self.stats.incr_miss += 1
             return None
@@ -483,7 +576,7 @@ class CacheServer:
     def decr(self, key: str, delta: int = 1) -> Optional[int]:
         """Decrement an integer value, floored at zero as memcached does."""
         self._check_key(key)
-        item = self._live_item(key, touch=False)
+        item = self._live_item(key)
         if item is None or not isinstance(item.value, int):
             self.stats.decr_miss += 1
             return None

@@ -153,9 +153,23 @@ class Recorder:
 
     def record(self, event: str, n: int = 1) -> None:
         """Record ``n`` occurrences of ``event`` (a CostCounters field name)."""
-        setattr(self.total, event, getattr(self.total, event) + n)
-        if self._active is not None:
-            setattr(self._active, event, getattr(self._active, event) + n)
+        total = self.total
+        setattr(total, event, getattr(total, event) + n)
+        active = self._active
+        if active is not None:
+            setattr(active, event, getattr(active, event) + n)
+
+    def record_read(self, event: str, round_trips: int, hits: int,
+                    misses: int, bytes_moved: int) -> None:
+        """Record one cache read call's four counts at once: its
+        ``round_trips`` as ``event``, and its hits, misses and bytes moved
+        — what one :meth:`record` per batch and per key would add."""
+        for bag in (self.total, self._active):
+            if bag is not None:
+                setattr(bag, event, getattr(bag, event) + round_trips)
+                bag.cache_hits += hits
+                bag.cache_misses += misses
+                bag.cache_bytes_moved += bytes_moved
 
     def activate_scope(self, counters: Optional[CostCounters]) -> Optional[CostCounters]:
         """Swap the active measurement scope, returning the previous one.

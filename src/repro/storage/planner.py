@@ -81,6 +81,7 @@ def _range_bounds(predicate: Predicate, column: str):
             continue
         if isinstance(comp, Between):
             low, high = comp.low, comp.high
+            include_low = include_high = True
             found = True
             continue
         if comp.op in (">", ">="):

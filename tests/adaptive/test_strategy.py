@@ -234,6 +234,22 @@ class TestWritePath:
         key = cached.make_key(author_id=author.pk)
         assert adaptive.telemetry.get(key).writes == 1
 
+    def test_topk_delete_notes_its_write(self, stack):
+        adaptive = adaptive_strategy()
+        cached = stack["genie"].cacheable(
+            cache_class_type="TopKQuery", main_model="Post",
+            where_fields=["author_id"], sort_field="title", k=2,
+            name="adaptive_topk", update_strategy=adaptive)
+        author = stack["Author"].objects.create(name="a")
+        posts = [stack["Post"].objects.create(author=author, title=f"t{i}")
+                 for i in range(3)]
+        assert len(cached.evaluate(author_id=author.pk)) == 2
+        key = cached.make_key(author_id=author.pk)
+        writes = adaptive.telemetry.get(key).writes
+        posts[0].delete()
+        assert adaptive.telemetry.get(key).writes == writes + 1
+        assert cached.stats.updates_applied >= 1
+
 
 class TestEnvelopeGuards:
     """A lingering async-refresh envelope must never absorb a trigger patch."""

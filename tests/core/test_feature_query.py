@@ -94,11 +94,11 @@ class TestParameterNames:
         person = profile_setup["people"][0]
         key = cached.make_key(person_id=person.pk)
         for _ in range(2):  # second pass: resolved from the remembered map
-            assert cached._normalize_params({"person": person}) == \
-                {"person_id": person.pk}
-            assert cached._normalize_params({"person_id": person.pk}) == \
-                {"person_id": person.pk}
-        assert cached._key_of({"person_id": person.pk}) == key
+            assert cached._request({"person": person}) == \
+                (key, {"person_id": person.pk})
+            assert cached._request({"person_id": person.pk}) == \
+                (key, {"person_id": person.pk})
+        assert cached.make_key(person=person) == key
         assert cached._param_columns == {"person": "person_id",
                                          "person_id": "person_id"}
 
@@ -107,8 +107,9 @@ class TestParameterNames:
             cache_class_type="FeatureQuery", main_model="Profile",
             where_fields=["person_id"])
         for junk in ("nope", "also_nope"):
-            assert cached._normalize_params({junk: 1}) == {junk: 1}
-        assert cached._param_columns == {}
+            assert cached._request({junk: 1, "person_id": 2})[1] == \
+                {junk: 1, "person_id": 2}
+        assert cached._param_columns == {"person_id": "person_id"}
         with pytest.raises(CacheClassError, match="requires parameter 'person_id'"):
             cached.evaluate(nope=1)
 

@@ -77,11 +77,20 @@ class WatchedStore(LRUStore):
 
 
 class WatchingServer(CacheServer):
-    """A cache server whose store is a :class:`WatchedStore`."""
+    """A cache server whose store is a :class:`WatchedStore`.  The batch
+    read loop looks items up in the store's map itself, so each stored item
+    a read is about to serve is checked here."""
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         self.store = WatchedStore(self.store.capacity_bytes)
+
+    def _read(self, keys, cas):
+        for key in keys:
+            item = self.store._items.get(key)
+            if item is not None:
+                self.store._check(item)
+        return super()._read(keys, cas)
 
 
 def replay_watched(config, workers: int = 1,

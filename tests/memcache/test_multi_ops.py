@@ -142,7 +142,7 @@ class TestHashRingGrouping:
     def test_group_by_server_matches_ring_assignment(self):
         client, servers = make_client(3)
         keys = [f"k:{i}" for i in range(60)]
-        batches = client._group_by_server(keys)
+        batches = client.ring.partition(keys)
         assert sum(len(batch) for batch in batches.values()) == 60
         assert len(batches) > 1  # 60 keys spread over several servers
         for server_name, batch in batches.items():
@@ -151,7 +151,7 @@ class TestHashRingGrouping:
 
     def test_group_by_server_drops_duplicates_preserving_order(self):
         client, _ = make_client(1)
-        batches = client._group_by_server(["a", "b", "a", "c", "b"])
+        batches = client.ring.partition(["a", "b", "a", "c", "b"])
         assert list(batches.values())[0] == ["a", "b", "c"]
 
 
@@ -165,7 +165,7 @@ class TestClientMultiOpAccounting:
         before = recorder.total.copy()
         found = client.get_multi(keys)
         assert set(found) == set(keys[:10])
-        batches = len(client._group_by_server(keys))
+        batches = len(client.ring.partition(keys))
         assert 1 <= batches <= 2
         assert recorder.total.cache_multi_gets - before.cache_multi_gets == batches
         # One round trip per server batch, not one per key...
@@ -181,7 +181,7 @@ class TestClientMultiOpAccounting:
         recorder = Recorder()
         client, servers = make_client(2, recorder=recorder)
         mapping = {f"key:{i}": i for i in range(12)}
-        batches = len(client._group_by_server(list(mapping)))
+        batches = len(client.ring.partition(list(mapping)))
         assert client.set_multi(mapping) == []
         assert recorder.total.cache_multi_sets == batches
         assert recorder.total.cache_round_trips == batches
@@ -353,7 +353,7 @@ class TestClientCasAccounting:
         client.set(keys[3], 99)  # invalidate one token behind the reader
         before = recorder.total.copy()
         verdicts = client.cas_multi({k: (1, tokens[k][1]) for k in keys})
-        batches = len(client._group_by_server(keys))
+        batches = len(client.ring.partition(keys))
         assert recorder.total.cache_multi_cas - before.cache_multi_cas \
             + recorder.total.cache_overlapped_batches \
             - before.cache_overlapped_batches == batches
@@ -403,7 +403,7 @@ class TestPipelinedBatches:
     def _spread_keys(self, client, count=40):
         """Keys guaranteed to span both servers of the two-server ring."""
         keys = [f"key:{i}" for i in range(count)]
-        assert len(client._group_by_server(keys)) == 2
+        assert len(client.ring.partition(keys)) == 2
         return keys
 
     def test_overlapped_batches_charged_latency_free(self):

@@ -137,14 +137,14 @@ class TestStoresPickleOnce:
         client.set("k", ROWS)
         server = servers[0] if servers[0].item_count else servers[1]
         stored = server.store.get("k", touch=False)
-        assert stored.value_size == sizeof_value(ROWS) == server.value_size("k")
+        assert stored.value_size == sizeof_value(ROWS) == server.value_bytes(["k"])
         assert stored.size == len("k") + stored.value_size + ITEM_HEADER_BYTES
 
     def test_server_sizes_values_nobody_sized_for_it(self, dumps_calls):
         server = CacheServer("solo")
         server.set("k", ROWS)
         assert len(dumps_calls) == 1
-        assert server.value_size("k") == sizeof_value(ROWS)
+        assert server.value_bytes(["k"]) == sizeof_value(ROWS)
 
 
 class TestOversizedValuesRejectedAsBefore:

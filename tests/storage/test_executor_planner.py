@@ -12,7 +12,7 @@ from repro.storage import (ColumnDef, CountQuery, Database, IndexDef, Join,
                            predicate_from_filters)
 from repro.storage.planner import (IndexLookup, IndexRange, PkLookup, SeqScan,
                                     plan_access)
-from repro.storage.predicates import And, Comparison
+from repro.storage.predicates import And, Between, Comparison
 
 
 @pytest.fixture
@@ -74,6 +74,19 @@ class TestPlanner:
         table = database.table("posts")
         query = SelectQuery("posts", predicate_from_filters({"title": "post 1-1"}))
         assert isinstance(plan_access(table, query), SeqScan)
+
+    @pytest.mark.parametrize("comparison", [Comparison("score", "<", 31),
+                                            Comparison("score", ">", 29)])
+    def test_between_after_a_comparison_keeps_both_ends(self, database,
+                                                        comparison):
+        # The BETWEEN's bounds are inclusive whatever an earlier comparison
+        # on the column set: a range that inherited its exclusive end would
+        # miss score 30, which satisfies the whole conjunction.
+        query = SelectQuery("posts", And([comparison, Between("score", 30, 30)]))
+        path = plan_access(database.table("posts"), query)
+        assert (path.low, path.high, path.include_low, path.include_high) == \
+            (30, 30, True, True)
+        assert [row["score"] for row in database.select(query)] == [30]
 
 
 def keyed_table():
