@@ -75,7 +75,8 @@ lists the switches themselves.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import (Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING)
+from typing import (Any, Collection, Dict, List, Optional, Sequence, Tuple,
+                    TYPE_CHECKING)
 
 from ..core.strategies import (ASYNC_REFRESH, AsyncRefreshStrategy,
                                ConsistencyStrategy, LEASED_INVALIDATE,
@@ -341,20 +342,22 @@ class AdaptiveStrategy(ConsistencyStrategy):
     # -- read path -------------------------------------------------------------
 
     def fetch_multi(self, client: Any, items: Sequence[ReadEntry],
-                    ) -> Dict[str, Tuple[Any, bool]]:
+                    ) -> Tuple[Dict[str, Any], Collection[str]]:
         groups: "OrderedDict[str, List[ReadEntry]]" = OrderedDict()
         for cached_object, key, params in items:
             entry = self._ensure_attached(cached_object).note_read(key)
             band = self._reclassify(cached_object, entry, params)
             groups.setdefault(band, []).append((cached_object, key, params))
-        served: Dict[str, Tuple[Any, bool]] = {}
+        served: Dict[str, Any] = {}
+        stale: List[str] = []
         for band, group in groups.items():
+            found, found_stale = self._delegate(band).fetch_multi(client, group)
             # A stray envelope (the band switched mid-flight, e.g. a
             # lease-retained value stored under the old band) is unwrapped.
-            for key, (frozen, stale) in self._delegate(band).fetch_multi(
-                    client, group).items():
-                served[key] = (unwrap_envelope(frozen), stale)
-        return served
+            for key, frozen in found.items():
+                served[key] = unwrap_envelope(frozen)
+            stale.extend(found_stale)
+        return served, stale
 
     # -- write path (trigger side) ---------------------------------------------
 
@@ -371,18 +374,18 @@ class AdaptiveStrategy(ConsistencyStrategy):
             # about to recompute would double the trigger's query work.
             self._update.on_write(cached_object, table, event, new, old)
             return
-        keys = set()
-        for row in (new, old):
-            if row is not None:
-                keys.update(cached_object.affected_keys(table, row))
-        affected = sorted(keys)
+        # The key walk, once: its two sides go on to the delta rule.
+        bases = (cached_object.derivations(table, old),
+                 cached_object.derivations(table, new))
+        affected = sorted({cached_object.key_from_row(base)
+                           for side in bases for base in side})
         if not affected:
             return
         bands = {key: self.band_for(key) for key in affected}
         if all(band == COLD_BAND for band in bands.values()):
-            # Every affected key is still cold: delegate the whole event
-            # (``_cas_update`` attributes the writes, as above).
-            self._update.on_write(cached_object, table, event, new, old)
+            # Every affected key is still cold: the whole event is one
+            # delta (``_cas_update`` attributes the writes, as above).
+            cached_object.apply_delta(table, new, old, bases)
             return
         for key in affected:
             telemetry.note_write(key)

@@ -10,8 +10,8 @@ dead node's window of staleness bounded.  Invalidation traffic that *does*
 target a dead primary is forwarded here by the client, so an explicitly
 doomed value never outlives its write even inside the TTL window.
 
-The pool deliberately speaks a reduced protocol: get/set/add/delete and
-their batched forms.  No CAS (tokens from a vanished primary are
+The pool deliberately speaks a reduced protocol: batched reads, and
+set/add/delete with their batched forms.  No CAS (tokens from a vanished primary are
 meaningless) and no leases (stale retention on a fallback would stack two
 staleness bounds).  Clients do all round-trip cost accounting; the pool's
 own counters only split gutter traffic into hits/misses/sets/deletes for
@@ -63,20 +63,16 @@ class GutterPool:
 
     # -- reduced protocol ------------------------------------------------------
 
-    def get(self, key: str) -> Optional[Any]:
-        value = self._server_for(key).get(key)
-        if value is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return value
-
     def get_multi(self, keys: Sequence[str]) -> Dict[str, Any]:
+        """The values of the (distinct) keys that hit: one ``get_multi`` per
+        gutter server, each key counted a hit or a miss."""
         out: Dict[str, Any] = {}
-        for key in keys:
-            value = self.get(key)
-            if value is not None:
-                out[key] = value
+        asked = 0
+        for name, batch in self.ring.partition(keys).items():
+            asked += len(batch)
+            out.update(self._servers[name].get_multi(batch))
+        self.hits += len(out)
+        self.misses += asked - len(out)
         return out
 
     def value_bytes(self, keys: Sequence[str]) -> int:

@@ -12,11 +12,14 @@ Per §3.1 of the paper, a cache class must perform three tasks:
 
 A cached object is built from its :class:`~repro.orm.template.QueryTemplate`
 alone: the template is the one statement of its query, compiled by
-:meth:`QueryTemplate.query` for every recompute.  Subclasses (FeatureQuery,
-LinkQuery, CountQuery, TopKQuery) specialize the affected-key computation
-and the incremental update logic.  Consistency *policy* lives on the object's
-:class:`~repro.core.strategies.ConsistencyStrategy`: the read path, the
-trigger dispatch, and expiry all go through ``self.strategy`` — a cache
+:meth:`QueryTemplate.query` for every recompute.  A write reaches a cached
+object through one delta rule, :meth:`CacheClass.apply_delta`, driven by
+the template: the keys a changed row reaches (one per derivation) and the
+rows it adds to or takes from each.  Subclasses (FeatureQuery, LinkQuery,
+CountQuery, TopKQuery) only say how a value is computed and shaped, and a
+LinkQuery how a row walks its chain.  Consistency *policy* lives on the
+object's :class:`~repro.core.strategies.ConsistencyStrategy`: the read path,
+the trigger dispatch, and expiry all go through ``self.strategy`` — a cache
 class never compares strategy names.  The shared plumbing — key naming, the
 trigger side's enqueues, statistics — lives here.
 """
@@ -24,6 +27,7 @@ trigger side's enqueues, statistics — lives here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
@@ -56,6 +60,8 @@ class CacheClass:
 
     #: Name used in ``cacheable(cache_class_type=...)``.
     cache_class_type = "Abstract"
+    #: Rows a Top-K list keeps (its ``k`` plus its reserve); None elsewhere.
+    capacity: Optional[int] = None
 
     def __init__(
         self,
@@ -82,6 +88,11 @@ class CacheClass:
         #: ``status="PENDING"`` alongside the Param): part of the query
         #: shape, the key fingerprint, and the trigger row gate.
         self.const_filters: Dict[str, Any] = dict(template.const_filters)
+        #: The model of the cached rows (a LinkQuery's is its chain's last),
+        #: and the column and direction an ordered object sorts them by.
+        self.result_model = template.model
+        self.sort_column, self.descending = (
+            template.order_by[0] if template.order_by else (None, False))
         #: The consistency policy, resolved through the strategy registry;
         #: accepts a registered name or a ConsistencyStrategy instance.
         self.strategy: ConsistencyStrategy = resolve_strategy(update_strategy)
@@ -306,26 +317,163 @@ class CacheClass:
         self.genie.trigger_op_queue.enqueue_delete(self, key)
 
     def affected_keys(self, table: str, row: Dict[str, Any]) -> List[str]:
-        """Cache keys affected by a change to ``row`` in ``table``.
+        """Cache keys affected by a change to ``row`` in ``table``: the
+        distinct keys of its :meth:`derivations`, sorted."""
+        return sorted({self.key_from_row(base)
+                       for base in self.derivations(table, row)})
 
-        The base implementation assumes ``table`` is the main table and keys
-        are derived directly from the row's where-field values; subclasses
-        with join chains override this.  Rows outside the declared constant
-        filters affect nothing.
+    # -- the delta rule (update-in-place) ---------------------------------------------
+
+    def derivations(self, table: str,
+                    row: Optional[Dict[str, Any]]) -> List[Dict[str, Any]]:
+        """The base rows a change to ``row`` in ``table`` reaches, one per
+        derivation: a key appears once per base row that carries it.
+
+        A base row carries the where-field values its key is built from.
+        Here the base table is the only table, so a row reaches itself when
+        it is in the constant filters' scope; a LinkQuery walks its chain
+        back.  ``row`` None (the missing side of an insert or a delete)
+        reaches nothing.
         """
-        if table != self.main_table:
+        if row is None or table != self.main_table:
             return []
         if self.const_filters and not self.row_in_scope(row):
             return []
-        return [self.key_from_row(row)]
+        return [row]
 
-    def apply_incremental_update(self, table: str, event: str,
-                                 new: Optional[Dict[str, Any]],
-                                 old: Optional[Dict[str, Any]]) -> None:
-        """Apply the update-in-place strategy (subclass responsibility)."""
-        raise NotImplementedError
+    def reached_rows(self, table: str,
+                     row: Dict[str, Any]) -> List[Dict[str, Any]]:
+        """The cached-model rows a change to ``row`` in ``table`` adds to (or
+        takes from) each key it reaches: the row itself, for a single-table
+        object."""
+        return [row]
 
-    # -- shared update helpers ------------------------------------------------------
+    def apply_delta(self, table: str, new: Optional[Dict[str, Any]],
+                    old: Optional[Dict[str, Any]],
+                    bases: Optional[Tuple[List[Dict[str, Any]],
+                                          List[Dict[str, Any]]]] = None,
+                    ) -> None:
+        """Update-in-place (§3.2) as one counting delta (Gupta, Mumick &
+        Subrahmanian, SIGMOD 1993): every cache class, every event.
+
+        An UPDATE is the DELETE of ``old`` plus the INSERT of ``new``.  Each
+        side's keys (:meth:`derivations`, or ``bases``, the two sides'
+        derivations a caller already walked) and rows (:meth:`reached_rows`)
+        are read now, against this statement's state: a later statement of
+        the transaction cannot leak into this one's delta.  A key reached
+        twice takes the rows twice.  Each key whose two sides do not cancel
+        gets one read-modify-write on the trigger-op queue, applied by
+        :meth:`_patch` at the flush.
+        """
+        if bases is None:
+            bases = self.derivations(table, old), self.derivations(table, new)
+        old_bases, new_bases = bases
+        old_rows = self.reached_rows(table, old) if old_bases else []
+        new_rows = self.reached_rows(table, new) if new_bases else []
+        patches: Dict[str, Tuple[Dict[str, Any], List, List]] = {}
+        for side, side_bases, rows in ((1, old_bases, old_rows),
+                                       (2, new_bases, new_rows)):
+            for base in side_bases:
+                key = self.key_from_row(base)
+                patch = patches.get(key)
+                if patch is None:
+                    patch = patches[key] = (base, [], [])
+                patch[side].extend(rows)
+        counting = self.template.kind == "count"
+        for key, (base, minus, plus) in patches.items():
+            if len(minus) == len(plus) if counting else minus == plus:
+                continue  # the two sides cancel: nothing this object shows
+            self._cas_update(key, partial(self._patch, minus=minus, plus=plus,
+                                          base=base))
+
+    def _patch(self, value: Any, minus: List[Dict[str, Any]],
+               plus: List[Dict[str, Any]], base: Dict[str, Any]) -> Any:
+        """One key's delta applied to its cached value (the flush's batched
+        read); returns the new value, or None when nothing changed.
+
+        A count moves by the difference, floored at 0.  A row list is a bag:
+        a row occurs as many times as it has derivations.  A removal drops
+        one occurrence (by primary key); an insertion goes before the first
+        row it precedes if the object is ordered (:meth:`_precedes`), last
+        otherwise.  A single table's rows are unique, so an insertion of a
+        primary key the list holds is skipped: a recompute that read this
+        write put it there (a Top-K refill, or a reader's miss).
+
+        A Top-K list (one with a ``capacity``) is the first rows of its
+        order, at least ``k`` of them when the database has that many.
+        Removals that leave it shorter than ``k`` recompute it from the
+        database (the reserve ran out), so a list shorter than ``k`` holds
+        every row and takes any insertion.  A row that would land after
+        the last row of a list of ``k`` rows or more is left out: rows the
+        list never held may sort between, and without it the list is still
+        the first rows of the order.  An insertion trims it to capacity.
+        """
+        if self.template.kind == "count":
+            return max(0, value + len(plus) - len(minus))
+        rows = list(value)
+        pk = self.result_model._meta.pk_column
+        changed = False
+        for old in minus:
+            old_pk = old.get(pk)
+            for index, row in enumerate(rows):
+                if row.get(pk) == old_pk:
+                    del rows[index]
+                    changed = True
+                    break
+        capacity = self.capacity
+        if capacity is not None and changed and len(rows) < self.k:
+            self.stats.recomputations += 1
+            return self.compute_from_db(
+                {column: base.get(column) for column in self.where_fields})
+        single_table = not self.template.chain
+        for new in plus:
+            new_pk = new.get(pk)
+            if single_table and any(row.get(pk) == new_pk for row in rows):
+                continue
+            index = self._position(rows, new, new_pk, pk)
+            if capacity is not None and index == len(rows) >= self.k:
+                continue
+            rows.insert(index, new)
+            changed = True
+        if capacity is not None:
+            del rows[capacity:]
+        return rows if changed else None
+
+    def _position(self, rows: List[Dict[str, Any]], new: Dict[str, Any],
+                  new_pk: Any, pk: str) -> int:
+        """Where ``new`` goes in ``rows``: before the first row it precedes
+        (:meth:`_precedes`), found by bisection, or last — always last when
+        the object is unordered or ``new``'s sort value is NULL.  The list
+        is sorted by its sort column, so the row lands among its equals;
+        a tie holds one table's rows by primary key, but a join's in the
+        order the join returned them, where the row's place within the tie
+        is whatever bisection finds."""
+        column = self.sort_column
+        value = new.get(column) if column is not None else None
+        if value is None:
+            return len(rows)
+        low, high = 0, len(rows)
+        while low < high:
+            middle = (low + high) // 2
+            if self._precedes(value, new_pk, rows[middle], pk):
+                high = middle
+            else:
+                low = middle + 1
+        return low
+
+    def _precedes(self, value: Any, pk: Any, row: Dict[str, Any],
+                  pk_column: str) -> bool:
+        """Whether a row with the non-NULL sort ``value`` and primary key
+        ``pk`` goes before ``row``: before a NULL, then by the sort column,
+        and within a tie by primary key ascending in either direction — the
+        order the engine returns a tie in (its sort is stable over row-id
+        order, and a reversed index walk reverses only the keys)."""
+        existing = row.get(self.sort_column)
+        if existing is None:
+            return True
+        if value == existing:
+            return pk < row.get(pk_column)
+        return value > existing if self.descending else value < existing
 
     def _cas_update(self, key: str, mutate: Callable[[Any], Any]) -> None:
         """Read-modify-write ``key``, as the paper's triggers do with
@@ -345,16 +493,6 @@ class CacheClass:
             # to recompute the affected-key set just for telemetry.
             telemetry.note_write(key)
         self.genie.trigger_op_queue.enqueue_mutate(self, key, mutate)
-
-    def _recompute_key(self, key: str, params: Dict[str, Any]) -> None:
-        """Recompute a key's value from the database and overwrite it.
-
-        The flush's batched read supplies the "only maintain entries already
-        cached" check; at commit the recompute sees the transaction's final
-        state exactly once per key."""
-        self.genie.trigger_op_queue.enqueue_mutate(
-            self, key, lambda _current: self.compute_from_db(params),
-            counter="recomputations")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

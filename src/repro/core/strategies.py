@@ -15,16 +15,19 @@ Built-in strategies
 
 ``update-in-place`` (:class:`UpdateInPlaceStrategy`, the default)
     Generated triggers *incrementally patch* the cached value on every
-    INSERT/UPDATE/DELETE of a backing row: counts bump, Top-K lists splice
-    the changed row in or out, feature rows are rewritten.  Readers never
-    see stale data and — unlike invalidation — never pay a recompute after
-    a write.  With commit-time batching (the system default) each
+    INSERT/UPDATE/DELETE of a backing row, through one delta rule for every
+    cache class (``CacheClass.apply_delta``): the changed row's keys and
+    rows, read off the object's query template, are taken from or added to
+    each cached bag, and counts move by the difference.  Readers never see
+    stale data and — unlike invalidation — never pay a recompute after a
+    write.  With commit-time batching (the system default) each
     transaction's mutations coalesce per key and flush at COMMIT as one
     ``gets_multi`` + ``cas_multi`` pair per server with per-key verdicts;
     the eager mode flushes the same queue right after each enqueued
     operation, inside the trigger.
-    Moves ``updates_applied`` (and ``recomputations`` where a patch is not
-    derivable), plus ``cas_retries``/``invalidations`` under contention.
+    Moves ``updates_applied`` (and ``recomputations`` when a Top-K list's
+    reserve runs out), plus ``cas_retries``/``invalidations`` under
+    contention.
 
 ``invalidate`` (:class:`InvalidateStrategy`)
     Triggers *delete* every affected key; the next read misses and
@@ -92,8 +95,8 @@ resolve through the registry to module-level singletons, so every existing
 
 from __future__ import annotations
 
-from typing import (Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING,
-                    Union)
+from typing import (Any, Collection, Dict, List, Optional, Sequence, Tuple,
+                    TYPE_CHECKING, Union)
 
 from ..errors import CacheClassError
 from ..memcache.server import LEASE_ACQUIRED, LEASE_HIT, LEASE_STALE
@@ -153,13 +156,15 @@ def read_through(client: Any, entries: Sequence[ReadEntry]) -> List[Any]:
             bucket[1].append(entry)
     # The first strategy's answer is the accumulator: a batch one strategy
     # serves (the common case) is never copied.
-    found: Optional[Dict[str, Tuple[Any, bool]]] = None
+    found: Optional[Dict[str, Any]] = None
+    stale: Collection[str] = ()
     for strategy, items in by_strategy.values():
-        served = strategy.fetch_multi(client, items)
+        served, served_stale = strategy.fetch_multi(client, items)
         if found is None:
-            found = served
+            found, stale = served, served_stale
         else:
             found.update(served)
+            stale = {*stale, *served_stale}
 
     # Miss write-back: every value is enveloped by its *own* object's
     # strategy (wrap_for_store may depend on per-object state), then batched
@@ -168,11 +173,10 @@ def read_through(client: Any, entries: Sequence[ReadEntry]) -> List[Any]:
     computed: Dict[str, Any] = {}
     results: List[Any] = []
     for cached_object, key, normalized in entries:
-        hit = found.get(key)
-        if hit is not None:
-            value, stale = hit
+        value = found.get(key)
+        if value is not None:
             cached_object.stats.cache_hits += 1
-            if stale:
+            if key in stale:
                 cached_object.stats.stale_served += 1
         elif key in computed:
             # A duplicate request in the same batch: serve the value computed
@@ -271,18 +275,19 @@ class ConsistencyStrategy:
                             [(cached_object, key, params)])[0]
 
     def fetch_multi(self, client: Any, items: Sequence[ReadEntry],
-                    ) -> Dict[str, Tuple[Any, bool]]:
+                    ) -> Tuple[Dict[str, Any], Collection[str]]:
         """The read protocol of :func:`read_through`.
 
         ``items`` carries unique keys with their owning object and
-        parameters.  Returns ``{key: (stored_value, was_stale)}`` for every
-        key this strategy can serve without the database; the caller
-        computes the rest and writes them back.  Side effects (scheduling
-        refreshes) happen here; per-request hit/miss statistics are counted
-        by the caller.  The default is the classic look-aside ``get``.
+        parameters.  Returns ``{key: stored_value}`` for every key this
+        strategy can serve without the database, and the keys among them it
+        served stale; the caller computes the rest and writes them back.
+        Side effects (scheduling refreshes) happen here; per-request
+        hit/miss statistics are counted by the caller.  The default is the
+        classic look-aside ``get``: the client's answer as it is, nothing
+        stale.
         """
-        found = client.get_multi([key for _, key, _ in items])
-        return {key: (value, False) for key, value in found.items()}
+        return client.get_multi([key for _, key, _ in items]), ()
 
     # -- write path (trigger side) ---------------------------------------------
 
@@ -350,7 +355,7 @@ class UpdateInPlaceStrategy(ConsistencyStrategy):
     def on_write(self, cached_object: "CacheClass", table: str, event: str,
                  new: Optional[Dict[str, Any]],
                  old: Optional[Dict[str, Any]]) -> None:
-        cached_object.apply_incremental_update(table, event, new, old)
+        cached_object.apply_delta(table, new, old)
 
     def render_trigger_body(self, cached_object: "CacheClass",
                             batched: bool) -> List[str]:
@@ -469,14 +474,15 @@ class LeasedInvalidateStrategy(InvalidateStrategy):
     # -- read path -------------------------------------------------------------
 
     def fetch_multi(self, client: Any, items: Sequence[ReadEntry],
-                    ) -> Dict[str, Tuple[Any, bool]]:
+                    ) -> Tuple[Dict[str, Any], Collection[str]]:
         states = client.lease_multi([key for _, key, _ in items],
                                     self.lease_seconds)
-        served: Dict[str, Tuple[Any, bool]] = {}
+        served: Dict[str, Any] = {}
+        stale: List[str] = []
         for cached_object, key, params in items:
             state, value, token = states.get(key, (None, None, None))
             if state == LEASE_HIT:
-                served[key] = (value, False)
+                served[key] = value
             elif state == LEASE_STALE or (state == LEASE_ACQUIRED
                                           and value is not None):
                 # Stale serve: the value predates the invalidation.  Whoever
@@ -485,8 +491,9 @@ class LeasedInvalidateStrategy(InvalidateStrategy):
                 if token is not None:
                     cached_object.genie.schedule_refresh(cached_object, key,
                                                          params)
-                served[key] = (value, True)
-        return served
+                served[key] = value
+                stale.append(key)
+        return served, stale
 
     # -- write path ------------------------------------------------------------
 
@@ -578,9 +585,10 @@ class AsyncRefreshStrategy(ConsistencyStrategy):
     # -- read path -------------------------------------------------------------
 
     def fetch_multi(self, client: Any, items: Sequence[ReadEntry],
-                    ) -> Dict[str, Tuple[Any, bool]]:
+                    ) -> Tuple[Dict[str, Any], Collection[str]]:
         found = client.get_multi([key for _, key, _ in items])
-        served: Dict[str, Tuple[Any, bool]] = {}
+        served: Dict[str, Any] = {}
+        stale_keys: List[str] = []
         for cached_object, key, params in items:
             raw = found.get(key)
             if raw is None:
@@ -588,8 +596,9 @@ class AsyncRefreshStrategy(ConsistencyStrategy):
             value, stale = self._unwrap(cached_object, raw)
             if stale:
                 cached_object.genie.schedule_refresh(cached_object, key, params)
-            served[key] = (value, stale)
-        return served
+                stale_keys.append(key)
+            served[key] = value
+        return served, stale_keys
 
     def describe(self) -> Dict[str, Any]:
         out = super().describe()

@@ -61,14 +61,12 @@ CAS_MAX_RETRIES = 5
 class _PendingOp:
     """The coalesced pending operation for one cache key."""
 
-    __slots__ = ("kind", "owner", "mutations", "counter")
+    __slots__ = ("kind", "owner", "mutations")
 
-    def __init__(self, kind: str, owner: Any,
-                 counter: str = "updates_applied") -> None:
+    def __init__(self, kind: str, owner: Any) -> None:
         self.kind = kind                     # "delete" | "mutate"
         self.owner = owner                   # the CacheClass for stats credit
         self.mutations: List[MutateFn] = []
-        self.counter = counter               # stat bumped when a write lands
 
 
 class OpContext:
@@ -132,8 +130,7 @@ class TriggerOpQueue:
         if self.per_operation:
             self.flush()
 
-    def enqueue_mutate(self, owner: Any, key: str, mutate: MutateFn,
-                       counter: str = "updates_applied") -> None:
+    def enqueue_mutate(self, owner: Any, key: str, mutate: MutateFn) -> None:
         """Queue a read-modify-write of ``key``.
 
         A pending delete absorbs the mutation (the key will not be cached
@@ -148,9 +145,8 @@ class TriggerOpQueue:
             if pending.kind == "delete":
                 return
             pending.mutations.append(mutate)
-            pending.counter = counter
             return
-        op = _PendingOp("mutate", owner, counter=counter)
+        op = _PendingOp("mutate", owner)
         op.mutations.append(mutate)
         context.frozen = None
         context.ops[key] = op
@@ -286,7 +282,7 @@ class TriggerOpQueue:
         unstorable: Dict[str, _PendingOp] = {}
         for key, verdict in self.cache.cas_multi(staged).items():
             if verdict == CAS_STORED:
-                self._credit(staged_ops[key].owner, staged_ops[key].counter)
+                self._credit(staged_ops[key].owner, "updates_applied")
             elif verdict == CAS_MISMATCH:
                 # Token went stale between the batched read and this
                 # write: keep only this key for the next round.

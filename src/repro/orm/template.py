@@ -271,6 +271,22 @@ class QueryTemplate:
             order_by=[OrderBy(column=c, descending=d) for c, d in self.order_by],
             limit=self.limit if limit is None else limit)
 
+    def tail_query(self, position: int,
+                   row: Dict[str, Any]) -> Optional[SelectQuery]:
+        """The final model's rows ``row``, a row of chain position
+        ``position``, reaches: the chain's steps after it as one query,
+        bound to the row's join value (a trigger's ΔV).  None when that
+        value is NULL, which joins nothing."""
+        joins, select_from = self._joins
+        step = joins[position]
+        value = row.get(step.left_column)
+        if value is None:
+            return None
+        return SelectQuery(
+            table=step.right_table,
+            predicate=predicate_from_filters({step.right_column: value}),
+            joins=list(joins[position + 1:]), select_from=select_from)
+
     @cached_property
     def _joins(self) -> Tuple[Tuple[Join, ...], Optional[str]]:
         """The chain as equi-joins, and the table whose rows they return."""

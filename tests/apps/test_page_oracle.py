@@ -29,12 +29,9 @@ stale-serving arms report where they first diverge, how many pages diverged
 and whether the database did; their report for the default trace is
 pinned.
 
-**Known divergence** (ROADMAP item 2, multiplicity): ``AcceptFR`` can write
-one friendship edge twice, and the friend-bookmarks join then returns each
-of that friend's bookmarks twice, while a LinkQuery patched by triggers
-keeps each row once.  It shows first on page 134 of the default trace.  It
-is a strict xfail, raised only for a divergence of exactly that shape, so
-any other divergence still fails.
+``AcceptFR`` can write one friendship edge twice, and the friend-bookmarks
+join then returns each of that friend's bookmarks twice (first on page 134
+of the default trace); a trigger-patched LinkQuery holds them twice too.
 """
 
 from __future__ import annotations
@@ -65,14 +62,6 @@ ORDERED = {"wall": "date_posted", "latest": "added",
 #: (as it compares).
 PREFIX_KEYS = {"save_counts": lambda pair: pair[0],
                "bookmark_details": lambda row: dict(row)["id"]}
-#: Fragments filled from a LinkQuery (the join the multiplicity case hits),
-#: with the fragments derived from them on the same page.
-JOIN_FRAGMENTS = frozenset({"friend_bookmarks", "friends"})
-JOIN_DERIVED = frozenset({"save_counts", "bookmark_details"})
-
-
-class MultiplicityDivergence(Exception):
-    """The arm shows a duplicated join row once (ROADMAP item 2)."""
 
 
 # -- what a page shows, compared ---------------------------------------------
@@ -92,10 +81,17 @@ def _is_row(value: Any) -> bool:
 
 class Prefix(dict):
     """A fragment shown for a prefix of a list: equal when both show as
-    many entries and agree wherever both show one."""
+    many entries and agree wherever both show one.  The entries are
+    counted as shown, a repeated key each time: a tie the prefix cuts may
+    hold one row twice (a join row behind a doubled edge), and which of
+    its members the cut keeps decides how many distinct keys it shows."""
+
+    def __init__(self, entries: List[Tuple[Any, Any]]) -> None:
+        super().__init__(entries)
+        self.shown = len(entries)
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, dict) and len(self) == len(other)
+        return (isinstance(other, Prefix) and self.shown == other.shown
                 and all(self[key] == other[key]
                         for key in self.keys() & other.keys()))
 
@@ -113,7 +109,7 @@ def canonical(value: Any, name: str = "") -> Any:
         return {key: canonical(inner, key) for key, inner in value.items()}
     if name in PREFIX_KEYS:
         key = PREFIX_KEYS[name]
-        return Prefix((key(entry), entry) for entry in map(canonical, value))
+        return Prefix([(key(entry), entry) for entry in map(canonical, value)])
     if isinstance(value, tuple):
         return tuple(canonical(inner) for inner in value)
     rows = [canonical(inner) for inner in value]
@@ -175,27 +171,6 @@ def diverged(reference: Replay, arm: Replay) -> List[int]:
             if ours[2] != theirs[2]]
 
 
-def is_multiplicity(expected: Dict[str, Any], shown: Dict[str, Any]) -> bool:
-    """Whether a page differs only by join rows the arm shows once where
-    the database's join repeats them (and what is derived from them)."""
-    differing = {name for name in expected.keys() | shown.keys()
-                 if expected.get(name) != shown.get(name)}
-    joins = differing & JOIN_FRAGMENTS
-    if not joins or differing - JOIN_FRAGMENTS - JOIN_DERIVED:
-        return False
-    for name in joins:
-        ours, theirs = _flatten(expected[name]), _flatten(shown[name])
-        if len(ours) <= len(theirs) or set(ours) != set(theirs):
-            return False
-    return True
-
-
-def _flatten(rows: List[Any]) -> List[Any]:
-    if rows and isinstance(rows[0], list):   # ordered: runs of ties
-        return [row for run in rows for row in run]
-    return rows
-
-
 def held_to_contract(arm: Replay) -> bool:
     """Whether the arm may not serve stale data (see the module docstring)."""
     strategy = arm.strategy
@@ -204,20 +179,15 @@ def held_to_contract(arm: Replay) -> bool:
     return not strategy.serves_stale
 
 
-def check_contract(reference: Replay, arm: Replay) -> List[int]:
+def check_contract(reference: Replay, arm: Replay) -> None:
     """Fail unless the arm renders every page as the reference does and
-    ends with the same tables, the multiplicity case apart; return the
-    pages that show it."""
+    ends with the same tables."""
     pages = diverged(reference, arm)
-    other = [index for index in pages
-             if not is_multiplicity(reference.pages[index][2],
-                                    arm.pages[index][2])]
-    if other:
-        page, user, _shown = reference.pages[other[0]]
-        pytest.fail(f"page {other[0]} ({page} for user {user}) diverged; "
-                    f"{len(other)} pages in all")
+    if pages:
+        page, user, _shown = reference.pages[pages[0]]
+        pytest.fail(f"page {pages[0]} ({page} for user {user}) diverged; "
+                    f"{len(pages)} pages in all")
     assert arm.tables == reference.tables
-    return pages
 
 
 # -- the default trace ---------------------------------------------------------
@@ -242,11 +212,6 @@ STALE_ARMS = sorted(name for name, config in ARMS.items()
                     and not isinstance(config.strategy, AdaptiveStrategy))
 FRESH_ARMS = sorted(set(ARMS) - set(STALE_ARMS))
 
-#: The non-stale arms the multiplicity case shows in on the default trace:
-#: its first page and how many pages show it.
-MULTIPLICITY = {"update-in-place": (134, 4), "adaptive": (134, 4),
-                "update-in-place/unbatched": (134, 4)}
-
 #: Each stale-serving arm on the default trace: its first divergent page,
 #: how many of the 360 pages diverged, and whether the final database did.
 STALE_REPORTS = {
@@ -262,21 +227,11 @@ def no_cache() -> Replay:
                   DEFAULT_WORKLOAD)
 
 
-@pytest.mark.parametrize("name", [
-    pytest.param(name, marks=pytest.mark.xfail(
-        raises=MultiplicityDivergence, strict=True,
-        reason="ROADMAP item 2: a trigger-patched LinkQuery keeps a "
-               "duplicated join row once; first on page "
-               f"{MULTIPLICITY[name][0]} (LookupFBM)"))
-    if name in MULTIPLICITY else name
-    for name in FRESH_ARMS])
+@pytest.mark.parametrize("name", FRESH_ARMS)
 def test_a_non_stale_arm_renders_every_page_as_no_cache(no_cache, name):
     arm = replay(ARMS[name], DEFAULT_WORKLOAD)
     assert held_to_contract(arm)
-    pages = check_contract(no_cache, arm)
-    if pages:
-        assert (pages[0], len(pages)) == MULTIPLICITY.get(name)
-        raise MultiplicityDivergence(f"pages {pages}")
+    check_contract(no_cache, arm)
 
 
 @pytest.mark.parametrize("name", STALE_ARMS)
@@ -339,12 +294,11 @@ class TestCanonical:
         assert canonical([(1, 4)], "save_counts") != \
             canonical([(1, 4), (2, 3)], "save_counts")
 
-    def test_the_multiplicity_shape_is_recognised_and_nothing_else(self):
-        row = {"id": 1, "added": 5.0}
-        expected = {"friend_bookmarks": canonical([row, row], "friend_bookmarks")}
-        assert is_multiplicity(
-            expected, {"friend_bookmarks": canonical([row], "friend_bookmarks")})
-        assert not is_multiplicity(
-            expected, {"friend_bookmarks": canonical([], "friend_bookmarks")})
-        assert not is_multiplicity({"header": {"friends": 2}},
-                                   {"header": {"friends": 1}})
+    def test_a_prefix_counts_a_repeated_entry_each_time_it_shows(self):
+        # A tie of 1, 1, 2, 2 cut after two rows: either arm's order holds.
+        assert canonical([(1, 4), (1, 4)], "save_counts") == \
+            canonical([(1, 4), (2, 3)], "save_counts")
+        assert canonical([(1, 4), (1, 4)], "save_counts") != \
+            canonical([(1, 4)], "save_counts")
+        assert canonical([(1, 4), (1, 4)], "save_counts") != \
+            canonical([(1, 5), (2, 3)], "save_counts")

@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import replace
 
-import pytest
 
 from repro.apps.social.cached_objects import EXPECTED_CACHED_OBJECTS
 from repro.apps.social.models import Friendship, FriendshipInvitation, WallPost
@@ -83,7 +82,7 @@ def test_shapes_the_app_never_declares_agree_with_sqlite(social_genie):
     for obj in declared:
         (column,) = obj.template.param_fields
         template = replace(obj.template,
-                           limit=getattr(obj, "capacity", obj.template.limit))
+                           limit=obj.capacity or obj.template.limit)
         for user in users:
             query = template_query(template, {column: user})
             mirror.expect(db, query)(obj.compute_from_db({column: user}))
@@ -91,12 +90,10 @@ def test_shapes_the_app_never_declares_agree_with_sqlite(social_genie):
                for user in users) == 2
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "sqlite's join returns a bookmark once per copy of the friendship edge "
-    "that reaches it, so twice after AcceptFR wrote the edge twice; the "
-    "maintained friend_bookmarks holds a bookmark saved afterwards once, "
-    "because LinkQuery._append_row dedups by primary key"))
 def test_friend_bookmarks_keeps_the_joins_multiplicity(social_genie):
+    """sqlite's join returns a bookmark once per copy of the friendship
+    edge that reaches it, so twice after AcceptFR wrote the edge twice; the
+    maintained friend_bookmarks holds a bookmark saved afterwards twice."""
     app, cached = social_genie["app"], social_genie["cached"]
     pending = FriendshipInvitation.STATUS_PENDING
     user = next(u for u in range(1, social_genie["seed"].users + 1)

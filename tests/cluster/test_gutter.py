@@ -36,13 +36,18 @@ class TestConstruction:
             GutterPool([CacheServer("g"), CacheServer("g")])
 
 
+def read(pool: GutterPool, key: str):
+    """One key's gutter read: a batch of one."""
+    return pool.get_multi([key]).get(key)
+
+
 class TestReducedProtocol:
     def test_get_miss_then_hit_counts(self):
         pool, _clock = make_pool()
-        assert pool.get("k") is None
+        assert read(pool, "k") is None
         assert pool.misses == 1
         pool.set("k", "v")
-        assert pool.get("k") == "v"
+        assert read(pool, "k") == "v"
         assert pool.hits == 1
         assert pool.sets == 1
 
@@ -50,9 +55,9 @@ class TestReducedProtocol:
         pool, clock = make_pool(ttl=2.0)
         pool.set("k", "v")
         clock.t = 1.9
-        assert pool.get("k") == "v"
+        assert read(pool, "k") == "v"
         clock.t = 2.1
-        assert pool.get("k") is None, "gutter entries must honor the short TTL"
+        assert read(pool, "k") is None, "gutter entries must honor the short TTL"
 
     def test_ttl_applies_even_when_caller_wanted_longer(self):
         # The pool ignores caller TTLs by design: its own short TTL is the
@@ -60,13 +65,13 @@ class TestReducedProtocol:
         pool, clock = make_pool(ttl=0.5)
         pool.set("k", "v")
         clock.t = 0.6
-        assert pool.get("k") is None
+        assert read(pool, "k") is None
 
     def test_add_respects_existing_entry(self):
         pool, _clock = make_pool()
         assert pool.add("k", "first") is True
         assert pool.add("k", "second") is False
-        assert pool.get("k") == "first"
+        assert read(pool, "k") == "first"
 
     def test_delete_and_delete_multi(self):
         pool, _clock = make_pool()
@@ -100,8 +105,8 @@ class TestCounters:
     def test_counters_dict(self):
         pool, _clock = make_pool()
         pool.set("k", "v")
-        pool.get("k")
-        pool.get("nope")
+        read(pool, "k")
+        read(pool, "nope")
         pool.delete("k")
         assert pool.counters() == {
             "gutter_hits": 1, "gutter_misses": 1,

@@ -394,5 +394,5 @@ class TestSocialAppPort:
             ["Friendship", "User"]
         assert [m.__name__ for m in cached["friend_bookmarks"].chain_models] == \
             ["Friendship", "User", "BookmarkInstance"]
-        assert cached["friend_bookmarks"].order_column == "added"
+        assert cached["friend_bookmarks"].sort_column == "added"
         assert cached["friend_bookmarks"].descending is True

@@ -112,6 +112,22 @@ class TestIncrementalMaintenance:
         rows = cached.evaluate(person_id=owner.pk)
         assert [r["posted"] for r in rows] == [4.0, 3.0, 2.0]
 
+    def test_a_refill_holds_a_row_its_transaction_inserts_once(self, wall_setup):
+        """A refill reads the database at the flush, after every statement
+        of its transaction, so a row a later statement inserts is in the
+        recompute already; that statement's own patch must not add it again."""
+        genie, Wall = wall_setup["genie"], wall_setup["Wall"]
+        cached = make_topk(genie, k=3, reserve=1)
+        owner = wall_setup["owner"]
+        cached.evaluate(person_id=owner.pk)            # 7, 6, 5, 4
+        with wall_setup["database"].transaction():
+            for posted in (7.0, 6.0):                  # 5, 4: below k
+                Wall.objects.filter(person_id=owner.pk, posted=posted).delete()
+            Wall.objects.create(person=owner, content="new", posted=6.5)
+        assert [r["posted"] for r in cached.peek(person_id=owner.pk)] == \
+            [6.5, 5.0, 4.0, 3.0]
+        assert cached.stats.recomputations == 1
+
     def test_update_repositions_row(self, wall_setup):
         genie = wall_setup["genie"]
         Wall = wall_setup["Wall"]

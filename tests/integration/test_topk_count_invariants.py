@@ -71,6 +71,23 @@ class TestTopKAndCountInvariants:
     @example(sequence=[("insert", 0, 0.0), ("insert", 2, 0.0),
                        ("insert", 2, 0.0), ("read", 2, 0.0),
                        ("update", 2, 0.0)])
+    # Owner 0 scores 20, 30, 60, 50, 40, 10 (a delete or an update takes
+    # the lowest id): the read caches the top five; deleting 20 and 30
+    # leaves [60, 50, 40], exactly k.  Moving the 60 to 0.0, or inserting a
+    # 5 and deleting the 60, lands a row after the last one cached while the
+    # database holds the 10 the list never did: it must not show [50, 40, 0]
+    # or [50, 40, 5].
+    @example(sequence=[("insert", 0, 20.0), ("insert", 0, 30.0),
+                       ("insert", 0, 60.0), ("insert", 0, 50.0),
+                       ("insert", 0, 40.0), ("insert", 0, 10.0),
+                       ("read", 0, 0.0), ("delete", 0, 0.0),
+                       ("delete", 0, 0.0), ("update", 0, 0.0)])
+    @example(sequence=[("insert", 0, 20.0), ("insert", 0, 30.0),
+                       ("insert", 0, 60.0), ("insert", 0, 50.0),
+                       ("insert", 0, 40.0), ("insert", 0, 10.0),
+                       ("read", 0, 0.0), ("delete", 0, 0.0),
+                       ("delete", 0, 0.0), ("insert", 0, 5.0),
+                       ("delete", 0, 0.0)])
     def test_cached_values_match_database_after_every_write(
             self, batch_trigger_ops, sequence):
         reg, genie, Owner, Entry = build_stack(batch_trigger_ops)

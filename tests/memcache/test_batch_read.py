@@ -497,6 +497,45 @@ class TestClientReadIsThePerKeyAccount:
             sizeof_value("v" * 3) + sizeof_value("s" * 4)
 
 
+# -- the gutter pool ------------------------------------------------------------------
+
+def build_gutters() -> List[GutterPool]:
+    """Two gutter pools of three servers that lived the same history: hits,
+    a stored None, an entry past its gutter TTL, and keys never stored."""
+    pools = []
+    for _ in range(2):
+        clock = MutableClock()
+        pool = GutterPool([CacheServer(f"gutter{i}", clock=clock)
+                           for i in range(3)], ttl_seconds=2.0)
+        pool.set("k0", "old")
+        clock.t = 1.5
+        for i in range(1, 9):
+            pool.set(f"k{i}", None if i == 4 else "g" * i)
+        clock.t = 3.0                     # k0 is past its TTL, the rest live
+        pools.append(pool)
+    return pools
+
+
+def test_a_gutter_batch_read_is_its_single_reads():
+    """One ``get_multi`` per gutter server returns, counts and touches what
+    one ``get`` per key on its server would: the pool's hits and misses, and
+    each server's ``CacheStats`` and LRU order."""
+    keys = ["k3", "k0", "k9", "k4", "k1", "k7", "k12", "k2"]
+    one, batched = build_gutters()
+    single, hits = {}, 0
+    for key in keys:
+        value = one._server_for(key).get(key)
+        if value is not None:
+            single[key] = value
+            hits += 1
+    found = batched.get_multi(keys)
+    assert found == single
+    assert (batched.hits, batched.misses) == (hits, len(keys) - hits) == (4, 4)
+    assert len(batched.ring.partition(keys)) == 3
+    for ours, theirs in zip(batched.servers, one.servers):
+        assert server_state(ours) == server_state(theirs)
+
+
 # -- seeded mutants: each must fail a check above --------------------------------------
 
 def mutant(cls: type, method: str, old: str, new: str) -> type:

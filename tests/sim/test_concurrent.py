@@ -963,11 +963,9 @@ class TestNodeFaults:
             name, FAULT_PLANS[plan], workers)
         assert mismatches == []
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "LinkQuery._append_row dedups by primary key: once AcceptFR has "
-        "written a friendship edge twice, the database join repeats a "
-        "friend's new bookmark and friend_bookmarks holds it once"))
     def test_link_queries_keep_the_joins_multiplicity(self):
+        """Once AcceptFR has written a friendship edge twice, the join
+        repeats a friend's new bookmark, and so does friend_bookmarks."""
         *_, mismatches = replay_through_faults(
             UPDATE_SCENARIO, SINGLE_FAULT, workers=2, links_distinct=False)
         assert mismatches == []

@@ -74,18 +74,18 @@ def fingerprint_digest(fingerprint) -> str:
 #: by those keys vanishing and their counts joining the batch fields, the
 #: threaded ones also by their schedules.
 GOLDEN_FINGERPRINTS = {
-    "Update": "5e18cca75e80b854f6a646b6ff2ed244b1b07bb6f348a7b92009d4cab2b7513f",
+    "Update": "a34056e6e1bcaf3effb6d3711250fd418e0b0446d9bb3eca3f05e49147ebeb78",
     "Invalidate": "2fbc8f4dee5c584250399471033dc82bc0804f505d7d6e4ffa685e717d7d85d4",
     "LeasedInvalidate": "de768f0963b2c761b634f0e4efb130dafb2efbfeffd1b20bc998aef91519569d",
     "AsyncRefresh": "c2d520c2878b172873148d8e3d9d3e9dee10a1e206899063cbc5918a1186da47",
     "Expiry": "f79267a50f0af1c333903768eb2c5902bb3abd76942726d72346d2254f2d79a4",
-    "Update/workers=2/adversarial": "fdf5a1e1115b870d8a92c10ffe6fec0a4a656bb10a2cceec3fb95ff8b440983b",
-    "Adaptive/workers=1/round-robin": "0cd491cc371056ecbfe1130b57455ffd2d89d6ae99b78babaeeed3739b2e688b",
-    "Adaptive/workers=2/round-robin": "4853356af6e08738963b3745d3484aafa50ee8254a969f6d2653299438c49a74",
-    "Adaptive/workers=2/random": "2b4dab61292ca44a74aa64c167736de9a707e70c6cb6f77441a3733f121e0ea5",
-    "Adaptive/workers=2/adversarial": "71800233d329c3e1aa5dad703b8eaca95660c5e8f69fcf9b11cef696706c93d5",
-    "Adaptive/workers=2/key-overlap": "71800233d329c3e1aa5dad703b8eaca95660c5e8f69fcf9b11cef696706c93d5",
-    "Adaptive/telemetry-capacity=32": "4bf9b2b972d28ef706e2e1e55331dfe00858e2a87ba311f1f5003647e7614b33",
+    "Update/workers=2/adversarial": "6331b66c5dc3c6ea0cbd399027bc2efa0edb86ff030c7d1ce58ec0c6e72f9334",
+    "Adaptive/workers=1/round-robin": "09e24025c6376eff7aba1e5af3d46471c08fbb158d210db5f5831fb39755d554",
+    "Adaptive/workers=2/round-robin": "07f7de32af65a523033484606808c90a8bce3b55b96523e83323bbafdc7863c6",
+    "Adaptive/workers=2/random": "588d8de92d9c3202c8eb0fb405ac811c906e11dad0407256df294f9b7d3f6b95",
+    "Adaptive/workers=2/adversarial": "e770cb63800d843b6fcb62e19b6ce5de0adbe08f0d0c1687f85bd87d90f3786a",
+    "Adaptive/workers=2/key-overlap": "e770cb63800d843b6fcb62e19b6ce5de0adbe08f0d0c1687f85bd87d90f3786a",
+    "Adaptive/telemetry-capacity=32": "8d3c3dfa9d8a3aa4005c167cbf24fd58b770ea3816ca13b797288ee3c1299e34",
     # The baseline arm, where storage + ORM produce *every* counter: generated
     # at commit 3090995 from the per-row statement path (one ``record`` per
     # scanned and per returned row, every candidate copied before its check).
@@ -96,8 +96,8 @@ GOLDEN_FINGERPRINTS = {
     # loop (two semaphores a decision), before workers took the decision
     # themselves.  The adversarial pins above re-pick the yielder 83 % of the
     # time; round-robin and key-overlap do so under 4 %, random at 34 %.
-    "Update/workers=3/round-robin": "e6b1df44059ce27e16b54eed571d967014ca9562082f2877aa193fb8dd331f63",
-    "Update/workers=4/random": "5af965b0218de5cb3fb7151b67de269fa1e69c79fc92f20fff8666d5a447bd3c",
+    "Update/workers=3/round-robin": "e7f54150408b479c40873aaf70093c6192957425bcd496be8390ccdb13486f62",
+    "Update/workers=4/random": "e7f1efad3f94df83ebe9169c0435bc465489816fb543c963c45ccc9c1f8f9e4d",
     "LeasedInvalidate/workers=4/key-overlap": "baf187c00d766b938ea1c5e2ba698ab812fb391f98241e7e1af07786a13a6c42",
     "Invalidate/workers=3/round-robin": "3e36c90cf908aa00d718c22e7f34bee821fa1bc25ea49ec38cb6ebe0492e8ace",
 }
@@ -218,7 +218,7 @@ ACCOUNTING_CACHE_BYTES = 16 * 1024
 #: one replay per strategy on that cache, generated at commit 5bd6aac — where
 #: every hit pickled its value to count bytes and every store pickled twice.
 GOLDEN_CACHE_ACCOUNTING = {
-    "Update": (188859, 899, 209, 74, 16125),
+    "Update": (188859, 899, 206, 74, 16125),
     "Invalidate": (176236, 810, 183, 71, 16125),
     "LeasedInvalidate": (178304, 850, 135, 65, 15289),
     "AsyncRefresh": (247182, 837, 149, 90, 15772),

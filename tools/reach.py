@@ -121,8 +121,6 @@ _TIER_MODEL = "tests/memcache/test_tier_model.py checks it against its model"
 _ITEM_18 = "item 18 (a page is a transaction) opens transactions from pages"
 _CONST_FILTERS = ("§3.1: a declaration's constant filters; the trigger must "
                   "re-express a row change against them")
-_TRIGGER_EVENTS = ("§3.2: a cached object's trigger handles DELETE and "
-                   "UPDATE as well as INSERT")
 
 #: What keeps each unreached function that stays.  A key is a module
 #: (``"core/txn2pl.py"``), or a module and a class or function in it
@@ -206,12 +204,6 @@ KEEPERS: Dict[str, Tuple[str, str]] = {
         PAPER, _CONST_FILTERS),
     "core/cache_classes/base.py:CacheClass._project_const_event": (
         PAPER, _CONST_FILTERS),
-    "core/cache_classes/feature.py:FeatureQuery._remove_row": (
-        PAPER, _TRIGGER_EVENTS),
-    "core/cache_classes/link.py:LinkQuery._remove_row": (
-        PAPER, _TRIGGER_EVENTS),
-    "core/cache_classes/link.py:LinkQuery._replace_row": (
-        PAPER, _TRIGGER_EVENTS),
     # What the band tests under benchmarks/ read.
     "bench/experiments.py:skew_gain": (BAND, "benchmarks/test_exp3_zipf.py"),
     "bench/experiments.py:plateau_size": (
