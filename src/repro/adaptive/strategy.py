@@ -414,25 +414,15 @@ class AdaptiveStrategy(ConsistencyStrategy):
                 client, group))
         return removed
 
-    def render_trigger_body(self, cached_object: "CacheClass",
-                            batched: bool) -> List[str]:
-        if batched:
-            return [
-                "    for cache_key in affected:",
-                "        band = adaptive.band_for(cache_key)",
-                "        if band == 'cold' and all_affected_cold:",
-                "            queue.enqueue_mutate(cache_key, ...)  # update-in-place patch",
-                "        elif band != 'hot-write-heavy':",
-                "            queue.enqueue_delete(cache_key)  # lease-retaining for hot-contended",
-                "        # hot-write-heavy: no propagation (freshness window bounds staleness)",
-            ]
+    def render_trigger_body(self, cached_object: "CacheClass") -> List[str]:
         return [
             "    for cache_key in affected:",
             "        band = adaptive.band_for(cache_key)",
-            "        if band == 'hot-contended':",
-            f"            cache.lease_delete(cache_key, {self._leased.stale_seconds})",
-            "        elif band == 'cold':",
-            "            cache.delete(cache_key)  # or gets/cas patch when all keys are cold",
+            "        if band == 'cold' and all_affected_cold:",
+            "            queue.enqueue_mutate(cache_key, ...)  # update-in-place patch",
+            "        elif band != 'hot-write-heavy':",
+            "            queue.enqueue_delete(cache_key)  # lease-retaining for hot-contended",
+            "        # hot-write-heavy: no propagation (freshness window bounds staleness)",
         ]
 
     # -- introspection ---------------------------------------------------------

@@ -16,12 +16,12 @@ use the corresponding LinkQuery cached object when one is registered and fall
 back to ORM traversals otherwise, matching the paper's explicit-``evaluate``
 usage for objects flagged ``use_transparently=False``.
 
-With ``batch_reads=True`` (the default; ``--batch-ops off`` disables it) the
-hot cached fragments of each page — header badges, account rows, the wall
-Top-K, the bookmark lists — are fetched through
-:func:`repro.core.evaluate_many` instead of one cache round trip per query:
-all of a fragment group's keys travel in a single multi-get per cache
-server.  Query shapes that no cached object covers keep going to the
+When the cached objects' genie batches (``batch_trigger_ops``, the default;
+``--batch-ops off`` disables it) the hot cached fragments of each page —
+header badges, account rows, the wall Top-K, the bookmark lists — are
+fetched through :func:`repro.core.evaluate_many` instead of one cache round
+trip per query: all of a fragment group's keys travel in a single multi-get
+per cache server.  Query shapes that no cached object covers keep going to the
 database, exactly as before.
 """
 
@@ -77,11 +77,13 @@ class SocialApplication:
     """
 
     def __init__(self, cached_objects: Optional[Dict[str, Any]] = None,
-                 rng: Optional[random.Random] = None,
-                 batch_reads: bool = True) -> None:
+                 rng: Optional[random.Random] = None) -> None:
         self.cached = cached_objects or {}
         self.rng = rng or random.Random(0)
-        self.batch_reads = batch_reads
+        #: Whether pages batch their fragment reads: the cached objects'
+        #: genie's one ``batch_ops`` setting, read once here.
+        self.batch_reads = bool(self.cached) and next(
+            iter(self.cached.values())).genie.batch_trigger_ops
 
     # -- batched fragment fetching ----------------------------------------------
 
@@ -93,7 +95,7 @@ class SocialApplication:
         Returns None (caller falls back to per-query rendering) unless
         batching is enabled and every named object is registered.
         """
-        if not self.batch_reads or not self.cached:
+        if not self.batch_reads:
             return None
         pairs = []
         for name, params in requests:

@@ -13,7 +13,6 @@ code::
     python -m repro.bench exp4
     python -m repro.bench exp5
     python -m repro.bench exp-batch --batch-ops both
-    python -m repro.bench exp-cas-batch --cas-batch both
     python -m repro.bench exp-strategies [--quick]
     python -m repro.bench exp-contention [--quick] [--check] \
         [--trace-out trace.json] [--json-out run.json]

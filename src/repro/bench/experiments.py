@@ -666,33 +666,28 @@ EXP5 = Experiment(
 )
 
 # ---------------------------------------------------------------------------
-# Batching ablations — multi-key protocol + commit-time trigger-op coalescing
-# (`exp-batch`), batched read-modify-write + pipelined batches (`exp-cas-batch`)
+# Batching ablation (`exp-batch`) — the multi-key protocol, the commit-time
+# trigger-op flush, and pipelined server batches
 # ---------------------------------------------------------------------------
 
-#: Mode names of the batching ablation: the legacy per-key protocol
-#: (``--batch-ops off``: batching *and* pipelining disabled, the trigger-op
-#: queue flushed per operation) and the current default configuration.
+#: Mode names of the batching ablation, in column order: the legacy per-key
+#: protocol (``--batch-ops off``: the trigger-op queue flushed per operation,
+#: reads one key per round trip), the commit-time flush with serial
+#: per-server batches, and the default (batched, server batches pipelined).
 UNBATCHED = "Unbatched"
+SERIAL = "Serial"
 BATCHED = "Batched"
 
-#: Mode names of the CAS-batching ablation (``exp-cas-batch``).
-EAGER_CAS = "EagerCAS"          # the flush per operation: a pair per key
-BATCHED_CAS = "BatchedCAS"      # gets_multi/cas_multi flush, serial batches
-PIPELINED_CAS = "Pipelined"     # + per-server batches overlap (the default)
-
-ALL_CAS_MODES = (EAGER_CAS, BATCHED_CAS, PIPELINED_CAS)
+ALL_BATCH_MODES = (UNBATCHED, SERIAL, BATCHED)
 
 #: Scenario knobs of each ablation mode.
 MODE_CONFIGS: Dict[str, Dict[str, bool]] = {
     UNBATCHED: {"batch_ops": False, "pipeline_batches": False},
+    SERIAL: {"batch_ops": True, "pipeline_batches": False},
     BATCHED: {"batch_ops": True, "pipeline_batches": True},
-    EAGER_CAS: {"batch_ops": False, "pipeline_batches": False},
-    BATCHED_CAS: {"batch_ops": True, "pipeline_batches": False},
-    PIPELINED_CAS: {"batch_ops": True, "pipeline_batches": True},
 }
 
-#: Wall/Top-K-heavy workload for the batching ablations: short sessions mean
+#: Wall/Top-K-heavy workload for the batching ablation: short sessions mean
 #: frequent Login pages (the wall Top-K plus the full header), and the
 #: LookupBM-leaning mix keeps the latest-bookmarks Top-K and the count badges
 #: hot — the paths the multi-key protocol converts to one round trip each.
@@ -711,33 +706,54 @@ def _ratio(result: SweepResult, key: str, over: str, under: str) -> float:
 
 
 def round_trip_reduction(result: SweepResult, key: str = "round_trips",
-                         baseline: str = UNBATCHED,
                          mode: str = BATCHED) -> float:
-    """How many times fewer round trips ``mode`` performs than ``baseline``
-    (``key="trigger_round_trips"`` isolates the propagation path)."""
-    return _ratio(result, key, baseline, mode)
+    """How many times fewer round trips ``mode`` performs than the per-key
+    protocol (``key="trigger_round_trips"`` isolates the propagation path)."""
+    return _ratio(result, key, UNBATCHED, mode)
 
 
 def _batching_footer(result: SweepResult) -> List[str]:
-    if len(result.rows) < 2:
-        return []
-    return [f"Round-trip reduction: {round_trip_reduction(result):.1f}x "
-            f"fewer cache round trips with batching",
-            f"Throughput speedup:   "
-            f"{_ratio(result, 'throughput', BATCHED, UNBATCHED):.2f}x"]
+    modes = result.axes["mode"]
+    lines = []
+    if UNBATCHED in modes and BATCHED in modes:
+        lines += [f"Round-trip reduction: {round_trip_reduction(result):.1f}x "
+                  f"fewer cache round trips with batching",
+                  f"Throughput speedup:   "
+                  f"{_ratio(result, 'throughput', BATCHED, UNBATCHED):.2f}x"]
+    if UNBATCHED in modes and SERIAL in modes:
+        reduction = round_trip_reduction(result, "trigger_round_trips",
+                                         SERIAL)
+        lines += [f"Trigger-path reduction: {reduction:.1f}x fewer "
+                  f"propagation round trips with the commit-time flush",
+                  "(the TOTAL row additionally includes the app-side read "
+                  "batching that batch_ops enables)"]
+    if SERIAL in modes and BATCHED in modes:
+        gain = _ratio(result, "cache_net_ms", SERIAL, BATCHED)
+        lines.append(f"Pipelining gain:      {gain:.2f}x less cache-network "
+                     f"time per page vs serial batches")
+    return lines
 
 
+#: The ablation replays the wall/top-k workload three ways: the legacy
+#: per-key protocol (each trigger's queue flushed per operation: one
+#: ``gets_multi`` + one ``cas_multi`` round trip per key, and one read
+#: round trip per query), the batched protocol with the commit-time flush
+#: and serial per-server batches, and the default, whose per-server batches
+#: are pipelined (overlapping batches charge no additional network latency).
 EXP_BATCH = Experiment(
     name="exp-batch",
-    help="Batching ablation: multi-key cache protocol + commit-time "
-         "trigger-op coalescing on the wall/top-k workload",
+    help="Batching ablation: multi-key cache protocol, commit-time "
+         "trigger-op coalescing and pipelined server batches on the "
+         "wall/top-k workload",
     axes=(
-        Axis("mode", (UNBATCHED, BATCHED), flag="--batch-ops",
+        Axis("mode", ALL_BATCH_MODES, flag="--batch-ops",
              presets={"on": (BATCHED,), "off": (UNBATCHED,),
-                      "both": (UNBATCHED, BATCHED)},
-             help="run with the batched protocol on (the scenario default), "
-                  "off (the legacy per-key protocol), or both (compares "
-                  "recorded cache round trips and throughput; default: both)"),
+                      "both": ALL_BATCH_MODES},
+             help="run with the batched protocol on (the scenario default, "
+                  "server batches pipelined), off (the legacy per-key "
+                  "protocol), or both, which adds the batched column with "
+                  "serial server batches (compares recorded cache round "
+                  "trips, cache-network time and throughput; default: both)"),
         Axis("scenario", (UPDATE_SCENARIO,), flag="--scenario", scalar=True,
              choices=(UPDATE_SCENARIO, INVALIDATE_SCENARIO),
              help="cached scenario to ablate (default: Update)"),
@@ -760,76 +776,17 @@ EXP_BATCH = Experiment(
          ("Trigger batches overlapped (pipelined)",
           "counters.trigger_cache_overlapped_batches", "{}"),
          ("Trigger connections opened", "counters.trigger_connections", "{}"),
-         ("TOTAL round trips", "round_trips", "{}"),
-         _THROUGHPUT, _HIT_RATIO),
-        arm="mode", corner="Cache-network event"),),
-    footer=_batching_footer,
-)
-
-
-def _cas_batching_footer(result: SweepResult) -> List[str]:
-    modes = result.axes["mode"]
-    lines = []
-    if EAGER_CAS in modes and BATCHED_CAS in modes:
-        reduction = round_trip_reduction(result, "trigger_round_trips",
-                                         EAGER_CAS, BATCHED_CAS)
-        lines += [f"Trigger-path reduction: {reduction:.1f}x fewer "
-                  f"propagation round trips with the batched CAS flush",
-                  "(the TOTAL row additionally includes the app-side read "
-                  "batching that batch_ops enables)"]
-    if BATCHED_CAS in modes and PIPELINED_CAS in modes:
-        gain = _ratio(result, "cache_net_ms", BATCHED_CAS, PIPELINED_CAS)
-        lines.append(f"Pipelining gain:      {gain:.2f}x less cache-network "
-                     f"time per page vs serial batches")
-    return lines
-
-
-#: The update-in-place strategy is the paper's headline consistency
-#: mechanism, and its trigger bodies are read-modify-writes — the one path
-#: plain ``get_multi``/``set_multi`` batching cannot carry.  The ablation
-#: replays the wall/top-k workload three ways: the legacy eager path (the
-#: flush per operation: one ``gets_multi`` + one ``cas_multi`` round trip
-#: per key), the batched CAS flush
-#: (``gets_multi`` + ``cas_multi``, one round trip per server batch), and the
-#: batched flush with per-server batches pipelined (overlapping batches
-#: charge no additional network latency).
-EXP_CAS_BATCH = Experiment(
-    name="exp-cas-batch",
-    help="CAS-batching ablation: batched gets_multi/cas_multi flush and "
-         "pipelined server batches on the update-in-place wall/top-k "
-         "workload",
-    axes=(
-        Axis("mode", ALL_CAS_MODES, flag="--cas-batch",
-             presets={"on": (PIPELINED_CAS,), "off": (EAGER_CAS,),
-                      "both": ALL_CAS_MODES},
-             help="run the update-in-place CAS path batched (on — the "
-                  "default configuration, batched + pipelined), eager (off "
-                  "— one gets_multi + one cas_multi round trip per key), or "
-                  "both, which adds the intermediate serial-batches column "
-                  "(default: both)"),
-        Axis("scenario", (UPDATE_SCENARIO,)),
-    ),
-    cell=_mode_cell,
-    full=Sizing(workload=WALL_TOPK_WORKLOAD),
-    tables=(Table(
-        "CAS-batching ablation — {scenario} scenario (update-in-place), "
-        "wall/top-k workload", ARMS,
-        (("Trigger round trips (1/server batch)",
-          "counters.trigger_cache_batches", "{}"),
-         ("Trigger batches overlapped (pipelined)",
-          "counters.trigger_cache_overlapped_batches", "{}"),
-         ("Trigger connections opened", "counters.trigger_connections", "{}"),
          ("CAS mismatches (keys retried)",
           "counters.cas_multi_mismatch", "{}"),
          ("Server CAS swaps won", "cache.cas_ok", "{:.0f}"),
          ("Server CAS stale tokens", "cache.cas_mismatch", "{:.0f}"),
          ("Server CAS on vanished keys", "cache.cas_miss", "{:.0f}"),
          ("Trigger-path round trips", "trigger_round_trips", "{}"),
-         ("TOTAL round trips (incl. app reads)", "round_trips", "{}"),
+         ("TOTAL round trips", "round_trips", "{}"),
          ("Cache-network ms per page", "cache_net_ms", "{:.3f}"),
          _THROUGHPUT, _HIT_RATIO),
         arm="mode", corner="Cache-network event"),),
-    footer=_cas_batching_footer,
+    footer=_batching_footer,
 )
 
 # ---------------------------------------------------------------------------
@@ -1589,7 +1546,7 @@ EXP_CLUSTER = Experiment(
 #: Every sweep, by CLI subcommand, in ``--help`` order.
 EXPERIMENTS: Dict[str, Experiment] = {
     experiment.name: experiment
-    for experiment in (EXP1, EXP2, EXP3, EXP4, EXP5, EXP_BATCH, EXP_CAS_BATCH,
+    for experiment in (EXP1, EXP2, EXP3, EXP4, EXP5, EXP_BATCH,
                        EXP_STRATEGIES, EXP_CONTENTION, EXP_CLUSTER,
                        EXP_ADAPTIVE)}
 

@@ -90,7 +90,7 @@ class ScenarioConfig:
     batch_ops: bool = True
     #: Issue one flush's per-server batches concurrently, charging the max
     #: (pipelined) instead of the sum of their round-trip latencies
-    #: (the ``exp-cas-batch`` ablation's third column).
+    #: (``exp-batch``'s ``Serial`` column turns it off).
     pipeline_batches: bool = True
     #: The consistency strategy driving the cached objects: a
     #: :class:`~repro.core.strategies.ConsistencyStrategy` instance, a
@@ -177,8 +177,7 @@ class Scenario:
             self.cached_objects = install_cached_objects(
                 self.genie, update_strategy=self.config.strategy)
             self.app = SocialApplication(cached_objects=self.cached_objects,
-                                         rng=random.Random(APP_RNG_SEED),
-                                         batch_reads=self.config.batch_ops)
+                                         rng=random.Random(APP_RNG_SEED))
             if not self.config.triggers_enabled:
                 self.database.triggers.disable_all()
         return self

@@ -310,12 +310,10 @@ class ConsistencyStrategy:
         """
         return client.delete_multi(list(keys))
 
-    def render_trigger_body(self, cached_object: "CacheClass",
-                            batched: bool) -> List[str]:
-        """Source lines of the generated trigger's per-key loop (§5.2).
-
-        ``batched`` selects between the commit-time-queue body and the
-        paper's original eager per-key body.  Only consulted when
+    def render_trigger_body(self, cached_object: "CacheClass") -> List[str]:
+        """Source lines of the generated trigger's per-key loop (§5.2): what
+        it puts on the trigger-op queue, flushed at commit or, in the eager
+        mode, right after each enqueue.  Only consulted when
         :attr:`needs_triggers` is True.
         """
         return ["    pass  # no trigger-side work for this strategy"]
@@ -357,27 +355,12 @@ class UpdateInPlaceStrategy(ConsistencyStrategy):
                  old: Optional[Dict[str, Any]]) -> None:
         cached_object.apply_delta(table, new, old)
 
-    def render_trigger_body(self, cached_object: "CacheClass",
-                            batched: bool) -> List[str]:
-        apply_fn = f"apply_{cached_object.cache_class_type.lower()}_update"
-        if batched:
-            return [
-                "    for cache_key in affected:",
-                "        # flush: gets_multi -> apply chain -> cas_multi (retry losers)",
-                f"        queue.enqueue_mutate(cache_key, lambda cached_value: {apply_fn}(",
-                "            cached_value, event, new_row, old_row))",
-            ]
+    def render_trigger_body(self, cached_object: "CacheClass") -> List[str]:
         return [
             "    for cache_key in affected:",
-            "        (cached_value, cas_token) = cache.gets(cache_key)",
-            "        if cached_value is None:",
-            "            continue  # not cached: the trigger quits",
-            f"        new_value = {apply_fn}(",
-            "            cached_value, event, new_row, old_row)",
-            "        if new_value is None:",
-            "            continue",
-            "        if not cache.cas(cache_key, new_value, cas_token):",
-            "            cache.delete(cache_key)  # lost the race: fall back to invalidation",
+            "        # flush: gets_multi -> apply chain -> cas_multi (retry losers)",
+            "        queue.enqueue_mutate(cache_key, lambda cached_value: apply_delta(",
+            "            cached_value, table, new_row, old_row))",
         ]
 
 
@@ -396,16 +379,10 @@ class InvalidateStrategy(ConsistencyStrategy):
                  old: Optional[Dict[str, Any]]) -> None:
         cached_object.invalidate_affected(table, event, new, old)
 
-    def render_trigger_body(self, cached_object: "CacheClass",
-                            batched: bool) -> List[str]:
-        if batched:
-            return [
-                "    for cache_key in affected:",
-                "        queue.enqueue_delete(cache_key)  # coalesced per key",
-            ]
+    def render_trigger_body(self, cached_object: "CacheClass") -> List[str]:
         return [
             "    for cache_key in affected:",
-            "        cache.delete(cache_key)",
+            "        queue.enqueue_delete(cache_key)  # coalesced per key",
         ]
 
 
@@ -501,17 +478,11 @@ class LeasedInvalidateStrategy(InvalidateStrategy):
                             keys: Sequence[str]) -> List[str]:
         return client.lease_delete_multi(list(keys), self.stale_seconds)
 
-    def render_trigger_body(self, cached_object: "CacheClass",
-                            batched: bool) -> List[str]:
-        if batched:
-            return [
-                "    for cache_key in affected:",
-                "        # coalesced per key; flushed as one lease_delete_multi per server",
-                f"        queue.enqueue_delete(cache_key)  # retains stale for {self.stale_seconds}s",
-            ]
+    def render_trigger_body(self, cached_object: "CacheClass") -> List[str]:
         return [
             "    for cache_key in affected:",
-            f"        cache.lease_delete(cache_key, {self.stale_seconds})",
+            "        # coalesced per key; flushed as one lease_delete_multi per server",
+            f"        queue.enqueue_delete(cache_key)  # retains stale for {self.stale_seconds}s",
         ]
 
     def describe(self) -> Dict[str, Any]:

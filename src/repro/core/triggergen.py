@@ -40,7 +40,6 @@ def render_trigger_source(cached_object: CacheClass, spec: TriggerSpec) -> str:
     key_prefix = cached_object.keys.prefix
     where_fields = ", ".join(repr(f) for f in cached_object.where_fields)
     strategy = cached_object.strategy
-    batched = getattr(cached_object.genie, "batch_trigger_ops", False)
     lines: List[str] = [
         f"# Trigger {name}: generated by CacheGenie, do not edit.",
         f"# {spec.description}",
@@ -60,19 +59,16 @@ def render_trigger_source(cached_object: CacheClass, spec: TriggerSpec) -> str:
         "            continue",
         "        values = [row.get(f) for f in where_fields]",
         "        affected.append(':'.join([key_prefix] + [str(v) for v in values]))",
+        # The trigger only records each operation; the per-transaction queue
+        # coalesces duplicate keys and flushes them as batched multi-ops at
+        # COMMIT, or right after each enqueue in the eager mode (batch_ops
+        # off).  The per-key body is the strategy's: enqueue_delete for the
+        # invalidating strategies (the flush picks each strategy's batched
+        # delete form), enqueue_mutate for update-in-place (the flush runs
+        # the gets_multi/cas_multi pair with loser-only retries).
+        "    queue = cachegenie.txn_op_queue()  # flushed at COMMIT, or per operation",
     ]
-    if batched:
-        # Commit-time batching: the trigger only records the operation; the
-        # per-transaction queue coalesces duplicate keys and flushes as
-        # batched multi-ops when the DB commits.  The per-key body is the
-        # strategy's: enqueue_delete for the invalidating strategies (the
-        # flush picks each strategy's batched delete form), enqueue_mutate
-        # for update-in-place (the flush runs the gets_multi/cas_multi pair
-        # with loser-only retries).
-        lines += [
-            "    queue = cachegenie.txn_op_queue()  # flushed at COMMIT",
-        ]
-    lines += strategy.render_trigger_body(cached_object, batched)
+    lines += strategy.render_trigger_body(cached_object)
     lines += [
         "    return None",
         "",

@@ -143,7 +143,10 @@ class TimestampType(DataType):
             return _dt.datetime.fromtimestamp(
                 float(value), _dt.timezone.utc).replace(tzinfo=None)
         if isinstance(value, str):
-            return _dt.datetime.fromisoformat(value)
+            try:
+                return _dt.datetime.fromisoformat(value)
+            except ValueError:
+                pass
         raise SchemaError(f"expected timestamp, got {value!r}")
 
 

@@ -1,4 +1,5 @@
-"""The social app's batched read paths (batch_reads=True) stay correct."""
+"""The social app's batched read paths (a batching genie's objects) stay
+correct."""
 
 from __future__ import annotations
 
@@ -35,8 +36,8 @@ def batched_app():
     genie = CacheGenie(registry=social_registry, database=database,
                        cache_servers=servers, batch_trigger_ops=True).activate()
     cached = install_cached_objects(genie)
-    app = SocialApplication(cached_objects=cached, rng=random.Random(5),
-                            batch_reads=True)
+    app = SocialApplication(cached_objects=cached, rng=random.Random(5))
+    assert app.batch_reads  # read from the genie's batch_trigger_ops
     yield {"app": app, "genie": genie, "database": database, "cached": cached}
     genie.deactivate()
     social_registry.unbind()

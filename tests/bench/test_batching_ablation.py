@@ -7,9 +7,9 @@ import pytest
 from repro.apps.social import SeedScale
 from repro.apps.social.models import User, WallPost
 from repro.bench.cli import build_parser
-from repro.bench.experiments import (BATCHED, BATCHED_CAS, EAGER_CAS,
-                                     PIPELINED_CAS, UNBATCHED,
-                                     round_trip_reduction, run_sweep)
+from repro.bench.experiments import (BATCHED, EXPERIMENTS, MODE_CONFIGS,
+                                     SERIAL, UNBATCHED, round_trip_reduction,
+                                     run_sweep)
 from repro.bench.reporting import render_sweep
 from repro.bench.scenarios import Scenario, ScenarioConfig, UPDATE_SCENARIO
 from repro.workload import WorkloadConfig
@@ -62,15 +62,32 @@ class TestScenarioWiring:
 
 
 class TestBatchingAblation:
+    """One class-scoped sweep of the three modes: the per-key protocol, the
+    batched flush with serial server batches, and the default (pipelined)."""
+
     @pytest.fixture(scope="class")
     def result(self):
         return run_sweep("exp-batch", workload=SMALL_WORKLOAD)
+
+    def test_every_mode_is_a_distinct_configuration(self):
+        modes = EXPERIMENTS["exp-batch"].axes[0].values
+        assert modes == (UNBATCHED, SERIAL, BATCHED)
+        assert set(MODE_CONFIGS) == set(modes)
+        configs = {tuple(sorted(config.items()))
+                   for config in MODE_CONFIGS.values()}
+        assert len(configs) == len(MODE_CONFIGS)
 
     def test_batched_mode_halves_round_trips(self, result):
         """Acceptance: >= 2x fewer recorded cache round trips with batching."""
         assert result.one(mode=UNBATCHED)["round_trips"] > 0
         assert result.one(mode=BATCHED)["round_trips"] > 0
         assert round_trip_reduction(result) >= 2.0
+
+    def test_batched_modes_strictly_reduce_round_trips(self, result):
+        unbatched, serial, batched = (result.one(mode=mode)["round_trips"]
+                                      for mode in (UNBATCHED, SERIAL, BATCHED))
+        assert unbatched > serial > 0
+        assert unbatched > batched > 0
 
     def test_batched_mode_actually_batches(self, result):
         batched = result.one(mode=BATCHED)["counters"]
@@ -86,19 +103,50 @@ class TestBatchingAblation:
         # The application reads one key per round trip without batching.
         assert eager["cache_multi_gets"] > 2 * batched["cache_multi_gets"]
 
+    def test_update_in_place_actually_batches_its_cas_path(self, result):
+        serial = result.one(mode=SERIAL)["counters"]
+        assert serial["trigger_cache_batches"] > 0
+        assert serial["trigger_cache_batch_ops"] > serial["trigger_cache_batches"]
+        eager = result.one(mode=UNBATCHED)["counters"]
+        # The eager read-modify-writes and counter bumps are batches of
+        # one, so they take more round trips than the flush.
+        assert eager["trigger_cache_batches"] > serial["trigger_cache_batches"]
+        # The batched flush writes through CAS — swaps land on the servers.
+        assert result.one(mode=SERIAL)["cache"]["cas_ok"] > 0
+
     def test_batched_mode_amortizes_trigger_connections(self, result):
         assert (result.one(mode=BATCHED)["counters"]["trigger_connections"]
                 < result.one(mode=UNBATCHED)["counters"]["trigger_connections"])
 
-    def test_cache_stays_warm_in_both_modes(self, result):
-        for mode in (UNBATCHED, BATCHED):
+    def test_pipelining_overlaps_batches_without_changing_round_trips(self, result):
+        serial = result.one(mode=SERIAL)
+        pipelined = result.one(mode=BATCHED)
+        assert pipelined["round_trips"] == serial["round_trips"]
+        overlapped = "trigger_cache_overlapped_batches"
+        assert pipelined["counters"][overlapped] > 0
+        assert serial["counters"][overlapped] == 0
+        # max() instead of sum(): strictly less cache-network time per page.
+        assert pipelined["cache_net_ms"] < serial["cache_net_ms"]
+
+    def test_trigger_path_reduction_isolates_the_cas_flush(self, result):
+        """The headline number must not credit app-side read batching."""
+        assert (result.one(mode=UNBATCHED)["trigger_round_trips"]
+                > result.one(mode=SERIAL)["trigger_round_trips"] > 0)
+        assert round_trip_reduction(result, "trigger_round_trips",
+                                    SERIAL) >= 2.0
+
+    def test_cache_stays_warm_in_every_mode(self, result):
+        for mode in (UNBATCHED, SERIAL, BATCHED):
             assert result.one(mode=mode)["hit_ratio"] > 0.5
 
     def test_render(self, result):
         out = render_sweep(result)
         assert "TOTAL round trips" in out
+        assert "Trigger-path round trips" in out
         assert "Round-trip reduction" in out
-        assert "Unbatched" in out and "Batched" in out
+        assert "Trigger-path reduction" in out
+        assert "Pipelining gain" in out
+        assert "Unbatched" in out and "Serial" in out and "Batched" in out
 
 
 class TestCli:
@@ -106,10 +154,23 @@ class TestCli:
         parser = build_parser()
         args = parser.parse_args(["exp-batch"])
         assert args.batch_ops == "both"
+        assert callable(args.func)
         args = parser.parse_args(["exp-batch", "--batch-ops", "on"])
         assert args.batch_ops == "on"
+        args = parser.parse_args(["exp-batch", "--batch-ops", "off"])
+        assert args.batch_ops == "off"
         with pytest.raises(SystemExit):
             parser.parse_args(["exp-batch", "--batch-ops", "sideways"])
+
+    def test_batch_ops_presets(self):
+        """``both`` runs all three modes; ``on`` is the default alone."""
+        presets = EXPERIMENTS["exp-batch"].axes[0].presets
+        assert presets == {"on": (BATCHED,), "off": (UNBATCHED,),
+                           "both": (UNBATCHED, SERIAL, BATCHED)}
+
+    def test_exp_batch_is_the_only_batching_ablation(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["exp-cas-batch"])
 
     def test_exp_batch_help_documents_flag(self, capsys):
         with pytest.raises(SystemExit):
@@ -117,72 +178,3 @@ class TestCli:
         out = capsys.readouterr().out
         assert "--batch-ops" in out
         assert "batched protocol" in out
-
-
-class TestCasBatchingAblation:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return run_sweep("exp-cas-batch", workload=SMALL_WORKLOAD)
-
-    def test_batched_cas_strictly_reduces_round_trips(self, result):
-        """Acceptance: batched CAS on strictly reduces recorded round trips."""
-        eager, batched, pipelined = (result.one(mode=mode)["round_trips"]
-                                     for mode in (EAGER_CAS, BATCHED_CAS,
-                                                  PIPELINED_CAS))
-        assert eager > batched > 0
-        assert eager > pipelined > 0
-
-    def test_update_in_place_actually_batches_its_cas_path(self, result):
-        batched = result.one(mode=BATCHED_CAS)["counters"]
-        assert batched["trigger_cache_batches"] > 0
-        assert batched["trigger_cache_batch_ops"] > batched["trigger_cache_batches"]
-        eager = result.one(mode=EAGER_CAS)["counters"]
-        # The eager gets/cas read-modify-writes and counter bumps are
-        # batches of one, so they take more round trips than the flush.
-        assert eager["trigger_cache_batch_ops"] == eager["trigger_cache_batches"]
-        assert eager["trigger_cache_batches"] > batched["trigger_cache_batches"]
-        # The batched flush writes through CAS — swaps land on the servers.
-        assert result.one(mode=BATCHED_CAS)["cache"]["cas_ok"] > 0
-
-    def test_pipelining_overlaps_batches_without_changing_round_trips(self, result):
-        batched = result.one(mode=BATCHED_CAS)
-        pipelined = result.one(mode=PIPELINED_CAS)
-        assert pipelined["round_trips"] == batched["round_trips"]
-        overlapped = "trigger_cache_overlapped_batches"
-        assert pipelined["counters"][overlapped] > 0
-        assert batched["counters"][overlapped] == 0
-        # max() instead of sum(): strictly less cache-network time per page.
-        assert pipelined["cache_net_ms"] < batched["cache_net_ms"]
-
-    def test_trigger_path_reduction_isolates_the_cas_flush(self, result):
-        """The headline number must not credit app-side read batching."""
-        assert (result.one(mode=EAGER_CAS)["trigger_round_trips"]
-                > result.one(mode=BATCHED_CAS)["trigger_round_trips"] > 0)
-        assert round_trip_reduction(result, "trigger_round_trips",
-                                    EAGER_CAS, BATCHED_CAS) >= 2.0
-
-    def test_render(self, result):
-        out = render_sweep(result)
-        assert "Trigger-path round trips" in out
-        assert "TOTAL round trips" in out
-        assert "Trigger-path reduction" in out
-        assert "Pipelining gain" in out
-        assert "EagerCAS" in out and "BatchedCAS" in out and "Pipelined" in out
-
-
-class TestCasBatchCli:
-    def test_exp_cas_batch_registered_with_flag(self):
-        parser = build_parser()
-        args = parser.parse_args(["exp-cas-batch"])
-        assert args.cas_batch == "both"
-        assert callable(args.func)
-        args = parser.parse_args(["exp-cas-batch", "--cas-batch", "off"])
-        assert args.cas_batch == "off"
-        with pytest.raises(SystemExit):
-            parser.parse_args(["exp-cas-batch", "--cas-batch", "diagonal"])
-
-    def test_exp_cas_batch_help_documents_flag(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["exp-cas-batch", "--help"])
-        out = capsys.readouterr().out
-        assert "--cas-batch" in out

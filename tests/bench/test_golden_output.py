@@ -34,7 +34,6 @@ GOLDEN = {
     "exp4": ["exp4"],
     "exp5": ["exp5"],
     "exp-batch": ["exp-batch"],
-    "exp-cas-batch": ["exp-cas-batch"],
     "exp-strategies": ["exp-strategies"],
     "exp-adaptive": ["exp-adaptive"],
     "exp-contention": ["exp-contention"],
@@ -129,8 +128,6 @@ CLI_SURFACE = {
     ("exp-batch", ("--batch-ops",), "both"),
     ("exp-batch", ("--scenario",), "Update"),
     ("exp-batch", (), None),
-    ("exp-cas-batch", ("--cas-batch",), "both"),
-    ("exp-cas-batch", (), None),
     ("exp-cluster", ("--check",), False),
     ("exp-cluster", ("--fault-cases",), None),
     ("exp-cluster", ("--jobs",), 1),

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.adaptive import AdaptiveStrategy
 from repro.core import CacheGenie, UPDATE_IN_PLACE, cacheable
 from repro.core.cache_classes import CacheClass, FeatureQuery
 from repro.core.triggergen import render_trigger_source, trigger_name
@@ -116,26 +117,37 @@ class TestEffortMetrics:
         assert trigger.metadata["cached_object"] == cached.name
         assert "memcache.Client" in trigger.metadata["source"]
 
-    def test_eager_trigger_source_keeps_per_key_cas(self, stack):
-        """batch_trigger_ops=False renders the paper's original gets/cas body."""
-        genie = CacheGenie(registry=stack["registry"],
-                           database=stack["database"],
-                           cache_servers=[stack["cache_server"]],
-                           batch_trigger_ops=False).activate()
+    @pytest.mark.parametrize("strategy", [UPDATE_IN_PLACE, "invalidate",
+                                          "leased-invalidate",
+                                          AdaptiveStrategy()],
+                             ids=lambda strategy: getattr(strategy, "name",
+                                                          strategy))
+    def test_eager_and_batched_genies_render_identical_source(self, stack,
+                                                              strategy):
+        """One trigger body: batch_trigger_ops changes only when the queue
+        flushes, never what the generated trigger says."""
+        def rendered(batch_trigger_ops):
+            genie = CacheGenie(registry=stack["registry"],
+                               database=stack["database"],
+                               cache_servers=[stack["cache_server"]],
+                               batch_trigger_ops=batch_trigger_ops).activate()
+            try:
+                genie.cacheable(cache_class_type="TopKQuery", main_model="Wall",
+                                where_fields=["person_id"],
+                                sort_field="posted", k=5, name="one_body",
+                                update_strategy=strategy)
+                return [record.source
+                        for record in genie.trigger_generator.generated]
+            finally:
+                genie.deactivate()
+
         try:
-            cached = genie.cacheable(
-                cache_class_type="TopKQuery", main_model="Wall",
-                where_fields=["person_id"], sort_field="posted", k=5,
-                name="eager_topk")
-            source = "\n".join(
-                record.source for record in genie.trigger_generator.generated)
-            assert "cache.gets(cache_key)" in source
-            assert "cache.cas(cache_key" in source
-            assert "queue.enqueue" not in source
-            assert cached.keys.prefix in source
+            eager, batched = rendered(False), rendered(True)
         finally:
-            genie.deactivate()
             stack["genie"].activate()
+        assert eager and eager == batched
+        assert all("queue = cachegenie.txn_op_queue()" in source
+                   for source in eager)
 
     def test_invalidate_source_uses_queued_delete(self, stack):
         genie = stack["genie"]

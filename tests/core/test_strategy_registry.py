@@ -86,7 +86,7 @@ class RecordingInvalidate(InvalidateStrategy):
         self.flushes.append(list(keys))
         return super().flush_invalidations(client, keys)
 
-    def render_trigger_body(self, cached_object, batched):
+    def render_trigger_body(self, cached_object):
         return ["    for cache_key in affected:",
                 "        record_and_delete(cache_key)  # custom strategy"]
 

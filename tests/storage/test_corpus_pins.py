@@ -40,7 +40,7 @@ CORPUS = {"statement path": 300, "insert path": 400}
 #: six single-key fields, which were zero in every counter bag hashed here.
 GOLDEN_CORPUS = {
     "statement path": "b58cf68004c29c010aa5d52998b0a230167dbba144597bd254f472c4c803658a",
-    "insert path": "42cecb650d91d770cda32a380db4473d051858238a62287bec46dfe6f1548e0d",
+    "insert path": "815a96f7d35a5e0fc57aec3aa6a2a6003dd8ccd42dcbf95ecd5c48f29273e748",
 }
 
 

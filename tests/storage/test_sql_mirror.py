@@ -215,10 +215,6 @@ def test_ordered_index_walk_keeps_null_keys():
     assert [row["id"] for row in db.select(query)] == [2, 4, 1, 3]
 
 
-@pytest.mark.xfail(strict=True, raises=ValueError, reason=(
-    "a text timestamp that does not parse escapes TimestampType as the "
-    "ValueError of datetime.fromisoformat, where every other refused value "
-    "is a SchemaError"))
 def test_an_unparseable_timestamp_is_a_schema_error():
     db, _mirror = engine_and_mirror(ColumnDef("at", "timestamp"))
     with pytest.raises(SchemaError):

@@ -5,7 +5,7 @@ Run from the repository root (CI's docs job does)::
 
     PYTHONPATH=src python tools/check_docs.py
 
-Seven checks keep the docs layer from rotting silently:
+Eight checks keep the docs layer from rotting silently:
 
 * **Links** — every relative markdown link in ``README.md`` and ``docs/``
   must point at an existing file, and every ``#anchor`` must match a
@@ -35,6 +35,10 @@ Seven checks keep the docs layer from rotting silently:
   knob must be a parameter of ``AdaptiveStrategy.__init__`` whose default
   is the row's default, and each scalar parameter must have a row, so the
   table names only options that exist.
+* **Bench commands** — every ``python -m repro.bench …`` line in a fenced
+  block (``\\`` continuations joined, a trailing ``# comment`` dropped)
+  must parse with the CLI's ``build_parser()``, so a deleted subcommand or
+  option cannot linger in a copy-paste command.  Nothing is run.
 
 Exit status 0 when everything passes; a non-zero status lists every broken
 link / failing example on stderr.  No dependencies beyond the standard
@@ -43,10 +47,13 @@ library (plus the ``repro`` package being importable for the snippets).
 
 from __future__ import annotations
 
+import contextlib
 import doctest
 import importlib
+import io
 import pkgutil
 import re
+import shlex
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -198,6 +205,53 @@ def check_doctests(paths: List[Path]) -> List[str]:
         if runner.failures:
             errors.append(f"{name}: {runner.failures} of {runner.tries} "
                           f"doctest example(s) failed\n" + "".join(output))
+    return errors
+
+
+def bench_commands(path: Path) -> List[Tuple[int, List[str]]]:
+    """(line, argv) of each ``python -m repro.bench`` command in a fenced
+    block of ``path``: the arguments after ``repro.bench``, with ``\\``
+    continuations joined and a trailing ``# comment`` dropped."""
+    text = path.read_text()
+    commands: List[Tuple[int, List[str]]] = []
+    for match in _FENCE_RE.finditer(text):
+        first = text.count("\n", 0, match.start(2)) + 1
+        pending = ""
+        for offset, raw in enumerate(match.group(2).splitlines()):
+            if not pending:
+                start = first + offset
+            if raw.endswith("\\"):
+                pending += raw[:-1] + " "
+                continue
+            command, pending = pending + raw, ""
+            if "-m repro.bench" not in command:
+                continue
+            words = shlex.split(command, comments=True)
+            for at in range(len(words) - 1):
+                if words[at] == "-m" and words[at + 1] == "repro.bench":
+                    commands.append((start, words[at + 2:]))
+    return commands
+
+
+def check_bench_commands(paths: List[Path]) -> List[str]:
+    """Return one error per documented bench command the CLI refuses."""
+    from repro.bench.cli import build_parser
+
+    parser = build_parser()
+    errors: List[str] = []
+    for path in paths:
+        for line, argv in bench_commands(path):
+            refusal = io.StringIO()
+            try:
+                with contextlib.redirect_stderr(refusal), \
+                        contextlib.redirect_stdout(io.StringIO()):
+                    parser.parse_args(argv)
+            except SystemExit as stop:
+                if stop.code:  # --help exits 0
+                    reason = refusal.getvalue().rpartition("error: ")[2]
+                    errors.append(f"{path.relative_to(REPO_ROOT)}:{line}: "
+                                  f"`python -m repro.bench {' '.join(argv)}` "
+                                  f"does not parse: {reason.strip()}")
     return errors
 
 
@@ -444,7 +498,8 @@ def main() -> int:
         return 1
     errors = (check_links(paths) + check_doctests(paths) + check_hook_table()
               + check_yield_table() + check_count_table()
-              + check_entry_points() + check_knob_table())
+              + check_entry_points() + check_knob_table()
+              + check_bench_commands(paths))
     snippet_count = sum(len(python_snippets(p)) for p in paths)
     if errors:
         for error in errors:

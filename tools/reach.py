@@ -1039,7 +1039,7 @@ def report(defined: Dict[Site, Function], result: Triage) -> Iterator[str]:
     yield ""
     yield (f"{len(unreached)} of {len(defined)} functions under src/repro "
            f"({_spans(defined, unreached)} lines) are reached by no command: "
-           f"the 23 golden commands, report run.json, "
+           f"the 22 golden commands, report run.json, "
            f"benchmarks/e2e/run.py --smoke, examples/*.py and the docs' "
            f"doctests.")
     categories: Dict[str, int] = {}
