@@ -66,8 +66,6 @@ class ModelBase(type):
         # Per-model DoesNotExist, like Django.
         cls.DoesNotExist = type("DoesNotExist", (DoesNotExist,), {})
 
-        # One row constructor per model, compiled once its fields are in.
-        cls._meta.from_db = cls._meta.compile_from_db()
         registry.register_model(cls)
         return cls
 
@@ -77,6 +75,10 @@ class Model(metaclass=ModelBase):
     """Base class for all models."""
 
     _meta: Options
+    #: Whether ``save()`` inserts the instance.  A new instance stores True
+    #: (``Options.initial_state``); one loaded from a row stores nothing and
+    #: reads this default: it is saved.
+    _state_adding = False
 
     def __init__(self, **kwargs: Any) -> None:
         meta = self._meta

@@ -15,6 +15,28 @@ from ..storage.schema import ColumnDef, IndexDef, TableSchema
 from .fields import AutoField, Field, ForeignKey
 
 
+def row_constructor(model: type) -> Callable[[Dict[str, Any]], Any]:
+    """Build an instance of ``model`` from a row: a fresh instance whose
+    ``__dict__`` is a copy of the row, never the row itself.
+
+    Every field's attname is its column (a field's ``column`` and
+    ``attname`` are both its name, ``<name>_id`` for a ForeignKey), so a row
+    needs no renaming: one ``row.copy()`` fills the instance, for a stored
+    dict and for the read-only view a cache hit hands out alike
+    (``dict.update`` would walk a view key by key).  The saved-state flag
+    needs no store either: ``Model._state_adding`` is False unless the
+    instance's own state says otherwise.  Attnames are plain instance
+    attributes (the ForeignKey descriptor lives on the field *name*), so a
+    field added after the class is loaded like the others."""
+    new = object.__new__
+
+    def from_db(row: Dict[str, Any]) -> Any:
+        instance = new(model)
+        instance.__dict__ = row.copy()
+        return instance
+    return from_db
+
+
 class Options:
     """Metadata container attached to every model class as ``_meta``."""
 
@@ -38,9 +60,8 @@ class Options:
         #: Call shape -> :class:`~repro.orm.queryset.PreparedRead`: each read
         #: shape of this model is resolved once (``QuerySet._prepared``).
         self.prepared_reads: Dict[tuple, Any] = {}
-        #: Build an instance from a storage row: compiled once the model
-        #: class has all its declared fields, and again by a later add_field.
-        self.from_db: Optional[Callable[[Dict[str, Any]], Any]] = None
+        #: Build an instance from a storage row (:func:`row_constructor`).
+        self.from_db: Callable[[Dict[str, Any]], Any] = row_constructor(model)
         # The insert plan, kept current by add_field.  It names attributes
         # and columns only — never a clock or a database: both live on the
         # registry, which a new Scenario rebinds, and are read at save time.
@@ -68,8 +89,6 @@ class Options:
         self.fields.append(field)
         attname, column = field.attname, field.column
         self.attname_columns += ((attname, column),)
-        if self.from_db is not None:
-            self.from_db = self.compile_from_db()
         if callable(field.default):
             self.initial_state[attname] = None
             self.default_factories += ((attname, field.default),)
@@ -132,25 +151,6 @@ class Options:
             f"{column}__{suffix}" if suffix else column,
             foreign_key if suffix in ("", "exact") else None)
         return target
-
-    def compile_from_db(self) -> Callable[[Dict[str, Any]], Any]:
-        """One constructor for this model's rows: a fresh instance whose
-        ``__dict__`` gets each attname from its column (None when the row
-        lacks it), then the saved-state flag — one store per field, no loop.
-        Attnames are plain instance attributes (the ForeignKey descriptor
-        lives on the field *name*), so the dict is filled directly."""
-        stores = "".join(f"    state[{attname!r}] = get({column!r})\n"
-                         for attname, column in self.attname_columns)
-        source = ("def from_db(row):\n"
-                  "    instance = new(model)\n"
-                  "    state = instance.__dict__\n"
-                  "    get = row.get\n"
-                  f"{stores}"
-                  "    state['_state_adding'] = False\n"
-                  "    return instance\n")
-        namespace = {"new": object.__new__, "model": self.model}
-        exec(compile(source, f"<{self.model.__name__}.from_db>", "exec"), namespace)
-        return namespace["from_db"]
 
     def init_target(self, key: str) -> Tuple[str, bool]:
         """Resolve a constructor keyword to ``(attribute, is_relation)``: a

@@ -11,7 +11,7 @@ queries are mostly unrepeated or writes).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .costmodel import Recorder
 
@@ -22,8 +22,10 @@ class BufferPool:
     """LRU set of (table, page_no) identifiers.
 
     Hits and misses are the recorder's ``pages_hit``/``pages_missed`` (the
-    database's recorder, for the database's pool); the pool itself counts
-    only what the recorder does not see: evictions and dirty write-backs.
+    database's recorder, for the database's pool): :meth:`write` charges
+    its own, and a statement charges those of the pages it :meth:`read`.
+    The pool itself counts only what the recorder does not see: evictions
+    and dirty write-backs.
     """
 
     def __init__(self, capacity_pages: int, recorder: Optional[Recorder] = None) -> None:
@@ -37,27 +39,46 @@ class BufferPool:
 
     # -- core access ----------------------------------------------------------
 
-    def access(self, table: str, page_no: int, *, dirty: bool = False) -> bool:
-        """Touch a page; return True on a hit, False on a (simulated) disk read."""
+    def write(self, table: str, page_no: int) -> bool:
+        """Touch and dirty a page a write changed, charging its hit or miss
+        and ``pages_dirtied``; return True on a hit."""
         page_id: PageId = (table, page_no)
-        if page_id in self._pages:
-            self.recorder.record("pages_hit")
-            self._pages.move_to_end(page_id)
-            if dirty:
-                self._pages[page_id] = True
-                self.recorder.record("pages_dirtied")
-            return True
+        pages = self._pages
+        hit = page_id in pages
+        if hit:
+            pages.move_to_end(page_id)
+            pages[page_id] = True
+        else:
+            self._admit(page_id, True)
+        self.recorder.record("pages_hit" if hit else "pages_missed")
+        self.recorder.record("pages_dirtied")
+        return hit
 
-        self.recorder.record("pages_missed")
-        self._pages[page_id] = dirty
-        if dirty:
-            self.recorder.record("pages_dirtied")
-        if len(self._pages) > self.capacity_pages:
-            _, was_dirty = self._pages.popitem(last=False)
+    def read(self, page_ids: Iterable[PageId]) -> int:
+        """Touch each page a statement read, in the order it read them;
+        return how many were resident (the rest were simulated disk reads).
+        Charges nothing: the statement records its hits and misses with its
+        other counts (:meth:`~repro.storage.costmodel.Recorder.record_statement`)."""
+        pages = self._pages
+        hits = 0
+        for page_id in page_ids:
+            if page_id in pages:
+                pages.move_to_end(page_id)
+                hits += 1
+            else:
+                self._admit(page_id, False)
+        return hits
+
+    def _admit(self, page_id: PageId, dirty: bool) -> None:
+        """Make a missing page resident, evicting the least recently used
+        one when the pool is over capacity."""
+        pages = self._pages
+        pages[page_id] = dirty
+        if len(pages) > self.capacity_pages:
+            _, was_dirty = pages.popitem(last=False)
             self.evictions += 1
             if was_dirty:
                 self.dirty_writebacks += 1
-        return False
 
     # -- snapshot -------------------------------------------------------------
 

@@ -171,6 +171,36 @@ class Recorder:
                 bag.cache_misses += misses
                 bag.cache_bytes_moved += bytes_moved
 
+    def record_statement(self, index_node_touches: int, pages_hit: int,
+                         pages_missed: int, rows_scanned: int,
+                         rows_returned: int, sorts: int, sorted_rows: int,
+                         joins: int) -> None:
+        """Record one statement's work at once: one ``statements`` and its
+        counts of each other event — what one :meth:`record` per event
+        would add.  Unrolled over the two bags: the loop of
+        :meth:`record_read` costs a statement 0.1 µs more."""
+        bag = self.total
+        bag.statements += 1
+        bag.index_node_touches += index_node_touches
+        bag.pages_hit += pages_hit
+        bag.pages_missed += pages_missed
+        bag.rows_scanned += rows_scanned
+        bag.rows_returned += rows_returned
+        bag.sorts += sorts
+        bag.sorted_rows += sorted_rows
+        bag.joins += joins
+        bag = self._active
+        if bag is not None:
+            bag.statements += 1
+            bag.index_node_touches += index_node_touches
+            bag.pages_hit += pages_hit
+            bag.pages_missed += pages_missed
+            bag.rows_scanned += rows_scanned
+            bag.rows_returned += rows_returned
+            bag.sorts += sorts
+            bag.sorted_rows += sorted_rows
+            bag.joins += joins
+
     def activate_scope(self, counters: Optional[CostCounters]) -> Optional[CostCounters]:
         """Swap the active measurement scope, returning the previous one.
 

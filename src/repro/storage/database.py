@@ -54,7 +54,8 @@ class Database:
         self.triggers = TriggerManager(self.recorder)
         self.transactions = TransactionManager(self.recorder)
         self._tables: Dict[str, Table] = {}
-        self.executor = Executor(self._tables, self.recorder)
+        self.executor = Executor(self._tables, self.recorder,
+                                 self.buffer_pool)
 
     # ------------------------------------------------------------------ DDL --
 
@@ -234,7 +235,7 @@ class Database:
         pk = row[tbl.schema.primary_key]
 
         def undo() -> None:
-            rowids = tbl.primary_index.lookup(pk)
+            rowids = tbl.primary_index.tree.search(pk)
             for rowid in rowids:
                 tbl.delete_row(rowid, fire_triggers=False)
 
@@ -250,7 +251,7 @@ class Database:
         def undo() -> None:
             for old_values in pre_images:
                 restore = {k: v for k, v in old_values.items() if k != pk_col}
-                rowids = tbl.primary_index.lookup(old_values[pk_col])
+                rowids = tbl.primary_index.tree.search(old_values[pk_col])
                 for rowid in rowids:
                     tbl.update_row(rowid, restore, fire_triggers=False)
 

@@ -13,10 +13,19 @@ candidate rows as ``(rowid, stored values)`` pairs, one list per heap fetch,
 and :meth:`Executor._scan` filters them with the predicate compiled once —
 or not at all when a point lookup's key is the whole predicate.
 Stored dicts are looked at in place and copied once, when a row leaves the
-engine (:mod:`repro.storage.rows`).  ``rows_scanned`` / ``rows_returned`` are
-counted in locals and charged once per scan, **before control leaves the
-scan** — before a trigger can fire or a checkpoint can hand off to another
-worker — so they land in the measurement scope a per-row charge would have hit.
+engine (:mod:`repro.storage.rows`).
+
+**One charge per statement.**  A statement counts its work in locals as it
+runs — the index nodes it walks (read off each tree's running count), the
+pages it reads (each heap read appends their ids to the statement's list),
+the rows it scans, returns and sorts, its joins — and :meth:`Executor._charge`
+reads those pages from the buffer pool, in order, and records everything
+with one :meth:`~repro.storage.costmodel.Recorder.record_statement`.  A
+SELECT or COUNT charges just before it returns; an UPDATE or DELETE charges
+its scan before it changes the first row, so **before control can leave the
+statement** — before a trigger can fire or a checkpoint can hand off to
+another worker — and every count lands in the measurement scope a per-event
+charge would have hit.
 """
 
 from __future__ import annotations
@@ -25,7 +34,8 @@ from itertools import chain
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import TableNotFoundError
-from .planner import AccessPath, IndexRange, Plan
+from .bufferpool import BufferPool, PageId
+from .planner import IndexRange, Plan
 from .predicates import ALWAYS_TRUE
 from .query import CountQuery, DeleteQuery, Join, SelectQuery, UpdateQuery
 from .table import Table
@@ -37,9 +47,11 @@ RowCheck = Optional[Callable[[Dict[str, Any]], bool]]
 class Executor:
     """Executes logical queries against a mapping of tables."""
 
-    def __init__(self, tables: Dict[str, Table], recorder) -> None:
+    def __init__(self, tables: Dict[str, Table], recorder,
+                 buffer_pool: BufferPool) -> None:
         self._tables = tables
         self._recorder = recorder
+        self._buffer_pool = buffer_pool
 
     # -- helpers --------------------------------------------------------------
 
@@ -49,12 +61,15 @@ class Executor:
         except KeyError:
             raise TableNotFoundError(f"table {name!r} does not exist") from None
 
-    def _open(self, query) -> Tuple[Table, Plan, Iterable[List[Candidate]], RowCheck]:
-        """Charge one statement and open the scan of its base table."""
-        self._recorder.record("statements")
+    def _open(self, query, pages: List[PageId]
+              ) -> Tuple[Table, Plan, Iterable[List[Candidate]], RowCheck, int]:
+        """Open the scan of a statement's base table: the table, its plan,
+        the candidate batches (their pages go to ``pages`` as they are
+        read), the row check and the index nodes the access path touched."""
         table = self._table(query.table)
         plan = table.plan_for(query)
         predicate = query.predicate
+        heap = table.heap
         if plan.point:
             if plan.whole:
                 value = predicate.value
@@ -62,26 +77,31 @@ class Executor:
             else:
                 value = predicate.equality_bindings()[plan.column]
                 match = predicate.compile()
-            return table, plan, (table.fetch_rows(plan.index.lookup(value)),), match
-        return (table, plan, self._batches(table, plan.path_for(predicate)),
-                predicate.compile())
-
-    def _batches(self, table: Table, path: AccessPath) -> Iterable[List[Candidate]]:
-        """Candidate rows of the base table for a range or sequential scan,
-        one list per heap fetch.  Both stay lazy: pages are touched only as
-        far as the consumer pulls."""
-        if isinstance(path, IndexRange):
-            return (table.fetch_rows(rowids) for _key, rowids in path.index.range(
-                path.low, path.high, reverse=path.reverse,
-                include_low=path.include_low, include_high=path.include_high))
-        return table.scan()
+            tree = plan.index.tree
+            touches = tree.node_touches
+            rowids = tree.search(value)
+            return (table, plan, (heap.fetch_many(rowids, pages),), match,
+                    tree.node_touches - touches)
+        path = plan.path_for(predicate)
+        if not isinstance(path, IndexRange):
+            return table, plan, heap.scan(pages), predicate.compile(), 0
+        # The range is walked now; its heap pages are read only as far as
+        # the consumer pulls.
+        tree = path.index.tree
+        touches = tree.node_touches
+        keys = tree.range_scan(
+            path.low, path.high, reverse=path.reverse,
+            include_low=path.include_low, include_high=path.include_high)
+        return (table, plan,
+                (heap.fetch_many(rowids, pages) for _key, rowids in keys),
+                predicate.compile(), tree.node_touches - touches)
 
     def _scan(self, batches: Iterable[List[Candidate]], match: RowCheck,
-              stop_at: Optional[int] = None) -> List[Candidate]:
-        """The candidates that pass ``match``, charging ``rows_scanned`` once.
+              stop_at: Optional[int] = None) -> Tuple[List[Candidate], int]:
+        """The candidates that pass ``match``, and how many were scanned.
 
         With ``stop_at`` (the access path already yields the final order) the
-        scan stops pulling at that many matches, and charges exactly the rows
+        scan stops pulling at that many matches, and counts exactly the rows
         it pulled — not the rest of the batch it fetched.
         """
         scanned = 0
@@ -98,22 +118,37 @@ class Executor:
                     found.append(pair)
                     if len(found) >= stop_at:
                         break
-        self._recorder.record("rows_scanned", scanned)
-        return found
+        return found, scanned
+
+    def _charge(self, touches: int, pages: List[PageId], scanned: int,
+                returned: int, sorts: int, sorted_rows: int,
+                joins: int) -> None:
+        """Record one statement: read its pages from the buffer pool, then
+        one :meth:`~repro.storage.costmodel.Recorder.record_statement`."""
+        hits = self._buffer_pool.read(pages) if pages else 0
+        self._recorder.record_statement(touches, hits, len(pages) - hits,
+                                        scanned, returned, sorts, sorted_rows,
+                                        joins)
 
     # -- joins ----------------------------------------------------------------
 
     def _joined_rows(self, batches: Iterable[List[Candidate]], match: RowCheck,
-                     query: SelectQuery) -> Iterator[Dict[str, Any]]:
+                     query: SelectQuery, pages: List[PageId],
+                     tally: List[int]) -> Iterator[Dict[str, Any]]:
         """Run the join chain depth-first (one base batch at a time, so heap
         pages are touched in nested-loop order), yielding the stored values of
-        the result table's row for every surviving binding."""
-        bindings: Iterator[Dict[str, Dict[str, Any]]] = (
-            {query.table: values}
-            for batch in batches for _rowid, values in self._scan((batch,), match))
+        the result table's row for every surviving binding.  The rows it
+        scans and the index nodes its probes touch are added to ``tally``
+        (``[rows scanned, node touches]``) as the consumer pulls."""
+        def base() -> Iterator[Dict[str, Dict[str, Any]]]:
+            for batch in batches:
+                found, scanned = self._scan((batch,), match)
+                tally[0] += scanned
+                for _rowid, values in found:
+                    yield {query.table: values}
+        bindings: Iterator[Dict[str, Dict[str, Any]]] = base()
         for join in query.joins:
-            self._recorder.record("joins")
-            bindings = self._join_step(bindings, join, query)
+            bindings = self._join_step(bindings, join, query, pages, tally)
         result_table = query.result_table
         return (binding[result_table] for binding in bindings
                 if result_table in binding)
@@ -123,8 +158,11 @@ class Executor:
         bindings: Iterator[Dict[str, Dict[str, Any]]],
         join: Join,
         query: SelectQuery,
+        pages: List[PageId],
+        tally: List[int],
     ) -> Iterator[Dict[str, Dict[str, Any]]]:
         right_table = self._table(join.right_table)
+        heap = right_table.heap
         match = query.join_predicates.get(join.right_table, ALWAYS_TRUE).compile()
         index = right_table.index_for_column(join.right_column)
         for binding in bindings:
@@ -135,29 +173,38 @@ class Executor:
             if left_value is None:
                 continue
             if index is not None:
-                probe = (right_table.fetch_rows(index.lookup(left_value)),)
+                tree = index.tree
+                touches = tree.node_touches
+                rowids = tree.search(left_value)
+                tally[1] += tree.node_touches - touches
+                probe = (heap.fetch_many(rowids, pages),)
             else:
                 probe = ([pair for pair in page
                           if pair[1].get(join.right_column) == left_value]
-                         for page in right_table.scan())
-            for _rowid, right_row in self._scan(probe, match):
+                         for page in heap.scan(pages))
+            found, scanned = self._scan(probe, match)
+            tally[0] += scanned
+            for _rowid, right_row in found:
                 yield {**binding, join.right_table: right_row}
 
     # -- SELECT ---------------------------------------------------------------
 
     def select(self, query: SelectQuery) -> List[Dict[str, Any]]:
         """Execute a SELECT and return a list of result-row dictionaries."""
-        _table, plan, batches, match = self._open(query)
-        record = self._recorder.record
+        pages: List[PageId] = []
+        _table, plan, batches, match, touches = self._open(query, pages)
         limit, offset = query.limit, query.offset
 
         if query.joins:
-            rows = list(self._joined_rows(batches, match, query))
+            tally = [0, touches]
+            rows = list(self._joined_rows(batches, match, query, pages, tally))
+            scanned, touches = tally
         else:
             # Early exit when the access path already yields the right order.
             stop_at = (limit + offset if plan.ordered and limit is not None
                        and not query.distinct else None)
-            rows = [values for _rowid, values in self._scan(batches, match, stop_at)]
+            found, scanned = self._scan(batches, match, stop_at)
+            rows = [values for _rowid, values in found]
 
         if query.distinct:
             columns = (query.columns
@@ -166,16 +213,17 @@ class Executor:
             for values in rows:
                 unique.setdefault(tuple(values.get(c) for c in columns), values)
             rows = list(unique.values())
-        record("rows_returned", len(rows))
 
+        sorts = sorted_rows = 0
         if query.order_by and not plan.ordered:
-            record("sorts")
-            record("sorted_rows", len(rows))
+            sorts, sorted_rows = 1, len(rows)
             for term in reversed(query.order_by):
                 rows.sort(
                     key=lambda r, c=term.column: (r.get(c) is None, r.get(c)),
                     reverse=term.descending,
                 )
+        self._charge(touches, pages, scanned, len(rows), sorts, sorted_rows,
+                     len(query.joins))
 
         if offset:
             rows = rows[offset:]
@@ -191,21 +239,25 @@ class Executor:
 
     def count(self, query: CountQuery) -> int:
         """Execute a COUNT(*) query."""
-        _table, _plan, batches, match = self._open(query)
+        pages: List[PageId] = []
+        _table, _plan, batches, match, touches = self._open(query, pages)
         column = query.distinct_column
         if not query.joins:
-            found = self._scan(batches, match)
-            if column:
-                return len({values.get(column) for _rowid, values in found})
-            return len(found)
-        rows = self._joined_rows(batches, match, SelectQuery(
-            table=query.table,
-            join_predicates=query.join_predicates,
-            joins=query.joins,
-        ))
-        if column:
-            return len({values.get(column) for values in rows})
-        return sum(1 for _ in rows)
+            found, scanned = self._scan(batches, match)
+            result = (len({values.get(column) for _rowid, values in found})
+                      if column else len(found))
+        else:
+            tally = [0, touches]
+            rows = self._joined_rows(batches, match, SelectQuery(
+                table=query.table,
+                join_predicates=query.join_predicates,
+                joins=query.joins,
+            ), pages, tally)
+            result = (len({values.get(column) for values in rows})
+                      if column else sum(1 for _ in rows))
+            scanned, touches = tally
+        self._charge(touches, pages, scanned, 0, 0, 0, len(query.joins))
+        return result
 
     # -- DML ------------------------------------------------------------------
 
@@ -216,10 +268,14 @@ class Executor:
         return self._table(table).insert(values).to_dict()
 
     def _victims(self, query) -> Tuple[Table, List[int]]:
-        """The table and the row ids an UPDATE/DELETE applies to.  The scan
-        is charged here, before the first trigger can fire."""
-        table, _plan, batches, match = self._open(query)
-        return table, [rowid for rowid, _values in self._scan(batches, match)]
+        """The table and the row ids an UPDATE/DELETE applies to.  The
+        statement's scan is charged here, before the first row changes and
+        so before the first trigger can fire."""
+        pages: List[PageId] = []
+        table, _plan, batches, match, touches = self._open(query, pages)
+        found, scanned = self._scan(batches, match)
+        self._charge(touches, pages, scanned, 0, 0, 0, 0)
+        return table, [rowid for rowid, _values in found]
 
     def update(self, query: UpdateQuery
                ) -> Tuple[List[Dict[str, Any]], List[Dict[str, Any]]]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import RowNotFoundError
-from .bufferpool import BufferPool
+from .bufferpool import BufferPool, PageId
 from .rows import Row
 from .schema import TableSchema
 
@@ -73,7 +73,7 @@ class HeapFile:
         self._live += 1
         free[page_no] -= width
         self._page_rows[page_no].append(rowid)
-        self.buffer_pool.access(self.schema.name, page_no, dirty=True)
+        self.buffer_pool.write(self.schema.name, page_no)
         return Row(rowid, stored)
 
     def _stored(self, rowid: int) -> Dict[str, Any]:
@@ -90,7 +90,7 @@ class HeapFile:
         stored images: the displaced dict is the row's pre-image."""
         old = self._stored(rowid)
         new = self._values[rowid] = {**old, **changes}
-        self.buffer_pool.access(self.schema.name, self._pages[rowid], dirty=True)
+        self.buffer_pool.write(self.schema.name, self._pages[rowid])
         return old, new
 
     def delete(self, rowid: int) -> Dict[str, Any]:
@@ -103,44 +103,48 @@ class HeapFile:
             self._page_rows[page_no].remove(rowid)
         except ValueError:  # pragma: no cover - defensive
             pass
-        self.buffer_pool.access(self.schema.name, page_no, dirty=True)
+        self.buffer_pool.write(self.schema.name, page_no)
         return stored
 
     # -- reads ----------------------------------------------------------------
+    # A read touches no page itself: it appends the id of each page it reads
+    # to the statement's ``pages`` list, and the statement reads them from
+    # the buffer pool, in that order, and charges them with its other counts.
 
     def fetch(self, rowid: int) -> Row:
-        """Fetch one row by rowid, charging a page access."""
-        stored = self._stored(rowid)
-        self.buffer_pool.access(self.schema.name, self._pages[rowid])
-        return Row(rowid, stored)
+        """One row by rowid; touches no page."""
+        return Row(rowid, self._stored(rowid))
 
-    def fetch_many(self, rowids: Iterable[int]) -> List[Tuple[int, Dict[str, Any]]]:
-        """``(rowid, stored values)`` of several rows, charging one page
-        access per distinct page.  Unknown and deleted row ids are skipped."""
-        values, pages, end = self._values, self._pages, len(self._values)
+    def fetch_many(self, rowids: Iterable[int],
+                   pages: List[PageId]) -> List[Tuple[int, Dict[str, Any]]]:
+        """``(rowid, stored values)`` of several rows; the id of each distinct
+        page they live on goes to ``pages`` once, in first-read order.
+        Unknown and deleted row ids are skipped."""
+        values, page_of, end = self._values, self._pages, len(self._values)
+        name = self.schema.name
         rows: List[Tuple[int, Dict[str, Any]]] = []
         touched: set = set()
         for rowid in rowids:
             stored = values[rowid] if 0 < rowid < end else None
             if stored is None:
                 continue
-            page_no = pages[rowid]
+            page_no = page_of[rowid]
             if page_no not in touched:
-                self.buffer_pool.access(self.schema.name, page_no)
                 touched.add(page_no)
+                pages.append((name, page_no))
             rows.append((rowid, stored))
         return rows
 
     def exists(self, rowid: int) -> bool:
         return 0 < rowid < len(self._values) and self._values[rowid] is not None
 
-    def scan(self) -> Iterator[List[Tuple[int, Dict[str, Any]]]]:
+    def scan(self, pages: List[PageId]) -> Iterator[List[Tuple[int, Dict[str, Any]]]]:
         """Full scan in page order: the ``(rowid, stored values)`` of one
-        non-empty page at a time, charging one access per page."""
-        values = self._values
+        non-empty page at a time, its id going to ``pages`` as it is read."""
+        values, name = self._values, self.schema.name
         for page_no, rowids in enumerate(self._page_rows):
             if rowids:
-                self.buffer_pool.access(self.schema.name, page_no)
+                pages.append((name, page_no))
                 yield [(rowid, values[rowid]) for rowid in rowids]  # type: ignore[misc]
 
     # -- snapshot -------------------------------------------------------------

@@ -142,7 +142,8 @@ def statement_key(query) -> Tuple[Any, ...]:
     None and tuples of them only."""
     order_by = getattr(query, "order_by", ())
     return (query.predicate.shape(),
-            tuple([(term.column, term.descending, term.table) for term in order_by]),
+            tuple([(term.column, term.descending, term.table)
+                   for term in order_by]) if order_by else (),
             getattr(query, "limit", None) is not None,
             bool(getattr(query, "joins", ())))
 

@@ -311,13 +311,6 @@ def filter_lookup(key: str) -> Tuple[str, str, Callable[[str, Any], Predicate]]:
             f"unsupported filter suffix {suffix!r} in {key!r}") from None
 
 
-def conjunction(parts: List[Predicate]) -> Predicate:
-    """``parts`` joined by AND: everything for none, the part for one."""
-    if not parts:
-        return ALWAYS_TRUE
-    return parts[0] if len(parts) == 1 else And(parts)
-
-
 def predicate_from_filters(filters: Mapping[str, Any]) -> Predicate:
     """Build a conjunctive predicate from a ``{column: value}`` mapping.
 
@@ -333,4 +326,6 @@ def predicate_from_filters(filters: Mapping[str, Any]) -> Predicate:
     for key, value in filters.items():
         column, _suffix, build = filter_lookup(key)
         parts.append(build(column, value))
-    return conjunction(parts)
+    if not parts:
+        return ALWAYS_TRUE
+    return parts[0] if len(parts) == 1 else And(parts)

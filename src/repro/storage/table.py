@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import itertools
 from operator import itemgetter
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import ConstraintViolation, RowNotFoundError, SchemaError
 from .btree import BPlusTree
-from .bufferpool import BufferPool
+from .bufferpool import BufferPool, PageId
 from .costmodel import Recorder
 from .heap import HeapFile
 from .planner import Plan, statement_key
@@ -62,25 +62,6 @@ class Index:
         self.tree.delete(self.key_for(values), rowid)
         self._charge(before)
 
-    def lookup(self, key: Any) -> List[int]:
-        """The ascending row ids under ``key``: read them before the next
-        write to this index, never mutate them."""
-        before = self.tree.node_touches
-        result = self.tree.search(key)
-        self._charge(before)
-        return result
-
-    def range(self, low: Any = None, high: Any = None, *, reverse: bool = False,
-              include_low: bool = True, include_high: bool = True
-              ) -> Iterator[Tuple[Any, List[int]]]:
-        before = self.tree.node_touches
-        result = self.tree.range_scan(
-            low, high, reverse=reverse,
-            include_low=include_low, include_high=include_high,
-        )
-        self._charge(before)
-        return result
-
 
 class Table:
     """A table with heap storage, indexes, constraints, and triggers."""
@@ -124,9 +105,19 @@ class Table:
             raise SchemaError(f"index {definition.name!r} already exists")
         self.schema.add_index(definition)
         index = Index(definition, self.recorder)
-        for page in self.heap.scan():
-            for rowid, values in page:
-                index.insert(values, rowid)
+        pages: List[PageId] = []
+        try:
+            for page in self.heap.scan(pages):
+                for rowid, values in page:
+                    index.insert(values, rowid)
+        finally:
+            # The pages read so far, a backfill refused by a unique index
+            # included.
+            hits = self.heap.buffer_pool.read(pages)
+            if hits:
+                self.recorder.record("pages_hit", hits)
+            if len(pages) > hits:
+                self.recorder.record("pages_missed", len(pages) - hits)
         self.secondary_indexes[definition.name] = index
         self._plans.clear()
         return index
@@ -239,13 +230,6 @@ class Table:
         return old
 
     # -- reads ----------------------------------------------------------------
-
-    def fetch_rows(self, rowids: List[int]) -> List[Tuple[int, Dict[str, Any]]]:
-        """``(rowid, stored values)`` of the given ascending rows."""
-        return self.heap.fetch_many(rowids)
-
-    def scan(self) -> Iterator[List[Tuple[int, Dict[str, Any]]]]:
-        return self.heap.scan()
 
     def plan_for(self, query) -> Plan:
         """The plan of ``query``'s shape

@@ -160,3 +160,33 @@ class TestEagerBumps:
             assert cached.peek(owner_id=other.pk) == 3
         finally:
             eager.deactivate()
+
+
+class TestSlicedCount:
+    """``qs[a:b].count()`` counts the rows of the window, as ``len(qs[a:b])``
+    does, whether the database or a CountQuery cached object answers."""
+
+    WINDOWS = [slice(None, 2), slice(None, 9), slice(2, None), slice(1, 3),
+               slice(5, None), slice(100, None), slice(3, 3)]
+
+    def counts(self, Item, owner):
+        queryset = Item.objects.filter(owner_id=owner.pk)
+        return [(queryset[window].count(), len(list(queryset[window])))
+                for window in self.WINDOWS]
+
+    def test_on_the_database(self, items_setup):
+        counts = self.counts(items_setup["Item"], items_setup["owners"][0])
+        assert [count for count, _ in counts] == [2, 5, 3, 2, 0, 0, 0]
+        assert all(count == length for count, length in counts)
+
+    def test_under_interception(self, items_setup):
+        genie, Item = items_setup["genie"], items_setup["Item"]
+        cached = genie.cacheable(cache_class_type="CountQuery", main_model="Item",
+                                 where_fields=["owner_id"])
+        owner = items_setup["owners"][0]
+        assert Item.objects.filter(owner_id=owner.pk)[:2].count() == 2
+        assert Item.objects.filter(owner_id=owner.pk)[:9].count() == 5
+        assert cached.stats.transparent_fetches == 2
+        counts = self.counts(Item, owner)
+        assert [count for count, _ in counts] == [2, 5, 3, 2, 0, 0, 0]
+        assert all(count == length for count, length in counts)

@@ -171,7 +171,7 @@ class TestRowOwnership:
     def test_a_row_keeps_showing_the_values_it_was_read_over(self):
         db = self.make_db()
         table = db.table("people")
-        row = table.heap.fetch(table.primary_index.lookup(3)[0])
+        row = table.heap.fetch(table.primary_index.tree.search(3)[0])
         copy = row.to_dict()
         self.scribble(copy)
         assert db.find("people", where={"id": 3})[0]["name"] == "p2"

@@ -117,7 +117,7 @@ class TestStatementsReadBeforeTheyWrite:
         updated = db.update("t", {"k": 10},
                             predicate_from_filters({"k__gte": 1}))
         assert sorted(row["id"] for row in updated) == [1, 2, 3, 4]
-        assert db.table("t").index_for_column("k").lookup(10) == [1, 2, 3, 4]
+        assert db.table("t").index_for_column("k").tree.search(10) == [1, 2, 3, 4]
 
     def test_rows_a_trigger_adds_under_the_key_are_not_updated(self):
         db = keyed_table()
@@ -215,7 +215,7 @@ class TestCompositeIndexes:
         db = composite_first(single_too=False)
         table = db.table("c")
         assert table.index_for_column("a") is None
-        rows = [row for page in table.scan() for _rowid, row in page]
+        rows = [row for page in table.heap.scan([]) for _rowid, row in page]
         for filters, expected in (
                 ({"a": 2}, [row for row in rows if row["a"] == 2]),
                 ({"a__gt": 1}, [row for row in rows if row["a"] > 1])):

@@ -80,18 +80,18 @@ class TestHeapFile:
         heap = make_heap()
         rows = [heap.insert({"id": i, "text": str(i)}) for i in range(10)]
         heap.delete(rows[3].rowid)
-        scanned = {values["id"] for page in heap.scan() for _rowid, values in page}
+        scanned = {values["id"] for page in heap.scan([]) for _rowid, values in page}
         assert scanned == {i for i in range(10) if i != 3}
 
-    def test_scan_charges_one_access_per_page(self):
+    def test_scan_reads_each_page_once_and_charges_nothing(self):
         heap = make_heap(page_size=256)
         for i in range(40):
             heap.insert({"id": i, "text": "x" * 100})
-        total = heap.buffer_pool.recorder.total
-        before = total.pages_hit + total.pages_missed
-        list(heap.scan())
-        accesses = (total.pages_hit + total.pages_missed) - before
-        assert accesses == heap.page_count
+        total = heap.buffer_pool.recorder.total.copy()
+        pages = []
+        list(heap.scan(pages))
+        assert pages == [("notes", page_no) for page_no in range(heap.page_count)]
+        assert heap.buffer_pool.recorder.total == total
 
     def test_delete_leaves_a_hole_every_read_steps_over(self):
         heap = make_heap()
@@ -103,8 +103,8 @@ class TestHeapFile:
         assert not heap.exists(hole)
         assert all(heap.exists(rowid) for rowid in live)
         assert heap.fetch(rows[2].rowid)["id"] == 2
-        assert [rowid for rowid, _ in heap.fetch_many(row.rowid for row in rows)] == live
-        assert [rowid for page in heap.scan() for rowid, _ in page] == live
+        assert [rowid for rowid, _ in heap.fetch_many((row.rowid for row in rows), [])] == live
+        assert [rowid for page in heap.scan([]) for rowid, _ in page] == live
         # The hole is never reused: row ids only grow.
         assert heap.insert({"id": 9, "text": "9"}).rowid == rows[-1].rowid + 1
 
@@ -122,15 +122,19 @@ class TestHeapFile:
                     read_or_write(rowid)
             assert not heap.exists(rowid)
         assert heap.fetch_many([0, -1, first.rowid, deleted.rowid,
-                                last.rowid + 1]) == [(first.rowid, dict(first))]
+                                last.rowid + 1], []) == [(first.rowid, dict(first))]
         assert heap.row_count == 2
 
     def test_fetch_many_deduplicates_page_accesses(self):
         heap = make_heap(page_size=4096)
         rows = [heap.insert({"id": i, "text": "small"}) for i in range(20)]
-        total = heap.buffer_pool.recorder.total
-        before = total.pages_hit + total.pages_missed
-        fetched = heap.fetch_many(iter(r.rowid for r in rows))
+        pages = []
+        fetched = heap.fetch_many(iter(r.rowid for r in rows), pages)
         assert [rowid for rowid, _values in fetched] == [r.rowid for r in rows]
         # All 20 small rows share a single 4 KB page.
-        assert (total.pages_hit + total.pages_missed) - before == 1
+        assert pages == [("notes", 0)]
+        wide = make_heap(page_size=256)
+        rows = [wide.insert({"id": i, "text": "x" * 100}) for i in range(6)]
+        pages = []
+        wide.fetch_many([rows[0].rowid, rows[1].rowid, rows[5].rowid], pages)
+        assert pages == [("notes", 0), ("notes", 2)]

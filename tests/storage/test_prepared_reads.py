@@ -9,6 +9,11 @@ the same rows in the same order, keyed by the schema's own column-name
 objects, and charge the same ``CostCounters``.  Each case starts from one
 buffer-pool state, so page hits and misses compare too.
 
+A read is also bound once (each shape's binder builds what the per-call
+compile built, field for field), charged once (one ``Recorder`` call per
+statement, every count in the scope a charge per event put it, pinned in
+``GOLDEN_SCOPED_READS``) and copied once (an instance never aliases its row).
+
 The traps: ``= None`` on an indexed column (the NULL bucket is searched and
 the residual check must still run), an ``__in`` of one distinct value (an
 index lookup) beside one of several (a scan), an index created after a plan
@@ -19,21 +24,29 @@ walk that stops at its ``LIMIT``.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
+from types import MappingProxyType
 from typing import Any, Callable, Dict, List, Tuple
 
 import pytest
 
+from repro.apps.social import SeedScale, seed_database, social_registry
 from repro.apps.social.models import (Bookmark, BookmarkInstance, Friendship,
                                       FriendshipInvitation, Profile, User,
                                       WallPost)
 from repro.apps.social.pages import (PAGE_ACCEPT_FR, PAGE_CREATE_BM,
                                      PAGE_LOGIN, PAGE_LOGOUT, PAGE_LOOKUP_BM,
                                      PAGE_LOOKUP_FBM, SocialApplication)
+from repro.orm import IntegerField
 from repro.orm.models import Model
-from repro.storage import (ColumnDef, Database, IndexDef, OrderBy,
+from repro.orm.queryset import QuerySet
+from repro.storage import (ColumnDef, Database, IndexDef, Join, OrderBy,
                            SelectQuery, TableSchema, predicate_from_filters)
 from repro.storage import planner
+from repro.sim import VirtualClock
+from repro.storage.costmodel import CostCounters
 from repro.storage.query import CountQuery
 
 from tests.helpers import build_blog_models
@@ -367,3 +380,315 @@ class TestTheTraps:
                 database, query, limit, other)
             assert warm == cold and warm_counts == cold_counts
             assert warm_counts.sorts == (limit is None)
+
+
+# -- one bind, one charge, one copy ---------------------------------------------
+
+
+def statement_fields(statement: Any) -> Any:
+    """A statement (or any part of one) as plain data, field for field: a
+    predicate as its class and attributes, a dataclass as its fields."""
+    if isinstance(statement, (list, tuple)):
+        return [type(statement).__name__,
+                [statement_fields(item) for item in statement]]
+    if isinstance(statement, dict):
+        return {key: statement_fields(value) for key, value in statement.items()}
+    if hasattr(statement, "__dict__"):
+        return [type(statement).__name__,
+                {name: statement_fields(value)
+                 for name, value in vars(statement).items()}]
+    return statement
+
+
+def reference_statement(queryset: QuerySet, kind: str):
+    """What the per-call compile built before binders: each filter's part
+    in order, joined as ``predicate_from_filters`` joins them, then the
+    statement positionally with the shape's ORDER BY tuple."""
+    table = queryset.model._meta.db_table
+    predicate = predicate_from_filters(queryset._filters)
+    if kind == "count":
+        return CountQuery(table, predicate)
+    order_by = tuple(OrderBy(column=column, descending=descending)
+                     for column, descending in queryset._order_by)
+    return SelectQuery(table, predicate, {}, [], None, order_by,
+                       queryset._limit, queryset._offset)
+
+
+#: Reads beyond the pages' shapes whose binders have a case of their own.
+EXTRA_SHAPES: Dict[str, Call] = {
+    "= None": lambda v: list(Profile.objects.filter(user_id=None)),
+    "sliced with an offset": lambda v: list(BookmarkInstance.objects.filter(
+        user_id=v["user"]).order_by("added")[1:4]),
+    "sliced count": lambda v: BookmarkInstance.objects.filter(
+        user_id=v["user"])[2:].count(),
+    "two equalities": lambda v: list(Friendship.objects.filter(
+        from_user_id=v["user"], to_user_id=v["friends"][0])),
+    "no filter, ordered": lambda v: list(User.objects.filter().order_by("-id")[:2]),
+}
+
+
+class TestOneBind:
+    @pytest.mark.parametrize("shape", sorted(PAGE_SHAPES) + sorted(EXTRA_SHAPES))
+    def test_the_binder_builds_what_the_per_call_compile_built(
+            self, social_stack, monkeypatch, shape):
+        """Field for field — the ``__in`` of one value and of several and
+        the sliced reads among the pages' shapes included."""
+        call = {**PAGE_SHAPES, **EXTRA_SHAPES}[shape]
+        pairs = []
+        prepared = QuerySet._prepared
+
+        def checked(queryset, kind):
+            read = prepared(queryset, kind)
+            pairs.append((read.query(queryset), reference_statement(queryset, kind)))
+            return read
+        monkeypatch.setattr(QuerySet, "_prepared", checked)
+        database = social_stack["database"]
+        for user in (3, 4):
+            call(page_values(database, user))
+        assert pairs
+        for bound, reference in pairs:
+            assert statement_fields(bound) == statement_fields(reference)
+
+    def test_one_binder_per_shape(self, social_stack):
+        """The second call of a shape binds with the binder the first
+        compiled; its statement is a new object all the same."""
+        first = Friendship.objects.filter(from_user_id=1)
+        second = Friendship.objects.filter(from_user_id=2)
+        assert first._prepared("select") is second._prepared("select")
+        binder = first._prepared("select").query
+        assert binder(first) is not binder(first)
+        assert binder(second).predicate.value == 2
+
+
+def spy_on_the_recorder(database: Database, monkeypatch) -> List[str]:
+    """The name of every :class:`Recorder` method called from now on."""
+    calls: List[str] = []
+    recorder = database.recorder
+    for name in ("record", "record_read", "record_statement"):
+        method = getattr(recorder, name)
+
+        def spy(*args, _name=name, _method=method):
+            calls.append(_name)
+            return _method(*args)
+        monkeypatch.setattr(recorder, name, spy)
+    return calls
+
+
+def joined_tables() -> Database:
+    """:func:`nullable_table`'s ``t`` plus ``u(id, k)``, ``k`` indexed and
+    naming a row of ``t``: three rows of ``u`` per row of ``t`` below 20."""
+    database = nullable_table()
+    database.create_table(TableSchema(
+        "u", [ColumnDef("id", "integer", nullable=True),
+              ColumnDef("k", "integer")], indexes=[IndexDef("u_k", ("k",))]))
+    for i in range(60):
+        database.insert("u", {"k": i % 20 + 1})
+    return database
+
+
+class TestOneCharge:
+    STATEMENTS = {
+        "point read": SelectQuery("t", predicate_from_filters({"a": 3})),
+        "primary-key read": SelectQuery("t", predicate_from_filters({"id": 7})),
+        "range scan": SelectQuery("t", predicate_from_filters({"a__gt": 4})),
+        "sequential scan, sorted": SelectQuery(
+            "t", predicate_from_filters({"b": 1}), order_by=[OrderBy("id", True)]),
+        "ordered walk that stops early": SelectQuery(
+            "t", order_by=[OrderBy("a")], limit=3, offset=2),
+        "join": SelectQuery("t", predicate_from_filters({"a": 3}),
+                            joins=[Join("t", "id", "u", "k")]),
+        "count": CountQuery("t", predicate_from_filters({"a": 3})),
+        "count distinct": CountQuery("t", predicate_from_filters({"a__in": [1, 2]}),
+                                     distinct_column="b"),
+        "count distinct over a join": CountQuery(
+            "t", predicate_from_filters({"b": 2}),
+            joins=[Join("t", "id", "u", "k")], distinct_column="k"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(STATEMENTS))
+    def test_a_read_statement_makes_one_recorder_call(self, monkeypatch, name):
+        database = joined_tables()
+        statement = self.STATEMENTS[name]
+        run_it = (database.count if isinstance(statement, CountQuery)
+                  else database.select)
+        calls = spy_on_the_recorder(database, monkeypatch)
+        with database.measure() as counters:
+            run_it(statement)
+        assert calls == ["record_statement"]
+        assert counters.statements == 1
+        assert counters.rows_scanned > 0
+        assert counters.pages_hit + counters.pages_missed > 0
+        assert counters.joins == len(statement.joins)
+
+    def test_the_ordered_walk_charges_the_rows_it_pulled(self):
+        database = joined_tables()
+        with database.measure() as counters:
+            rows = database.select(self.STATEMENTS["ordered walk that stops early"])
+        assert len(rows) == 3
+        assert counters.rows_scanned == 5 and counters.sorts == 0
+
+    @pytest.mark.parametrize("shape", sorted(PAGE_SHAPES))
+    def test_each_page_read_is_one_call_per_statement(
+            self, social_stack, monkeypatch, shape):
+        database = social_stack["database"]
+        values = page_values(database, 5)
+        calls = spy_on_the_recorder(database, monkeypatch)
+        _answer, handed, _counters = run(database,
+                                         lambda: PAGE_SHAPES[shape](values))
+        assert calls == ["record_statement"] * len(handed)
+
+    def test_a_write_charges_its_scan_before_its_triggers_fire(self):
+        """An UPDATE's scan is charged, in one call, before the first row
+        changes: a trigger that swaps the scope sees it charged already."""
+        database = nullable_table()
+        scopes = [CostCounters(), CostCounters()]
+        database.create_trigger("swap", "t", "update",
+                                lambda _data: database.recorder.activate_scope(
+                                    scopes[1]))
+        database.recorder.activate_scope(scopes[0])
+        try:
+            database.update("t", {"b": 9}, predicate_from_filters({"a": 3}))
+        finally:
+            database.recorder.activate_scope(None)
+        before, after = scopes
+        assert (before.statements, before.rows_scanned, before.updates) == (1, 7, 1)
+        assert before.index_node_touches > 0
+        assert after.updates == 6 and after.statements == 0
+
+
+#: Per shape of :data:`PAGE_SHAPES`, the digest (:func:`scoped_reads_digest`)
+#: of what each of its statements left in a scope of its own and in
+#: ``recorder.total`` for users 1-6 (:func:`scoped_reads`).  Pinned while
+#: every event was charged as it happened, one ``Recorder.record`` per
+#: event: one charge per statement must land every field in the same scope.
+#: Rebuilt by ``tools/repin.py``.
+GOLDEN_SCOPED_READS: Dict[str, str] = {
+    'bookmark by url': 'dc5594bd26e9a0e5',
+    'bookmark count': '2a8456e34488a1c2',
+    'bookmark details': 'dc5594bd26e9a0e5',
+    'bookmarks': 'ac9c7c4e4aae6660',
+    'friend count': '2cd9c36f68acca48',
+    'friends (in, one)': 'dc5594bd26e9a0e5',
+    'friends (in, several)': 'c56866d89072e69b',
+    'friendships': 'a68ce2700f47c05d',
+    'invitation count': '6c2b9f9334784ede',
+    'invitations': '0a8f29715c59b27c',
+    'latest bookmarks': '5760b95b6c3813f1',
+    'latest wall posts': 'fe99c2d401c64869',
+    'profile': 'dc5594bd26e9a0e5',
+    'recent bookmarks (range, sliced)': 'ac9c7c4e4aae6660',
+    'save count': 'ce06f514a68aa608',
+    'sent wall posts': '6fb05dd2710cd92d',
+    'user by id': 'dc5594bd26e9a0e5',
+    'user count': '1df484b49bb5971a',
+    'wall count': '3caf9d719a03a2cf',
+}
+
+
+def scoped_counts(database: Database, call: Callable[[], Any]) -> List[Any]:
+    """Each statement ``call()`` issues, run in a scope of its own that is
+    switched in just before it (as a worker hand-off switches it between
+    statements): that scope's counts and the total's growth."""
+    recorder = database.recorder
+    trace: List[Any] = []
+    select, count = database.select, database.count
+
+    def in_its_own_scope(execute):
+        def statement(query):
+            scope, total = CostCounters(), recorder.total.copy()
+            previous = recorder.activate_scope(scope)
+            try:
+                answer = execute(query)
+            finally:
+                recorder.activate_scope(previous)
+            grown = {name: value - getattr(total, name)
+                     for name, value in recorder.total.as_dict().items()}
+            trace.append({"scope": scope.as_dict(), "total": grown})
+            return answer
+        return statement
+    database.select = in_its_own_scope(select)
+    database.count = in_its_own_scope(count)
+    outer = CostCounters()
+    previous = recorder.activate_scope(outer)
+    try:
+        call()
+    finally:
+        recorder.activate_scope(previous)
+        del database.select, database.count
+    assert outer == CostCounters()      # nothing charged between statements
+    return trace
+
+
+def scoped_reads(shape: str) -> Dict[str, List[Any]]:
+    """What ``GOLDEN_SCOPED_READS[shape]`` is the digest of: per user 1-6,
+    the :func:`scoped_counts` of the shape's statements, on the tiny seed
+    bound as the ``social_stack`` fixture binds it."""
+    database = Database(name="test-social", buffer_pool_pages=128)
+    social_registry.unbind()
+    social_registry.bind(database)
+    social_registry.clock = VirtualClock(1_000_000.0)
+    social_registry.create_all()
+    try:
+        seed_database(SeedScale.tiny())
+        call = PAGE_SHAPES[shape]
+        values = {user: page_values(database, user) for user in range(1, 7)}
+        return {f"user {user}": scoped_counts(database, lambda: call(each))
+                for user, each in values.items()}
+    finally:
+        social_registry.unbind()
+
+
+def scoped_reads_digest(quantities: Dict[str, List[Any]]) -> str:
+    payload = json.dumps(quantities, sort_keys=True)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+
+
+class TestScopes:
+    @pytest.mark.parametrize("shape", sorted(PAGE_SHAPES))
+    def test_every_count_lands_in_the_scope_it_did(self, shape):
+        quantities = scoped_reads(shape)
+        assert all(statement["scope"] == statement["total"]
+                   for statements in quantities.values()
+                   for statement in statements)
+        assert scoped_reads_digest(quantities) == GOLDEN_SCOPED_READS[shape]
+
+    def test_every_page_shape_is_pinned(self):
+        assert sorted(GOLDEN_SCOPED_READS) == sorted(PAGE_SHAPES)
+
+
+class TestOneCopy:
+    def test_an_instance_does_not_alias_its_row(self, social_stack):
+        row = social_stack["database"].find("auth_user", where={"id": 2})[0]
+        user = User._meta.from_db(row)
+        assert user.__dict__ is not row
+        assert user.__dict__ == row
+        assert user._state_adding is False
+        assert "_state_adding" not in row
+        row["username"] = "scribbled"
+        user.email = "changed@example.com"
+        assert user.username != "scribbled"
+        assert row["email"] != "changed@example.com"
+        # A cache hit hands out read-only views: the instance still gets a
+        # plain dict of its own.
+        viewed = User._meta.from_db(MappingProxyType(row))
+        assert type(viewed.__dict__) is dict and viewed.__dict__ == row
+        viewed.username = "renamed"
+        assert row["username"] == "scribbled"
+
+    def test_every_attname_is_its_column(self):
+        """What lets one copy of the row fill an instance."""
+        blog = build_blog_models("prepared-attnames")
+        models = SOCIAL_MODELS + (blog["Author"], blog["Post"], blog["Comment"])
+        for model in models:
+            pairs = model._meta.attname_columns
+            assert pairs and all(attname == column for attname, column in pairs)
+
+    def test_a_field_added_after_the_class_is_loaded_like_the_others(self):
+        blog = build_blog_models("prepared-add-field")
+        Author = blog["Author"]
+        IntegerField(default=0).contribute_to_class(Author, "rank")
+        author = Author._meta.from_db(
+            {"id": 1, "username": "a", "karma": 2, "rank": 3})
+        assert (author.pk, author.karma, author.rank) == (1, 2, 3)
+        assert author.to_dict() == {"id": 1, "username": "a", "karma": 2,
+                                    "rank": 3}

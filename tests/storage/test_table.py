@@ -64,7 +64,7 @@ class TestInsert:
         table = make_table()
         row = table.insert({"email": "a@x", "age": 30})
         index = table.index_for_column("age")
-        assert index.lookup(30) == [row.rowid]
+        assert index.tree.search(30) == [row.rowid]
 
 
 class TestInsertCharges:
@@ -102,7 +102,7 @@ class TestInsertCharges:
         db.recorder.record = lambda event, n=1: (recorded.append((event, n)),
                                                  record(event, n))
         db.insert("users", {"email": "a@x", "age": None})
-        table.index_for_column("age").lookup(None)      # the NULL bucket
+        db.delete("users", where({"email": "a@x"}))   # leaves the NULL bucket
         assert recorded and all(n > 0 for _event, n in recorded)
 
     def test_delete_and_lookup_do_charge_their_descent(self):
@@ -122,8 +122,8 @@ class TestUpdateDelete:
         row = table.insert({"email": "a@x", "age": 30})
         table.update_row(row.rowid, {"age": 31})
         index = table.index_for_column("age")
-        assert index.lookup(30) == []
-        assert index.lookup(31) == [row.rowid]
+        assert index.tree.search(30) == []
+        assert index.tree.search(31) == [row.rowid]
 
     def test_a_row_moved_back_is_placed_in_row_id_order(self):
         table = make_table()
@@ -132,7 +132,7 @@ class TestUpdateDelete:
         table.insert({"email": "z@x", "age": 30})
         table.delete_row(rows[0].rowid)
         table.update_row(rows[1].rowid, {"age": 30})      # back, out of order
-        assert table.index_for_column("age").lookup(30) == [
+        assert table.index_for_column("age").tree.search(30) == [
             rows[1].rowid, rows[2].rowid, 4]
 
     def test_update_cannot_touch_primary_key(self):
@@ -149,8 +149,8 @@ class TestUpdateDelete:
         table = make_table()
         row = table.insert({"email": "a@x", "age": 25})
         table.delete_row(row.rowid)
-        assert table.index_for_column("age").lookup(25) == []
-        assert table.primary_index.lookup(row["id"]) == []
+        assert table.index_for_column("age").tree.search(25) == []
+        assert table.primary_index.tree.search(row["id"]) == []
 
 
 class TestTriggers:
@@ -184,5 +184,5 @@ class TestAddIndex:
         table.insert({"email": "a@x", "age": 10})
         table.insert({"email": "b@x", "age": 20})
         index = table.add_index(IndexDef("users_email_idx", ("email",)))
-        assert len(index.lookup("a@x")) == 1
+        assert len(index.tree.search("a@x")) == 1
         assert table.index_for_column("email") is index

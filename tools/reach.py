@@ -161,7 +161,6 @@ KEEPERS: Dict[str, Tuple[str, str]] = {
     "storage/btree.py:BPlusTree._leftmost_leaf": (REFERENCE, _GOLDEN_CORPUS),
     "storage/btree.py:BPlusTree.items": (REFERENCE, _GOLDEN_CORPUS),
     "storage/btree.py:BPlusTree.range_scan": (REFERENCE, _GOLDEN_CORPUS),
-    "storage/table.py:Index.range": (REFERENCE, _GOLDEN_CORPUS),
     "storage/datatypes.py:TimestampType._coerce": (
         REFERENCE, "the sqlite mirror's random schemas declare TIMESTAMP "
                    "columns"),

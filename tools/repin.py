@@ -10,7 +10,8 @@ The pins (:data:`PINS`):
 
 * dict literals in test modules — ``GOLDEN_FINGERPRINTS`` and
   ``GOLDEN_CACHE_ACCOUNTING`` (``tests/sim/test_differential.py``),
-  ``GOLDEN_EVENT_ORDER``, ``GOLDEN_SEEDED_STATE`` and ``GOLDEN_CORPUS``.
+  ``GOLDEN_EVENT_ORDER``, ``GOLDEN_SEEDED_STATE``, ``GOLDEN_CORPUS`` and
+  ``GOLDEN_SCOPED_READS``.
   Each module names the function that builds an entry's *named quantities*
   (a replay fingerprint, a seeded state, ...) and the function that turns
   them into the pinned value (a SHA-256, or a tuple);
@@ -114,6 +115,8 @@ PINS: Tuple[Any, ...] = (
               "seeded_state_at", "state_digest"),
     InFilePin("tests/storage/test_corpus_pins.py", "GOLDEN_CORPUS",
               "corpus_traces", "traces_digest"),
+    InFilePin("tests/storage/test_prepared_reads.py", "GOLDEN_SCOPED_READS",
+              "scoped_reads", "scoped_reads_digest"),
     TextGoldens("tests/bench/test_golden_output.py", "tests/bench/golden",
                 "GOLDEN", "run_cli"),
 )
