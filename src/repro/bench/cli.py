@@ -14,21 +14,24 @@ code::
     python -m repro.bench exp5
     python -m repro.bench exp-batch --batch-ops both
     python -m repro.bench exp-strategies [--quick]
-    python -m repro.bench exp-contention [--quick] [--check] \
-        [--trace-out trace.json] [--json-out run.json]
+    python -m repro.bench exp-contention [--quick] [--check]
     python -m repro.bench exp-cluster [--quick] [--check]
     python -m repro.bench exp-adaptive [--quick] [--check]
+    python -m repro.bench exp-contention --quick \
+        --json-out run.json --trace-out trace.json
     python -m repro.bench strategies
     python -m repro.bench report run.json
 
 Every ``exp*`` subcommand is derived from its entry in
 :data:`repro.bench.experiments.EXPERIMENTS`: one option per axis that names
 a flag, ``--quick`` when the entry has a quick sizing, ``--check`` when it
-has a check, ``--jobs`` when its cells fan out over processes.
-``exp-contention --trace-out`` additionally re-runs one representative
-quick cell with causal tracing on and writes a Chrome trace-event file
-(load it at https://ui.perfetto.dev); ``--json-out`` writes the matching
-versioned run document, which ``report`` renders back as text.
+has a check, ``--jobs`` when its cells fan out over processes.  Every one
+takes ``--json-out``, which writes the sweep's versioned run document
+(``report`` renders it back as the text the command printed), and
+``--trace-out``, which traces the sweep's own replays and writes one
+Chrome trace-event file with a process lane per replay (load it at
+https://ui.perfetto.dev) and prints each replay's flame summary.  Neither
+changes the sweep.
 """
 
 from __future__ import annotations
@@ -70,18 +73,16 @@ def _add_experiment(sub, experiment: Experiment) -> None:
     if experiment.check:
         parser.add_argument("--check", action="store_true",
                             help=experiment.check.help)
-    if experiment is experiments.EXP_CONTENTION:
-        parser.add_argument(
-            "--trace-out", default=None, metavar="TRACE_JSON",
-            help="also re-run one representative quick cell with causal "
-                 "tracing on and write a Chrome trace-event JSON "
-                 "(Perfetto-loadable); tracing is zero-perturbation, so the "
-                 "traced run matches the sweep cell bit for bit")
-        parser.add_argument(
-            "--json-out", default=None, metavar="RUN_JSON",
-            help="write the traced cell's versioned run document (replay + "
-                 "metrics + demand histogram + flame) for `python -m "
-                 "repro.bench report`")
+    parser.add_argument(
+        "--json-out", default=None, metavar="RUN_JSON",
+        help="write the sweep's versioned run document, which `python -m "
+             "repro.bench report` renders back as this command's text")
+    parser.add_argument(
+        "--trace-out", default=None, metavar="TRACE_JSON",
+        help="trace every replay of the sweep and write one Chrome "
+             "trace-event JSON (Perfetto-loadable), a process lane per "
+             "replay; tracing is zero-perturbation, so the sweep is the "
+             "untraced sweep bit for bit")
     if experiment.parallel:
         parser.add_argument(
             "--jobs", type=int, default=1,
@@ -101,36 +102,29 @@ def _cmd_experiment(experiment: Experiment, args: argparse.Namespace) -> str:
             chosen[axis.name] = axis.presets[value] if axis.presets else value
     result = experiments.run_sweep(
         experiment, quick=getattr(args, "quick", False),
-        jobs=getattr(args, "jobs", 1), **chosen)
+        jobs=getattr(args, "jobs", 1), check=getattr(args, "check", False),
+        traced=args.trace_out is not None, **chosen)
     rendered = reporting.render_sweep(result)
-    if getattr(args, "check", False):
-        problems = experiment.check.problems(result)
-        if problems:
-            raise SystemExit(f"{rendered}\n\n{experiment.check.failed}:\n  "
-                             + "\n  ".join(problems))
-        rendered += "\n" + experiment.check.passed
-    if getattr(args, "trace_out", None) or getattr(args, "json_out", None):
-        rendered += _traced_cell(args)
-    return rendered
-
-
-def _traced_cell(args: argparse.Namespace) -> str:
-    """One representative traced re-run (the quick LeasedInvalidate
-    adversarial cell); tracing is zero-perturbation, so its numbers match
-    the untraced sweep cell bit for bit."""
-    from ..obs import write_chrome_trace
-    tracer, document = experiments.trace_contention_cell(seed=args.seed)
-    rendered = ""
     if args.trace_out:
-        write_chrome_trace(tracer, args.trace_out)
-        rendered += (f"\nChrome trace ({len(tracer.finished)} spans) written "
-                     f"to {args.trace_out} — load in Perfetto.")
+        from ..obs import write_chrome_trace
+        write_chrome_trace([(trace.label, trace.events)
+                            for trace in result.traces], args.trace_out)
+        spans = sum(row["count"] for trace in result.traces
+                    for row in trace.flame)
+        rendered += (f"\nChrome trace ({spans} spans, {len(result.traces)} "
+                     f"replays) written to {args.trace_out} — load in "
+                     f"Perfetto.")
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=1)
+            json.dump(result.to_json(), handle, indent=1)
             handle.write("\n")
         rendered += f"\nRun document written to {args.json_out}."
-    return rendered + "\n\n" + reporting.render_flame(document["flame"])
+    for trace in result.traces:
+        rendered += "\n\n" + reporting.render_flame(trace.label, trace.flame)
+    # The files are written before a failed check stops the command.
+    if result.problems():
+        raise SystemExit(rendered)
+    return rendered
 
 
 def _cmd_strategies(_args: argparse.Namespace) -> str:
@@ -141,7 +135,8 @@ def _cmd_strategies(_args: argparse.Namespace) -> str:
 
 def _cmd_report(args: argparse.Namespace) -> str:
     with open(args.path, "r", encoding="utf-8") as handle:
-        return reporting.render_report(json.load(handle))
+        result = experiments.SweepResult.from_json(json.load(handle))
+    return reporting.render_sweep(result)
 
 
 #: The argument-less §5.2/§5.3 subcommands: name -> (help, command).
@@ -174,8 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
         .set_defaults(func=_cmd_strategies)
     report = sub.add_parser(
         "report",
-        help="Render a saved run JSON document (replay_result, run_metrics, "
-             "or a run_document from --json-out) as text")
+        help="Render a sweep's run document (written by --json-out) as "
+             "the text its command printed")
     report.add_argument("path", help="path to the JSON document")
     report.set_defaults(func=_cmd_report)
     return parser

@@ -12,7 +12,9 @@ replay, report — so this module holds exactly one of each moving part:
   the :class:`~repro.bench.reporting.Table` list that renders the rows.
   :data:`EXPERIMENTS` registers them; :func:`run_sweep` runs any of them
   over :func:`repro.sim.parallel.run_cells`, and ``repro.bench.cli`` derives
-  each subcommand from its entry.
+  each subcommand from its entry.  The :class:`SweepResult` it returns is
+  the one run document (:meth:`SweepResult.to_json`), and with
+  ``traced=True`` it also carries a trace of every replay.
 * The derived numbers the paper quotes (:func:`speedup_over_nocache`,
   :func:`plateau_size`, :func:`round_trip_reduction`,
   :func:`dominating_arms`, the ``check_*`` smoke assertions) are functions
@@ -93,8 +95,6 @@ class ScenarioRun:
     #: Replay engine configuration (1 worker = the serial inline path).
     workers: int = 1
     policy: str = ROUND_ROBIN
-    #: The :class:`repro.obs.Tracer` of a ``traced=True`` run.
-    tracer: Optional[object] = None
 
     @property
     def throughput(self) -> float:
@@ -133,8 +133,8 @@ def run_scenario(
     policy: str = ROUND_ROBIN,
     seed: int = 0,
     arrival_model: Optional[Callable[[int], float]] = None,
-    traced: bool = False,
     faults: Optional[Callable[[Scenario, object], object]] = None,
+    tracers: Optional[List[object]] = None,
 ) -> ScenarioRun:
     """Build a scenario, warm it, replay the workload against it, simulate it.
 
@@ -144,11 +144,12 @@ def run_scenario(
     contexts under a seeded scheduler ``policy``.  Warm-up always replays
     serially and unrecorded — it models the quiet cache-filling phase before
     the measured clients arrive.  ``arrival_model`` replaces the constant
-    page interval with a time-varying shape; ``traced=True`` installs a
-    :class:`repro.obs.Tracer` on the scenario clock for the measured replay
-    (zero-perturbation) and returns it on the run; ``faults(scenario,
-    trace)`` builds a :class:`~repro.cluster.FaultInjector` from the live,
-    warmed scenario just before the measured replay.
+    page interval with a time-varying shape; ``faults(scenario, trace)``
+    builds a :class:`~repro.cluster.FaultInjector` from the live, warmed
+    scenario just before the measured replay.  With a ``tracers`` list, a
+    :class:`repro.obs.Tracer` on the scenario clock records the measured
+    replay and joins the list (zero-perturbation: the run is the untraced
+    run bit for bit).
     """
     scenario = Scenario(config).setup()
     try:
@@ -161,9 +162,10 @@ def run_scenario(
                 WorkloadGenerator(warmup, user_ids).generate(), record=False)
         trace = WorkloadGenerator(workload, user_ids).generate()
         tracer = None
-        if traced:
+        if tracers is not None:
             from ..obs import Tracer
             tracer = Tracer(clock=scenario.clock)
+            tracers.append(tracer)
         replay = ConcurrentReplayer(
             scenario.app, scenario.database, workers=workers, policy=policy,
             seed=seed, arrival_model=arrival_model, tracer=tracer,
@@ -186,7 +188,6 @@ def run_scenario(
             db_time_ms=demand.db_cpu_ms + demand.db_disk_ms,
             workers=workers,
             policy=policy,
-            tracer=tracer,
         )
     finally:
         scenario.teardown()
@@ -208,6 +209,7 @@ def measure(run: ScenarioRun) -> Dict[str, object]:
         "triggers": run.effort.get("generated_triggers", 0),
         "throughput": run.throughput,
         "mean_latency": run.mean_latency,
+        "p95_latency": run.metrics.latency_percentile(0.95),
         "hit_ratio": run.cache_hit_ratio,
         "round_trips": counters.cache_round_trips,
         # Round trips of the *trigger* (propagation) path alone: batch_ops
@@ -271,6 +273,8 @@ class Sizing(NamedTuple):
     workload: WorkloadConfig = DEFAULT_WORKLOAD
     warmup: Optional[WorkloadConfig] = DEFAULT_WARMUP
     seed_scale: SeedScale = DEFAULT_SEED_SCALE
+    #: The list the tracers of a traced cell's replays join (None: untraced).
+    tracers: Optional[List[object]] = None
 
 
 @dataclass(frozen=True)
@@ -310,6 +314,22 @@ class Experiment:
     parallel: bool = False
 
 
+#: Version of the sweep document (:meth:`SweepResult.to_json`).  Schema 3:
+#: the sweep is the only run document; schema 2's ``run_document``,
+#: ``replay_result`` and ``run_metrics`` kinds are gone.
+RUN_JSON_SCHEMA = 3
+
+
+class ReplayTrace(NamedTuple):
+    """One traced replay of a sweep: its lane's name, its Chrome trace
+    events (:func:`repro.obs.chrome_trace_events`) and its flame rows
+    (:meth:`repro.obs.Tracer.flame`)."""
+
+    label: str
+    events: List[Dict[str, object]]
+    flame: List[Dict[str, object]]
+
+
 @dataclass
 class SweepResult:
     """The rows of one sweep, in cell submission order."""
@@ -320,6 +340,11 @@ class SweepResult:
     rows: List[Dict[str, object]]
     #: Rows of the auxiliary cells (reference runs, determinism reruns).
     aux: List[Dict[str, object]] = field(default_factory=list)
+    quick: bool = False
+    #: Whether the report applies the experiment's :class:`Check`.
+    check: bool = False
+    #: The replays of a traced sweep, in replay order; not in the document.
+    traces: List[ReplayTrace] = field(default_factory=list)
 
     def where(self, **match) -> List[Dict[str, object]]:
         return [row for row in self.rows
@@ -336,6 +361,33 @@ class SweepResult:
         xs, arms, cells = pivot(rows, x, "scenario")
         return {a: [cells[value, a][key] for value in xs] for a in arms}
 
+    def problems(self) -> List[str]:
+        """The failures of the experiment's check, if the run applies it."""
+        return self.experiment.check.problems(self) if self.check else []
+
+    def to_json(self) -> Dict[str, object]:
+        """The versioned run document ``python -m repro.bench report``
+        renders back as the command's text."""
+        return {"schema": RUN_JSON_SCHEMA, "kind": "sweep",
+                "experiment": self.experiment.name, "quick": self.quick,
+                "check": self.check,
+                "axes": {name: list(values)
+                         for name, values in self.axes.items()},
+                "rows": self.rows, "aux": self.aux}
+
+    @classmethod
+    def from_json(cls, document: Dict[str, object]) -> "SweepResult":
+        if (document.get("kind"), document.get("schema")) != (
+                "sweep", RUN_JSON_SCHEMA):
+            raise ValueError(
+                f"not a schema {RUN_JSON_SCHEMA} sweep document: kind "
+                f"{document.get('kind')!r}, schema {document.get('schema')!r}")
+        return cls(EXPERIMENTS[document["experiment"]],
+                   {name: tuple(values)
+                    for name, values in document["axes"].items()},
+                   rows=document["rows"], aux=document["aux"],
+                   quick=document["quick"], check=document["check"])
+
 
 def measured(plan: Callable[[Dict[str, object], Sizing], Dict[str, object]]):
     """The standard cell: ``plan(point, sizing)`` gives the
@@ -343,11 +395,28 @@ def measured(plan: Callable[[Dict[str, object], Sizing], Dict[str, object]]):
     return lambda point, sizing: measure(run_scenario(**plan(point, sizing)))
 
 
-def _run_cell(name: str, point: Dict[str, object],
-              sizing: Sizing) -> Dict[str, object]:
-    """One cell of a registered experiment.  Top level, taking and returning
-    only plain data, so :func:`run_cells` can ship it to a worker process."""
-    return {**point, **EXPERIMENTS[name].cell(point, sizing)}
+def _cell_label(experiment: Experiment, point: Dict[str, object]) -> str:
+    """The cell's swept values and aux label (``Update/2/adversarial``)."""
+    parts = [str(point[axis.name]) for axis in experiment.axes
+             if axis.crossed and not axis.scalar
+             and point.get(axis.name) is not None]
+    if point.get("aux"):
+        parts.append(point["aux"])
+    return "/".join(parts)
+
+
+def _run_cell(name: str, point: Dict[str, object], sizing: Sizing,
+              traced: bool):
+    """One cell of a registered experiment: its row, and with ``traced``
+    the Chrome events and flame rows of each replay it made.  Top level,
+    taking and returning only plain data, so :func:`run_cells` can ship it
+    to a worker process."""
+    from ..obs import chrome_trace_events
+    tracers = [] if traced else None
+    row = {**point, **EXPERIMENTS[name].cell(
+        point, sizing._replace(tracers=tracers))}
+    return row, [(chrome_trace_events(tracer), tracer.flame())
+                 for tracer in tracers or ()]
 
 
 def cross(values: Dict[str, Tuple], axes: Sequence[Axis]) -> List[Dict[str, object]]:
@@ -360,6 +429,7 @@ def cross(values: Dict[str, Tuple], axes: Sequence[Axis]) -> List[Dict[str, obje
 
 def run_sweep(experiment: Union[str, Experiment], quick: bool = False,
               jobs: int = 1, workload: Optional[WorkloadConfig] = None,
+              check: bool = False, traced: bool = False,
               **chosen) -> SweepResult:
     """Run one experiment: resolve its axes, replay every cell, collect rows.
 
@@ -369,12 +439,16 @@ def run_sweep(experiment: Union[str, Experiment], quick: bool = False,
     experiment's quick :class:`Sizing`.  ``workload`` replaces the measured
     workload.  ``jobs`` fans the independent cells out over processes;
     results merge in submission order, byte-identical to ``jobs=1`` (the
-    contract of :mod:`repro.sim.parallel`).
+    contract of :mod:`repro.sim.parallel`).  ``check`` records that the
+    report applies the experiment's check; ``traced`` traces every replay
+    into :attr:`SweepResult.traces`, which leaves the rows as they are.
     """
     if isinstance(experiment, str):
         experiment = EXPERIMENTS[experiment]
     if quick and experiment.quick is None:
         raise ValueError(f"{experiment.name} has no quick mode")
+    if check and experiment.check is None:
+        raise ValueError(f"{experiment.name} has no check")
     values: Dict[str, Tuple] = {}
     for axis in experiment.axes:
         value = chosen.pop(axis.name, None)
@@ -391,11 +465,22 @@ def run_sweep(experiment: Union[str, Experiment], quick: bool = False,
     points = (experiment.points(values) if experiment.points
               else cross(values, experiment.axes))
     cells = run_cells(_run_cell,
-                      [(experiment.name, {**point, "quick": quick}, sizing)
-                       for point in points], jobs=jobs)
+                      [(experiment.name, {**point, "quick": quick}, sizing,
+                        traced) for point in points], jobs=jobs)
+    rows, traces, replays = [], [], {}
+    for point, (row, cell_traces) in zip(points, cells):
+        rows.append(row)
+        label = _cell_label(experiment, point)
+        for events, flame in cell_traces:
+            # A cell that replays twice, or a repeated cell, numbers its
+            # later lanes: each lane's name is unique.
+            replays[label] = count = replays.get(label, 0) + 1
+            traces.append(ReplayTrace(
+                f"{label} #{count}" if count > 1 else label, events, flame))
     return SweepResult(experiment, values,
-                       rows=[row for row in cells if not row.get("aux")],
-                       aux=[row for row in cells if row.get("aux")])
+                       rows=[row for row in rows if not row.get("aux")],
+                       aux=[row for row in rows if row.get("aux")],
+                       quick=quick, check=check, traces=traces)
 
 
 def _paper_plan(point, sizing, workload=None, **overrides):
@@ -404,7 +489,8 @@ def _paper_plan(point, sizing, workload=None, **overrides):
     return dict(config=_scenario_config(point["scenario"],
                                         seed_scale=sizing.seed_scale,
                                         **overrides),
-                workload=workload or sizing.workload, warmup=sizing.warmup)
+                workload=workload or sizing.workload, warmup=sizing.warmup,
+                tracers=sizing.tracers)
 
 
 def _scenario_axis(values, **kwargs) -> Axis:
@@ -873,7 +959,8 @@ def _ablation_plan(point, sizing):
     """Rig arguments of the strategy ablations, with the engine settings
     the point carries."""
     plan = dict(config=ablation_config(point["scenario"], sizing.seed_scale),
-                workload=sizing.workload, warmup=sizing.warmup)
+                workload=sizing.workload, warmup=sizing.warmup,
+                tracers=sizing.tracers)
     plan.update({key: point[key] for key in ("workers", "policy", "seed")
                  if key in point})
     return plan
@@ -1226,45 +1313,6 @@ EXP_CONTENTION = Experiment(
                ">= 2 workers."),
     parallel=True,
 )
-
-
-def trace_contention_cell(seed: int = CONTENTION_SEED):
-    """Re-run one representative quick contention cell with tracing on.
-
-    Powers ``python -m repro.bench exp-contention --trace-out``: the quick
-    sweep's LeasedInvalidate adversarial cell, replayed once with a
-    :class:`repro.obs.Tracer` installed so every layer seam — page
-    fragments, interceptor matches, cache multi-ops, trigger flush/CAS
-    rounds, background refreshes — lands in the span log with worker
-    attribution.  Tracing is zero-perturbation, so the replay's pages,
-    counters, and schedule signature are bit-identical to the untraced
-    sweep cell (``tests/obs/test_tracing_differential.py`` pins this).
-
-    Returns ``(tracer, document)`` where ``document`` is a versioned
-    ``run_document`` JSON dict (replay + simulated metrics + the per-page
-    total-demand histogram + the text-flame rows) for ``repro.bench
-    report``.
-    """
-    from ..obs import Histogram, exponential_buckets
-    from ..sim.metrics import RUN_JSON_SCHEMA
-    point = {"scenario": LEASED_SCENARIO, "workers": 2, "policy": ADVERSARIAL,
-             "seed": seed}
-    run = run_scenario(**_ablation_plan(point, EXP_CONTENTION.quick),
-                       traced=True)
-    demand_hist = Histogram("page_total_demand_ms",
-                            bounds=exponential_buckets(0.05, 1.1, 150))
-    for page in run.replay.pages:
-        demand_hist.observe(page.demand.total_ms)
-    document = {
-        "schema": RUN_JSON_SCHEMA,
-        "kind": "run_document",
-        **point,
-        "replay": run.replay.to_json(),
-        "metrics": run.metrics.to_json(),
-        "page_total_demand_ms": demand_hist.to_json(),
-        "flame": run.tracer.flame(),
-    }
-    return run.tracer, document
 
 
 # ---------------------------------------------------------------------------

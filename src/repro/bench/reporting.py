@@ -142,8 +142,9 @@ class Table:
 
 
 def render_sweep(result) -> str:
-    """Render a :class:`~repro.bench.experiments.SweepResult`: its
-    experiment's tables a blank line apart, then the footer lines."""
+    """Render a :class:`~repro.bench.experiments.SweepResult` as its command
+    prints it: the experiment's tables a blank line apart, the footer lines,
+    then the verdict of the check the run applies."""
     experiment = result.experiment
     parts = ["\n\n".join(table.render(result.rows)
                          for table in experiment.tables
@@ -151,6 +152,12 @@ def render_sweep(result) -> str:
     footer = experiment.footer(result) if experiment.footer else []
     if footer:
         parts += [""] + list(footer)
+    problems = result.problems()
+    if problems:
+        parts += ["", f"{experiment.check.failed}:"]
+        parts += [f"  {problem}" for problem in problems]
+    elif result.check:
+        parts.append(experiment.check.passed)
     return "\n".join(parts)
 
 
@@ -226,14 +233,15 @@ def render_effort(result: EffortResult) -> str:
     return "\n".join(["Programmer effort (§5.2)", format_table(headers, rows)])
 
 
-# -- observability: flame summaries and run-document reports ----------------------
+# -- observability: flame summaries ------------------------------------------------
 
 #: Span rows a flame summary shows.
 FLAME_ROWS = 20
 
 
-def render_flame(rows: Sequence[Dict[str, object]]) -> str:
-    """Text flame summary of a traced replay: the top :data:`FLAME_ROWS`.
+def render_flame(label: str, rows: Sequence[Dict[str, object]]) -> str:
+    """Text flame summary of the traced replay ``label``: the top
+    :data:`FLAME_ROWS`.
 
     ``rows`` are :meth:`repro.obs.Tracer.flame` rows (one per span name:
     count, total ticks, self ticks, virtual seconds), already sorted by
@@ -245,95 +253,7 @@ def render_flame(rows: Sequence[Dict[str, object]]) -> str:
     headers = ["Span", "Count", "Ticks", "Self ticks", "Virtual s"]
     table_rows = [[row["name"], row["count"], row["ticks"], row["self_ticks"],
                    f"{row['seconds']:.3f}"] for row in shown]
-    title = "Flame summary (top spans by total ticks)"
+    title = f"Flame summary of {label} (top spans by total ticks)"
     if len(rows) > len(shown):
         title += f" — showing {len(shown)} of {len(rows)}"
     return "\n".join([title, format_table(headers, table_rows)])
-
-
-def _render_run_metrics_doc(doc: Dict[str, object]) -> str:
-    summary = doc.get("summary", {})
-    parts = [f"Run metrics ({doc.get('mode', '?')} mode)",
-             format_table(["Metric", "Value"],
-                          [[name, f"{value:.4f}"]
-                           for name, value in summary.items()])]
-    by_page = doc.get("latency_by_page") or {}
-    if by_page:
-        parts += ["", "Mean latency by page type",
-                  format_table(["Page", "Latency (s)"],
-                               [[page, f"{by_page[page]:.4f}"]
-                                for page in sorted(by_page)])]
-    contention = doc.get("contention") or {}
-    if contention:
-        parts += ["", "Contention counters",
-                  format_table(["Counter", "Value"],
-                               [[name, contention[name]]
-                                for name in sorted(contention)])]
-    return "\n".join(parts)
-
-
-def _render_replay_doc(doc: Dict[str, object]) -> str:
-    pages = doc.get("pages") or []
-    totals = doc.get("total_counters") or {}
-    parts = [f"Replay result — {len(pages)} page loads",
-             format_table(["Counter", "Value"],
-                          [[name, totals[name]] for name in sorted(totals)
-                           if totals[name]])]
-    concurrent = doc.get("concurrent")
-    if concurrent:
-        by_worker = concurrent.get("pages_by_worker") or {}
-        parts += ["", "Concurrent engine",
-                  format_table(["Setting", "Value"],
-                               [["workers", concurrent.get("workers")],
-                                ["policy", concurrent.get("policy")],
-                                ["seed", concurrent.get("seed")],
-                                ["schedule signature",
-                                 concurrent.get("schedule_signature")],
-                                *[[f"pages on worker {worker}",
-                                   by_worker[worker]]
-                                  for worker in sorted(by_worker, key=int)]])]
-    return "\n".join(parts)
-
-
-def _render_histogram_doc(doc: Dict[str, object]) -> str:
-    count = doc.get("count") or 0
-    mean = doc.get("total", 0.0) / count if count else 0.0
-    return "\n".join([
-        f"Histogram — {doc.get('name')}",
-        format_table(["Count", "Min", "Mean", "Max"],
-                     [[count, doc.get("min"), f"{mean:.4f}", doc.get("max")]])])
-
-
-def render_report(doc: Dict[str, object]) -> str:
-    """Render any versioned run JSON document (``kind``-dispatched).
-
-    Accepts the documents this repo exports: ``replay_result``
-    (:meth:`ReplayResult.to_json`), ``run_metrics``
-    (:meth:`RunMetrics.to_json`) and the composite ``run_document`` written
-    by ``exp-contention --json-out``.
-    """
-    kind = doc.get("kind")
-    if kind == "run_metrics":
-        return _render_run_metrics_doc(doc)
-    if kind == "replay_result":
-        return _render_replay_doc(doc)
-    if kind == "run_document":
-        header = format_table(
-            ["Field", "Value"],
-            [["scenario", doc.get("scenario")],
-             ["workers", doc.get("workers")],
-             ["policy", doc.get("policy")],
-             ["seed", doc.get("seed")]])
-        parts = [f"Traced run document (schema {doc.get('schema')})", header]
-        for section_key, renderer in (("replay", _render_replay_doc),
-                                      ("metrics", _render_run_metrics_doc),
-                                      ("page_total_demand_ms",
-                                       _render_histogram_doc)):
-            section = doc.get(section_key)
-            if section:
-                parts += ["", renderer(section)]
-        flame = doc.get("flame")
-        if flame:
-            parts += ["", render_flame(flame)]
-        return "\n".join(parts)
-    raise ValueError(f"unknown report document kind: {kind!r}")

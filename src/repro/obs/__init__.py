@@ -8,14 +8,15 @@ the one chain every layer announces its boundaries on.
 """
 
 from . import hooks
-from .export import (chrome_trace_events, composite_timestamp_us,
-                     write_chrome_trace)
+from .export import (chrome_trace, chrome_trace_events,
+                     composite_timestamp_us, write_chrome_trace)
 from .metrics import (DEFAULT_LATENCY_BUCKETS_S, Histogram,
                       exponential_buckets)
 from .tracer import Span, SpanStack, Tracer
 
 __all__ = [
     "hooks", "Span", "SpanStack", "Tracer",
-    "chrome_trace_events", "composite_timestamp_us", "write_chrome_trace",
+    "chrome_trace", "chrome_trace_events", "composite_timestamp_us",
+    "write_chrome_trace",
     "Histogram", "exponential_buckets", "DEFAULT_LATENCY_BUCKETS_S",
 ]

@@ -2,10 +2,10 @@
 
 Emits the classic `trace event format`_: one ``"X"`` (complete) event per
 finished span, one ``"i"`` (instant) event per marker, plus ``"M"``
-metadata events naming the process and each worker thread.  Timestamps are
-the tracer's composite clock — virtual microseconds plus the global event
-tick — so page arrivals spread along the time axis while same-instant
-events keep their causal order and nesting.
+metadata events naming each replay's process lane and each worker thread
+in it.  Timestamps are the tracer's composite clock — virtual microseconds
+plus the global event tick — so page arrivals spread along the time axis
+while same-instant events keep their causal order and nesting.
 
 .. _trace event format:
    https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
@@ -14,15 +14,19 @@ events keep their causal order and nesting.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Sequence, Tuple
 
 from .tracer import Span, Tracer
 
-__all__ = ["composite_timestamp_us", "chrome_trace_events",
+__all__ = ["composite_timestamp_us", "chrome_trace", "chrome_trace_events",
            "write_chrome_trace"]
 
-#: Single simulated process: everything shares one pid.
+#: One replay's events are exported as this process; :func:`chrome_trace`
+#: gives each replay its own.
 _PID = 0
+
+#: A named replay's events: ``(lane name, chrome_trace_events(tracer))``.
+Lane = Tuple[str, Sequence[Dict[str, Any]]]
 
 
 def composite_timestamp_us(seconds: float, tick: int) -> int:
@@ -49,31 +53,39 @@ def _span_event(span: Span, phase: str) -> Dict[str, Any]:
     return event
 
 
-def chrome_trace_events(tracer: Tracer) -> Dict[str, Any]:
-    """The full trace document: ``{"traceEvents": [...]}``."""
-    events: List[Dict[str, Any]] = [{
-        "name": "process_name", "ph": "M", "pid": _PID, "tid": 0,
-        "args": {"name": "repro replay"},
-    }]
+def chrome_trace_events(tracer: Tracer) -> List[Dict[str, Any]]:
+    """One replay's events: a name per worker thread, then every span and
+    instant in start-tick order."""
     tids = sorted({s.tid for s in tracer.finished}
                   | {s.tid for s in tracer.instants})
-    for tid in tids:
-        events.append({
-            "name": "thread_name", "ph": "M", "pid": _PID, "tid": tid,
-            "args": {"name": f"worker {tid}"},
-        })
+    events: List[Dict[str, Any]] = [{
+        "name": "thread_name", "ph": "M", "pid": _PID, "tid": tid,
+        "args": {"name": f"worker {tid}"},
+    } for tid in tids]
     spans = [(s, "X") for s in tracer.finished]
     spans.extend((s, "i") for s in tracer.instants)
     # Start-tick order: the viewer does not require it, but it makes the
-    # exported file diffable and the committed artifact stable.
+    # exported file diffable.
     spans.sort(key=lambda pair: pair[0].start_tick)
     events.extend(_span_event(span, phase) for span, phase in spans)
+    return events
+
+
+def chrome_trace(lanes: Sequence[Lane]) -> Dict[str, Any]:
+    """The full trace document, one process lane per named replay:
+    ``{"traceEvents": [...]}``."""
+    events: List[Dict[str, Any]] = []
+    for pid, (name, lane) in enumerate(lanes):
+        events.append({"name": "process_name", "ph": "M", "pid": pid,
+                       "tid": 0, "args": {"name": name}})
+        events.extend({**event, "pid": pid} for event in lane)
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(tracer: Tracer, path: str) -> str:
-    """Serialize the trace to ``path``; returns the path."""
+def write_chrome_trace(lanes: Sequence[Lane], path: str) -> str:
+    """Serialize :func:`chrome_trace` of ``lanes`` to ``path``; returns the
+    path."""
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(chrome_trace_events(tracer), handle, indent=1)
+        json.dump(chrome_trace(lanes), handle, indent=1)
         handle.write("\n")
     return path

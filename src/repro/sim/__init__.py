@@ -8,8 +8,7 @@ from .events import EventEngine
 from .interleave import (ADVERSARIAL, ALL_POLICIES, InterleaveScheduler,
                          KEY_OVERLAP, RANDOM, ROUND_ROBIN, WorkerStatus,
                          interleave_trace)
-from .metrics import (RUN_JSON_SCHEMA, PageCompletion, RunMetrics,
-                      percentile)
+from .metrics import PageCompletion, RunMetrics, percentile
 from .mva import MVAResult, asymptotic_bounds, exact_mva
 from .resources import DelayResource, QueueingResource
 from .runner import (STREAM_CLIENT_THRESHOLD, ReplayResult, ReplayedPage,
@@ -19,7 +18,6 @@ __all__ = [
     "ADVERSARIAL",
     "ALL_POLICIES",
     "KEY_OVERLAP",
-    "RUN_JSON_SCHEMA",
     "STREAM_CLIENT_THRESHOLD",
     "ConcurrentReplayResult",
     "ConcurrentReplayer",

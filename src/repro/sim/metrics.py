@@ -21,16 +21,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..obs.metrics import DEFAULT_LATENCY_BUCKETS_S, Histogram
-
-#: Version stamp of the run-result JSON documents (``RunMetrics.to_json``,
-#: ``ReplayResult.to_json``) consumed by ``python -m repro.bench report``.
-#: Schema 2: the traced run document carries the page-demand histogram as a
-#: plain ``page_total_demand_ms`` section in place of schema 1's ``registry``.
-RUN_JSON_SCHEMA = 2
-
 
 class PageCompletion:
     """One completed page load in the simulation.
@@ -184,44 +177,3 @@ class RunMetrics:
             sums[completion.page] = sums.get(completion.page, 0.0) + completion.latency
             counts[completion.page] = counts.get(completion.page, 0) + 1
         return {page: sums[page] / counts[page] for page in sums}
-
-    def throughput_by_page(self) -> Dict[str, float]:
-        window = self.measured_window
-        if window <= 0:
-            return {}
-        if not self.retain_completions:
-            counts: Dict[str, int] = self._page_counts
-        else:
-            counts = {}
-            for completion in self._measured():
-                counts[completion.page] = counts.get(completion.page, 0) + 1
-        return {page: count / window for page, count in counts.items()}
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "throughput_pages_per_s": self.throughput,
-            "mean_latency_s": self.mean_latency,
-            "p95_latency_s": self.latency_percentile(0.95),
-            "completed_pages": float(self.completed_pages),
-            "window_s": self.measured_window,
-        }
-
-    # -- stable JSON export -----------------------------------------------------
-
-    def as_dict(self) -> Dict[str, Any]:
-        """Every derived number, JSON-ready (no completion objects)."""
-        return {
-            "mode": "retained" if self.retain_completions else "streaming",
-            "summary": self.summary(),
-            "latency_by_page": self.latency_by_page(),
-            "throughput_by_page": self.throughput_by_page(),
-            "contention": dict(self.contention),
-            "key_telemetry": {key: dict(row)
-                              for key, row in self.key_telemetry.items()},
-            "engine_events": self.engine_events,
-        }
-
-    def to_json(self) -> Dict[str, Any]:
-        """Versioned document for ``python -m repro.bench report``."""
-        return {"schema": RUN_JSON_SCHEMA, "kind": "run_metrics",
-                **self.as_dict()}

@@ -27,14 +27,14 @@ measurements replay query traces:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional
 
 from ..errors import SimulationError
 from ..storage.costmodel import CostCounters, Demand
 from .client import SimulatedClient
 from .events import EventEngine
-from .metrics import RUN_JSON_SCHEMA, RunMetrics
+from .metrics import RunMetrics
 from .resources import DelayResource, QueueingResource
 
 #: Populations at or above this many simulated clients stream their metrics
@@ -119,44 +119,6 @@ class ReplayResult:
         for page in self.pages:
             total.add(page.demand)
         return total.scaled(1.0 / len(self.pages))
-
-    # -- stable JSON export -----------------------------------------------------
-
-    def to_json(self) -> Dict[str, Any]:
-        """Versioned, ``json.dump``-ready document of this replay.
-
-        Schema :data:`~repro.sim.metrics.RUN_JSON_SCHEMA`.  A
-        :class:`~repro.sim.concurrent.ConcurrentReplayResult` adds a
-        ``"concurrent"`` block (schedule, signature, per-worker page
-        counts); per-worker page *stores* are views of ``pages`` and are
-        not exported.
-        """
-        doc: Dict[str, Any] = {
-            "schema": RUN_JSON_SCHEMA,
-            "kind": "replay_result",
-            "pages": [{
-                "client_id": page.client_id,
-                "page": page.page,
-                "user_id": page.user_id,
-                "demand": asdict(page.demand),
-                "counters": page.counters.as_dict(),
-            } for page in self.pages],
-            "total_counters": self.total_counters.as_dict(),
-        }
-        if hasattr(self, "schedule_signature"):
-            doc["concurrent"] = {
-                "workers": self.workers,
-                "policy": self.policy,
-                "seed": self.seed,
-                "schedule": list(self.schedule),
-                "schedule_signature": self.schedule_signature,
-                "pages_by_worker": {str(worker): count for worker, count
-                                    in self.pages_by_worker.items()},
-                "key_telemetry": {key: dict(row) for key, row
-                                  in self.key_telemetry.items()},
-            }
-        return doc
-
 
 
 def simulate_population(

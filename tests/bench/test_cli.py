@@ -1,10 +1,11 @@
 """Tests for the ``python -m repro.bench`` command-line interface."""
 
+import json
+
 import pytest
 
 from repro.bench.cli import build_parser, main
-from repro.bench.experiments import EXPERIMENTS, trace_contention_cell
-from repro.sim import RUN_JSON_SCHEMA
+from repro.bench.experiments import EXPERIMENTS, RUN_JSON_SCHEMA
 
 
 class TestParser:
@@ -104,12 +105,69 @@ class TestExecution:
         assert "Figure 2a" in str(failure.value)
 
 
-class TestTracedRunDocument:
-    def test_schema_2_carries_the_demand_histogram_not_a_registry(self):
-        tracer, document = trace_contention_cell()
-        assert document["schema"] == RUN_JSON_SCHEMA == 2
-        assert "registry" not in document
-        histogram = document["page_total_demand_ms"]
-        assert histogram["kind"] == "histogram"
-        assert histogram["count"] == len(document["replay"]["pages"])
-        assert tracer.finished and document["flame"]
+class TestRunDocument:
+    """``--json-out`` writes the sweep that ran; ``--trace-out`` traces its
+    own replays and changes nothing in it."""
+
+    def test_the_document_is_the_sweep_that_ran(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        main(["exp-contention", "--quick", "--strategies", "Update",
+              "--workers", "1", "--json-out", "run.json"])
+        document = json.loads((tmp_path / "run.json").read_text())
+        assert (document["schema"], document["kind"]) == (RUN_JSON_SCHEMA,
+                                                          "sweep")
+        assert (document["experiment"], document["quick"],
+                document["check"]) == ("exp-contention", True, False)
+        assert document["axes"]["scenario"] == ["Update"]
+        assert [(row["scenario"], row["workers"])
+                for row in document["rows"]] == [("Update", 1)]
+        assert document["rows"][0]["p95_latency"] > 0
+
+    def test_tracing_leaves_the_document_as_it_is(self, tmp_path,
+                                                  monkeypatch, capsys):
+        """Traced over two worker processes, one lane per replay."""
+        monkeypatch.chdir(tmp_path)
+        argv = ["exp-contention", "--quick", "--workers", "2"]
+        main(argv + ["--json-out", "plain.json"])
+        main(argv + ["--jobs", "2", "--json-out", "traced.json",
+                     "--trace-out", "trace.json"])
+        out = capsys.readouterr().out
+        assert ((tmp_path / "traced.json").read_bytes()
+                == (tmp_path / "plain.json").read_bytes())
+        trace = json.loads((tmp_path / "trace.json").read_text())
+        lanes = [event["args"]["name"] for event in trace["traceEvents"]
+                 if event["name"] == "process_name"]
+        assert lanes == ["Update/2/adversarial",
+                         "LeasedInvalidate/2/adversarial"]
+        for lane in lanes:
+            assert f"Flame summary of {lane} (top spans" in out
+
+    def test_each_lane_has_its_own_name(self, tmp_path, monkeypatch):
+        """exp-cluster replays its determinism cell twice."""
+        monkeypatch.chdir(tmp_path)
+        main(["exp-cluster", "--quick", "--strategies", "Update",
+              "--fault-cases", "node-kill", "--trace-out", "trace.json"])
+        trace = json.loads((tmp_path / "trace.json").read_text())
+        assert [event["args"]["name"] for event in trace["traceEvents"]
+                if event["name"] == "process_name"] == [
+            "Update/node-kill", "Update/node-kill/determinism",
+            "Update/node-kill/determinism #2"]
+
+    def test_a_failed_check_still_writes_both_files(self, tmp_path,
+                                                    monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as failure:
+            main(["exp-contention", "--quick", "--workers", "1", "--check",
+                  "--json-out", "run.json", "--trace-out", "trace.json"])
+        assert "CONTENTION CHECK FAILED" in str(failure.value)
+        assert json.loads((tmp_path / "trace.json").read_text())
+        assert main(["report", "run.json"]) == 0
+        report = capsys.readouterr().out
+        assert "CONTENTION CHECK FAILED" in report
+        assert str(failure.value).startswith(report)
+
+    def test_report_refuses_another_kind(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"schema": 2, "kind": "run_document"}))
+        with pytest.raises(ValueError, match="not a schema 3 sweep"):
+            main(["report", str(path)])

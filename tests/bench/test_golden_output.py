@@ -7,9 +7,10 @@ capture is the Table 2 header of the ``exp1 --quick`` golden, which used to
 claim "15 clients" for a table computed at 6.
 
 Tier-1 compares the quick invocations and the full commands that finish in
-under two seconds.  ``tools/repin.py`` compares every golden, including the
-six slower full sweeps, and re-pins them (``run_cli`` and ``GOLDEN`` are
-what it runs)::
+under two seconds, and renders each of their sweeps' run documents back with
+``report``: the text equals the golden's.  ``tools/repin.py`` compares every
+golden, including the six slower full sweeps, and re-pins them (``run_cli``
+and ``GOLDEN`` are what it runs)::
 
     PYTHONPATH=src python tools/repin.py --check
 """
@@ -22,6 +23,7 @@ import pathlib
 import pytest
 
 from repro.bench.cli import build_parser, main
+from repro.bench.experiments import EXPERIMENTS
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -44,7 +46,7 @@ GOLDEN = {
     "table1": ["table1"],
     "strategies": ["strategies"],
     # The quick smoke invocations, --check included.  CI runs them only
-    # through this file, except the traced one (.github/workflows/ci.yml).
+    # through this file.
     "exp-strategies--quick": ["exp-strategies", "--quick"],
     "exp-contention--quick--check": ["exp-contention", "--quick", "--check"],
     "exp1--workers-2--policy-adversarial--quick--check": [
@@ -79,10 +81,26 @@ def test_every_golden_file_is_listed():
     assert {path.stem for path in GOLDEN_DIR.glob("*.txt")} == set(GOLDEN)
 
 
+def sweep_text(text):
+    """What a sweep command prints before the lines of the files it wrote:
+    what ``report`` renders from its run document."""
+    return text.split("\nChrome trace (")[0].split("\nRun document written")[0]
+
+
 @pytest.mark.parametrize("name", FAST)
 def test_output_matches_golden(name, tmp_path, monkeypatch):
+    """The golden, and for a sweep the ``report`` of its run document: a
+    sweep golden runs with ``--json-out`` added, which adds one line."""
     monkeypatch.chdir(tmp_path)
-    assert run_cli(GOLDEN[name]) == golden_text(name)
+    argv, golden = GOLDEN[name], golden_text(name)
+    if argv[0] not in EXPERIMENTS:
+        assert run_cli(argv) == golden
+        return
+    if "--json-out" not in argv:
+        argv = argv + ["--json-out", "run.json"]
+        golden = f"{golden[:-1]}\nRun document written to run.json.\n"
+    assert run_cli(argv) == golden
+    assert run_cli(["report", "run.json"]) == sweep_text(golden) + "\n"
 
 
 def test_strategies_output_ignores_earlier_runs(tmp_path, monkeypatch):
@@ -104,35 +122,65 @@ def test_strategies_output_ignores_earlier_runs(tmp_path, monkeypatch):
     assert run_cli(GOLDEN["strategies"]) == golden_text("strategies")
 
 
-def test_traced_run_document_still_renders(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    run_cli(GOLDEN["exp-contention--quick--trace-out--json-out"])
-    report = run_cli(["report", "run.json"])
-    assert report.startswith("Traced run document (schema 2)")
-    for section in ("Replay result", "Run metrics", "Flame summary"):
-        assert section in report
+#: The 16 flame rows of LeasedInvalidate at 2 adversarial workers that the
+#: traced golden printed when ``--trace-out`` re-ran that one quick cell on
+#: its own: the sweep's own replay of the cell records the same spans.
+LEASED_2_ADVERSARIAL_FLAME = [
+    ("page:CreateBM", 12, 764, 197, "3.750"),
+    ("page:LookupBM", 21, 699, 321, "3.500"),
+    ("cache:lease_multi", 249, 635, 635, "4.250"),
+    ("app:header", 77, 615, 197, "3.000"),
+    ("page:Login", 12, 416, 143, "1.750"),
+    ("app:account", 72, 407, 171, "1.750"),
+    ("page:AcceptFR", 5, 335, 97, "1.500"),
+    ("page:LookupFBM", 10, 307, 136, "2.000"),
+    ("refresh:drain", 18, 295, 59, "1.750"),
+    ("cache:set_multi", 97, 241, 241, "1.500"),
+    ("refresh:recompute", 41, 236, 136, "1.750"),
+    ("app:write", 17, 225, 118, "2.000"),
+    ("page:Logout", 12, 148, 55, "1.500"),
+    ("trigger:flush", 21, 92, 42, "0.500"),
+    ("orm:intercept", 71, 71, 71, "0.000"),
+    ("cache:lease_delete_multi", 21, 50, 50, "0.500"),
+]
+
+
+def test_traced_golden_flames_are_the_sweeps_own_replays():
+    golden = golden_text("exp-contention--quick--trace-out--json-out")
+    flame = golden.split("Flame summary of LeasedInvalidate/2/adversarial "
+                         "(top spans by total ticks)\n")[1]
+    rows = [line.split() for line in flame.splitlines()[2:]]
+    assert rows == [[str(cell) for cell in row]
+                    for row in LEASED_2_ADVERSARIAL_FLAME]
 
 
 # -- the CLI surface ---------------------------------------------------------------
 
 #: ``(subcommand, option strings, default)`` of every argument, captured from
 #: ``build_parser()`` before the subcommands were derived from sweep entries
-#: (list defaults as tuples; a bare subcommand is ``(name, (), None)``).
+#: (list defaults as tuples; a bare subcommand is ``(name, (), None)``); every
+#: sweep has since gained ``--json-out`` and ``--trace-out``.
 CLI_SURFACE = {
     ("effort", (), None),
     ("exp-adaptive", ("--check",), False),
     ("exp-adaptive", ("--jobs",), 1),
+    ("exp-adaptive", ("--json-out",), None),
     ("exp-adaptive", ("--quick",), False),
     ("exp-adaptive", ("--strategies",), None),
+    ("exp-adaptive", ("--trace-out",), None),
     ("exp-adaptive", (), None),
     ("exp-batch", ("--batch-ops",), "both"),
+    ("exp-batch", ("--json-out",), None),
     ("exp-batch", ("--scenario",), "Update"),
+    ("exp-batch", ("--trace-out",), None),
     ("exp-batch", (), None),
     ("exp-cluster", ("--check",), False),
     ("exp-cluster", ("--fault-cases",), None),
     ("exp-cluster", ("--jobs",), 1),
+    ("exp-cluster", ("--json-out",), None),
     ("exp-cluster", ("--quick",), False),
     ("exp-cluster", ("--strategies",), None),
+    ("exp-cluster", ("--trace-out",), None),
     ("exp-cluster", (), None),
     ("exp-contention", ("--check",), False),
     ("exp-contention", ("--jobs",), 1),
@@ -144,23 +192,35 @@ CLI_SURFACE = {
     ("exp-contention", ("--trace-out",), None),
     ("exp-contention", ("--workers",), None),
     ("exp-contention", (), None),
+    ("exp-strategies", ("--json-out",), None),
     ("exp-strategies", ("--quick",), False),
     ("exp-strategies", ("--strategies",), None),
+    ("exp-strategies", ("--trace-out",), None),
     ("exp-strategies", (), None),
     ("exp1", ("--check",), False),
     ("exp1", ("--clients",), None),
     ("exp1", ("--jobs",), 1),
+    ("exp1", ("--json-out",), None),
     ("exp1", ("--policy",), "round-robin"),
     ("exp1", ("--quick",), False),
     ("exp1", ("--seed",), 0),
+    ("exp1", ("--trace-out",), None),
     ("exp1", ("--workers",), 1),
     ("exp1", (), None),
+    ("exp2", ("--json-out",), None),
     ("exp2", ("--read-fractions",), (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)),
+    ("exp2", ("--trace-out",), None),
     ("exp2", (), None),
+    ("exp3", ("--json-out",), None),
+    ("exp3", ("--trace-out",), None),
     ("exp3", ("--zipf",), (1.2, 1.4, 1.6, 1.8, 2.0)),
     ("exp3", (), None),
     ("exp4", ("--cache-kb",), (16, 32, 64, 128, 256, 512)),
+    ("exp4", ("--json-out",), None),
+    ("exp4", ("--trace-out",), None),
     ("exp4", (), None),
+    ("exp5", ("--json-out",), None),
+    ("exp5", ("--trace-out",), None),
     ("exp5", (), None),
     ("micro-lookup", (), None),
     ("micro-trigger", (), None),

@@ -11,6 +11,16 @@ from repro.orm import (CharField, FloatTimestampField, ForeignKey,
 from repro.storage import Database
 
 
+def exact_numbers(metrics) -> Dict[str, Any]:
+    """Every number of a simulated run that retained and streaming metrics
+    both compute exactly: all of them but the percentiles."""
+    return {"throughput": metrics.throughput,
+            "mean_latency": metrics.mean_latency,
+            "completed_pages": metrics.completed_pages,
+            "window": metrics.measured_window,
+            "latency_by_page": metrics.latency_by_page()}
+
+
 def database_rows(model: type, **filters: Any) -> List[Dict[str, Any]]:
     """``model``'s rows whose columns equal ``filters``, read from its
     database directly: the ground truth no interceptor can answer for."""

@@ -93,13 +93,15 @@ class TestTracedReplayIdentical:
             total_pages = (ADAPTIVE_WORKLOAD.clients
                            * ADAPTIVE_WORKLOAD.sessions_per_client
                            * ADAPTIVE_WORKLOAD.page_loads_per_session)
+            tracers = [] if traced else None
             result = run_scenario(
                 config, workload=ADAPTIVE_WORKLOAD, warmup=None,
-                workers=workers, policy=policy, traced=traced,
+                workers=workers, policy=policy, tracers=tracers,
                 arrival_model=_adaptive_arrival(
                     total_pages,
                     base_interval_seconds=3.0 * STRATEGY_PAGE_INTERVAL),
             ).replay
+            assert tracers is None or len(tracers) == 1
             fingerprint = replay_fingerprint(result)
             fingerprint["key_telemetry"] = result.key_telemetry
             fingerprint["switch_log"] = list(strategy.switch_log)

@@ -46,6 +46,7 @@ from repro.sim import (ConcurrentReplayResult, DelayResource, EventEngine,
 from repro.sim import runner as runner_module
 from repro.sim.runner import ReplayResult, ReplayedPage
 from repro.storage.costmodel import CostCounters, Demand
+from tests.helpers import exact_numbers
 
 
 # ---------------------------------------------------------------------------
@@ -363,11 +364,7 @@ class TestGoldenEventOrder:
         streamed = simulate_population(replay, options=options,
                                        retain_completions=False)
         assert streamed.completions == []
-        exact = [key for key in retained.summary() if key != "p95_latency_s"]
-        assert ({key: streamed.summary()[key] for key in exact}
-                == {key: retained.summary()[key] for key in exact})
-        assert streamed.latency_by_page() == retained.latency_by_page()
-        assert streamed.throughput_by_page() == retained.throughput_by_page()
+        assert exact_numbers(streamed) == exact_numbers(retained)
         assert streamed.engine_events == retained.engine_events
         assert repr(streamed.duration) == repr(retained.duration)
         assert repr(streamed.window_end) == repr(retained.window_end)

@@ -1,16 +1,13 @@
-"""Stable JSON export: replay and metrics documents.
+"""``ReplayedPage`` and whole replays cross process boundaries intact.
 
-The run documents (``ReplayResult.to_json`` / ``RunMetrics.to_json``) are
-what ``python -m repro.bench report`` consumes and what sweeps archive, so
-they must be versioned and JSON-serializable as-is, and byte-stable through
-a dump/load cycle.
+``run_cells --jobs`` sends replays back from its worker processes, so a
+page must pickle, copy and compare like the dataclass it is.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
-import json
 import pickle
 
 import pytest
@@ -19,38 +16,16 @@ from repro.apps.social import SeedScale
 from repro.bench.experiments import (QUICK_HOT_KEY_WORKLOAD as WORKLOAD,
                                      ablation_config, run_scenario)
 from repro.bench.scenarios import UPDATE_SCENARIO
-from repro.sim import (ADVERSARIAL, RUN_JSON_SCHEMA, ReplayResult,
-                       ReplayedPage, simulate_population)
+from repro.sim import ADVERSARIAL, ReplayedPage
 from repro.storage.costmodel import CostCounters, Demand
 
 
 @pytest.fixture(scope="module")
 def replay():
-    """One workers=2 adversarial replay shared by every round-trip test."""
+    """One workers=2 adversarial replay."""
     config = ablation_config(UPDATE_SCENARIO, SeedScale.tiny())
     return run_scenario(config, workload=WORKLOAD, warmup=None, workers=2,
                         policy=ADVERSARIAL).replay
-
-
-def canonical(doc) -> str:
-    return json.dumps(doc, sort_keys=True)
-
-
-class TestReplayResultRoundTrip:
-    def test_document_is_versioned_and_json_clean(self, replay):
-        doc = replay.to_json()
-        assert doc["schema"] == RUN_JSON_SCHEMA
-        assert doc["kind"] == "replay_result"
-        # Serializable without default= hooks, and stable through a cycle.
-        encoded = canonical(doc)
-        assert canonical(json.loads(encoded)) == encoded
-
-    def test_serial_replay_exports_without_concurrent_block(self):
-        result = ReplayResult()
-        doc = result.to_json()
-        assert "concurrent" not in doc
-        assert doc["pages"] == []
-
 
 
 class TestSlottedReplayedPage:
@@ -91,7 +66,13 @@ class TestSlottedReplayedPage:
         assert clone == page and clone is not page
         assert clone.counters.as_dict() == page.counters.as_dict()
         rebuilt = pickle.loads(pickle.dumps(replay, protocol))
-        assert canonical(rebuilt.to_json()) == canonical(replay.to_json())
+        assert rebuilt.pages == replay.pages
+        assert ([page.counters.as_dict() for page in rebuilt.pages]
+                == [page.counters.as_dict() for page in replay.pages])
+        assert (rebuilt.total_counters.as_dict()
+                == replay.total_counters.as_dict())
+        assert (rebuilt.schedule, rebuilt.schedule_signature) == (
+            replay.schedule, replay.schedule_signature)
 
     def test_deepcopy_asdict_and_replace(self):
         page = self.page()
@@ -105,25 +86,3 @@ class TestSlottedReplayedPage:
         moved = dataclasses.replace(page, page="CreateBM")
         assert (moved.page, moved.demand) == ("CreateBM", page.demand)
         assert page.page == "LookupBM"
-
-
-
-class TestRunMetricsDocument:
-    def test_document_is_versioned_and_complete(self, replay):
-        metrics = simulate_population(replay, clients=WORKLOAD.clients)
-        doc = metrics.to_json()
-        assert doc["schema"] == RUN_JSON_SCHEMA
-        assert doc["kind"] == "run_metrics"
-        assert doc["mode"] == "retained"
-        assert doc["summary"] == metrics.summary()
-        assert doc["latency_by_page"] == metrics.latency_by_page()
-        assert doc["contention"] == dict(metrics.contention)
-        encoded = canonical(doc)
-        assert canonical(json.loads(encoded)) == encoded
-
-    def test_streaming_mode_documents_itself(self, replay):
-        metrics = simulate_population(replay, clients=WORKLOAD.clients,
-                                      retain_completions=False)
-        doc = metrics.to_json()
-        assert doc["mode"] == "streaming"
-        assert doc["summary"]["completed_pages"] > 0

@@ -10,6 +10,7 @@ from repro.sim import (STREAM_CLIENT_THRESHOLD, ConcurrentReplayer,
 from repro.sim.runner import ReplayResult, ReplayedPage
 from repro.storage.costmodel import CostCounters, Demand
 from repro.workload import WorkloadConfig, WorkloadGenerator
+from tests.helpers import exact_numbers
 
 
 def synthetic_replay(clients: int, pages_per_client: int = 2) -> ReplayResult:
@@ -147,14 +148,7 @@ class TestStreamingMetrics:
         retained = simulate_population(replay, retain_completions=True)
         streamed = simulate_population(replay, retain_completions=False)
         assert retained.retain_completions and not streamed.retain_completions
-        retained_summary = retained.summary()
-        streamed_summary = streamed.summary()
-        exact_keys = [k for k in retained_summary if k != "p95_latency_s"]
-        assert ({k: streamed_summary[k] for k in exact_keys}
-                == {k: retained_summary[k] for k in exact_keys})
-        assert streamed.latency_by_page() == retained.latency_by_page()
-        assert (streamed.throughput_by_page()
-                == retained.throughput_by_page())
+        assert exact_numbers(streamed) == exact_numbers(retained)
         for fraction in (0.5, 0.9, 0.95, 0.99):
             exact = retained.latency_percentile(fraction)
             quantized = streamed.latency_percentile(fraction)

@@ -5,7 +5,7 @@ Run from the repository root (CI's docs job does)::
 
     PYTHONPATH=src python tools/check_docs.py
 
-Eight checks keep the docs layer from rotting silently:
+Nine checks keep the docs layer from rotting silently:
 
 * **Links** — every relative markdown link in ``README.md`` and ``docs/``
   must point at an existing file, and every ``#anchor`` must match a
@@ -39,6 +39,11 @@ Eight checks keep the docs layer from rotting silently:
   block (``\\`` continuations joined, a trailing ``# comment`` dropped)
   must parse with the CLI's ``build_parser()``, so a deleted subcommand or
   option cannot linger in a copy-paste command.  Nothing is run.
+* **The experiment tables** in ``EXPERIMENTS.md`` — each table sits under
+  a ``<!-- golden: NAME -->`` marker, and every cell of it equals the cell
+  in the same row and column of a table of ``tests/bench/golden/NAME.txt``
+  (it may leave columns out), or under ``<!-- unchecked: reason -->``,
+  listed in the summary line: a table no golden command prints.
 
 Exit status 0 when everything passes; a non-zero status lists every broken
 link / failing example on stderr.  No dependencies beyond the standard
@@ -96,6 +101,13 @@ COUNT_TABLE_HEADER = "| Count | Owner | Read it from |"
 #: The page holding the module map, and the map's header row.
 KNOB_TABLE_DOC = "docs/ADAPTIVE.md"
 KNOB_TABLE_HEADER = "| knob | default | meaning |"
+
+#: The page whose tables restate the stdout goldens, and where those live.
+EXPERIMENTS_DOC = "EXPERIMENTS.md"
+GOLDEN_DIR = "tests/bench/golden"
+
+#: The marker above each table of :data:`EXPERIMENTS_DOC`.
+_TABLE_MARKER_RE = re.compile(r"^<!-- (golden|unchecked): (.+?) -->$")
 
 ENTRY_TABLE_DOC = "docs/ARCHITECTURE.md"
 ENTRY_TABLE_HEADER = "| Paper concept (§) | Module | Entry points |"
@@ -491,6 +503,91 @@ def check_count_table() -> List[str]:
     return errors
 
 
+def markdown_tables(text: str) -> List[Tuple[int, str, List[List[str]]]]:
+    """(line, the line above, rows of cells) of each markdown table in
+    ``text``; the delimiter row is dropped and ``**`` bold is unwrapped."""
+    lines = text.splitlines()
+    tables: List[Tuple[int, str, List[List[str]]]] = []
+    at = 0
+    while at < len(lines):
+        if not lines[at].startswith("|"):
+            at += 1
+            continue
+        start = at
+        while at < len(lines) and lines[at].startswith("|"):
+            at += 1
+        rows = [[cell.strip().replace("**", "")
+                 for cell in line.strip().strip("|").split("|")]
+                for line in lines[start:at]]
+        del rows[1]
+        tables.append((start + 1, lines[start - 1] if start else "", rows))
+    return tables
+
+
+def golden_tables(text: str) -> List[List[List[str]]]:
+    """Each table :func:`repro.bench.reporting.format_table` printed in a
+    golden, as rows of cells; its dashes row gives the columns."""
+    lines = text.splitlines()
+    tables = []
+    for at in range(1, len(lines)):
+        if not re.fullmatch(r"-+(  -+)*", lines[at].rstrip()):
+            continue
+        starts = [match.start() for match in re.finditer(r"-+", lines[at])]
+        ends = starts[1:] + [None]
+        end = at + 1
+        while end < len(lines) and lines[end].strip():
+            end += 1
+        tables.append([[line[a:b].strip() for a, b in zip(starts, ends)]
+                       for line in [lines[at - 1]] + lines[at + 1:end]])
+    return tables
+
+
+def compare_table(where: str, name: str, rows: List[List[str]],
+                  golden: List[List[List[str]]]) -> List[str]:
+    """One error per cell of the table ``rows`` that differs from the
+    golden table with all of its columns."""
+    header = rows[0]
+    table = next((table for table in golden if set(header) <= set(table[0])),
+                 None)
+    if table is None:
+        return [f"{where}: no table of golden {name} has the columns "
+                f"{header}"]
+    if len(rows) != len(table):
+        return [f"{where}: {len(rows) - 1} rows, golden {name} has "
+                f"{len(table) - 1}"]
+    columns = [table[0].index(label) for label in header]
+    return [f"{where}: row {row[0]!r}, column {label!r} reads {cell!r}; "
+            f"golden {name} has {expected[column]!r}"
+            for row, expected in zip(rows[1:], table[1:])
+            for label, cell, column in zip(header, row, columns)
+            if cell != expected[column]]
+
+
+def check_experiment_tables() -> Tuple[List[str], List[str]]:
+    """The errors of :data:`EXPERIMENTS_DOC`'s tables against the goldens
+    they restate, and the tables marked unchecked."""
+    errors: List[str] = []
+    unchecked: List[str] = []
+    text = (REPO_ROOT / EXPERIMENTS_DOC).read_text()
+    for line, above, rows in markdown_tables(text):
+        where = f"{EXPERIMENTS_DOC}:{line}"
+        marker = _TABLE_MARKER_RE.match(above)
+        if marker is None:
+            errors.append(f"{where}: the table has no `<!-- golden: NAME -->`"
+                          f" or `<!-- unchecked: reason -->` line above it")
+        elif marker.group(1) == "unchecked":
+            unchecked.append(f"{where} ({marker.group(2)})")
+        else:
+            name = marker.group(2)
+            path = REPO_ROOT / GOLDEN_DIR / f"{name}.txt"
+            if not path.exists():
+                errors.append(f"{where}: no golden {name}")
+                continue
+            errors += compare_table(where, name, rows,
+                                    golden_tables(path.read_text()))
+    return errors, unchecked
+
+
 def main() -> int:
     paths = doc_paths()
     if not paths:
@@ -500,6 +597,8 @@ def main() -> int:
               + check_yield_table() + check_count_table()
               + check_entry_points() + check_knob_table()
               + check_bench_commands(paths))
+    table_errors, unchecked = check_experiment_tables()
+    errors += table_errors
     snippet_count = sum(len(python_snippets(p)) for p in paths)
     if errors:
         for error in errors:
@@ -509,6 +608,8 @@ def main() -> int:
         return 1
     print(f"check_docs: {len(paths)} file(s) OK "
           f"({snippet_count} doctest block(s) executed)")
+    print(f"check_docs: {len(unchecked)} {EXPERIMENTS_DOC} table(s) restate "
+          f"no golden, unchecked: {', '.join(unchecked) or 'none'}")
     return 0
 
 

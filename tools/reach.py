@@ -1,9 +1,9 @@
 """Which functions under ``src/repro`` does no command of the system reach,
 which options does only one value reach, and what keeps each of them?
 
-Runs every golden ``python -m repro.bench`` invocation (the 23 argv lists of
-``tests/bench/test_golden_output.py``), ``report run.json`` on the traced
-one's run document, ``benchmarks/e2e/run.py --smoke``, every
+Runs every golden ``python -m repro.bench`` invocation (the 22 argv lists of
+``tests/bench/test_golden_output.py``), ``report run.json`` on the sweep
+document the traced one writes, ``benchmarks/e2e/run.py --smoke``, every
 ``examples/*.py`` and the doctest blocks of the docs (what
 ``tools/check_docs.py`` runs), all in this one process under ``sys.setprofile`` (and
 ``threading.setprofile``, so replay worker threads are seen).  Then it lists
@@ -538,8 +538,6 @@ OPTION_KEEPERS: Dict[str, Tuple[str, str]] = {
     # A flag of a command sets it.
     "bench/experiments.py:run_scenario(seed)": (
         FLAG, "--seed (exp1, exp-contention) seeds the replay's scheduler"),
-    "bench/experiments.py:trace_contention_cell(seed)": (
-        FLAG, "exp-contention --trace-out --seed"),
     "sim/interleave.py:build_scheduler(seed)": (
         FLAG, "--seed (exp1, exp-contention) seeds the scheduler"),
     # Open ROADMAP items vary it.
@@ -1038,7 +1036,8 @@ def report(defined: Dict[Site, Function], result: Triage) -> Iterator[str]:
     yield ""
     yield (f"{len(unreached)} of {len(defined)} functions under src/repro "
            f"({_spans(defined, unreached)} lines) are reached by no command: "
-           f"the 22 golden commands, report run.json, "
+           f"the 22 golden commands, report run.json (the traced "
+           f"golden's sweep document), "
            f"benchmarks/e2e/run.py --smoke, examples/*.py and the docs' "
            f"doctests.")
     categories: Dict[str, int] = {}
